@@ -56,6 +56,7 @@ import (
 	"delprop/internal/core"
 	"delprop/internal/cq"
 	"delprop/internal/server"
+	"delprop/internal/telemetry"
 	"delprop/internal/textio"
 )
 
@@ -186,12 +187,12 @@ func run(dbPath, qPath, dPath string, opts options) error {
 	if err != nil {
 		return err
 	}
-	endPhase("parse")
+	endPhase(telemetry.PhaseParse)
 	p, err := core.NewProblem(db, queries, delta)
 	if err != nil {
 		return err
 	}
-	endPhase("views")
+	endPhase(telemetry.PhaseViews)
 
 	if opts.explain {
 		for _, q := range queries {
@@ -217,11 +218,11 @@ func run(dbPath, qPath, dPath string, opts options) error {
 	if err != nil {
 		return err
 	}
-	endPhase("classify")
+	endPhase(telemetry.PhaseClassify)
 	fmt.Printf("solver: %s\n", solver.Name())
 	ctx, st := core.WithStats(ctx)
 	sol, err := solver.Solve(ctx, p)
-	endPhase("solve")
+	endPhase(telemetry.PhaseSolve)
 	partial := false
 	if err != nil {
 		inc, ok := core.Best(err)
@@ -255,7 +256,7 @@ func run(dbPath, qPath, dPath string, opts options) error {
 	if opts.balanced {
 		fmt.Printf("balanced objective: %v (bad remaining %d)\n", rep.Balanced, rep.BadRemaining)
 	}
-	endPhase("evaluate")
+	endPhase(telemetry.PhaseEvaluate)
 	if opts.stats != "" {
 		if err := printStats(os.Stdout, opts.stats, phases, st.Snapshot()); err != nil {
 			return err
@@ -283,7 +284,7 @@ func printStats(w io.Writer, form string, phases map[string]time.Duration, snap 
 		return enc.Encode(statsReport{PhaseMs: phaseMs, Stats: snap})
 	}
 	fmt.Fprintln(w, "phase timings:")
-	for _, name := range []string{"parse", "views", "classify", "solve", "evaluate"} {
+	for _, name := range telemetry.Phases {
 		if d, ok := phases[name]; ok {
 			fmt.Fprintf(w, "  %-9s %v\n", name, d.Round(time.Microsecond))
 		}

@@ -43,22 +43,6 @@ const (
 	eventStreamEnd = "stream_end"
 )
 
-// publishEvent puts one correlated event on the bus and journals the
-// stamped copy so postmortem bundles can replay a request's history
-// after the live subscribers have moved on. Fields must be
-// JSON-encodable; nil is fine.
-func (a *api) publishEvent(typ, reqID string, traceID uint64, tenant, solver string, fields map[string]any) {
-	ev := a.cfg.Events.Publish(telemetry.Event{
-		Type:      typ,
-		RequestID: reqID,
-		TraceID:   traceID,
-		Tenant:    tenant,
-		Solver:    solver,
-		Fields:    fields,
-	})
-	a.journal.Append(ev)
-}
-
 // eventFilter builds the subscriber's filter from the /events query
 // parameters: ?tenant= and ?solver= match exactly, ?type= is a
 // comma-separated OR over event types.

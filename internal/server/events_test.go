@@ -128,7 +128,7 @@ func TestEventsStreamDuringSolve(t *testing.T) {
 		name, _ := ev.Fields["phase"].(string)
 		phases[name] = true
 	}
-	for _, want := range []string{"parse", "views", "classify", "solve", "evaluate"} {
+	for _, want := range telemetry.Phases {
 		if !phases[want] {
 			t.Errorf("no phase event for %q: %v", want, phases)
 		}
@@ -350,5 +350,57 @@ func TestTracesLiveState(t *testing.T) {
 	}
 	if _, body := get(t, srv, "/debug/traces"); !strings.Contains(body, `"solver":"greedy"`) {
 		t.Errorf("finished ring missing the trace: %s", body)
+	}
+}
+
+// TestRejectedSolveClosesLifecycle: a solve refused before any solver ran
+// still closes its solve_start with exactly one solve_done (outcome
+// rejected, same request id), and feeds no solve metrics.
+func TestRejectedSolveClosesLifecycle(t *testing.T) {
+	cases := []struct {
+		name   string
+		req    InstanceRequest
+		status int
+	}{
+		{"bad deletion", InstanceRequest{Database: fig1DB, Queries: "Q4(x, y, z) :- T1(x, y), T2(y, z, w)",
+			Deletions: "Q4(Nobody, X, Y)"}, http.StatusBadRequest},
+		{"unknown solver", InstanceRequest{Database: fig1DB, Queries: "Q4(x, y, z) :- T1(x, y), T2(y, z, w)",
+			Deletions: "Q4(John, TKDE, XML)", Solver: "nope"}, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			app := New()
+			srv := httptest.NewServer(app)
+			defer srv.Close()
+			sub := app.Events().Subscribe(telemetry.Filter{
+				Types: map[string]bool{eventSolveStart: true, eventSolveDone: true}}, 16)
+			defer sub.Close()
+
+			resp, body := post(t, srv, "/solve", c.req)
+			if resp.StatusCode != c.status {
+				t.Fatalf("status = %d, want %d: %s", resp.StatusCode, c.status, body)
+			}
+			reqID := decodeErr(t, body).RequestID
+			evs := sub.Drain(0)
+			if len(evs) != 2 || evs[0].Type != eventSolveStart || evs[1].Type != eventSolveDone {
+				t.Fatalf("events = %+v, want solve_start then solve_done", evs)
+			}
+			for _, ev := range evs {
+				if ev.RequestID != reqID || ev.TraceID == 0 {
+					t.Errorf("%s correlation = req %q trace %d, want req %q", ev.Type, ev.RequestID, ev.TraceID, reqID)
+				}
+			}
+			if outcome := evs[1].Fields["outcome"]; outcome != outcomeRejected {
+				t.Errorf("solve_done outcome = %v, want %s", outcome, outcomeRejected)
+			}
+			if _, metrics := get(t, srv, "/metrics"); strings.Contains(metrics, metricSolvesTotal+"{") {
+				t.Errorf("rejected solve fed %s", metricSolvesTotal)
+			}
+			var traces TracesResponse
+			getJSON(t, srv, "/debug/traces", &traces)
+			if len(traces.Traces) != 1 || traces.Traces[0].Attrs["outcome"] != outcomeRejected {
+				t.Errorf("trace = %+v, want one trace with outcome %s", traces.Traces, outcomeRejected)
+			}
+		})
 	}
 }

@@ -115,10 +115,6 @@ type Config struct {
 	// it from the strictest SLO latency bound, negative disables
 	// slow-solve capture.
 	PostmortemSlowSolve time.Duration
-	// EventJournalCapacity bounds the event journal postmortems draw
-	// correlated event history from; 0 means
-	// telemetry.DefaultJournalCapacity.
-	EventJournalCapacity int
 }
 
 // Defaults applied by withDefaults.
@@ -145,9 +141,6 @@ const (
 	// enough to cover an incident review, bounded because every bundle
 	// pins a trace, a stats snapshot and an event slice.
 	DefaultPostmortemCapacity = 64
-	// recentSolveCapacity bounds the ring of finished-solve records the
-	// flight recorder correlates SLO breaches against.
-	recentSolveCapacity = 128
 )
 
 // DefaultConfig returns the production defaults documented in
@@ -236,9 +229,6 @@ func (c Config) withDefaults() Config {
 	if c.PostmortemCapacity == 0 {
 		c.PostmortemCapacity = DefaultPostmortemCapacity
 	}
-	if c.EventJournalCapacity <= 0 {
-		c.EventJournalCapacity = telemetry.DefaultJournalCapacity
-	}
 	return c
 }
 
@@ -259,13 +249,9 @@ type api struct {
 	// and the SLO watchdog; watchdog is nil without SLO rules.
 	sampler  *telemetry.Sampler
 	watchdog *telemetry.Watchdog
-	// journal retains recent bus events for postmortem correlation;
-	// postmortems is the flight recorder's bundle ring (nil when capture
-	// is disabled); recent is the finished-solve ring SLO breaches are
-	// correlated against.
-	journal     *telemetry.Journal
-	postmortems *postmortemRing
-	recent      *recentSolves
+	// recorder holds the finished-solve records and postmortem bundles
+	// (nil when capture is disabled).
+	recorder *flightRecorder
 	// sessions is the warm-solve registry behind POST /sessions (see
 	// internal/session and session.go in this package).
 	sessions *session.Registry

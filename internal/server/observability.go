@@ -171,11 +171,14 @@ func httpStatusLabel(status int) string {
 	return "other"
 }
 
-// observeSolve records one finished (or interrupted) solve: the latency
-// histogram per solver, the outcome counter, and the search-progress
-// counters aggregated from the solve's Stats.
-func (a *api) observeSolve(solver, outcome string, dur time.Duration, snap core.StatsSnapshot) {
+// observeSolve records one finished (or interrupted) solve that ran: the
+// latency histogram per solver, the outcome counter, the search-progress
+// counters aggregated from the solve's Stats, the race summary, the
+// breaker outcome and the degraded-solve count.
+func (a *api) observeSolve(rec *solveRecord) {
 	reg := a.cfg.Metrics
+	solver, outcome, snap := rec.solver, rec.outcome, rec.stats
+	dur := *rec.phase(telemetry.PhaseSolve)
 	reg.Histogram(metricSolveDuration,
 		"Solve latency in seconds, by solver.",
 		nil, telemetry.Labels{"solver": solver}).Observe(dur.Seconds())
@@ -206,6 +209,15 @@ func (a *api) observeSolve(solver, outcome string, dur time.Duration, snap core.
 	// The unlabeled aggregate feeds Retry-After hints (retryAfterSeconds);
 	// per-solver histograms cannot be merged quantile-correctly at read time.
 	a.latencyAll.Observe(dur.Seconds())
+	if rec.race != nil {
+		a.observeRace(*rec.race)
+	}
+	a.breakers.Record(solver, rec.breakerOutcome())
+	if rec.degraded {
+		reg.Counter(metricDegradedSolves,
+			"Solves forced onto the degrade solver, by tenant and the rule that fired.",
+			telemetry.Labels{"tenant": rec.tenant, "rule": rec.rule}).Inc()
+	}
 }
 
 // observeAdmission counts one admission-ladder decision for a tenant and
@@ -215,15 +227,8 @@ func (a *api) observeAdmission(reqID, tenant, decision string) {
 	a.cfg.Metrics.Counter(metricAdmissionDecisions,
 		"Admission-ladder decisions, by tenant and decision (admitted, queued, degraded, shed-<rule>).",
 		telemetry.Labels{"tenant": tenant, "decision": decision}).Inc()
-	a.publishEvent(eventAdmission, reqID, 0, tenant, "", map[string]any{"decision": decision})
-}
-
-// observeDegraded counts one solve that ran downgraded, by tenant and the
-// policy rule that forced the downgrade.
-func (a *api) observeDegraded(tenant, rule string) {
-	a.cfg.Metrics.Counter(metricDegradedSolves,
-		"Solves forced onto the degrade solver, by tenant and the rule that fired.",
-		telemetry.Labels{"tenant": tenant, "rule": rule}).Inc()
+	a.publish(nil, telemetry.Event{Type: eventAdmission, RequestID: reqID, Tenant: tenant,
+		Fields: map[string]any{"decision": decision}})
 }
 
 // retryAfterSeconds derives the Retry-After hint for shed responses from
@@ -265,7 +270,8 @@ func (a *api) registerBreakerMetrics() {
 		reg.Counter(metricBreakerTransitions,
 			"Circuit breaker state transitions, by solver and destination state.",
 			telemetry.Labels{"solver": solver, "to": to.String()}).Inc()
-		a.publishEvent(eventBreaker, "", 0, "", solver, map[string]any{"state": to.String()})
+		a.publish(nil, telemetry.Event{Type: eventBreaker, Solver: solver,
+			Fields: map[string]any{"state": to.String()}})
 	})
 }
 
@@ -493,16 +499,7 @@ func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) OpsHandler(enablePprof bool) http.Handler {
 	a := s.api
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", a.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", a.handleTraces)
-	mux.HandleFunc("GET /debug/breakers", a.handleBreakers)
-	mux.HandleFunc("GET /debug/series", a.handleSeries)
-	mux.HandleFunc("GET /debug/slo", a.handleSLO)
-	mux.HandleFunc("GET /debug/postmortems", a.handlePostmortems)
-	mux.HandleFunc("GET /debug/postmortems/{id}", a.handlePostmortem)
-	mux.HandleFunc("GET /debug/sessions", a.handleDebugSessions)
-	mux.HandleFunc("GET /events", a.handleEvents)
-	mux.HandleFunc("GET /healthz", a.handleHealthz)
+	a.mountReads(mux)
 	if enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

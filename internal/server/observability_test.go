@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"delprop/internal/telemetry"
 )
 
 // get fetches a path from the test server and returns status + body.
@@ -56,7 +60,7 @@ func TestMetricsAfterSolve(t *testing.T) {
 	if out.PhaseMs == nil {
 		t.Fatal("response carries no phase timings")
 	}
-	for _, phase := range []string{"parse", "views", "classify", "solve", "evaluate"} {
+	for _, phase := range telemetry.Phases {
 		if _, ok := out.PhaseMs[phase]; !ok {
 			t.Errorf("phaseMs missing %q: %v", phase, out.PhaseMs)
 		}
@@ -411,5 +415,65 @@ func TestHTTPMetricLabelCardinalityBounded(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `path="/healthz"`) {
 		t.Error(`/metrics lost the known-route series for /healthz`)
+	}
+}
+
+// syncBuffer is a goroutine-safe log sink: the server logs from handler
+// goroutines while the test reads.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSolveLogPhaseTimings: the solve log line carries every lifecycle
+// phase as fractional milliseconds, equal to the response's phaseMs.
+func TestSolveLogPhaseTimings(t *testing.T) {
+	var logs syncBuffer
+	app := NewHandler(Config{Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	srv := httptest.NewServer(app)
+	defer srv.Close()
+
+	resp, body := post(t, srv, "/solve", projectFreeSolve())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve status = %d: %s", resp.StatusCode, body)
+	}
+	out := decodeSolve(t, body)
+	var line map[string]any
+	for _, raw := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(raw), &rec); err != nil {
+			t.Fatalf("log line %q: %v", raw, err)
+		}
+		if rec["msg"] == "solve" {
+			line = rec
+		}
+	}
+	if line == nil {
+		t.Fatalf("no solve log line in:\n%s", logs.String())
+	}
+	if line["requestId"] != out.RequestID || line["outcome"] != "ok" {
+		t.Errorf("log line identity = %v/%v, want %s/ok", line["requestId"], line["outcome"], out.RequestID)
+	}
+	for _, phase := range telemetry.Phases {
+		got, ok := line[phase+"Ms"].(float64)
+		if !ok {
+			t.Errorf("log line lacks %sMs: %v", phase, line)
+			continue
+		}
+		if want := out.PhaseMs[phase]; got != want {
+			t.Errorf("log %sMs = %v, response phaseMs = %v", phase, got, want)
+		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // Postmortem flight recorder. When something goes wrong — an SLO breach,
 // a hard solve failure, or a solve over the latency SLO — the server
 // freezes a bounded-ring bundle of everything an incident review needs:
-// the request's trace, its final core.Stats snapshot, the correlated
-// event history from the journal, the admission decision, the breaker
+// the request's trace, its final core.Stats snapshot, the events
+// recorded on that trace, the admission decision, the breaker
 // states and the process's goroutine/heap counts at capture time. GET
 // /debug/postmortems lists the bundles newest first; /debug/postmortems/
 // {id} serves one in full. The answer to "why was that solve slow at
@@ -49,12 +49,12 @@ type Postmortem struct {
 	DurationMs float64              `json:"durationMs,omitempty"`
 	Breach     *telemetry.SLOBreach `json:"breach,omitempty"`
 	Admission  *AdmissionJSON       `json:"admission,omitempty"`
-	// Trace is the correlated solve trace (live-form if the capture beat
-	// tr.Finish; nil when the trace already left the ring).
+	// Trace is the correlated solve trace.
 	Trace *telemetry.TraceJSON `json:"trace,omitempty"`
 	Stats *core.StatsSnapshot  `json:"stats,omitempty"`
-	// Events is the journal's history for the request (or, for breaches
-	// with no correlated solve, the journal tail at capture time).
+	// Events are the events recorded on the correlated trace (or, for
+	// breaches with no correlated solve, the newest finished traces'
+	// events at capture time).
 	Events         []telemetry.Event         `json:"events,omitempty"`
 	Breakers       []admission.BreakerStatus `json:"breakers,omitempty"`
 	Goroutines     int                       `json:"goroutines"`
@@ -93,163 +93,118 @@ func (p *Postmortem) summary() PostmortemSummary {
 	return s
 }
 
-// postmortemRing is the bounded bundle store, oldest evicted first.
-type postmortemRing struct {
-	mu     sync.Mutex
-	buf    []*Postmortem //delprop:guardedby mu
-	head   int           //delprop:guardedby mu
-	n      int           //delprop:guardedby mu
-	nextID uint64        //delprop:guardedby mu
+// flightRecorder keeps the bounded history postmortems draw on: the
+// finished-solve records SLO breaches (which fire on the sampler tick,
+// after the fact) correlate back to a request, and the captured bundles.
+// Each record pins its trace, so the record ring is no deeper than the
+// tracer's finished ring.
+type flightRecorder struct {
+	mu      sync.Mutex
+	solves  telemetry.Ring[*solveRecord] //delprop:guardedby mu
+	bundles telemetry.Ring[*Postmortem]  //delprop:guardedby mu
+	nextID  uint64                       //delprop:guardedby mu
 }
 
-func newPostmortemRing(capacity int) *postmortemRing {
-	return &postmortemRing{buf: make([]*Postmortem, capacity)}
-}
-
-// add assigns the bundle its id, stores it, and returns the id.
-func (r *postmortemRing) add(p *Postmortem) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextID++
-	p.ID = "pm-" + strconv.FormatUint(r.nextID, 10)
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = p
-		r.n++
-	} else {
-		r.buf[r.head] = p
-		r.head = (r.head + 1) % len(r.buf)
+func newFlightRecorder(capacity int) *flightRecorder {
+	return &flightRecorder{
+		solves:  telemetry.NewRing[*solveRecord](telemetry.DefaultTraceBuffer),
+		bundles: telemetry.NewRing[*Postmortem](capacity),
 	}
+}
+
+func (f *flightRecorder) addSolve(rec *solveRecord) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.solves.Push(rec)
+}
+
+// match returns the newest record matching a breach's By/Target scoping:
+// per-solver rules match on the resolved solver, per-tenant rules on the
+// tenant, anything else takes the newest record outright. Scanning newest
+// first makes the newest matching record — almost always the trigger —
+// win. A nil recorder (capture disabled) matches nothing.
+func (f *flightRecorder) match(by, target string) *solveRecord {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := f.solves.Len() - 1; i >= 0; i-- {
+		rec := f.solves.At(i)
+		switch {
+		case by == "solver" && target != "":
+			if rec.solver == target {
+				return rec
+			}
+		case by == "tenant" && target != "":
+			if rec.tenant == target {
+				return rec
+			}
+		default:
+			return rec
+		}
+	}
+	return nil
+}
+
+// addBundle assigns the bundle its id, stores it, and returns the id.
+func (f *flightRecorder) addBundle(p *Postmortem) string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.nextID++
+	p.ID = "pm-" + strconv.FormatUint(f.nextID, 10)
+	f.bundles.Push(p)
 	return p.ID
 }
 
-// list returns summaries, newest first.
-func (r *postmortemRing) list() []PostmortemSummary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]PostmortemSummary, 0, r.n)
-	for i := r.n - 1; i >= 0; i-- {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)].summary())
+// list returns bundle summaries, newest first.
+func (f *flightRecorder) list() []PostmortemSummary {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]PostmortemSummary, 0, f.bundles.Len())
+	for i := f.bundles.Len() - 1; i >= 0; i-- {
+		out = append(out, f.bundles.At(i).summary())
 	}
 	return out
 }
 
 // get returns the bundle by id, or nil once it has been evicted.
-func (r *postmortemRing) get(id string) *Postmortem {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := 0; i < r.n; i++ {
-		if p := r.buf[(r.head+i)%len(r.buf)]; p.ID == id {
+func (f *flightRecorder) get(id string) *Postmortem {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := 0; i < f.bundles.Len(); i++ {
+		if p := f.bundles.At(i); p.ID == id {
 			return p
 		}
 	}
 	return nil
 }
 
-// solveRecord is the finish-time summary of one solve, kept so SLO
-// breaches (which fire on the sampler tick, after the fact) can be
-// correlated back to a concrete request.
-type solveRecord struct {
-	at       time.Time
-	reqID    string
-	traceID  uint64
-	tenant   string
-	solver   string
-	outcome  string
-	durMs    float64
-	degraded bool
-	rule     string
-	stats    core.StatsSnapshot
-}
-
-// recentSolves is a bounded ring of finished solves, newest last.
-type recentSolves struct {
-	mu   sync.Mutex
-	buf  []solveRecord //delprop:guardedby mu
-	head int           //delprop:guardedby mu
-	n    int           //delprop:guardedby mu
-}
-
-func newRecentSolves(capacity int) *recentSolves {
-	return &recentSolves{buf: make([]solveRecord, capacity)}
-}
-
-func (r *recentSolves) add(rec solveRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = rec
-		r.n++
-		return
-	}
-	r.buf[r.head] = rec
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-// match returns the newest record matching a breach's By/Target scoping:
-// per-solver rules match on the resolved solver, per-tenant rules on the
-// tenant, anything else takes the newest record outright. Failed solves
-// win ties against successes at the same recency by scanning newest
-// first — the newest matching record is almost always the trigger.
-func (r *recentSolves) match(by, target string) (solveRecord, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := r.n - 1; i >= 0; i-- {
-		rec := r.buf[(r.head+i)%len(r.buf)]
-		switch {
-		case by == "solver" && target != "":
-			if rec.solver == target {
-				return rec, true
-			}
-		case by == "tenant" && target != "":
-			if rec.tenant == target {
-				return rec, true
-			}
-		default:
-			return rec, true
-		}
-	}
-	return solveRecord{}, false
-}
-
 // recordSolve notes one finished solve and captures a postmortem when the
 // outcome warrants one: hard failures always, successful solves when they
 // ran over the latency SLO.
-func (a *api) recordSolve(rec solveRecord) {
-	if a.recent == nil {
+func (a *api) recordSolve(rec *solveRecord) {
+	if a.recorder == nil {
 		return
 	}
-	a.recent.add(rec)
+	a.recorder.addSolve(rec)
 	switch rec.outcome {
 	case "error", "timeout", "panic", "unstoppable":
-		a.capturePostmortem(postmortemSolveError, &rec, nil)
+		a.capturePostmortem(postmortemSolveError, rec, nil)
 	case "ok", "partial":
-		if a.slowSolve > 0 && rec.durMs >= float64(a.slowSolve)/float64(time.Millisecond) {
-			a.capturePostmortem(postmortemSlowSolve, &rec, nil)
+		if a.slowSolve > 0 && *rec.phase(telemetry.PhaseSolve) >= a.slowSolve {
+			a.capturePostmortem(postmortemSlowSolve, rec, nil)
 		}
 	}
 }
 
-// lookupTrace finds a trace by id in the finished ring, then among the
-// still-live traces (error captures fire before the trace closes).
-func (a *api) lookupTrace(id uint64) *telemetry.TraceJSON {
-	if id == 0 {
-		return nil
-	}
-	for _, snap := range [][]telemetry.TraceJSON{a.cfg.Tracer.Snapshot(), a.cfg.Tracer.LiveSnapshot()} {
-		for i := range snap {
-			if snap[i].ID == id {
-				return &snap[i]
-			}
-		}
-	}
-	return nil
-}
-
-// capturePostmortem freezes one bundle into the ring and returns its id
-// ("" when capture is disabled). rec may be nil (a breach with no
-// correlatable solve); breach is set for slo_breach captures only.
+// capturePostmortem freezes one bundle — the record plus its trace and
+// the events recorded on it — and returns its id ("" when capture is
+// disabled). rec may be nil (a breach with no correlatable solve): the
+// bundle then carries the newest finished traces' events. breach is set
+// for slo_breach captures only.
 func (a *api) capturePostmortem(kind string, rec *solveRecord, breach *telemetry.SLOBreach) string {
-	if a.postmortems == nil {
+	if a.recorder == nil {
 		return ""
 	}
 	p := &Postmortem{
@@ -259,25 +214,29 @@ func (a *api) capturePostmortem(kind string, rec *solveRecord, breach *telemetry
 		Breakers:   a.breakers.Snapshot(),
 		Goroutines: runtime.NumGoroutine(),
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.HeapInuseBytes = ms.HeapInuse
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	p.HeapInuseBytes = mem.HeapInuse
 	if rec != nil {
 		p.RequestID = rec.reqID
-		p.TraceID = rec.traceID
+		p.TraceID = rec.trace.ID()
 		p.Solver = rec.solver
 		p.Outcome = rec.outcome
-		p.DurationMs = rec.durMs
-		stats := rec.stats
+		p.DurationMs = millis(*rec.phase(telemetry.PhaseSolve))
+		stats := rec.stats // a copy: the bundle must not pin the record and its trace
 		p.Stats = &stats
 		p.Admission = &AdmissionJSON{Tenant: rec.tenant, Degraded: rec.degraded, Rule: rec.rule}
-		p.Trace = a.lookupTrace(rec.traceID)
-		p.Events = a.journal.ByRequest(rec.reqID)
+		p.Trace = rec.trace.Render()
+		p.Events = rec.trace.Events()
 	} else {
-		p.Events = a.journal.Recent(64)
+		p.Events = a.cfg.Tracer.RecentEvents(uncorrelatedEvents)
 	}
-	return a.postmortems.add(p)
+	return a.recorder.addBundle(p)
 }
+
+// uncorrelatedEvents bounds the event history a breach with no correlated
+// solve carries.
+const uncorrelatedEvents = 64
 
 // PostmortemsResponse is the /debug/postmortems listing payload.
 type PostmortemsResponse struct {
@@ -287,8 +246,8 @@ type PostmortemsResponse struct {
 // handlePostmortems lists captured bundles, newest first.
 func (a *api) handlePostmortems(w http.ResponseWriter, r *http.Request) {
 	var list []PostmortemSummary
-	if a.postmortems != nil {
-		list = a.postmortems.list()
+	if a.recorder != nil {
+		list = a.recorder.list()
 	}
 	if list == nil {
 		list = []PostmortemSummary{}
@@ -300,8 +259,8 @@ func (a *api) handlePostmortems(w http.ResponseWriter, r *http.Request) {
 func (a *api) handlePostmortem(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var p *Postmortem
-	if a.postmortems != nil {
-		p = a.postmortems.get(id)
+	if a.recorder != nil {
+		p = a.recorder.get(id)
 	}
 	if p == nil {
 		writeErr(w, http.StatusNotFound, codeNotFound,

@@ -21,14 +21,12 @@ import (
 // request names none.
 var defaultSeriesWindows = []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
 
-// initSeries builds the sampler, journal, flight recorder and (when rules
-// are configured) the SLO watchdog. Called once from NewHandler, before
-// any traffic.
+// initSeries builds the sampler, flight recorder and (when rules are
+// configured) the SLO watchdog. Called once from NewHandler, before any
+// traffic.
 func (a *api) initSeries() {
-	a.journal = telemetry.NewJournal(a.cfg.EventJournalCapacity)
 	if a.cfg.PostmortemCapacity > 0 {
-		a.postmortems = newPostmortemRing(a.cfg.PostmortemCapacity)
-		a.recent = newRecentSolves(recentSolveCapacity)
+		a.recorder = newFlightRecorder(a.cfg.PostmortemCapacity)
 	}
 	a.sampler = telemetry.NewSampler(a.cfg.Metrics, telemetry.SamplerConfig{
 		Interval:  a.cfg.SeriesInterval,
@@ -112,37 +110,32 @@ func (a *api) onSLOBreach(b telemetry.SLOBreach) {
 	if b.Target != "" {
 		fields["target"] = b.Target
 	}
+	ev := telemetry.Event{Type: eventSLOBreach, Fields: fields}
 	// A By-label target maps onto the event's own correlation fields when
 	// the label is one the bus already speaks.
-	solver, tenant := "", ""
 	switch b.By {
 	case "solver":
-		solver = b.Target
+		ev.Solver = b.Target
 	case "tenant":
-		tenant = b.Target
+		ev.Tenant = b.Target
 	}
 	if b.Recovered {
-		a.publishEvent(eventSLORecovered, "", 0, tenant, solver, fields)
+		ev.Type = eventSLORecovered
+		a.publish(nil, ev)
 		return
 	}
 	a.cfg.Metrics.Counter(metricSLOBreaches,
 		"SLO watchdog breaches detected, by rule (transitions into breach, not ticks spent breached).",
 		telemetry.Labels{"rule": b.Rule}).Inc()
-	var rec *solveRecord
-	if a.recent != nil {
-		if r, ok := a.recent.match(b.By, b.Target); ok {
-			rec = &r
-		}
-	}
-	reqID, traceID := "", uint64(0)
+	rec := a.recorder.match(b.By, b.Target)
 	if rec != nil {
-		reqID, traceID = rec.reqID, rec.traceID
+		ev.RequestID, ev.TraceID = rec.reqID, rec.trace.ID()
 	}
 	breach := b
 	if id := a.capturePostmortem(postmortemSLOBreach, rec, &breach); id != "" {
 		fields["postmortemId"] = id
 	}
-	a.publishEvent(eventSLOBreach, reqID, traceID, tenant, solver, fields)
+	a.publish(nil, ev)
 }
 
 // handleSeries serves the rolling windowed aggregates as JSON. Query

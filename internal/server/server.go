@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"strconv"
+	"sort"
 	"time"
 
 	"delprop/internal/admission"
@@ -91,24 +91,27 @@ func NewHandler(cfg Config) *Server {
 	mux.Handle("POST /sessions/{id}/solve", a.computeLimited(a.handleSessionSolve, true, a.cfg.MaxSessionSolveBodyBytes))
 	// Eviction is a cheap registry operation, not compute.
 	mux.HandleFunc("DELETE /sessions/{id}", a.handleSessionDelete)
-	mux.HandleFunc("GET /debug/sessions", a.handleDebugSessions)
-	// Liveness and the observability reads stay outside the shedder: a
-	// saturated server must still answer probes and scrapes.
+	a.mountReads(mux)
+	return &Server{api: a, handler: a.instrument(mux)}
+}
+
+// mountReads registers liveness and the observability reads — metrics,
+// traces, breakers, rolling series, SLO standing, the postmortem flight
+// recorder, resident sessions and the live event stream. They stay
+// outside the shedder, so a saturated server still answers probes and
+// scrapes and an operator can watch it; the ops listener (OpsHandler)
+// mounts the same set.
+func (a *api) mountReads(mux *http.ServeMux) {
 	mux.HandleFunc("GET /healthz", a.handleHealthz)
 	mux.HandleFunc("GET /metrics", a.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", a.handleTraces)
 	mux.HandleFunc("GET /debug/breakers", a.handleBreakers)
-	// Rolling windowed aggregates, SLO standing and the postmortem flight
-	// recorder: observability reads, so they stay outside the shedder too.
 	mux.HandleFunc("GET /debug/series", a.handleSeries)
 	mux.HandleFunc("GET /debug/slo", a.handleSLO)
 	mux.HandleFunc("GET /debug/postmortems", a.handlePostmortems)
 	mux.HandleFunc("GET /debug/postmortems/{id}", a.handlePostmortem)
-	// The live event stream is an observability read like /metrics: it
-	// stays outside the shedder so an operator can watch a saturated
-	// server, and it is also mounted on the ops listener (OpsHandler).
+	mux.HandleFunc("GET /debug/sessions", a.handleDebugSessions)
 	mux.HandleFunc("GET /events", a.handleEvents)
-	return &Server{api: a, handler: a.instrument(mux)}
 }
 
 // ServeHTTP implements http.Handler.
@@ -402,37 +405,33 @@ func parseInstance(req *InstanceRequest) (*relation.Instance, []*cq.Query, *view
 	return db, queries, delta, nil
 }
 
-// materializeProblem is the views phase: materialize the views, build the
-// Problem and apply preservation weights.
-func materializeProblem(req *InstanceRequest, db *relation.Instance, queries []*cq.Query, delta *view.Deletion) (*core.Problem, error) {
-	p, err := core.NewProblem(db, queries, delta)
-	if err != nil {
-		return nil, err
+// applyWeights sets the preservation weights named by "Qname(v1,...)"
+// specs on p. Specs are parsed in sorted order, and two specs naming one
+// view tuple must agree on its weight: the parser trims arguments, so
+// "Q(a, b)" and "Q(a,b)" are the same tuple, and a conflict resolved by
+// map order would make the same request answer differently.
+func applyWeights(p *core.Problem, weights map[string]float64, queries []*cq.Query) error {
+	specs := make([]string, 0, len(weights))
+	for spec := range weights {
+		specs = append(specs, spec)
 	}
-	for spec, weight := range req.Weights {
+	sort.Strings(specs)
+	seen := make(map[string]string, len(specs))
+	for _, spec := range specs {
 		del, err := textio.ParseDeletions(spec, queries)
 		if err != nil {
-			return nil, fmt.Errorf("weights: %w", err)
+			return fmt.Errorf("weights: %w", err)
 		}
 		for _, ref := range del.Refs() {
-			p.SetWeight(ref, weight)
+			if prev, ok := seen[ref.Key()]; ok && weights[prev] != weights[spec] {
+				return fmt.Errorf("weights: %q and %q name the same tuple with different weights (%v, %v)",
+					prev, spec, weights[prev], weights[spec])
+			}
+			seen[ref.Key()] = spec
+			p.SetWeight(ref, weights[spec])
 		}
 	}
-	return p, nil
-}
-
-// buildProblem parses the shared instance payload (parse + views phases in
-// one step, for handlers that don't trace them separately).
-func buildProblem(req *InstanceRequest) (*core.Problem, []*cq.Query, error) {
-	db, queries, delta, err := parseInstance(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := materializeProblem(req, db, queries, delta)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, queries, nil
+	return nil
 }
 
 // solveOutcome is what the supervised solve goroutine reports back.
@@ -516,50 +515,48 @@ func (a *api) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solvePrep produces the engine's problem under the "parse" and "views"
-// trace spans: the cold path parses text and materializes views, the warm
-// session path parses only the deletion request and specializes a cached
-// skeleton. phase is the engine's span-closing callback (it also emits
-// the live phase event).
-type solvePrep func(tr *telemetry.Trace, phase func(name, solverName string, end func())) (*core.Problem, *solveError)
+// solvePrep produces the engine's problem: the cold path parses text and
+// materializes views, the warm session path parses only the deletion
+// request and specializes a cached skeleton. phase opens a lifecycle
+// phase (telemetry.PhaseParse, telemetry.PhaseViews) and returns the
+// closure that ends it.
+type solvePrep func(phase func(name string) func()) (*core.Problem, *solveError)
 
 // solveSource describes one solve for the engine: the requested solver
 // and timeout, the body's tenant hint, how to obtain the problem, and —
 // for warm solves — the session entry serving it.
 type solveSource struct {
-	requested string // requested solver name, "auto" resolved by the caller
-	timeout   string // the request's timeout spec
-	tenant    string // body/session tenant hint for tenantShaping
-	sessionID string // non-empty marks a warm session solve
-	entry     *session.Entry
+	requested string         // requested solver name; empty means "auto"
+	timeout   string         // the request's timeout spec
+	tenant    string         // body/session tenant hint for tenantShaping
+	entry     *session.Entry // the warm session serving the solve; nil on the cold path
 	prep      solvePrep
 }
 
 // solveInstance runs one cold solve end to end — parse, materialize,
 // classify, supervised solve, evaluate — under ctx plus the request's own
-// deadline, recording traces, metrics and the structured solve log line.
-// It is the path behind POST /solve (ctx = the request context) and each
-// POST /solve/batch item (ctx = the batch context, reqID = "<batch>.<i>");
-// POST /sessions/{id}/solve shares the engine with a warm solveSource.
+// deadline. It is the path behind POST /solve (ctx = the request context)
+// and each POST /solve/batch item (ctx = the batch context, reqID =
+// "<batch>.<i>"); POST /sessions/{id}/solve shares the engine with a warm
+// solveSource.
 func (a *api) solveInstance(ctx context.Context, reqID string, req *InstanceRequest) (*SolveResponse, *solveError) {
-	requested := req.Solver
-	if requested == "" {
-		requested = "auto"
-	}
 	return a.runInstance(ctx, reqID, solveSource{
-		requested: requested,
+		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    req.Tenant,
-		prep: func(tr *telemetry.Trace, phase func(name, solverName string, end func())) (*core.Problem, *solveError) {
-			endParse := tr.Span("parse")
+		prep: func(phase func(string) func()) (*core.Problem, *solveError) {
+			end := phase(telemetry.PhaseParse)
 			db, queries, delta, err := parseInstance(req)
-			phase("parse", requested, endParse)
+			end()
 			if err != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
 			}
-			endViews := tr.Span("views")
-			p, err := materializeProblem(req, db, queries, delta)
-			phase("views", requested, endViews)
+			end = phase(telemetry.PhaseViews)
+			p, err := core.NewProblem(db, queries, delta)
+			if err == nil {
+				err = applyWeights(p, req.Weights, queries)
+			}
+			end()
 			if err != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
 			}
@@ -570,105 +567,77 @@ func (a *api) solveInstance(ctx context.Context, reqID string, req *InstanceRequ
 
 // runInstance is the shared solve engine: deadline resolution, tenant
 // shaping, classification-driven solver selection, breaker rerouting, the
-// supervised solve, evaluation and the full observability surface
-// (traces, metrics, events, flight recorder). Cold and warm paths differ
-// only in their solveSource.
+// supervised solve and evaluation. It fills one solveRecord as it goes;
+// every observability surface derives from that record (record.go). Cold
+// and warm paths differ only in their solveSource.
 func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*SolveResponse, *solveError) {
 	tenant, pol, info := a.tenantShaping(ctx, src.tenant)
 	deadline, err := a.solveDeadline(src.timeout, pol)
 	if err != nil {
 		return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
 	}
+	rec := &solveRecord{reqID: reqID, tenant: tenant, requested: src.requested, solver: src.requested}
+	if src.requested == "" {
+		rec.requested, rec.solver = "auto", "auto"
+	}
+	if src.entry != nil {
+		rec.session = src.entry.ID
+	}
 	// A request the overload ladder downgraded runs the tenant's cheap
 	// solver under its tightened deadline, whatever the body asked for.
-	degraded, degradedRule := false, ""
 	if info != nil && info.Degraded {
-		degraded, degradedRule = true, info.Rule
+		rec.degraded, rec.rule = true, info.Rule
 		if dd := pol.DegradeDeadlineOrDefault(); deadline > dd {
 			deadline = dd
 		}
 	}
-	tr := a.cfg.Tracer.Start("solve")
-	defer tr.Finish()
-	tr.SetAttr("requestId", reqID)
-	if tenant != "" {
-		tr.SetAttr("tenant", tenant)
-	}
-	if degraded {
-		// Keep the admission outcome on the trace so /debug/traces can
-		// answer "whose solves degraded" without grepping logs.
-		tr.SetAttr("degraded", "true")
-		tr.SetAttr("rule", degradedRule)
-	}
-	if src.sessionID != "" {
-		// Warm solves carry their session so /debug/traces can separate
-		// amortized solves from cold ones.
-		tr.SetAttr("session", src.sessionID)
-		tr.SetAttr("warm", "true")
-	}
-	traceID := tr.ID()
+	rec.deadline = deadline
+	rec.trace = a.cfg.Tracer.Start("solve")
+	// Every exit below goes through finish, which finishes the trace; the
+	// deferred call covers a panic escaping to the handler middleware.
+	defer rec.trace.Finish()
+	rec.annotate()
+	a.publish(rec.trace, rec.startEvent())
 
-	// Live egress: every event of this solve carries the request id and
-	// trace id, so a /events consumer can join the stream against the
-	// /solve response, the log line and /debug/traces.
-	requested := src.requested
-	startFields := map[string]any{
-		"deadlineMs": float64(deadline) / float64(time.Millisecond),
-		"degraded":   degraded,
-	}
-	if src.sessionID != "" {
-		startFields["session"] = src.sessionID
-	}
-	a.publishEvent(eventSolveStart, reqID, traceID, tenant, requested, startFields)
-	phase := func(name string, solverName string, end func()) {
-		end()
-		a.publishEvent(eventPhase, reqID, traceID, tenant, solverName, map[string]any{
-			"phase":      name,
-			"durationMs": float64(tr.SpanDuration(name)) / float64(time.Millisecond),
-		})
-	}
-
-	p, serr := src.prep(tr, phase)
+	p, serr := src.prep(func(name string) func() { return a.beginPhase(rec, name) })
 	if serr != nil {
-		return nil, serr
+		return nil, a.finish(rec, outcomeRejected, serr)
 	}
-	// Instance-size attributes: |D| source tuples, m queries, Σ|ΔVi|
-	// requested view deletions.
-	dbSize, numQueries, deltaSize := p.DB.Size(), len(p.Queries), p.Delta.Len()
-	tr.SetAttr("dbSize", strconv.Itoa(dbSize))
-	tr.SetAttr("queries", strconv.Itoa(numQueries))
-	tr.SetAttr("deltaSize", strconv.Itoa(deltaSize))
+	rec.dbSize, rec.queries, rec.deltaSize = p.DB.Size(), len(p.Queries), p.Delta.Len()
 
-	name := src.requested
 	// The allow-list matches the *requested* name ("auto" included), so
 	// operators reason about what clients ask for, not what the router
 	// resolves it to.
-	if !pol.AllowsSolver(name) {
-		return nil, &solveError{http.StatusForbidden, codeSolverDenied,
-			fmt.Errorf("tenant %q may not request solver %q", tenant, name)}
+	if !pol.AllowsSolver(rec.requested) {
+		return nil, a.finish(rec, outcomeRejected, &solveError{http.StatusForbidden, codeSolverDenied,
+			fmt.Errorf("tenant %q may not request solver %q", tenant, rec.requested)})
 	}
-	if degraded {
+	name := rec.requested
+	if rec.degraded {
 		name = pol.DegradeSolverName()
 	}
-	endClassify := tr.Span("classify")
+	end := a.beginPhase(rec, telemetry.PhaseClassify)
 	solver, err := PickSolver(name, p)
-	phase("classify", name, endClassify)
+	if err == nil {
+		rec.solver = solver.Name() // before end(): the classify event names it
+	}
+	end()
 	if err != nil {
-		return nil, &solveError{http.StatusBadRequest, codeUnknownSolver, err}
+		return nil, a.finish(rec, outcomeRejected, &solveError{http.StatusBadRequest, codeUnknownSolver, err})
 	}
 	// An open circuit breaker routes the request to the tenant's fallback
 	// solver while half-open probes test recovery. If the fallback resolves
 	// to the same (broken) solver there is nothing cheaper to run, so the
 	// request proceeds and its outcome is ignored by the open breaker.
-	if !a.breakers.Allow(solver.Name()) {
-		if fb, ferr := PickSolver(pol.DegradeSolverName(), p); ferr == nil && fb.Name() != solver.Name() {
-			a.observeBreakerReroute(solver.Name(), fb.Name())
+	if !a.breakers.Allow(rec.solver) {
+		if fb, ferr := PickSolver(pol.DegradeSolverName(), p); ferr == nil && fb.Name() != rec.solver {
+			a.observeBreakerReroute(rec.solver, fb.Name())
 			a.cfg.Logger.Warn("breaker open; rerouting to fallback solver",
-				"requestId", reqID, "solver", solver.Name(), "fallback", fb.Name())
-			solver = fb
+				"requestId", reqID, "solver", rec.solver, "fallback", fb.Name())
+			solver, rec.solver = fb, fb.Name()
 		}
 	}
-	tr.SetAttr("solver", solver.Name())
+	rec.annotate()
 
 	ctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
@@ -676,113 +645,26 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	ctx, race := core.WithRace(ctx)
 	// Stream solver progress live: incumbent improvements, lower-bound
 	// certificates and race member lifecycle flow straight from the
-	// solver goroutines onto the (non-blocking) bus.
-	resolvedSolver := solver.Name()
+	// solver goroutines onto the (non-blocking) bus. The callback only
+	// reads record fields that are fixed before the solve starts.
 	stats.SetProgress(func(pe core.ProgressEvent) {
-		fields := make(map[string]any, 3)
-		switch pe.Kind {
-		case core.ProgressIncumbent:
-			fields["objective"] = pe.Objective
-			fields["deleted"] = pe.Deleted
-		case core.ProgressLowerBound:
-			fields["bound"] = pe.Objective
-		case core.ProgressRaceMemberStart, core.ProgressRaceMemberDone:
-			fields["member"] = pe.Member
-			if pe.Outcome != "" {
-				fields["outcome"] = pe.Outcome
-				fields["objective"] = pe.Objective
-			}
-		}
-		a.publishEvent(pe.Kind, reqID, traceID, tenant, resolvedSolver, fields)
+		a.publish(rec.trace, rec.progressEvent(pe))
 	})
-	endSolve := tr.Span("solve")
-	solveStart := time.Now()
+	end = a.beginPhase(rec, telemetry.PhaseSolve)
 	out, stopped := a.runSolve(ctx, reqID, solver, p, deadline)
-	solveDur := time.Since(solveStart)
-	phase("solve", resolvedSolver, endSolve)
+	end()
+	rec.stats = stats.Snapshot()
 
-	// finish records the solve metrics, the breaker outcome, and the
-	// structured solve log line exactly once per request, whatever the
-	// outcome.
-	snap := stats.Snapshot()
-	finish := func(outcome string) {
-		tr.SetAttr("outcome", outcome)
-		a.observeSolve(solver.Name(), outcome, solveDur, snap)
-		doneFields := map[string]any{
-			"outcome":    outcome,
-			"durationMs": float64(solveDur) / float64(time.Millisecond),
-			"nodes":      snap.NodesExpanded,
-			"incumbents": snap.IncumbentUpdates,
-		}
-		if snap.Objective != nil {
-			doneFields["objective"] = *snap.Objective
-		}
-		if degraded {
-			doneFields["degraded"] = true
-			doneFields["rule"] = degradedRule
-		}
-		a.publishEvent(eventSolveDone, reqID, traceID, tenant, solver.Name(), doneFields)
-		// Hard failures (the solver broke, not the input) feed the breaker;
-		// client cancellations and solver-reported errors are neutral so a
-		// misbehaving client cannot trip a healthy solver's breaker.
-		switch outcome {
-		case "panic", "timeout", "unstoppable":
-			a.breakers.Record(solver.Name(), admission.OutcomeFailure)
-		case "ok", "partial":
-			a.breakers.Record(solver.Name(), admission.OutcomeSuccess)
-		default:
-			a.breakers.Record(solver.Name(), admission.OutcomeNeutral)
-		}
-		if degraded {
-			a.observeDegraded(tenant, degradedRule)
-		}
-		// Feed the flight recorder: the record correlates later SLO
-		// breaches to this request, and hard failures / over-SLO solves
-		// capture a postmortem bundle immediately.
-		a.recordSolve(solveRecord{
-			at:       time.Now(),
-			reqID:    reqID,
-			traceID:  traceID,
-			tenant:   tenant,
-			solver:   solver.Name(),
-			outcome:  outcome,
-			durMs:    float64(solveDur) / float64(time.Millisecond),
-			degraded: degraded,
-			rule:     degradedRule,
-			stats:    snap,
-		})
-		a.cfg.Logger.Info("solve",
-			"requestId", reqID,
-			"solver", solver.Name(),
-			"outcome", outcome,
-			"tenant", tenant,
-			"degraded", degraded,
-			"rule", degradedRule,
-			"dbSize", dbSize,
-			"queries", numQueries,
-			"deltaSize", deltaSize,
-			"parseMs", tr.SpanDuration("parse").Milliseconds(),
-			"viewsMs", tr.SpanDuration("views").Milliseconds(),
-			"classifyMs", tr.SpanDuration("classify").Milliseconds(),
-			"solveMs", solveDur.Milliseconds(),
-			"nodes", snap.NodesExpanded,
-			"pruned", snap.BranchesPruned,
-			"checkpoints", snap.Checkpoints,
-			"incumbents", snap.IncumbentUpdates,
-			"restarts", snap.Restarts)
-	}
 	if !stopped {
-		finish("unstoppable")
-		return nil, &solveError{http.StatusGatewayTimeout, codeSolverUnstoppable,
-			fmt.Errorf("solver %s did not stop within the %v deadline", solver.Name(), deadline)}
+		return nil, a.finish(rec, "unstoppable", &solveError{http.StatusGatewayTimeout, codeSolverUnstoppable,
+			fmt.Errorf("solver %s did not stop within the %v deadline", rec.solver, deadline)})
 	}
 	sol, partial, interrupted := out.sol, false, ""
 	if out.err != nil {
 		switch {
 		case errors.Is(out.err, errSolverPanic):
-			finish("panic")
-			return nil, &solveError{http.StatusInternalServerError, codeInternal,
-				fmt.Errorf("internal error (request %s)", reqID)}
+			return nil, a.finish(rec, "panic", &solveError{http.StatusInternalServerError, codeInternal,
+				fmt.Errorf("internal error (request %s)", reqID)})
 		// Also match raw context errors: the core suite always wraps them in
 		// *Interrupted, but a registered third-party solver may not.
 		case errors.Is(out.err, core.ErrDeadline), errors.Is(out.err, core.ErrCanceled),
@@ -791,14 +673,12 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 				!errors.Is(out.err, core.ErrDeadline) && !errors.Is(out.err, context.DeadlineExceeded)
 			inc, ok := core.Best(out.err)
 			if !ok {
-				status, code, outcome := http.StatusGatewayTimeout, codeDeadlineExceeded, "timeout"
 				if canceled {
 					// The client is gone; the response is written for the
 					// log's benefit only.
-					status, code, outcome = statusClientClosedRequest, codeCanceled, "canceled"
+					return nil, a.finish(rec, "canceled", &solveError{statusClientClosedRequest, codeCanceled, out.err})
 				}
-				finish(outcome)
-				return nil, &solveError{status, code, out.err}
+				return nil, a.finish(rec, "timeout", &solveError{http.StatusGatewayTimeout, codeDeadlineExceeded, out.err})
 			}
 			sol, partial = inc, true
 			interrupted = "deadline"
@@ -806,27 +686,18 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 				interrupted = "canceled"
 			}
 		default:
-			finish("error")
-			return nil, &solveError{http.StatusUnprocessableEntity, codeSolverFailed, out.err}
+			return nil, a.finish(rec, "error", &solveError{http.StatusUnprocessableEntity, codeSolverFailed, out.err})
 		}
 	}
-	endEvaluate := tr.Span("evaluate")
+	end = a.beginPhase(rec, telemetry.PhaseEvaluate)
 	rep := p.Evaluate(sol)
-	resp := SolveResponse{
-		Solver:       solver.Name(),
+	resp := &SolveResponse{
 		Feasible:     rep.Feasible,
 		SideEffect:   rep.SideEffect,
 		BadRemaining: rep.BadRemaining,
 		Balanced:     rep.Balanced,
 		Partial:      partial,
 		Interrupted:  interrupted,
-		RequestID:    reqID,
-		Stats:        &snap,
-		Tenant:       tenant,
-		Degraded:     degraded,
-		DegradedRule: degradedRule,
-		Session:      src.sessionID,
-		Warm:         src.sessionID != "",
 	}
 	for _, id := range sol.Deleted {
 		resp.Deleted = append(resp.Deleted, toTupleJSON(id))
@@ -856,28 +727,21 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	if rep.Feasible {
 		stats.SetObjective(rep.SideEffect)
 	}
-	// Re-snapshot so the response stats and the quality-ratio histogram in
-	// finish() see the evaluate-phase objective and bound.
-	snap = stats.Snapshot()
-	phase("evaluate", solver.Name(), endEvaluate)
+	// Re-snapshot so the response stats and the quality-ratio histogram
+	// see the evaluate-phase objective and bound.
+	rec.stats = stats.Snapshot()
+	end()
 	if race.Ran() {
 		rs := race.Snapshot()
-		resp.Race = &rs
-		a.observeRace(rs)
+		rec.race = &rs
 	}
+	outcome := "ok"
 	if partial {
-		finish("partial")
-	} else {
-		finish("ok")
+		outcome = "partial"
 	}
-	resp.PhaseMs = map[string]float64{
-		"parse":    float64(tr.SpanDuration("parse")) / float64(time.Millisecond),
-		"views":    float64(tr.SpanDuration("views")) / float64(time.Millisecond),
-		"classify": float64(tr.SpanDuration("classify")) / float64(time.Millisecond),
-		"solve":    float64(solveDur) / float64(time.Millisecond),
-		"evaluate": float64(tr.SpanDuration("evaluate")) / float64(time.Millisecond),
-	}
-	return &resp, nil
+	a.finish(rec, outcome, nil)
+	rec.fill(resp)
+	return resp, nil
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client

@@ -107,6 +107,43 @@ func TestSolveWithWeights(t *testing.T) {
 	}
 }
 
+// TestConflictingWeightsRejected: the parser trims arguments, so two
+// weight specs differing only in spacing name one view tuple. Agreeing
+// weights are fine; disagreeing ones are a 400 on the cold and warm
+// paths instead of a winner picked by map order.
+func TestConflictingWeightsRejected(t *testing.T) {
+	srv := httptest.NewServer(New())
+	defer srv.Close()
+	queries := "Q4(x, y, z) :- T1(x, y), T2(y, z, w)"
+	conflict := map[string]float64{"Q4(John, TKDE, CUBE)": 100, "Q4(John,TKDE,CUBE)": 1}
+	agree := map[string]float64{"Q4(John, TKDE, CUBE)": 100, "Q4(John,TKDE,CUBE)": 100}
+
+	cold := InstanceRequest{Database: fig1DB, Queries: queries, Deletions: "Q4(John, TKDE, XML)", Solver: "red-blue-exact"}
+	cold.Weights = conflict
+	resp, body := post(t, srv, "/solve", cold)
+	if resp.StatusCode != http.StatusBadRequest || decodeErr(t, body).Code != codeInvalidRequest {
+		t.Fatalf("conflicting cold weights: status %d body %s, want 400 %s", resp.StatusCode, body, codeInvalidRequest)
+	}
+	cold.Weights = agree
+	if resp, body = post(t, srv, "/solve", cold); resp.StatusCode != http.StatusOK {
+		t.Fatalf("agreeing cold weights: status %d: %s", resp.StatusCode, body)
+	}
+
+	resp, body = post(t, srv, "/sessions", SessionRequest{Database: fig1DB, Queries: queries})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %d %s", resp.StatusCode, body)
+	}
+	var sess SessionResponse
+	if err := json.Unmarshal(body, &sess); err != nil {
+		t.Fatal(err)
+	}
+	warm := SessionSolveRequest{Deletions: "Q4(John, TKDE, XML)", Solver: "red-blue-exact", Weights: conflict}
+	resp, body = post(t, srv, "/sessions/"+sess.SessionID+"/solve", warm)
+	if resp.StatusCode != http.StatusBadRequest || decodeErr(t, body).Code != codeInvalidRequest {
+		t.Fatalf("conflicting warm weights: status %d body %s, want 400 %s", resp.StatusCode, body, codeInvalidRequest)
+	}
+}
+
 func TestSolveErrors(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()

@@ -87,11 +87,11 @@ func (a *api) initSessions() {
 		Hooks: session.Hooks{
 			OnHit: func(id string) {
 				hits.Inc()
-				a.publishEvent(eventSessionHit, "", 0, "", "", map[string]any{"sessionId": id})
+				a.publish(nil, telemetry.Event{Type: eventSessionHit, Fields: map[string]any{"sessionId": id}})
 			},
 			OnMiss: func(id string) {
 				misses.Inc()
-				a.publishEvent(eventSessionMiss, "", 0, "", "", map[string]any{"sessionId": id})
+				a.publish(nil, telemetry.Event{Type: eventSessionMiss, Fields: map[string]any{"sessionId": id}})
 			},
 			OnEvict: func(id, reason string) {
 				// reason is one of the five session.Evict* constants, so the
@@ -99,9 +99,8 @@ func (a *api) initSessions() {
 				reg.Counter(metricSessionEvictions,
 					"Sessions removed from the registry, by reason (ttl, capacity, explicit, drain, error).",
 					telemetry.Labels{"reason": reason}).Inc()
-				a.publishEvent(eventSessionEvicted, "", 0, "", "", map[string]any{
-					"sessionId": id, "reason": reason,
-				})
+				a.publish(nil, telemetry.Event{Type: eventSessionEvicted,
+					Fields: map[string]any{"sessionId": id, "reason": reason}})
 			},
 			OnEntries: func(n int) { entries.Set(float64(n)) },
 		},
@@ -129,16 +128,14 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 	e, reused, err := a.sessions.Register(r.Context(), fp, tenant, func() (*core.Problem, error) {
 		// The build runs once per fingerprint under the registering
 		// request's spans; waiters on the single-flight latch pay nothing.
-		endParse := tr.Span("parse")
-		ireq := &InstanceRequest{Database: req.Database, Queries: req.Queries}
-		db, queries, _, perr := parseInstance(ireq)
+		endParse := tr.Span(telemetry.PhaseParse)
+		db, queries, _, perr := parseInstance(&InstanceRequest{Database: req.Database, Queries: req.Queries})
 		endParse()
 		if perr != nil {
 			return nil, perr
 		}
-		endViews := tr.Span("views")
-		defer endViews()
-		return materializeProblem(ireq, db, queries, nil)
+		defer tr.Span(telemetry.PhaseViews)()
+		return core.NewProblem(db, queries, nil)
 	})
 	if err != nil {
 		switch {
@@ -197,10 +194,6 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	defer a.sessions.Release(e)
 
 	skel := e.Problem()
-	requested := req.Solver
-	if requested == "" {
-		requested = "auto"
-	}
 	// Warm solves are charged to the solve request's tenant when it names
 	// one, else to the tenant the session was registered under.
 	tenant := req.Tenant
@@ -208,21 +201,20 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		tenant = e.Tenant
 	}
 	resp, serr := a.runInstance(r.Context(), reqID, solveSource{
-		requested: requested,
+		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    tenant,
-		sessionID: e.ID,
 		entry:     e,
-		prep: func(tr *telemetry.Trace, phase func(name, solverName string, end func())) (*core.Problem, *solveError) {
+		prep: func(phase func(string) func()) (*core.Problem, *solveError) {
 			// The warm "parse" span covers only the deletion request —
 			// the database and queries were parsed at registration.
-			endParse := tr.Span("parse")
+			end := phase(telemetry.PhaseParse)
 			var delta *view.Deletion
 			var perr error
 			if req.Deletions != "" {
 				delta, perr = textio.ParseDeletions(req.Deletions, skel.Queries)
 			}
-			phase("parse", requested, endParse)
+			end()
 			if perr != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest,
 					fmt.Errorf("deletions: %w", perr)}
@@ -230,21 +222,12 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 			// The warm "views" span covers specialization: delta
 			// validation plus weight application over the shared views —
 			// no materialization.
-			endViews := tr.Span("views")
+			end = phase(telemetry.PhaseViews)
 			p, perr := skel.Specialize(delta)
 			if perr == nil {
-				for spec, weight := range req.Weights {
-					del, werr := textio.ParseDeletions(spec, skel.Queries)
-					if werr != nil {
-						perr = fmt.Errorf("weights: %w", werr)
-						break
-					}
-					for _, ref := range del.Refs() {
-						p.SetWeight(ref, weight)
-					}
-				}
+				perr = applyWeights(p, req.Weights, skel.Queries)
 			}
-			phase("views", requested, endViews)
+			end()
 			if perr != nil {
 				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, perr}
 			}

@@ -353,7 +353,7 @@ func TestSingleClassifySpan(t *testing.T) {
 			}
 			n := 0
 			for _, sp := range tr.Spans {
-				if sp.Name == "classify" {
+				if sp.Name == telemetry.PhaseClassify {
 					n++
 				}
 			}

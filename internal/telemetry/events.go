@@ -116,7 +116,7 @@ func (b *Bus) SetHooks(h BusHooks) {
 // Publish stamps the event (sequence number, and time when unset) and
 // fans it out to every matching subscriber's buffer. It never blocks on
 // a consumer and is safe for concurrent use. The stamped event is
-// returned so callers can journal or correlate it.
+// returned so callers can record it on the producing trace.
 func (b *Bus) Publish(ev Event) Event {
 	if b == nil {
 		return ev
@@ -160,8 +160,7 @@ func (b *Bus) Subscribe(filter Filter, buffer int) *Subscription {
 	s := &Subscription{
 		bus:    b,
 		filter: filter,
-		buf:    make([]Event, 0, buffer),
-		cap:    buffer,
+		buf:    NewRing[Event](buffer),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -250,9 +249,8 @@ type Subscription struct {
 
 	mu sync.Mutex
 	// buf holds pending events, oldest first.
-	buf     []Event //delprop:guardedby mu
-	cap     int     // immutable after Subscribe
-	dropped int64   //delprop:guardedby mu
+	buf     Ring[Event] //delprop:guardedby mu
+	dropped int64       //delprop:guardedby mu
 
 	notify    chan struct{}
 	done      chan struct{}
@@ -263,15 +261,12 @@ type Subscription struct {
 // was evicted to make room.
 func (s *Subscription) push(ev Event) (evicted bool) {
 	s.mu.Lock()
-	if len(s.buf) >= s.cap {
-		// Evict the oldest event: a lagging tail wants the newest state,
-		// and the Seq gap plus the drop counter make the loss visible.
-		copy(s.buf, s.buf[1:])
-		s.buf = s.buf[:len(s.buf)-1]
+	// A full buffer evicts its oldest event: a lagging tail wants the
+	// newest state, and the Seq gap plus the drop counter make the loss
+	// visible.
+	if evicted = s.buf.Push(ev); evicted {
 		s.dropped++
-		evicted = true
 	}
-	s.buf = append(s.buf, ev)
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -292,18 +287,7 @@ func (s *Subscription) Done() <-chan struct{} { return s.done }
 func (s *Subscription) Drain(max int) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.buf)
-	if n == 0 {
-		return nil
-	}
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]Event, n)
-	copy(out, s.buf[:n])
-	rest := copy(s.buf, s.buf[n:])
-	s.buf = s.buf[:rest]
-	return out
+	return s.buf.Drain(max)
 }
 
 // Dropped returns how many events this subscription lost to its buffer

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,5 +288,33 @@ func TestSubscriptionDrainMax(t *testing.T) {
 	}
 	if got := len(sub.Drain(0)); got != 3 {
 		t.Errorf("Drain(0) after partial = %d events, want 3", got)
+	}
+}
+
+// TestPublishReturnsStampedEvent: Bus.Publish hands back the event with
+// its assigned sequence and timestamp, so the copy a trace records is
+// exactly what subscribers saw.
+func TestPublishReturnsStampedEvent(t *testing.T) {
+	b := NewBus()
+	defer b.Shutdown()
+	tr := NewTracer(0).Start("solve")
+	sub := b.Subscribe(Filter{}, 16)
+	defer sub.Close()
+	for i := 0; i < 3; i++ {
+		ev := b.Publish(Event{Type: "tick", RequestID: fmt.Sprintf("r%d", i)})
+		if ev.Seq == 0 || ev.Time.IsZero() {
+			t.Fatalf("published event not stamped: %+v", ev)
+		}
+		tr.AddEvent(ev)
+	}
+	delivered := sub.Drain(0)
+	recorded := tr.Events()
+	if len(delivered) != 3 || len(recorded) != 3 {
+		t.Fatalf("delivered %d, recorded %d, want 3/3", len(delivered), len(recorded))
+	}
+	for i := range delivered {
+		if delivered[i].Seq != recorded[i].Seq || delivered[i].RequestID != recorded[i].RequestID {
+			t.Fatalf("trace diverged from the bus at %d: %+v vs %+v", i, recorded[i], delivered[i])
+		}
 	}
 }

@@ -145,37 +145,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return 0
+	buckets := make([]int64, len(h.bounds))
+	for i := range buckets {
+		buckets[i] = h.buckets[i].Load()
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum, lower := int64(0), 0.0
-	for i, bound := range h.bounds {
-		c := h.buckets[i].Load()
-		if c > 0 && float64(cum)+float64(c) >= rank {
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lower + (bound-lower)*frac
-		}
-		cum += c
-		lower = bound
-	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
+	return bucketQuantile(h.bounds, buckets, h.count.Load(), q)
 }
 
 // Sum returns the sum of observations.

@@ -67,40 +67,25 @@ type tickSample struct {
 }
 
 // seriesRing is the bounded sample history of one (metric, labels)
-// series: a ring of the most recent samples, oldest first from head.
+// series: the most recent samples, oldest first.
 type seriesRing struct {
 	name      string
 	kind      string
 	labelsKey string
 	labels    Labels
 	bounds    []float64
-	buf       []tickSample
-	head      int // index of the oldest sample
-	n         int // live samples
+	samples   Ring[tickSample]
 }
-
-// push appends a sample, evicting the oldest when full.
-func (r *seriesRing) push(s tickSample) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = s
-		r.n++
-		return
-	}
-	r.buf[r.head] = s
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-// at returns the i-th sample, oldest first.
-func (r *seriesRing) at(i int) tickSample { return r.buf[(r.head+i)%len(r.buf)] }
 
 // selectWindow returns the samples covering [now-w, now]: every sample
 // inside the window plus the one immediately before it (the baseline
 // counter deltas are measured from). Oldest first.
 func (r *seriesRing) selectWindow(now time.Time, w time.Duration) []tickSample {
 	cut := now.Add(-w)
-	first := r.n // index of the first in-window sample
-	for i := 0; i < r.n; i++ {
-		if r.at(i).at.After(cut) {
+	n := r.samples.Len()
+	first := n // index of the first in-window sample
+	for i := 0; i < n; i++ {
+		if r.samples.At(i).at.After(cut) {
 			first = i
 			break
 		}
@@ -109,9 +94,9 @@ func (r *seriesRing) selectWindow(now time.Time, w time.Duration) []tickSample {
 	if start > 0 {
 		start-- // baseline
 	}
-	out := make([]tickSample, 0, r.n-start)
-	for i := start; i < r.n; i++ {
-		out = append(out, r.at(i))
+	out := make([]tickSample, 0, n-start)
+	for i := start; i < n; i++ {
+		out = append(out, r.samples.At(i))
 	}
 	return out
 }
@@ -220,12 +205,12 @@ func (s *Sampler) Tick() {
 				labelsKey: m.LabelsKey,
 				labels:    m.Labels,
 				bounds:    m.Bounds,
-				buf:       make([]tickSample, s.capacity()),
+				samples:   NewRing[tickSample](s.capacity()),
 			}
 			s.rings[key] = ring
 			s.order = append(s.order, key)
 		}
-		ring.push(tickSample{at: now, value: m.Value, count: m.Count, sum: m.Sum, buckets: m.Buckets})
+		ring.samples.Push(tickSample{at: now, value: m.Value, count: m.Count, sum: m.Sum, buckets: m.Buckets})
 	}
 	s.ticks++
 	s.lastTick = now
@@ -288,15 +273,14 @@ func matchLabels(labels Labels, match map[string][]string) bool {
 	return true
 }
 
-// matchingRings snapshots the rings of one family passing match. Caller
-// must not hold s.mu.
-func (s *Sampler) matchingRings(name string, match map[string][]string) []*seriesRing {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// matching returns the rings of one family and kind passing match, in
+// first-sampled order.
+//
+//delprop:holds mu
+func (s *Sampler) matching(name, kind string, match map[string][]string) []*seriesRing {
 	var out []*seriesRing
 	for _, key := range s.order {
-		r := s.rings[key]
-		if r.name == name && matchLabels(r.labels, match) {
+		if r := s.rings[key]; r.name == name && r.kind == kind && matchLabels(r.labels, match) {
 			out = append(out, r)
 		}
 	}
@@ -345,11 +329,7 @@ func (s *Sampler) CounterWindow(name string, match map[string][]string, w time.D
 	ok := false
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, key := range s.order {
-		r := s.rings[key]
-		if r.name != name || r.kind != "counter" || !matchLabels(r.labels, match) {
-			continue
-		}
+	for _, r := range s.matching(name, "counter", match) {
 		samples := r.selectWindow(now, w)
 		if len(samples) < 2 {
 			continue
@@ -395,16 +375,12 @@ func (s *Sampler) GaugeWindow(name string, match map[string][]string, w time.Dur
 	ok := false
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, key := range s.order {
-		r := s.rings[key]
-		if r.name != name || r.kind != "gauge" || !matchLabels(r.labels, match) {
-			continue
-		}
+	for _, r := range s.matching(name, "gauge", match) {
 		var sum float64
 		n := 0
 		var last float64
-		for i := 0; i < r.n; i++ {
-			sm := r.at(i)
+		for i := 0; i < r.samples.Len(); i++ {
+			sm := r.samples.At(i)
 			if !sm.at.After(cut) {
 				continue
 			}
@@ -448,11 +424,7 @@ func (s *Sampler) GaugeTimeAt(name string, match map[string][]string, w time.Dur
 	ok := false
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, key := range s.order {
-		r := s.rings[key]
-		if r.name != name || r.kind != "gauge" || !matchLabels(r.labels, match) {
-			continue
-		}
+	for _, r := range s.matching(name, "gauge", match) {
 		samples := r.selectWindow(now, w)
 		if len(samples) == 0 {
 			continue
@@ -518,8 +490,8 @@ func histIncrease(samples []tickSample, nBuckets int) (count int64, sum float64,
 	return count, sum, buckets
 }
 
-// bucketQuantile interpolates the q-quantile from windowed bucket deltas,
-// mirroring Histogram.Quantile: linear inside the target bucket, the
+// bucketQuantile interpolates the q-quantile from bucket counts (a live
+// histogram's, or windowed deltas): linear inside the target bucket, the
 // largest finite bound when the rank lands in the +Inf overflow.
 func bucketQuantile(bounds []float64, buckets []int64, total int64, q float64) float64 {
 	if total <= 0 || len(bounds) == 0 || math.IsNaN(q) {
@@ -564,11 +536,7 @@ func (s *Sampler) HistogramWindow(name string, match map[string][]string, w time
 	var maxElapsed time.Duration
 	ok := false
 	s.mu.Lock()
-	for _, key := range s.order {
-		r := s.rings[key]
-		if r.name != name || r.kind != "histogram" || !matchLabels(r.labels, match) {
-			continue
-		}
+	for _, r := range s.matching(name, "histogram", match) {
 		samples := r.selectWindow(now, w)
 		if len(samples) < 2 {
 			continue

@@ -127,7 +127,7 @@ func TestRingWraparound(t *testing.T) {
 	}
 	s.mu.Lock()
 	ring := s.rings["jobs_total\x00"]
-	n := ring.n
+	n := ring.samples.Len()
 	s.mu.Unlock()
 	if n != capacity {
 		t.Fatalf("ring holds %d samples after 20 ticks, want capacity %d", n, capacity)

@@ -14,10 +14,9 @@ import (
 //
 //delprop:nilsafe
 type Tracer struct {
-	mu  sync.Mutex
-	cap int // immutable after NewTracer
-	// ring holds the most recent cap finished traces, oldest first.
-	ring   []*Trace          //delprop:guardedby mu
+	mu sync.Mutex
+	// ring holds the most recent finished traces, oldest first.
+	ring   Ring[*Trace]      //delprop:guardedby mu
 	live   map[uint64]*Trace //delprop:guardedby mu
 	nextID uint64            //delprop:guardedby mu
 }
@@ -31,12 +30,30 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceBuffer
 	}
-	return &Tracer{cap: capacity}
+	return &Tracer{ring: NewRing[*Trace](capacity)}
 }
 
+// The solve lifecycle phases, in execution order. The daemon's trace
+// spans, phase events, response phaseMs and request log line and the
+// CLI's -stats report all use these names.
+const (
+	PhaseParse    = "parse"
+	PhaseViews    = "views"
+	PhaseClassify = "classify"
+	PhaseSolve    = "solve"
+	PhaseEvaluate = "evaluate"
+)
+
+// Phases lists the lifecycle phases in execution order.
+var Phases = [...]string{PhaseParse, PhaseViews, PhaseClassify, PhaseSolve, PhaseEvaluate}
+
+// maxTraceEvents caps the events one trace keeps (the oldest are
+// dropped), so a chatty solver cannot grow a trace without bound.
+const maxTraceEvents = 32
+
 // Trace is one in-flight or finished trace: a named operation with
-// attributes and an ordered list of phase spans. A nil *Trace (from a
-// nil Tracer) is a valid no-op.
+// attributes, an ordered list of phase spans and the events the
+// operation published. A nil *Trace (from a nil Tracer) is a valid no-op.
 //
 //delprop:nilsafe
 type Trace struct {
@@ -45,12 +62,13 @@ type Trace struct {
 	mu sync.Mutex
 	// id, name and start are set once at Start and never mutated, so
 	// lock-free reads (ID, the live-snapshot sort) are safe.
-	id    uint64
-	name  string
-	start time.Time
-	end   time.Time         //delprop:guardedby mu
-	attrs map[string]string //delprop:guardedby mu
-	spans []span            //delprop:guardedby mu
+	id     uint64
+	name   string
+	start  time.Time
+	end    time.Time         //delprop:guardedby mu
+	attrs  map[string]string //delprop:guardedby mu
+	spans  []span            //delprop:guardedby mu
+	events Ring[Event]       //delprop:guardedby mu
 }
 
 type span struct {
@@ -68,7 +86,7 @@ func (t *Tracer) Start(name string) *Trace {
 	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
-	tr := &Trace{tracer: t, id: id, name: name, start: time.Now()}
+	tr := &Trace{tracer: t, id: id, name: name, start: time.Now(), events: NewRing[Event](maxTraceEvents)}
 	if t.live == nil {
 		t.live = make(map[uint64]*Trace)
 	}
@@ -141,6 +159,40 @@ func (tr *Trace) SpanDuration(name string) time.Duration {
 	return 0
 }
 
+// AddEvent records one published event on the trace. Events arriving
+// after Finish are dropped, so a solver goroutine abandoned past its
+// deadline cannot keep growing a trace the tracer already retired.
+func (tr *Trace) AddEvent(ev Event) {
+	if tr == nil {
+		return
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.end.IsZero() {
+		tr.events.Push(ev)
+	}
+}
+
+// Events returns the trace's retained events, oldest first.
+func (tr *Trace) Events() []Event {
+	if tr == nil {
+		return nil
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.events.Slice()
+}
+
+// Render returns the trace in the /debug/traces schema, live-form when it
+// has not finished yet (nil for a nil trace).
+func (tr *Trace) Render() *TraceJSON {
+	if tr == nil {
+		return nil
+	}
+	tj := tr.render(time.Now())
+	return &tj
+}
+
 // Finish ends the trace and commits it to the tracer's ring buffer,
 // evicting the oldest entry when full. Idempotent.
 func (tr *Trace) Finish() {
@@ -163,10 +215,7 @@ func (tr *Trace) Finish() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.live, tr.id)
-	t.ring = append(t.ring, tr)
-	if len(t.ring) > t.cap {
-		t.ring = t.ring[len(t.ring)-t.cap:]
-	}
+	t.ring.Push(tr)
 }
 
 // SpanJSON is one phase of a trace in the /debug/traces schema.
@@ -196,12 +245,36 @@ func (t *Tracer) Snapshot() []TraceJSON {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	ring := append([]*Trace(nil), t.ring...)
-	t.mu.Unlock()
+	ring := t.finished()
 	out := make([]TraceJSON, 0, len(ring))
 	for _, tr := range ring {
 		out = append(out, tr.render(time.Time{}))
+	}
+	return out
+}
+
+// finished copies the ring of finished traces, oldest first.
+func (t *Tracer) finished() []*Trace {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ring.Slice()
+}
+
+// RecentEvents returns up to limit of the newest events recorded on the
+// finished traces, oldest first.
+func (t *Tracer) RecentEvents(limit int) []Event {
+	if t == nil {
+		return nil
+	}
+	ring := t.finished()
+	var out []Event
+	for i := len(ring) - 1; i >= 0 && len(out) < limit; i-- {
+		out = append(out, ring[i].Events()...)
+	}
+	// Traces overlap in time: restore publication order before trimming.
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	if len(out) > limit {
+		out = out[len(out)-limit:]
 	}
 	return out
 }

@@ -184,3 +184,42 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Errorf("final ring len = %d, want 8", got)
 	}
 }
+
+// TestTraceEvents: a trace keeps its newest maxTraceEvents events, drops
+// events added after Finish, and the tracer serves the newest finished
+// traces' events in publication order.
+func TestTraceEvents(t *testing.T) {
+	tr := NewTracer(4)
+	a := tr.Start("solve")
+	for i := 1; i <= maxTraceEvents+3; i++ {
+		a.AddEvent(Event{Seq: uint64(i), Type: "incumbent"})
+	}
+	got := a.Events()
+	if len(got) != maxTraceEvents || got[0].Seq != 4 || got[len(got)-1].Seq != maxTraceEvents+3 {
+		t.Fatalf("events = %d (first %d), want the newest %d", len(got), got[0].Seq, maxTraceEvents)
+	}
+	a.Finish()
+	a.AddEvent(Event{Seq: 999})
+	if n := len(a.Events()); n != maxTraceEvents {
+		t.Fatalf("event added after Finish was kept: %d events", n)
+	}
+
+	// Two overlapping traces: RecentEvents merges by Seq and trims to the
+	// newest.
+	b, c := tr.Start("solve"), tr.Start("solve")
+	b.AddEvent(Event{Seq: 100})
+	c.AddEvent(Event{Seq: 101})
+	b.AddEvent(Event{Seq: 102})
+	c.Finish()
+	b.Finish()
+	recent := tr.RecentEvents(3)
+	if len(recent) != 3 || recent[0].Seq != 100 || recent[1].Seq != 101 || recent[2].Seq != 102 {
+		t.Fatalf("RecentEvents(3) = %+v, want seqs 100,101,102", recent)
+	}
+
+	var nilTr *Trace
+	nilTr.AddEvent(Event{})
+	if nilTr.Events() != nil || nilTr.Render() != nil || (*Tracer)(nil).RecentEvents(5) != nil {
+		t.Fatal("nil trace/tracer not a no-op")
+	}
+}
