@@ -94,7 +94,7 @@ func runFig2(w io.Writer, rec *benchkit.Recorder) error {
 	rep := p.Evaluate(opt)
 	t.Add("optimal ΔD", opt.String())
 	t.Add("optimal side effect", fmt.Sprint(rep.SideEffect))
-	rbOpt, err := inst.Exact(0)
+	rbOpt, err := inst.Exact(context.Background(), nil)
 	if err != nil {
 		return err
 	}

@@ -34,8 +34,9 @@ type Interrupted struct {
 	Solver string
 	// Incumbent is the best feasible solution found before the
 	// interruption, or nil when the solver had none yet. Anytime solvers
-	// (BruteForce, RedBlueExact, LocalSearch, Portfolio, the balanced
-	// variants) populate it; constructive ones (Greedy, PrimalDual) cannot.
+	// (BruteForce, RedBlueExact, SourceExact, LocalSearch, Portfolio, the
+	// balanced variants) populate it; constructive ones (Greedy,
+	// PrimalDual) cannot.
 	Incumbent *Solution
 	kind      error // ErrCanceled or ErrDeadline
 	cause     error // the context's error

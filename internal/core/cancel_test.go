@@ -3,9 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"delprop/internal/cq"
+	"delprop/internal/relation"
+	"delprop/internal/view"
 )
 
 // canceledCtx returns a context that is already canceled.
@@ -45,6 +50,8 @@ func TestSolversHonorCanceledContext(t *testing.T) {
 		{"balanced-exact", &BalancedRedBlue{Exact: true}, func(t *testing.T) *Problem { return starProblem(t, 7, 3) }},
 		{"local-search", &LocalSearch{}, func(t *testing.T) *Problem { return starProblem(t, 7, 3) }},
 		{"portfolio", &Portfolio{}, func(t *testing.T) *Problem { return starProblem(t, 7, 3) }},
+		{"source-exact", &SourceExact{}, func(t *testing.T) *Problem { return starProblem(t, 7, 3) }},
+		{"source-single-query", &SourceSingleQueryExact{}, fig1Q4Problem},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,6 +137,53 @@ func TestBruteForceIncumbentUnderDeadline(t *testing.T) {
 		if !rep.Feasible {
 			t.Errorf("incumbent infeasible: %v", sol)
 		}
+	}
+}
+
+// TestSourceExactIncumbentUnderInterruption: a SourceExact run stopped
+// after its first checkpoint returns *Interrupted carrying a feasible
+// incumbent. Twelve requested view tuples with disjoint two-tuple paths
+// make the search expand about 2^13 nodes; the context is canceled when
+// the first cover is found, so the checkpoint at node checkEvery stops it.
+func TestSourceExactIncumbentUnderInterruption(t *testing.T) {
+	db := relation.NewInstance(
+		relation.MustSchema("R", []string{"a", "b"}, []int{0}),
+		relation.MustSchema("S", []string{"b", "c"}, []int{0}),
+	)
+	for i := 0; i < 12; i++ {
+		db.MustInsert("R", fmt.Sprint("a", i), fmt.Sprint("b", i))
+		db.MustInsert("S", fmt.Sprint("b", i), fmt.Sprint("c", i))
+	}
+	q := cq.MustParse("Q(a, b, c) :- R(a, b), S(b, c)")
+	p, err := NewProblem(db, []*cq.Query{q}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ans := range p.Views[0].Result.Answers() {
+		p.Delta.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx, st := WithStats(ctx)
+	st.SetProgress(func(ev ProgressEvent) {
+		if ev.Kind == ProgressIncumbent {
+			cancel()
+		}
+	})
+	_, err = (&SourceExact{}).Solve(ctx, p)
+	var ie *Interrupted
+	if !errors.As(err, &ie) || !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want a canceled *Interrupted", err)
+	}
+	if nodes := st.Snapshot().NodesExpanded; nodes < checkEvery {
+		t.Fatalf("stopped after %d nodes, before the first checkpoint", nodes)
+	}
+	sol, ok := Best(err)
+	if !ok {
+		t.Fatal("interrupted after finding a cover but carries no incumbent")
+	}
+	if cost, feasible := p.SourceSideEffect(sol, nil); !feasible || cost != 12 {
+		t.Errorf("incumbent %s: cost %v feasible=%v, want the first cover (12, feasible)", sol, cost, feasible)
 	}
 }
 

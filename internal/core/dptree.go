@@ -106,6 +106,7 @@ func BuildPivotForest(p *Problem) (*PivotForest, error) {
 		for k := range r.tuples {
 			add(k)
 			if first == "" {
+				//lint:ignore mapdet any path tuple anchors the unions; the resulting partition is the same
 				first = k
 			} else {
 				parent[find(k)] = find(first)
@@ -118,6 +119,7 @@ func BuildPivotForest(p *Problem) (*PivotForest, error) {
 	for i, r := range refs {
 		var root string
 		for k := range r.tuples {
+			//lint:ignore mapdet every tuple of the path lies in one component, so any k finds the same root
 			root = find(k)
 			break
 		}

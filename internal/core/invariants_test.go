@@ -142,6 +142,74 @@ func TestSolverDeterminism(t *testing.T) {
 			}
 		}
 	}
+	// The |ΔV| = 1 solvers need a single requested tuple (and the source
+	// one a single query); tieProblem makes their pick a tie.
+	for _, mk := range []func(*testing.T) *Problem{tieProblem, fig1Q4Problem} {
+		p := mk(t)
+		for _, s := range []Solver{&SingleTupleExact{}, &SourceSingleQueryExact{}} {
+			a, err := s.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			b, err := s.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			if a.String() != b.String() {
+				t.Errorf("%s: nondeterministic:\n  %s\n  %s", s.Name(), a, b)
+			}
+		}
+	}
+}
+
+// tieProblem is one key-preserving query whose single requested view
+// tuple has a two-tuple join path, where deleting either tuple costs the
+// same (zero) collateral.
+func tieProblem(t *testing.T) *Problem {
+	t.Helper()
+	db := relation.NewInstance(
+		relation.MustSchema("R", []string{"a", "b"}, []int{0}),
+		relation.MustSchema("S", []string{"b", "c"}, []int{0}),
+	)
+	db.MustInsert("R", "1", "x")
+	db.MustInsert("S", "x", "9")
+	q := cq.MustParse("Q(a, b, c) :- R(a, b), S(b, c)")
+	p, err := NewProblem(db, []*cq.Query{q}, view.NewDeletion(view.TupleRef{View: 0, Tuple: tup("1", "x", "9")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.IsKeyPreserving() {
+		t.Fatal("tie problem should be key-preserving")
+	}
+	return p
+}
+
+// TestSingleTuplePicksAreReproducible: with equal-collateral path tuples,
+// the |ΔV| = 1 solvers delete the same tuple and record the same incumbent
+// trail on every run, rather than whichever tuple map iteration yields
+// first.
+func TestSingleTuplePicksAreReproducible(t *testing.T) {
+	p := tieProblem(t)
+	for _, s := range []Solver{&SingleTupleExact{}, &SourceSingleQueryExact{}} {
+		var first string
+		var firstUpdates int64
+		for i := 0; i < 50; i++ {
+			ctx, st := WithStats(context.Background())
+			sol, err := s.Solve(ctx, p)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			got, updates := sol.String(), st.Snapshot().IncumbentUpdates
+			if i == 0 {
+				first, firstUpdates = got, updates
+				continue
+			}
+			if got != first || updates != firstUpdates {
+				t.Fatalf("%s run %d: deleted %s with %d incumbent updates, run 0 deleted %s with %d",
+					s.Name(), i, got, updates, first, firstUpdates)
+			}
+		}
+	}
 }
 
 // TestDPTreeDeterminism covers the pivot solver separately (it needs a

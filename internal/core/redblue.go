@@ -8,11 +8,12 @@ import (
 	"delprop/internal/setcover"
 )
 
-// redBlueEncoding is the Claim 1 reduction from view side-effect to
-// Red-Blue Set Cover: one blue element per requested view tuple, one
-// weighted red element per preserved view tuple, and one set per candidate
-// base tuple containing exactly the view tuples whose (unique,
-// key-preserving) join path goes through it.
+// redBlueEncoding is a Red-Blue Set Cover instance with one set per
+// candidate base tuple. buildRedBlue builds the Claim 1 reduction from
+// view side-effect: one blue element per requested view tuple, one
+// weighted red element per preserved view tuple, and each set containing
+// exactly the view tuples whose (unique, key-preserving) join path goes
+// through its tuple. buildSourceCover builds the source side-effect one.
 type redBlueEncoding struct {
 	inst   *setcover.Instance
 	tuples []relation.TupleID // set index -> base tuple
@@ -67,6 +68,24 @@ func (enc *redBlueEncoding) decode(sol setcover.Solution) *Solution {
 	return out
 }
 
+// result maps the outcome of a setcover search on the encoding back to a
+// source deletion: an interrupted search becomes the typed *Interrupted
+// carrying the decoded incumbent (when it had one), any other failure is
+// wrapped with the solver's name.
+func (enc *redBlueEncoding) result(ctx context.Context, solver string, sol setcover.Solution, err error) (*Solution, error) {
+	if err == nil {
+		return enc.decode(sol), nil
+	}
+	if !isCtxErr(err) {
+		return nil, fmt.Errorf("core: %s: %w", solver, err)
+	}
+	var incumbent *Solution
+	if len(sol.Chosen) > 0 {
+		incumbent = enc.decode(sol)
+	}
+	return nil, interruption(ctx, solver, incumbent)
+}
+
 // RedBlue is the general-case approximation of Claim 1: reduce to Red-Blue
 // Set Cover and solve with the low-degree sweep, giving the
 // O(2√(l·‖V‖·log‖ΔV‖)) guarantee. Requires key-preserving queries.
@@ -110,10 +129,7 @@ func (r *RedBlue) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 // RedBlueExact solves the Claim 1 encoding exactly by branch and bound. It
 // is exact for key-preserving problems and much faster than BruteForce,
 // serving as the reference optimum in larger ratio experiments.
-type RedBlueExact struct {
-	// MaxSets bounds the search (0 = unbounded).
-	MaxSets int
-}
+type RedBlueExact struct{}
 
 // Name implements Solver.
 func (r *RedBlueExact) Name() string { return "red-blue-exact" }
@@ -131,21 +147,11 @@ func (r *RedBlueExact) Solve(ctx context.Context, p *Problem) (*Solution, error)
 	if err != nil {
 		return nil, err
 	}
-	if enc.inst.NumBlue == 0 {
-		return &Solution{}, nil
-	}
-	sol, err := enc.inst.ExactRecorded(ctx, r.MaxSets, recorder(st))
+	sol, err := enc.inst.Exact(ctx, recorder(st))
+	out, err := enc.result(ctx, r.Name(), sol, err)
 	if err != nil {
-		if isCtxErr(err) {
-			var incumbent *Solution
-			if len(sol.Chosen) > 0 {
-				incumbent = enc.decode(sol)
-			}
-			return nil, interruption(ctx, r.Name(), incumbent)
-		}
-		return nil, fmt.Errorf("core: red-blue exact: %w", err)
+		return nil, err
 	}
-	out := enc.decode(sol)
 	// The completed branch and bound is exact (Theorem 1 preserves cost),
 	// so the achieved side effect doubles as the proven optimum.
 	opt := p.Evaluate(out).SideEffect
@@ -164,8 +170,6 @@ type BalancedRedBlue struct {
 	// Exact switches to the exact branch-and-bound on the reduction
 	// (reference optimum for the balanced objective).
 	Exact bool
-	// MaxSets bounds the exact search (0 = unbounded).
-	MaxSets int
 }
 
 // Name implements Solver.
@@ -187,64 +191,28 @@ func (b *BalancedRedBlue) Solve(ctx context.Context, p *Problem) (*Solution, err
 	if err := requireKeyPreserving(p, b.Name()); err != nil {
 		return nil, err
 	}
-	posIdx := make(map[string]int)
-	for i, ref := range p.Delta.Refs() {
-		posIdx[ref.Key()] = i
+	enc, err := buildRedBlue(p)
+	if err != nil {
+		return nil, err
 	}
-	negIdx := make(map[string]int)
-	var negWeights []float64
-	for _, ref := range p.PreservedRefs() {
-		negIdx[ref.Key()] = len(negWeights)
-		negWeights = append(negWeights, p.Weight(ref))
-	}
+	// The PNPSC instance is the Claim 1 encoding read as Lemma 1's: the
+	// blues become the positives and the reds the negatives.
 	pn := &setcover.PNPSCInstance{
-		NumPos:     p.Delta.Len(),
-		NumNeg:     len(negWeights),
-		NegWeights: negWeights,
+		NumPos:     enc.inst.NumBlue,
+		NumNeg:     enc.inst.NumRed,
+		NegWeights: enc.inst.RedWeights,
 	}
-	var tuples []relation.TupleID
-	for _, id := range p.CandidateTuples() {
-		s := setcover.PNSet{Name: id.String()}
-		for _, occ := range p.Inverted().Occurrences(id) {
-			k := occ.Ref.Key()
-			if i, ok := posIdx[k]; ok {
-				s.Positives = append(s.Positives, i)
-			} else if i, ok := negIdx[k]; ok {
-				s.Negatives = append(s.Negatives, i)
-			}
-		}
-		pn.Sets = append(pn.Sets, s)
-		tuples = append(tuples, id)
-	}
-	if err := pn.Validate(); err != nil {
-		return nil, fmt.Errorf("core: balanced encoding invalid: %w", err)
-	}
-	decode := func(sol setcover.Solution) *Solution {
-		out := &Solution{}
-		for _, si := range sol.Chosen {
-			out.Deleted = append(out.Deleted, tuples[si])
-		}
-		return out
+	for _, s := range enc.inst.Sets {
+		pn.Sets = append(pn.Sets, setcover.PNSet{Name: s.Name, Positives: s.Blues, Negatives: s.Reds})
 	}
 	var sol setcover.Solution
-	var err error
 	if b.Exact {
-		sol, err = pn.ExactRecorded(ctx, b.MaxSets, recorder(st))
+		sol, err = pn.Exact(ctx, recorder(st))
 	} else {
 		sol, err = pn.Solve(b.Mode)
 		st.AddNodes(int64(len(pn.Sets)))
 	}
-	if err != nil {
-		if isCtxErr(err) {
-			var incumbent *Solution
-			if len(sol.Chosen) > 0 {
-				incumbent = decode(sol)
-			}
-			return nil, interruption(ctx, b.Name(), incumbent)
-		}
-		return nil, fmt.Errorf("core: balanced solve: %w", err)
-	}
-	return decode(sol), nil
+	return enc.result(ctx, b.Name(), sol, err)
 }
 
 // BuildRedBlueEncoding exposes the Claim 1 encoding for the reduction

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"delprop/internal/cq"
@@ -158,5 +160,74 @@ func TestResilienceSelfJoinUsesExact(t *testing.T) {
 	}
 	if empty, _ := VerifyEmpty(q, db, sol); !empty {
 		t.Error("witness leaves answers")
+	}
+}
+
+// TestResilienceMatchesExhaustive: on random instances with at most 16
+// tuples in any derivation, the exact route's resilience equals the
+// exhaustive minimum hitting set over all derivations, and its witness
+// empties the query. The triangle query is a triad; the two-atom
+// self-join bypasses the bipartite route.
+func TestResilienceMatchesExhaustive(t *testing.T) {
+	queries := []string{
+		"Q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+		"Q(x, y, z) :- E(x, y), E(y, z)",
+	}
+	for _, src := range queries {
+		q := cq.MustParse(src)
+		checked := 0
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			db := relation.NewInstance(
+				relation.MustSchema("R", []string{"a", "b"}, []int{0, 1}),
+				relation.MustSchema("S", []string{"a", "b"}, []int{0, 1}),
+				relation.MustSchema("T", []string{"a", "b"}, []int{0, 1}),
+				relation.MustSchema("E", []string{"a", "b"}, []int{0, 1}),
+			)
+			for i := 0; i < 6; i++ {
+				for _, rel := range []string{"R", "S", "T", "E"} {
+					_ = db.Insert(rel, relation.Tuple{
+						relation.Value(fmt.Sprint(rng.Intn(3))),
+						relation.Value(fmt.Sprint(rng.Intn(3))),
+					})
+				}
+			}
+			res, err := cq.Evaluate(q, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var derivs []cq.Derivation
+			seen := make(map[string]relation.TupleID)
+			for _, ans := range res.Answers() {
+				for _, d := range ans.Derivations {
+					derivs = append(derivs, d)
+					for k, id := range d.TupleSet() {
+						seen[k] = id
+					}
+				}
+			}
+			if len(derivs) == 0 || len(seen) > 16 {
+				continue
+			}
+			var cands []relation.TupleID
+			for _, id := range seen {
+				cands = append(cands, id)
+			}
+			sort.Slice(cands, func(i, j int) bool { return cands[i].Key() < cands[j].Key() })
+			n, sol, err := Resilience(context.Background(), q, db, 0)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", src, seed, err)
+			}
+			if want := minHittingCost(cands, derivs, nil); float64(n) != want || len(sol.Deleted) != n {
+				t.Errorf("%s seed %d: resilience %d (witness %d tuples), exhaustive minimum %v", src, seed, n, len(sol.Deleted), want)
+			}
+			if empty, err := VerifyEmpty(q, db, sol); err != nil || !empty {
+				t.Errorf("%s seed %d: witness %s does not empty the query (%v)", src, seed, sol, err)
+			}
+			checked++
+		}
+		if checked < 5 {
+			t.Fatalf("%s: only %d instances within the 16-candidate oracle limit", src, checked)
+		}
 	}
 }

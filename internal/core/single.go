@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
+	"delprop/internal/cq"
 	"delprop/internal/relation"
 )
 
@@ -36,7 +38,7 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
-	for _, id := range ans.Derivations[0].TupleSet() {
+	for _, id := range pathTuples(ans.Derivations[0]) {
 		st.Checkpoint()
 		if err := checkCtx(ctx, s.Name(), best); err != nil {
 			return nil, err
@@ -58,4 +60,21 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 		return nil, fmt.Errorf("core: no feasible single-tuple deletion for %s", ref)
 	}
 	return best, nil
+}
+
+// pathTuples returns the distinct tuples of a join path in key order, so
+// that a pick among equal-cost tuples (and the incumbent trail leading to
+// it) does not follow map iteration order.
+func pathTuples(d cq.Derivation) []relation.TupleID {
+	set := d.TupleSet()
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]relation.TupleID, len(keys))
+	for i, k := range keys {
+		out[i] = set[k]
+	}
+	return out
 }

@@ -3,10 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"delprop/internal/relation"
+	"delprop/internal/setcover"
 )
 
 // This file implements the companion problem the paper's Tables II–III
@@ -42,10 +41,13 @@ func (p *Problem) SourceSideEffect(sol *Solution, weights SourceWeights) (cost f
 	return cost, p.Evaluate(sol).Feasible
 }
 
-// SourceExact computes a minimum-cost source deletion by branch and bound
-// over the hitting-set formulation: each derivation of each requested view
-// tuple must lose at least one tuple. Exact for arbitrary conjunctive
-// queries. MaxCandidates (default 26) bounds the search.
+// SourceExact computes a minimum-cost source deletion exactly, for
+// arbitrary conjunctive queries. Every derivation of every requested view
+// tuple must lose a tuple: a weighted hitting set, solved as Red-Blue Set
+// Cover with one blue element per derivation, one set per candidate tuple
+// covering the derivations it lies on, and one private red per set
+// weighing that tuple's deletion cost. MaxCandidates (default 26) bounds
+// the search.
 type SourceExact struct {
 	MaxCandidates int
 	Weights       SourceWeights
@@ -54,9 +56,9 @@ type SourceExact struct {
 // Name implements Solver.
 func (s *SourceExact) Name() string { return "source-exact" }
 
-// Solve implements Solver. The branch and bound is anytime: on context
-// interruption the *Interrupted carries the cheapest hitting set found so
-// far, when one exists.
+// Solve implements Solver. The setcover branch and bound is anytime: on
+// context interruption the *Interrupted carries the cheapest hitting set
+// found so far, when one exists.
 func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	max := s.MaxCandidates
 	if max == 0 {
@@ -66,134 +68,42 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if len(cands) > max {
 		return nil, fmt.Errorf("%w: %d candidates exceeds source-exact bound %d", ErrTooLarge, len(cands), max)
 	}
+	enc := buildSourceCover(p, cands, s.Weights)
+	sol, err := enc.inst.Exact(ctx, recorder(StatsFrom(ctx)))
+	return enc.result(ctx, s.Name(), sol, err)
+}
+
+// buildSourceCover encodes the source side-effect problem over the
+// candidate tuples as Red-Blue Set Cover (see SourceExact). Blues are
+// numbered in Delta.Refs() × derivation order and set i is cands[i].
+func buildSourceCover(p *Problem, cands []relation.TupleID, weights SourceWeights) *redBlueEncoding {
+	inst := &setcover.Instance{
+		NumRed:     len(cands),
+		RedWeights: make([]float64, len(cands)),
+		Sets:       make([]setcover.Set, len(cands)),
+	}
 	idx := make(map[string]int, len(cands))
+	reds := make([]int, len(cands))
 	for i, id := range cands {
 		idx[id.Key()] = i
+		inst.RedWeights[i] = weights.weightOf(id)
+		reds[i] = i
+		inst.Sets[i].Reds = reds[i : i+1 : i+1]
 	}
-	// Collect the derivations to hit, as candidate-index sets.
-	var paths [][]int
 	for _, ref := range p.Delta.Refs() {
 		ans, ok := p.Answer(ref)
 		if !ok {
 			continue
 		}
 		for _, d := range ans.Derivations {
-			var path []int
 			for k := range d.TupleSet() {
-				path = append(path, idx[k])
+				set := &inst.Sets[idx[k]]
+				set.Blues = append(set.Blues, inst.NumBlue)
 			}
-			sort.Ints(path)
-			paths = append(paths, path)
+			inst.NumBlue++
 		}
 	}
-	chosen := make([]bool, len(cands))
-	hitCount := make([]int, len(paths))
-	remaining := len(paths)
-	curCost := 0.0
-	bestCost := math.Inf(1)
-	var best []int
-
-	toSolution := func(idxs []int) *Solution {
-		sol := &Solution{}
-		for _, ci := range idxs {
-			sol.Deleted = append(sol.Deleted, cands[ci])
-		}
-		return sol
-	}
-
-	// coverers[path] precomputed; branch on the least-covered path.
-	st := StatsFrom(ctx)
-	visited := 0
-	flushed := 0
-	var interrupted error
-	var rec func()
-	rec = func() {
-		if interrupted != nil {
-			return
-		}
-		visited++
-		if visited%checkEvery == 0 {
-			st.Checkpoint()
-			st.AddNodes(int64(visited - flushed))
-			flushed = visited
-			var incumbent *Solution
-			if best != nil {
-				incumbent = toSolution(best)
-			}
-			if err := checkCtx(ctx, s.Name(), incumbent); err != nil {
-				interrupted = err
-				return
-			}
-		}
-		if curCost >= bestCost {
-			st.AddPruned(1)
-			return
-		}
-		if remaining == 0 {
-			bestCost = curCost
-			best = best[:0]
-			for i, c := range chosen {
-				if c {
-					best = append(best, i)
-				}
-			}
-			st.Incumbent(bestCost, len(best))
-			return
-		}
-		// Pick an unhit path with the fewest candidates.
-		pick := -1
-		for pi, path := range paths {
-			if hitCount[pi] > 0 {
-				continue
-			}
-			if pick == -1 || len(path) < len(paths[pick]) {
-				pick = pi
-			}
-		}
-		for _, ci := range paths[pick] {
-			if chosen[ci] {
-				continue
-			}
-			chosen[ci] = true
-			curCost += s.Weights.weightOf(cands[ci])
-			for pi, path := range paths {
-				for _, x := range path {
-					if x == ci {
-						if hitCount[pi] == 0 {
-							remaining--
-						}
-						hitCount[pi]++
-						break
-					}
-				}
-			}
-			rec()
-			for pi, path := range paths {
-				for _, x := range path {
-					if x == ci {
-						hitCount[pi]--
-						if hitCount[pi] == 0 {
-							remaining++
-						}
-						break
-					}
-				}
-			}
-			curCost -= s.Weights.weightOf(cands[ci])
-			chosen[ci] = false
-		}
-	}
-	rec()
-	st.AddNodes(int64(visited - flushed))
-	if interrupted != nil {
-		return nil, interrupted
-	}
-	if math.IsInf(bestCost, 1) {
-		// Only possible with an empty candidate path (cannot happen for
-		// validated deletions) — defensive.
-		return nil, fmt.Errorf("core: source-exact found no hitting set")
-	}
-	return toSolution(best), nil
+	return &redBlueEncoding{inst: inst, tuples: cands}
 }
 
 // SourceGreedy is the classic ln(n)-approximation for the hitting set:
@@ -267,17 +177,14 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 	return sol, nil
 }
 
-// SourceSingleQueryExact is the Cong et al. polynomial algorithm for the
-// key-preserving single-query source side-effect problem with unit
-// weights: with key preservation every requested view tuple pins a unique
-// join path, and a minimum hitting set over such paths can be computed
-// greedily per shared tuple only when paths are disjoint — in general it
-// is still hitting set, BUT for a single key-preserving query the optimal
-// solution deletes, for each requested view tuple, one tuple of its path,
-// and tuples shared between paths make sharing optimal. This
-// implementation solves the case exactly by reduction to SourceExact and
-// exists as the named baseline; its polynomial special case (single
-// deletion) short-circuits.
+// SourceSingleQueryExact is the named baseline for the source side-effect
+// problem with one key-preserving query and unit weights (Cong et al.).
+// Key preservation pins one join path per requested view tuple. With a
+// single requested view tuple any one path tuple is optimal, and the
+// solver deletes the one with the smallest key in time linear in the
+// path. With several, the problem is a minimum hitting set over the paths
+// and the solver runs SourceExact, whose search is exponential in the
+// worst case.
 type SourceSingleQueryExact struct{}
 
 // Name implements Solver.
@@ -297,10 +204,7 @@ func (s *SourceSingleQueryExact) Solve(ctx context.Context, p *Problem) (*Soluti
 		if !ok || len(ans.Derivations) != 1 {
 			return nil, fmt.Errorf("core: unexpected provenance for %s", ref)
 		}
-		// Any single tuple of the path is optimal (cost 1).
-		for _, id := range ans.Derivations[0].TupleSet() {
-			return &Solution{Deleted: []relation.TupleID{id}}, nil
-		}
+		return &Solution{Deleted: pathTuples(ans.Derivations[0])[:1]}, nil
 	}
 	return (&SourceExact{}).Solve(ctx, p)
 }

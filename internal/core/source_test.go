@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
+	"delprop/internal/cq"
 	"delprop/internal/relation"
 	"delprop/internal/view"
 )
@@ -180,5 +182,90 @@ func TestSourceVsViewObjectivesDiffer(t *testing.T) {
 	}
 	if p.Evaluate(vw).SideEffect > p.Evaluate(src).SideEffect {
 		t.Error("view optimum has worse view side-effect than the source optimum")
+	}
+}
+
+// minHittingCost is the exhaustive oracle for the source objective: the
+// cheapest subset of cands that shares a tuple with every derivation,
+// found by enumerating all 2^len(cands) subsets.
+func minHittingCost(cands []relation.TupleID, derivs []cq.Derivation, weights SourceWeights) float64 {
+	bit := make(map[string]int, len(cands))
+	for i, id := range cands {
+		bit[id.Key()] = i
+	}
+	masks := make([]uint32, len(derivs))
+	for i, d := range derivs {
+		for _, id := range d {
+			masks[i] |= 1 << bit[id.Key()]
+		}
+	}
+	best := math.Inf(1)
+	for sub := uint32(0); sub < 1<<len(cands); sub++ {
+		hits := true
+		for _, m := range masks {
+			if m&sub == 0 {
+				hits = false
+				break
+			}
+		}
+		if !hits {
+			continue
+		}
+		cost := 0.0
+		for i, id := range cands {
+			if sub&(1<<i) != 0 {
+				cost += weights.weightOf(id)
+			}
+		}
+		best = math.Min(best, cost)
+	}
+	return best
+}
+
+// TestSourceExactMatchesExhaustive: on every star/chain/pivot seed with at
+// most 16 candidate tuples, SourceExact's solution is feasible and costs
+// exactly the exhaustive minimum, with unit and with random weights.
+func TestSourceExactMatchesExhaustive(t *testing.T) {
+	makers := []struct {
+		name string
+		mk   func(*testing.T, int64, int) *Problem
+	}{{"star", starProblem}, {"chain", chainProblem}, {"pivot", pivotProblem}}
+	checked := 0
+	for _, m := range makers {
+		for seed := int64(1); seed <= 8; seed++ {
+			for nDel := 1; nDel <= 4; nDel++ {
+				p := m.mk(t, seed, nDel)
+				cands := p.CandidateTuples()
+				if p.Delta.Len() == 0 || len(cands) > 16 {
+					continue
+				}
+				var derivs []cq.Derivation
+				for _, ref := range p.Delta.Refs() {
+					ans, _ := p.Answer(ref)
+					derivs = append(derivs, ans.Derivations...)
+				}
+				rng := rand.New(rand.NewSource(seed*10 + int64(nDel)))
+				random := SourceWeights{}
+				for _, id := range cands {
+					random[id.Key()] = 0.25 + 4*rng.Float64()
+				}
+				for _, w := range []SourceWeights{nil, random} {
+					sol, err := (&SourceExact{Weights: w}).Solve(context.Background(), p)
+					if err != nil {
+						t.Fatalf("%s/%d/%d: %v", m.name, seed, nDel, err)
+					}
+					cost, feasible := p.SourceSideEffect(sol, w)
+					want := minHittingCost(cands, derivs, w)
+					if !feasible || math.Abs(cost-want) > 1e-9 {
+						t.Errorf("%s/%d/%d weighted=%v: source-exact cost %v feasible=%v, exhaustive minimum %v",
+							m.name, seed, nDel, w != nil, cost, feasible, want)
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 30 {
+		t.Fatalf("only %d instances within the 16-candidate oracle limit", checked)
 	}
 }

@@ -133,7 +133,7 @@ func TestTheorem1CostPreservation(t *testing.T) {
 			}
 		}
 		// (b)+(c): optima coincide.
-		rbOpt, err := inst.Exact(0)
+		rbOpt, err := inst.Exact(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestTheorem1WeightedCostPreservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbOpt, err := inst.Exact(0)
+	rbOpt, err := inst.Exact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestTheorem2CostPreservation(t *testing.T) {
 			}
 		}
 		// Optima agree.
-		pnOpt, err := pn.Exact(0)
+		pnOpt, err := pn.Exact(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

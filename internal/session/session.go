@@ -460,7 +460,8 @@ func (r *Registry) evictForCapacityLocked() ([]string, error) {
 			if !idle {
 				continue
 			}
-			if victim == nil || used.Before(victimUsed) {
+			if victim == nil || used.Before(victimUsed) || used.Equal(victimUsed) && e.ID < victim.ID {
+				//lint:ignore mapdet ties on lastUsed break by ID, so the victim does not depend on iteration order
 				victim, victimUsed = e, used
 			}
 		}

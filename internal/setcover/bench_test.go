@@ -1,6 +1,7 @@
 package setcover
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -26,7 +27,7 @@ func BenchmarkExactSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.Exact(0); err != nil {
+		if _, err := inst.Exact(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package setcover_test
 
 import (
+	"context"
 	"fmt"
 
 	"delprop/internal/setcover"
@@ -17,7 +18,7 @@ func Example() {
 			{Name: "costly", Blues: []int{0, 1}, Reds: []int{0, 1}},
 		},
 	}
-	sol, err := inst.Exact(0)
+	sol, err := inst.Exact(context.Background(), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +35,7 @@ func ExamplePNPSCInstance() {
 		NumNeg: 1,
 		Sets:   []setcover.PNSet{{Positives: []int{0}, Negatives: []int{0}}},
 	}
-	sol, err := p.Exact(0)
+	sol, err := p.Exact(context.Background(), nil)
 	if err != nil {
 		panic(err)
 	}

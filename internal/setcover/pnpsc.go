@@ -148,28 +148,11 @@ func (p *PNPSCInstance) Solve(mode GreedyMode) (Solution, error) {
 }
 
 // Exact computes an optimal PNPSC solution via the reduction and the
-// Red-Blue branch-and-bound.
-func (p *PNPSCInstance) Exact(maxSets int) (Solution, error) {
-	return p.ExactCtx(context.Background(), maxSets)
-}
-
-// ExactCtx is Exact with cooperative cancellation, mirroring
-// Instance.ExactCtx: on a done context it returns the incumbent (when one
+// Red-Blue branch-and-bound, with Instance.Exact's cancellation and
+// reporting contract: on a done context it returns the incumbent (when one
 // exists) together with the context's error.
-func (p *PNPSCInstance) ExactCtx(ctx context.Context, maxSets int) (Solution, error) {
-	return p.ExactRecorded(ctx, maxSets, nil)
-}
-
-// ExactRecorded is ExactCtx reporting search progress to rec (nil
-// disables reporting), mirroring Instance.ExactRecorded.
-func (p *PNPSCInstance) ExactRecorded(ctx context.Context, maxSets int, rec SearchRecorder) (Solution, error) {
+func (p *PNPSCInstance) Exact(ctx context.Context, rec SearchRecorder) (Solution, error) {
 	inst, decode := p.ToRedBlue()
-	sol, err := inst.ExactRecorded(ctx, maxSets, rec)
-	if err != nil {
-		if ctx.Err() != nil && len(sol.Chosen) > 0 {
-			return decode(sol), err
-		}
-		return Solution{}, err
-	}
-	return decode(sol), nil
+	sol, err := inst.Exact(ctx, rec)
+	return decode(sol), err
 }

@@ -1,6 +1,7 @@
 package setcover
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,7 +41,7 @@ func TestExactIsLowerBoundQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inst := randInstance(rng, 4, 4, 5)
-		opt, err := inst.Exact(0)
+		opt, err := inst.Exact(context.Background(), nil)
 		if err != nil {
 			return true
 		}
@@ -79,11 +80,11 @@ func TestPNPSCReductionEquivalenceQuick(t *testing.T) {
 			p.Sets = append(p.Sets, s)
 		}
 		inst, _ := p.ToRedBlue()
-		rbOpt, err := inst.Exact(0)
+		rbOpt, err := inst.Exact(context.Background(), nil)
 		if err != nil {
 			return false // reduction always feasible (slack sets)
 		}
-		pnOpt, err := p.Exact(0)
+		pnOpt, err := p.Exact(context.Background(), nil)
 		if err != nil {
 			return false
 		}

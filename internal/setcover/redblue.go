@@ -273,35 +273,22 @@ type SearchRecorder interface {
 	BBIncumbent(cost float64, size int)
 }
 
-// Exact computes an optimal solution by branch and bound. maxSets bounds
-// the search to instances with at most that many sets (0 means no bound);
-// exceeding it returns an error rather than hanging.
-func (inst *Instance) Exact(maxSets int) (Solution, error) {
-	return inst.ExactCtx(context.Background(), maxSets)
-}
-
-// ExactCtx is Exact with cooperative cancellation: the branch and bound
-// polls ctx between subtrees and, when it is done, returns the best
-// solution found so far together with the context's error — so callers can
-// keep the incumbent as an anytime result (a zero-set Solution with the
-// context error means the search was stopped before any cover was found).
-func (inst *Instance) ExactCtx(ctx context.Context, maxSets int) (Solution, error) {
-	return inst.ExactRecorded(ctx, maxSets, nil)
-}
-
-// ExactRecorded is ExactCtx reporting search progress to rec (nil
-// disables reporting; node and prune counts are flushed in batches so the
-// hot recursion stays free of per-node interface calls).
-func (inst *Instance) ExactRecorded(ctx context.Context, maxSets int, rec SearchRecorder) (Solution, error) {
-	if maxSets > 0 && len(inst.Sets) > maxSets {
-		return Solution{}, fmt.Errorf("setcover: %d sets exceeds exact-solver bound %d", len(inst.Sets), maxSets)
-	}
+// Exact computes an optimal solution by branch and bound, branching on
+// the uncovered blue with the fewest covering sets and trying those sets
+// in ascending index order. It polls ctx between subtrees and, when it is
+// done, returns the best solution found so far together with the
+// context's error — so callers can keep the incumbent as an anytime result
+// (a zero-set Solution with the context error means the search was
+// stopped before any cover was found). Progress goes to rec (nil disables
+// reporting; node and prune counts are flushed in batches so the hot
+// recursion stays free of per-node interface calls).
+func (inst *Instance) Exact(ctx context.Context, rec SearchRecorder) (Solution, error) {
 	cov, err := inst.coveringSets(nil)
 	if err != nil {
 		return Solution{}, err
 	}
 	bestCost := math.Inf(1)
-	var best []int
+	var best []int                           // nil until the first cover, which may be empty
 	coveredBlue := make([]int, inst.NumBlue) // cover count
 	coveredRed := make([]int, inst.NumRed)
 	remaining := inst.NumBlue
@@ -374,7 +361,7 @@ func (inst *Instance) ExactRecorded(ctx context.Context, maxSets int, rec Search
 		}
 		if remaining == 0 {
 			bestCost = curCost
-			best = append([]int(nil), cur...)
+			best = append(make([]int, 0, len(cur)), cur...)
 			if rec != nil {
 				rec.BBIncumbent(bestCost, len(best))
 			}

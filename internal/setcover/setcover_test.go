@@ -1,6 +1,7 @@
 package setcover
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -78,7 +79,7 @@ func TestWeightedCost(t *testing.T) {
 
 func TestExactFindsOptimum(t *testing.T) {
 	inst := small()
-	sol, err := inst.Exact(0)
+	sol, err := inst.Exact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestExactFindsOptimum(t *testing.T) {
 	}
 	// Weighted: making r0 expensive flips the optimum to S2-based cover.
 	inst.RedWeights = []float64{10, 1, 0.5}
-	sol, err = inst.Exact(0)
+	sol, err = inst.Exact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +102,18 @@ func TestExactFindsOptimum(t *testing.T) {
 
 func TestExactInfeasible(t *testing.T) {
 	inst := &Instance{NumRed: 0, NumBlue: 1, Sets: []Set{{Blues: nil}}}
-	if _, err := inst.Exact(0); !errors.Is(err, ErrInfeasible) {
+	if _, err := inst.Exact(context.Background(), nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
 
-func TestExactMaxSetsBound(t *testing.T) {
-	inst := small()
-	if _, err := inst.Exact(2); err == nil {
-		t.Error("maxSets bound not enforced")
+// TestExactNoBlues: with nothing to cover, the empty sub-collection is the
+// optimum rather than an infeasibility.
+func TestExactNoBlues(t *testing.T) {
+	inst := &Instance{NumRed: 1, Sets: []Set{{Reds: []int{0}}}}
+	sol, err := inst.Exact(context.Background(), nil)
+	if err != nil || len(sol.Chosen) != 0 {
+		t.Errorf("Exact = %v, %v; want the empty cover", sol, err)
 	}
 }
 
@@ -198,7 +202,7 @@ func TestApproxNeverBeatsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		inst := randInstance(rng, 6, 6, 6)
-		opt, err := inst.Exact(0)
+		opt, err := inst.Exact(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,11 +284,11 @@ func TestPNPSCReductionPreservesCost(t *testing.T) {
 		if err := inst.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		rbOpt, err := inst.Exact(0)
+		rbOpt, err := inst.Exact(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pnOpt, err := p.Exact(0)
+		pnOpt, err := p.Exact(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +334,7 @@ func TestPNPSCWeights(t *testing.T) {
 		Sets:       []PNSet{{Positives: []int{0}, Negatives: []int{0}}},
 	}
 	// Covering: cost 2; not covering: cost 5. Optimal = cover.
-	opt, err := p.Exact(0)
+	opt, err := p.Exact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,20 @@
 // output stream during a map range — silently varies between runs
 // unless the iteration is sorted.
 //
-// Two patterns are reported:
+// Three patterns are reported:
 //
 //  1. a `range` over a map whose body appends to a slice declared
 //     outside the loop, when the function never afterwards passes that
 //     slice to sort.* / slices.Sort*;
 //  2. a write/print/encode call executed inside a map-range body
-//     (fmt.Fprintf, Write, Encode, …): the emission order is random.
+//     (fmt.Fprintf, Write, Encode, …): the emission order is random;
+//  3. a pick: inside a map-range body, a plain `=` assignment to a
+//     variable declared outside the loop, or a `return`, whose value is
+//     built from the range key or value (directly or through loop-local
+//     variables). Which iteration wins — the first match, the last
+//     write, the tie-break of an argmin — follows the random order. A
+//     numeric extremum (`if v > hi { hi = v }`, `hi = max(hi, v)`) is
+//     order-independent and not reported.
 //
 // Where iteration order is genuinely irrelevant, suppress with
 //
@@ -84,12 +91,14 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+	picked := make(map[ast.Node]bool) // picks already reported by an enclosing map range
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok || !isMap(pass.TypesInfo.TypeOf(rng.X)) {
 			return true
 		}
 		checkMapRange(pass, body, rng)
+		checkPicks(pass, rng, picked)
 		return true
 	})
 }
@@ -157,6 +166,161 @@ func appendTarget(pass *analysis.Pass, asg *ast.AssignStmt, i int, rhs ast.Expr)
 		}
 	}
 	return nil
+}
+
+// checkPicks reports pattern 3 in one map range. It walks the body in
+// source order, tainting the range key and value and every loop-local
+// variable defined or assigned from a tainted expression, and reports
+// plain assignments of tainted values to outer variables and returns of
+// tainted values. Function literals are skipped: their returns do not
+// leave the loop.
+func checkPicks(pass *analysis.Pass, rng *ast.RangeStmt, picked map[ast.Node]bool) {
+	tainted := make(map[types.Object]bool)
+	taint := func(e ast.Expr) {
+		if id, ok := e.(*ast.Ident); ok {
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+				tainted[obj] = true
+			}
+		}
+	}
+	uses := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && tainted[pass.TypesInfo.Uses[id]] {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	report := func(n ast.Node, format string, args ...any) {
+		if !picked[n] {
+			picked[n] = true
+			pass.ReportRangef(n, format, args...)
+		}
+	}
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if e != nil {
+			taint(e)
+		}
+	}
+	var conds []ast.Expr // conditions of the if statements enclosing the current node
+	var stack []ast.Node
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if n == nil {
+			if _, ok := stack[len(stack)-1].(*ast.IfStmt); ok {
+				conds = conds[:len(conds)-1]
+			}
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.IfStmt:
+			conds = append(conds, n.Cond)
+		case *ast.RangeStmt:
+			if uses(n.X) {
+				if n.Key != nil {
+					taint(n.Key)
+				}
+				if n.Value != nil {
+					taint(n.Value)
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				if len(n.Values) > 0 && uses(valueFor(n.Values, len(n.Names), i)) {
+					taint(name)
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if uses(res) {
+					report(n, "return inside a map range yields the first match in map iteration order; iterate over sorted keys")
+					break
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE && n.Tok != token.ASSIGN {
+				break
+			}
+			for i, lhs := range n.Lhs {
+				rhs := valueFor(n.Rhs, len(n.Lhs), i)
+				if !uses(rhs) || appendTarget(pass, n, i, rhs) != nil {
+					continue
+				}
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok {
+					continue
+				}
+				v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
+				if !ok {
+					continue
+				}
+				if n.Tok == token.DEFINE || declaredWithin(v, rng) {
+					tainted[v] = true
+					continue
+				}
+				if extremum(pass, v, rhs, conds) {
+					continue
+				}
+				report(n, "%s is picked in map iteration order: ties and multiple matches resolve differently between runs; iterate over sorted keys", v.Name())
+			}
+		}
+		stack = append(stack, n)
+		return true
+	})
+}
+
+// valueFor returns the expression assigned to the i-th of n targets: its
+// own value, or the single multi-valued expression all targets share.
+func valueFor(values []ast.Expr, n, i int) ast.Expr {
+	if len(values) == n {
+		return values[i]
+	}
+	return values[0]
+}
+
+// extremum reports whether assigning rhs to the numeric variable v is an
+// order-independent running minimum or maximum: rhs is min/max (builtin
+// or math.Min/math.Max) over v, or an enclosing if condition compares v
+// against rhs.
+func extremum(pass *analysis.Pass, v *types.Var, rhs ast.Expr, conds []ast.Expr) bool {
+	if b, ok := v.Type().Underlying().(*types.Basic); !ok || b.Info()&types.IsNumeric == 0 {
+		return false
+	}
+	isV := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && pass.TypesInfo.Uses[id] == v
+	}
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
+		switch types.ExprString(call.Fun) {
+		case "min", "max", "math.Min", "math.Max":
+			for _, arg := range call.Args {
+				if isV(arg) {
+					return true
+				}
+			}
+		}
+	}
+	want := types.ExprString(rhs)
+	for _, cond := range conds {
+		found := false
+		ast.Inspect(cond, func(n ast.Node) bool {
+			if be, ok := n.(*ast.BinaryExpr); ok {
+				switch be.Op {
+				case token.LSS, token.GTR, token.LEQ, token.GEQ:
+					found = isV(be.X) && types.ExprString(be.Y) == want || isV(be.Y) && types.ExprString(be.X) == want
+				}
+			}
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // declaredWithin reports whether v's declaration lies inside the range

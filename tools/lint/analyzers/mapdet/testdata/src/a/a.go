@@ -148,3 +148,96 @@ func Justified(m map[string]bool) []string {
 	}
 	return out
 }
+
+type pick struct{ key string }
+
+// ArgMin keeps the first strict minimum through loop-local variables:
+// on a tie the pick follows map order. The cost itself is an extremum.
+func ArgMin(m map[string]int, cost func(*pick) int) *pick {
+	var best *pick
+	bestCost := 0
+	for k := range m {
+		cand := &pick{key: k}
+		c := cost(cand)
+		if best == nil || c < bestCost {
+			best, bestCost = cand, c // want `best is picked in map iteration order`
+		}
+	}
+	return best
+}
+
+// ArgMaxKey picks a numeric key: not an extremum of what it compares.
+func ArgMaxKey(m map[int]int) int {
+	pickKey, hi := -1, 0
+	for k, v := range m {
+		if v > hi {
+			hi = v
+			pickKey = k // want `pickKey is picked in map iteration order`
+		}
+	}
+	return pickKey
+}
+
+// First returns whichever element the map yields first.
+func First(m map[string]int) string {
+	for k := range m {
+		return k // want `return inside a map range yields the first match`
+	}
+	return ""
+}
+
+// Counts increments per key: order-independent, ok.
+func Counts(m map[string]int) map[string]int {
+	counts := make(map[string]int)
+	for k := range m {
+		counts[k]++
+	}
+	return counts
+}
+
+// Seen marks keys in a set: order-independent, ok.
+func Seen(m map[string]int) map[string]bool {
+	seen := make(map[string]bool)
+	for k := range m {
+		seen[k] = true
+	}
+	return seen
+}
+
+// MaxValue accumulates the largest value: order-independent, ok.
+func MaxValue(m map[string]int) int {
+	hi := 0
+	for _, v := range m {
+		if v > hi {
+			hi = v
+		}
+	}
+	return hi
+}
+
+// MaxBuiltin accumulates through the max builtin: ok.
+func MaxBuiltin(m map[string]float64) float64 {
+	hi := 0.0
+	for _, v := range m {
+		hi = max(hi, v)
+	}
+	return hi
+}
+
+// Contains returns a constant on any match: order-independent, ok.
+func Contains(m map[string]int, want int) bool {
+	for _, v := range m {
+		if v == want {
+			return true
+		}
+	}
+	return false
+}
+
+// Visit hands each entry to a callback whose return is not the loop's:
+// ok.
+func Visit(m map[string]int, visit func(func() string)) {
+	for k := range m {
+		visit(func() string { return k })
+	}
+}
