@@ -252,22 +252,6 @@ func BenchmarkAblationRBSCGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrune compares the primal-dual with and without the
-// reverse-delete pass (DESIGN.md ablation).
-func BenchmarkAblationPrune(b *testing.B) {
-	p := chainProblem(b, 11, 5)
-	b.Run("prune", func(b *testing.B) { benchSolver(b, p, &core.PrimalDual{}) })
-	b.Run("noprune", func(b *testing.B) { benchSolver(b, p, &core.PrimalDual{NoPrune: true}) })
-}
-
-// BenchmarkAblationGreedy compares the maintainer-backed greedy scoring
-// against the naive re-derivation path (DESIGN.md ablation).
-func BenchmarkAblationGreedy(b *testing.B) {
-	p := starProblem(b, 13)
-	b.Run("incremental", func(b *testing.B) { benchSolver(b, p, &core.Greedy{}) })
-	b.Run("naive", func(b *testing.B) { benchSolver(b, p, &core.Greedy{Naive: true}) })
-}
-
 // BenchmarkDualBound measures the LP lower-bound computation.
 func BenchmarkDualBound(b *testing.B) {
 	p := starProblem(b, 13)
@@ -335,51 +319,6 @@ func BenchmarkAblationIndex(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationEvaluator compares the backtracking evaluator against
-// the Yannakakis semi-join evaluator on a dangling-heavy chain join — the
-// workload the semi-join reduction exists for (DESIGN.md ablation).
-func BenchmarkAblationEvaluator(b *testing.B) {
-	// A 3-relation chain where most tuples dangle: R rows rarely find S
-	// partners, S rows rarely find U partners.
-	db := relationChainDB(400)
-	q := cq.MustParse("Q(a, b, c, d) :- R(a, b), S(b, c), U(c, d)")
-	b.Run("backtracking", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cq.Evaluate(q, db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("yannakakis", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cq.EvaluateYannakakis(q, db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func relationChainDB(rows int) *relation.Instance {
-	db := relation.NewInstance(
-		relation.MustSchema("R", []string{"a", "b"}, []int{0, 1}),
-		relation.MustSchema("S", []string{"a", "b"}, []int{0, 1}),
-		relation.MustSchema("U", []string{"a", "b"}, []int{0, 1}),
-	)
-	val := func(n int) relation.Value {
-		return relation.Value(fmt.Sprintf("v%d", n))
-	}
-	for i := 0; i < rows; i++ {
-		// R fans into many b-values, only b=0 continues into S; same for
-		// S into U.
-		db.MustInsert("R", string(val(i)), string(val(i%37)))
-		db.MustInsert("S", string(val(i%37+1)), string(val(i%53)))
-		db.MustInsert("U", string(val(i%53+1)), string(val(i)))
-	}
-	return db
 }
 
 // BenchmarkClassifyCorpus measures the table deciders over the full corpus.

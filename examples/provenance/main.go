@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"delprop/internal/cq"
 	"delprop/internal/lineage"
 	"delprop/internal/relation"
 	"delprop/internal/view"
@@ -56,14 +55,4 @@ func main() {
 	revived := m.Undelete(steps[1])
 	fmt.Printf("  rollback %s -> revived: %v\n", steps[1], revived)
 
-	// 4. The evaluator choice: acyclic queries can also run through the
-	// Yannakakis semi-join pipeline; both agree.
-	q := w.Queries[0]
-	if cq.IsAcyclic(q) {
-		res, err := cq.EvaluateYannakakis(q, w.DB)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nyannakakis agrees: %s\n", res)
-	}
 }

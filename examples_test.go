@@ -20,7 +20,7 @@ func TestExamplesRun(t *testing.T) {
 		{"bibliography", []string{"brute-force optimum", "(paper: 1)", "single-tuple-exact picks"}},
 		{"datacleaning", []string{"batch:", "sequential:", "balanced:"}},
 		{"annotation", []string{"minimal optimal deletions", "narrowed from 3 to 2"}},
-		{"provenance", []string{"lineage of V0(John,XML)", "yannakakis agrees"}},
+		{"provenance", []string{"lineage of V0(John,XML)", "rollback"}},
 		{"resilience", []string{"verified empty after deletion: true", "exact fallback", "options for eliminating"}},
 	}
 	for _, c := range cases {

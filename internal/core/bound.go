@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 )
 
@@ -21,66 +20,11 @@ func DualBound(p *Problem) (float64, error) {
 	if err := requireKeyPreserving(p, "dual-bound"); err != nil {
 		return 0, err
 	}
-	candSet := make(map[string]bool)
-	for _, id := range p.CandidateTuples() {
-		candSet[id.Key()] = true
-	}
-	// Capacity per candidate tuple: Σ over preserved view tuples s ∋ t of
-	// w_s / k_s (constraint (7) with v_s raised to its cap).
-	capacity := make(map[string]float64)
-	for _, ref := range p.PreservedRefs() {
-		ans, _ := p.Answer(ref)
-		if len(ans.Derivations) == 0 {
-			continue
-		}
-		path := ans.Derivations[0].TupleSet()
-		share := p.Weight(ref) / float64(len(path))
-		for tk := range path {
-			if candSet[tk] {
-				capacity[tk] += share
-			}
-		}
-	}
-	type request struct {
-		key  string
-		path []string
-	}
-	var reqs []request
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok || len(ans.Derivations) == 0 {
-			continue
-		}
-		var path []string
-		for tk := range ans.Derivations[0].TupleSet() {
-			path = append(path, tk)
-		}
-		sort.Strings(path)
-		reqs = append(reqs, request{key: ref.Key(), path: path})
-	}
-	sort.Slice(reqs, func(i, j int) bool {
-		if len(reqs[i].path) != len(reqs[j].path) {
-			return len(reqs[i].path) < len(reqs[j].path)
-		}
-		return reqs[i].key < reqs[j].key
-	})
+	lp := buildDualLP(p, nil, nil)
 	load := make(map[string]float64)
 	total := 0.0
-	for _, r := range reqs {
-		delta := -1.0
-		for _, tk := range r.path {
-			slack := capacity[tk] - load[tk]
-			if delta < 0 || slack < delta {
-				delta = slack
-			}
-		}
-		if delta < 0 {
-			delta = 0
-		}
-		for _, tk := range r.path {
-			load[tk] += delta
-		}
-		total += delta
+	for _, r := range lp.reqs {
+		total += lp.raise(r.path, load)
 	}
 	return total, nil
 }

@@ -623,26 +623,34 @@ func TestWeightAccessors(t *testing.T) {
 	}
 }
 
-func TestPrimalDualNoPruneAblation(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		p := chainProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
-			continue
-		}
-		withPrune, err := (&PrimalDual{}).Solve(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		noPrune, err := (&PrimalDual{NoPrune: true}).Solve(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := p.Evaluate(withPrune), p.Evaluate(noPrune)
-		if !a.Feasible || !b.Feasible {
-			t.Fatalf("seed %d: prune=%v noprune=%v", seed, a.Feasible, b.Feasible)
-		}
-		if a.SideEffect > b.SideEffect+1e-9 {
-			t.Errorf("seed %d: pruning increased cost %v > %v", seed, a.SideEffect, b.SideEffect)
+// TestPrimalDualReverseDeleteMinimal: the reverse-delete pass leaves a
+// minimal deletion — removing any single tuple from a primal-dual
+// solution leaves some requested view tuple alive.
+func TestPrimalDualReverseDeleteMinimal(t *testing.T) {
+	makers := map[string]func(*testing.T, int64, int) *Problem{
+		"star":  starProblem,
+		"chain": chainProblem,
+		"pivot": pivotProblem,
+	}
+	for name, mk := range makers {
+		for seed := int64(1); seed <= 5; seed++ {
+			p := mk(t, seed, 3)
+			if p.Delta.Len() == 0 {
+				continue
+			}
+			sol, err := (&PrimalDual{}).Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, seed, err)
+			}
+			if !p.Evaluate(sol).Feasible {
+				t.Fatalf("%s/%d: infeasible", name, seed)
+			}
+			for i, id := range sol.Deleted {
+				rest := append(append([]relation.TupleID(nil), sol.Deleted[:i]...), sol.Deleted[i+1:]...)
+				if p.Evaluate(&Solution{Deleted: rest}).Feasible {
+					t.Errorf("%s/%d: %s is redundant in %s", name, seed, id, sol)
+				}
+			}
 		}
 	}
 }

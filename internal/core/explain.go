@@ -14,10 +14,6 @@ import (
 // and the preserved view tuples it damages — the report a data steward
 // reviews before applying the repair.
 func ExplainSolution(p *Problem, sol *Solution) string {
-	deltaKeys := make(map[string]bool)
-	for _, ref := range p.Delta.Refs() {
-		deltaKeys[ref.Key()] = true
-	}
 	var b strings.Builder
 	rep := p.Evaluate(sol)
 	fmt.Fprintf(&b, "deletion of %d source tuples: %s\n", len(sol.Deleted), rep)
@@ -32,7 +28,7 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 		id := sol.Deleted[byKey[k]]
 		var kills, damages []string
 		for _, occ := range p.Inverted().Occurrences(id) {
-			if deltaKeys[occ.Ref.Key()] {
+			if p.Delta.Contains(occ.Ref) {
 				kills = append(kills, occ.Ref.String())
 			} else if occ.Critical {
 				damages = append(damages, fmt.Sprintf("%s (w=%v)", occ.Ref, p.Weight(occ.Ref)))

@@ -25,9 +25,8 @@ const probeCheckEvery = 64
 // conjunctive queries (not only key-preserving), with no approximation
 // guarantee.
 //
-// The default implementation scores candidates with the incremental view
-// maintainer (delete, inspect, undelete); Naive switches to re-deriving
-// survival from scratch per probe — kept as the DESIGN.md ablation.
+// Candidates are scored with the incremental view maintainer (delete,
+// inspect, undelete).
 //
 // With Workers > 1 the per-round scoring loop — an embarrassingly
 // parallel O(candidates × Δ) probe — shards the candidate list across
@@ -39,11 +38,7 @@ const probeCheckEvery = 64
 // pick. Each worker runs the identical floating-point computation on
 // identical maintainer state, so scores are bit-equal to the serial ones
 // and the returned solution is byte-identical to the serial solver's.
-// Workers applies to the incremental path only; the naive ablation stays
-// serial.
 type Greedy struct {
-	// Naive disables incremental maintenance during scoring.
-	Naive bool
 	// Workers is the number of concurrent scoring goroutines; values < 2
 	// mean serial scoring.
 	Workers int
@@ -51,28 +46,86 @@ type Greedy struct {
 
 // Name implements Solver.
 func (g *Greedy) Name() string {
-	if g.scoringWorkers() > 1 {
+	if g.Workers > 1 {
 		return "greedy-parallel"
 	}
 	return "greedy"
-}
-
-// scoringWorkers returns the effective parallel fan-out (1 = serial).
-func (g *Greedy) scoringWorkers() int {
-	if g.Naive || g.Workers < 2 {
-		return 1
-	}
-	return g.Workers
 }
 
 // Solve implements Solver. Greedy builds its solution constructively, so
 // an interruption carries no incumbent: a partial greedy prefix is not
 // feasible.
 func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	if g.Naive {
-		return g.solveNaive(ctx, p)
+	st := StatsFrom(ctx)
+	cands := p.CandidateTuples()
+	m := p.NewMaintainer()
+	deltaRefs := p.Delta.Refs()
+	var chosen []relation.TupleID
+
+	aliveBad := func() int {
+		n := 0
+		for _, ref := range deltaRefs {
+			if m.Alive(ref) {
+				n++
+			}
+		}
+		return n
 	}
-	return g.solveIncremental(ctx, p)
+	aliveDerivs := func() int {
+		n := 0
+		for _, ref := range deltaRefs {
+			n += m.AliveDerivations(ref)
+		}
+		return n
+	}
+
+	// Per-worker maintainer clones for parallel scoring, kept in lockstep
+	// with m by replaying every chosen deletion into each clone.
+	nw := g.Workers
+	if nw > len(cands) && len(cands) > 0 {
+		nw = len(cands)
+	}
+	var clones []*view.Maintainer
+	if nw > 1 {
+		clones = make([]*view.Maintainer, nw)
+		for w := range clones {
+			clones[w] = m.Clone()
+		}
+	}
+
+	taken := make(map[string]bool)
+	for {
+		st.Checkpoint()
+		if err := checkCtx(ctx, g.Name(), nil); err != nil {
+			return nil, err
+		}
+		bad := aliveBad()
+		if bad == 0 {
+			break
+		}
+		round := scoringRound{g: g, p: p, deltaRefs: deltaRefs, cands: cands, taken: taken, baseDerivs: aliveDerivs()}
+		var best int
+		var err error
+		if nw > 1 {
+			best, err = round.scoreParallel(ctx, clones)
+		} else {
+			best, _, err = round.scoreRange(ctx, m, 0, len(cands))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if best == -1 {
+			return nil, fmt.Errorf("core: greedy stuck with %d requested view tuples alive", bad)
+		}
+		id := cands[best]
+		taken[id.Key()] = true
+		m.Delete(id)
+		for _, c := range clones {
+			c.Delete(id)
+		}
+		chosen = append(chosen, id)
+	}
+	return &Solution{Deleted: chosen}, nil
 }
 
 // probeCandidate scores one candidate deletion against the maintainer
@@ -102,6 +155,47 @@ func probeCandidate(p *Problem, m *view.Maintainer, deltaRefs []view.TupleRef, i
 	return (float64(killed) + float64(cut)/float64(baseDerivs+1)) / (1 + extra), true
 }
 
+// scoringRound is one greedy round's read-only scoring state: the
+// candidates still to probe and the alive-derivation total the probes
+// measure their cuts against.
+type scoringRound struct {
+	g          *Greedy
+	p          *Problem
+	deltaRefs  []view.TupleRef
+	cands      []relation.TupleID
+	taken      map[string]bool
+	baseDerivs int
+}
+
+// scoreRange probes the untaken candidates with index in [lo, hi) against
+// m and returns the lowest-index maximum score (best = -1 when no probe
+// cuts anything), checkpointing every probeCheckEvery probes. Serial
+// scoring is one range over every candidate.
+func (r *scoringRound) scoreRange(ctx context.Context, m *view.Maintainer, lo, hi int) (best int, bestScore float64, err error) {
+	st := StatsFrom(ctx)
+	best, bestScore = -1, -1.0
+	probes := 0
+	for i := lo; i < hi; i++ {
+		id := r.cands[i]
+		if r.taken[id.Key()] {
+			continue
+		}
+		st.AddNodes(1)
+		probes++
+		if probes%probeCheckEvery == 0 {
+			st.Checkpoint()
+			if err := checkCtx(ctx, r.g.Name(), nil); err != nil {
+				return -1, 0, err
+			}
+		}
+		score, ok := probeCandidate(r.p, m, r.deltaRefs, id, r.baseDerivs)
+		if ok && score > bestScore {
+			bestScore, best = score, i
+		}
+	}
+	return best, bestScore, nil
+}
+
 // shardBounds splits n candidates into nw contiguous ascending ranges,
 // sizes differing by at most one; returns worker w's [lo, hi).
 func shardBounds(n, nw, w int) (lo, hi int) {
@@ -119,115 +213,12 @@ func shardBounds(n, nw, w int) (lo, hi int) {
 	return lo, hi
 }
 
-func (g *Greedy) solveIncremental(ctx context.Context, p *Problem) (*Solution, error) {
-	st := StatsFrom(ctx)
-	cands := p.CandidateTuples()
-	m := p.NewMaintainer()
-	deltaRefs := p.Delta.Refs()
-	var chosen []relation.TupleID
-
-	aliveBad := func() int {
-		n := 0
-		for _, ref := range deltaRefs {
-			if m.Alive(ref) {
-				n++
-			}
-		}
-		return n
-	}
-	aliveDerivs := func() int {
-		n := 0
-		for _, ref := range deltaRefs {
-			n += m.AliveDerivations(ref)
-		}
-		return n
-	}
-
-	// Per-worker maintainer clones for parallel scoring, kept in lockstep
-	// with m by replaying every chosen deletion into each clone.
-	nw := g.scoringWorkers()
-	if nw > len(cands) && len(cands) > 0 {
-		nw = len(cands)
-	}
-	var clones []*view.Maintainer
-	if nw > 1 {
-		clones = make([]*view.Maintainer, nw)
-		for w := range clones {
-			clones[w] = m.Clone()
-		}
-	}
-
-	taken := make(map[string]bool)
-	for {
-		st.Checkpoint()
-		if err := checkCtx(ctx, g.Name(), nil); err != nil {
-			return nil, err
-		}
-		bad := aliveBad()
-		if bad == 0 {
-			break
-		}
-		baseDerivs := aliveDerivs()
-		var best int
-		var err error
-		if nw > 1 {
-			best, _, err = g.scoreParallel(ctx, p, clones, deltaRefs, cands, taken, baseDerivs)
-		} else {
-			best, _, err = g.scoreSerial(ctx, p, m, deltaRefs, cands, taken, baseDerivs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("core: greedy stuck with %d requested view tuples alive", bad)
-		}
-		id := cands[best]
-		taken[id.Key()] = true
-		m.Delete(id)
-		for _, c := range clones {
-			c.Delete(id)
-		}
-		chosen = append(chosen, id)
-	}
-	return &Solution{Deleted: chosen}, nil
-}
-
-// scoreSerial runs one scoring round over the remaining candidates on the
-// caller's maintainer, checkpointing every probeCheckEvery probes.
-func (g *Greedy) scoreSerial(ctx context.Context, p *Problem, m *view.Maintainer, deltaRefs []view.TupleRef, cands []relation.TupleID, taken map[string]bool, baseDerivs int) (best int, bestScore float64, err error) {
-	st := StatsFrom(ctx)
-	best, bestScore = -1, -1.0
-	probes := 0
-	for i, id := range cands {
-		if taken[id.Key()] {
-			continue
-		}
-		st.AddNodes(1)
-		probes++
-		if probes%probeCheckEvery == 0 {
-			st.Checkpoint()
-			if err := checkCtx(ctx, g.Name(), nil); err != nil {
-				return -1, 0, err
-			}
-		}
-		score, ok := probeCandidate(p, m, deltaRefs, id, baseDerivs)
-		if !ok {
-			continue
-		}
-		if score > bestScore {
-			bestScore, best = score, i
-		}
-	}
-	return best, bestScore, nil
-}
-
 // scoreParallel runs one scoring round sharded across the worker clones.
-// Worker w probes the contiguous index range shardBounds(len(cands),
-// len(clones), w) against clones[w]; the merge walks shards in ascending
-// order keeping strictly greater scores, reproducing the serial
-// lowest-index tie-break exactly.
-func (g *Greedy) scoreParallel(ctx context.Context, p *Problem, clones []*view.Maintainer, deltaRefs []view.TupleRef, cands []relation.TupleID, taken map[string]bool, baseDerivs int) (best int, bestScore float64, err error) {
-	st := StatsFrom(ctx)
+// Worker w scores the range shardBounds(len(cands), len(clones), w)
+// against clones[w]; the merge walks shards in ascending order keeping
+// strictly greater scores, reproducing the serial lowest-index tie-break
+// exactly.
+func (r *scoringRound) scoreParallel(ctx context.Context, clones []*view.Maintainer) (best int, err error) {
 	type shardResult struct {
 		idx   int
 		score float64
@@ -236,149 +227,23 @@ func (g *Greedy) scoreParallel(ctx context.Context, p *Problem, clones []*view.M
 	results := make([]shardResult, len(clones))
 	var wg sync.WaitGroup
 	for w := range clones {
-		lo, hi := shardBounds(len(cands), len(clones), w)
+		lo, hi := shardBounds(len(r.cands), len(clones), w)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			mw := clones[w]
-			localBest, localScore := -1, -1.0
-			probes := 0
-			for i := lo; i < hi; i++ {
-				id := cands[i]
-				if taken[id.Key()] {
-					continue
-				}
-				st.AddNodes(1)
-				probes++
-				if probes%probeCheckEvery == 0 {
-					st.Checkpoint()
-					if err := checkCtx(ctx, g.Name(), nil); err != nil {
-						results[w] = shardResult{idx: -1, err: err}
-						return
-					}
-				}
-				score, ok := probeCandidate(p, mw, deltaRefs, id, baseDerivs)
-				if !ok {
-					continue
-				}
-				if score > localScore {
-					localScore, localBest = score, i
-				}
-			}
-			results[w] = shardResult{idx: localBest, score: localScore}
+			idx, score, err := r.scoreRange(ctx, clones[w], lo, hi)
+			results[w] = shardResult{idx: idx, score: score, err: err}
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	best, bestScore = -1, -1.0
-	for w := range results {
-		r := results[w]
-		if r.err != nil {
-			return -1, 0, r.err
+	best, bestScore := -1, -1.0
+	for _, res := range results {
+		if res.err != nil {
+			return -1, res.err
 		}
-		if r.idx >= 0 && r.score > bestScore {
-			bestScore, best = r.score, r.idx
+		if res.idx >= 0 && res.score > bestScore {
+			bestScore, best = res.score, res.idx
 		}
 	}
-	return best, bestScore, nil
-}
-
-func (g *Greedy) solveNaive(ctx context.Context, p *Problem) (*Solution, error) {
-	st := StatsFrom(ctx)
-	cands := p.CandidateTuples()
-	deleted := make(map[string]bool)
-	var chosen []relation.TupleID
-
-	aliveBad := func() []view.TupleRef {
-		var out []view.TupleRef
-		for _, ref := range p.Delta.Refs() {
-			ans, ok := p.Answer(ref)
-			if !ok {
-				continue
-			}
-			if view.Survives(ans, deleted) {
-				out = append(out, ref)
-			}
-		}
-		return out
-	}
-	aliveDerivations := func() int {
-		n := 0
-		for _, ref := range p.Delta.Refs() {
-			ans, ok := p.Answer(ref)
-			if !ok {
-				continue
-			}
-			for _, d := range ans.Derivations {
-				hit := false
-				for _, id := range d {
-					if deleted[id.Key()] {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	preserved := p.PreservedRefs()
-	collateralWeight := func() float64 {
-		w := 0.0
-		for _, ref := range preserved {
-			ans, _ := p.Answer(ref)
-			if !view.Survives(ans, deleted) {
-				w += p.Weight(ref)
-			}
-		}
-		return w
-	}
-
-	for {
-		st.Checkpoint()
-		if err := checkCtx(ctx, g.Name(), nil); err != nil {
-			return nil, err
-		}
-		bad := aliveBad()
-		if len(bad) == 0 {
-			break
-		}
-		baseCollateral := collateralWeight()
-		baseDerivs := aliveDerivations()
-		best, bestScore := -1, -1.0
-		probes := 0
-		for i, id := range cands {
-			k := id.Key()
-			if deleted[k] {
-				continue
-			}
-			st.AddNodes(1)
-			probes++
-			if probes%probeCheckEvery == 0 {
-				st.Checkpoint()
-				if err := checkCtx(ctx, g.Name(), nil); err != nil {
-					return nil, err
-				}
-			}
-			deleted[k] = true
-			killed := len(bad) - len(aliveBad())
-			cut := baseDerivs - aliveDerivations()
-			extra := collateralWeight() - baseCollateral
-			delete(deleted, k)
-			if cut == 0 {
-				continue
-			}
-			score := (float64(killed) + float64(cut)/float64(baseDerivs+1)) / (1 + extra)
-			if score > bestScore {
-				bestScore, best = score, i
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("core: greedy stuck with %d requested view tuples alive", len(bad))
-		}
-		deleted[cands[best].Key()] = true
-		chosen = append(chosen, cands[best])
-	}
-	return &Solution{Deleted: chosen}, nil
+	return best, nil
 }

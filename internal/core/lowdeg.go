@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"delprop/internal/relation"
 )
 
 // LowDegTree implements Algorithm 2 (LowDegTreeVSE) for a fixed degree cap
@@ -29,21 +31,9 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := requireKeyPreserving(p, l.Name()); err != nil {
 		return nil, err
 	}
-	// Degree of a candidate tuple = number of preserved view tuples it is
-	// joined in.
 	allowed := make(map[string]bool)
-	deltaKeys := make(map[string]bool)
-	for _, ref := range p.Delta.Refs() {
-		deltaKeys[ref.Key()] = true
-	}
 	for _, id := range p.CandidateTuples() {
-		deg := 0
-		for _, occ := range p.Inverted().Occurrences(id) {
-			if !deltaKeys[occ.Ref.Key()] {
-				deg++
-			}
-		}
-		if deg <= l.Tau {
+		if preservedDegree(p, id) <= l.Tau {
 			allowed[id.Key()] = true
 		}
 	}
@@ -68,6 +58,18 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	return pd.Solve(ctx, p)
 }
 
+// preservedDegree is a candidate tuple's degree: the number of preserved
+// view tuples it is joined in.
+func preservedDegree(p *Problem, id relation.TupleID) int {
+	deg := 0
+	for _, occ := range p.Inverted().Occurrences(id) {
+		if !p.Delta.Contains(occ.Ref) {
+			deg++
+		}
+	}
+	return deg
+}
+
 // LowDegTreeTwo implements Algorithm 3 (LowDegTreeVSETwo): sweep the
 // unknown τ̂ from 1 to |R|, run LowDegTree for each value, and keep the
 // solution with the smallest true weighted side-effect. Theorem 4: on
@@ -85,19 +87,9 @@ func (l *LowDegTreeTwo) Solve(ctx context.Context, p *Problem) (*Solution, error
 	if err := requireKeyPreserving(p, l.Name()); err != nil {
 		return nil, err
 	}
-	deltaKeys := make(map[string]bool)
-	for _, ref := range p.Delta.Refs() {
-		deltaKeys[ref.Key()] = true
-	}
 	degSet := map[int]bool{0: true}
 	for _, id := range p.CandidateTuples() {
-		deg := 0
-		for _, occ := range p.Inverted().Occurrences(id) {
-			if !deltaKeys[occ.Ref.Key()] {
-				deg++
-			}
-		}
-		degSet[deg] = true
+		degSet[preservedDegree(p, id)] = true
 	}
 	taus := make([]int, 0, len(degSet))
 	for d := range degSet {

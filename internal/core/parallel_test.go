@@ -226,9 +226,8 @@ func TestGreedyName(t *testing.T) {
 	if got := (&Greedy{Workers: 4}).Name(); got != "greedy-parallel" {
 		t.Errorf("Name = %q", got)
 	}
-	// The naive ablation never parallelizes, whatever Workers says.
-	if got := (&Greedy{Naive: true, Workers: 4}).Name(); got != "greedy" {
-		t.Errorf("naive Name = %q", got)
+	if got := (&Greedy{Workers: 1}).Name(); got != "greedy" {
+		t.Errorf("Name = %q", got)
 	}
 }
 
@@ -277,8 +276,7 @@ func greedySlowProblem(t *testing.T) *Problem {
 
 // TestGreedyMidRoundCancelPrompt: cancelling in the middle of a scoring
 // round must interrupt within a few probes, not at the next round
-// boundary. Covers the serial incremental, parallel incremental, and
-// naive paths.
+// boundary. Covers serial and parallel scoring.
 func TestGreedyMidRoundCancelPrompt(t *testing.T) {
 	p := greedySlowProblem(t)
 	for _, tc := range []struct {
@@ -287,7 +285,6 @@ func TestGreedyMidRoundCancelPrompt(t *testing.T) {
 	}{
 		{"incremental", &Greedy{}},
 		{"parallel", &Greedy{Workers: 4}},
-		{"naive", &Greedy{Naive: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"delprop/internal/relation"
-	"delprop/internal/view"
 )
 
 // PrimalDual implements Algorithm 1 (PrimeDualVSE): the primal-dual
@@ -32,9 +31,6 @@ import (
 // forest structure is detected (the paper's LCA order); otherwise in
 // deterministic reference order.
 type PrimalDual struct {
-	// NoPrune disables the reverse-delete pass (kept as an ablation knob;
-	// the zero value runs the full Algorithm 1 including pruning).
-	NoPrune bool
 	// restrictCandidates, if non-nil, limits deletable tuples (used by
 	// LowDegTree).
 	restrictCandidates map[string]bool
@@ -58,75 +54,12 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if err := requireKeyPreserving(p, pd.Name()); err != nil {
 		return nil, err
 	}
-	cands := p.CandidateTuples()
-	if pd.restrictCandidates != nil {
-		var filtered []relation.TupleID
-		for _, id := range cands {
-			if pd.restrictCandidates[id.Key()] {
-				filtered = append(filtered, id)
-			}
-		}
-		cands = filtered
-	}
-	candSet := make(map[string]bool, len(cands))
-	for _, id := range cands {
-		candSet[id.Key()] = true
-	}
-
-	// Capacity per candidate tuple.
-	capacity := make(map[string]float64, len(cands))
-	for _, ref := range p.PreservedRefs() {
-		if pd.restrictPreserved != nil && !pd.restrictPreserved[ref.Key()] {
-			continue
-		}
-		ans, _ := p.Answer(ref)
-		if len(ans.Derivations) == 0 {
-			continue
-		}
-		path := ans.Derivations[0].TupleSet()
-		k := float64(len(path))
-		share := p.Weight(ref) / k
-		for tk := range path {
-			if candSet[tk] {
-				capacity[tk] += share
-			}
-		}
-	}
-
-	// Path per requested view tuple (restricted to candidates).
-	type request struct {
-		ref  view.TupleRef
-		path []string // tuple keys
-	}
-	var reqs []request
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok || len(ans.Derivations) == 0 {
-			continue
-		}
-		var path []string
-		for tk := range ans.Derivations[0].TupleSet() {
-			if candSet[tk] {
-				path = append(path, tk)
-			}
-		}
-		sort.Strings(path)
-		reqs = append(reqs, request{ref: ref, path: path})
-	}
-	// Deterministic processing order; on forest instances order by path
-	// length then key, approximating the paper's depth ordering.
-	sort.Slice(reqs, func(i, j int) bool {
-		if len(reqs[i].path) != len(reqs[j].path) {
-			return len(reqs[i].path) < len(reqs[j].path)
-		}
-		return reqs[i].ref.Key() < reqs[j].ref.Key()
-	})
-
-	load := make(map[string]float64, len(cands))
+	lp := buildDualLP(p, pd.restrictCandidates, pd.restrictPreserved)
+	load := make(map[string]float64, len(lp.cands))
 	saturated := make(map[string]bool)
 	var pickOrder []string
 	totalDual := 0.0
-	for ri, r := range reqs {
+	for ri, r := range lp.reqs {
 		if ri%checkEvery == 0 {
 			st.Checkpoint()
 			if err := checkCtx(ctx, pd.Name(), nil); err != nil {
@@ -151,25 +84,13 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 		if hit {
 			continue
 		}
-		// Raise v_r by the minimum slack along the path.
-		delta := -1.0
+		totalDual += lp.raise(r.path, load)
 		for _, tk := range r.path {
-			slack := capacity[tk] - load[tk]
-			if delta < 0 || slack < delta {
-				delta = slack
-			}
-		}
-		if delta < 0 {
-			delta = 0
-		}
-		for _, tk := range r.path {
-			load[tk] += delta
-			if !saturated[tk] && load[tk] >= capacity[tk]-saturationEps {
+			if !saturated[tk] && load[tk] >= lp.capacity[tk]-saturationEps {
 				saturated[tk] = true
 				pickOrder = append(pickOrder, tk)
 			}
 		}
-		totalDual += delta
 	}
 	// The raised duals are feasible for the aggregated LP (constraints
 	// (6)–(10)), so Σ v_r lower-bounds the optimum — but only on the
@@ -185,32 +106,30 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	for k := range saturated {
 		chosen[k] = true
 	}
-	if !pd.NoPrune {
-		feasibleWithout := func(drop string) bool {
-			for _, r := range reqs {
-				covered := false
-				for _, tk := range r.path {
-					if tk != drop && chosen[tk] {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					return false
+	feasibleWithout := func(drop string) bool {
+		for _, r := range lp.reqs {
+			covered := false
+			for _, tk := range r.path {
+				if tk != drop && chosen[tk] {
+					covered = true
+					break
 				}
 			}
-			return true
+			if !covered {
+				return false
+			}
 		}
-		for i := len(pickOrder) - 1; i >= 0; i-- {
-			tk := pickOrder[i]
-			if feasibleWithout(tk) {
-				delete(chosen, tk)
-			}
+		return true
+	}
+	for i := len(pickOrder) - 1; i >= 0; i-- {
+		tk := pickOrder[i]
+		if feasibleWithout(tk) {
+			delete(chosen, tk)
 		}
 	}
 
-	byKey := make(map[string]relation.TupleID, len(cands))
-	for _, id := range cands {
+	byKey := make(map[string]relation.TupleID, len(lp.cands))
+	for _, id := range lp.cands {
 		byKey[id.Key()] = id
 	}
 	sol := &Solution{}
@@ -223,4 +142,95 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 		sol.Deleted = append(sol.Deleted, byKey[k])
 	}
 	return sol, nil
+}
+
+// dualLP is the aggregated LP of Section IV.C that PrimalDual and
+// DualBound raise duals on: each candidate tuple's capacity C_t (see
+// PrimalDual), and each requested view tuple's join path restricted to
+// the candidates, with the requests ordered by path length and then by
+// reference key.
+type dualLP struct {
+	cands    []relation.TupleID
+	capacity map[string]float64
+	reqs     []dualRequest
+}
+
+// dualRequest is one requested view tuple's packing constraint.
+type dualRequest struct {
+	key  string   // view.TupleRef key
+	path []string // sorted candidate tuple keys on the join path
+}
+
+// buildDualLP builds the LP. restrictCandidates, if non-nil, limits the
+// deletable tuples; restrictPreserved, if non-nil, limits which preserved
+// view tuples contribute capacity (LowDegTree's two restrictions).
+// Capacities accumulate in PreservedRefs order, so the floating-point
+// sums are reproducible.
+func buildDualLP(p *Problem, restrictCandidates, restrictPreserved map[string]bool) *dualLP {
+	lp := &dualLP{capacity: make(map[string]float64)}
+	candSet := make(map[string]bool)
+	for _, id := range p.CandidateTuples() {
+		if restrictCandidates == nil || restrictCandidates[id.Key()] {
+			lp.cands = append(lp.cands, id)
+			candSet[id.Key()] = true
+		}
+	}
+	for _, ref := range p.PreservedRefs() {
+		if restrictPreserved != nil && !restrictPreserved[ref.Key()] {
+			continue
+		}
+		ans, _ := p.Answer(ref)
+		if len(ans.Derivations) == 0 {
+			continue
+		}
+		path := ans.Derivations[0].TupleSet()
+		share := p.Weight(ref) / float64(len(path))
+		for tk := range path {
+			if candSet[tk] {
+				lp.capacity[tk] += share
+			}
+		}
+	}
+	for _, ref := range p.Delta.Refs() {
+		ans, ok := p.Answer(ref)
+		if !ok || len(ans.Derivations) == 0 {
+			continue
+		}
+		var path []string
+		for tk := range ans.Derivations[0].TupleSet() {
+			if candSet[tk] {
+				path = append(path, tk)
+			}
+		}
+		sort.Strings(path)
+		lp.reqs = append(lp.reqs, dualRequest{key: ref.Key(), path: path})
+	}
+	// Deterministic processing order; on forest instances order by path
+	// length then key, approximating the paper's depth ordering.
+	sort.Slice(lp.reqs, func(i, j int) bool {
+		if len(lp.reqs[i].path) != len(lp.reqs[j].path) {
+			return len(lp.reqs[i].path) < len(lp.reqs[j].path)
+		}
+		return lp.reqs[i].key < lp.reqs[j].key
+	})
+	return lp
+}
+
+// raise raises one request's dual by the minimum slack along its path,
+// adds it to the load of every tuple on the path, and returns it.
+func (lp *dualLP) raise(path []string, load map[string]float64) float64 {
+	delta := -1.0
+	for _, tk := range path {
+		slack := lp.capacity[tk] - load[tk]
+		if delta < 0 || slack < delta {
+			delta = slack
+		}
+	}
+	if delta < 0 {
+		delta = 0
+	}
+	for _, tk := range path {
+		load[tk] += delta
+	}
+	return delta
 }

@@ -87,12 +87,9 @@ func (enc *redBlueEncoding) result(ctx context.Context, solver string, sol setco
 }
 
 // RedBlue is the general-case approximation of Claim 1: reduce to Red-Blue
-// Set Cover and solve with the low-degree sweep, giving the
+// Set Cover and solve with the ratio-greedy low-degree sweep, giving the
 // O(2√(l·‖V‖·log‖ΔV‖)) guarantee. Requires key-preserving queries.
-type RedBlue struct {
-	// Mode selects the inner greedy of the sweep (GreedyRatio default).
-	Mode setcover.GreedyMode
-}
+type RedBlue struct{}
 
 // Name implements Solver.
 func (r *RedBlue) Name() string { return "red-blue" }
@@ -116,7 +113,7 @@ func (r *RedBlue) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := checkCtx(ctx, r.Name(), nil); err != nil {
 		return nil, err
 	}
-	sol, err := enc.inst.LowDegSweep(r.Mode)
+	sol, err := enc.inst.LowDegSweep(setcover.GreedyRatio)
 	if err != nil {
 		return nil, fmt.Errorf("core: red-blue sweep: %w", err)
 	}
@@ -166,7 +163,6 @@ func (r *RedBlueExact) Solve(ctx context.Context, p *Problem) (*Solution, error)
 // candidate tuple) and solve via Miettinen's reduction, giving the
 // 2√(l·(‖V‖+‖ΔV‖)·log‖ΔV‖) guarantee. Requires key-preserving queries.
 type BalancedRedBlue struct {
-	Mode setcover.GreedyMode
 	// Exact switches to the exact branch-and-bound on the reduction
 	// (reference optimum for the balanced objective).
 	Exact bool
@@ -209,7 +205,7 @@ func (b *BalancedRedBlue) Solve(ctx context.Context, p *Problem) (*Solution, err
 	if b.Exact {
 		sol, err = pn.Exact(ctx, recorder(st))
 	} else {
-		sol, err = pn.Solve(b.Mode)
+		sol, err = pn.Solve(setcover.GreedyRatio)
 		st.AddNodes(int64(len(pn.Sets)))
 	}
 	return enc.result(ctx, b.Name(), sol, err)

@@ -8,7 +8,6 @@
 package hypergraph
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -412,122 +411,4 @@ func (h *Hypergraph) IsForest() bool {
 		}
 	}
 	return true
-}
-
-// HostTree computes a host tree for a hypertree: a tree over the vertex
-// names of h in which every hyperedge induces a connected subtree. It is
-// derived from a join tree of the dual. Returns nil if h is not a
-// hypertree.
-type HostTree struct {
-	// Root is the root vertex name (arbitrary but deterministic).
-	Root string
-	// Parent maps each non-root vertex to its parent vertex.
-	Parent map[string]string
-	// Children maps each vertex to its children, sorted.
-	Children map[string][]string
-	// Depth maps each vertex to its distance from the root.
-	Depth map[string]int
-}
-
-// HostTree builds a host tree (see type doc). The hypergraph must be
-// connected; use ConnectedComponents first.
-func (h *Hypergraph) HostTree() *HostTree {
-	if len(h.Edges) == 0 {
-		return nil
-	}
-	d := h.Dual()
-	jt := d.JoinTree()
-	if jt == nil {
-		return nil
-	}
-	// Join tree nodes correspond to dual edges, i.e. to vertices of h (the
-	// dual edge for vertex v is named "v:"+v). The join tree over dual
-	// edges IS the host tree over h's vertices.
-	name := func(i int) string { return strings.TrimPrefix(d.Edges[i].Name, "v:") }
-	ht := &HostTree{
-		Parent:   make(map[string]string),
-		Children: make(map[string][]string),
-		Depth:    make(map[string]int),
-	}
-	if len(d.Edges) == 0 {
-		return nil
-	}
-	ht.Root = name(0)
-	// BFS orientation from node 0.
-	seen := make([]bool, len(d.Edges))
-	seen[0] = true
-	queue := []int{0}
-	ht.Depth[ht.Root] = 0
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range jt.Adj[x] {
-			if seen[y] {
-				continue
-			}
-			seen[y] = true
-			ht.Parent[name(y)] = name(x)
-			ht.Children[name(x)] = append(ht.Children[name(x)], name(y))
-			ht.Depth[name(y)] = ht.Depth[name(x)] + 1
-			queue = append(queue, y)
-		}
-	}
-	// Disconnected host tree means h was disconnected: bail.
-	for i := range seen {
-		if !seen[i] {
-			return nil
-		}
-	}
-	for _, cs := range ht.Children {
-		sort.Strings(cs)
-	}
-	return ht
-}
-
-// InducesSubtree reports whether the given vertex set is connected in the
-// host tree (used by tests and by pivot detection).
-func (ht *HostTree) InducesSubtree(vertices []string) bool {
-	if len(vertices) <= 1 {
-		return true
-	}
-	in := make(map[string]bool, len(vertices))
-	for _, v := range vertices {
-		in[v] = true
-	}
-	// BFS from vertices[0] within the set, moving along parent/children.
-	seen := map[string]bool{vertices[0]: true}
-	queue := []string{vertices[0]}
-	reach := 1
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		var nbrs []string
-		if p, ok := ht.Parent[x]; ok {
-			nbrs = append(nbrs, p)
-		}
-		nbrs = append(nbrs, ht.Children[x]...)
-		for _, y := range nbrs {
-			if in[y] && !seen[y] {
-				seen[y] = true
-				reach++
-				queue = append(queue, y)
-			}
-		}
-	}
-	return reach == len(in)
-}
-
-// String renders the host tree as parent relations, for debugging.
-func (ht *HostTree) String() string {
-	var keys []string
-	for k := range ht.Parent {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var parts []string
-	parts = append(parts, "root="+ht.Root)
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s->%s", k, ht.Parent[k]))
-	}
-	return strings.Join(parts, " ")
 }

@@ -77,30 +77,6 @@ func TestGYOMonotoneUnderSubEdgeAddition(t *testing.T) {
 	}
 }
 
-// TestHostTreeHostsEveryEdge: whenever HostTree succeeds, every hyperedge
-// induces a connected subtree — the defining property.
-func TestHostTreeHostsEveryEdge(t *testing.T) {
-	f := func(seed int64, nEdges uint8) bool {
-		h := randHypergraph(seed, 1+int(nEdges%5))
-		comps := h.ConnectedComponents()
-		for _, c := range comps {
-			ht := c.HostTree()
-			if ht == nil {
-				continue
-			}
-			for _, e := range c.Edges {
-				if !ht.InducesSubtree(e.SortedVertices()) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestDualDualPreservesHypertree: the dual of the dual has the same
 // α-acyclicity as the reduced original on our test family (spot-check of
 // Fagin's duality).

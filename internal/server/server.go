@@ -409,7 +409,9 @@ func parseInstance(req *InstanceRequest) (*relation.Instance, []*cq.Query, *view
 // specs on p. Specs are parsed in sorted order, and two specs naming one
 // view tuple must agree on its weight: the parser trims arguments, so
 // "Q(a, b)" and "Q(a,b)" are the same tuple, and a conflict resolved by
-// map order would make the same request answer differently.
+// map order would make the same request answer differently. Weights must
+// be non-negative: a negative one rewards destroying the tuple, so the
+// side effect could fall below the dual lower bound.
 func applyWeights(p *core.Problem, weights map[string]float64, queries []*cq.Query) error {
 	specs := make([]string, 0, len(weights))
 	for spec := range weights {
@@ -418,6 +420,9 @@ func applyWeights(p *core.Problem, weights map[string]float64, queries []*cq.Que
 	sort.Strings(specs)
 	seen := make(map[string]string, len(specs))
 	for _, spec := range specs {
+		if weights[spec] < 0 {
+			return fmt.Errorf("weights: %q has negative weight %v", spec, weights[spec])
+		}
 		del, err := textio.ParseDeletions(spec, queries)
 		if err != nil {
 			return fmt.Errorf("weights: %w", err)

@@ -110,26 +110,23 @@ func TestSolveWithWeights(t *testing.T) {
 // TestConflictingWeightsRejected: the parser trims arguments, so two
 // weight specs differing only in spacing name one view tuple. Agreeing
 // weights are fine; disagreeing ones are a 400 on the cold and warm
-// paths instead of a winner picked by map order.
+// paths instead of a winner picked by map order. A negative weight is a
+// 400 on both paths too: it would let the side effect fall below the
+// dual lower bound.
 func TestConflictingWeightsRejected(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()
 	queries := "Q4(x, y, z) :- T1(x, y), T2(y, z, w)"
-	conflict := map[string]float64{"Q4(John, TKDE, CUBE)": 100, "Q4(John,TKDE,CUBE)": 1}
 	agree := map[string]float64{"Q4(John, TKDE, CUBE)": 100, "Q4(John,TKDE,CUBE)": 100}
-
-	cold := InstanceRequest{Database: fig1DB, Queries: queries, Deletions: "Q4(John, TKDE, XML)", Solver: "red-blue-exact"}
-	cold.Weights = conflict
-	resp, body := post(t, srv, "/solve", cold)
-	if resp.StatusCode != http.StatusBadRequest || decodeErr(t, body).Code != codeInvalidRequest {
-		t.Fatalf("conflicting cold weights: status %d body %s, want 400 %s", resp.StatusCode, body, codeInvalidRequest)
-	}
-	cold.Weights = agree
-	if resp, body = post(t, srv, "/solve", cold); resp.StatusCode != http.StatusOK {
-		t.Fatalf("agreeing cold weights: status %d: %s", resp.StatusCode, body)
+	rejected := []struct {
+		name    string
+		weights map[string]float64
+	}{
+		{"conflicting", map[string]float64{"Q4(John, TKDE, CUBE)": 100, "Q4(John,TKDE,CUBE)": 1}},
+		{"negative", map[string]float64{"Q4(John, TKDE, CUBE)": -5, "Q4(Joe, TKDE, XML)": -5}},
 	}
 
-	resp, body = post(t, srv, "/sessions", SessionRequest{Database: fig1DB, Queries: queries})
+	resp, body := post(t, srv, "/sessions", SessionRequest{Database: fig1DB, Queries: queries})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
@@ -137,10 +134,22 @@ func TestConflictingWeightsRejected(t *testing.T) {
 	if err := json.Unmarshal(body, &sess); err != nil {
 		t.Fatal(err)
 	}
-	warm := SessionSolveRequest{Deletions: "Q4(John, TKDE, XML)", Solver: "red-blue-exact", Weights: conflict}
-	resp, body = post(t, srv, "/sessions/"+sess.SessionID+"/solve", warm)
-	if resp.StatusCode != http.StatusBadRequest || decodeErr(t, body).Code != codeInvalidRequest {
-		t.Fatalf("conflicting warm weights: status %d body %s, want 400 %s", resp.StatusCode, body, codeInvalidRequest)
+	cold := InstanceRequest{Database: fig1DB, Queries: queries, Deletions: "Q4(John, TKDE, XML)", Solver: "red-blue-exact"}
+	for _, rc := range rejected {
+		cold.Weights = rc.weights
+		resp, body = post(t, srv, "/solve", cold)
+		if resp.StatusCode != http.StatusBadRequest || decodeErr(t, body).Code != codeInvalidRequest {
+			t.Errorf("%s cold weights: status %d body %s, want 400 %s", rc.name, resp.StatusCode, body, codeInvalidRequest)
+		}
+		warm := SessionSolveRequest{Deletions: "Q4(John, TKDE, XML)", Solver: "red-blue-exact", Weights: rc.weights}
+		resp, body = post(t, srv, "/sessions/"+sess.SessionID+"/solve", warm)
+		if resp.StatusCode != http.StatusBadRequest || decodeErr(t, body).Code != codeInvalidRequest {
+			t.Errorf("%s warm weights: status %d body %s, want 400 %s", rc.name, resp.StatusCode, body, codeInvalidRequest)
+		}
+	}
+	cold.Weights = agree
+	if resp, body = post(t, srv, "/solve", cold); resp.StatusCode != http.StatusOK {
+		t.Fatalf("agreeing cold weights: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // multi-derivation (non-key-preserving) view tuples via per-derivation
 // reference counts.
 type Maintainer struct {
-	views []*View
-	// derivAlive[ref key] = number of still-alive derivations.
+	// derivAlive[ref key] = number of still-alive derivations; a view
+	// tuple is alive while this is positive (every answer has at least
+	// one derivation).
 	derivAlive map[string]int
 	// derivHit[ref key][derivation index] = number of deleted tuples on
 	// that derivation (alive while 0).
@@ -27,9 +28,8 @@ type Maintainer struct {
 	deleted map[string]bool
 	// refs resolves ref keys back to references.
 	refs map[string]TupleRef
-	// deadOrder records refs in death order.
-	deadOrder []TupleRef
-	dead      map[string]bool
+	// dead counts view tuples with no alive derivation.
+	dead int
 }
 
 type derivRef struct {
@@ -40,13 +40,11 @@ type derivRef struct {
 // NewMaintainer indexes the views for incremental deletion.
 func NewMaintainer(views []*View) *Maintainer {
 	m := &Maintainer{
-		views:      views,
 		derivAlive: make(map[string]int),
 		derivHit:   make(map[string][]int),
 		occ:        make(map[string][]derivRef),
 		deleted:    make(map[string]bool),
 		refs:       make(map[string]TupleRef),
-		dead:       make(map[string]bool),
 	}
 	for _, v := range views {
 		for _, ans := range v.Result.Answers() {
@@ -66,21 +64,19 @@ func NewMaintainer(views []*View) *Maintainer {
 }
 
 // Clone returns an independent copy of the maintainer: the clone shares
-// the provenance indexes built by NewMaintainer (views, occ, refs — all
+// the provenance indexes built by NewMaintainer (occ and refs, both
 // immutable after construction) and deep-copies the mutable deletion
 // state, so Delete/Undelete on the clone never touch the original.
 // Parallel greedy scoring hands one clone per worker; cloning is O(state)
 // while re-indexing with NewMaintainer is O(provenance).
 func (m *Maintainer) Clone() *Maintainer {
 	c := &Maintainer{
-		views:      m.views,
 		derivAlive: make(map[string]int, len(m.derivAlive)),
 		derivHit:   make(map[string][]int, len(m.derivHit)),
 		occ:        m.occ,
 		deleted:    make(map[string]bool, len(m.deleted)),
 		refs:       m.refs,
-		deadOrder:  append([]TupleRef(nil), m.deadOrder...),
-		dead:       make(map[string]bool, len(m.dead)),
+		dead:       m.dead,
 	}
 	for k, v := range m.derivAlive {
 		c.derivAlive[k] = v
@@ -90,9 +86,6 @@ func (m *Maintainer) Clone() *Maintainer {
 	}
 	for k := range m.deleted {
 		c.deleted[k] = true
-	}
-	for k := range m.dead {
-		c.dead[k] = true
 	}
 	return c
 }
@@ -118,12 +111,10 @@ func (m *Maintainer) Delete(id relation.TupleID) []TupleRef {
 		}
 	}
 	sort.Strings(died)
+	m.dead += len(died)
 	var out []TupleRef
 	for _, k := range died {
-		ref := m.refs[k]
-		m.dead[k] = true
-		m.deadOrder = append(m.deadOrder, ref)
-		out = append(out, ref)
+		out = append(out, m.refs[k])
 	}
 	return out
 }
@@ -148,9 +139,9 @@ func (m *Maintainer) Undelete(id relation.TupleID) []TupleRef {
 		}
 	}
 	sort.Strings(revived)
+	m.dead -= len(revived)
 	var out []TupleRef
 	for _, k := range revived {
-		delete(m.dead, k)
 		out = append(out, m.refs[k])
 	}
 	return out
@@ -158,15 +149,11 @@ func (m *Maintainer) Undelete(id relation.TupleID) []TupleRef {
 
 // Alive reports whether the view tuple currently survives.
 func (m *Maintainer) Alive(ref TupleRef) bool {
-	k := ref.Key()
-	if _, known := m.derivAlive[k]; !known {
-		return false
-	}
-	return !m.dead[k]
+	return m.derivAlive[ref.Key()] > 0
 }
 
 // DeadCount returns the number of destroyed view tuples.
-func (m *Maintainer) DeadCount() int { return len(m.dead) }
+func (m *Maintainer) DeadCount() int { return m.dead }
 
 // DeletedCount returns the number of applied source deletions.
 func (m *Maintainer) DeletedCount() int { return len(m.deleted) }

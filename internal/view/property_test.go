@@ -84,8 +84,9 @@ func TestMaintainerDeleteUndeleteInverse(t *testing.T) {
 	}
 }
 
-// TestSideEffectSplitsCleanly: requested + collateral removals partition
-// the dead view tuples.
+// TestSideEffectPartition: the requested and collateral tuples the
+// maintainer reports dying partition the view tuples that Survives
+// declares dead.
 func TestSideEffectPartition(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{
@@ -101,7 +102,7 @@ func TestSideEffectPartition(t *testing.T) {
 				ids = append(ids, id)
 			}
 		}
-		req, coll := SideEffect(views, del, ids)
+		req, coll := sideEffect(views, del, ids)
 		set := DeletedSet(ids)
 		dead := 0
 		for _, v := range views {

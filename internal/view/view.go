@@ -202,24 +202,19 @@ type Occurrence struct {
 // key values of the deleted relation tuples in the view".
 type InvertedIndex struct {
 	occ map[string][]Occurrence
-	ids map[string]relation.TupleID
 }
 
 // BuildInvertedIndex scans all views' provenance.
 func BuildInvertedIndex(views []*View) *InvertedIndex {
-	idx := &InvertedIndex{
-		occ: make(map[string][]Occurrence),
-		ids: make(map[string]relation.TupleID),
-	}
+	idx := &InvertedIndex{occ: make(map[string][]Occurrence)}
 	for _, v := range views {
 		for _, ans := range v.Result.Answers() {
 			ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
 			// Count in how many derivations each base tuple occurs.
 			counts := make(map[string]int)
 			for _, d := range ans.Derivations {
-				for k, id := range d.TupleSet() {
+				for k := range d.TupleSet() {
 					counts[k]++
-					idx.ids[k] = id
 				}
 			}
 			total := len(ans.Derivations)
@@ -234,44 +229,4 @@ func BuildInvertedIndex(views []*View) *InvertedIndex {
 // Occurrences returns the view tuples the base tuple participates in.
 func (idx *InvertedIndex) Occurrences(id relation.TupleID) []Occurrence {
 	return idx.occ[id.Key()]
-}
-
-// Tuples returns every base tuple that occurs in some view tuple, sorted by
-// key for determinism.
-func (idx *InvertedIndex) Tuples() []relation.TupleID {
-	keys := make([]string, 0, len(idx.ids))
-	for k := range idx.ids {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]relation.TupleID, len(keys))
-	for i, k := range keys {
-		out[i] = idx.ids[k]
-	}
-	return out
-}
-
-// Len returns the number of distinct base tuples appearing in views.
-func (idx *InvertedIndex) Len() int { return len(idx.ids) }
-
-// SideEffect computes, per view, how many view tuples are destroyed by
-// deleting the given source tuples, split into requested (in del) and
-// collateral (side-effect). It re-derives survival from provenance without
-// re-evaluating queries.
-func SideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (removedRequested, removedCollateral []TupleRef) {
-	set := DeletedSet(deleted)
-	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			if Survives(ans, set) {
-				continue
-			}
-			ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if del != nil && del.Contains(ref) {
-				removedRequested = append(removedRequested, ref)
-			} else {
-				removedCollateral = append(removedCollateral, ref)
-			}
-		}
-	}
-	return removedRequested, removedCollateral
 }
