@@ -19,11 +19,12 @@ race:
 	$(GO) test -race ./...
 
 # Focused -race pass over the concurrency-heavy packages (parallel
-# portfolio, concurrent greedy scoring, batch worker pool, event bus,
-# tracer, admission engine, breakers and the warm-session registry);
-# -count=2 defeats the test cache so the schedule differs between runs.
+# portfolio, concurrent greedy scoring, the supervised solve goroutine,
+# batch worker pool, event bus, tracer, admission engine, breakers, the
+# warm-session registry and the delprop CLI's -batch workers); -count=2
+# defeats the test cache so the schedule differs between runs.
 race-hot:
-	$(GO) test -race -count=2 ./internal/core/ ./internal/view/ ./internal/server/ ./internal/session/ ./internal/telemetry/ ./internal/admission/
+	$(GO) test -race -count=2 ./internal/core/ ./internal/view/ ./internal/server/ ./internal/session/ ./internal/telemetry/ ./internal/admission/ ./cmd/delprop/
 
 cover:
 	$(GO) test -cover ./...

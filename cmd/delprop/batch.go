@@ -11,6 +11,7 @@ import (
 	"delprop/internal/core"
 	"delprop/internal/cq"
 	"delprop/internal/relation"
+	"delprop/internal/server"
 	"delprop/internal/textio"
 )
 
@@ -48,19 +49,7 @@ type batchItem struct {
 }
 
 func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
-	dbSrc, err := os.ReadFile(dbPath)
-	if err != nil {
-		return err
-	}
-	db, err := textio.ParseDatabase(string(dbSrc))
-	if err != nil {
-		return err
-	}
-	qSrc, err := os.ReadFile(qPath)
-	if err != nil {
-		return err
-	}
-	queries, err := cq.ParseProgram(string(qSrc))
+	db, queries, err := loadProgram(dbPath, qPath)
 	if err != nil {
 		return err
 	}
@@ -72,12 +61,7 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 	if len(stanzas) == 0 {
 		return fmt.Errorf("%s: no deletion stanzas (separate batch items with blank lines)", dPath)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(stanzas) {
-		workers = len(stanzas)
-	}
+	workers = max(1, min(workers, len(stanzas)))
 
 	ctx := context.Background()
 	if opts.timeout > 0 {
@@ -110,12 +94,7 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 			defer wg.Done()
 			for idx := range jobs {
 				var buf strings.Builder
-				var err error
-				if skel != nil {
-					err = solveWarmStanza(ctx, &buf, skel, stanzas[idx], opts)
-				} else {
-					err = solveStanza(ctx, &buf, db, queries, stanzas[idx], opts)
-				}
+				err := solveStanza(ctx, &buf, db, queries, skel, stanzas[idx], opts)
 				results[idx] = batchItem{text: buf.String(), err: err}
 			}
 		}()
@@ -141,63 +120,34 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 }
 
 // solveStanza solves one deletion stanza against the shared database and
-// queries, writing the same per-instance report run() prints.
-func solveStanza(ctx context.Context, w io.Writer, db *relation.Instance, queries []*cq.Query, stanza string, opts options) error {
+// queries — with -session, by specializing the prebuilt skeleton instead
+// of materializing the views again — and writes the per-item report.
+func solveStanza(ctx context.Context, w io.Writer, db *relation.Instance, queries []*cq.Query, skel *core.Problem, stanza string, opts options) error {
 	delta, err := textio.ParseDeletions(stanza, queries)
 	if err != nil {
 		return err
 	}
-	p, err := core.NewProblem(db, queries, delta)
+	var p *core.Problem
+	if skel != nil {
+		p, err = skel.Specialize(delta)
+	} else {
+		p, err = core.NewProblem(db, queries, delta)
+	}
 	if err != nil {
 		return err
 	}
-	return solveProblem(ctx, w, p, opts)
-}
-
-// solveWarmStanza is solveStanza against a prebuilt skeleton: only the
-// stanza's delta is parsed and the shared views are reused as-is.
-func solveWarmStanza(ctx context.Context, w io.Writer, skel *core.Problem, stanza string, opts options) error {
-	delta, err := textio.ParseDeletions(stanza, skel.Queries)
+	solver, err := server.PickSolver(opts.solver, p)
 	if err != nil {
 		return err
 	}
-	p, err := skel.Specialize(delta)
+	out, err := core.Run(ctx, solver, p, opts.timeout, core.RunHooks{Bound: core.DualBound})
 	if err != nil {
 		return err
 	}
-	return solveProblem(ctx, w, p, opts)
-}
-
-// solveProblem runs the solver and writes the shared per-item report.
-func solveProblem(ctx context.Context, w io.Writer, p *core.Problem, opts options) error {
-	solver, err := pickSolver(opts.solver, p)
-	if err != nil {
-		return err
-	}
-	ctx, st := core.WithStats(ctx)
-	sol, err := solver.Solve(ctx, p)
-	partial := false
-	if err != nil {
-		inc, ok := core.Best(err)
-		if !ok {
-			return err
-		}
-		sol, partial = inc, true
-	}
-	rep := p.Evaluate(sol)
 	fmt.Fprintf(w, "solver: %s\n", solver.Name())
-	fmt.Fprintf(w, "deletion: %s\n", sol)
-	if partial {
-		fmt.Fprintln(w, "partial: true (search interrupted before completion)")
-	}
-	fmt.Fprintf(w, "feasible: %v\n", rep.Feasible)
-	fmt.Fprintf(w, "side effect: %v\n", rep.SideEffect)
-	if opts.balanced {
-		fmt.Fprintf(w, "balanced objective: %v (bad remaining %d)\n", rep.Balanced, rep.BadRemaining)
-	}
+	writeAnswer(w, out, opts, false)
 	if opts.stats != "" {
-		snap := st.Snapshot()
-		fmt.Fprintf(w, "nodes expanded: %d  checkpoints: %d\n", snap.NodesExpanded, snap.Checkpoints)
+		fmt.Fprintf(w, "nodes expanded: %d  checkpoints: %d\n", out.Stats.NodesExpanded, out.Stats.Checkpoints)
 	}
 	return nil
 }

@@ -7,9 +7,8 @@
 //
 //	delprop -db db.txt -queries q.dl -delete del.txt [-solver red-blue] [-balanced] [-timeout 30s]
 //
-// Solvers: greedy, red-blue, red-blue-exact, primal-dual, low-deg,
-// dp-tree, brute-force, single-exact, balanced-red-blue, balanced-exact,
-// auto (classification-driven default).
+// -solver takes auto (the classification-driven default) or any name in
+// the core solver registry; delprop -h lists them.
 //
 // -batch treats the -delete file as blank-line-separated deletion
 // stanzas, each solved as its own instance against the shared database
@@ -21,10 +20,12 @@
 // partial result. -resilience computes per-query resilience instead of a
 // deletion, with -resilience-budget bounding its exact search.
 //
-// -stats text|json prints per-phase timings (parse, views, solve,
-// evaluate) and the search-progress counters (nodes expanded, branches
-// pruned, checkpoints, incumbent updates, restarts) after the solve — the
-// same numbers the server exports on /metrics (see
+// -stats text|json prints per-phase timings (parse, views, classify,
+// solve, evaluate) and the search-progress counters (nodes expanded,
+// branches pruned, checkpoints, incumbent updates, restarts) after the
+// solve. Solves run through the same core engine as delpropd's, so json
+// prints the phaseMs, stats (objective, lower bound, quality ratio
+// included) and race objects of the daemon's /solve response (see
 // docs/OBSERVABILITY.md).
 //
 // delprop tail follows a running delpropd daemon's GET /events stream
@@ -45,16 +46,17 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"delprop/internal/classify"
 	"delprop/internal/core"
 	"delprop/internal/cq"
+	"delprop/internal/relation"
 	"delprop/internal/server"
 	"delprop/internal/telemetry"
 	"delprop/internal/textio"
@@ -72,7 +74,8 @@ func main() {
 	dbPath := flag.String("db", "", "database file (textio format)")
 	qPath := flag.String("queries", "", "datalog query program")
 	dPath := flag.String("delete", "", "deletion request file")
-	solverName := flag.String("solver", "auto", "algorithm to run")
+	solverName := flag.String("solver", "auto",
+		"algorithm to run: auto (classification-driven default) or one of "+strings.Join(core.SolverNames(), ", "))
 	balanced := flag.Bool("balanced", false, "report the balanced objective")
 	explain := flag.Bool("explain", false, "print each query's join plan")
 	timeout := flag.Duration("timeout", 0, "bound the solve (0 = no limit)")
@@ -138,37 +141,23 @@ type options struct {
 
 func run(dbPath, qPath, dPath string, opts options) error {
 	phases := make(map[string]time.Duration)
-	phaseStart := time.Now()
-	endPhase := func(name string) {
-		now := time.Now()
-		phases[name] = now.Sub(phaseStart)
-		phaseStart = now
+	phase := func(name string) func() {
+		start := time.Now()
+		return func() { phases[name] = time.Since(start) }
 	}
-	dbSrc, err := os.ReadFile(dbPath)
+	end := phase(telemetry.PhaseParse)
+	db, queries, err := loadProgram(dbPath, qPath)
 	if err != nil {
 		return err
-	}
-	db, err := textio.ParseDatabase(string(dbSrc))
-	if err != nil {
-		return err
-	}
-	qSrc, err := os.ReadFile(qPath)
-	if err != nil {
-		return err
-	}
-	queries, err := cq.ParseProgram(string(qSrc))
-	if err != nil {
-		return err
-	}
-
-	ctx := context.Background()
-	if opts.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.timeout)
-		defer cancel()
 	}
 
 	if opts.resilience {
+		ctx := context.Background()
+		if opts.timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, opts.timeout)
+			defer cancel()
+		}
 		for _, q := range queries {
 			n, sol, err := core.Resilience(ctx, q, db, opts.resilienceBudget)
 			if err != nil {
@@ -187,13 +176,15 @@ func run(dbPath, qPath, dPath string, opts options) error {
 	if err != nil {
 		return err
 	}
-	endPhase(telemetry.PhaseParse)
+	end()
+	end = phase(telemetry.PhaseViews)
 	p, err := core.NewProblem(db, queries, delta)
 	if err != nil {
 		return err
 	}
-	endPhase(telemetry.PhaseViews)
+	end()
 
+	end = phase(telemetry.PhaseClassify)
 	if opts.explain {
 		for _, q := range queries {
 			plan, err := cq.ExplainPlan(q, db)
@@ -213,75 +204,91 @@ func run(dbPath, qPath, dPath string, opts options) error {
 	for _, g := range res.Guarantees {
 		fmt.Printf("  - %s\n", g)
 	}
-
-	solver, err := pickSolver(opts.solver, p)
+	solver, err := server.PickSolver(opts.solver, p)
 	if err != nil {
 		return err
 	}
-	endPhase(telemetry.PhaseClassify)
+	end()
 	fmt.Printf("solver: %s\n", solver.Name())
-	ctx, st := core.WithStats(ctx)
-	sol, err := solver.Solve(ctx, p)
-	endPhase(telemetry.PhaseSolve)
-	partial := false
+
+	out, err := core.Run(context.Background(), solver, p, opts.timeout, core.RunHooks{Phase: phase, Bound: core.DualBound})
 	if err != nil {
-		inc, ok := core.Best(err)
-		if !ok {
-			return err
-		}
-		// The deadline fired but the solver carried an incumbent: report
-		// the partial result rather than discarding the work.
-		if errors.Is(err, core.ErrDeadline) {
-			fmt.Printf("timeout after %v — reporting the solver's incumbent\n", opts.timeout)
-		} else {
-			fmt.Println("canceled — reporting the solver's incumbent")
-		}
-		sol, partial = inc, true
+		return err
 	}
-	rep := p.Evaluate(sol)
-	fmt.Printf("deletion: %s\n", sol)
-	if partial {
-		fmt.Println("partial: true (search interrupted before completion)")
+	// An interrupted solver that carried an incumbent: report the partial
+	// result rather than discarding the work.
+	switch out.Interrupted {
+	case "deadline":
+		fmt.Printf("timeout after %v — reporting the solver's incumbent\n", opts.timeout)
+	case "canceled":
+		fmt.Println("canceled — reporting the solver's incumbent")
 	}
-	fmt.Printf("feasible: %v\n", rep.Feasible)
-	fmt.Printf("side effect: %v", rep.SideEffect)
-	if len(rep.Collateral) > 0 {
-		fmt.Printf("  (collateral:")
-		for _, r := range rep.Collateral {
-			fmt.Printf(" %s", r)
-		}
-		fmt.Printf(")")
-	}
-	fmt.Println()
-	if opts.balanced {
-		fmt.Printf("balanced objective: %v (bad remaining %d)\n", rep.Balanced, rep.BadRemaining)
-	}
-	endPhase(telemetry.PhaseEvaluate)
+	writeAnswer(os.Stdout, out, opts, true)
 	if opts.stats != "" {
-		if err := printStats(os.Stdout, opts.stats, phases, st.Snapshot()); err != nil {
-			return err
-		}
+		return printStats(os.Stdout, opts.stats, phases, out)
 	}
 	return nil
 }
 
-// statsReport is the -stats json schema: per-phase timings plus the search
-// counters, mirroring the server's SolveResponse fields.
+// loadProgram reads and parses the database and query program files.
+func loadProgram(dbPath, qPath string) (*relation.Instance, []*cq.Query, error) {
+	dbSrc, err := os.ReadFile(dbPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	db, err := textio.ParseDatabase(string(dbSrc))
+	if err != nil {
+		return nil, nil, err
+	}
+	qSrc, err := os.ReadFile(qPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	queries, err := cq.ParseProgram(string(qSrc))
+	return db, queries, err
+}
+
+// writeAnswer prints the answer lines run and -batch share; run also
+// lists the collateral view tuples on the side-effect line.
+func writeAnswer(w io.Writer, out *core.RunResult, opts options, collateral bool) {
+	fmt.Fprintf(w, "deletion: %s\n", out.Solution)
+	if out.Partial {
+		fmt.Fprintln(w, "partial: true (search interrupted before completion)")
+	}
+	fmt.Fprintf(w, "feasible: %v\n", out.Report.Feasible)
+	fmt.Fprintf(w, "side effect: %v", out.Report.SideEffect)
+	if collateral && len(out.Report.Collateral) > 0 {
+		fmt.Fprintf(w, "  (collateral:")
+		for _, r := range out.Report.Collateral {
+			fmt.Fprintf(w, " %s", r)
+		}
+		fmt.Fprintf(w, ")")
+	}
+	fmt.Fprintln(w)
+	if opts.balanced {
+		fmt.Fprintf(w, "balanced objective: %v (bad remaining %d)\n", out.Report.Balanced, out.Report.BadRemaining)
+	}
+}
+
+// statsReport is the -stats json schema: the phaseMs, stats and race
+// fields of delpropd's SolveResponse, in the same shapes.
 type statsReport struct {
 	PhaseMs map[string]float64 `json:"phaseMs"`
 	Stats   core.StatsSnapshot `json:"stats"`
+	Race    *core.RaceSnapshot `json:"race,omitempty"`
 }
 
 // printStats writes the post-solve report in the requested form.
-func printStats(w io.Writer, form string, phases map[string]time.Duration, snap core.StatsSnapshot) error {
-	phaseMs := make(map[string]float64, len(phases))
-	for name, d := range phases {
-		phaseMs[name] = float64(d) / float64(time.Millisecond)
-	}
+func printStats(w io.Writer, form string, phases map[string]time.Duration, out *core.RunResult) error {
+	snap := out.Stats
 	if form == "json" {
+		phaseMs := make(map[string]float64, len(phases))
+		for name, d := range phases {
+			phaseMs[name] = float64(d) / float64(time.Millisecond)
+		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(statsReport{PhaseMs: phaseMs, Stats: snap})
+		return enc.Encode(statsReport{PhaseMs: phaseMs, Stats: snap, Race: out.Race})
 	}
 	fmt.Fprintln(w, "phase timings:")
 	for _, name := range telemetry.Phases {
@@ -301,10 +308,3 @@ func printStats(w io.Writer, form string, phases map[string]time.Duration, snap 
 	}
 	return nil
 }
-
-// pickSolver resolves a solver by name; "auto" picks the strongest solver
-// the instance structure admits: the exact DP on pivot forests, the
-// single-tuple exact algorithm when |ΔV|=1, and the red-blue reduction
-// otherwise (greedy for non-key-preserving inputs). Shared with the HTTP
-// API so both accept the same names.
-var pickSolver = server.PickSolver

@@ -84,9 +84,9 @@ func (o *memberOutcome) classify(parentDone bool) string {
 		return "skipped"
 	case o.err == nil:
 		return "ok"
-	case isCtxErr(o.err) && !parentDone:
+	case InterruptCause(o.err) != "" && !parentDone:
 		return "cancelled"
-	case isCtxErr(o.err):
+	case InterruptCause(o.err) != "":
 		return "interrupted"
 	default:
 		return "error"
@@ -126,19 +126,13 @@ func (pf *Portfolio) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	// evaluate fills the outcome's effective solution and report, and
 	// reports whether it proves optimality against the shared bound.
 	evaluate := func(o *memberOutcome) (proven bool) {
-		cand := o.sol
 		if o.err != nil {
-			if inc, ok := Best(o.err); ok {
-				cand = inc
-			} else {
-				cand = nil
-			}
+			o.sol, _ = Best(o.err)
 		}
-		o.sol = cand
-		if cand == nil {
+		if o.sol == nil {
 			return false
 		}
-		o.rep = p.Evaluate(cand)
+		o.rep = p.Evaluate(o.sol)
 		o.feasible = o.rep.Feasible
 		return o.feasible && bound.observe(o.rep.SideEffect)
 	}

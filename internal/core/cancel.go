@@ -86,10 +86,18 @@ func checkCtx(ctx context.Context, solver string, incumbent *Solution) error {
 	}
 }
 
-// isCtxErr reports whether err is (or wraps) a context error, i.e. came
-// from an interrupted sub-search rather than a genuine solver failure.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// InterruptCause names why err stopped a solve: "deadline", "canceled",
+// or "" when err is a genuine failure rather than an interruption. Raw
+// context errors count too, since a registered third-party solver may not
+// wrap them in *Interrupted.
+func InterruptCause(err error) string {
+	switch {
+	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded):
+		return "deadline"
+	case errors.Is(err, ErrCanceled), errors.Is(err, context.Canceled):
+		return "canceled"
+	}
+	return ""
 }
 
 // checkEvery is how many iterations tight enumeration loops run between

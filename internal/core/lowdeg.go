@@ -114,7 +114,7 @@ func (l *LowDegTreeTwo) Solve(ctx context.Context, p *Problem) (*Solution, error
 			if errors.Is(err, ErrInfeasibleRestriction) {
 				continue
 			}
-			if isCtxErr(err) {
+			if InterruptCause(err) != "" {
 				return nil, interruption(ctx, l.Name(), best)
 			}
 			return nil, err

@@ -76,7 +76,7 @@ func (enc *redBlueEncoding) result(ctx context.Context, solver string, sol setco
 	if err == nil {
 		return enc.decode(sol), nil
 	}
-	if !isCtxErr(err) {
+	if InterruptCause(err) == "" {
 		return nil, fmt.Errorf("core: %s: %w", solver, err)
 	}
 	var incumbent *Solution

@@ -38,7 +38,8 @@ type Stats struct {
 	// solution and the best proven lower bound on the optimum. Exact
 	// solvers report both (ratio 1); approximation solvers report whatever
 	// certificate they hold (primal-dual reports its feasible dual value);
-	// the server fills in core.DualBound when the solver reported none.
+	// Run adds its caller's bound (DualBound, or a warm session's cached
+	// one), keeping the larger.
 	// The ratio objective/lowerBound is the observed approximation quality
 	// exported as delprop_solve_quality_ratio.
 	hasObjective bool    //delprop:guardedby mu
@@ -177,8 +178,8 @@ func (s *Stats) Incumbent(objective float64, deleted int) {
 
 // SetObjective records the achieved objective value of the solution the
 // solve returned (side effect, cover cost, or balanced objective). The
-// last write wins: callers that evaluate the returned solution (the
-// server, the bench harness) overwrite whatever the solver reported.
+// last write wins: callers that evaluate the returned solution (Run,
+// the bench harness) overwrite whatever the solver reported.
 func (s *Stats) SetObjective(v float64) {
 	if s == nil {
 		return
@@ -239,8 +240,7 @@ type StatsSnapshot struct {
 }
 
 // Snapshot copies the current counters. Safe to call while the solve is
-// still running (the server logs mid-flight snapshots for abandoned
-// solvers).
+// still running (Run snapshots an abandoned solver mid-flight).
 func (s *Stats) Snapshot() StatsSnapshot {
 	if s == nil {
 		return StatsSnapshot{}

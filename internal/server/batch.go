@@ -75,20 +75,10 @@ type BatchResponse struct {
 // batchWorkers resolves the requested pool size against the server cap
 // and the item count (no point spinning up idle workers).
 func (a *api) batchWorkers(requested, items int) int {
-	w := requested
-	if w <= 0 {
-		w = a.cfg.MaxBatchWorkers
+	if requested <= 0 {
+		requested = a.cfg.MaxBatchWorkers
 	}
-	if w > a.cfg.MaxBatchWorkers {
-		w = a.cfg.MaxBatchWorkers
-	}
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(requested, a.cfg.MaxBatchWorkers, items))
 }
 
 func (a *api) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
@@ -108,20 +98,14 @@ func (a *api) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	if req.Timeout != "" {
-		d, err := time.ParseDuration(req.Timeout)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("timeout: %w", err), reqID)
-			return
-		}
-		if d <= 0 {
-			writeErr(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Errorf("timeout: must be positive, got %v", d), reqID)
-			return
-		}
-		if d > a.cfg.MaxSolveTimeout {
-			d = a.cfg.MaxSolveTimeout
-		}
+	// Items get their own deadlines (solveDeadline, tenant caps included);
+	// an empty batch timeout adds no batch-level bound on top.
+	d, err := a.parseTimeout(req.Timeout)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
+		return
+	}
+	if d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -130,28 +114,19 @@ func (a *api) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	// Tenant accounting: the envelope was admitted by the middleware, but
 	// each item charges one rate token so batches cannot tunnel past the
 	// tenant's budget. Items the bucket cannot cover fail (not skip) with
-	// the overloaded code; the covered items still run.
-	info := admission.InfoFromContext(ctx)
+	// the overloaded code; the covered items still run. refused maps each
+	// uncovered item to its Retry-After.
+	refused := make(map[int]time.Duration)
 	tenant := ""
 	var pol *admission.TenantPolicy
-	if info != nil {
+	if info := admission.InfoFromContext(ctx); info != nil {
 		tenant = info.Tenant
 		_, pol, _ = a.cfg.Admission.Resolve(tenant)
-	}
-	charged := make([]bool, len(req.Items))
-	var chargeErr []time.Duration
-	if info != nil {
-		chargeErr = make([]time.Duration, len(req.Items))
 		for i := range req.Items {
-			ok, retry := a.cfg.Admission.Charge(tenant)
-			charged[i], chargeErr[i] = ok, retry
-			if !ok {
+			if ok, retry := a.cfg.Admission.Charge(tenant); !ok {
+				refused[i] = retry
 				a.observeAdmission(reqID, tenant, "shed-"+admission.RuleRateLimit)
 			}
-		}
-	} else {
-		for i := range charged {
-			charged[i] = true
 		}
 	}
 
@@ -186,10 +161,10 @@ func (a *api) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 					results[idx] = BatchItemResult{Index: idx, Skipped: true}
 					continue
 				}
-				if !charged[idx] {
+				if retry, ok := refused[idx]; ok {
 					results[idx] = BatchItemResult{Index: idx, Error: &BatchItemError{
 						Error: fmt.Sprintf("tenant %q rate budget exhausted (retry in %v)",
-							tenant, chargeErr[idx].Round(time.Millisecond)),
+							tenant, retry.Round(time.Millisecond)),
 						Code: codeOverloaded}}
 					continue
 				}

@@ -110,6 +110,23 @@ func TestSolveBatchLimits(t *testing.T) {
 	if e.Code != codeBatchTooLarge {
 		t.Errorf("code = %q, want %q", e.Code, codeBatchTooLarge)
 	}
+
+	// A batch timeout follows the per-solve rules: it must parse and be
+	// positive.
+	for _, timeout := range []string{"0s", "-1s", "soon"} {
+		req := BatchRequest{Items: []InstanceRequest{fig1Item("Q4(John, TKDE, XML)")}, Timeout: timeout}
+		resp, body = post(t, srv, "/solve/batch", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("timeout %q: status = %d: %s", timeout, resp.StatusCode, body)
+			continue
+		}
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Code != codeInvalidRequest {
+			t.Errorf("timeout %q: code = %q, want %q", timeout, e.Code, codeInvalidRequest)
+		}
+	}
 }
 
 // TestSolveBatchWorkersClamped: the response reports the effective pool

@@ -143,10 +143,6 @@ const (
 	DefaultPostmortemCapacity = 64
 )
 
-// DefaultConfig returns the production defaults documented in
-// docs/OPERATIONS.md.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
 func (c Config) withDefaults() Config {
 	if c.DefaultSolveTimeout <= 0 {
 		c.DefaultSolveTimeout = DefaultSolveTimeout

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -161,10 +160,6 @@ func (s *Server) Events() *telemetry.Bus { return s.api.cfg.Events }
 // hot-reload the policy on SIGHUP.
 func (s *Server) Admission() *admission.Engine { return s.api.cfg.Admission }
 
-// Breakers returns the per-solver circuit breaker set (nil when breakers
-// are disabled via a negative BreakerThreshold).
-func (s *Server) Breakers() *admission.BreakerSet { return s.api.breakers }
-
 // Sampler returns the rolling time-series sampler behind GET
 // /debug/series. It takes no samples until RunSampler (or a direct
 // Tick) drives it.
@@ -176,10 +171,6 @@ func (s *Server) Sampler() *telemetry.Sampler { return s.api.sampler }
 // behavior (per-scrape runtime gauges, lifetime-histogram Retry-After,
 // no windowed data).
 func (s *Server) RunSampler(ctx context.Context) { s.api.sampler.Run(ctx) }
-
-// Sessions returns the warm-solve session registry behind POST /sessions
-// (delpropd holds it for the janitor; tests drive Sweep directly).
-func (s *Server) Sessions() *session.Registry { return s.api.sessions }
 
 // RunSessionJanitor sweeps expired sessions at a quarter of the session
 // TTL until ctx is done. delpropd runs it in a goroutine; embedders that
@@ -361,24 +352,34 @@ func (a *api) tenantShaping(ctx context.Context, bodyTenant string) (string, *ad
 //
 // pol may be nil (no admission policy in play).
 func (a *api) solveDeadline(spec string, pol *admission.TenantPolicy) (time.Duration, error) {
-	d := a.cfg.DefaultSolveTimeout
-	if spec != "" {
-		parsed, err := time.ParseDuration(spec)
-		if err != nil {
-			return 0, fmt.Errorf("timeout: %w", err)
-		}
-		if parsed <= 0 {
-			return 0, fmt.Errorf("timeout: must be positive, got %v", parsed)
-		}
-		d = parsed
+	d, err := a.parseTimeout(spec)
+	if err != nil {
+		return 0, err
 	}
-	if d > a.cfg.MaxSolveTimeout {
-		d = a.cfg.MaxSolveTimeout
+	if d == 0 {
+		d = min(a.cfg.DefaultSolveTimeout, a.cfg.MaxSolveTimeout)
 	}
 	if pol != nil && pol.MaxDeadline > 0 && d > pol.MaxDeadline {
 		d = pol.MaxDeadline
 	}
 	return d, nil
+}
+
+// parseTimeout parses a request's timeout spec, clamped to
+// MaxSolveTimeout. Empty gives 0 (unset); a malformed or non-positive
+// spec is an error.
+func (a *api) parseTimeout(spec string) (time.Duration, error) {
+	if spec == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(spec)
+	if err != nil {
+		return 0, fmt.Errorf("timeout: %w", err)
+	}
+	if d <= 0 {
+		return 0, fmt.Errorf("timeout: must be positive, got %v", d)
+	}
+	return min(d, a.cfg.MaxSolveTimeout), nil
 }
 
 // parseInstance is the parse phase of the shared instance payload: text to
@@ -403,6 +404,20 @@ func parseInstance(req *InstanceRequest) (*relation.Instance, []*cq.Query, *view
 		}
 	}
 	return db, queries, delta, nil
+}
+
+// parseSources parses the raw database and query program of a classify,
+// lineage or resilience payload, answering 400 when either is malformed.
+func parseSources(w http.ResponseWriter, reqID, database, program string) (*relation.Instance, []*cq.Query, bool) {
+	db, err := textio.ParseDatabase(database)
+	if err == nil {
+		var queries []*cq.Query
+		if queries, err = cq.ParseProgram(program); err == nil {
+			return db, queries, true
+		}
+	}
+	writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
+	return nil, nil, false
 }
 
 // applyWeights sets the preservation weights named by "Qname(v1,...)"
@@ -439,60 +454,6 @@ func applyWeights(p *core.Problem, weights map[string]float64, queries []*cq.Que
 	return nil
 }
 
-// solveOutcome is what the supervised solve goroutine reports back.
-type solveOutcome struct {
-	sol *core.Solution
-	err error
-}
-
-// errSolverPanic marks a panic recovered inside the solve goroutine.
-var errSolverPanic = errors.New("solver panicked")
-
-// runSolve executes solver.Solve under ctx in a supervised goroutine: a
-// panic becomes errSolverPanic, and a solver that ignores its context is
-// abandoned after a grace period (half the deadline, at most one second)
-// so the response always arrives within ~2x the requested deadline. The
-// abandoned goroutine is leaked deliberately — there is no safe way to
-// kill it — and the Faulty solver's stall bound keeps tests honest about
-// that.
-func (a *api) runSolve(ctx context.Context, reqID string, solver core.Solver, p *core.Problem, deadline time.Duration) (solveOutcome, bool) {
-	ch := make(chan solveOutcome, 1)
-	// Resolve the name before spawning: a Name() that panics must be caught
-	// by the handler middleware, not re-panic inside the recover below.
-	name := solver.Name()
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				a.cfg.Logger.Error("solver panic",
-					"requestId", reqID, "solver", name,
-					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
-				ch <- solveOutcome{err: fmt.Errorf("%w: %v", errSolverPanic, v)}
-			}
-		}()
-		sol, err := solver.Solve(ctx, p)
-		ch <- solveOutcome{sol: sol, err: err}
-	}()
-	select {
-	case out := <-ch:
-		return out, true
-	case <-ctx.Done():
-		grace := deadline / 2
-		if grace > time.Second {
-			grace = time.Second
-		}
-		timer := time.NewTimer(grace)
-		defer timer.Stop()
-		select {
-		case out := <-ch:
-			return out, true
-		case <-timer.C:
-			a.cfg.Logger.Warn("solver ignored its context; abandoning goroutine",
-				"requestId", reqID, "solver", name)
-			return solveOutcome{}, false
-		}
-	}
-}
-
 // solveError is a failed solve ready for HTTP rendering: status, machine
 // code, and the underlying error. Batch items reuse it without a
 // ResponseWriter in hand.
@@ -520,22 +481,21 @@ func (a *api) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solvePrep produces the engine's problem: the cold path parses text and
-// materializes views, the warm session path parses only the deletion
-// request and specializes a cached skeleton. phase opens a lifecycle
-// phase (telemetry.PhaseParse, telemetry.PhaseViews) and returns the
-// closure that ends it.
-type solvePrep func(phase func(name string) func()) (*core.Problem, *solveError)
-
-// solveSource describes one solve for the engine: the requested solver
-// and timeout, the body's tenant hint, how to obtain the problem, and —
-// for warm solves — the session entry serving it.
+// solveSource describes one solve for the engine: the requested solver,
+// timeout and weights, the body's tenant hint, how to parse the request,
+// and — for warm solves — the session entry serving it.
 type solveSource struct {
-	requested string         // requested solver name; empty means "auto"
-	timeout   string         // the request's timeout spec
-	tenant    string         // body/session tenant hint for tenantShaping
-	entry     *session.Entry // the warm session serving the solve; nil on the cold path
-	prep      solvePrep
+	requested string             // requested solver name; empty means "auto"
+	timeout   string             // the request's timeout spec
+	tenant    string             // body/session tenant hint for tenantShaping
+	weights   map[string]float64 // preservation weights by view tuple spec
+	entry     *session.Entry     // the warm session serving the solve; nil on the cold path
+	// parse is the parse phase: the whole instance on the cold path, the
+	// deletion request alone on the warm path. It returns the queries the
+	// weights name tuples of and the views phase, which builds the
+	// problem: view materialization when cold, skeleton specialization
+	// when warm.
+	parse func() ([]*cq.Query, func() (*core.Problem, error), error)
 }
 
 // solveInstance runs one cold solve end to end — parse, materialize,
@@ -549,32 +509,20 @@ func (a *api) solveInstance(ctx context.Context, reqID string, req *InstanceRequ
 		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    req.Tenant,
-		prep: func(phase func(string) func()) (*core.Problem, *solveError) {
-			end := phase(telemetry.PhaseParse)
+		weights:   req.Weights,
+		parse: func() ([]*cq.Query, func() (*core.Problem, error), error) {
 			db, queries, delta, err := parseInstance(req)
-			end()
-			if err != nil {
-				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
-			}
-			end = phase(telemetry.PhaseViews)
-			p, err := core.NewProblem(db, queries, delta)
-			if err == nil {
-				err = applyWeights(p, req.Weights, queries)
-			}
-			end()
-			if err != nil {
-				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
-			}
-			return p, nil
+			return queries, func() (*core.Problem, error) { return core.NewProblem(db, queries, delta) }, err
 		},
 	})
 }
 
-// runInstance is the shared solve engine: deadline resolution, tenant
-// shaping, classification-driven solver selection, breaker rerouting, the
-// supervised solve and evaluation. It fills one solveRecord as it goes;
-// every observability surface derives from that record (record.go). Cold
-// and warm paths differ only in their solveSource.
+// runInstance wraps core.Run, the one solve path, in what is HTTP's own:
+// deadline resolution, tenant shaping, the parse and views phases, the
+// solver allow-list, classification-driven solver selection and breaker
+// rerouting. It fills one solveRecord as it goes; every observability
+// surface derives from that record (record.go). Cold and warm paths
+// differ only in their solveSource.
 func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*SolveResponse, *solveError) {
 	tenant, pol, info := a.tenantShaping(ctx, src.tenant)
 	deadline, err := a.solveDeadline(src.timeout, pol)
@@ -604,9 +552,20 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	rec.annotate()
 	a.publish(rec.trace, rec.startEvent())
 
-	p, serr := src.prep(func(name string) func() { return a.beginPhase(rec, name) })
-	if serr != nil {
-		return nil, a.finish(rec, outcomeRejected, serr)
+	phase := func(name string) func() { return a.beginPhase(rec, name) }
+	end := phase(telemetry.PhaseParse)
+	queries, build, err := src.parse()
+	end()
+	var p *core.Problem
+	if err == nil {
+		end = phase(telemetry.PhaseViews)
+		if p, err = build(); err == nil {
+			err = applyWeights(p, src.weights, queries)
+		}
+		end()
+	}
+	if err != nil {
+		return nil, a.finish(rec, outcomeRejected, &solveError{http.StatusBadRequest, codeInvalidRequest, err})
 	}
 	rec.dbSize, rec.queries, rec.deltaSize = p.DB.Size(), len(p.Queries), p.Delta.Len()
 
@@ -621,7 +580,7 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	if rec.degraded {
 		name = pol.DegradeSolverName()
 	}
-	end := a.beginPhase(rec, telemetry.PhaseClassify)
+	end = phase(telemetry.PhaseClassify)
 	solver, err := PickSolver(name, p)
 	if err == nil {
 		rec.solver = solver.Name() // before end(): the classify event names it
@@ -644,109 +603,82 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	}
 	rec.annotate()
 
-	ctx, cancel := context.WithTimeout(ctx, deadline)
-	defer cancel()
-	ctx, stats := core.WithStats(ctx)
-	ctx, race := core.WithRace(ctx)
-	// Stream solver progress live: incumbent improvements, lower-bound
-	// certificates and race member lifecycle flow straight from the
-	// solver goroutines onto the (non-blocking) bus. The callback only
-	// reads record fields that are fixed before the solve starts.
-	stats.SetProgress(func(pe core.ProgressEvent) {
-		a.publish(rec.trace, rec.progressEvent(pe))
-	})
-	end = a.beginPhase(rec, telemetry.PhaseSolve)
-	out, stopped := a.runSolve(ctx, reqID, solver, p, deadline)
-	end()
-	rec.stats = stats.Snapshot()
-
-	if !stopped {
-		return nil, a.finish(rec, "unstoppable", &solveError{http.StatusGatewayTimeout, codeSolverUnstoppable,
-			fmt.Errorf("solver %s did not stop within the %v deadline", rec.solver, deadline)})
-	}
-	sol, partial, interrupted := out.sol, false, ""
-	if out.err != nil {
-		switch {
-		case errors.Is(out.err, errSolverPanic):
-			return nil, a.finish(rec, "panic", &solveError{http.StatusInternalServerError, codeInternal,
-				fmt.Errorf("internal error (request %s)", reqID)})
-		// Also match raw context errors: the core suite always wraps them in
-		// *Interrupted, but a registered third-party solver may not.
-		case errors.Is(out.err, core.ErrDeadline), errors.Is(out.err, core.ErrCanceled),
-			errors.Is(out.err, context.DeadlineExceeded), errors.Is(out.err, context.Canceled):
-			canceled := (errors.Is(out.err, core.ErrCanceled) || errors.Is(out.err, context.Canceled)) &&
-				!errors.Is(out.err, core.ErrDeadline) && !errors.Is(out.err, context.DeadlineExceeded)
-			inc, ok := core.Best(out.err)
-			if !ok {
-				if canceled {
-					// The client is gone; the response is written for the
-					// log's benefit only.
-					return nil, a.finish(rec, "canceled", &solveError{statusClientClosedRequest, codeCanceled, out.err})
-				}
-				return nil, a.finish(rec, "timeout", &solveError{http.StatusGatewayTimeout, codeDeadlineExceeded, out.err})
-			}
-			sol, partial = inc, true
-			interrupted = "deadline"
-			if canceled {
-				interrupted = "canceled"
-			}
-		default:
-			return nil, a.finish(rec, "error", &solveError{http.StatusUnprocessableEntity, codeSolverFailed, out.err})
-		}
-	}
-	end = a.beginPhase(rec, telemetry.PhaseEvaluate)
-	rep := p.Evaluate(sol)
-	resp := &SolveResponse{
-		Feasible:     rep.Feasible,
-		SideEffect:   rep.SideEffect,
-		BadRemaining: rep.BadRemaining,
-		Balanced:     rep.Balanced,
-		Partial:      partial,
-		Interrupted:  interrupted,
-	}
-	for _, id := range sol.Deleted {
-		resp.Deleted = append(resp.Deleted, toTupleJSON(id))
-	}
-	for _, ref := range rep.Collateral {
-		resp.Collateral = append(resp.Collateral, ref.String())
-	}
-	if p.IsKeyPreserving() {
+	bound := core.DualBound
+	if src.entry != nil {
 		// Warm solves consult the session's certificate cache first: the
 		// LP dual depends only on (delta, weights) over the shared
 		// skeleton, so repeat requests skip the LP entirely.
-		var lb float64
-		var lbErr error
-		if src.entry != nil {
-			lb, _, lbErr = src.entry.DualBound(p, session.DefaultMaxBoundCerts)
-		} else {
-			lb, lbErr = core.DualBound(p)
-		}
-		if lbErr == nil {
-			resp.LowerBound = &lb
-			// The LP-dual certificate also bounds the optimum for quality
-			// accounting (exact solvers may already have recorded a tighter
-			// one; ObserveLowerBound keeps the max).
-			stats.ObserveLowerBound(lb)
+		bound = func(p *core.Problem) (float64, error) {
+			lb, _, err := src.entry.DualBound(p, session.DefaultMaxBoundCerts)
+			return lb, err
 		}
 	}
-	if rep.Feasible {
-		stats.SetObjective(rep.SideEffect)
+	res, err := core.Run(ctx, solver, p, deadline, core.RunHooks{
+		Phase: phase,
+		// Stream solver progress live: incumbent improvements, lower-bound
+		// certificates and race member lifecycle flow straight from the
+		// solver goroutines onto the (non-blocking) bus. The callback only
+		// reads record fields that are fixed before the solve starts.
+		Progress: func(pe core.ProgressEvent) { a.publish(rec.trace, rec.progressEvent(pe)) },
+		Bound:    bound,
+	})
+	rec.stats = res.Stats
+	if err != nil {
+		outcome, serr := a.solveFailure(reqID, err)
+		return nil, a.finish(rec, outcome, serr)
 	}
-	// Re-snapshot so the response stats and the quality-ratio histogram
-	// see the evaluate-phase objective and bound.
-	rec.stats = stats.Snapshot()
-	end()
-	if race.Ran() {
-		rs := race.Snapshot()
-		rec.race = &rs
+	resp := &SolveResponse{
+		Feasible:     res.Report.Feasible,
+		SideEffect:   res.Report.SideEffect,
+		BadRemaining: res.Report.BadRemaining,
+		Balanced:     res.Report.Balanced,
+		LowerBound:   res.LowerBound,
+		Partial:      res.Partial,
+		Interrupted:  res.Interrupted,
 	}
+	for _, id := range res.Solution.Deleted {
+		resp.Deleted = append(resp.Deleted, toTupleJSON(id))
+	}
+	for _, ref := range res.Report.Collateral {
+		resp.Collateral = append(resp.Collateral, ref.String())
+	}
+	rec.race = res.Race
 	outcome := "ok"
-	if partial {
+	if res.Partial {
 		outcome = "partial"
 	}
 	a.finish(rec, outcome, nil)
 	rec.fill(resp)
 	return resp, nil
+}
+
+// solveFailure maps a failed solve to its record outcome and HTTP error;
+// handleResilience shares it. Panics and abandoned solvers are logged
+// here, where the request id is known.
+func (a *api) solveFailure(reqID string, err error) (string, *solveError) {
+	var pe *core.PanicError
+	var ue *core.UnstoppableError
+	switch {
+	case errors.As(err, &pe):
+		a.cfg.Logger.Error("solver panic",
+			"requestId", reqID, "solver", pe.Solver,
+			"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+		return "panic", &solveError{http.StatusInternalServerError, codeInternal,
+			fmt.Errorf("internal error (request %s)", reqID)}
+	case errors.As(err, &ue):
+		a.cfg.Logger.Warn("solver ignored its context; abandoning goroutine",
+			"requestId", reqID, "solver", ue.Solver)
+		return "unstoppable", &solveError{http.StatusGatewayTimeout, codeSolverUnstoppable, err}
+	}
+	switch core.InterruptCause(err) {
+	case "canceled":
+		// The client is gone; the response is written for the log's
+		// benefit only.
+		return "canceled", &solveError{statusClientClosedRequest, codeCanceled, err}
+	case "deadline":
+		return "timeout", &solveError{http.StatusGatewayTimeout, codeDeadlineExceeded, err}
+	}
+	return "error", &solveError{http.StatusUnprocessableEntity, codeSolverFailed, err}
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client
@@ -797,14 +729,8 @@ func (a *api) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	db, err := textio.ParseDatabase(req.Database)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
-		return
-	}
-	queries, err := cq.ParseProgram(req.Queries)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
+	db, queries, ok := parseSources(w, reqID, req.Database, req.Queries)
+	if !ok {
 		return
 	}
 	schemas := cq.InstanceSchemas(db)
@@ -868,14 +794,8 @@ func (a *api) handleLineage(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	db, err := textio.ParseDatabase(req.Database)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
-		return
-	}
-	queries, err := cq.ParseProgram(req.Queries)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
+	db, queries, ok := parseSources(w, reqID, req.Database, req.Queries)
+	if !ok {
 		return
 	}
 	del, err := textio.ParseDeletions(req.Tuple, queries)
@@ -941,20 +861,12 @@ func (a *api) handleResilience(w http.ResponseWriter, r *http.Request) {
 	if budget <= 0 {
 		budget = DefaultResilienceBudget
 	}
-	if budget > a.cfg.MaxResilienceBudget {
-		budget = a.cfg.MaxResilienceBudget
+	budget = min(budget, a.cfg.MaxResilienceBudget)
+	if pol != nil && pol.MaxResilienceBudget > 0 {
+		budget = min(budget, pol.MaxResilienceBudget)
 	}
-	if pol != nil && pol.MaxResilienceBudget > 0 && budget > pol.MaxResilienceBudget {
-		budget = pol.MaxResilienceBudget
-	}
-	db, err := textio.ParseDatabase(req.Database)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
-		return
-	}
-	queries, err := cq.ParseProgram(req.Queries)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
+	db, queries, ok := parseSources(w, reqID, req.Database, req.Queries)
+	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
@@ -963,18 +875,8 @@ func (a *api) handleResilience(w http.ResponseWriter, r *http.Request) {
 	for _, q := range queries {
 		n, sol, err := core.Resilience(ctx, q, db, budget)
 		if err != nil {
-			if errors.Is(err, core.ErrDeadline) {
-				writeErr(w, http.StatusGatewayTimeout, codeDeadlineExceeded,
-					fmt.Errorf("%s: %w", q.Name, err), reqID)
-				return
-			}
-			if errors.Is(err, core.ErrCanceled) {
-				writeErr(w, statusClientClosedRequest, codeCanceled,
-					fmt.Errorf("%s: %w", q.Name, err), reqID)
-				return
-			}
-			writeErr(w, http.StatusUnprocessableEntity, codeSolverFailed,
-				fmt.Errorf("%s: %w", q.Name, err), reqID)
+			_, serr := a.solveFailure(reqID, fmt.Errorf("%s: %w", q.Name, err))
+			serr.write(w, reqID)
 			return
 		}
 		method := "exact-hitting-set"
@@ -990,10 +892,10 @@ func (a *api) handleResilience(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// PickSolver resolves a solver by name, mirroring cmd/delprop's switch so
-// the HTTP API and CLI accept the same names. Fixed names resolve through
-// the core registry (so tests can mount fault-injection solvers); "auto"
-// routes on the instance's structure.
+// PickSolver resolves a solver by name for the HTTP API and the delprop
+// CLI alike. Fixed names resolve through the core registry (so tests can
+// mount fault-injection solvers); "auto" routes on the instance's
+// structure.
 func PickSolver(name string, p *core.Problem) (core.Solver, error) {
 	if name != "auto" {
 		return core.NewSolver(name)

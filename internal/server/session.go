@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"delprop/internal/core"
+	"delprop/internal/cq"
 	"delprop/internal/session"
 	"delprop/internal/telemetry"
 	"delprop/internal/textio"
@@ -138,14 +139,7 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 		return core.NewProblem(db, queries, nil)
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, session.ErrDraining):
-			writeErr(w, http.StatusServiceUnavailable, codeOverloaded, err, reqID)
-		case errors.Is(err, session.ErrFull):
-			writeErr(w, http.StatusTooManyRequests, codeSessionLimit, err, reqID)
-		default:
-			writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
-		}
+		writeSessionErr(w, reqID, "", err)
 		return
 	}
 	p := e.Problem()
@@ -163,6 +157,22 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeSessionErr renders a registry error from registering or acquiring
+// session id.
+func writeSessionErr(w http.ResponseWriter, reqID, id string, err error) {
+	switch {
+	case errors.Is(err, session.ErrDraining):
+		writeErr(w, http.StatusServiceUnavailable, codeOverloaded, err, reqID)
+	case errors.Is(err, session.ErrFull):
+		writeErr(w, http.StatusTooManyRequests, codeSessionLimit, err, reqID)
+	case errors.Is(err, session.ErrNotFound):
+		writeErr(w, http.StatusNotFound, codeSessionNotFound,
+			fmt.Errorf("session %q not found (expired, evicted, or never registered)", id), reqID)
+	default:
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
+	}
+}
+
 // handleSessionSolve serves one deletion request against a warm session:
 // acquire (extends the TTL and pins the entry against eviction), parse
 // only the delta, specialize the shared skeleton, and run the standard
@@ -177,15 +187,7 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	e, err := a.sessions.Acquire(r.Context(), id)
 	if err != nil {
-		switch {
-		case errors.Is(err, session.ErrDraining):
-			writeErr(w, http.StatusServiceUnavailable, codeOverloaded, err, reqID)
-		case errors.Is(err, session.ErrNotFound):
-			writeErr(w, http.StatusNotFound, codeSessionNotFound,
-				fmt.Errorf("session %q not found (expired, evicted, or never registered)", id), reqID)
-		default:
-			writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
-		}
+		writeSessionErr(w, reqID, id, err)
 		return
 	}
 	// The entry stays pinned until the solve finishes: Sweep and Evict
@@ -204,34 +206,20 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    tenant,
+		weights:   req.Weights,
 		entry:     e,
-		prep: func(phase func(string) func()) (*core.Problem, *solveError) {
-			// The warm "parse" span covers only the deletion request —
-			// the database and queries were parsed at registration.
-			end := phase(telemetry.PhaseParse)
+		parse: func() ([]*cq.Query, func() (*core.Problem, error), error) {
+			// The warm parse phase covers only the deletion request — the
+			// database and queries were parsed at registration — and the
+			// views phase only specializes the shared skeleton.
 			var delta *view.Deletion
-			var perr error
+			var err error
 			if req.Deletions != "" {
-				delta, perr = textio.ParseDeletions(req.Deletions, skel.Queries)
+				if delta, err = textio.ParseDeletions(req.Deletions, skel.Queries); err != nil {
+					err = fmt.Errorf("deletions: %w", err)
+				}
 			}
-			end()
-			if perr != nil {
-				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest,
-					fmt.Errorf("deletions: %w", perr)}
-			}
-			// The warm "views" span covers specialization: delta
-			// validation plus weight application over the shared views —
-			// no materialization.
-			end = phase(telemetry.PhaseViews)
-			p, perr := skel.Specialize(delta)
-			if perr == nil {
-				perr = applyWeights(p, req.Weights, skel.Queries)
-			}
-			end()
-			if perr != nil {
-				return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, perr}
-			}
-			return p, nil
+			return skel.Queries, func() (*core.Problem, error) { return skel.Specialize(delta) }, err
 		},
 	})
 	if serr != nil {

@@ -75,8 +75,6 @@ type Config struct {
 	TTL time.Duration
 	// MaxEntries bounds the resident entry count (LRU eviction).
 	MaxEntries int
-	// MaxBoundCerts bounds the per-entry DualBound certificate cache.
-	MaxBoundCerts int
 	// Now is the clock; defaults to time.Now. Tests inject a fake.
 	Now func() time.Time
 	// Hooks observe hits, misses, evictions and the entry count.
@@ -85,10 +83,13 @@ type Config struct {
 
 // Defaults for Config zero values.
 const (
-	DefaultTTL           = 15 * time.Minute
-	DefaultMaxEntries    = 64
-	DefaultMaxBoundCerts = 256
+	DefaultTTL        = 15 * time.Minute
+	DefaultMaxEntries = 64
 )
+
+// DefaultMaxBoundCerts is the per-entry certificate-cache bound callers
+// pass to Entry.DualBound.
+const DefaultMaxBoundCerts = 256
 
 func (c Config) withDefaults() Config {
 	if c.TTL <= 0 {
@@ -96,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxEntries <= 0 {
 		c.MaxEntries = DefaultMaxEntries
-	}
-	if c.MaxBoundCerts <= 0 {
-		c.MaxBoundCerts = DefaultMaxBoundCerts
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -264,14 +262,9 @@ func (r *Registry) Acquire(ctx context.Context, id string) (*Entry, error) {
 	e := r.entries[id]
 	now := r.cfg.Now()
 	if e == nil || r.expiredLocked(e, now) {
+		r.mu.Unlock()
 		if e != nil {
-			r.removeLocked(e)
-			n := len(r.entries)
-			r.mu.Unlock()
-			r.notifyEvict(e.ID, EvictTTL)
-			r.notifyEntries(n)
-		} else {
-			r.mu.Unlock()
+			r.remove(e, EvictTTL)
 		}
 		r.miss(id)
 		return nil, ErrNotFound
@@ -282,12 +275,8 @@ func (r *Registry) Acquire(ctx context.Context, id string) (*Entry, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	if e.buildErr != nil {
-		r.miss(id)
-		return nil, ErrNotFound
-	}
 	e.mu.Lock()
-	if e.dying {
+	if e.buildErr != nil || e.dying {
 		e.mu.Unlock()
 		r.miss(id)
 		return nil, ErrNotFound
@@ -334,21 +323,15 @@ func (r *Registry) Evict(id, reason string) bool {
 // evictEntry removes e now if idle, or marks it dying if busy.
 func (r *Registry) evictEntry(e *Entry, reason string) {
 	e.mu.Lock()
-	if e.inflight > 0 {
-		e.dying = true
-		if e.dyingWhy == "" {
-			e.dyingWhy = reason
-		}
-		e.mu.Unlock()
-		return
-	}
 	e.dying = true
 	if e.dyingWhy == "" {
 		e.dyingWhy = reason
 	}
-	reason = e.dyingWhy
+	busy, reason := e.inflight > 0, e.dyingWhy
 	e.mu.Unlock()
-	r.remove(e, reason)
+	if !busy {
+		r.remove(e, reason)
+	}
 }
 
 // Sweep evicts every entry whose TTL elapsed before now, skipping (but
@@ -394,21 +377,15 @@ func (r *Registry) Drain(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
-	r.mu.Lock()
-	all := make([]*Entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		all = append(all, e)
-	}
-	r.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	for _, e := range all {
+	for _, e := range r.sortedEntries() {
 		r.evictEntry(e, EvictDrain)
 	}
 	return nil
 }
 
-// inflightTotal sums in-flight solves across entries.
-func (r *Registry) inflightTotal() int {
+// sortedEntries copies the resident entries out from under the registry
+// lock, sorted by id.
+func (r *Registry) sortedEntries() []*Entry {
 	r.mu.Lock()
 	entries := make([]*Entry, 0, len(r.entries))
 	for _, e := range r.entries {
@@ -416,8 +393,13 @@ func (r *Registry) inflightTotal() int {
 	}
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
+	return entries
+}
+
+// inflightTotal sums in-flight solves across entries.
+func (r *Registry) inflightTotal() int {
 	total := 0
-	for _, e := range entries {
+	for _, e := range r.sortedEntries() {
 		e.mu.Lock()
 		total += e.inflight
 		e.mu.Unlock()
@@ -617,13 +599,7 @@ type Snapshot struct {
 
 // Snapshot returns the state of every resident entry sorted by id.
 func (r *Registry) Snapshot() []Snapshot {
-	r.mu.Lock()
-	entries := make([]*Entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
+	entries := r.sortedEntries()
 	out := make([]Snapshot, 0, len(entries))
 	for _, e := range entries {
 		s := Snapshot{ID: e.ID, Fingerprint: e.Fingerprint, Tenant: e.Tenant, CreatedAt: e.CreatedAt}
@@ -649,6 +625,5 @@ func (r *Registry) Snapshot() []Snapshot {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
