@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff experiments fuzz fuzz-smoke fmt vet lint lint-fix-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
+.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff experiments fuzz fuzz-smoke fmt vet lint lint-fix-check bench-load-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
 
 all: build test
 
@@ -86,6 +86,12 @@ lint-fix-check:
 	$(GO) vet -vettool=tools/lint/bin/delproplint ./...
 	$(GO) -C tools/lint vet -vettool=$(CURDIR)/tools/lint/bin/delproplint ./...
 	@echo "lint-fix-check: both modules are delproplint-clean (directives validated)"
+
+# bench/load is its own module, so the root ./... never compiles it
+# against the server and session APIs it drives: vet and test it here.
+bench-load-check:
+	$(GO) -C bench/load vet ./...
+	$(GO) -C bench/load test ./...
 
 # Static analysis + vulnerability scan. delproplint always runs (it
 # builds offline); staticcheck/govulncheck skip gracefully when not

@@ -140,7 +140,7 @@ func solveStanza(ctx context.Context, w io.Writer, db *relation.Instance, querie
 	if err != nil {
 		return err
 	}
-	out, err := core.Run(ctx, solver, p, opts.timeout, core.RunHooks{Bound: core.DualBound})
+	out, err := core.Run(ctx, solver, p, opts.timeout, core.RunHooks{})
 	if err != nil {
 		return err
 	}

@@ -211,7 +211,7 @@ func run(dbPath, qPath, dPath string, opts options) error {
 	end()
 	fmt.Printf("solver: %s\n", solver.Name())
 
-	out, err := core.Run(context.Background(), solver, p, opts.timeout, core.RunHooks{Phase: phase, Bound: core.DualBound})
+	out, err := core.Run(context.Background(), solver, p, opts.timeout, core.RunHooks{Phase: phase})
 	if err != nil {
 		return err
 	}

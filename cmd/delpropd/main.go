@@ -61,7 +61,7 @@
 // POST /sessions registers an instance once and returns a session id;
 // POST /sessions/{id}/solve then serves successive deletion requests
 // against the warm state (parsed problem, materialized views, memoized
-// classification, cached lower-bound certificates) without re-parsing or
+// classification and pivot forest) without re-parsing or
 // re-materializing anything. Sessions idle out after -session-ttl (each
 // warm solve extends the clock), at most -max-sessions stay resident
 // (LRU eviction), and a background janitor sweeps expired entries.

@@ -34,31 +34,44 @@ type Problem struct {
 	// preservation weight; absent keys default to 1.
 	Weights map[string]float64
 
+	skel *skeleton
+}
+
+// skeleton is what a Problem derives from (D, Q) alone, shared by pointer
+// with every Specialize derivative: the provenance index, the
+// key-preserving verdict, and three artifacts built on first use — the
+// classify verdicts, the maintainer prototype (callers take Clones, never
+// the prototype itself) and the pivot forest. None depends on Delta or
+// Weights. NewProblem creates it; a Problem literal (tests) has none and
+// computes on demand without memoization.
+type skeleton struct {
 	inverted      *view.InvertedIndex
 	keyPreserving bool
-
-	// class and maint are lazily computed artifacts shared by every
-	// Specialize derivative of the same skeleton: classification is a
-	// property of (queries, schemas) and the maintainer prototype a
-	// property of the materialized views, so neither depends on Delta or
-	// Weights. Both are created by NewProblem; Problem literals in tests
-	// fall back to computing on demand without memoization.
-	class *classification
-	maint *maintainerProto
+	class         lazy[[]classify.Properties]
+	maint         lazy[*view.Maintainer]
+	pivot         lazy[*pivotForest]
 }
 
-// classification memoizes per-query classify verdicts for a skeleton.
-type classification struct {
-	once  sync.Once
-	props []classify.Properties
-	err   error
-}
-
-// maintainerProto memoizes a fully-built join-tree maintainer; callers
-// take isolated copies via Maintainer.Clone, never the prototype itself.
-type maintainerProto struct {
+// lazy memoizes one skeleton artifact, error included.
+type lazy[T any] struct {
 	once sync.Once
-	m    *view.Maintainer
+	v    T
+	err  error
+}
+
+// get builds the artifact on the first call and returns the memo after.
+func (l *lazy[T]) get(build func() (T, error)) (T, error) {
+	l.once.Do(func() { l.v, l.err = build() })
+	return l.v, l.err
+}
+
+// shared returns the skeleton, or for a Problem literal a throwaway empty
+// one, so lazy artifacts are computed but not memoized.
+func (p *Problem) shared() *skeleton {
+	if p.skel == nil {
+		return &skeleton{}
+	}
+	return p.skel
 }
 
 // Construction errors.
@@ -87,26 +100,17 @@ func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion
 	if err := delta.Validate(views); err != nil {
 		return nil, err
 	}
-	p := &Problem{
-		DB:      db,
-		Queries: queries,
-		Views:   views,
-		Delta:   delta,
-	}
-	p.inverted = view.BuildInvertedIndex(views)
-	p.keyPreserving = true
+	skel := &skeleton{inverted: view.BuildInvertedIndex(views), keyPreserving: true}
 	for _, q := range queries {
 		kp, err := q.IsKeyPreserving(cq.InstanceSchemas(db))
 		if err != nil {
 			return nil, err
 		}
 		if !kp {
-			p.keyPreserving = false
+			skel.keyPreserving = false
 		}
 	}
-	p.class = &classification{}
-	p.maint = &maintainerProto{}
-	return p, nil
+	return &Problem{DB: db, Queries: queries, Views: views, Delta: delta, skel: skel}, nil
 }
 
 // QueryProperties returns the classify verdict for every query, computed
@@ -114,7 +118,7 @@ func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion
 // path must never re-run classification for a problem it already
 // classified.
 func (p *Problem) QueryProperties() ([]classify.Properties, error) {
-	compute := func() ([]classify.Properties, error) {
+	return p.shared().class.get(func() ([]classify.Properties, error) {
 		schemas := cq.InstanceSchemas(p.DB)
 		props := make([]classify.Properties, len(p.Queries))
 		for i, q := range p.Queries {
@@ -125,15 +129,7 @@ func (p *Problem) QueryProperties() ([]classify.Properties, error) {
 			props[i] = pr
 		}
 		return props, nil
-	}
-	if p.class == nil {
-		// Problem literal (tests): no shared holder to memoize into.
-		return compute()
-	}
-	p.class.once.Do(func() {
-		p.class.props, p.class.err = compute()
 	})
-	return p.class.props, p.class.err
 }
 
 // NewMaintainer returns an isolated incremental maintainer over the
@@ -141,20 +137,15 @@ func (p *Problem) QueryProperties() ([]classify.Properties, error) {
 // call pays only the O(state) Clone so concurrent solves never share
 // mutable maintainer state.
 func (p *Problem) NewMaintainer() *view.Maintainer {
-	if p.maint == nil {
-		return view.NewMaintainer(p.Views)
-	}
-	p.maint.once.Do(func() {
-		p.maint.m = view.NewMaintainer(p.Views)
-	})
-	return p.maint.m.Clone()
+	m, _ := p.shared().maint.get(func() (*view.Maintainer, error) { return view.NewMaintainer(p.Views), nil })
+	return m.Clone()
 }
 
 // Specialize derives a new Problem against the same skeleton — database,
-// queries, materialized views, provenance index, classification and
-// maintainer prototype are shared by pointer — with a fresh deletion
-// request and no weights. It is the warm-session counterpart of
-// NewProblem: validation of delta against the views is the only work done.
+// queries, materialized views and every skeleton artifact are shared by
+// pointer — with a fresh deletion request and no weights. It is the
+// warm-session counterpart of NewProblem: validation of delta against the
+// views is the only work done.
 func (p *Problem) Specialize(delta *view.Deletion) (*Problem, error) {
 	if delta == nil {
 		delta = view.NewDeletion()
@@ -162,24 +153,15 @@ func (p *Problem) Specialize(delta *view.Deletion) (*Problem, error) {
 	if err := delta.Validate(p.Views); err != nil {
 		return nil, err
 	}
-	return &Problem{
-		DB:            p.DB,
-		Queries:       p.Queries,
-		Views:         p.Views,
-		Delta:         delta,
-		inverted:      p.inverted,
-		keyPreserving: p.keyPreserving,
-		class:         p.class,
-		maint:         p.maint,
-	}, nil
+	return &Problem{DB: p.DB, Queries: p.Queries, Views: p.Views, Delta: delta, skel: p.skel}, nil
 }
 
 // IsKeyPreserving reports whether every query of the problem is
 // key-preserving.
-func (p *Problem) IsKeyPreserving() bool { return p.keyPreserving }
+func (p *Problem) IsKeyPreserving() bool { return p.shared().keyPreserving }
 
 // Inverted returns the tuple→view-tuple occurrence index.
-func (p *Problem) Inverted() *view.InvertedIndex { return p.inverted }
+func (p *Problem) Inverted() *view.InvertedIndex { return p.shared().inverted }
 
 // Weight returns the preservation weight of a view tuple (1 by default).
 func (p *Problem) Weight(ref view.TupleRef) float64 {

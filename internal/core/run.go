@@ -9,16 +9,14 @@ import (
 	"delprop/internal/telemetry"
 )
 
-// RunHooks are what a front end varies around Run; each is optional.
+// RunHooks are what a front end varies around Run — how it observes the
+// solve, never what is computed; each is optional.
 type RunHooks struct {
 	// Phase opens a lifecycle phase (telemetry.PhaseSolve,
 	// telemetry.PhaseEvaluate) and returns the closure that ends it.
 	Phase func(name string) func()
 	// Progress receives live progress events while the solve runs.
 	Progress ProgressFunc
-	// Bound certifies a lower bound on a key-preserving problem's
-	// optimum: DualBound, or a warm session's cached certificate.
-	Bound func(*Problem) (float64, error)
 }
 
 // RunResult is one solve's answer. Stats is set on every return,
@@ -30,7 +28,7 @@ type RunResult struct {
 	// why it stopped ("deadline" or "canceled").
 	Partial     bool
 	Interrupted string
-	LowerBound  *float64 // the Bound hook's certificate, when it gave one
+	LowerBound  *float64 // DualBound's certificate, on key-preserving problems
 	Stats       StatsSnapshot
 	Race        *RaceSnapshot
 }
@@ -64,7 +62,7 @@ func (e *UnstoppableError) Error() string {
 // after ctx is done is abandoned with an *UnstoppableError (leaked
 // deliberately: there is no safe way to kill it). An interruption that
 // carries an incumbent yields a partial answer. The answer is evaluated
-// and, on key-preserving problems, certified by hooks.Bound.
+// and, on key-preserving problems, certified by DualBound.
 func Run(ctx context.Context, solver Solver, p *Problem, timeout time.Duration, hooks RunHooks) (*RunResult, error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -99,8 +97,8 @@ func Run(ctx context.Context, solver Solver, p *Problem, timeout time.Duration, 
 
 	defer hooks.Phase(telemetry.PhaseEvaluate)()
 	res.Solution, res.Report = sol, p.Evaluate(sol)
-	if hooks.Bound != nil && p.IsKeyPreserving() {
-		if lb, err := hooks.Bound(p); err == nil {
+	if p.IsKeyPreserving() {
+		if lb, err := DualBound(p); err == nil {
 			res.LowerBound = &lb
 			stats.ObserveLowerBound(lb) // keeps a solver's tighter bound
 		}

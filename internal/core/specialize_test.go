@@ -39,8 +39,8 @@ func TestSpecializeSharesSkeleton(t *testing.T) {
 	if p.Delta.Len() != 0 {
 		t.Error("specializing must not mutate the parent's delta")
 	}
-	if p2.class != p.class || p2.maint != p.maint {
-		t.Error("specialized problem must share the lazy holders")
+	if p2.skel != p.skel {
+		t.Error("specialized problem must share the skeleton and its lazy artifacts")
 	}
 }
 

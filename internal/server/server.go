@@ -603,16 +603,6 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	}
 	rec.annotate()
 
-	bound := core.DualBound
-	if src.entry != nil {
-		// Warm solves consult the session's certificate cache first: the
-		// LP dual depends only on (delta, weights) over the shared
-		// skeleton, so repeat requests skip the LP entirely.
-		bound = func(p *core.Problem) (float64, error) {
-			lb, _, err := src.entry.DualBound(p, session.DefaultMaxBoundCerts)
-			return lb, err
-		}
-	}
 	res, err := core.Run(ctx, solver, p, deadline, core.RunHooks{
 		Phase: phase,
 		// Stream solver progress live: incumbent improvements, lower-bound
@@ -620,7 +610,6 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 		// solver goroutines onto the (non-blocking) bus. The callback only
 		// reads record fields that are fixed before the solve starts.
 		Progress: func(pe core.ProgressEvent) { a.publish(rec.trace, rec.progressEvent(pe)) },
-		Bound:    bound,
 	})
 	rec.stats = res.Stats
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // and returns a session id; POST /sessions/{id}/solve serves successive
 // deletion requests against the warm skeleton — parsed problem, live
 // provenance index, memoized classification, maintainer prototype and
-// cached DualBound certificates. docs/FORMATS.md documents the schema,
-// docs/OPERATIONS.md the lifecycle.
+// pivot forest. docs/FORMATS.md documents the schema, docs/OPERATIONS.md
+// the lifecycle.
 
 // SessionRequest registers an instance for warm solves.
 type SessionRequest struct {

@@ -591,8 +591,10 @@ func TestSessionRegisterErrors(t *testing.T) {
 	}
 }
 
-// TestWarmSolveDualBoundCached: the lower bound reported by warm solves
-// comes from the session's certificate cache and matches the cold value.
+// TestWarmSolveDualBoundCached: warm solves certify the same lower bound
+// as the cold solve, on a repeated request too. The name predates the
+// removal of the session's certificate cache; warm and cold now share
+// one bound path, core.DualBound inside core.Run.
 func TestWarmSolveDualBoundCached(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()

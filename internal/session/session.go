@@ -1,9 +1,10 @@
 // Package session implements the warm-solve registry: a long-lived cache
 // keyed by instance fingerprint where a (database, queries) pair is parsed
 // and materialized once and successive deletion requests solve against the
-// warm state — the *core.Problem skeleton with its provenance index,
-// memoized classify verdicts, the view.Maintainer prototype, and cached
-// core.DualBound certificates.
+// warm state — the *core.Problem skeleton with its provenance index and
+// its lazily built classify verdicts, view.Maintainer prototype and pivot
+// forest. Per-request work (solve, evaluate, core.DualBound) is never
+// cached.
 //
 // Entries carry TTLs with extend-on-read; registration is single-flight
 // (concurrent misses for the same fingerprint wait on one build instead of
@@ -22,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -87,8 +86,8 @@ const (
 	DefaultMaxEntries = 64
 )
 
-// DefaultMaxBoundCerts is the per-entry certificate-cache bound callers
-// pass to Entry.DualBound.
+// DefaultMaxBoundCerts is kept for callers of Entry.DualBound, which
+// ignores it.
 const DefaultMaxBoundCerts = 256
 
 func (c Config) withDefaults() Config {
@@ -143,13 +142,12 @@ type Entry struct {
 	buildErr error         // immutable once ready is closed
 
 	mu       sync.Mutex
-	expires  time.Time          //delprop:guardedby mu
-	lastUsed time.Time          //delprop:guardedby mu
-	inflight int                //delprop:guardedby mu
-	dying    bool               //delprop:guardedby mu
-	dyingWhy string             //delprop:guardedby mu
-	hits     uint64             //delprop:guardedby mu
-	bounds   map[string]float64 //delprop:guardedby mu
+	expires  time.Time //delprop:guardedby mu
+	lastUsed time.Time //delprop:guardedby mu
+	inflight int       //delprop:guardedby mu
+	dying    bool      //delprop:guardedby mu
+	dyingWhy string    //delprop:guardedby mu
+	hits     uint64    //delprop:guardedby mu
 }
 
 // Problem returns the warm skeleton (nil until the build completes; call
@@ -208,7 +206,6 @@ func (r *Registry) Register(ctx context.Context, fingerprint, tenant string, bui
 		ready:       make(chan struct{}),
 		expires:     now.Add(r.cfg.TTL),
 		lastUsed:    now,
-		bounds:      make(map[string]float64),
 	}
 	r.entries[e.ID] = e
 	r.byFp[fingerprint] = e
@@ -519,63 +516,13 @@ func (r *Registry) notifyEntries(n int) {
 	}
 }
 
-// boundKey derives the certificate-cache key for a specialized problem:
-// the sorted deletion refs plus the sorted weight assignment, the only
-// inputs DualBound depends on beyond the shared skeleton.
-func boundKey(p *core.Problem) string {
-	refs := p.Delta.Refs()
-	keys := make([]string, len(refs))
-	for i, ref := range refs {
-		keys[i] = ref.Key()
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	if len(p.Weights) > 0 {
-		wk := make([]string, 0, len(p.Weights))
-		for k := range p.Weights {
-			wk = append(wk, k)
-		}
-		sort.Strings(wk)
-		b.WriteByte('|')
-		for _, k := range wk {
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(strconv.FormatFloat(p.Weights[k], 'g', -1, 64))
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-// DualBound returns the LP dual certificate for a problem specialized
-// from this entry's skeleton, caching it per (delta, weights) so repeated
-// requests for the same deletion skip the LP. The bool reports a cache
-// hit.
+// DualBound returns core.DualBound(p) for a problem specialized from
+// this entry's skeleton. The bool (a certificate-cache hit) is always
+// false and maxCerts is ignored: the entry caches no bounds. It remains
+// for callers written against the former cache.
 func (e *Entry) DualBound(p *core.Problem, maxCerts int) (float64, bool, error) {
-	key := boundKey(p)
-	e.mu.Lock()
-	lb, ok := e.bounds[key]
-	e.mu.Unlock()
-	if ok {
-		return lb, true, nil
-	}
 	lb, err := core.DualBound(p)
-	if err != nil {
-		return 0, false, err
-	}
-	e.mu.Lock()
-	if maxCerts > 0 && len(e.bounds) >= maxCerts {
-		// Simple wholesale reset keeps the cache bounded without an
-		// eviction order to maintain; certificates are cheap to rebuild.
-		e.bounds = make(map[string]float64)
-	}
-	e.bounds[key] = lb
-	e.mu.Unlock()
-	return lb, false, nil
+	return lb, false, err
 }
 
 // Snapshot is the /debug/sessions view of one entry.
@@ -594,7 +541,6 @@ type Snapshot struct {
 	Queries       int       `json:"queries"`
 	ViewSize      int       `json:"viewSize"`
 	KeyPreserving bool      `json:"keyPreserving"`
-	BoundCerts    int       `json:"boundCerts"`
 }
 
 // Snapshot returns the state of every resident entry sorted by id.
@@ -614,7 +560,6 @@ func (r *Registry) Snapshot() []Snapshot {
 		s.Hits = e.hits
 		s.InFlight = e.inflight
 		s.Dying = e.dying
-		s.BoundCerts = len(e.bounds)
 		e.mu.Unlock()
 		if s.Ready {
 			p := e.problem

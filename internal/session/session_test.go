@@ -353,6 +353,9 @@ func TestDrainingRefusesNewWork(t *testing.T) {
 	}
 }
 
+// TestDualBoundCertificateCache: Entry.DualBound is a pass-through to
+// core.DualBound that never reports a cache hit. The name predates the
+// removal of the certificate cache.
 func TestDualBoundCertificateCache(t *testing.T) {
 	r := NewRegistry(Config{})
 	ctx := context.Background()
@@ -373,27 +376,20 @@ func TestDualBoundCertificateCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb1, cached, err := e.DualBound(p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("first bound must be computed, not cached")
-	}
-	lb2, cached, err := e.DualBound(p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached || lb1 != lb2 {
-		t.Fatalf("second bound must hit the cache with the same value: cached=%v %v vs %v", cached, lb1, lb2)
-	}
-	// Cross-check against a direct computation.
 	direct, err := core.DualBound(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lb1 != direct {
-		t.Fatalf("cached bound %v != direct %v", lb1, direct)
+	// The entry caches no certificates: every call, repeats included,
+	// passes through to core.DualBound and reports no hit.
+	for i := 0; i < 2; i++ {
+		lb, hit, err := e.DualBound(p, DefaultMaxBoundCerts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit || lb != direct {
+			t.Fatalf("call %d: DualBound = %v (hit=%v), want %v with no hit", i, lb, hit, direct)
+		}
 	}
 }
 
