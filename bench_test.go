@@ -275,14 +275,15 @@ func BenchmarkMaintainerDelete(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := view.NewMaintainer(views)
-	ids := w.DB.AllTuples()
+	idx := view.BuildIndex(views)
+	m := idx.NewMaintainer()
+	n := int32(idx.NumTuples())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := ids[i%len(ids)]
-		m.Delete(id)
-		m.Undelete(id)
+		t := int32(i) % n
+		m.Delete(t)
+		m.Undelete(t)
 	}
 }
 
@@ -300,7 +301,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 	b.Run("inverted-index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			view.BuildInvertedIndex(views)
+			view.BuildIndex(views)
 		}
 	})
 	b.Run("derivation-scan", func(b *testing.B) {

@@ -70,7 +70,7 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 		defer cancel()
 	}
 
-	// -session builds the skeleton (inverted index, views, classification)
+	// -session builds the skeleton (provenance index, views, classification)
 	// once and specializes it per stanza — the CLI mirror of the server's
 	// POST /sessions warm path. Every worker shares the one skeleton; the
 	// specialized problems only carry their own delta and weights.

@@ -42,17 +42,27 @@ func main() {
 	// 3. Incremental maintenance: apply deletions one by one and watch
 	// view tuples die (and come back on rollback).
 	fmt.Println("\nincremental maintenance:")
-	m := view.NewMaintainer(views)
+	// The maintainer speaks dense ids; the index converts at the edge.
+	idx := view.BuildIndex(views)
+	m := idx.NewMaintainer()
+	refs := func(ids []int32) []view.TupleRef {
+		out := make([]view.TupleRef, len(ids))
+		for i, r := range ids {
+			out[i] = idx.Ref(r)
+		}
+		return out
+	}
 	steps := []relation.TupleID{
 		{Relation: "T1", Tuple: relation.Tuple{"John", "TKDE"}},
 		{Relation: "T1", Tuple: relation.Tuple{"John", "TODS"}},
 	}
 	for _, id := range steps {
-		died := m.Delete(id)
+		t, _ := idx.LookupTuple(id)
+		died := refs(m.Delete(t))
 		fmt.Printf("  delete %s -> %d view tuples died: %v\n", id, len(died), died)
 	}
 	fmt.Printf("  dead total: %d\n", m.DeadCount())
-	revived := m.Undelete(steps[1])
-	fmt.Printf("  rollback %s -> revived: %v\n", steps[1], revived)
+	last, _ := idx.LookupTuple(steps[1])
+	fmt.Printf("  rollback %s -> revived: %v\n", steps[1], refs(m.Undelete(last)))
 
 }

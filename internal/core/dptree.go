@@ -56,16 +56,17 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 	if err := requireKeyPreserving(p, "dp-tree"); err != nil {
 		return nil, err
 	}
-	// Intern every base tuple of a derivation to a dense index. A view
-	// tuple's path starts as its derivation's distinct tuples, in
-	// derivation order.
-	var (
-		refs  []view.TupleRef
-		paths [][]int
-		ids   []relation.TupleID
-		keys  []string
-		index = make(map[string]int)
-	)
+	// Tuples and view tuples are the provenance index's dense ids: paths
+	// is indexed by ref id, and a view tuple's path starts as its
+	// derivation's distinct tuple ids, in derivation order.
+	x := p.Index()
+	ids := make([]relation.TupleID, x.NumTuples())
+	keys := make([]string, len(ids))
+	for t := range ids {
+		ids[t] = x.Tuple(int32(t))
+		keys[t] = ids[t].Key()
+	}
+	var paths [][]int
 	for _, v := range p.Views {
 		for _, ans := range v.Result.Answers() {
 			if len(ans.Derivations) != 1 {
@@ -73,22 +74,14 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 			}
 			var path []int
 			for _, id := range ans.Derivations[0] {
-				k := id.Key()
-				t, ok := index[k]
-				if !ok {
-					t = len(ids)
-					index[k] = t
-					ids = append(ids, id)
-					keys = append(keys, k)
-				}
-				if !slices.Contains(path, t) {
-					path = append(path, t)
+				t, _ := x.LookupTuple(id)
+				if !slices.Contains(path, int(t)) {
+					path = append(path, int(t))
 				}
 			}
 			if len(path) == 0 {
 				return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
 			}
-			refs = append(refs, view.TupleRef{View: v.Index, Tuple: ans.Tuple})
 			paths = append(paths, path)
 		}
 	}
@@ -165,7 +158,7 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		}
 		for _, i := range idxs {
 			end := b.nodes[paths[i][len(paths[i])-1]]
-			end.ends = append(end.ends, refs[i])
+			end.ends = append(end.ends, x.Ref(int32(i)))
 		}
 		forest.roots = append(forest.roots, root)
 	}

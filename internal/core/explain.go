@@ -24,16 +24,18 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 		byKey[id.Key()] = i
 	}
 	sort.Strings(ordered)
+	x := p.Index()
 	for _, k := range ordered {
 		id := sol.Deleted[byKey[k]]
 		var kills, damages []string
-		for _, occ := range p.Inverted().Occurrences(id) {
-			if p.Delta.Contains(occ.Ref) {
-				kills = append(kills, occ.Ref.String())
+		for _, occ := range occurrences(x, id) {
+			ref := x.Ref(occ.Ref)
+			if p.Delta.Contains(ref) {
+				kills = append(kills, ref.String())
 			} else if occ.Critical {
-				damages = append(damages, fmt.Sprintf("%s (w=%v)", occ.Ref, p.Weight(occ.Ref)))
+				damages = append(damages, fmt.Sprintf("%s (w=%v)", ref, p.Weight(ref)))
 			} else {
-				damages = append(damages, fmt.Sprintf("%s (survivable)", occ.Ref))
+				damages = append(damages, fmt.Sprintf("%s (survivable)", ref))
 			}
 		}
 		sort.Strings(kills)

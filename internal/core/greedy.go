@@ -57,24 +57,21 @@ func (g *Greedy) Name() string {
 // feasible.
 func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	st := StatsFrom(ctx)
-	cands := p.CandidateTuples()
-	m := p.NewMaintainer()
-	deltaRefs := p.Delta.Refs()
+	rq := p.requestRefs()
+	candTuples := p.CandidateTuples()
+	cands := make([]int32, len(candTuples))
+	for i, id := range candTuples {
+		cands[i], _ = rq.x.LookupTuple(id)
+	}
+	m := rq.x.NewMaintainer()
 	var chosen []relation.TupleID
 
 	aliveBad := func() int {
 		n := 0
-		for _, ref := range deltaRefs {
-			if m.Alive(ref) {
+		for _, r := range rq.delta {
+			if m.Alive(r) {
 				n++
 			}
-		}
-		return n
-	}
-	aliveDerivs := func() int {
-		n := 0
-		for _, ref := range deltaRefs {
-			n += m.AliveDerivations(ref)
 		}
 		return n
 	}
@@ -93,7 +90,7 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 	}
 
-	taken := make(map[string]bool)
+	taken := make([]bool, len(cands))
 	for {
 		st.Checkpoint()
 		if err := checkCtx(ctx, g.Name(), nil); err != nil {
@@ -103,7 +100,7 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		if bad == 0 {
 			break
 		}
-		round := scoringRound{g: g, p: p, deltaRefs: deltaRefs, cands: cands, taken: taken, baseDerivs: aliveDerivs()}
+		round := scoringRound{g: g, rq: rq, cands: cands, taken: taken, baseDerivs: aliveDerivations(m, rq.delta)}
 		var best int
 		var err error
 		if nw > 1 {
@@ -117,38 +114,44 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		if best == -1 {
 			return nil, fmt.Errorf("core: greedy stuck with %d requested view tuples alive", bad)
 		}
-		id := cands[best]
-		taken[id.Key()] = true
-		m.Delete(id)
+		taken[best] = true
+		m.Delete(cands[best])
 		for _, c := range clones {
-			c.Delete(id)
+			c.Delete(cands[best])
 		}
-		chosen = append(chosen, id)
+		chosen = append(chosen, candTuples[best])
 	}
 	return &Solution{Deleted: chosen}, nil
 }
 
-// probeCandidate scores one candidate deletion against the maintainer
-// state at the start of the round: killed requested tuples, weighted
-// collateral, and derivations cut (ok=false when the probe cuts nothing).
-// The probe is delete/inspect/undelete, so m is unchanged on return.
-func probeCandidate(p *Problem, m *view.Maintainer, deltaRefs []view.TupleRef, id relation.TupleID, baseDerivs int) (score float64, ok bool) {
-	died := m.Delete(id)
+// aliveDerivations sums the surviving derivations of the given refs.
+func aliveDerivations(m *view.Maintainer, refs []int32) int {
+	n := 0
+	for _, r := range refs {
+		n += m.AliveDerivations(r)
+	}
+	return n
+}
+
+// probeCandidate scores deleting tuple t against the maintainer state at
+// the start of the round: killed requested tuples, weighted collateral,
+// and derivations cut (ok=false when the probe cuts nothing). The probe
+// is delete/inspect/undelete, so m is unchanged on return. Collateral
+// weights are summed in the order Delete reports deaths, TupleRef.Key
+// order, so the score's floating-point bits do not depend on ref ids.
+func probeCandidate(rq *requestRefs, m *view.Maintainer, t int32, baseDerivs int) (score float64, ok bool) {
+	died := m.Delete(t)
 	killed := 0
 	extra := 0.0
-	for _, ref := range died {
-		if p.Delta.Contains(ref) {
+	for _, r := range died {
+		if rq.inDelta[r] {
 			killed++
 		} else {
-			extra += p.Weight(ref)
+			extra += rq.weight(r)
 		}
 	}
-	alive := 0
-	for _, ref := range deltaRefs {
-		alive += m.AliveDerivations(ref)
-	}
-	cut := baseDerivs - alive
-	m.Undelete(id)
+	cut := baseDerivs - aliveDerivations(m, rq.delta)
+	m.Undelete(t)
 	if cut == 0 {
 		return 0, false
 	}
@@ -156,14 +159,13 @@ func probeCandidate(p *Problem, m *view.Maintainer, deltaRefs []view.TupleRef, i
 }
 
 // scoringRound is one greedy round's read-only scoring state: the
-// candidates still to probe and the alive-derivation total the probes
-// measure their cuts against.
+// candidates still to probe (taken is indexed like cands) and the
+// alive-derivation total the probes measure their cuts against.
 type scoringRound struct {
 	g          *Greedy
-	p          *Problem
-	deltaRefs  []view.TupleRef
-	cands      []relation.TupleID
-	taken      map[string]bool
+	rq         *requestRefs
+	cands      []int32
+	taken      []bool
 	baseDerivs int
 }
 
@@ -176,8 +178,7 @@ func (r *scoringRound) scoreRange(ctx context.Context, m *view.Maintainer, lo, h
 	best, bestScore = -1, -1.0
 	probes := 0
 	for i := lo; i < hi; i++ {
-		id := r.cands[i]
-		if r.taken[id.Key()] {
+		if r.taken[i] {
 			continue
 		}
 		st.AddNodes(1)
@@ -188,7 +189,7 @@ func (r *scoringRound) scoreRange(ctx context.Context, m *view.Maintainer, lo, h
 				return -1, 0, err
 			}
 		}
-		score, ok := probeCandidate(r.p, m, r.deltaRefs, id, r.baseDerivs)
+		score, ok := probeCandidate(r.rq, m, r.cands[i], r.baseDerivs)
 		if ok && score > bestScore {
 			bestScore, best = score, i
 		}

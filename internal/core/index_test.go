@@ -1,0 +1,158 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"delprop/internal/cq"
+	"delprop/internal/relation"
+	"delprop/internal/workload"
+)
+
+// warmNPWorkload is bench/load's bibliography-np instance: the
+// bibliography generator with seed 7 under two projecting (non
+// key-preserving) queries, so view tuples have several derivations.
+func warmNPWorkload() *workload.Workload {
+	w := workload.Bibliography(workload.BibliographyConfig{Seed: 7, Authors: 200, Journals: 30, Topics: 12, PapersPerAuthor: 4, TopicsPerJournal: 3})
+	w.Queries = []*cq.Query{
+		cq.MustParse("Pub(x, y, z) :- Author(x, y), Journal(y, z, w)"),
+		cq.MustParse("PubT(x, z) :- Author(x, y), Journal(y, z, w)"),
+	}
+	return w
+}
+
+// warmNPProblem is the bibliography-np skeleton with an empty request.
+func warmNPProblem(tb testing.TB) *Problem {
+	tb.Helper()
+	w := warmNPWorkload()
+	p, err := NewProblem(w.DB, w.Queries, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// namedProblem is one skeleton of a randomized check.
+type namedProblem struct {
+	name string
+	p    *Problem
+}
+
+// evaluateInstances are the skeletons the randomized Evaluate check runs
+// on: star, chain, pivot and bibliography-np.
+func evaluateInstances(t *testing.T) []namedProblem {
+	t.Helper()
+	out := []namedProblem{{"bibliography-np", warmNPProblem(t)}}
+	for _, w := range []struct {
+		name string
+		w    *workload.Workload
+	}{
+		{"star", workload.Star(workload.StarConfig{Seed: 3, Relations: 5, HubValues: 4, RowsPerRelation: 12, Queries: 3, AtomsPerQuery: 2})},
+		{"chain", workload.Chain(workload.ChainConfig{Seed: 3, Length: 5, Domain: 4, RowsPerRelation: 20, Queries: 4, MaxSpan: 3})},
+		{"pivot", workload.Pivot(workload.PivotConfig{Seed: 3, Roots: 8, ChildrenPerRoot: 2, GrandPerChild: 2, Depth3: true})},
+	} {
+		p, err := NewProblem(w.w.DB, w.w.Queries, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedProblem{w.name, p})
+	}
+	return out
+}
+
+// TestEvaluateOutputSensitiveMatchesReevaluation: Evaluate, which walks
+// out from ΔD's occurrences, must return exactly EvaluateByReevaluation's
+// report — collateral order and weighted side-effect bits included — for
+// random requests, random weights and random ΔD with duplicates, tuples
+// no view uses and tuples of no relation.
+func TestEvaluateOutputSensitiveMatchesReevaluation(t *testing.T) {
+	for _, inst := range evaluateInstances(t) {
+		name, skel := inst.name, inst.p
+		all := skel.DB.AllTuples()
+		unused := []relation.TupleID{{Relation: "NoSuchRelation", Tuple: relation.Tuple{"x"}}}
+		for _, id := range all {
+			if _, ok := skel.Index().LookupTuple(id); !ok {
+				unused = append(unused, id)
+			}
+		}
+		rng := rand.New(rand.NewSource(11))
+		for trial := 0; trial < 25; trial++ {
+			p, err := skel.Specialize(workload.SampleDeletion(skel.Views, 1+rng.Intn(4), rng.Int63()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trial%2 == 1 {
+				p.Weights = workload.SampleWeights(p.Views, p.Delta, 5, rng.Int63())
+			}
+			var del []relation.TupleID
+			for n := rng.Intn(12); n > 0; n-- {
+				del = append(del, all[rng.Intn(len(all))])
+			}
+			if len(del) > 0 && trial%3 == 0 {
+				del = append(del, del[rng.Intn(len(del))])
+			}
+			if trial%4 == 0 {
+				del = append(del, unused[rng.Intn(len(unused))])
+			}
+			// Every fifth trial deletes a request's whole join path, so
+			// feasible reports are covered too.
+			if trial%5 == 0 {
+				ans, _ := p.Answer(p.Delta.Refs()[0])
+				for _, d := range ans.Derivations {
+					del = append(del, d[0])
+				}
+			}
+			sol := &Solution{Deleted: del}
+			got := p.Evaluate(sol)
+			want, err := p.EvaluateByReevaluation(sol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d: ΔD=%v\nEvaluate:     %+v\nReevaluation: %+v", name, trial, del, got, want)
+			}
+		}
+	}
+}
+
+// TestNewMaintainerAllocs: a maintainer is fresh counters over the
+// skeleton's shared index — the struct and its three slices — so it
+// costs no provenance copy however large the views are.
+func TestNewMaintainerAllocs(t *testing.T) {
+	p := warmNPProblem(t)
+	p.NewMaintainer()
+	if n := testing.AllocsPerRun(20, func() { p.NewMaintainer() }); n > 4 {
+		t.Errorf("NewMaintainer allocates %v times per call, want <= 4", n)
+	}
+}
+
+// BenchmarkNewProblemWarmNP measures registering bibliography-np:
+// materializing the views and building the provenance index.
+func BenchmarkNewProblemWarmNP(b *testing.B) {
+	w := warmNPWorkload()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewProblem(w.DB, w.Queries, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGreedyWarmNP measures one warm greedy solve on bibliography-np
+// with an 8-tuple request, the bench/load warm-np request size.
+func BenchmarkGreedyWarmNP(b *testing.B) {
+	skel := warmNPProblem(b)
+	p, err := skel.Specialize(workload.SampleDeletion(skel.Views, 8, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (&Greedy{}).Solve(context.Background(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

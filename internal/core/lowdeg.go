@@ -32,8 +32,9 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		return nil, err
 	}
 	allowed := make(map[string]bool)
+	rq := p.requestRefs()
 	for _, id := range p.CandidateTuples() {
-		if preservedDegree(p, id) <= l.Tau {
+		if preservedDegree(rq, id) <= l.Tau {
 			allowed[id.Key()] = true
 		}
 	}
@@ -60,10 +61,10 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 
 // preservedDegree is a candidate tuple's degree: the number of preserved
 // view tuples it is joined in.
-func preservedDegree(p *Problem, id relation.TupleID) int {
+func preservedDegree(rq *requestRefs, id relation.TupleID) int {
 	deg := 0
-	for _, occ := range p.Inverted().Occurrences(id) {
-		if !p.Delta.Contains(occ.Ref) {
+	for _, occ := range occurrences(rq.x, id) {
+		if !rq.inDelta[occ.Ref] {
 			deg++
 		}
 	}
@@ -88,8 +89,9 @@ func (l *LowDegTreeTwo) Solve(ctx context.Context, p *Problem) (*Solution, error
 		return nil, err
 	}
 	degSet := map[int]bool{0: true}
+	rq := p.requestRefs()
 	for _, id := range p.CandidateTuples() {
-		degSet[preservedDegree(p, id)] = true
+		degSet[preservedDegree(rq, id)] = true
 	}
 	taus := make([]int, 0, len(degSet))
 	for d := range degSet {

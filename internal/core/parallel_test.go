@@ -254,9 +254,10 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
-// greedySlowProblem builds a star instance big enough that one greedy
-// scoring round takes well over the cancellation budget the tests below
-// allow, so a prompt return proves the inner-loop checkpoint works.
+// greedySlowProblem builds a star instance big enough that a greedy solve
+// runs several times longer than the 5 ms after which the test below
+// cancels it (about 45 ms serial on a 2-CPU VM with the slice-backed
+// maintainer), so a prompt return proves the checkpoints work.
 func greedySlowProblem(t *testing.T) *Problem {
 	t.Helper()
 	w := workload.Star(workload.StarConfig{
@@ -267,7 +268,7 @@ func greedySlowProblem(t *testing.T) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, 8, 11)
+	p.Delta = workload.SampleDeletion(p.Views, 32, 11)
 	if p.Delta.Len() == 0 {
 		t.Fatal("slow problem sampled an empty deletion")
 	}

@@ -38,17 +38,15 @@ type Problem struct {
 }
 
 // skeleton is what a Problem derives from (D, Q) alone, shared by pointer
-// with every Specialize derivative: the provenance index, the
-// key-preserving verdict, and three artifacts built on first use — the
-// classify verdicts, the maintainer prototype (callers take Clones, never
-// the prototype itself) and the pivot forest. None depends on Delta or
+// with every Specialize derivative: the dense provenance index, the
+// key-preserving verdict, and two artifacts built on first use — the
+// classify verdicts and the pivot forest. None depends on Delta or
 // Weights. NewProblem creates it; a Problem literal (tests) has none and
 // computes on demand without memoization.
 type skeleton struct {
-	inverted      *view.InvertedIndex
+	index         *view.Index
 	keyPreserving bool
 	class         lazy[[]classify.Properties]
-	maint         lazy[*view.Maintainer]
 	pivot         lazy[*pivotForest]
 }
 
@@ -100,7 +98,7 @@ func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion
 	if err := delta.Validate(views); err != nil {
 		return nil, err
 	}
-	skel := &skeleton{inverted: view.BuildInvertedIndex(views), keyPreserving: true}
+	skel := &skeleton{index: view.BuildIndex(views), keyPreserving: true}
 	for _, q := range queries {
 		kp, err := q.IsKeyPreserving(cq.InstanceSchemas(db))
 		if err != nil {
@@ -133,13 +131,9 @@ func (p *Problem) QueryProperties() ([]classify.Properties, error) {
 }
 
 // NewMaintainer returns an isolated incremental maintainer over the
-// problem's views. The O(provenance) build happens once per skeleton; each
-// call pays only the O(state) Clone so concurrent solves never share
-// mutable maintainer state.
-func (p *Problem) NewMaintainer() *view.Maintainer {
-	m, _ := p.shared().maint.get(func() (*view.Maintainer, error) { return view.NewMaintainer(p.Views), nil })
-	return m.Clone()
-}
+// problem's views: fresh counters over the skeleton's shared index, so
+// concurrent solves never share mutable maintainer state.
+func (p *Problem) NewMaintainer() *view.Maintainer { return p.Index().NewMaintainer() }
 
 // Specialize derives a new Problem against the same skeleton — database,
 // queries, materialized views and every skeleton artifact are shared by
@@ -160,8 +154,61 @@ func (p *Problem) Specialize(delta *view.Deletion) (*Problem, error) {
 // key-preserving.
 func (p *Problem) IsKeyPreserving() bool { return p.shared().keyPreserving }
 
-// Inverted returns the tuple→view-tuple occurrence index.
-func (p *Problem) Inverted() *view.InvertedIndex { return p.shared().inverted }
+// Index returns the dense provenance index, built once per skeleton (for a
+// Problem literal, on every call).
+func (p *Problem) Index() *view.Index {
+	if p.skel == nil {
+		return view.BuildIndex(p.Views)
+	}
+	return p.skel.index
+}
+
+// occurrences returns the view tuples a base tuple participates in, in
+// (view, answer) order; none for a tuple no derivation uses.
+func occurrences(x *view.Index, id relation.TupleID) []view.Occurrence {
+	t, ok := x.LookupTuple(id)
+	if !ok {
+		return nil
+	}
+	return x.Occurrences(t)
+}
+
+// requestRefs is one request's ΔV and preservation weights resolved to
+// the index's ref ids, built once per solve so per-candidate work
+// compares ids instead of building string keys.
+type requestRefs struct {
+	x       *view.Index
+	delta   []int32   // ΔV in insertion order
+	inDelta []bool    // by ref id
+	weights []float64 // by ref id; nil when every weight is 1
+}
+
+// requestRefs resolves Delta and Weights against the index.
+func (p *Problem) requestRefs() *requestRefs {
+	x := p.Index()
+	rq := &requestRefs{x: x, inDelta: make([]bool, x.NumRefs())}
+	for _, ref := range p.Delta.Refs() {
+		if r, ok := x.LookupRef(ref); ok {
+			rq.delta = append(rq.delta, r)
+			rq.inDelta[r] = true
+		}
+	}
+	if p.Weights != nil {
+		rq.weights = make([]float64, x.NumRefs())
+		for r := range rq.weights {
+			rq.weights[r] = p.Weight(x.Ref(int32(r)))
+		}
+	}
+	return rq
+}
+
+// weight returns the preservation weight of ref r.
+func (rq *requestRefs) weight(r int32) float64 {
+	if rq.weights == nil {
+		return 1
+	}
+	return rq.weights[r]
+}
 
 // Weight returns the preservation weight of a view tuple (1 by default).
 func (p *Problem) Weight(ref view.TupleRef) float64 {
@@ -293,23 +340,27 @@ func (r Report) String() string {
 }
 
 // Evaluate scores a solution using provenance (no re-evaluation of the
-// queries). Tests cross-check this against full re-evaluation.
+// queries): it walks out from the deleted tuples' occurrences, so the
+// work follows ΔD and the view tuples it kills, not ‖V‖. Collateral comes
+// out in (view, answer) order. Tests cross-check this against full
+// re-evaluation.
 func (p *Problem) Evaluate(sol *Solution) Report {
-	set := view.DeletedSet(sol.Deleted)
+	x := p.Index()
+	deleted := make([]int32, 0, len(sol.Deleted))
+	for _, id := range sol.Deleted {
+		if t, ok := x.LookupTuple(id); ok {
+			deleted = append(deleted, t)
+		}
+	}
 	rep := Report{DeletedCount: len(sol.Deleted)}
 	removedRequested := 0
-	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
-			if view.Survives(ans, set) {
-				continue
-			}
-			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if p.Delta.Contains(ref) {
-				removedRequested++
-			} else {
-				rep.Collateral = append(rep.Collateral, ref)
-				rep.SideEffect += p.Weight(ref)
-			}
+	for _, r := range x.Killed(deleted) {
+		ref := x.Ref(r)
+		if p.Delta.Contains(ref) {
+			removedRequested++
+		} else {
+			rep.Collateral = append(rep.Collateral, ref)
+			rep.SideEffect += p.Weight(ref)
 		}
 	}
 	rep.BadRemaining = p.Delta.Len() - removedRequested

@@ -25,15 +25,19 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 	if err := requireKeyPreserving(p, "red-blue"); err != nil {
 		return nil, err
 	}
-	blueIdx := make(map[string]int)
-	for i, ref := range p.Delta.Refs() {
-		blueIdx[ref.Key()] = i
+	// elem[r] is ref r's blue index (requested) or red index (preserved,
+	// numbered in (view, answer) order).
+	rq := p.requestRefs()
+	elem := make([]int, rq.x.NumRefs())
+	for i, r := range rq.delta {
+		elem[r] = i
 	}
-	redIdx := make(map[string]int)
 	var redWeights []float64
-	for _, ref := range p.PreservedRefs() {
-		redIdx[ref.Key()] = len(redWeights)
-		redWeights = append(redWeights, p.Weight(ref))
+	for r := range elem {
+		if !rq.inDelta[r] {
+			elem[r] = len(redWeights)
+			redWeights = append(redWeights, rq.weight(int32(r)))
+		}
 	}
 	enc := &redBlueEncoding{inst: &setcover.Instance{
 		NumRed:     len(redWeights),
@@ -42,12 +46,11 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 	}}
 	for _, id := range p.CandidateTuples() {
 		s := setcover.Set{Name: id.String()}
-		for _, occ := range p.Inverted().Occurrences(id) {
-			k := occ.Ref.Key()
-			if b, ok := blueIdx[k]; ok {
-				s.Blues = append(s.Blues, b)
-			} else if r, ok := redIdx[k]; ok {
-				s.Reds = append(s.Reds, r)
+		for _, occ := range occurrences(rq.x, id) {
+			if rq.inDelta[occ.Ref] {
+				s.Blues = append(s.Blues, elem[occ.Ref])
+			} else {
+				s.Reds = append(s.Reds, elem[occ.Ref])
 			}
 		}
 		enc.inst.Sets = append(enc.inst.Sets, s)

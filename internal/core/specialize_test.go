@@ -24,8 +24,8 @@ func TestSpecializeSharesSkeleton(t *testing.T) {
 	if p2.DB != p.DB || &p2.Queries[0] == nil || p2.Views[0] != p.Views[0] {
 		t.Fatal("specialized problem must share DB and views by pointer")
 	}
-	if p2.Inverted() != p.Inverted() {
-		t.Error("specialized problem must share the inverted index")
+	if p2.Index() != p.Index() {
+		t.Error("specialized problem must share the provenance index")
 	}
 	if p2.IsKeyPreserving() != p.IsKeyPreserving() {
 		t.Error("key-preserving verdict must carry over")
@@ -99,8 +99,8 @@ func TestQueryPropertiesMemoized(t *testing.T) {
 	}
 }
 
-// TestNewMaintainerIsolated: clones from the shared prototype must not see
-// each other's deletions, and the literal fallback still works.
+// TestNewMaintainerIsolated: maintainers over the shared index must not
+// see each other's deletions, and the literal fallback still works.
 func TestNewMaintainerIsolated(t *testing.T) {
 	w := workload.Fig1()
 	p, err := NewProblem(w.DB, w.Queries, nil)
@@ -117,15 +117,18 @@ func TestNewMaintainerIsolated(t *testing.T) {
 	if !ok {
 		t.Fatalf("%s is not an answer", ref)
 	}
+	x := p.Index()
 	for _, d := range ans.Derivations {
-		for _, id := range d.TupleSet() {
-			m1.Delete(id)
+		for _, id := range d {
+			ti, _ := x.LookupTuple(id)
+			m1.Delete(ti)
 		}
 	}
-	if m1.Alive(ref) {
+	r, _ := x.LookupRef(ref)
+	if m1.Alive(r) {
 		t.Error("deleting every derivation tuple must kill the answer on m1")
 	}
-	if !m2.Alive(ref) {
+	if !m2.Alive(r) {
 		t.Error("deletions on one clone leaked into its sibling")
 	}
 	lit := &Problem{DB: p.DB, Queries: p.Queries, Views: p.Views, Delta: view.NewDeletion()}

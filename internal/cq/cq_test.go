@@ -439,7 +439,7 @@ func naiveEvaluate(q *Query, db *relation.Instance) map[string]map[string]bool {
 			if answers[k] == nil {
 				answers[k] = make(map[string]bool)
 			}
-			answers[k][derivation.Key()] = true
+			answers[k][derivKey(derivation)] = true
 			return
 		}
 		a := q.Body[i]
@@ -501,7 +501,7 @@ func checkAgainstNaive(t *testing.T, label string, q *Query, db *relation.Instan
 			continue
 		}
 		for _, d := range a.Derivations {
-			if !derivs[d.Key()] {
+			if !derivs[derivKey(d)] {
 				t.Errorf("%s %s: answer %v has extra derivation %s", label, q, a.Tuple, d)
 			}
 		}
@@ -654,9 +654,26 @@ func TestDerivationHelpers(t *testing.T) {
 		t.Error("Uses false positive")
 	}
 	d2 := Derivation{{Relation: "A", Tuple: tup("1")}}
-	if d.Key() == d2.Key() {
-		t.Error("Key collision")
+	if d.Equal(d2) || d2.Equal(d) {
+		t.Error("Equal true for derivations of different length")
 	}
+	d3 := Derivation{{Relation: "A", Tuple: tup("1")}, {Relation: "B", Tuple: tup("2")}, {Relation: "B", Tuple: tup("1")}}
+	if d.Equal(d3) {
+		t.Error("Equal true for derivations differing in one position")
+	}
+	if !d.Equal(append(Derivation(nil), d...)) {
+		t.Error("Equal false for a copy")
+	}
+}
+
+// derivKey is a canonical string for a derivation, for the naive
+// reference's derivation sets.
+func derivKey(d Derivation) string {
+	parts := make([]string, len(d))
+	for i, id := range d {
+		parts[i] = id.Key()
+	}
+	return strings.Join(parts, "&")
 }
 
 func TestExplainPlan(t *testing.T) {

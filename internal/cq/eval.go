@@ -13,15 +13,6 @@ import (
 // for several atoms.
 type Derivation []relation.TupleID
 
-// Key returns a canonical map key for the derivation.
-func (d Derivation) Key() string {
-	parts := make([]string, len(d))
-	for i, id := range d {
-		parts[i] = id.Key()
-	}
-	return strings.Join(parts, "&")
-}
-
 // TupleSet returns the distinct base tuples of the derivation, keyed by
 // TupleID.Key.
 func (d Derivation) TupleSet() map[string]relation.TupleID {
@@ -34,13 +25,26 @@ func (d Derivation) TupleSet() map[string]relation.TupleID {
 
 // Uses reports whether the derivation touches the given base tuple.
 func (d Derivation) Uses(id relation.TupleID) bool {
-	k := id.Key()
 	for _, t := range d {
-		if t.Key() == k {
+		if t.Equal(id) {
 			return true
 		}
 	}
 	return false
+}
+
+// Equal reports whether d and e match the same base tuple at every body
+// position.
+func (d Derivation) Equal(e Derivation) bool {
+	if len(d) != len(e) {
+		return false
+	}
+	for i := range d {
+		if !d[i].Equal(e[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the derivation as T1(..) ⋈ T2(..).
@@ -65,8 +69,8 @@ type Answer struct {
 // provenance.
 type Result struct {
 	Query   *Query
-	answers map[string]*Answer
-	order   []string
+	answers []*Answer      // first-derived order
+	pos     map[string]int // head tuple Encode -> index into answers
 }
 
 // NumAnswers returns |Q(D)|.
@@ -74,30 +78,36 @@ func (r *Result) NumAnswers() int { return len(r.answers) }
 
 // Answers returns all answers in first-derived order.
 func (r *Result) Answers() []*Answer {
-	out := make([]*Answer, 0, len(r.answers))
-	for _, k := range r.order {
-		out = append(out, r.answers[k])
-	}
-	return out
+	return append([]*Answer(nil), r.answers...)
+}
+
+// Position returns the index of the head tuple's answer in first-derived
+// order, if it is an answer.
+func (r *Result) Position(t relation.Tuple) (int, bool) {
+	var buf [64]byte
+	i, ok := r.pos[string(t.AppendEncode(buf[:0]))]
+	return i, ok
 }
 
 // Lookup returns the answer for the given head tuple, if present.
 func (r *Result) Lookup(t relation.Tuple) (*Answer, bool) {
-	a, ok := r.answers[t.Encode()]
-	return a, ok
+	if i, ok := r.Position(t); ok {
+		return r.answers[i], true
+	}
+	return nil, false
 }
 
 // Contains reports whether the head tuple is an answer.
 func (r *Result) Contains(t relation.Tuple) bool {
-	_, ok := r.answers[t.Encode()]
+	_, ok := r.Position(t)
 	return ok
 }
 
 // Tuples returns the answer tuples in first-derived order.
 func (r *Result) Tuples() []relation.Tuple {
-	out := make([]relation.Tuple, 0, len(r.answers))
-	for _, k := range r.order {
-		out = append(out, r.answers[k].Tuple)
+	out := make([]relation.Tuple, len(r.answers))
+	for i, a := range r.answers {
+		out[i] = a.Tuple
 	}
 	return out
 }
@@ -128,7 +138,7 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 		q:       q,
 		db:      db,
 		indexes: make(map[string]*relation.Index),
-		res:     &Result{Query: q, answers: make(map[string]*Answer)},
+		res:     &Result{Query: q, pos: make(map[string]int)},
 	}
 	ev.run()
 	return ev.res, nil
@@ -181,13 +191,16 @@ type evaluator struct {
 
 	order      []int // atom evaluation order (indexes into q.Body)
 	assignment map[string]relation.Value
-	derivation Derivation // per original body position
+	derivation Derivation     // per original body position
+	head       relation.Tuple // emit's scratch head tuple
+	key        []byte         // emit's scratch head encoding
 }
 
 func (ev *evaluator) run() {
 	ev.order = ev.planOrder()
 	ev.assignment = make(map[string]relation.Value)
 	ev.derivation = make(Derivation, len(ev.q.Body))
+	ev.head = make(relation.Tuple, len(ev.q.Head))
 	ev.join(0)
 }
 
@@ -318,31 +331,30 @@ func (ev *evaluator) unbind(vars []string) {
 
 // emit records the current complete match as an answer + derivation.
 func (ev *evaluator) emit() {
-	head := make(relation.Tuple, len(ev.q.Head))
 	for i, t := range ev.q.Head {
 		if t.IsVar() {
-			head[i] = ev.assignment[t.Var]
+			ev.head[i] = ev.assignment[t.Var]
 		} else {
-			head[i] = t.Const
+			ev.head[i] = t.Const
 		}
 	}
-	enc := head.Encode()
-	ans, ok := ev.res.answers[enc]
+	ev.key = ev.head.AppendEncode(ev.key[:0])
+	i, ok := ev.res.pos[string(ev.key)]
 	if !ok {
-		ans = &Answer{Tuple: head.Clone()}
-		ev.res.answers[enc] = ans
-		ev.res.order = append(ev.res.order, enc)
+		i = len(ev.res.answers)
+		ev.res.pos[string(ev.key)] = i
+		ev.res.answers = append(ev.res.answers, &Answer{Tuple: ev.head.Clone()})
 	}
-	der := make(Derivation, len(ev.derivation))
-	copy(der, ev.derivation)
+	ans := ev.res.answers[i]
 	// Distinct matches always produce distinct derivations for safe
 	// queries, but self-joins can revisit the same derivation via symmetric
 	// variable roles; dedupe defensively.
-	dk := der.Key()
 	for _, d := range ans.Derivations {
-		if d.Key() == dk {
+		if d.Equal(ev.derivation) {
 			return
 		}
 	}
+	der := make(Derivation, len(ev.derivation))
+	copy(der, ev.derivation)
 	ans.Derivations = append(ans.Derivations, der)
 }

@@ -159,10 +159,14 @@ func (r *Report) String() string {
 // deletion propagation, used by the annotation application to push
 // annotations from source cells to view tuples.
 func AffectedBy(views []*view.View, id relation.TupleID) []view.TupleRef {
-	idx := view.BuildInvertedIndex(views)
+	idx := view.BuildIndex(views)
+	t, ok := idx.LookupTuple(id)
+	if !ok {
+		return nil
+	}
 	var out []view.TupleRef
-	for _, occ := range idx.Occurrences(id) {
-		out = append(out, occ.Ref)
+	for _, occ := range idx.Occurrences(t) {
+		out = append(out, idx.Ref(occ.Ref))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -57,13 +58,24 @@ func (t Tuple) String() string {
 
 // Encode produces a canonical string encoding of the tuple, injective for
 // tuples of the same arity, usable as a map key. Values are length-prefixed
-// so that no two distinct tuples collide.
+// so that no two distinct tuples collide: each value v is written as
+// "len(v):v;", the length in decimal bytes.
 func (t Tuple) Encode() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(t.AppendEncode(buf[:0]))
+}
+
+// AppendEncode appends the Encode form of the tuple to dst and returns the
+// extended slice. Map lookups through string(AppendEncode(buf[:0])) do not
+// allocate.
+func (t Tuple) AppendEncode(dst []byte) []byte {
 	for _, v := range t {
-		fmt.Fprintf(&b, "%d:%s;", len(v), string(v))
+		dst = strconv.AppendInt(dst, int64(len(v)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, v...)
+		dst = append(dst, ';')
 	}
-	return b.String()
+	return dst
 }
 
 // Project returns the sub-tuple at the given positions. It panics if a
@@ -85,9 +97,24 @@ type TupleID struct {
 	Tuple    Tuple
 }
 
-// Key returns a canonical map key for the identity.
+// Key returns a canonical map key for the identity: the relation name, a
+// "|" and the tuple's Encode form.
 func (id TupleID) Key() string {
-	return id.Relation + "|" + id.Tuple.Encode()
+	var buf [64]byte
+	return string(id.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the Key form of the identity to dst and returns the
+// extended slice.
+func (id TupleID) AppendKey(dst []byte) []byte {
+	dst = append(dst, id.Relation...)
+	dst = append(dst, '|')
+	return id.Tuple.AppendEncode(dst)
+}
+
+// Equal reports whether id and o name the same base tuple.
+func (id TupleID) Equal(o TupleID) bool {
+	return id.Relation == o.Relation && id.Tuple.Equal(o.Tuple)
 }
 
 // String renders the identity as Relation(a,b,c).

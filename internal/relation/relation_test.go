@@ -109,6 +109,41 @@ func TestTupleEncodeInjective(t *testing.T) {
 	}
 }
 
+// TestTupleEncodeGolden pins the byte form of Encode and TupleID.Key:
+// map keys, ref ranks and tie-break orders are built from these strings,
+// so any change to the encoding changes solver output.
+func TestTupleEncodeGolden(t *testing.T) {
+	long := strings.Repeat("x", 70)
+	cases := []struct {
+		t    Tuple
+		want string
+	}{
+		{tup(), ""},
+		{tup(""), "0:;"},
+		{tup("", ""), "0:;0:;"},
+		{tup("a", "bc"), "1:a;2:bc;"},
+		{tup("a:b", "c;d", "e|f"), "3:a:b;3:c;d;3:e|f;"},
+		{tup("1:a;"), "4:1:a;;"},
+		{tup("é", "日本", "🙂"), "2:é;6:日本;4:🙂;"},
+		{tup(long), "70:" + long + ";"},
+	}
+	for _, c := range cases {
+		if got := c.t.Encode(); got != c.want {
+			t.Errorf("Encode(%q) = %q, want %q", []Value(c.t), got, c.want)
+		}
+		if got := string(c.t.AppendEncode([]byte("pre"))); got != "pre"+c.want {
+			t.Errorf("AppendEncode(%q) = %q, want %q", []Value(c.t), got, "pre"+c.want)
+		}
+	}
+	id := TupleID{Relation: "T|1", Tuple: tup("é", "a|b", "")}
+	if got, want := id.Key(), "T|1|2:é;3:a|b;0:;"; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	if !id.Equal(TupleID{Relation: "T|1", Tuple: tup("é", "a|b", "")}) || id.Equal(TupleID{Relation: "T", Tuple: id.Tuple}) {
+		t.Error("TupleID.Equal disagrees with Key equality")
+	}
+}
+
 func TestTupleEncodeInjectiveQuick(t *testing.T) {
 	f := func(a, b []string) bool {
 		ta := make(Tuple, len(a))

@@ -17,8 +17,7 @@ import (
 // Session API: POST /sessions registers a (database, queries) pair once
 // and returns a session id; POST /sessions/{id}/solve serves successive
 // deletion requests against the warm skeleton — parsed problem, live
-// provenance index, memoized classification, maintainer prototype and
-// pivot forest. docs/FORMATS.md documents the schema, docs/OPERATIONS.md
+// provenance index, memoized classification and pivot forest. docs/FORMATS.md documents the schema, docs/OPERATIONS.md
 // the lifecycle.
 
 // SessionRequest registers an instance for warm solves.

@@ -2,8 +2,7 @@
 // keyed by instance fingerprint where a (database, queries) pair is parsed
 // and materialized once and successive deletion requests solve against the
 // warm state — the *core.Problem skeleton with its provenance index and
-// its lazily built classify verdicts, view.Maintainer prototype and pivot
-// forest. Per-request work (solve, evaluate, core.DualBound) is never
+// its lazily built classify verdicts and pivot forest. Per-request work (solve, evaluate, core.DualBound) is never
 // cached.
 //
 // Entries carry TTLs with extend-on-read; registration is single-flight

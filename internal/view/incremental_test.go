@@ -1,7 +1,9 @@
 package view
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,25 +14,27 @@ import (
 func TestMaintainerBasics(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
-	m := NewMaintainer(views)
+	idx := BuildIndex(views)
+	m := idx.NewMaintainer()
 
-	johnXML := TupleRef{View: 0, Tuple: tup("John", "XML")}
+	johnXML := mustRef(t, idx, TupleRef{View: 0, Tuple: tup("John", "XML")})
 	if !m.Alive(johnXML) {
 		t.Fatal("fresh maintainer reports dead tuple")
 	}
 	// Kill one derivation: still alive.
-	died := m.Delete(relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")})
+	died := m.Delete(mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}))
 	// John/CUBE dies (single derivation via TKDE); John/XML survives via
 	// TODS.
-	if len(died) != 1 || died[0].Tuple.String() != "(John,CUBE)" {
+	if len(died) != 1 || idx.Ref(died[0]).Tuple.String() != "(John,CUBE)" {
 		t.Errorf("died = %v", died)
 	}
 	if !m.Alive(johnXML) {
 		t.Error("John/XML should survive one derivation loss")
 	}
 	// Kill the second derivation.
-	died = m.Delete(relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")})
-	if len(died) != 1 || died[0].Tuple.String() != "(John,XML)" {
+	tods := mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")})
+	died = m.Delete(tods)
+	if len(died) != 1 || died[0] != johnXML {
 		t.Errorf("died = %v", died)
 	}
 	if m.Alive(johnXML) {
@@ -40,7 +44,7 @@ func TestMaintainerBasics(t *testing.T) {
 		t.Errorf("counts = %d dead, %d deleted", m.DeadCount(), m.DeletedCount())
 	}
 	// Idempotent delete.
-	if got := m.Delete(relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")}); got != nil {
+	if got := m.Delete(tods); got != nil {
 		t.Errorf("re-delete returned %v", got)
 	}
 }
@@ -48,20 +52,21 @@ func TestMaintainerBasics(t *testing.T) {
 func TestMaintainerUndelete(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
-	m := NewMaintainer(views)
-	id1 := relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}
-	id2 := relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")}
+	idx := BuildIndex(views)
+	m := idx.NewMaintainer()
+	id1 := mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")})
+	id2 := mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")})
 	m.Delete(id1)
 	m.Delete(id2)
 	revived := m.Undelete(id2)
-	if len(revived) != 1 || revived[0].Tuple.String() != "(John,XML)" {
+	if len(revived) != 1 || idx.Ref(revived[0]).Tuple.String() != "(John,XML)" {
 		t.Errorf("revived = %v", revived)
 	}
-	if !m.Alive(TupleRef{View: 0, Tuple: tup("John", "XML")}) {
+	if !m.Alive(mustRef(t, idx, TupleRef{View: 0, Tuple: tup("John", "XML")})) {
 		t.Error("John/XML not alive after undelete")
 	}
 	// Undelete of never-deleted tuple is a no-op.
-	if got := m.Undelete(relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")}); got != nil {
+	if got := m.Undelete(mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")})); got != nil {
 		t.Errorf("no-op undelete returned %v", got)
 	}
 	// Full rollback restores everything.
@@ -71,12 +76,14 @@ func TestMaintainerUndelete(t *testing.T) {
 	}
 }
 
+// TestMaintainerUnknownRef: a view tuple that is not an answer has no ref
+// id, so no maintainer can report it alive.
 func TestMaintainerUnknownRef(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
-	m := NewMaintainer(views)
-	if m.Alive(TupleRef{View: 0, Tuple: tup("Nobody", "X")}) {
-		t.Error("unknown ref reported alive")
+	idx := BuildIndex(views)
+	if _, ok := idx.LookupRef(TupleRef{View: 0, Tuple: tup("Nobody", "X")}); ok {
+		t.Error("unknown ref has a ref id")
 	}
 }
 
@@ -85,10 +92,11 @@ func TestMaintainerUnknownRef(t *testing.T) {
 func TestMaintainerClone(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
-	m := NewMaintainer(views)
-	id1 := relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}
-	id2 := relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")}
-	johnXML := TupleRef{View: 0, Tuple: tup("John", "XML")}
+	idx := BuildIndex(views)
+	m := idx.NewMaintainer()
+	id1 := mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")})
+	id2 := mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")})
+	johnXML := mustRef(t, idx, TupleRef{View: 0, Tuple: tup("John", "XML")})
 
 	m.Delete(id1)
 	c := m.Clone()
@@ -97,7 +105,7 @@ func TestMaintainerClone(t *testing.T) {
 	}
 
 	// Mutating the clone leaves the original untouched.
-	if died := c.Delete(id2); len(died) != 1 || died[0].Tuple.String() != "(John,XML)" {
+	if died := c.Delete(id2); len(died) != 1 || died[0] != johnXML {
 		t.Errorf("clone delete died = %v", died)
 	}
 	if !m.Alive(johnXML) {
@@ -134,17 +142,18 @@ func TestMaintainerMatchesReEvaluation(t *testing.T) {
 		cq.MustParse("Q4(x, y, z) :- T1(x, y), T2(y, z, w)"),
 	}
 	views, _ := Materialize(qs, db)
-	m := NewMaintainer(views)
+	idx := BuildIndex(views)
+	m := idx.NewMaintainer()
 	all := db.AllTuples()
 	rng := rand.New(rand.NewSource(99))
 	deleted := map[string]relation.TupleID{}
 	for step := 0; step < 60; step++ {
 		id := all[rng.Intn(len(all))]
 		if _, isDel := deleted[id.Key()]; isDel && rng.Intn(2) == 0 {
-			m.Undelete(id)
+			m.Undelete(mustTuple(t, idx, id))
 			delete(deleted, id.Key())
 		} else {
-			m.Delete(id)
+			m.Delete(mustTuple(t, idx, id))
 			deleted[id.Key()] = id
 		}
 		// Cross-check against re-evaluation.
@@ -158,10 +167,163 @@ func TestMaintainerMatchesReEvaluation(t *testing.T) {
 			res2 := cq.MustEvaluate(v.Query, db2)
 			for _, ans := range v.Result.Answers() {
 				ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
-				if got, want := m.Alive(ref), res2.Contains(ans.Tuple); got != want {
+				if got, want := m.Alive(mustRef(t, idx, ref)), res2.Contains(ans.Tuple); got != want {
 					t.Fatalf("step %d: %s alive=%v, reeval=%v (deleted %v)", step, ref, got, want, delList)
 				}
 			}
+		}
+	}
+}
+
+// recountDB is a random two-relation instance whose projecting queries
+// give view tuples many derivations.
+func recountDB(rng *rand.Rand) *relation.Instance {
+	db := relation.NewInstance(
+		relation.MustSchema("A", []string{"k", "v"}, []int{0, 1}),
+		relation.MustSchema("B", []string{"v", "w"}, []int{0, 1}),
+	)
+	for i := 0; i < 30; i++ {
+		a, b := fmt.Sprint(rng.Intn(6)), fmt.Sprint(rng.Intn(6))
+		db.Relation("A").Insert(tup(a, b))
+		db.Relation("B").Insert(tup(b, fmt.Sprint(rng.Intn(6))))
+	}
+	return db
+}
+
+// TestMaintainerMatchesRecount drives random Delete/Undelete sequences
+// over 12 multi-derivation views (so view index "10|…" sorts before
+// "2|…") and after every step compares Alive, AliveDerivations and
+// DeadCount with a from-scratch recount over the views' derivations. The
+// died and revived lists must be exactly the refs whose liveness flipped,
+// sorted by TupleRef.Key.
+func TestMaintainerMatchesRecount(t *testing.T) {
+	shapes := []string{
+		"Q(x) :- A(x, y), B(y, z)",
+		"Q(z) :- A(x, y), B(y, z)",
+		"Q(y) :- A(x, y)",
+		"Q(x, z) :- A(x, y), B(y, z)",
+		"Q(x) :- A(x, y), A(y, z)",
+		"Q(x, y, z) :- A(x, y), B(y, z)",
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := recountDB(rng)
+		var qs []*cq.Query
+		for i := 0; i < 12; i++ {
+			qs = append(qs, cq.MustParse(shapes[i%len(shapes)]))
+		}
+		views, err := Materialize(qs, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := BuildIndex(views)
+		m := idx.NewMaintainer()
+		all := db.AllTuples()
+		deleted := map[string]bool{}
+		wasAlive := make([]bool, idx.NumRefs())
+		for r := range wasAlive {
+			wasAlive[r] = true
+		}
+		for step := 0; step < 80; step++ {
+			id := all[rng.Intn(len(all))]
+			ti, ok := idx.LookupTuple(id)
+			if !ok {
+				continue
+			}
+			var changed []int32
+			if deleted[id.Key()] && rng.Intn(2) == 0 {
+				changed = m.Undelete(ti)
+				delete(deleted, id.Key())
+			} else {
+				changed = m.Delete(ti)
+				deleted[id.Key()] = true
+			}
+			for i := 1; i < len(changed); i++ {
+				if idx.Ref(changed[i-1]).Key() >= idx.Ref(changed[i]).Key() {
+					t.Fatalf("seed %d step %d: changed refs not sorted by key: %v", seed, step, changed)
+				}
+			}
+			flipped := map[int32]bool{}
+			for _, r := range changed {
+				flipped[r] = true
+			}
+			dead := 0
+			for _, v := range views {
+				for _, ans := range v.Result.Answers() {
+					ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
+					r := mustRef(t, idx, ref)
+					alive := 0
+					for _, d := range ans.Derivations {
+						hit := false
+						for _, id := range d {
+							hit = hit || deleted[id.Key()]
+						}
+						if !hit {
+							alive++
+						}
+					}
+					if alive == 0 {
+						dead++
+					}
+					if got := m.AliveDerivations(r); got != alive {
+						t.Fatalf("seed %d step %d: %s AliveDerivations=%d, recount %d", seed, step, ref, got, alive)
+					}
+					if m.Alive(r) != (alive > 0) {
+						t.Fatalf("seed %d step %d: %s Alive=%v, recount %d derivations", seed, step, ref, m.Alive(r), alive)
+					}
+					if flipped[r] != (wasAlive[r] != (alive > 0)) {
+						t.Fatalf("seed %d step %d: %s reported flipped=%v, was alive %v, now %d derivations", seed, step, ref, flipped[r], wasAlive[r], alive)
+					}
+					wasAlive[r] = alive > 0
+				}
+			}
+			if m.DeadCount() != dead {
+				t.Fatalf("seed %d step %d: DeadCount=%d, recount %d", seed, step, m.DeadCount(), dead)
+			}
+			if m.DeletedCount() != len(deleted) {
+				t.Fatalf("seed %d step %d: DeletedCount=%d, want %d", seed, step, m.DeletedCount(), len(deleted))
+			}
+		}
+	}
+}
+
+// TestIndexKilledMatchesSurvives: Killed returns, ascending, exactly the
+// view tuples Survives declares dead, for random deletion lists with
+// duplicates.
+func TestIndexKilledMatchesSurvives(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := recountDB(rng)
+	views, err := Materialize([]*cq.Query{
+		cq.MustParse("Q(x) :- A(x, y), B(y, z)"),
+		cq.MustParse("Q(x, y, z) :- A(x, y), B(y, z)"),
+		cq.MustParse("Q(x) :- A(x, y), A(y, z)"),
+	}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := BuildIndex(views)
+	all := db.AllTuples()
+	for trial := 0; trial < 200; trial++ {
+		var ids []relation.TupleID
+		var tids []int32
+		for n := rng.Intn(8); n > 0; n-- {
+			id := all[rng.Intn(len(all))]
+			ids = append(ids, id)
+			if ti, ok := idx.LookupTuple(id); ok {
+				tids = append(tids, ti, ti)
+			}
+		}
+		set := DeletedSet(ids)
+		var want []int32
+		for _, v := range views {
+			for _, ans := range v.Result.Answers() {
+				if !Survives(ans, set) {
+					want = append(want, mustRef(t, idx, TupleRef{View: v.Index, Tuple: ans.Tuple}))
+				}
+			}
+		}
+		if got := idx.Killed(tids); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Killed(%v) = %v, want %v", trial, ids, got, want)
 		}
 	}
 }

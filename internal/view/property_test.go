@@ -54,12 +54,13 @@ func TestMaintainerDeleteUndeleteInverse(t *testing.T) {
 		cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)"),
 	}, db)
 	all := db.AllTuples()
+	idx := BuildIndex(views)
 	f := func(seed int64, n uint8) bool {
-		m := NewMaintainer(views)
+		m := idx.NewMaintainer()
 		rng := rand.New(rand.NewSource(seed))
-		var seq []relation.TupleID
+		var seq []int32
 		for i := 0; i < int(n%12); i++ {
-			seq = append(seq, all[rng.Intn(len(all))])
+			seq = append(seq, mustTuple(t, idx, all[rng.Intn(len(all))]))
 		}
 		for _, id := range seq {
 			m.Delete(id)
@@ -70,11 +71,9 @@ func TestMaintainerDeleteUndeleteInverse(t *testing.T) {
 		if m.DeadCount() != 0 || m.DeletedCount() != 0 {
 			return false
 		}
-		for _, v := range views {
-			for _, ans := range v.Result.Answers() {
-				if !m.Alive(TupleRef{View: v.Index, Tuple: ans.Tuple}) {
-					return false
-				}
+		for r := int32(0); r < int32(idx.NumRefs()); r++ {
+			if !m.Alive(r) {
+				return false
 			}
 		}
 		return true

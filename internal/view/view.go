@@ -1,16 +1,25 @@
 // Package view implements materialized views with provenance for the
 // multi-query deletion-propagation problem (Section II.C of the paper): the
 // set V = {V1..Vm} with Vi = Qi(D), deletion requests ΔV, the semantics of
-// which view tuples survive a source deletion ΔD, and the inverted
-// tuple→view-tuple index the paper's key-preserving observation makes
-// possible ("finding the occurrences of key values of the deleted relation
-// tuples in the view").
+// which view tuples survive a source deletion ΔD (Survives), and the dense
+// provenance Index behind the paper's key-preserving observation
+// ("finding the occurrences of key values of the deleted relation tuples
+// in the view").
+//
+// The Index interns every base tuple that occurs in a derivation and every
+// view tuple to dense int32 ids, and stores which derivations each base
+// tuple occurs in as flat offset and id arrays. It is immutable once
+// built, so one Index serves every request on the same (D, Q); a
+// Maintainer is three counter slices over it, which makes NewMaintainer
+// and Clone a few allocations and copies. String keys (TupleID.Key,
+// TupleRef.Key) appear only where callers cross into or out of ids.
 package view
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"delprop/internal/cq"
@@ -44,9 +53,13 @@ type TupleRef struct {
 	Tuple relation.Tuple
 }
 
-// Key returns a canonical map key for the reference.
+// Key returns a canonical map key for the reference: the view index in
+// decimal, a "|" and the tuple's Encode form.
 func (r TupleRef) Key() string {
-	return fmt.Sprintf("%d|%s", r.View, r.Tuple.Encode())
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], int64(r.View), 10)
+	b = append(b, '|')
+	return string(r.Tuple.AppendEncode(b))
 }
 
 // String renders the reference as V2(a,b).
@@ -160,7 +173,8 @@ func MaxArity(views []*View) int {
 // deleted (keyed by TupleID.Key) are removed from the source: at least one
 // derivation must avoid every deleted tuple. For key-preserving queries
 // there is exactly one derivation, so this degenerates to "no tuple of the
-// join path is deleted".
+// join path is deleted". This is the definition; Index.Killed computes
+// the same verdicts from the deleted tuples outward.
 func Survives(ans *cq.Answer, deleted map[string]bool) bool {
 	for _, d := range ans.Derivations {
 		hit := false
@@ -184,49 +198,4 @@ func DeletedSet(ids []relation.TupleID) map[string]bool {
 		out[id.Key()] = true
 	}
 	return out
-}
-
-// Occurrence records that a base tuple participates in (a derivation of) a
-// view tuple.
-type Occurrence struct {
-	Ref TupleRef
-	// Critical reports whether deleting the base tuple necessarily kills
-	// the view tuple, i.e. the tuple occurs in every derivation of it. For
-	// key-preserving queries every occurrence is critical.
-	Critical bool
-}
-
-// InvertedIndex maps each base tuple to the view tuples it occurs in. This
-// is the structure behind the paper's key observation that "checking the
-// view side-effect can be easily performed by finding the occurrences of
-// key values of the deleted relation tuples in the view".
-type InvertedIndex struct {
-	occ map[string][]Occurrence
-}
-
-// BuildInvertedIndex scans all views' provenance.
-func BuildInvertedIndex(views []*View) *InvertedIndex {
-	idx := &InvertedIndex{occ: make(map[string][]Occurrence)}
-	for _, v := range views {
-		for _, ans := range v.Result.Answers() {
-			ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
-			// Count in how many derivations each base tuple occurs.
-			counts := make(map[string]int)
-			for _, d := range ans.Derivations {
-				for k := range d.TupleSet() {
-					counts[k]++
-				}
-			}
-			total := len(ans.Derivations)
-			for k, c := range counts {
-				idx.occ[k] = append(idx.occ[k], Occurrence{Ref: ref, Critical: c == total})
-			}
-		}
-	}
-	return idx
-}
-
-// Occurrences returns the view tuples the base tuple participates in.
-func (idx *InvertedIndex) Occurrences(id relation.TupleID) []Occurrence {
-	return idx.occ[id.Key()]
 }

@@ -178,22 +178,25 @@ func TestInvertedIndex(t *testing.T) {
 	db := fig1DB()
 	qs := []*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}
 	views, _ := Materialize(qs, db)
-	idx := BuildInvertedIndex(views)
+	idx := BuildIndex(views)
 	// Every base tuple participates in some view tuple here.
 	for _, id := range db.AllTuples() {
-		if len(idx.Occurrences(id)) == 0 {
+		if len(idx.Occurrences(mustTuple(t, idx, id))) == 0 {
 			t.Errorf("%s has no occurrences", id)
 		}
 	}
+	if idx.NumTuples() != len(db.AllTuples()) || idx.NumRefs() != TotalSize(views) {
+		t.Errorf("NumTuples=%d NumRefs=%d", idx.NumTuples(), idx.NumRefs())
+	}
 	// T1(John,TKDE) occurs in John/XML (non-critical: TODS path exists) and
 	// John/CUBE (critical).
-	occ := idx.Occurrences(relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")})
+	occ := idx.Occurrences(mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}))
 	if len(occ) != 2 {
 		t.Fatalf("occurrences = %v", occ)
 	}
 	crit := map[string]bool{}
 	for _, o := range occ {
-		crit[o.Ref.Tuple.String()] = o.Critical
+		crit[idx.Ref(o.Ref).Tuple.String()] = o.Critical
 	}
 	if !crit["(John,CUBE)"] {
 		t.Error("John/CUBE occurrence should be critical")
@@ -201,9 +204,25 @@ func TestInvertedIndex(t *testing.T) {
 	if crit["(John,XML)"] {
 		t.Error("John/XML occurrence should be non-critical (second derivation)")
 	}
-	// Unknown tuple: no occurrences.
-	if got := idx.Occurrences(relation.TupleID{Relation: "T1", Tuple: tup("Nobody", "X")}); got != nil {
-		t.Errorf("unknown tuple occurrences = %v", got)
+	// Unknown tuple and unknown view tuple: no ids.
+	if _, ok := idx.LookupTuple(relation.TupleID{Relation: "T1", Tuple: tup("Nobody", "X")}); ok {
+		t.Error("unknown tuple has a tuple id")
+	}
+	for _, ref := range []TupleRef{{View: 0, Tuple: tup("Nobody", "X")}, {View: 1, Tuple: tup("John", "XML")}, {View: -1}} {
+		if _, ok := idx.LookupRef(ref); ok {
+			t.Errorf("%v has a ref id", ref)
+		}
+	}
+	// Ids round-trip.
+	for r := int32(0); r < int32(idx.NumRefs()); r++ {
+		if got, ok := idx.LookupRef(idx.Ref(r)); !ok || got != r {
+			t.Errorf("LookupRef(Ref(%d)) = %d, %v", r, got, ok)
+		}
+	}
+	for _, id := range db.AllTuples() {
+		if got := idx.Tuple(mustTuple(t, idx, id)); got.Key() != id.Key() {
+			t.Errorf("Tuple(LookupTuple(%s)) = %s", id, got)
+		}
 	}
 }
 
@@ -211,22 +230,49 @@ func TestInvertedIndexKeyPreservingAllCritical(t *testing.T) {
 	db := fig1DB()
 	qs := []*cq.Query{cq.MustParse("Q4(x, y, z) :- T1(x, y), T2(y, z, w)")}
 	views, _ := Materialize(qs, db)
-	idx := BuildInvertedIndex(views)
+	idx := BuildIndex(views)
 	for _, id := range db.AllTuples() {
-		for _, o := range idx.Occurrences(id) {
+		for _, o := range idx.Occurrences(mustTuple(t, idx, id)) {
 			if !o.Critical {
-				t.Errorf("key-preserving view has non-critical occurrence: %v in %v", id, o.Ref)
+				t.Errorf("key-preserving view has non-critical occurrence: %v in %v", id, idx.Ref(o.Ref))
 			}
 		}
 	}
 }
 
+// mustTuple returns the tuple id of a base tuple that occurs in some
+// derivation.
+func mustTuple(t testing.TB, idx *Index, id relation.TupleID) int32 {
+	t.Helper()
+	ti, ok := idx.LookupTuple(id)
+	if !ok {
+		t.Fatalf("%s occurs in no derivation", id)
+	}
+	return ti
+}
+
+// mustRef returns the ref id of a view tuple.
+func mustRef(t testing.TB, idx *Index, ref TupleRef) int32 {
+	t.Helper()
+	r, ok := idx.LookupRef(ref)
+	if !ok {
+		t.Fatalf("%s is not a view tuple", ref)
+	}
+	return r
+}
+
 // sideEffect deletes the source tuples through a fresh Maintainer and
 // splits the view tuples that died into requested (in del) and collateral.
 func sideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (removedRequested, removedCollateral []TupleRef) {
-	m := NewMaintainer(views)
+	idx := BuildIndex(views)
+	m := idx.NewMaintainer()
 	for _, id := range deleted {
-		for _, ref := range m.Delete(id) {
+		ti, ok := idx.LookupTuple(id)
+		if !ok {
+			continue
+		}
+		for _, r := range m.Delete(ti) {
+			ref := idx.Ref(r)
 			if del != nil && del.Contains(ref) {
 				removedRequested = append(removedRequested, ref)
 			} else {
