@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff experiments fuzz fuzz-smoke fmt vet lint lint-fix-check bench-load-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
+.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff experiments fuzz fuzz-smoke fmt vet lint bench-load-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
 
 all: build test
 
@@ -74,18 +74,6 @@ lint:
 	$(GO) vet -vettool=tools/lint/bin/delproplint ./...
 	$(GO) -C tools/lint vet -vettool=$(CURDIR)/tools/lint/bin/delproplint ./...
 	$(GO) -C tools/lint test ./...
-
-# Assert the tree is lint-clean with no suppressions pending fixes: both
-# modules vet clean under delproplint, which includes the lintdirective
-# validation that every //delprop:guardedby names a sibling mutex field,
-# every //delprop:holds names a receiver mutex, and every
-# //delprop:nilsafe sits on a type declaration — a dangling directive
-# anywhere fails this target.
-lint-fix-check:
-	$(GO) -C tools/lint build -o bin/delproplint ./cmd/delproplint
-	$(GO) vet -vettool=tools/lint/bin/delproplint ./...
-	$(GO) -C tools/lint vet -vettool=$(CURDIR)/tools/lint/bin/delproplint ./...
-	@echo "lint-fix-check: both modules are delproplint-clean (directives validated)"
 
 # bench/load is its own module, so the root ./... never compiles it
 # against the server and session APIs it drives: vet and test it here.

@@ -252,15 +252,43 @@ func BenchmarkAblationRBSCGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkDualBound measures the LP lower-bound computation.
+// BenchmarkDualBound measures the LP lower-bound computation: on a small
+// star problem, and on warm requests against bench/load's pivot (8
+// deletions) and chain (4 deletions) instances.
 func BenchmarkDualBound(b *testing.B) {
-	p := starProblem(b, 13)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DualBound(p); err != nil {
+	warm := func(b *testing.B, w *workload.Workload, deletions int) *core.Problem {
+		skel, err := core.NewProblem(w.DB, w.Queries, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		p, err := skel.Specialize(workload.SampleDeletion(skel.Views, deletions, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		p    func(*testing.B) *core.Problem
+	}{
+		{"star", func(b *testing.B) *core.Problem { return starProblem(b, 13) }},
+		{"pivot", func(b *testing.B) *core.Problem {
+			return warm(b, workload.Pivot(workload.PivotConfig{Seed: 7, Roots: 200, ChildrenPerRoot: 3, GrandPerChild: 2, Depth3: true}), 8)
+		}},
+		{"chain", func(b *testing.B) *core.Problem {
+			return warm(b, workload.Chain(workload.ChainConfig{Seed: 7, Length: 6, Domain: 4, RowsPerRelation: 200, Queries: 5, MaxSpan: 3}), 4)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p := c.p(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.DualBound(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -20,8 +20,8 @@ func DualBound(p *Problem) (float64, error) {
 	if err := requireKeyPreserving(p, "dual-bound"); err != nil {
 		return 0, err
 	}
-	lp := buildDualLP(p, nil, nil)
-	load := make(map[string]float64)
+	lp := buildDualLP(p.requestRefs(), nil)
+	load := make([]float64, len(lp.capacity))
 	total := 0.0
 	for _, r := range lp.reqs {
 		total += lp.raise(r.path, load)

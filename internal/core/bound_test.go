@@ -45,7 +45,7 @@ func TestDualBoundWeighted(t *testing.T) {
 		t.Skip("empty deletion")
 	}
 	p.Weights = map[string]float64{}
-	for _, ref := range p.PreservedRefs() {
+	for _, ref := range preservedRefs(p) {
 		p.Weights[ref.Key()] = 3
 	}
 	lb, err := DualBound(p)

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"delprop/internal/relation"
 )
 
 // BruteForce enumerates every subset of the candidate tuples and returns a
@@ -36,7 +34,8 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if max == 0 {
 		max = 22
 	}
-	cands := p.CandidateTuples()
+	rq := p.requestRefs()
+	cands := rq.cands
 	if len(cands) > max {
 		return nil, fmt.Errorf("%w: %d candidate tuples exceeds brute-force bound %d", ErrTooLarge, len(cands), max)
 	}
@@ -54,14 +53,13 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 				return nil, err
 			}
 		}
-		var del []relation.TupleID
+		var del []int32
 		for i, cand := range cands {
 			if mask&(1<<i) != 0 {
 				del = append(del, cand)
 			}
 		}
-		sol := &Solution{Deleted: del}
-		rep := p.Evaluate(sol)
+		rep := p.evaluate(del, len(del))
 		var cost float64
 		if b.Balanced {
 			cost = rep.Balanced
@@ -72,7 +70,7 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 			cost = rep.SideEffect
 		}
 		if best == nil || cost < bestCost || (cost == bestCost && len(del) < len(best.Deleted)) {
-			best = sol
+			best = &Solution{Deleted: tupleIDs(rq.x, del)}
 			bestCost = cost
 			st.Incumbent(cost, len(del))
 		}

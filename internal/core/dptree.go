@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 
-	"delprop/internal/relation"
 	"delprop/internal/view"
 )
 
@@ -21,18 +20,18 @@ var ErrNotPivotForest = errors.New("core: instance is not a pivot forest")
 // immutable once built: every request on the skeleton reads the same
 // forest.
 type pivotNode struct {
-	id       relation.TupleID
+	t        int32 // tuple id
 	children []*pivotNode
-	// ends lists the view tuples whose join path ends at this node, in
-	// layout order.
-	ends []view.TupleRef
+	// ends lists the ref ids of the view tuples whose join path ends at
+	// this node, in layout order.
+	ends []int32
 }
 
 // pivotForest is the data dual forest of Section IV.E: base tuples as
 // nodes, each view tuple a root-to-node path in some tree. It depends on
 // (D, Q) only; the request enters in DPTree's pass over it.
 type pivotForest struct {
-	roots []*pivotNode // one per component, by minimum tuple key
+	roots []*pivotNode // one per component, by minimum tuple id
 	size  int          // number of nodes (base tuples appearing in views)
 }
 
@@ -58,35 +57,24 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 	}
 	// Tuples and view tuples are the provenance index's dense ids: paths
 	// is indexed by ref id, and a view tuple's path starts as its
-	// derivation's distinct tuple ids, in derivation order.
+	// derivation's distinct tuple ids, ascending.
 	x := p.Index()
-	ids := make([]relation.TupleID, x.NumTuples())
-	keys := make([]string, len(ids))
-	for t := range ids {
-		ids[t] = x.Tuple(int32(t))
-		keys[t] = ids[t].Key()
-	}
-	var paths [][]int
-	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
-			if len(ans.Derivations) != 1 {
-				return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, len(ans.Derivations))
-			}
-			var path []int
-			for _, id := range ans.Derivations[0] {
-				t, _ := x.LookupTuple(id)
-				if !slices.Contains(path, int(t)) {
-					path = append(path, int(t))
-				}
-			}
-			if len(path) == 0 {
-				return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
-			}
-			paths = append(paths, path)
+	n := x.NumTuples()
+	paths := make([][]int, x.NumRefs())
+	for r := range paths {
+		lo, hi := x.Derivations(int32(r))
+		if hi-lo != 1 {
+			return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, hi-lo)
+		}
+		for _, t := range x.DerivTuples(lo) {
+			paths[r] = append(paths[r], int(t))
+		}
+		if len(paths[r]) == 0 {
+			return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
 		}
 	}
-	// Union-find over tuple indexes finds the components.
-	uf := make([]int, len(ids))
+	// Union-find over tuple ids finds the components.
+	uf := make([]int, n)
 	for t := range uf {
 		uf[t] = t
 	}
@@ -103,16 +91,14 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		}
 	}
 	// Group view tuples by component. Order components by their minimum
-	// tuple key, not by the union-find representative: the key is
-	// canonical, so the forest layout, and with it the solution's
-	// deletion order, is identical across runs.
-	minKey := make([]string, len(ids))
-	for t, k := range keys {
-		if r := find(t); minKey[r] == "" || k < minKey[r] {
-			minKey[r] = k
-		}
+	// tuple id, not by the union-find representative: ids are in key
+	// order, so the forest layout, and with it the solution's deletion
+	// order, is canonical.
+	minT := make([]int, n)
+	for t := n - 1; t >= 0; t-- {
+		minT[find(t)] = t
 	}
-	comps := make([][]int, len(ids))
+	comps := make([][]int, n)
 	var roots []int
 	for i, path := range paths {
 		r := find(path[0])
@@ -121,19 +107,19 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		}
 		comps[r] = append(comps[r], i)
 	}
-	sort.Slice(roots, func(a, b int) bool { return minKey[roots[a]] < minKey[roots[b]] })
+	sort.Slice(roots, func(a, b int) bool { return minT[roots[a]] < minT[roots[b]] })
 
 	// anc[t] = ∩{paths containing t}. In a pivot forest this is exactly
 	// the path from the pivot to t, so sorting each path by |anc| (ties
-	// broken by tuple key, which is safe because tuples with identical
+	// broken by tuple id, which is safe because tuples with identical
 	// path membership have identical kill-sets) yields the layout.
-	containing := make([][]int, len(ids))
+	containing := make([][]int, n)
 	for i, path := range paths {
 		for _, t := range path {
 			containing[t] = append(containing[t], i)
 		}
 	}
-	anc := make([][]int, len(ids))
+	anc := make([][]int, n)
 	for t, in := range containing {
 		for _, cand := range paths[in[0]] {
 			// cand is an ancestor unless some path through t lacks it.
@@ -143,12 +129,12 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		}
 	}
 
-	b := &forestBuilder{ids: ids, nodes: make([]*pivotNode, len(ids)), up: make([]*pivotNode, len(ids))}
-	forest := &pivotForest{size: len(ids)}
+	b := &forestBuilder{x: x, nodes: make([]*pivotNode, n), up: make([]*pivotNode, n)}
+	forest := &pivotForest{size: n}
 	for _, r := range roots {
 		idxs := comps[r]
 		for _, i := range idxs {
-			if err := layoutPath(paths[i], anc, ids, keys); err != nil {
+			if err := layoutPath(x, paths[i], anc); err != nil {
 				return nil, err
 			}
 		}
@@ -158,7 +144,7 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		}
 		for _, i := range idxs {
 			end := b.nodes[paths[i][len(paths[i])-1]]
-			end.ends = append(end.ends, x.Ref(int32(i)))
+			end.ends = append(end.ends, int32(i))
 		}
 		forest.roots = append(forest.roots, root)
 	}
@@ -168,33 +154,33 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 // layoutPath sorts a path, in place, by ascending ancestor-set size and
 // verifies the root-path property: every element lies in the ancestor
 // set of its successor.
-func layoutPath(path []int, anc [][]int, ids []relation.TupleID, keys []string) error {
+func layoutPath(x *view.Index, path []int, anc [][]int) error {
 	sort.Slice(path, func(a, b int) bool {
 		sa, sb := len(anc[path[a]]), len(anc[path[b]])
 		if sa != sb {
 			return sa < sb
 		}
-		return keys[path[a]] < keys[path[b]]
+		return path[a] < path[b]
 	})
 	for j := 0; j+1 < len(path); j++ {
 		if !slices.Contains(anc[path[j+1]], path[j]) {
-			return fmt.Errorf("%w: tuples %s and %s are not ancestor-ordered", ErrNotPivotForest, ids[path[j]], ids[path[j+1]])
+			return fmt.Errorf("%w: tuples %s and %s are not ancestor-ordered", ErrNotPivotForest, x.Tuple(int32(path[j])), x.Tuple(int32(path[j+1])))
 		}
 	}
 	return nil
 }
 
 // forestBuilder merges laid-out paths into trees. nodes and up, indexed
-// by tuple, hold each tuple's node and that node's parent.
+// by tuple id, hold each tuple's node and that node's parent.
 type forestBuilder struct {
-	ids   []relation.TupleID
+	x     *view.Index
 	nodes []*pivotNode
 	up    []*pivotNode
 }
 
 func (b *forestBuilder) node(t int) *pivotNode {
 	if b.nodes[t] == nil {
-		b.nodes[t] = &pivotNode{id: b.ids[t]}
+		b.nodes[t] = &pivotNode{t: int32(t)}
 	}
 	return b.nodes[t]
 }
@@ -206,7 +192,7 @@ func (b *forestBuilder) merge(paths [][]int, idxs []int) (*pivotNode, error) {
 	root := b.node(rootT)
 	for _, i := range idxs {
 		if t := paths[i][0]; t != rootT {
-			return nil, fmt.Errorf("%w: component has no common pivot tuple (paths start at %s and %s)", ErrNotPivotForest, root.id, b.ids[t])
+			return nil, fmt.Errorf("%w: component has no common pivot tuple (paths start at %s and %s)", ErrNotPivotForest, b.x.Tuple(int32(rootT)), b.x.Tuple(int32(t)))
 		}
 		prev := root
 		for _, t := range paths[i][1:] {
@@ -215,7 +201,7 @@ func (b *forestBuilder) merge(paths [][]int, idxs []int) (*pivotNode, error) {
 				b.up[t] = prev
 				prev.children = append(prev.children, n)
 			} else if b.up[t] != prev {
-				return nil, fmt.Errorf("%w: tuple %s has two parents", ErrNotPivotForest, b.ids[t])
+				return nil, fmt.Errorf("%w: tuple %s has two parents", ErrNotPivotForest, b.x.Tuple(int32(t)))
 			}
 			prev = n
 		}
@@ -257,6 +243,7 @@ func (d *DPTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	// The DP visits every forest node exactly once.
 	st.AddNodes(int64(forest.size))
+	rq := p.requestRefs()
 	sol := &Solution{}
 	for _, root := range forest.roots {
 		st.Checkpoint()
@@ -265,7 +252,7 @@ func (d *DPTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 		// A tree with no requested endpoint is left alone.
 		start := len(sol.Deleted)
-		if _, _, requested := d.solveTree(p, root, sol); !requested {
+		if _, _, requested := d.solveTree(rq, root, sol); !requested {
 			sol.Deleted = sol.Deleted[:start]
 		}
 	}
@@ -277,13 +264,13 @@ func (d *DPTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 // optimal cost, and whether a requested view tuple ends inside it. The
 // chosen deletions are appended to sol in pre-order: a deleted node
 // replaces whatever its descendants appended.
-func (d *DPTree) solveTree(p *Problem, n *pivotNode, sol *Solution) (weight, cost float64, requested bool) {
+func (d *DPTree) solveTree(rq *requestRefs, n *pivotNode, sol *Solution) (weight, cost float64, requested bool) {
 	endpoints := 0
-	for _, ref := range n.ends {
-		if p.Delta.Contains(ref) {
+	for _, r := range n.ends {
+		if rq.inDelta[r] {
 			endpoints++
 		} else {
-			weight += p.Weight(ref)
+			weight += rq.weight(r)
 		}
 	}
 	keepCost := 0.0
@@ -297,13 +284,13 @@ func (d *DPTree) solveTree(p *Problem, n *pivotNode, sol *Solution) (weight, cos
 	}
 	start := len(sol.Deleted)
 	for _, child := range n.children {
-		w, c, r := d.solveTree(p, child, sol)
+		w, c, r := d.solveTree(rq, child, sol)
 		weight += w
 		keepCost += c
 		requested = requested || r
 	}
 	if weight < keepCost || math.IsInf(keepCost, 1) {
-		sol.Deleted = append(sol.Deleted[:start], n.id)
+		sol.Deleted = append(sol.Deleted[:start], rq.x.Tuple(n.t))
 		return weight, weight, requested
 	}
 	return weight, keepCost, requested

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,23 +18,22 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 	var b strings.Builder
 	rep := p.Evaluate(sol)
 	fmt.Fprintf(&b, "deletion of %d source tuples: %s\n", len(sol.Deleted), rep)
-	var ordered []string
-	byKey := make(map[string]int)
-	for i, id := range sol.Deleted {
-		ordered = append(ordered, id.Key())
-		byKey[id.Key()] = i
-	}
-	sort.Strings(ordered)
-	x := p.Index()
-	for _, k := range ordered {
-		id := sol.Deleted[byKey[k]]
+	rq := p.requestRefs()
+	ordered := slices.Clone(sol.Deleted)
+	slices.SortFunc(ordered, relation.TupleID.CompareKey)
+	var occ []view.Occurrence
+	for _, id := range ordered {
+		occ = occ[:0]
+		if t, ok := rq.x.LookupTuple(id); ok {
+			occ = rq.x.AppendOccurrences(occ, t)
+		}
 		var kills, damages []string
-		for _, occ := range occurrences(x, id) {
-			ref := x.Ref(occ.Ref)
-			if p.Delta.Contains(ref) {
+		for _, o := range occ {
+			ref := rq.x.Ref(o.Ref)
+			if rq.inDelta[o.Ref] {
 				kills = append(kills, ref.String())
-			} else if occ.Critical {
-				damages = append(damages, fmt.Sprintf("%s (w=%v)", ref, p.Weight(ref)))
+			} else if o.Critical {
+				damages = append(damages, fmt.Sprintf("%s (w=%v)", ref, rq.weight(o.Ref)))
 			} else {
 				damages = append(damages, fmt.Sprintf("%s (survivable)", ref))
 			}
@@ -58,24 +58,20 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 // options and their collateral — the decision surface of the single-tuple
 // case.
 func ExplainRequest(p *Problem, ref view.TupleRef) (string, error) {
-	ans, ok := p.Answer(ref)
+	x := p.Index()
+	r, ok := x.LookupRef(ref)
 	if !ok {
 		return "", fmt.Errorf("core: %s is not a view tuple", ref)
 	}
+	ans, _ := p.Answer(ref)
+	lo, _ := x.Derivations(r)
 	var b strings.Builder
 	fmt.Fprintf(&b, "options for eliminating %s (%d derivation(s)):\n", ref, len(ans.Derivations))
 	for di, d := range ans.Derivations {
 		fmt.Fprintf(&b, "  derivation %d: %s\n", di+1, d)
-		set := d.TupleSet()
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			id := set[k]
-			rep := p.Evaluate(&Solution{Deleted: []relation.TupleID{id}})
-			fmt.Fprintf(&b, "    delete %s -> side-effect %v\n", id, rep.SideEffect)
+		for _, t := range x.DerivTuples(lo + int32(di)) {
+			rep := p.evaluate([]int32{t}, 1)
+			fmt.Fprintf(&b, "    delete %s -> side-effect %v\n", x.Tuple(t), rep.SideEffect)
 		}
 	}
 	return b.String(), nil

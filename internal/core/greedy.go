@@ -58,11 +58,7 @@ func (g *Greedy) Name() string {
 func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	st := StatsFrom(ctx)
 	rq := p.requestRefs()
-	candTuples := p.CandidateTuples()
-	cands := make([]int32, len(candTuples))
-	for i, id := range candTuples {
-		cands[i], _ = rq.x.LookupTuple(id)
-	}
+	cands := rq.cands
 	m := rq.x.NewMaintainer()
 	var chosen []relation.TupleID
 
@@ -119,7 +115,7 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		for _, c := range clones {
 			c.Delete(cands[best])
 		}
-		chosen = append(chosen, candTuples[best])
+		chosen = append(chosen, rq.x.Tuple(cands[best]))
 	}
 	return &Solution{Deleted: chosen}, nil
 }

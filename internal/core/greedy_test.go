@@ -44,7 +44,7 @@ func naiveGreedy(p *Problem) (*Solution, error) {
 	}
 	collateralWeight := func() float64 {
 		w := 0.0
-		for _, ref := range p.PreservedRefs() {
+		for _, ref := range preservedRefs(p) {
 			if ans, _ := p.Answer(ref); !view.Survives(ans, deleted) {
 				w += p.Weight(ref)
 			}
@@ -82,6 +82,21 @@ func naiveGreedy(p *Problem) (*Solution, error) {
 		deleted[cands[best].Key()] = true
 		chosen = append(chosen, cands[best])
 	}
+}
+
+// preservedRefs returns V \ ΔV, every view tuple not requested for
+// deletion, in (view, answer) order, straight from the views.
+func preservedRefs(p *Problem) []view.TupleRef {
+	var out []view.TupleRef
+	for _, v := range p.Views {
+		for _, ans := range v.Result.Answers() {
+			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
+			if !p.Delta.Contains(ref) {
+				out = append(out, ref)
+			}
+		}
+	}
+	return out
 }
 
 // TestGreedyIncrementalMatchesNaive: the maintainer-backed scoring, serial

@@ -128,6 +128,46 @@ func TestNewMaintainerAllocs(t *testing.T) {
 	}
 }
 
+// warmPivotProblem is a warm Specialize of bench/load's pivot instance
+// with an 8-tuple request, the size bench/load asks for.
+func warmPivotProblem(t *testing.T) *Problem {
+	t.Helper()
+	w := workload.Pivot(workload.PivotConfig{Seed: 7, Roots: 200, ChildrenPerRoot: 3, GrandPerChild: 2, Depth3: true})
+	skel, err := NewProblem(w.DB, w.Queries, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := skel.Specialize(workload.SampleDeletion(skel.Views, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestWarmPivotAllocs: on a warm request the dual bound and the pivot
+// forest DP read the skeleton's index by id, so their allocations follow
+// the request, not ‖V‖.
+func TestWarmPivotAllocs(t *testing.T) {
+	p := warmPivotProblem(t)
+	if !IsPivotForest(p) {
+		t.Fatal("bench/load's pivot instance is not a pivot forest")
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := DualBound(p); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 64 {
+		t.Errorf("DualBound allocates %v times per call, want <= 64", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := (&DPTree{}).Solve(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 64 {
+		t.Errorf("DPTree.Solve allocates %v times per call, want <= 64", n)
+	}
+}
+
 // BenchmarkNewProblemWarmNP measures registering bibliography-np:
 // materializing the views and building the provenance index.
 func BenchmarkNewProblemWarmNP(b *testing.B) {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"delprop/internal/relation"
 )
@@ -47,24 +47,29 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 	if passes == 0 {
 		passes = 4
 	}
-	current := map[string]relation.TupleID{}
+	// current holds the solution's tuple ids, ascending (key order). A
+	// tuple no derivation uses has no id; unknown holds those, distinct.
+	rq := p.requestRefs()
+	var current []int32
+	var unknown []relation.TupleID
 	for _, id := range start.Deleted {
-		current[id.Key()] = id
-	}
-	toSolution := func() *Solution {
-		keys := make([]string, 0, len(current))
-		for k := range current {
-			keys = append(keys, k)
+		if t, ok := rq.x.LookupTuple(id); ok {
+			current = append(current, t)
+		} else if !slices.ContainsFunc(unknown, id.Equal) {
+			unknown = append(unknown, id)
 		}
-		sort.Strings(keys)
-		sol := &Solution{}
-		for _, k := range keys {
-			sol.Deleted = append(sol.Deleted, current[k])
+	}
+	slices.Sort(current)
+	current = slices.Compact(current)
+	toSolution := func() *Solution {
+		sol := &Solution{Deleted: append(tupleIDs(rq.x, current), unknown...)}
+		if len(unknown) > 0 {
+			slices.SortFunc(sol.Deleted, relation.TupleID.CompareKey)
 		}
 		return sol
 	}
 	score := func() (float64, bool) {
-		rep := p.Evaluate(toSolution())
+		rep := p.evaluate(current, len(current))
 		return rep.SideEffect, rep.Feasible
 	}
 	bestCost, feasible := score()
@@ -74,51 +79,53 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		return start, nil
 	}
 	st := StatsFrom(ctx)
-	cands := p.CandidateTuples()
 	for pass := 0; pass < passes; pass++ {
 		// Each climbing pass is one restart of the sweep.
 		st.Restart()
 		improved := false
-		// Drop moves.
-		for k, id := range sortedEntries(current) {
-			_ = k
+		// Drop moves, in key order.
+		for _, id := range toSolution().Deleted {
 			st.Checkpoint()
 			if err := checkCtx(ctx, ls.Name(), toSolution()); err != nil {
 				return nil, err
 			}
 			st.AddNodes(1)
-			delete(current, id.Key())
+			t, ok := rq.x.LookupTuple(id)
+			if !ok {
+				// Dropping a tuple with no id never changes the score.
+				unknown = slices.DeleteFunc(unknown, id.Equal)
+				continue
+			}
+			current = without(current, t)
 			if c, ok := score(); ok && c <= bestCost {
 				if c < bestCost {
 					improved = true
-					st.Incumbent(c, len(current))
+					st.Incumbent(c, len(current)+len(unknown))
 				}
 				bestCost = c
 				continue
 			}
-			current[id.Key()] = id
+			current = with(current, t)
 		}
 		// Swap moves: replace one deletion with one candidate.
-		for _, id := range sortedEntries(current) {
+		for _, t := range slices.Clone(current) {
 			st.Checkpoint()
 			if err := checkCtx(ctx, ls.Name(), toSolution()); err != nil {
 				return nil, err
 			}
-			for _, alt := range cands {
-				if _, in := current[alt.Key()]; in || alt.Key() == id.Key() {
+			for _, alt := range rq.cands {
+				if _, in := slices.BinarySearch(current, alt); in {
 					continue
 				}
 				st.AddNodes(1)
-				delete(current, id.Key())
-				current[alt.Key()] = alt
+				current = with(without(current, t), alt)
 				if c, ok := score(); ok && c < bestCost {
 					bestCost = c
 					improved = true
 					st.Incumbent(c, len(current))
 					break
 				}
-				delete(current, alt.Key())
-				current[id.Key()] = id
+				current = with(without(current, alt), t)
 			}
 		}
 		if !improved {
@@ -128,17 +135,13 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 	return toSolution(), nil
 }
 
-// sortedEntries returns the map's values ordered by key for deterministic
-// iteration.
-func sortedEntries(m map[string]relation.TupleID) []relation.TupleID {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]relation.TupleID, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
+// without removes t from the ascending set; with inserts it.
+func without(set []int32, t int32) []int32 {
+	i, _ := slices.BinarySearch(set, t)
+	return slices.Delete(set, i, i+1)
+}
+
+func with(set []int32, t int32) []int32 {
+	i, _ := slices.BinarySearch(set, t)
+	return slices.Insert(set, i, t)
 }

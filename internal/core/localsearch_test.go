@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
+	"time"
+
+	"delprop/internal/relation"
 )
 
 // TestLocalSearchNeverWorse: across families and seeds, the wrapped
@@ -91,23 +95,44 @@ func TestLocalSearchRespectsOptimum(t *testing.T) {
 }
 
 // TestLocalSearchDropRedundant: a solution padded with a useless deletion
-// gets trimmed.
+// gets trimmed — also when the padding repeats a tuple and adds one no
+// derivation uses, which has no tuple id: its drop move costs one node,
+// always succeeds and records no incumbent.
 func TestLocalSearchDropRedundant(t *testing.T) {
 	p := fig1Q4Problem(t)
-	padded := &fixedSolver{sol: &Solution{Deleted: p.CandidateTuples()}}
-	ls := &LocalSearch{Inner: padded}
-	sol, err := ls.Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := p.Evaluate(sol)
-	if !rep.Feasible {
-		t.Fatal("infeasible")
-	}
-	// Both candidates deleted costs 2; the optimum keeps one tuple at
-	// cost 1.
-	if rep.SideEffect != 1 || len(sol.Deleted) != 1 {
-		t.Errorf("trimmed solution: %s (side effect %v)", sol, rep.SideEffect)
+	cands := p.CandidateTuples()
+	unused := relation.TupleID{Relation: "T1", Tuple: tup("Zelda", "TKDE")}
+	for _, tc := range []struct {
+		name       string
+		deleted    []relation.TupleID
+		nodes      int64
+		incumbents []IncumbentEvent
+	}{
+		{"candidates", cands, 5, []IncumbentEvent{{Objective: 2, Deleted: 1}, {Objective: 1, Deleted: 1}}},
+		{"duplicate and unused", append([]relation.TupleID{unused, cands[1]}, cands...), 6, []IncumbentEvent{{Objective: 2, Deleted: 2}, {Objective: 1, Deleted: 1}}},
+	} {
+		ctx, st := WithStats(context.Background())
+		ls := &LocalSearch{Inner: &fixedSolver{sol: &Solution{Deleted: tc.deleted}}}
+		sol, err := ls.Solve(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := p.Evaluate(sol)
+		if !rep.Feasible {
+			t.Fatalf("%s: infeasible", tc.name)
+		}
+		// Both candidates deleted costs 2; the optimum keeps one tuple at
+		// cost 1.
+		if rep.SideEffect != 1 || len(sol.Deleted) != 1 {
+			t.Errorf("%s: trimmed solution: %s (side effect %v)", tc.name, sol, rep.SideEffect)
+		}
+		snap := st.Snapshot()
+		for i := range snap.Incumbents {
+			snap.Incumbents[i].At = time.Time{}
+		}
+		if snap.NodesExpanded != tc.nodes || !reflect.DeepEqual(snap.Incumbents, tc.incumbents) {
+			t.Errorf("%s: nodes %d, incumbents %+v; want %d, %+v", tc.name, snap.NodesExpanded, snap.Incumbents, tc.nodes, tc.incumbents)
+		}
 	}
 }
 

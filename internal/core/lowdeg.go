@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"delprop/internal/relation"
+	"slices"
 )
 
 // LowDegTree implements Algorithm 2 (LowDegTreeVSE) for a fixed degree cap
@@ -31,39 +29,14 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := requireKeyPreserving(p, l.Name()); err != nil {
 		return nil, err
 	}
-	allowed := make(map[string]bool)
-	rq := p.requestRefs()
-	for _, id := range p.CandidateTuples() {
-		if preservedDegree(rq, id) <= l.Tau {
-			allowed[id.Key()] = true
-		}
-	}
-	// Prune wide preserved view tuples: arity(r) > √‖V‖ (arity here is the
-	// number of base tuples on r's join path, as in Claim 2).
-	width := math.Sqrt(float64(p.TotalViewSize()))
-	keepPreserved := make(map[string]bool)
-	for _, ref := range p.PreservedRefs() {
-		ans, _ := p.Answer(ref)
-		k := 0
-		if len(ans.Derivations) > 0 {
-			k = len(ans.Derivations[0].TupleSet())
-		}
-		if float64(k) <= width {
-			keepPreserved[ref.Key()] = true
-		}
-	}
-	pd := &PrimalDual{
-		restrictCandidates: allowed,
-		restrictPreserved:  keepPreserved,
-	}
-	return pd.Solve(ctx, p)
+	return (&PrimalDual{lowDeg: l}).Solve(ctx, p)
 }
 
 // preservedDegree is a candidate tuple's degree: the number of preserved
 // view tuples it is joined in.
-func preservedDegree(rq *requestRefs, id relation.TupleID) int {
+func preservedDegree(rq *requestRefs, t int32) int {
 	deg := 0
-	for _, occ := range occurrences(rq.x, id) {
+	for _, occ := range rq.x.AppendOccurrences(nil, t) {
 		if !rq.inDelta[occ.Ref] {
 			deg++
 		}
@@ -88,16 +61,13 @@ func (l *LowDegTreeTwo) Solve(ctx context.Context, p *Problem) (*Solution, error
 	if err := requireKeyPreserving(p, l.Name()); err != nil {
 		return nil, err
 	}
-	degSet := map[int]bool{0: true}
 	rq := p.requestRefs()
-	for _, id := range p.CandidateTuples() {
-		degSet[preservedDegree(rq, id)] = true
+	taus := []int{0}
+	for _, t := range rq.cands {
+		taus = append(taus, preservedDegree(rq, t))
 	}
-	taus := make([]int, 0, len(degSet))
-	for d := range degSet {
-		taus = append(taus, d)
-	}
-	sort.Ints(taus)
+	slices.Sort(taus)
+	taus = slices.Compact(taus)
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := math.Inf(1)

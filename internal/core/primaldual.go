@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"math"
+	"slices"
 
-	"delprop/internal/relation"
+	"delprop/internal/view"
 )
 
 // PrimalDual implements Algorithm 1 (PrimeDualVSE): the primal-dual
@@ -31,12 +33,9 @@ import (
 // forest structure is detected (the paper's LCA order); otherwise in
 // deterministic reference order.
 type PrimalDual struct {
-	// restrictCandidates, if non-nil, limits deletable tuples (used by
-	// LowDegTree).
-	restrictCandidates map[string]bool
-	// restrictPreserved, if non-nil, limits which preserved view tuples
-	// contribute capacity (LowDegTree prunes wide ones).
-	restrictPreserved map[string]bool
+	// lowDeg, if non-nil, applies LowDegTree's degree cap and width
+	// pruning while the LP is built.
+	lowDeg *LowDegTree
 }
 
 // Name implements Solver.
@@ -54,10 +53,11 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if err := requireKeyPreserving(p, pd.Name()); err != nil {
 		return nil, err
 	}
-	lp := buildDualLP(p, pd.restrictCandidates, pd.restrictPreserved)
-	load := make(map[string]float64, len(lp.cands))
-	saturated := make(map[string]bool)
-	var pickOrder []string
+	rq := p.requestRefs()
+	lp := buildDualLP(rq, pd.lowDeg)
+	load := make([]float64, len(lp.capacity))
+	saturated := make([]bool, len(lp.capacity))
+	var pickOrder []int32
 	totalDual := 0.0
 	for ri, r := range lp.reqs {
 		if ri%checkEvery == 0 {
@@ -73,75 +73,44 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 			// the restriction.
 			return nil, ErrInfeasibleRestriction
 		}
-		// Already hit?
-		hit := false
-		for _, tk := range r.path {
-			if saturated[tk] {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			continue
+		if slices.ContainsFunc(r.path, func(t int32) bool { return saturated[t] }) {
+			continue // already hit
 		}
 		totalDual += lp.raise(r.path, load)
-		for _, tk := range r.path {
-			if !saturated[tk] && load[tk] >= lp.capacity[tk]-saturationEps {
-				saturated[tk] = true
-				pickOrder = append(pickOrder, tk)
+		for _, t := range r.path {
+			if !saturated[t] && load[t] >= lp.capacity[t]-saturationEps {
+				saturated[t] = true
+				pickOrder = append(pickOrder, t)
 			}
 		}
 	}
 	// The raised duals are feasible for the aggregated LP (constraints
 	// (6)–(10)), so Σ v_r lower-bounds the optimum — but only on the
-	// unrestricted problem: LowDegTree's candidate/preserved restrictions
-	// change the LP, so the certificate is withheld there.
-	if pd.restrictCandidates == nil && pd.restrictPreserved == nil {
+	// unrestricted problem: LowDegTree's cap and pruning change the LP,
+	// so the certificate is withheld there.
+	if pd.lowDeg == nil {
 		st.ObserveLowerBound(totalDual)
 	}
 
 	// Reverse-delete prune: drop saturated tuples not needed to keep every
 	// requested view tuple covered.
-	chosen := make(map[string]bool, len(saturated))
-	for k := range saturated {
-		chosen[k] = true
-	}
-	feasibleWithout := func(drop string) bool {
+	chosen := saturated
+	feasibleWithout := func(drop int32) bool {
 		for _, r := range lp.reqs {
-			covered := false
-			for _, tk := range r.path {
-				if tk != drop && chosen[tk] {
-					covered = true
-					break
-				}
-			}
-			if !covered {
+			if !slices.ContainsFunc(r.path, func(t int32) bool { return t != drop && chosen[t] }) {
 				return false
 			}
 		}
 		return true
 	}
 	for i := len(pickOrder) - 1; i >= 0; i-- {
-		tk := pickOrder[i]
-		if feasibleWithout(tk) {
-			delete(chosen, tk)
+		if t := pickOrder[i]; feasibleWithout(t) {
+			chosen[t] = false
 		}
 	}
-
-	byKey := make(map[string]relation.TupleID, len(lp.cands))
-	for _, id := range lp.cands {
-		byKey[id.Key()] = id
-	}
-	sol := &Solution{}
-	keys := make([]string, 0, len(chosen))
-	for k := range chosen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sol.Deleted = append(sol.Deleted, byKey[k])
-	}
-	return sol, nil
+	pickOrder = slices.DeleteFunc(pickOrder, func(t int32) bool { return !chosen[t] })
+	slices.Sort(pickOrder)
+	return &Solution{Deleted: tupleIDs(rq.x, pickOrder)}, nil
 }
 
 // dualLP is the aggregated LP of Section IV.C that PrimalDual and
@@ -150,78 +119,74 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 // the candidates, with the requests ordered by path length and then by
 // reference key.
 type dualLP struct {
-	cands    []relation.TupleID
-	capacity map[string]float64
+	capacity []float64 // by tuple id; filled for candidates only
 	reqs     []dualRequest
 }
 
 // dualRequest is one requested view tuple's packing constraint.
 type dualRequest struct {
-	key  string   // view.TupleRef key
-	path []string // sorted candidate tuple keys on the join path
+	ref  int32
+	path []int32 // candidate tuple ids on the join path, ascending
 }
 
-// buildDualLP builds the LP. restrictCandidates, if non-nil, limits the
-// deletable tuples; restrictPreserved, if non-nil, limits which preserved
-// view tuples contribute capacity (LowDegTree's two restrictions).
-// Capacities accumulate in PreservedRefs order, so the floating-point
-// sums are reproducible.
-func buildDualLP(p *Problem, restrictCandidates, restrictPreserved map[string]bool) *dualLP {
-	lp := &dualLP{capacity: make(map[string]float64)}
-	candSet := make(map[string]bool)
-	for _, id := range p.CandidateTuples() {
-		if restrictCandidates == nil || restrictCandidates[id.Key()] {
-			lp.cands = append(lp.cands, id)
-			candSet[id.Key()] = true
-		}
+// buildDualLP builds the LP. With lowDeg set, candidates joined in more
+// than τ preserved view tuples are not deletable, and preserved view
+// tuples wider than √‖V‖ base tuples contribute no capacity
+// (LowDegTree's two restrictions). A candidate's capacity sums its
+// preserved occurrences' shares in ascending ref id order, so the
+// floating-point sums are reproducible, and the work follows ΔV's
+// candidates, not ‖V‖.
+func buildDualLP(rq *requestRefs, lowDeg *LowDegTree) *dualLP {
+	x := rq.x
+	lp := &dualLP{capacity: make([]float64, x.NumTuples())}
+	width := math.Sqrt(float64(x.NumRefs()))
+	var barred []bool
+	if lowDeg != nil {
+		barred = make([]bool, x.NumTuples())
 	}
-	for _, ref := range p.PreservedRefs() {
-		if restrictPreserved != nil && !restrictPreserved[ref.Key()] {
-			continue
-		}
-		ans, _ := p.Answer(ref)
-		if len(ans.Derivations) == 0 {
-			continue
-		}
-		path := ans.Derivations[0].TupleSet()
-		share := p.Weight(ref) / float64(len(path))
-		for tk := range path {
-			if candSet[tk] {
-				lp.capacity[tk] += share
+	var occ []view.Occurrence
+	for _, t := range rq.cands {
+		occ = x.AppendOccurrences(occ[:0], t)
+		for _, o := range occ {
+			if rq.inDelta[o.Ref] {
+				continue
+			}
+			// Key-preserving: the ref's one derivation is its join path.
+			lo, _ := x.Derivations(o.Ref)
+			k := len(x.DerivTuples(lo))
+			if lowDeg == nil || float64(k) <= width {
+				lp.capacity[t] += rq.weight(o.Ref) / float64(k)
 			}
 		}
+		if lowDeg != nil && preservedDegree(rq, t) > lowDeg.Tau {
+			barred[t] = true
+		}
 	}
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok || len(ans.Derivations) == 0 {
-			continue
+	for _, r := range rq.delta {
+		lo, _ := x.Derivations(r)
+		path := x.DerivTuples(lo)
+		if lowDeg != nil {
+			path = slices.DeleteFunc(slices.Clone(path), func(t int32) bool { return barred[t] })
 		}
-		var path []string
-		for tk := range ans.Derivations[0].TupleSet() {
-			if candSet[tk] {
-				path = append(path, tk)
-			}
-		}
-		sort.Strings(path)
-		lp.reqs = append(lp.reqs, dualRequest{key: ref.Key(), path: path})
+		lp.reqs = append(lp.reqs, dualRequest{ref: r, path: path})
 	}
 	// Deterministic processing order; on forest instances order by path
 	// length then key, approximating the paper's depth ordering.
-	sort.Slice(lp.reqs, func(i, j int) bool {
-		if len(lp.reqs[i].path) != len(lp.reqs[j].path) {
-			return len(lp.reqs[i].path) < len(lp.reqs[j].path)
+	slices.SortFunc(lp.reqs, func(a, b dualRequest) int {
+		if c := cmp.Compare(len(a.path), len(b.path)); c != 0 {
+			return c
 		}
-		return lp.reqs[i].key < lp.reqs[j].key
+		return cmp.Compare(x.RefRank(a.ref), x.RefRank(b.ref))
 	})
 	return lp
 }
 
 // raise raises one request's dual by the minimum slack along its path,
 // adds it to the load of every tuple on the path, and returns it.
-func (lp *dualLP) raise(path []string, load map[string]float64) float64 {
+func (lp *dualLP) raise(path []int32, load []float64) float64 {
 	delta := -1.0
-	for _, tk := range path {
-		slack := lp.capacity[tk] - load[tk]
+	for _, t := range path {
+		slack := lp.capacity[t] - load[t]
 		if delta < 0 || slack < delta {
 			delta = slack
 		}
@@ -229,8 +194,8 @@ func (lp *dualLP) raise(path []string, load map[string]float64) float64 {
 	if delta < 0 {
 		delta = 0
 	}
-	for _, tk := range path {
-		load[tk] += delta
+	for _, t := range path {
+		load[t] += delta
 	}
 	return delta
 }

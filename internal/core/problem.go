@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,16 +164,6 @@ func (p *Problem) Index() *view.Index {
 	return p.skel.index
 }
 
-// occurrences returns the view tuples a base tuple participates in, in
-// (view, answer) order; none for a tuple no derivation uses.
-func occurrences(x *view.Index, id relation.TupleID) []view.Occurrence {
-	t, ok := x.LookupTuple(id)
-	if !ok {
-		return nil
-	}
-	return x.Occurrences(t)
-}
-
 // requestRefs is one request's ΔV and preservation weights resolved to
 // the index's ref ids, built once per solve so per-candidate work
 // compares ids instead of building string keys.
@@ -181,18 +172,28 @@ type requestRefs struct {
 	delta   []int32   // ΔV in insertion order
 	inDelta []bool    // by ref id
 	weights []float64 // by ref id; nil when every weight is 1
+	cands   []int32   // candidate tuple ids, ascending (see CandidateTuples)
 }
 
 // requestRefs resolves Delta and Weights against the index.
 func (p *Problem) requestRefs() *requestRefs {
 	x := p.Index()
-	rq := &requestRefs{x: x, inDelta: make([]bool, x.NumRefs())}
-	for _, ref := range p.Delta.Refs() {
-		if r, ok := x.LookupRef(ref); ok {
-			rq.delta = append(rq.delta, r)
-			rq.inDelta[r] = true
+	refs := p.Delta.Refs()
+	rq := &requestRefs{x: x, delta: make([]int32, 0, len(refs)), inDelta: make([]bool, x.NumRefs())}
+	for _, ref := range refs {
+		r, ok := x.LookupRef(ref)
+		if !ok {
+			continue
+		}
+		rq.delta = append(rq.delta, r)
+		rq.inDelta[r] = true
+		lo, hi := x.Derivations(r)
+		for i := range hi - lo {
+			rq.cands = append(rq.cands, x.DerivTuples(lo+i)...)
 		}
 	}
+	slices.Sort(rq.cands)
+	rq.cands = slices.Compact(rq.cands)
 	if p.Weights != nil {
 		rq.weights = make([]float64, x.NumRefs())
 		for r := range rq.weights {
@@ -200,6 +201,15 @@ func (p *Problem) requestRefs() *requestRefs {
 		}
 	}
 	return rq
+}
+
+// tupleIDs converts tuple ids back to base tuples.
+func tupleIDs(x *view.Index, ts []int32) []relation.TupleID {
+	out := make([]relation.TupleID, len(ts))
+	for i, t := range ts {
+		out[i] = x.Tuple(t)
+	}
+	return out
 }
 
 // weight returns the preservation weight of ref r.
@@ -229,21 +239,6 @@ func (p *Problem) SetWeight(ref view.TupleRef, w float64) {
 	p.Weights[ref.Key()] = w
 }
 
-// PreservedRefs returns V \ ΔV: every view tuple not requested for
-// deletion, in deterministic (view, answer) order.
-func (p *Problem) PreservedRefs() []view.TupleRef {
-	var out []view.TupleRef
-	for _, v := range p.Views {
-		for _, ans := range v.Result.Answers() {
-			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if !p.Delta.Contains(ref) {
-				out = append(out, ref)
-			}
-		}
-	}
-	return out
-}
-
 // TotalViewSize returns ‖V‖.
 func (p *Problem) TotalViewSize() int { return view.TotalSize(p.Views) }
 
@@ -263,28 +258,8 @@ func (p *Problem) Answer(ref view.TupleRef) (*cq.Answer, bool) {
 // any other deletion leaves ΔV intact and can only add collateral damage.
 // The result is sorted by tuple key for determinism.
 func (p *Problem) CandidateTuples() []relation.TupleID {
-	seen := make(map[string]relation.TupleID)
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok {
-			continue
-		}
-		for _, d := range ans.Derivations {
-			for k, id := range d.TupleSet() {
-				seen[k] = id
-			}
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]relation.TupleID, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
-	return out
+	rq := p.requestRefs()
+	return tupleIDs(rq.x, rq.cands)
 }
 
 // Solution is a proposed source deletion ΔD.
@@ -352,7 +327,14 @@ func (p *Problem) Evaluate(sol *Solution) Report {
 			deleted = append(deleted, t)
 		}
 	}
-	rep := Report{DeletedCount: len(sol.Deleted)}
+	return p.evaluate(deleted, len(sol.Deleted))
+}
+
+// evaluate is Evaluate for a deletion given as tuple ids (duplicates
+// harmless); count is |ΔD| as the caller counts it.
+func (p *Problem) evaluate(deleted []int32, count int) Report {
+	x := p.Index()
+	rep := Report{DeletedCount: count}
 	removedRequested := 0
 	for _, r := range x.Killed(deleted) {
 		ref := x.Ref(r)

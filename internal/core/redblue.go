@@ -6,6 +6,7 @@ import (
 
 	"delprop/internal/relation"
 	"delprop/internal/setcover"
+	"delprop/internal/view"
 )
 
 // redBlueEncoding is a Red-Blue Set Cover instance with one set per
@@ -44,17 +45,19 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 		NumBlue:    p.Delta.Len(),
 		RedWeights: redWeights,
 	}}
-	for _, id := range p.CandidateTuples() {
-		s := setcover.Set{Name: id.String()}
-		for _, occ := range occurrences(rq.x, id) {
-			if rq.inDelta[occ.Ref] {
-				s.Blues = append(s.Blues, elem[occ.Ref])
+	enc.tuples = tupleIDs(rq.x, rq.cands)
+	var occ []view.Occurrence
+	for i, t := range rq.cands {
+		s := setcover.Set{Name: enc.tuples[i].String()}
+		occ = rq.x.AppendOccurrences(occ[:0], t)
+		for _, o := range occ {
+			if rq.inDelta[o.Ref] {
+				s.Blues = append(s.Blues, elem[o.Ref])
 			} else {
-				s.Reds = append(s.Reds, elem[occ.Ref])
+				s.Reds = append(s.Reds, elem[o.Ref])
 			}
 		}
 		enc.inst.Sets = append(enc.inst.Sets, s)
-		enc.tuples = append(enc.tuples, id)
 	}
 	if err := enc.inst.Validate(); err != nil {
 		return nil, fmt.Errorf("core: red-blue encoding invalid: %w", err)

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"delprop/internal/cq"
 	"delprop/internal/relation"
 )
 
@@ -31,28 +29,33 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 		return nil, err
 	}
 	ref := p.Delta.Refs()[0]
-	ans, ok := p.Answer(ref)
-	if !ok || len(ans.Derivations) != 1 {
-		return nil, fmt.Errorf("core: requested view tuple %s has %d derivations, want 1", ref, len(ans.Derivations))
+	x := p.Index()
+	var lo, hi int32
+	if r, ok := x.LookupRef(ref); ok {
+		lo, hi = x.Derivations(r)
+	}
+	if hi-lo != 1 {
+		return nil, fmt.Errorf("core: requested view tuple %s has %d derivations, want 1", ref, hi-lo)
 	}
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
-	for _, id := range pathTuples(ans.Derivations[0]) {
+	// The path's tuples in key order, so that a pick among equal-cost
+	// tuples (and the incumbent trail leading to it) is canonical.
+	for _, t := range x.DerivTuples(lo) {
 		st.Checkpoint()
 		if err := checkCtx(ctx, s.Name(), best); err != nil {
 			return nil, err
 		}
 		st.AddNodes(1)
-		sol := &Solution{Deleted: []relation.TupleID{id}}
-		rep := p.Evaluate(sol)
+		rep := p.evaluate([]int32{t}, 1)
 		if !rep.Feasible {
 			// Cannot happen for a key-preserving single derivation;
 			// defensive.
 			continue
 		}
 		if best == nil || rep.SideEffect < bestCost {
-			best, bestCost = sol, rep.SideEffect
+			best, bestCost = &Solution{Deleted: []relation.TupleID{x.Tuple(t)}}, rep.SideEffect
 			st.Incumbent(bestCost, 1)
 		}
 	}
@@ -60,21 +63,4 @@ func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, er
 		return nil, fmt.Errorf("core: no feasible single-tuple deletion for %s", ref)
 	}
 	return best, nil
-}
-
-// pathTuples returns the distinct tuples of a join path in key order, so
-// that a pick among equal-cost tuples (and the incumbent trail leading to
-// it) does not follow map iteration order.
-func pathTuples(d cq.Derivation) []relation.TupleID {
-	set := d.TupleSet()
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]relation.TupleID, len(keys))
-	for i, k := range keys {
-		out[i] = set[k]
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"delprop/internal/relation"
 	"delprop/internal/setcover"
@@ -64,46 +65,40 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if max == 0 {
 		max = 26
 	}
-	cands := p.CandidateTuples()
-	if len(cands) > max {
-		return nil, fmt.Errorf("%w: %d candidates exceeds source-exact bound %d", ErrTooLarge, len(cands), max)
+	rq := p.requestRefs()
+	if len(rq.cands) > max {
+		return nil, fmt.Errorf("%w: %d candidates exceeds source-exact bound %d", ErrTooLarge, len(rq.cands), max)
 	}
-	enc := buildSourceCover(p, cands, s.Weights)
+	enc := buildSourceCover(rq, s.Weights)
 	sol, err := enc.inst.Exact(ctx, recorder(StatsFrom(ctx)))
 	return enc.result(ctx, s.Name(), sol, err)
 }
 
 // buildSourceCover encodes the source side-effect problem over the
 // candidate tuples as Red-Blue Set Cover (see SourceExact). Blues are
-// numbered in Delta.Refs() × derivation order and set i is cands[i].
-func buildSourceCover(p *Problem, cands []relation.TupleID, weights SourceWeights) *redBlueEncoding {
+// numbered in ΔV × derivation order and set i is candidate i.
+func buildSourceCover(rq *requestRefs, weights SourceWeights) *redBlueEncoding {
+	cands := rq.cands
 	inst := &setcover.Instance{
 		NumRed:     len(cands),
 		RedWeights: make([]float64, len(cands)),
 		Sets:       make([]setcover.Set, len(cands)),
 	}
-	idx := make(map[string]int, len(cands))
+	enc := &redBlueEncoding{inst: inst, tuples: tupleIDs(rq.x, cands)}
 	reds := make([]int, len(cands))
-	for i, id := range cands {
-		idx[id.Key()] = i
+	for i, id := range enc.tuples {
 		inst.RedWeights[i] = weights.weightOf(id)
 		reds[i] = i
 		inst.Sets[i].Reds = reds[i : i+1 : i+1]
 	}
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok {
-			continue
+	for _, path := range rq.paths() {
+		for _, t := range path {
+			i, _ := slices.BinarySearch(cands, t)
+			inst.Sets[i].Blues = append(inst.Sets[i].Blues, inst.NumBlue)
 		}
-		for _, d := range ans.Derivations {
-			for k := range d.TupleSet() {
-				set := &inst.Sets[idx[k]]
-				set.Blues = append(set.Blues, inst.NumBlue)
-			}
-			inst.NumBlue++
-		}
+		inst.NumBlue++
 	}
-	return &redBlueEncoding{inst: inst, tuples: cands}
+	return enc
 }
 
 // SourceGreedy is the classic ln(n)-approximation for the hitting set:
@@ -118,25 +113,14 @@ func (s *SourceGreedy) Name() string { return "source-greedy" }
 
 // Solve implements Solver.
 func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	cands := p.CandidateTuples()
-	type path struct {
-		tuples map[string]bool
-		hit    bool
+	rq := p.requestRefs()
+	cands := tupleIDs(rq.x, rq.cands)
+	weights := make([]float64, len(cands))
+	for i, id := range cands {
+		weights[i] = s.Weights.weightOf(id)
 	}
-	var paths []*path
-	for _, ref := range p.Delta.Refs() {
-		ans, ok := p.Answer(ref)
-		if !ok {
-			continue
-		}
-		for _, d := range ans.Derivations {
-			pt := &path{tuples: make(map[string]bool)}
-			for k := range d.TupleSet() {
-				pt.tuples[k] = true
-			}
-			paths = append(paths, pt)
-		}
-	}
+	paths := rq.paths()
+	hit := make([]bool, len(paths))
 	st := StatsFrom(ctx)
 	remaining := len(paths)
 	sol := &Solution{}
@@ -146,18 +130,18 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 			return nil, err
 		}
 		best, bestScore := -1, -1.0
-		for i, id := range cands {
+		for i, t := range rq.cands {
 			st.AddNodes(1)
 			hits := 0
-			for _, pt := range paths {
-				if !pt.hit && pt.tuples[id.Key()] {
+			for pi, path := range paths {
+				if !hit[pi] && slices.Contains(path, t) {
 					hits++
 				}
 			}
 			if hits == 0 {
 				continue
 			}
-			score := float64(hits) / s.Weights.weightOf(id)
+			score := float64(hits) / weights[i]
 			if score > bestScore {
 				bestScore, best = score, i
 			}
@@ -165,16 +149,28 @@ func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		if best == -1 {
 			return nil, fmt.Errorf("core: source-greedy stuck with %d derivations unhit", remaining)
 		}
-		id := cands[best]
-		sol.Deleted = append(sol.Deleted, id)
-		for _, pt := range paths {
-			if !pt.hit && pt.tuples[id.Key()] {
-				pt.hit = true
+		sol.Deleted = append(sol.Deleted, cands[best])
+		for pi, path := range paths {
+			if !hit[pi] && slices.Contains(path, rq.cands[best]) {
+				hit[pi] = true
 				remaining--
 			}
 		}
 	}
 	return sol, nil
+}
+
+// paths returns the distinct tuple ids of every derivation of every
+// requested view tuple, in ΔV × derivation order.
+func (rq *requestRefs) paths() [][]int32 {
+	var out [][]int32
+	for _, r := range rq.delta {
+		lo, hi := rq.x.Derivations(r)
+		for i := range hi - lo {
+			out = append(out, rq.x.DerivTuples(lo+i))
+		}
+	}
+	return out
 }
 
 // SourceSingleQueryExact is the named baseline for the source side-effect
@@ -199,12 +195,12 @@ func (s *SourceSingleQueryExact) Solve(ctx context.Context, p *Problem) (*Soluti
 		return nil, err
 	}
 	if p.Delta.Len() == 1 {
-		ref := p.Delta.Refs()[0]
-		ans, ok := p.Answer(ref)
-		if !ok || len(ans.Derivations) != 1 {
-			return nil, fmt.Errorf("core: unexpected provenance for %s", ref)
+		rq := p.requestRefs()
+		paths := rq.paths()
+		if len(paths) != 1 {
+			return nil, fmt.Errorf("core: unexpected provenance for %s", p.Delta.Refs()[0])
 		}
-		return &Solution{Deleted: pathTuples(ans.Derivations[0])[:1]}, nil
+		return &Solution{Deleted: []relation.TupleID{rq.x.Tuple(paths[0][0])}}, nil
 	}
 	return (&SourceExact{}).Solve(ctx, p)
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-
-	"delprop/internal/relation"
+	"slices"
 )
 
 // Unidimensional implements the algorithm behind the Table IV tractable
@@ -69,6 +67,7 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 	q := p.Queries[0]
 	ref := p.Delta.Refs()[0]
 	ans, _ := p.Answer(ref)
+	x := p.Index()
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
@@ -80,17 +79,15 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		st.AddNodes(1)
 		// The unidimensional candidate for atom ai: every fact this atom
 		// matches in a derivation of the requested answer.
-		seen := make(map[string]relation.TupleID)
+		var ts []int32
 		for _, d := range ans.Derivations {
-			id := d[ai]
-			seen[id.Key()] = id
+			t, _ := x.LookupTuple(d[ai])
+			ts = append(ts, t)
 		}
-		sol := &Solution{}
-		for _, id := range seen {
-			sol.Deleted = append(sol.Deleted, id)
-		}
-		sortSolution(sol)
-		rep := p.Evaluate(sol)
+		slices.Sort(ts)
+		ts = slices.Compact(ts)
+		sol := &Solution{Deleted: tupleIDs(x, ts)}
+		rep := p.evaluate(ts, len(ts))
 		if !rep.Feasible {
 			// Deleting every fact the atom contributes always kills every
 			// derivation; infeasibility would be a logic bug.
@@ -106,11 +103,4 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		return nil, fmt.Errorf("core: query has no atoms")
 	}
 	return best, nil
-}
-
-// sortSolution orders deletions by key for determinism.
-func sortSolution(sol *Solution) {
-	sort.Slice(sol.Deleted, func(i, j int) bool {
-		return sol.Deleted[i].Key() < sol.Deleted[j].Key()
-	})
 }

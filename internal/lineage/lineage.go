@@ -165,7 +165,7 @@ func AffectedBy(views []*view.View, id relation.TupleID) []view.TupleRef {
 		return nil
 	}
 	var out []view.TupleRef
-	for _, occ := range idx.Occurrences(t) {
+	for _, occ := range idx.AppendOccurrences(nil, t) {
 		out = append(out, idx.Ref(occ.Ref))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })

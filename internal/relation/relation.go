@@ -10,6 +10,7 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -110,6 +111,13 @@ func (id TupleID) AppendKey(dst []byte) []byte {
 	dst = append(dst, id.Relation...)
 	dst = append(dst, '|')
 	return id.Tuple.AppendEncode(dst)
+}
+
+// CompareKey orders id and o as their Key strings compare, without
+// building them.
+func (id TupleID) CompareKey(o TupleID) int {
+	var a, b [64]byte
+	return bytes.Compare(id.AppendKey(a[:0]), o.AppendKey(b[:0]))
 }
 
 // Equal reports whether id and o name the same base tuple.

@@ -287,11 +287,11 @@ func TestMaintainerMatchesRecount(t *testing.T) {
 	}
 }
 
-// TestIndexKilledMatchesSurvives: Killed returns, ascending, exactly the
-// view tuples Survives declares dead, for random deletion lists with
-// duplicates.
-func TestIndexKilledMatchesSurvives(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+// indexViews materializes, over recountDB(rng), the views the index tests
+// share: a projecting join, the same join unprojected, and a projecting
+// self-join.
+func indexViews(t *testing.T, rng *rand.Rand) (*relation.Instance, []*View) {
+	t.Helper()
 	db := recountDB(rng)
 	views, err := Materialize([]*cq.Query{
 		cq.MustParse("Q(x) :- A(x, y), B(y, z)"),
@@ -301,6 +301,51 @@ func TestIndexKilledMatchesSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return db, views
+}
+
+// TestIndexKeyOrderAndDerivationTuples: tuple ids ascend in TupleID.Key
+// order, and each derivation's run in the derivation → tuple CSR is the
+// key-sorted keys of its Derivation.TupleSet.
+func TestIndexKeyOrderAndDerivationTuples(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		_, views := indexViews(t, rand.New(rand.NewSource(seed)))
+		idx := BuildIndex(views)
+		for ti := int32(1); ti < int32(idx.NumTuples()); ti++ {
+			if a, b := idx.Tuple(ti-1).Key(), idx.Tuple(ti).Key(); a >= b {
+				t.Fatalf("seed %d: tuple %d key %q, tuple %d key %q", seed, ti-1, a, ti, b)
+			}
+		}
+		for r := int32(0); r < int32(idx.NumRefs()); r++ {
+			ref := idx.Ref(r)
+			ans, _ := views[ref.View].Result.Lookup(ref.Tuple)
+			lo, hi := idx.Derivations(r)
+			if int(hi-lo) != len(ans.Derivations) {
+				t.Fatalf("seed %d %s: %d derivation ids, %d derivations", seed, ref, hi-lo, len(ans.Derivations))
+			}
+			for i, d := range ans.Derivations {
+				var want, got []string
+				for k := range d.TupleSet() {
+					want = append(want, k)
+				}
+				sort.Strings(want)
+				for _, ti := range idx.DerivTuples(lo + int32(i)) {
+					got = append(got, idx.Tuple(ti).Key())
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d %s derivation %d: CSR run %v, want %v", seed, ref, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexKilledMatchesSurvives: Killed returns, ascending, exactly the
+// view tuples Survives declares dead, for random deletion lists with
+// duplicates.
+func TestIndexKilledMatchesSurvives(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db, views := indexViews(t, rng)
 	idx := BuildIndex(views)
 	all := db.AllTuples()
 	for trial := 0; trial < 200; trial++ {

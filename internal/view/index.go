@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"strings"
 
 	"delprop/internal/relation"
 )
@@ -14,16 +15,17 @@ import (
 // be easily performed by finding the occurrences of key values of the
 // deleted relation tuples in the view".
 //
-// Base tuples that occur in some derivation get tuple ids 0..NumTuples()-1
-// in first-occurrence order; view tuples get ref ids 0..NumRefs()-1 in
-// (view, answer) order; derivations get ids in (ref, derivation) order, so
+// Base tuples that occur in some derivation get tuple ids
+// 0..NumTuples()-1 in TupleID.Key order, so "sorted by key" is
+// "ascending id"; view tuples get ref ids 0..NumRefs()-1 in (view,
+// answer) order; derivations get ids in (ref, derivation) order, so
 // every ref owns one contiguous run of derivation ids. An Index is
 // immutable once built and safe for concurrent use.
 type Index struct {
-	views   []*View
-	tupleOf map[string]int32   // TupleID.Key -> tuple id
-	tuples  []relation.TupleID // tuple id -> base tuple
-	refs    []TupleRef         // ref id -> view tuple
+	views  []*View
+	keys   []string           // tuple id -> TupleID.Key, ascending
+	tuples []relation.TupleID // tuple id -> base tuple
+	refs   []TupleRef         // ref id -> view tuple
 	// refRank[r] is the rank of refs[r].Key() among all ref keys. Delete
 	// and Undelete report refs in this order, which is string order, not
 	// ref id order: "10|…" sorts before "2|…".
@@ -34,6 +36,10 @@ type Index struct {
 	// refDerivs[r]..refDerivs[r+1] are ref r's derivation ids.
 	refDerivs []int32
 	derivRef  []int32 // derivation id -> ref id
+	// derivTuple[derivStart[d]:derivStart[d+1]] lists, ascending, the
+	// distinct tuples of derivation d.
+	derivStart []int32
+	derivTuple []int32
 	// occDeriv[occStart[t]:occStart[t+1]] lists, ascending, the
 	// derivations tuple t occurs in, each once however many atoms of the
 	// derivation it matches.
@@ -43,12 +49,11 @@ type Index struct {
 
 // BuildIndex interns the views' provenance.
 func BuildIndex(views []*View) *Index {
-	x := &Index{views: views, tupleOf: make(map[string]int32), refDerivs: []int32{0}}
+	x := &Index{views: views, refDerivs: []int32{0}, derivStart: []int32{0}}
 	var (
-		key         []byte
-		occCount    []int32 // per tuple: derivations it occurs in
-		derivTuples []int32 // per derivation, its distinct tuple ids
-		derivStart  = []int32{0}
+		buf       []byte
+		keys      []string // first-seen tuple number -> TupleID.Key
+		firstSeen = make(map[string]int32)
 	)
 	for _, v := range views {
 		x.viewStart = append(x.viewStart, int32(len(x.refs)))
@@ -57,55 +62,82 @@ func BuildIndex(views []*View) *Index {
 			x.refs = append(x.refs, TupleRef{View: v.Index, Tuple: ans.Tuple})
 			for _, d := range ans.Derivations {
 				x.derivRef = append(x.derivRef, r)
-				start := len(derivTuples)
+				start := len(x.derivTuple)
 				for _, id := range d {
-					key = id.AppendKey(key[:0])
-					t, ok := x.tupleOf[string(key)]
+					buf = id.AppendKey(buf[:0])
+					t, ok := firstSeen[string(buf)]
 					if !ok {
-						t = int32(len(x.tuples))
-						x.tupleOf[string(key)] = t
+						t = int32(len(keys))
+						k := string(buf)
+						firstSeen[k] = t
+						keys = append(keys, k)
 						x.tuples = append(x.tuples, id)
-						occCount = append(occCount, 0)
 					}
-					if !slices.Contains(derivTuples[start:], t) {
-						derivTuples = append(derivTuples, t)
-						occCount[t]++
+					if !slices.Contains(x.derivTuple[start:], t) {
+						x.derivTuple = append(x.derivTuple, t)
 					}
 				}
-				derivStart = append(derivStart, int32(len(derivTuples)))
+				x.derivStart = append(x.derivStart, int32(len(x.derivTuple)))
 			}
 			x.refDerivs = append(x.refDerivs, int32(len(x.derivRef)))
 		}
 	}
 	x.viewStart = append(x.viewStart, int32(len(x.refs)))
 
+	// Renumber tuples in key order and sort every derivation's run.
+	rank := make([]int32, len(keys))
+	x.keys = make([]string, len(keys))
+	tuples := make([]relation.TupleID, len(keys))
+	for t, seen := range keyOrder(keys) {
+		rank[seen] = int32(t)
+		x.keys[t] = keys[seen]
+		tuples[t] = x.tuples[seen]
+	}
+	x.tuples = tuples
+	for i, t := range x.derivTuple {
+		x.derivTuple[i] = rank[t]
+	}
+	for d := range x.derivRef {
+		slices.Sort(x.derivTuple[x.derivStart[d]:x.derivStart[d+1]])
+	}
+
 	// Counting sort of (tuple, derivation) pairs by tuple; walking
 	// derivations in id order leaves each tuple's run ascending.
 	x.occStart = make([]int32, len(x.tuples)+1)
-	for t, c := range occCount {
-		x.occStart[t+1] = x.occStart[t] + c
+	for _, t := range x.derivTuple {
+		x.occStart[t+1]++
 	}
-	x.occDeriv = make([]int32, len(derivTuples))
+	for t := range x.tuples {
+		x.occStart[t+1] += x.occStart[t]
+	}
+	x.occDeriv = make([]int32, len(x.derivTuple))
 	fill := slices.Clone(x.occStart[:len(x.tuples)])
 	for d := range x.derivRef {
-		for _, t := range derivTuples[derivStart[d]:derivStart[d+1]] {
+		for _, t := range x.DerivTuples(int32(d)) {
 			x.occDeriv[fill[t]] = int32(d)
 			fill[t]++
 		}
 	}
 
-	keys := make([]string, len(x.refs))
-	byKey := make([]int32, len(x.refs))
+	refKeys := make([]string, len(x.refs))
 	for r, ref := range x.refs {
-		keys[r] = ref.Key()
-		byKey[r] = int32(r)
+		refKeys[r] = ref.Key()
 	}
-	sort.Slice(byKey, func(i, j int) bool { return keys[byKey[i]] < keys[byKey[j]] })
 	x.refRank = make([]int32, len(x.refs))
-	for rank, r := range byKey {
+	for rank, r := range keyOrder(refKeys) {
 		x.refRank[r] = int32(rank)
 	}
 	return x
+}
+
+// keyOrder returns the indexes of keys sorted by key.
+func keyOrder(keys []string) []int32 {
+	order := make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	return order
 }
 
 // NumTuples returns the number of base tuples occurring in some
@@ -115,12 +147,13 @@ func (x *Index) NumTuples() int { return len(x.tuples) }
 // NumRefs returns ‖V‖, the number of view tuples.
 func (x *Index) NumRefs() int { return len(x.refs) }
 
-// LookupTuple returns the tuple id of a base tuple; ok is false when the
-// tuple occurs in no derivation.
+// LookupTuple returns the tuple id of a base tuple, a binary search over
+// the sorted keys; ok is false when the tuple occurs in no derivation.
 func (x *Index) LookupTuple(id relation.TupleID) (t int32, ok bool) {
 	var buf [64]byte
-	t, ok = x.tupleOf[string(id.AppendKey(buf[:0]))]
-	return t, ok
+	key := id.AppendKey(buf[:0])
+	i := sort.Search(len(x.keys), func(i int) bool { return x.keys[i] >= string(key) })
+	return int32(i), i < len(x.keys) && x.keys[i] == string(key)
 }
 
 // Tuple returns the base tuple behind a tuple id.
@@ -142,6 +175,22 @@ func (x *Index) LookupRef(ref TupleRef) (r int32, ok bool) {
 // Ref returns the view tuple behind a ref id.
 func (x *Index) Ref(r int32) TupleRef { return x.refs[r] }
 
+// RefRank returns ref r's position among all view tuples in
+// TupleRef.Key order.
+func (x *Index) RefRank(r int32) int32 { return x.refRank[r] }
+
+// Derivations returns the derivation ids [lo, hi) of ref r, in the order
+// of its answer's Derivations.
+func (x *Index) Derivations(r int32) (lo, hi int32) { return x.refDerivs[r], x.refDerivs[r+1] }
+
+// DerivTuples returns the distinct tuples of derivation d, ascending —
+// that is, in key order. The slice is the index's own; callers must not
+// modify it.
+func (x *Index) DerivTuples(d int32) []int32 {
+	lo, hi := x.derivStart[d], x.derivStart[d+1]
+	return x.derivTuple[lo:hi:hi]
+}
+
 // Occurrence records that a base tuple participates in (a derivation of) a
 // view tuple.
 type Occurrence struct {
@@ -152,10 +201,9 @@ type Occurrence struct {
 	Critical bool
 }
 
-// Occurrences returns the view tuples tuple t participates in, in
-// ascending ref id order.
-func (x *Index) Occurrences(t int32) []Occurrence {
-	var out []Occurrence
+// AppendOccurrences appends to dst the view tuples tuple t participates
+// in, in ascending ref id order, and returns the extended slice.
+func (x *Index) AppendOccurrences(dst []Occurrence, t int32) []Occurrence {
 	run := x.occDeriv[x.occStart[t]:x.occStart[t+1]]
 	for i := 0; i < len(run); {
 		r := x.derivRef[run[i]]
@@ -163,10 +211,10 @@ func (x *Index) Occurrences(t int32) []Occurrence {
 		for j < len(run) && x.derivRef[run[j]] == r {
 			j++
 		}
-		out = append(out, Occurrence{Ref: r, Critical: int32(j-i) == x.numDerivs(r)})
+		dst = append(dst, Occurrence{Ref: r, Critical: int32(j-i) == x.numDerivs(r)})
 		i = j
 	}
-	return out
+	return dst
 }
 
 // Killed returns, in ascending ref id order, the view tuples that no

@@ -6,9 +6,10 @@
 // ("finding the occurrences of key values of the deleted relation tuples
 // in the view").
 //
-// The Index interns every base tuple that occurs in a derivation and every
-// view tuple to dense int32 ids, and stores which derivations each base
-// tuple occurs in as flat offset and id arrays. It is immutable once
+// The Index interns every base tuple that occurs in a derivation (in key
+// order) and every view tuple to dense int32 ids, and stores each
+// derivation's tuples and each base tuple's derivations as flat offset
+// and id arrays. It is immutable once
 // built, so one Index serves every request on the same (D, Q); a
 // Maintainer is three counter slices over it, which makes NewMaintainer
 // and Clone a few allocations and copies. String keys (TupleID.Key,

@@ -181,7 +181,7 @@ func TestInvertedIndex(t *testing.T) {
 	idx := BuildIndex(views)
 	// Every base tuple participates in some view tuple here.
 	for _, id := range db.AllTuples() {
-		if len(idx.Occurrences(mustTuple(t, idx, id))) == 0 {
+		if len(idx.AppendOccurrences(nil, mustTuple(t, idx, id))) == 0 {
 			t.Errorf("%s has no occurrences", id)
 		}
 	}
@@ -190,7 +190,7 @@ func TestInvertedIndex(t *testing.T) {
 	}
 	// T1(John,TKDE) occurs in John/XML (non-critical: TODS path exists) and
 	// John/CUBE (critical).
-	occ := idx.Occurrences(mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}))
+	occ := idx.AppendOccurrences(nil, mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}))
 	if len(occ) != 2 {
 		t.Fatalf("occurrences = %v", occ)
 	}
@@ -232,7 +232,7 @@ func TestInvertedIndexKeyPreservingAllCritical(t *testing.T) {
 	views, _ := Materialize(qs, db)
 	idx := BuildIndex(views)
 	for _, id := range db.AllTuples() {
-		for _, o := range idx.Occurrences(mustTuple(t, idx, id)) {
+		for _, o := range idx.AppendOccurrences(nil, mustTuple(t, idx, id)) {
 			if !o.Critical {
 				t.Errorf("key-preserving view has non-critical occurrence: %v in %v", id, idx.Ref(o.Ref))
 			}
