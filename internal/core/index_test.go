@@ -168,15 +168,49 @@ func TestWarmPivotAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkNewProblemWarmNP measures registering bibliography-np:
-// materializing the views and building the provenance index.
-func BenchmarkNewProblemWarmNP(b *testing.B) {
+// loadWorkloads are bench/load's four registration instances, built with
+// its generator configs.
+func loadWorkloads() []struct {
+	name string
+	w    *workload.Workload
+} {
+	return []struct {
+		name string
+		w    *workload.Workload
+	}{
+		{"chain", workload.Chain(workload.ChainConfig{Seed: 7, Length: 6, Domain: 4, RowsPerRelation: 200, Queries: 5, MaxSpan: 3})},
+		{"bibliography", workload.Bibliography(workload.BibliographyConfig{Seed: 7, Authors: 60, Journals: 12, Topics: 8, PapersPerAuthor: 4, TopicsPerJournal: 3})},
+		{"pivot", workload.Pivot(workload.PivotConfig{Seed: 7, Roots: 200, ChildrenPerRoot: 3, GrandPerChild: 2, Depth3: true})},
+		{"bibliography-np", warmNPWorkload()},
+	}
+}
+
+// TestNewProblemAllocs: registering bibliography-np compiles each query's
+// join once and stores answers, derivations and the index in flat arrays,
+// so its allocations do not grow with the number of answers.
+func TestNewProblemAllocs(t *testing.T) {
 	w := warmNPWorkload()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	if n := testing.AllocsPerRun(5, func() {
 		if _, err := NewProblem(w.DB, w.Queries, nil); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+	}); n > 10000 {
+		t.Errorf("NewProblem allocates %v times per call, want <= 10000", n)
+	}
+}
+
+// BenchmarkNewProblem measures registering each bench/load instance:
+// materializing the views and building the provenance index.
+func BenchmarkNewProblem(b *testing.B) {
+	for _, lw := range loadWorkloads() {
+		b.Run(lw.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewProblem(lw.w.DB, lw.w.Queries, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

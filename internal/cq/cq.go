@@ -2,9 +2,14 @@
 // II.B of the paper: a query Q(y1..yk) :- T1(..), .., Tq(..) with head
 // variables, existential variables and constants, together with the
 // syntactic predicates the paper's dichotomies are stated over
-// (project-free, self-join-free, key-preserving) and an index-backed join
-// evaluator that returns every answer with its full provenance (the set of
-// base tuples on the answer's join path).
+// (project-free, self-join-free, key-preserving) and a join evaluator that
+// returns every answer with its full provenance (the base tuples on the
+// answer's join path).
+//
+// Evaluate compiles each query once against the instance: atoms in join
+// order, variables in numbered slots, and per atom a hash index on the
+// positions bound when the join reaches it. The answers, head values and
+// derivations of a Result live in exact-size flat arrays.
 package cq
 
 import (

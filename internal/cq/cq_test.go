@@ -539,6 +539,8 @@ func TestEvaluateAgainstNaive(t *testing.T) {
 		"Q(x, y, z, w) :- R(x, y), S(z, w)",
 		"Q(x) :- R(x, x)",
 		"Q(y) :- R('0', y)",
+		"Q(x, x) :- R(x, y)",
+		"Q(x, y) :- R(x, y), S(x, y)",
 	} {
 		checkAgainstNaive(t, "collisions", MustParse(src), db)
 	}

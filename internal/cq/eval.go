@@ -1,7 +1,9 @@
 package cq
 
 import (
-	"fmt"
+	"bytes"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,11 +68,20 @@ type Answer struct {
 }
 
 // Result is the materialized result of evaluating a query: Q(D) plus
-// provenance.
+// provenance. Answers, head values, derivations and their base tuples are
+// carved out of exact-size backing arrays, and a head tuple finds its
+// answer through an open-addressing table over the head encodings.
 type Result struct {
 	Query   *Query
-	answers []*Answer      // first-derived order
-	pos     map[string]int // head tuple Encode -> index into answers
+	answers []Answer // first-derived order
+	// keys[keyOff[i]:keyOff[i+1]] is answer i's head tuple in
+	// Tuple.AppendEncode form.
+	keys   []byte
+	keyOff []int32
+	// slots is a hash table at most half full, probed linearly: each slot
+	// holds an answer index plus one, or zero when empty.
+	slots []int32
+	seed  maphash.Seed
 }
 
 // NumAnswers returns |Q(D)|.
@@ -78,21 +89,25 @@ func (r *Result) NumAnswers() int { return len(r.answers) }
 
 // Answers returns all answers in first-derived order.
 func (r *Result) Answers() []*Answer {
-	return append([]*Answer(nil), r.answers...)
+	out := make([]*Answer, len(r.answers))
+	for i := range r.answers {
+		out[i] = &r.answers[i]
+	}
+	return out
 }
 
 // Position returns the index of the head tuple's answer in first-derived
 // order, if it is an answer.
 func (r *Result) Position(t relation.Tuple) (int, bool) {
 	var buf [64]byte
-	i, ok := r.pos[string(t.AppendEncode(buf[:0]))]
-	return i, ok
+	i, _ := r.find(t.AppendEncode(buf[:0]))
+	return int(i), i >= 0
 }
 
 // Lookup returns the answer for the given head tuple, if present.
 func (r *Result) Lookup(t relation.Tuple) (*Answer, bool) {
 	if i, ok := r.Position(t); ok {
-		return r.answers[i], true
+		return &r.answers[i], true
 	}
 	return nil, false
 }
@@ -101,6 +116,12 @@ func (r *Result) Lookup(t relation.Tuple) (*Answer, bool) {
 func (r *Result) Contains(t relation.Tuple) bool {
 	_, ok := r.Position(t)
 	return ok
+}
+
+// CompareAnswers orders answers i and j as their head tuples' Encode forms
+// compare.
+func (r *Result) CompareAnswers(i, j int) int {
+	return bytes.Compare(r.key(int32(i)), r.key(int32(j)))
 }
 
 // Tuples returns the answer tuples in first-derived order.
@@ -122,25 +143,69 @@ func (r *Result) String() string {
 	return r.Query.Name + "(D) = {" + strings.Join(lines, ", ") + "}"
 }
 
+// key returns answer i's head encoding.
+func (r *Result) key(i int32) []byte { return r.keys[r.keyOff[i]:r.keyOff[i+1]] }
+
+// find returns the answer whose head encoding is key, or -1 and the empty
+// slot where that answer belongs.
+func (r *Result) find(key []byte) (ans int32, slot int) {
+	if len(r.slots) == 0 {
+		return -1, 0
+	}
+	mask := len(r.slots) - 1
+	for i := int(maphash.Bytes(r.seed, key)) & mask; ; i = (i + 1) & mask {
+		s := r.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if bytes.Equal(r.key(s-1), key) {
+			return s - 1, i
+		}
+	}
+}
+
+// add appends an answer with head encoding key, which must not be present,
+// growing the table first if it would pass half full, and returns its
+// index.
+func (r *Result) add(key []byte) int32 {
+	n := int32(len(r.keyOff) - 1)
+	if 2*int(n+1) > len(r.slots) {
+		r.slots = make([]int32, max(8, 2*len(r.slots)))
+		for i := int32(0); i < n; i++ {
+			_, slot := r.find(r.key(i))
+			r.slots[slot] = i + 1
+		}
+	}
+	_, slot := r.find(key)
+	r.slots[slot] = n + 1
+	r.keys = append(r.keys, key...)
+	r.keyOff = append(r.keyOff, int32(len(r.keys)))
+	return n
+}
+
 // Evaluate computes Q(D) with provenance. The query must be valid for the
 // instance's schemas (Validate); Evaluate re-checks and returns the
 // validation error otherwise.
 //
-// The evaluator is an index-backed backtracking join: atoms are reordered
-// greedily (most bound variables first, smaller relations breaking ties),
-// and for each atom a hash index on its bound positions is built once and
-// reused across the whole evaluation.
+// The evaluator is a backtracking join over a plan compiled once per call
+// (compile): atoms in a greedy order, variables in numbered slots, and per
+// atom a hash index on the positions bound when it is reached.
 func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 	if err := q.Validate(InstanceSchemas(db)); err != nil {
 		return nil, err
 	}
-	ev := &evaluator{
-		q:       q,
-		db:      db,
-		indexes: make(map[string]*relation.Index),
-		res:     &Result{Query: q, pos: make(map[string]int)},
+	pl := compile(q, db)
+	for i := range pl.steps {
+		pl.steps[i].buildIndex()
 	}
-	ev.run()
+	ev := &evaluator{
+		plan: pl,
+		res:  &Result{Query: q, keyOff: []int32{0}, seed: maphash.MakeSeed()},
+		vals: make([]relation.Value, pl.slots),
+		cur:  make([]int32, len(q.Body)),
+	}
+	ev.join(0)
+	ev.finish()
 	return ev.res, nil
 }
 
@@ -154,207 +219,113 @@ func MustEvaluate(q *Query, db *relation.Instance) *Result {
 	return r
 }
 
-// ExplainPlan reports the atom evaluation order the backtracking evaluator
-// would pick for this query over this instance, one step per line with the
-// relation cardinalities — the EXPLAIN counterpart for debugging slow
-// workloads.
-func ExplainPlan(q *Query, db *relation.Instance) (string, error) {
-	if err := q.Validate(InstanceSchemas(db)); err != nil {
-		return "", err
-	}
-	ev := &evaluator{q: q, db: db}
-	order := ev.planOrder()
-	var b strings.Builder
-	bound := make(map[string]bool)
-	for step, ai := range order {
-		a := q.Body[ai]
-		nb := 0
-		for _, t := range a.Terms {
-			if !t.IsVar() || bound[t.Var] {
-				nb++
-			}
-		}
-		fmt.Fprintf(&b, "%d. %s  (|%s|=%d, %d/%d positions bound)\n",
-			step+1, a, a.Relation, db.Relation(a.Relation).Len(), nb, len(a.Terms))
-		for _, v := range a.Vars() {
-			bound[v] = true
-		}
-	}
-	return b.String(), nil
-}
-
 type evaluator struct {
-	q       *Query
-	db      *relation.Instance
-	indexes map[string]*relation.Index // keyed by relation + positions
-	res     *Result
-
-	order      []int // atom evaluation order (indexes into q.Body)
-	assignment map[string]relation.Value
-	derivation Derivation     // per original body position
-	head       relation.Tuple // emit's scratch head tuple
-	key        []byte         // emit's scratch head encoding
+	*plan
+	res  *Result
+	vals []relation.Value // slot values of the current partial match
+	// cur is the current match by plan step, each step's tuple as an
+	// index into its tuples.
+	cur []int32
+	buf []byte // probe and head-encoding scratch
+	// Growable scratch that finish turns into the result's exact-size
+	// arrays: per derivation, in the order derived, its answer and its
+	// cur, and per answer its first derivation.
+	derivAns   []int32
+	derivTup   []int32
+	firstDeriv []int32
 }
 
-func (ev *evaluator) run() {
-	ev.order = ev.planOrder()
-	ev.assignment = make(map[string]relation.Value)
-	ev.derivation = make(Derivation, len(ev.q.Body))
-	ev.head = make(relation.Tuple, len(ev.q.Head))
-	ev.join(0)
-}
-
-// planOrder picks an atom order greedily: repeatedly take the atom with the
-// most already-bound variables; ties broken by smaller relation, then body
-// position (determinism).
-func (ev *evaluator) planOrder() []int {
-	n := len(ev.q.Body)
-	used := make([]bool, n)
-	bound := make(map[string]bool)
-	var order []int
-	for len(order) < n {
-		best, bestBound, bestSize := -1, -1, 0
-		for i, a := range ev.q.Body {
-			if used[i] {
-				continue
-			}
-			nb := 0
-			for _, t := range a.Terms {
-				if !t.IsVar() || bound[t.Var] {
-					nb++
-				}
-			}
-			size := ev.db.Relation(a.Relation).Len()
-			if best == -1 || nb > bestBound || (nb == bestBound && size < bestSize) {
-				best, bestBound, bestSize = i, nb, size
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, v := range ev.q.Body[best].Vars() {
-			bound[v] = true
-		}
-	}
-	return order
-}
-
-// candidates returns the tuples of atom a consistent with the current
-// assignment, using (and caching) an index on the bound positions.
-func (ev *evaluator) candidates(a Atom) []relation.Tuple {
-	var boundPos []int
-	var key relation.Tuple
-	for p, t := range a.Terms {
-		if !t.IsVar() {
-			boundPos = append(boundPos, p)
-			key = append(key, t.Const)
-		} else if v, ok := ev.assignment[t.Var]; ok {
-			boundPos = append(boundPos, p)
-			key = append(key, v)
-		}
-	}
-	rel := ev.db.Relation(a.Relation)
-	if len(boundPos) == 0 {
-		return rel.Tuples()
-	}
-	ik := indexKey(a.Relation, boundPos)
-	idx, ok := ev.indexes[ik]
-	if !ok {
-		idx = relation.BuildIndex(rel, boundPos)
-		ev.indexes[ik] = idx
-	}
-	return idx.Lookup(key)
-}
-
-func indexKey(rel string, positions []int) string {
-	var b strings.Builder
-	b.WriteString(rel)
-	for _, p := range positions {
-		fmt.Fprintf(&b, ",%d", p)
-	}
-	return b.String()
-}
-
-// join extends the current partial match with the step-th atom in plan
-// order, recursing to enumerate all matches.
-func (ev *evaluator) join(step int) {
-	if step == len(ev.order) {
+// join extends the current partial match with plan step i, recursing to
+// enumerate all matches.
+func (ev *evaluator) join(i int) {
+	if i == len(ev.steps) {
 		ev.emit()
 		return
 	}
-	ai := ev.order[step]
-	a := ev.q.Body[ai]
-	for _, t := range ev.candidates(a) {
-		newVars := ev.bind(a, t)
-		if newVars == nil {
-			continue
+	s := &ev.steps[i]
+	ev.buf = ev.buf[:0]
+	for _, b := range s.bound {
+		v := b.val
+		if b.slot >= 0 {
+			v = ev.vals[b.slot]
 		}
-		ev.derivation[ai] = relation.TupleID{Relation: a.Relation, Tuple: t}
-		ev.join(step + 1)
-		for _, v := range newVars {
-			delete(ev.assignment, v)
-		}
+		ev.buf = v.AppendEncode(ev.buf)
 	}
-}
-
-// bind unifies atom a with tuple t under the current assignment. On success
-// it extends the assignment and returns the variables newly bound (possibly
-// empty but non-nil); on conflict it returns nil leaving the assignment
-// untouched.
-func (ev *evaluator) bind(a Atom, t relation.Tuple) []string {
-	newVars := []string{}
-	for p, term := range a.Terms {
-		if !term.IsVar() {
-			if term.Const != t[p] {
-				ev.unbind(newVars)
-				return nil
-			}
-			continue
-		}
-		if v, ok := ev.assignment[term.Var]; ok {
-			if v != t[p] {
-				ev.unbind(newVars)
-				return nil
-			}
-			continue
-		}
-		ev.assignment[term.Var] = t[p]
-		newVars = append(newVars, term.Var)
-	}
-	return newVars
-}
-
-func (ev *evaluator) unbind(vars []string) {
-	for _, v := range vars {
-		delete(ev.assignment, v)
-	}
-}
-
-// emit records the current complete match as an answer + derivation.
-func (ev *evaluator) emit() {
-	for i, t := range ev.q.Head {
-		if t.IsVar() {
-			ev.head[i] = ev.assignment[t.Var]
-		} else {
-			ev.head[i] = t.Const
-		}
-	}
-	ev.key = ev.head.AppendEncode(ev.key[:0])
-	i, ok := ev.res.pos[string(ev.key)]
+	bucket, ok := s.buckets[string(ev.buf)]
 	if !ok {
-		i = len(ev.res.answers)
-		ev.res.pos[string(ev.key)] = i
-		ev.res.answers = append(ev.res.answers, &Answer{Tuple: ev.head.Clone()})
+		return
 	}
-	ans := ev.res.answers[i]
-	// Distinct matches always produce distinct derivations for safe
-	// queries, but self-joins can revisit the same derivation via symmetric
-	// variable roles; dedupe defensively.
-	for _, d := range ans.Derivations {
-		if d.Equal(ev.derivation) {
-			return
+next:
+	for k := s.start[bucket]; k < s.start[bucket+1]; k++ {
+		t := s.tuples[k]
+		for _, c := range s.binds {
+			ev.vals[c.slot] = t[c.pos]
 		}
+		for _, c := range s.checks {
+			if t[c.pos] != ev.vals[c.slot] {
+				continue next
+			}
+		}
+		ev.cur[i] = k
+		ev.join(i + 1)
 	}
-	der := make(Derivation, len(ev.derivation))
-	copy(der, ev.derivation)
-	ans.Derivations = append(ans.Derivations, der)
+}
+
+// emit records the current complete match as a derivation of its answer,
+// adding the answer if it is new. A plan step never yields the same tuple
+// twice for one partial match, so every match is a distinct derivation.
+func (ev *evaluator) emit() {
+	ev.buf = ev.buf[:0]
+	for _, slot := range ev.head {
+		ev.buf = ev.vals[slot].AppendEncode(ev.buf)
+	}
+	ans, _ := ev.res.find(ev.buf)
+	if ans < 0 {
+		ans = ev.res.add(ev.buf)
+		ev.firstDeriv = append(ev.firstDeriv, int32(len(ev.derivAns)))
+	}
+	ev.derivAns = append(ev.derivAns, ans)
+	ev.derivTup = append(ev.derivTup, ev.cur...)
+}
+
+// finish builds the result's exact-size arrays from the scratch,
+// grouping each answer's derivations in the order they were derived. An
+// answer's head values are read off its first derivation's tuples.
+func (ev *evaluator) finish() {
+	r := ev.res
+	n, arity, width := len(r.keyOff)-1, len(ev.head), len(ev.cur)
+	r.keys = slices.Clone(r.keys)
+	r.keyOff = slices.Clone(r.keyOff)
+
+	// start[a]..start[a+1] will be answer a's derivations.
+	start := make([]int32, n+1)
+	for _, a := range ev.derivAns {
+		start[a+1]++
+	}
+	for a := 0; a < n; a++ {
+		start[a+1] += start[a]
+	}
+	derivs := make([]Derivation, len(ev.derivAns))
+	ids := make([]relation.TupleID, len(ev.derivTup))
+	fill := slices.Clone(start[:n])
+	for d, a := range ev.derivAns {
+		k := int(fill[a])
+		fill[a]++
+		der := ids[k*width : (k+1)*width : (k+1)*width]
+		for i, t := range ev.derivTup[d*width : (d+1)*width] {
+			s := &ev.steps[i]
+			der[s.atom] = relation.TupleID{Relation: s.name, Tuple: s.tuples[t]}
+		}
+		derivs[k] = der
+	}
+	heads := make([]relation.Value, n*arity)
+	r.answers = make([]Answer, n)
+	for a := range r.answers {
+		head := heads[a*arity : (a+1)*arity : (a+1)*arity]
+		first := ev.derivTup[int(ev.firstDeriv[a])*width:]
+		for j, src := range ev.headSrc {
+			head[j] = ev.steps[src.step].tuples[first[src.step]][src.pos]
+		}
+		r.answers[a] = Answer{Tuple: head, Derivations: derivs[start[a]:start[a+1]:start[a+1]]}
+	}
 }

@@ -47,16 +47,6 @@ func BenchmarkLookupKey(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildIndex measures secondary index construction.
-func BenchmarkBuildIndex(b *testing.B) {
-	r := benchRelation(b, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildIndex(r, []int{1, 2})
-	}
-}
-
 // BenchmarkEncode measures the canonical tuple encoding.
 func BenchmarkEncode(b *testing.B) {
 	t := Tuple{"some", "tuple", "with", "five", "values"}

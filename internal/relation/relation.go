@@ -1,7 +1,7 @@
 // Package relation implements the in-memory relational substrate used by the
 // deletion-propagation library: schemas with per-relation keys, relation
-// instances with key-constraint enforcement, tuple identity, and secondary
-// indexes used by the conjunctive-query evaluator.
+// instances with key-constraint enforcement, tuple identity and the
+// canonical tuple encoding.
 //
 // The model follows Section II.A of Cai, Miao, Li, "Deletion Propagation for
 // Multiple Key Preserving Conjunctive Queries" (ICDE 2019): an instance is a
@@ -71,12 +71,18 @@ func (t Tuple) Encode() string {
 // allocate.
 func (t Tuple) AppendEncode(dst []byte) []byte {
 	for _, v := range t {
-		dst = strconv.AppendInt(dst, int64(len(v)), 10)
-		dst = append(dst, ':')
-		dst = append(dst, v...)
-		dst = append(dst, ';')
+		dst = v.AppendEncode(dst)
 	}
 	return dst
+}
+
+// AppendEncode appends v's part of a tuple's Encode form, "len(v):v;", to
+// dst and returns the extended slice.
+func (v Value) AppendEncode(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(len(v)), 10)
+	dst = append(dst, ':')
+	dst = append(dst, v...)
+	return append(dst, ';')
 }
 
 // Project returns the sub-tuple at the given positions. It panics if a

@@ -355,36 +355,6 @@ func TestTupleIDKeyDistinct(t *testing.T) {
 	}
 }
 
-func TestIndex(t *testing.T) {
-	r := NewRelation(MustSchema("T", []string{"a", "b", "c"}, []int{0}))
-	r.Insert(tup("1", "x", "p"))
-	r.Insert(tup("2", "x", "q"))
-	r.Insert(tup("3", "y", "p"))
-	idx := BuildIndex(r, []int{1})
-	if got := idx.Lookup(tup("x")); len(got) != 2 {
-		t.Errorf("Lookup(x) = %v", got)
-	}
-	if got := idx.Lookup(tup("z")); got != nil {
-		t.Errorf("Lookup(z) = %v", got)
-	}
-	if idx.Buckets() != 2 {
-		t.Errorf("Buckets = %d", idx.Buckets())
-	}
-	if p := idx.Positions(); len(p) != 1 || p[0] != 1 {
-		t.Errorf("Positions = %v", p)
-	}
-	// Multi-position index.
-	idx2 := BuildIndex(r, []int{1, 2})
-	if got := idx2.Lookup(tup("x", "q")); len(got) != 1 || !got[0].Equal(tup("2", "x", "q")) {
-		t.Errorf("Lookup(x,q) = %v", got)
-	}
-	// Snapshot semantics.
-	r.Insert(tup("4", "x", "r"))
-	if got := idx.Lookup(tup("x")); len(got) != 2 {
-		t.Errorf("index not a snapshot: %v", got)
-	}
-}
-
 // Property: insert then delete leaves the relation exactly as before, for
 // any batch of distinct-keyed tuples.
 func TestInsertDeleteRoundTripQuick(t *testing.T) {

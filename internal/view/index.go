@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"delprop/internal/relation"
@@ -49,7 +50,25 @@ type Index struct {
 
 // BuildIndex interns the views' provenance.
 func BuildIndex(views []*View) *Index {
-	x := &Index{views: views, refDerivs: []int32{0}, derivStart: []int32{0}}
+	var nRefs, nDerivs, nIDs int
+	for _, v := range views {
+		nRefs += v.Result.NumAnswers()
+		for _, ans := range v.Result.Answers() {
+			nDerivs += len(ans.Derivations)
+			for _, d := range ans.Derivations {
+				nIDs += len(d)
+			}
+		}
+	}
+	x := &Index{
+		views:      views,
+		refs:       make([]TupleRef, 0, nRefs),
+		viewStart:  make([]int32, 0, len(views)+1),
+		refDerivs:  make([]int32, 1, nRefs+1),
+		derivRef:   make([]int32, 0, nDerivs),
+		derivStart: make([]int32, 1, nDerivs+1),
+		derivTuple: make([]int32, 0, nIDs),
+	}
 	var (
 		buf       []byte
 		keys      []string // first-seen tuple number -> TupleID.Key
@@ -118,16 +137,34 @@ func BuildIndex(views []*View) *Index {
 			fill[t]++
 		}
 	}
+	x.rankRefs()
+	return x
+}
 
-	refKeys := make([]string, len(x.refs))
-	for r, ref := range x.refs {
-		refKeys[r] = ref.Key()
+// rankRefs fills refRank without building a TupleRef.Key per ref. The
+// keys' "view|" prefixes order the views, since none is a prefix of
+// another, and within one view the head encodings order the answers.
+func (x *Index) rankRefs() {
+	prefixes := make([]string, len(x.views))
+	for v, vw := range x.views {
+		prefixes[v] = strconv.Itoa(vw.Index) + "|"
 	}
 	x.refRank = make([]int32, len(x.refs))
-	for rank, r := range keyOrder(refKeys) {
-		x.refRank[r] = int32(rank)
+	var rank int32
+	var answers []int32
+	for _, v := range keyOrder(prefixes) {
+		lo, hi := x.viewStart[v], x.viewStart[v+1]
+		answers = answers[:0]
+		for i := int32(0); i < hi-lo; i++ {
+			answers = append(answers, i)
+		}
+		res := x.views[v].Result
+		slices.SortFunc(answers, func(a, b int32) int { return res.CompareAnswers(int(a), int(b)) })
+		for _, i := range answers {
+			x.refRank[lo+i] = rank
+			rank++
+		}
 	}
-	return x
 }
 
 // keyOrder returns the indexes of keys sorted by key.
