@@ -50,16 +50,16 @@ bench-diff: bench-json
 	$(GO) run ./cmd/benchdiff bench/baseline.json out/BENCH_local.json
 
 fuzz:
-	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/cq/
+	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/cq/
 	$(GO) test -run='^FuzzEvaluate$$' -fuzz='^FuzzEvaluate$$' -fuzztime=30s ./internal/cq/
-	$(GO) test -run=FuzzParseDatabase -fuzz=FuzzParseDatabase -fuzztime=30s ./internal/textio/
+	$(GO) test -run='^FuzzParseDatabase$$' -fuzz='^FuzzParseDatabase$$' -fuzztime=30s ./internal/textio/
 
 # Short fuzz pass for CI: 10s per target on top of the checked-in seed
 # corpora under internal/*/testdata/fuzz/.
 fuzz-smoke:
-	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=10s ./internal/cq/
+	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/cq/
 	$(GO) test -run='^FuzzEvaluate$$' -fuzz='^FuzzEvaluate$$' -fuzztime=10s ./internal/cq/
-	$(GO) test -run=FuzzParseDatabase -fuzz=FuzzParseDatabase -fuzztime=10s ./internal/textio/
+	$(GO) test -run='^FuzzParseDatabase$$' -fuzz='^FuzzParseDatabase$$' -fuzztime=10s ./internal/textio/
 
 fmt:
 	gofmt -w .

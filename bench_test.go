@@ -338,7 +338,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 			n := 0
 			for _, v := range views {
 				for _, ans := range v.Result.Answers() {
-					for _, d := range ans.Derivations {
+					for _, d := range ans.Derivations() {
 						n += len(d.TupleSet())
 					}
 				}

@@ -41,7 +41,7 @@ func main() {
 	}
 	for _, v := range p.Views {
 		for _, ans := range v.Result.Answers() {
-			for _, d := range ans.Derivations {
+			for _, d := range ans.Derivations() {
 				for k := range d.TupleSet() {
 					if corrupt[k] {
 						p.Delta.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})

@@ -50,7 +50,7 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			for _, v := range p.Views {
 				for _, ans := range v.Result.Answers() {
 					touched := false
-					for _, d := range ans.Derivations {
+					for _, d := range ans.Derivations() {
 						for k := range d.TupleSet() {
 							if plantedSet[k] {
 								touched = true

@@ -66,8 +66,9 @@ func ExplainRequest(p *Problem, ref view.TupleRef) (string, error) {
 	ans, _ := p.Answer(ref)
 	lo, _ := x.Derivations(r)
 	var b strings.Builder
-	fmt.Fprintf(&b, "options for eliminating %s (%d derivation(s)):\n", ref, len(ans.Derivations))
-	for di, d := range ans.Derivations {
+	derivs := ans.Derivations()
+	fmt.Fprintf(&b, "options for eliminating %s (%d derivation(s)):\n", ref, len(derivs))
+	for di, d := range derivs {
 		fmt.Fprintf(&b, "  derivation %d: %s\n", di+1, d)
 		for _, t := range x.DerivTuples(lo + int32(di)) {
 			rep := p.evaluate([]int32{t}, 1)

@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
-	"delprop/internal/cq"
 	"delprop/internal/relation"
 	"delprop/internal/view"
 )
@@ -34,8 +34,8 @@ func naiveGreedy(p *Problem) (*Solution, error) {
 			if !ok {
 				continue
 			}
-			for _, d := range ans.Derivations {
-				if view.Survives(&cq.Answer{Derivations: []cq.Derivation{d}}, deleted) {
+			for _, d := range ans.Derivations() {
+				if !slices.ContainsFunc(d, func(id relation.TupleID) bool { return deleted[id.Key()] }) {
 					n++
 				}
 			}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"delprop/internal/cq"
@@ -100,7 +102,7 @@ func TestEvaluateOutputSensitiveMatchesReevaluation(t *testing.T) {
 			// feasible reports are covered too.
 			if trial%5 == 0 {
 				ans, _ := p.Answer(p.Delta.Refs()[0])
-				for _, d := range ans.Derivations {
+				for _, d := range ans.Derivations() {
 					del = append(del, d[0])
 				}
 			}
@@ -199,10 +201,48 @@ func TestNewProblemAllocs(t *testing.T) {
 	}
 }
 
+// retainedKB returns the live heap, in KB, that one NewProblem over w
+// keeps after garbage collection: the materialized views and the
+// provenance index, not the instance. It takes the least of three
+// measurements, so a stray allocation elsewhere cannot inflate it.
+func retainedKB(tb testing.TB, w *workload.Workload) float64 {
+	tb.Helper()
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	best := math.Inf(1)
+	for range 3 {
+		before := live()
+		p, err := NewProblem(w.DB, w.Queries, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		after := live()
+		runtime.KeepAlive(p)
+		best = min(best, (float64(after)-float64(before))/1024)
+	}
+	return best
+}
+
+// TestSkeletonRetainedHeap: a skeleton stores each derivation once, as
+// int32 rows into relation snapshots, and its index holds no string
+// table, so registering bibliography-np keeps at most 900 KB live. Two
+// copies of every derivation as TupleIDs plus a key table kept 1,260 KB.
+func TestSkeletonRetainedHeap(t *testing.T) {
+	if kb := retainedKB(t, warmNPWorkload()); kb > 900 {
+		t.Errorf("NewProblem on bibliography-np retains %.0f KB, want <= 900", kb)
+	}
+}
+
 // BenchmarkNewProblem measures registering each bench/load instance:
-// materializing the views and building the provenance index.
+// materializing the views and building the provenance index. It also
+// reports the heap one registration retains.
 func BenchmarkNewProblem(b *testing.B) {
 	for _, lw := range loadWorkloads() {
+		kb := retainedKB(b, lw.w)
 		b.Run(lw.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -210,6 +250,7 @@ func BenchmarkNewProblem(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(kb, "retained-KB")
 		})
 	}
 }

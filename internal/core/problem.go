@@ -246,9 +246,9 @@ func (p *Problem) TotalViewSize() int { return view.TotalSize(p.Views) }
 func (p *Problem) MaxArity() int { return view.MaxArity(p.Views) }
 
 // Answer returns the provenance answer behind a view tuple reference.
-func (p *Problem) Answer(ref view.TupleRef) (*cq.Answer, bool) {
+func (p *Problem) Answer(ref view.TupleRef) (cq.Answer, bool) {
 	if ref.View < 0 || ref.View >= len(p.Views) {
-		return nil, false
+		return cq.Answer{}, false
 	}
 	return p.Views[ref.View].Result.Lookup(ref.Tuple)
 }

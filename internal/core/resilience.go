@@ -34,48 +34,46 @@ func Resilience(ctx context.Context, q *cq.Query, db *relation.Instance, maxCand
 
 // resilienceBipartite solves the two-atom sj-free case via minimum vertex
 // cover: every derivation joins one tuple of the first atom with one of
-// the second; the deletion must hit every derivation.
+// the second; the deletion must hit every derivation. Each side's
+// vertices are its atom's rows, numbered in first-seen order.
 func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, error) {
 	res, err := cq.Evaluate(q, db)
 	if err != nil {
 		return 0, nil, err
 	}
-	leftIdx := make(map[string]int)
-	rightIdx := make(map[string]int)
-	var leftIDs, rightIDs []relation.TupleID
-	var edges [][2]int
-	for _, ans := range res.Answers() {
-		for _, d := range ans.Derivations {
-			l, r := d[0], d[1]
-			lk, rk := l.Key(), r.Key()
-			li, ok := leftIdx[lk]
-			if !ok {
-				li = len(leftIDs)
-				leftIdx[lk] = li
-				leftIDs = append(leftIDs, l)
+	var side [2]struct {
+		vertex []int // row -> vertex, -1 until seen
+		rows   []int32
+	}
+	for i := range side {
+		side[i].vertex = make([]int, len(res.AtomRows(i)))
+		for row := range side[i].vertex {
+			side[i].vertex[row] = -1
+		}
+	}
+	edges := make([][2]int, res.NumDerivations())
+	for d := range edges {
+		for i, row := range res.Rows(d) {
+			s := &side[i]
+			if s.vertex[row] < 0 {
+				s.vertex[row] = len(s.rows)
+				s.rows = append(s.rows, row)
 			}
-			ri, ok := rightIdx[rk]
-			if !ok {
-				ri = len(rightIDs)
-				rightIdx[rk] = ri
-				rightIDs = append(rightIDs, r)
-			}
-			edges = append(edges, [2]int{li, ri})
+			edges[d][i] = s.vertex[row]
 		}
 	}
 	if len(edges) == 0 {
 		return 0, &Solution{}, nil
 	}
-	left, right, err := flow.BipartiteVertexCover(len(leftIDs), len(rightIDs), edges)
+	left, right, err := flow.BipartiteVertexCover(len(side[0].rows), len(side[1].rows), edges)
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: resilience cover: %w", err)
 	}
 	sol := &Solution{}
-	for _, li := range left {
-		sol.Deleted = append(sol.Deleted, leftIDs[li])
-	}
-	for _, ri := range right {
-		sol.Deleted = append(sol.Deleted, rightIDs[ri])
+	for i, vs := range [2][]int{left, right} {
+		for _, v := range vs {
+			sol.Deleted = append(sol.Deleted, relation.TupleID{Relation: q.Body[i].Relation, Tuple: res.AtomRows(i)[side[i].rows[v]]})
+		}
 	}
 	return len(sol.Deleted), sol, nil
 }

@@ -199,7 +199,7 @@ func TestResilienceMatchesExhaustive(t *testing.T) {
 			var derivs []cq.Derivation
 			seen := make(map[string]relation.TupleID)
 			for _, ans := range res.Answers() {
-				for _, d := range ans.Derivations {
+				for _, d := range ans.Derivations() {
 					derivs = append(derivs, d)
 					for k, id := range d.TupleSet() {
 						seen[k] = id

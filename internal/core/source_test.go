@@ -118,7 +118,7 @@ func TestSourceGreedyFeasibleAndBounded(t *testing.T) {
 			nPaths := 0
 			for _, ref := range p.Delta.Refs() {
 				ans, _ := p.Answer(ref)
-				nPaths += len(ans.Derivations)
+				nPaths += ans.NumDerivations()
 			}
 			bound := math.Log(float64(nPaths)) + 1
 			if ec > 0 && gc > bound*ec+1e-9 {
@@ -242,7 +242,7 @@ func TestSourceExactMatchesExhaustive(t *testing.T) {
 				var derivs []cq.Derivation
 				for _, ref := range p.Delta.Refs() {
 					ans, _ := p.Answer(ref)
-					derivs = append(derivs, ans.Derivations...)
+					derivs = append(derivs, ans.Derivations()...)
 				}
 				rng := rand.New(rand.NewSource(seed*10 + int64(nDel)))
 				random := SourceWeights{}

@@ -118,7 +118,7 @@ func TestNewMaintainerIsolated(t *testing.T) {
 		t.Fatalf("%s is not an answer", ref)
 	}
 	x := p.Index()
-	for _, d := range ans.Derivations {
+	for _, d := range ans.Derivations() {
 		for _, id := range d {
 			ti, _ := x.LookupTuple(id)
 			m1.Delete(ti)

@@ -65,9 +65,9 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		return nil, err
 	}
 	q := p.Queries[0]
-	ref := p.Delta.Refs()[0]
-	ans, _ := p.Answer(ref)
 	x := p.Index()
+	r, _ := x.LookupRef(p.Delta.Refs()[0])
+	lo, hi := x.Derivations(r)
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0
@@ -79,10 +79,9 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 		st.AddNodes(1)
 		// The unidimensional candidate for atom ai: every fact this atom
 		// matches in a derivation of the requested answer.
-		var ts []int32
-		for _, d := range ans.Derivations {
-			t, _ := x.LookupTuple(d[ai])
-			ts = append(ts, t)
+		ts := make([]int32, 0, hi-lo)
+		for i := range hi - lo {
+			ts = append(ts, x.AtomTuple(lo+i, ai))
 		}
 		slices.Sort(ts)
 		ts = slices.Compact(ts)

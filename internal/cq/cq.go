@@ -8,8 +8,10 @@
 //
 // Evaluate compiles each query once against the instance: atoms in join
 // order, variables in numbered slots, and per atom a hash index on the
-// positions bound when the join reaches it. The answers, head values and
-// derivations of a Result live in exact-size flat arrays.
+// positions bound when the join reaches it. A Result stores each
+// derivation once, as one int32 row per body atom into the relation
+// snapshots it keeps, in exact-size flat arrays; TupleIDs and
+// Derivations are built on demand.
 package cq
 
 import (

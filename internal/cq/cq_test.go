@@ -294,15 +294,15 @@ func TestEvaluateFig1Q3(t *testing.T) {
 	}
 	// (John, XML) has two derivations: via TKDE and via TODS.
 	ans, ok := res.Lookup(tup("John", "XML"))
-	if !ok || len(ans.Derivations) != 2 {
+	if !ok || len(ans.Derivations()) != 2 {
 		t.Fatalf("John/XML derivations = %v", ans)
 	}
 	// (Joe, XML) has one.
 	ans, _ = res.Lookup(tup("Joe", "XML"))
-	if len(ans.Derivations) != 1 {
-		t.Errorf("Joe/XML derivations = %d, want 1", len(ans.Derivations))
+	if len(ans.Derivations()) != 1 {
+		t.Errorf("Joe/XML derivations = %d, want 1", len(ans.Derivations()))
 	}
-	d := ans.Derivations[0]
+	d := ans.Derivations()[0]
 	if len(d) != 2 || d[0].Relation != "T1" || d[1].Relation != "T2" {
 		t.Errorf("derivation shape wrong: %v", d)
 	}
@@ -321,8 +321,8 @@ func TestEvaluateFig1Q4(t *testing.T) {
 		t.Fatalf("NumAnswers = %d, want 7: %s", res.NumAnswers(), res)
 	}
 	for _, a := range res.Answers() {
-		if len(a.Derivations) != 1 {
-			t.Errorf("answer %v has %d derivations, want 1 (key-preserving)", a.Tuple, len(a.Derivations))
+		if len(a.Derivations()) != 1 {
+			t.Errorf("answer %v has %d derivations, want 1 (key-preserving)", a.Tuple, len(a.Derivations()))
 		}
 	}
 	if !res.Contains(tup("John", "TODS", "XML")) {
@@ -490,21 +490,31 @@ func checkAgainstNaive(t *testing.T, label string, q *Query, db *relation.Instan
 		t.Errorf("%s %s: indexed=%d naive=%d answers", label, q, res.NumAnswers(), len(want))
 		return
 	}
-	for _, a := range res.Answers() {
-		derivs, ok := want[a.Tuple.Encode()]
+	next := 0
+	for a := range res.NumAnswers() {
+		tuple := res.Tuple(a)
+		lo, hi := res.Derivations(a)
+		if lo != next {
+			t.Errorf("%s %s: answer %v's derivations start at %d, want %d", label, q, tuple, lo, next)
+		}
+		next = hi
+		derivs, ok := want[tuple.Encode()]
 		if !ok {
-			t.Errorf("%s %s: extra answer %v", label, q, a.Tuple)
+			t.Errorf("%s %s: extra answer %v", label, q, tuple)
 			continue
 		}
-		if len(a.Derivations) != len(derivs) {
-			t.Errorf("%s %s: answer %v has %d derivations, naive %d", label, q, a.Tuple, len(a.Derivations), len(derivs))
+		if hi-lo != len(derivs) {
+			t.Errorf("%s %s: answer %v has %d derivations, naive %d", label, q, tuple, hi-lo, len(derivs))
 			continue
 		}
-		for _, d := range a.Derivations {
-			if !derivs[derivKey(d)] {
-				t.Errorf("%s %s: answer %v has extra derivation %s", label, q, a.Tuple, d)
+		for d := lo; d < hi; d++ {
+			if der := res.Derivation(d); !derivs[derivKey(der)] {
+				t.Errorf("%s %s: answer %v has extra derivation %s", label, q, tuple, der)
 			}
 		}
+	}
+	if next != res.NumDerivations() {
+		t.Errorf("%s %s: answers own %d derivations, NumDerivations = %d", label, q, next, res.NumDerivations())
 	}
 }
 
@@ -626,7 +636,7 @@ func TestDerivationSemantics(t *testing.T) {
 	if !ok {
 		t.Fatal("missing target answer")
 	}
-	for _, id := range ans.Derivations[0] {
+	for _, id := range ans.Derivations()[0] {
 		db2 := db.Without([]relation.TupleID{id})
 		res2 := MustEvaluate(q4, db2)
 		if res2.Contains(target) {
@@ -637,6 +647,26 @@ func TestDerivationSemantics(t *testing.T) {
 	db3 := db.Without([]relation.TupleID{{Relation: "T1", Tuple: tup("Joe", "TKDE")}})
 	if !MustEvaluate(q4, db3).Contains(target) {
 		t.Error("unrelated deletion removed target")
+	}
+}
+
+// TestResultRowsOutliveDeletes: a Result's rows index the relation
+// snapshots it took, so deleting tuples from the instance afterwards,
+// which shifts Relation.Tuples() positions, leaves every derivation
+// naming the same base tuples.
+func TestResultRowsOutliveDeletes(t *testing.T) {
+	db := fig1DB()
+	res := MustEvaluate(MustParse("Q(x, z) :- T1(x, y), T2(y, z, w)"), db)
+	var before []string
+	for d := range res.NumDerivations() {
+		before = append(before, res.Derivation(d).String())
+	}
+	db.Delete(relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")})
+	db.Delete(relation.TupleID{Relation: "T2", Tuple: tup("TKDE", "XML", "30")})
+	for d := range res.NumDerivations() {
+		if got := res.Derivation(d).String(); got != before[d] {
+			t.Errorf("derivation %d is %s after the deletes, was %s", d, got, before[d])
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"bytes"
 	"hash/maphash"
 	"slices"
 	"sort"
@@ -58,40 +57,118 @@ func (d Derivation) String() string {
 	return strings.Join(parts, " ⋈ ")
 }
 
-// Answer is one view tuple: a head tuple together with every derivation
-// producing it. For key-preserving queries each answer has exactly one
-// derivation (the keys in the head pin down every joined base tuple); for
-// general queries there may be several.
+// Answer is one view tuple of a Result: its head tuple and, through the
+// Result, every derivation producing it. For key-preserving queries each
+// answer has exactly one derivation (the keys in the head pin down every
+// joined base tuple); for general queries there may be several. An Answer
+// is a handle: its derivations are built on demand from the Result's
+// row ids.
 type Answer struct {
-	Tuple       relation.Tuple
-	Derivations []Derivation
+	Tuple relation.Tuple
+	res   *Result
+	pos   int
+}
+
+// NumDerivations returns how many derivations produce the answer.
+func (a Answer) NumDerivations() int {
+	lo, hi := a.res.Derivations(a.pos)
+	return hi - lo
+}
+
+// Derivations builds the answer's derivations, in the order they were
+// derived.
+func (a Answer) Derivations() []Derivation {
+	lo, hi := a.res.Derivations(a.pos)
+	out := make([]Derivation, 0, hi-lo)
+	for d := lo; d < hi; d++ {
+		out = append(out, a.res.Derivation(d))
+	}
+	return out
 }
 
 // Result is the materialized result of evaluating a query: Q(D) plus
-// provenance. Answers, head values, derivations and their base tuples are
-// carved out of exact-size backing arrays, and a head tuple finds its
-// answer through an open-addressing table over the head encodings.
+// provenance. Every derivation is stored once, as one int32 row per body
+// atom: a row is a position in the atom's relation's Tuples() order when
+// the query was evaluated, and the Result keeps that snapshot of each
+// relation it read, so later deletions from the instance cannot shift
+// rows under it. Head values and derivations live in exact-size flat
+// arrays, and a head tuple finds its answer through an open-addressing
+// table hashed by the head's Encode form.
 type Result struct {
-	Query   *Query
-	answers []Answer // first-derived order
-	// keys[keyOff[i]:keyOff[i+1]] is answer i's head tuple in
-	// Tuple.AppendEncode form.
-	keys   []byte
-	keyOff []int32
-	// slots is a hash table at most half full, probed linearly: each slot
-	// holds an answer index plus one, or zero when empty.
+	Query *Query
+	// heads[a*arity:(a+1)*arity] is answer a's head tuple; answers are
+	// in first-derived order.
+	heads []relation.Value
+	arity int
+	// derivStart[a]..derivStart[a+1] are answer a's derivation ids, in
+	// the order derived; rows[d*width:(d+1)*width] are derivation d's
+	// rows in body order.
+	derivStart []int32
+	rows       []int32
+	width      int
+	// atomRows[i] is body atom i's relation as the join read it; atoms
+	// over one relation share one snapshot.
+	atomRows [][]relation.Tuple
+	// slots is a hash table over the head tuples' Encode forms, at most
+	// half full, probed linearly: each slot holds an answer index plus
+	// one, or zero when empty.
 	slots []int32
 	seed  maphash.Seed
 }
 
 // NumAnswers returns |Q(D)|.
-func (r *Result) NumAnswers() int { return len(r.answers) }
+func (r *Result) NumAnswers() int { return len(r.heads) / r.arity }
+
+// NumDerivations returns the number of derivations over all answers.
+func (r *Result) NumDerivations() int { return len(r.rows) / r.width }
+
+// Tuple returns answer a's head tuple. The slice is the Result's own;
+// callers must not modify it.
+func (r *Result) Tuple(a int) relation.Tuple {
+	return r.heads[a*r.arity : (a+1)*r.arity : (a+1)*r.arity]
+}
+
+// answer returns the handle of answer a.
+func (r *Result) answer(a int) Answer { return Answer{Tuple: r.Tuple(a), res: r, pos: a} }
 
 // Answers returns all answers in first-derived order.
-func (r *Result) Answers() []*Answer {
-	out := make([]*Answer, len(r.answers))
-	for i := range r.answers {
-		out[i] = &r.answers[i]
+func (r *Result) Answers() []Answer {
+	out := make([]Answer, r.NumAnswers())
+	for a := range out {
+		out[a] = r.answer(a)
+	}
+	return out
+}
+
+// Derivations returns the derivation ids [lo, hi) of answer a, in the
+// order they were derived. Derivation ids run over all answers in answer
+// order.
+func (r *Result) Derivations(a int) (lo, hi int) {
+	return int(r.derivStart[a]), int(r.derivStart[a+1])
+}
+
+// Rows returns derivation d's rows, one per body atom in body order: row
+// i indexes AtomRows(i). The slice is the Result's own; callers must not
+// modify it.
+func (r *Result) Rows(d int) []int32 {
+	return r.rows[d*r.width : (d+1)*r.width : (d+1)*r.width]
+}
+
+// AtomRows returns body atom i's relation as evaluated: its tuples in
+// Relation.Tuples() order. The slice is the Result's own; callers must
+// not modify it.
+func (r *Result) AtomRows(i int) []relation.Tuple { return r.atomRows[i] }
+
+// TupleID returns the base tuple body atom i matched in derivation d.
+func (r *Result) TupleID(d, i int) relation.TupleID {
+	return relation.TupleID{Relation: r.Query.Body[i].Relation, Tuple: r.atomRows[i][r.rows[d*r.width+i]]}
+}
+
+// Derivation builds derivation d's join path.
+func (r *Result) Derivation(d int) Derivation {
+	out := make(Derivation, r.width)
+	for i := range out {
+		out[i] = r.TupleID(d, i)
 	}
 	return out
 }
@@ -100,16 +177,16 @@ func (r *Result) Answers() []*Answer {
 // order, if it is an answer.
 func (r *Result) Position(t relation.Tuple) (int, bool) {
 	var buf [64]byte
-	i, _ := r.find(t.AppendEncode(buf[:0]))
+	i, _ := r.find(r.hash(t.AppendEncode(buf[:0])), t)
 	return int(i), i >= 0
 }
 
 // Lookup returns the answer for the given head tuple, if present.
-func (r *Result) Lookup(t relation.Tuple) (*Answer, bool) {
+func (r *Result) Lookup(t relation.Tuple) (Answer, bool) {
 	if i, ok := r.Position(t); ok {
-		return &r.answers[i], true
+		return r.answer(i), true
 	}
-	return nil, false
+	return Answer{}, false
 }
 
 // Contains reports whether the head tuple is an answer.
@@ -121,65 +198,67 @@ func (r *Result) Contains(t relation.Tuple) bool {
 // CompareAnswers orders answers i and j as their head tuples' Encode forms
 // compare.
 func (r *Result) CompareAnswers(i, j int) int {
-	return bytes.Compare(r.key(int32(i)), r.key(int32(j)))
+	return r.Tuple(i).CompareEncode(r.Tuple(j))
 }
 
 // Tuples returns the answer tuples in first-derived order.
 func (r *Result) Tuples() []relation.Tuple {
-	out := make([]relation.Tuple, len(r.answers))
-	for i, a := range r.answers {
-		out[i] = a.Tuple
+	out := make([]relation.Tuple, r.NumAnswers())
+	for a := range out {
+		out[a] = r.Tuple(a)
 	}
 	return out
 }
 
 // String renders the result sorted, for golden tests.
 func (r *Result) String() string {
-	lines := make([]string, 0, len(r.answers))
-	for _, a := range r.answers {
-		lines = append(lines, a.Tuple.String())
+	lines := make([]string, r.NumAnswers())
+	for a := range lines {
+		lines[a] = r.Tuple(a).String()
 	}
 	sort.Strings(lines)
 	return r.Query.Name + "(D) = {" + strings.Join(lines, ", ") + "}"
 }
 
-// key returns answer i's head encoding.
-func (r *Result) key(i int32) []byte { return r.keys[r.keyOff[i]:r.keyOff[i+1]] }
+// hash hashes a head tuple's Encode form.
+func (r *Result) hash(enc []byte) uint64 { return maphash.Bytes(r.seed, enc) }
 
-// find returns the answer whose head encoding is key, or -1 and the empty
-// slot where that answer belongs.
-func (r *Result) find(key []byte) (ans int32, slot int) {
+// find returns the answer whose head tuple is t, whose Encode form
+// hashes to h, or -1 and the empty slot where that answer belongs.
+func (r *Result) find(h uint64, t relation.Tuple) (ans int32, slot int) {
 	if len(r.slots) == 0 {
 		return -1, 0
 	}
 	mask := len(r.slots) - 1
-	for i := int(maphash.Bytes(r.seed, key)) & mask; ; i = (i + 1) & mask {
+	for i := int(h) & mask; ; i = (i + 1) & mask {
 		s := r.slots[i]
 		if s == 0 {
 			return -1, i
 		}
-		if bytes.Equal(r.key(s-1), key) {
+		if r.Tuple(int(s - 1)).Equal(t) {
 			return s - 1, i
 		}
 	}
 }
 
-// add appends an answer with head encoding key, which must not be present,
-// growing the table first if it would pass half full, and returns its
-// index.
-func (r *Result) add(key []byte) int32 {
-	n := int32(len(r.keyOff) - 1)
+// add appends the answer t, whose Encode form hashes to h and which must
+// not be present, growing the table first if it would pass half full,
+// and returns its index.
+func (r *Result) add(h uint64, t relation.Tuple) int32 {
+	n := int32(r.NumAnswers())
 	if 2*int(n+1) > len(r.slots) {
 		r.slots = make([]int32, max(8, 2*len(r.slots)))
+		var buf []byte
 		for i := int32(0); i < n; i++ {
-			_, slot := r.find(r.key(i))
+			head := r.Tuple(int(i))
+			buf = head.AppendEncode(buf[:0])
+			_, slot := r.find(r.hash(buf), head)
 			r.slots[slot] = i + 1
 		}
 	}
-	_, slot := r.find(key)
+	_, slot := r.find(h, t)
 	r.slots[slot] = n + 1
-	r.keys = append(r.keys, key...)
-	r.keyOff = append(r.keyOff, int32(len(r.keys)))
+	r.heads = append(r.heads, t...)
 	return n
 }
 
@@ -195,18 +274,34 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 		return nil, err
 	}
 	pl := compile(q, db)
+	res := &Result{
+		Query:    q,
+		arity:    len(q.Head),
+		width:    len(q.Body),
+		atomRows: make([][]relation.Tuple, len(q.Body)),
+		seed:     maphash.MakeSeed(),
+	}
+	snapshots := make(map[string][]relation.Tuple, len(pl.steps))
 	for i := range pl.steps {
-		pl.steps[i].buildIndex()
+		s := &pl.steps[i]
+		all, ok := snapshots[s.name]
+		if !ok {
+			all = s.rel.Tuples()
+			snapshots[s.name] = all
+		}
+		s.buildIndex(all)
+		res.atomRows[s.atom] = all
 	}
 	ev := &evaluator{
 		plan: pl,
-		res:  &Result{Query: q, keyOff: []int32{0}, seed: maphash.MakeSeed()},
+		res:  res,
 		vals: make([]relation.Value, pl.slots),
 		cur:  make([]int32, len(q.Body)),
+		head: make(relation.Tuple, len(q.Head)),
 	}
 	ev.join(0)
 	ev.finish()
-	return ev.res, nil
+	return res, nil
 }
 
 // MustEvaluate is Evaluate that panics on error; for tests and examples
@@ -223,16 +318,16 @@ type evaluator struct {
 	*plan
 	res  *Result
 	vals []relation.Value // slot values of the current partial match
-	// cur is the current match by plan step, each step's tuple as an
-	// index into its tuples.
-	cur []int32
-	buf []byte // probe and head-encoding scratch
+	// cur is the current match by plan step, each step's tuple as a row
+	// of its relation.
+	cur  []int32
+	head relation.Tuple // the current match's head tuple
+	buf  []byte         // probe and head-encoding scratch
 	// Growable scratch that finish turns into the result's exact-size
 	// arrays: per derivation, in the order derived, its answer and its
-	// cur, and per answer its first derivation.
-	derivAns   []int32
-	derivTup   []int32
-	firstDeriv []int32
+	// cur.
+	derivAns []int32
+	derivTup []int32
 }
 
 // join extends the current partial match with plan step i, recursing to
@@ -256,8 +351,8 @@ func (ev *evaluator) join(i int) {
 		return
 	}
 next:
-	for k := s.start[bucket]; k < s.start[bucket+1]; k++ {
-		t := s.tuples[k]
+	for _, row := range s.rows[s.start[bucket]:s.start[bucket+1]] {
+		t := s.all[row]
 		for _, c := range s.binds {
 			ev.vals[c.slot] = t[c.pos]
 		}
@@ -266,7 +361,7 @@ next:
 				continue next
 			}
 		}
-		ev.cur[i] = k
+		ev.cur[i] = row
 		ev.join(i + 1)
 	}
 }
@@ -275,57 +370,42 @@ next:
 // adding the answer if it is new. A plan step never yields the same tuple
 // twice for one partial match, so every match is a distinct derivation.
 func (ev *evaluator) emit() {
-	ev.buf = ev.buf[:0]
-	for _, slot := range ev.head {
-		ev.buf = ev.vals[slot].AppendEncode(ev.buf)
+	for j, slot := range ev.plan.head {
+		ev.head[j] = ev.vals[slot]
 	}
-	ans, _ := ev.res.find(ev.buf)
+	ev.buf = ev.head.AppendEncode(ev.buf[:0])
+	h := ev.res.hash(ev.buf)
+	ans, _ := ev.res.find(h, ev.head)
 	if ans < 0 {
-		ans = ev.res.add(ev.buf)
-		ev.firstDeriv = append(ev.firstDeriv, int32(len(ev.derivAns)))
+		ans = ev.res.add(h, ev.head)
 	}
 	ev.derivAns = append(ev.derivAns, ans)
 	ev.derivTup = append(ev.derivTup, ev.cur...)
 }
 
 // finish builds the result's exact-size arrays from the scratch,
-// grouping each answer's derivations in the order they were derived. An
-// answer's head values are read off its first derivation's tuples.
+// grouping each answer's derivations in the order they were derived and
+// putting each derivation's rows in body order.
 func (ev *evaluator) finish() {
 	r := ev.res
-	n, arity, width := len(r.keyOff)-1, len(ev.head), len(ev.cur)
-	r.keys = slices.Clone(r.keys)
-	r.keyOff = slices.Clone(r.keyOff)
+	n, width := r.NumAnswers(), r.width
+	r.heads = slices.Clone(r.heads)
 
-	// start[a]..start[a+1] will be answer a's derivations.
-	start := make([]int32, n+1)
+	r.derivStart = make([]int32, n+1)
 	for _, a := range ev.derivAns {
-		start[a+1]++
+		r.derivStart[a+1]++
 	}
 	for a := 0; a < n; a++ {
-		start[a+1] += start[a]
+		r.derivStart[a+1] += r.derivStart[a]
 	}
-	derivs := make([]Derivation, len(ev.derivAns))
-	ids := make([]relation.TupleID, len(ev.derivTup))
-	fill := slices.Clone(start[:n])
+	r.rows = make([]int32, len(ev.derivTup))
+	fill := slices.Clone(r.derivStart[:n])
 	for d, a := range ev.derivAns {
 		k := int(fill[a])
 		fill[a]++
-		der := ids[k*width : (k+1)*width : (k+1)*width]
-		for i, t := range ev.derivTup[d*width : (d+1)*width] {
-			s := &ev.steps[i]
-			der[s.atom] = relation.TupleID{Relation: s.name, Tuple: s.tuples[t]}
+		dst := r.rows[k*width : (k+1)*width]
+		for i, row := range ev.derivTup[d*width : (d+1)*width] {
+			dst[ev.steps[i].atom] = row
 		}
-		derivs[k] = der
-	}
-	heads := make([]relation.Value, n*arity)
-	r.answers = make([]Answer, n)
-	for a := range r.answers {
-		head := heads[a*arity : (a+1)*arity : (a+1)*arity]
-		first := ev.derivTup[int(ev.firstDeriv[a])*width:]
-		for j, src := range ev.headSrc {
-			head[j] = ev.steps[src.step].tuples[first[src.step]][src.pos]
-		}
-		r.answers[a] = Answer{Tuple: head, Derivations: derivs[start[a]:start[a+1]:start[a+1]]}
 	}
 }

@@ -34,7 +34,7 @@ func ExampleEvaluate() {
 	}
 	fmt.Println(res)
 	ans, _ := res.Lookup(relation.Tuple{"a", "b", "c"})
-	fmt.Println("join path:", ans.Derivations[0])
+	fmt.Println("join path:", ans.Derivations()[0])
 	// Output:
 	// Path(D) = {(a,b,c)}
 	// join path: E(a,b) ⋈ E(b,c)

@@ -126,9 +126,9 @@ func FuzzEvaluate(f *testing.F) {
 		}
 		checkAgainstNaive(t, "fuzz", q, db)
 		res := MustEvaluate(q, db)
-		for i, a := range res.Answers() {
-			if j, ok := res.Position(a.Tuple); !ok || j != i {
-				t.Fatalf("%s: Position(%v) = %d, %v; want %d", q, a.Tuple, j, ok, i)
+		for i := range res.NumAnswers() {
+			if j, ok := res.Position(res.Tuple(i)); !ok || j != i {
+				t.Fatalf("%s: Position(%v) = %d, %v; want %d", q, res.Tuple(i), j, ok, i)
 			}
 		}
 	})

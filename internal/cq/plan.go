@@ -10,10 +10,9 @@ import (
 // plan is a query compiled against one instance: its atoms in join order,
 // with every variable numbered by the slot that holds its value.
 type plan struct {
-	steps   []step
-	head    []int     // slot of each head variable
-	headSrc []stepPos // where each head variable is first bound
-	slots   int
+	steps []step
+	head  []int // slot of each head variable
+	slots int
 }
 
 // step is one atom of the plan. A probe encodes the bound positions'
@@ -26,11 +25,13 @@ type step struct {
 	bound  []source // constants and variables of earlier steps
 	binds  []slotAt // first occurrence in this atom of a new variable
 	checks []slotAt // later occurrences in this atom of a new variable
-	// The hash index on the bound positions: tuples[start[b]:start[b+1]]
-	// holds bucket b's tuples in relation order.
+	// The hash index on the bound positions: rows[start[b]:start[b+1]]
+	// holds bucket b's rows, ascending; a row indexes all, the
+	// relation's Tuples().
 	buckets map[string]int32
 	start   []int32
-	tuples  []relation.Tuple
+	rows    []int32
+	all     []relation.Tuple
 }
 
 // source is a bound position's value: the constant val when slot < 0.
@@ -42,9 +43,6 @@ type source struct {
 // slotAt ties an atom position to a variable slot.
 type slotAt struct{ pos, slot int }
 
-// stepPos is a position of a plan step's atom.
-type stepPos struct{ step, pos int }
-
 // compile orders the atoms greedily — repeatedly the atom with the most
 // bound positions (constants or variables of earlier atoms), ties broken
 // by smaller relation, then body position — and numbers variables in the
@@ -52,7 +50,6 @@ type stepPos struct{ step, pos int }
 func compile(q *Query, db *relation.Instance) *plan {
 	pl := &plan{}
 	slot := make(map[string]int)
-	var bindAt []stepPos // slot -> where it is bound
 	used := make([]bool, len(q.Body))
 	for range q.Body {
 		best, bestBound, bestSize := -1, -1, 0
@@ -87,23 +84,22 @@ func compile(q *Query, db *relation.Instance) *plan {
 			default:
 				slot[t.Var] = len(slot)
 				s.binds = append(s.binds, slotAt{p, len(slot) - 1})
-				bindAt = append(bindAt, stepPos{len(pl.steps), p})
 			}
 		}
 		pl.steps = append(pl.steps, s)
 	}
 	for _, t := range q.Head {
 		pl.head = append(pl.head, slot[t.Var])
-		pl.headSrc = append(pl.headSrc, bindAt[slot[t.Var]])
 	}
 	pl.slots = len(slot)
 	return pl
 }
 
-// buildIndex buckets the relation's tuples by their values at the bound
-// positions. A step with no bound positions gets one bucket, keyed "".
-func (s *step) buildIndex() {
-	all := s.rel.Tuples()
+// buildIndex buckets the relation's tuples, all, by their values at the
+// bound positions. A step with no bound positions gets one bucket, keyed
+// "".
+func (s *step) buildIndex(all []relation.Tuple) {
+	s.all = all
 	s.buckets = make(map[string]int32)
 	bucketOf := make([]int32, len(all))
 	s.start = []int32{0}
@@ -126,9 +122,9 @@ func (s *step) buildIndex() {
 		s.start[b] += s.start[b-1]
 	}
 	fill := append([]int32(nil), s.start[:len(s.start)-1]...)
-	s.tuples = make([]relation.Tuple, len(all))
-	for i, t := range all {
-		s.tuples[fill[bucketOf[i]]] = t
+	s.rows = make([]int32, len(all))
+	for i := range all {
+		s.rows[fill[bucketOf[i]]] = int32(i)
 		fill[bucketOf[i]]++
 	}
 }

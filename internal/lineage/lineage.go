@@ -42,8 +42,8 @@ func Why(views []*view.View, ref view.TupleRef) ([]Witness, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Witness, 0, len(ans.Derivations))
-	for _, d := range ans.Derivations {
+	out := make([]Witness, 0, ans.NumDerivations())
+	for _, d := range ans.Derivations() {
 		var w Witness
 		for _, id := range d.TupleSet() {
 			w = append(w, id)
@@ -86,7 +86,7 @@ func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
 		return nil, nil
 	}
 	seen := make(map[string]Cell)
-	for _, d := range ans.Derivations {
+	for _, d := range ans.Derivations() {
 		// The derivation holds one base tuple per body atom, in body
 		// order; the head variable's occurrences in atoms give the source
 		// positions.
@@ -172,13 +172,13 @@ func AffectedBy(views []*view.View, id relation.TupleID) []view.TupleRef {
 	return out
 }
 
-func lookup(views []*view.View, ref view.TupleRef) (*cq.Answer, error) {
+func lookup(views []*view.View, ref view.TupleRef) (cq.Answer, error) {
 	if ref.View < 0 || ref.View >= len(views) {
-		return nil, fmt.Errorf("%w: view %d", ErrUnknown, ref.View)
+		return cq.Answer{}, fmt.Errorf("%w: view %d", ErrUnknown, ref.View)
 	}
 	ans, ok := views[ref.View].Result.Lookup(ref.Tuple)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknown, ref)
+		return cq.Answer{}, fmt.Errorf("%w: %s", ErrUnknown, ref)
 	}
 	return ans, nil
 }

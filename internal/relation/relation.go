@@ -11,6 +11,7 @@ package relation
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -85,6 +86,30 @@ func (v Value) AppendEncode(dst []byte) []byte {
 	return append(dst, ';')
 }
 
+// CompareEncode orders t and u as their Encode forms compare, without
+// building them. A value's "len(v):v;" part is never a proper prefix of
+// another value's, so the first position where t and u differ decides.
+func (t Tuple) CompareEncode(u Tuple) int {
+	for i := 0; i < len(t) && i < len(u); i++ {
+		if t[i] != u[i] {
+			return t[i].compareEncode(u[i])
+		}
+	}
+	return cmp.Compare(len(t), len(u))
+}
+
+// compareEncode orders the Encode parts of two distinct values. Equal
+// lengths leave the bytes to decide; otherwise the "len:" prefixes differ.
+func (v Value) compareEncode(w Value) int {
+	if len(v) == len(w) {
+		return strings.Compare(string(v), string(w))
+	}
+	var a, b [24]byte
+	return bytes.Compare(
+		append(strconv.AppendInt(a[:0], int64(len(v)), 10), ':'),
+		append(strconv.AppendInt(b[:0], int64(len(w)), 10), ':'))
+}
+
 // Project returns the sub-tuple at the given positions. It panics if a
 // position is out of range, which indicates a schema bug rather than a data
 // error.
@@ -120,10 +145,26 @@ func (id TupleID) AppendKey(dst []byte) []byte {
 }
 
 // CompareKey orders id and o as their Key strings compare, without
-// building them.
+// building them unless one relation name is the other's followed by "|".
 func (id TupleID) CompareKey(o TupleID) int {
-	var a, b [64]byte
-	return bytes.Compare(id.AppendKey(a[:0]), o.AppendKey(b[:0]))
+	a, b := id.Relation, o.Relation
+	if a == b {
+		return id.Tuple.CompareEncode(o.Tuple)
+	}
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 {
+		return c
+	}
+	// One name is a proper prefix of the other: the shorter key's "|"
+	// meets the longer name's next byte.
+	if len(a) < len(b) && b[n] != '|' {
+		return cmp.Compare('|', b[n])
+	}
+	if len(b) < len(a) && a[n] != '|' {
+		return cmp.Compare(a[n], '|')
+	}
+	var x, y [64]byte
+	return bytes.Compare(id.AppendKey(x[:0]), o.AppendKey(y[:0]))
 }
 
 // Equal reports whether id and o name the same base tuple.

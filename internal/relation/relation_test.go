@@ -2,6 +2,7 @@ package relation
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -382,5 +383,35 @@ func TestInsertDeleteRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCompareKeyMatchesKeyOrder: CompareEncode and CompareKey order
+// tuples and identities exactly as their Encode and Key strings compare,
+// including values whose lengths share decimal prefixes (1 vs 10..12),
+// tuples of different arity and relation names that prefix each other
+// or contain "|".
+func TestCompareKeyMatchesKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"A", "AB", "A|", "A|B", "Ab", "B", "A0"}
+	randTuple := func() Tuple {
+		out := make(Tuple, 1+rng.Intn(3))
+		for i := range out {
+			out[i] = Value(strings.Repeat(string(rune('a'+rng.Intn(2))), rng.Intn(13)))
+		}
+		return out
+	}
+	for i := 0; i < 20000; i++ {
+		a := TupleID{Relation: names[rng.Intn(len(names))], Tuple: randTuple()}
+		b := TupleID{Relation: names[rng.Intn(len(names))], Tuple: randTuple()}
+		if rng.Intn(4) == 0 {
+			b.Tuple = append(a.Tuple[:len(a.Tuple):len(a.Tuple)], randTuple()...)
+		}
+		if got, want := a.Tuple.CompareEncode(b.Tuple), strings.Compare(a.Tuple.Encode(), b.Tuple.Encode()); got != want {
+			t.Fatalf("CompareEncode(%v, %v) = %d, want %d", a.Tuple, b.Tuple, got, want)
+		}
+		if got, want := a.CompareKey(b), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("CompareKey(%v, %v) = %d, want %d", a, b, got, want)
+		}
 	}
 }

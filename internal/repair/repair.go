@@ -32,7 +32,7 @@ func PlantedOracle(corrupt map[string]bool) Oracle {
 		if !ok {
 			return false
 		}
-		for _, d := range ans.Derivations {
+		for _, d := range ans.Derivations() {
 			for k := range d.TupleSet() {
 				if corrupt[k] {
 					return true
@@ -75,7 +75,7 @@ func FDOracle(attrFDs map[string]*fd.Set) Oracle {
 		if !ok {
 			return false
 		}
-		for _, d := range ans.Derivations {
+		for _, d := range ans.Derivations() {
 			for k := range d.TupleSet() {
 				if bad[k] {
 					return true

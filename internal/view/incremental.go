@@ -32,9 +32,9 @@ type Maintainer struct {
 func (x *Index) NewMaintainer() *Maintainer {
 	m := &Maintainer{
 		idx:        x,
-		derivAlive: make([]int32, len(x.refs)),
+		derivAlive: make([]int32, x.NumRefs()),
 		derivHit:   make([]int32, len(x.derivRef)),
-		deleted:    make([]bool, len(x.tuples)),
+		deleted:    make([]bool, x.NumTuples()),
 	}
 	for r := range m.derivAlive {
 		m.derivAlive[r] = x.numDerivs(int32(r))

@@ -253,7 +253,7 @@ func TestMaintainerMatchesRecount(t *testing.T) {
 					ref := TupleRef{View: v.Index, Tuple: ans.Tuple}
 					r := mustRef(t, idx, ref)
 					alive := 0
-					for _, d := range ans.Derivations {
+					for _, d := range ans.Derivations() {
 						hit := false
 						for _, id := range d {
 							hit = hit || deleted[id.Key()]
@@ -305,8 +305,9 @@ func indexViews(t *testing.T, rng *rand.Rand) (*relation.Instance, []*View) {
 }
 
 // TestIndexKeyOrderAndDerivationTuples: tuple ids ascend in TupleID.Key
-// order, and each derivation's run in the derivation → tuple CSR is the
-// key-sorted keys of its Derivation.TupleSet.
+// order, each derivation's run in the derivation → tuple CSR is the
+// key-sorted keys of its Derivation.TupleSet, and AtomTuple resolves
+// every atom's row to the tuple id of the atom's base tuple.
 func TestIndexKeyOrderAndDerivationTuples(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		_, views := indexViews(t, rand.New(rand.NewSource(seed)))
@@ -320,10 +321,10 @@ func TestIndexKeyOrderAndDerivationTuples(t *testing.T) {
 			ref := idx.Ref(r)
 			ans, _ := views[ref.View].Result.Lookup(ref.Tuple)
 			lo, hi := idx.Derivations(r)
-			if int(hi-lo) != len(ans.Derivations) {
-				t.Fatalf("seed %d %s: %d derivation ids, %d derivations", seed, ref, hi-lo, len(ans.Derivations))
+			if int(hi-lo) != len(ans.Derivations()) {
+				t.Fatalf("seed %d %s: %d derivation ids, %d derivations", seed, ref, hi-lo, len(ans.Derivations()))
 			}
-			for i, d := range ans.Derivations {
+			for i, d := range ans.Derivations() {
 				var want, got []string
 				for k := range d.TupleSet() {
 					want = append(want, k)
@@ -334,6 +335,11 @@ func TestIndexKeyOrderAndDerivationTuples(t *testing.T) {
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d %s derivation %d: CSR run %v, want %v", seed, ref, i, got, want)
+				}
+				for j, id := range d {
+					if got := idx.AtomTuple(lo+int32(i), j); idx.Tuple(got).Key() != id.Key() {
+						t.Fatalf("seed %d %s derivation %d atom %d: AtomTuple is %s, want %s", seed, ref, i, j, idx.Tuple(got), id)
+					}
 				}
 			}
 		}

@@ -20,21 +20,28 @@ import (
 // 0..NumTuples()-1 in TupleID.Key order, so "sorted by key" is
 // "ascending id"; view tuples get ref ids 0..NumRefs()-1 in (view,
 // answer) order; derivations get ids in (ref, derivation) order, so
-// every ref owns one contiguous run of derivation ids. An Index is
-// immutable once built and safe for concurrent use.
+// every ref owns one contiguous run of derivation ids. The index holds
+// no copy of the views' derivations or answer tuples: base tuples are
+// (relation, row) pairs into the relation snapshots the views' Results
+// keep, and a ref is its view and answer position. An Index is immutable
+// once built and safe for concurrent use.
 type Index struct {
-	views  []*View
-	keys   []string           // tuple id -> TupleID.Key, ascending
-	tuples []relation.TupleID // tuple id -> base tuple
-	refs   []TupleRef         // ref id -> view tuple
-	// refRank[r] is the rank of refs[r].Key() among all ref keys. Delete
-	// and Undelete report refs in this order, which is string order, not
-	// ref id order: "10|…" sorts before "2|…".
+	views []*View
+	// rels are the relations the views read, in first-use order.
+	rels []indexRel
+	// atomRel[v][i] is the rels entry of view v's body atom i.
+	atomRel [][]int32
+	// tupleAt[t] is tuple t's relation and row.
+	tupleAt []rowRef
+	// refRank[r] is the rank of ref r's TupleRef.Key among all ref keys.
+	// Delete and Undelete report refs in this order, which is string
+	// order, not ref id order: "10|…" sorts before "2|…".
 	refRank []int32
 	// viewStart[v] is the first ref id of view v; viewStart[len(views)]
 	// is NumRefs().
 	viewStart []int32
-	// refDerivs[r]..refDerivs[r+1] are ref r's derivation ids.
+	// refDerivs[r]..refDerivs[r+1] are ref r's derivation ids; view v's
+	// Result derivation d is derivation refDerivs[viewStart[v]]+d.
 	refDerivs []int32
 	derivRef  []int32 // derivation id -> ref id
 	// derivTuple[derivStart[d]:derivStart[d+1]] lists, ascending, the
@@ -48,49 +55,62 @@ type Index struct {
 	occDeriv []int32
 }
 
-// BuildIndex interns the views' provenance.
+// indexRel is one relation the views read: its snapshot as the views'
+// Results hold it, and per row the row's tuple id, or -1 when no
+// derivation uses the row.
+type indexRel struct {
+	name   string
+	tuples []relation.Tuple
+	ids    []int32
+}
+
+// rowRef is a base tuple as a row of one of the index's relations.
+type rowRef struct{ rel, row int32 }
+
+// BuildIndex interns the views' provenance. The views must have been
+// evaluated over one state of the instance, as Materialize does, so a
+// relation's rows mean the same tuples in every view; BuildIndex panics
+// otherwise.
 func BuildIndex(views []*View) *Index {
 	var nRefs, nDerivs, nIDs int
 	for _, v := range views {
-		nRefs += v.Result.NumAnswers()
-		for _, ans := range v.Result.Answers() {
-			nDerivs += len(ans.Derivations)
-			for _, d := range ans.Derivations {
-				nIDs += len(d)
-			}
-		}
+		res := v.Result
+		nRefs += res.NumAnswers()
+		nDerivs += res.NumDerivations()
+		nIDs += res.NumDerivations() * len(v.Query.Body)
 	}
 	x := &Index{
 		views:      views,
-		refs:       make([]TupleRef, 0, nRefs),
+		atomRel:    make([][]int32, len(views)),
 		viewStart:  make([]int32, 0, len(views)+1),
 		refDerivs:  make([]int32, 1, nRefs+1),
 		derivRef:   make([]int32, 0, nDerivs),
 		derivStart: make([]int32, 1, nDerivs+1),
 		derivTuple: make([]int32, 0, nIDs),
 	}
-	var (
-		buf       []byte
-		keys      []string // first-seen tuple number -> TupleID.Key
-		firstSeen = make(map[string]int32)
-	)
-	for _, v := range views {
-		x.viewStart = append(x.viewStart, int32(len(x.refs)))
-		for _, ans := range v.Result.Answers() {
-			r := int32(len(x.refs))
-			x.refs = append(x.refs, TupleRef{View: v.Index, Tuple: ans.Tuple})
-			for _, d := range ans.Derivations {
+	for v, vw := range views {
+		x.atomRel[v] = make([]int32, len(vw.Query.Body))
+		for i, a := range vw.Query.Body {
+			x.atomRel[v][i] = x.internRel(a.Relation, vw.Result.AtomRows(i))
+		}
+	}
+	// Intern tuples by (relation, row), numbering them first-seen.
+	var r int32
+	for v, vw := range views {
+		res := vw.Result
+		x.viewStart = append(x.viewStart, r)
+		for a := range res.NumAnswers() {
+			lo, hi := res.Derivations(a)
+			for d := lo; d < hi; d++ {
 				x.derivRef = append(x.derivRef, r)
 				start := len(x.derivTuple)
-				for _, id := range d {
-					buf = id.AppendKey(buf[:0])
-					t, ok := firstSeen[string(buf)]
-					if !ok {
-						t = int32(len(keys))
-						k := string(buf)
-						firstSeen[k] = t
-						keys = append(keys, k)
-						x.tuples = append(x.tuples, id)
+				for i, row := range res.Rows(d) {
+					k := x.atomRel[v][i]
+					t := x.rels[k].ids[row]
+					if t < 0 {
+						t = int32(len(x.tupleAt))
+						x.rels[k].ids[row] = t
+						x.tupleAt = append(x.tupleAt, rowRef{k, row})
 					}
 					if !slices.Contains(x.derivTuple[start:], t) {
 						x.derivTuple = append(x.derivTuple, t)
@@ -99,20 +119,19 @@ func BuildIndex(views []*View) *Index {
 				x.derivStart = append(x.derivStart, int32(len(x.derivTuple)))
 			}
 			x.refDerivs = append(x.refDerivs, int32(len(x.derivRef)))
+			r++
 		}
 	}
-	x.viewStart = append(x.viewStart, int32(len(x.refs)))
+	x.viewStart = append(x.viewStart, r)
 
 	// Renumber tuples in key order and sort every derivation's run.
-	rank := make([]int32, len(keys))
-	x.keys = make([]string, len(keys))
-	tuples := make([]relation.TupleID, len(keys))
-	for t, seen := range keyOrder(keys) {
-		rank[seen] = int32(t)
-		x.keys[t] = keys[seen]
-		tuples[t] = x.tuples[seen]
+	slices.SortFunc(x.tupleAt, func(a, b rowRef) int { return x.tupleID(a).CompareKey(x.tupleID(b)) })
+	rank := make([]int32, len(x.tupleAt))
+	for t, at := range x.tupleAt {
+		ids := x.rels[at.rel].ids
+		rank[ids[at.row]] = int32(t)
+		ids[at.row] = int32(t)
 	}
-	x.tuples = tuples
 	for i, t := range x.derivTuple {
 		x.derivTuple[i] = rank[t]
 	}
@@ -122,15 +141,16 @@ func BuildIndex(views []*View) *Index {
 
 	// Counting sort of (tuple, derivation) pairs by tuple; walking
 	// derivations in id order leaves each tuple's run ascending.
-	x.occStart = make([]int32, len(x.tuples)+1)
+	n := len(x.tupleAt)
+	x.occStart = make([]int32, n+1)
 	for _, t := range x.derivTuple {
 		x.occStart[t+1]++
 	}
-	for t := range x.tuples {
+	for t := range n {
 		x.occStart[t+1] += x.occStart[t]
 	}
 	x.occDeriv = make([]int32, len(x.derivTuple))
-	fill := slices.Clone(x.occStart[:len(x.tuples)])
+	fill := slices.Clone(x.occStart[:n])
 	for d := range x.derivRef {
 		for _, t := range x.DerivTuples(int32(d)) {
 			x.occDeriv[fill[t]] = int32(d)
@@ -141,6 +161,37 @@ func BuildIndex(views []*View) *Index {
 	return x
 }
 
+// internRel returns the rels entry of the named relation, adding it with
+// the given snapshot on first use. Later views must hold the same rows.
+func (x *Index) internRel(name string, tuples []relation.Tuple) int32 {
+	for k, rel := range x.rels {
+		if rel.name != name {
+			continue
+		}
+		if len(rel.tuples) != len(tuples) {
+			panic("view: BuildIndex over views of different instance states")
+		}
+		for i, t := range tuples {
+			if &t[0] != &rel.tuples[i][0] {
+				panic("view: BuildIndex over views of different instance states")
+			}
+		}
+		return int32(k)
+	}
+	ids := make([]int32, len(tuples))
+	for i := range ids {
+		ids[i] = -1
+	}
+	x.rels = append(x.rels, indexRel{name: name, tuples: tuples, ids: ids})
+	return int32(len(x.rels) - 1)
+}
+
+// tupleID returns the base tuple at a relation row.
+func (x *Index) tupleID(at rowRef) relation.TupleID {
+	rel := &x.rels[at.rel]
+	return relation.TupleID{Relation: rel.name, Tuple: rel.tuples[at.row]}
+}
+
 // rankRefs fills refRank without building a TupleRef.Key per ref. The
 // keys' "view|" prefixes order the views, since none is a prefix of
 // another, and within one view the head encodings order the answers.
@@ -149,7 +200,7 @@ func (x *Index) rankRefs() {
 	for v, vw := range x.views {
 		prefixes[v] = strconv.Itoa(vw.Index) + "|"
 	}
-	x.refRank = make([]int32, len(x.refs))
+	x.refRank = make([]int32, x.NumRefs())
 	var rank int32
 	var answers []int32
 	for _, v := range keyOrder(prefixes) {
@@ -179,22 +230,29 @@ func keyOrder(keys []string) []int32 {
 
 // NumTuples returns the number of base tuples occurring in some
 // derivation.
-func (x *Index) NumTuples() int { return len(x.tuples) }
+func (x *Index) NumTuples() int { return len(x.tupleAt) }
 
 // NumRefs returns ‖V‖, the number of view tuples.
-func (x *Index) NumRefs() int { return len(x.refs) }
+func (x *Index) NumRefs() int { return int(x.viewStart[len(x.views)]) }
 
-// LookupTuple returns the tuple id of a base tuple, a binary search over
-// the sorted keys; ok is false when the tuple occurs in no derivation.
+// LookupTuple returns the tuple id of a base tuple, a binary search by
+// key over the tuple ids; ok is false when the tuple occurs in no
+// derivation.
 func (x *Index) LookupTuple(id relation.TupleID) (t int32, ok bool) {
-	var buf [64]byte
-	key := id.AppendKey(buf[:0])
-	i := sort.Search(len(x.keys), func(i int) bool { return x.keys[i] >= string(key) })
-	return int32(i), i < len(x.keys) && x.keys[i] == string(key)
+	i := sort.Search(len(x.tupleAt), func(i int) bool { return x.tupleID(x.tupleAt[i]).CompareKey(id) >= 0 })
+	return int32(i), i < len(x.tupleAt) && x.tupleID(x.tupleAt[i]).Equal(id)
 }
 
 // Tuple returns the base tuple behind a tuple id.
-func (x *Index) Tuple(t int32) relation.TupleID { return x.tuples[t] }
+func (x *Index) Tuple(t int32) relation.TupleID { return x.tupleID(x.tupleAt[t]) }
+
+// AtomTuple returns the tuple id of the base tuple body atom i of its
+// query matched in derivation d.
+func (x *Index) AtomTuple(d int32, i int) int32 {
+	v := x.viewOf(x.derivRef[d])
+	row := x.views[v].Result.Rows(int(d - x.refDerivs[x.viewStart[v]]))[i]
+	return x.rels[x.atomRel[v][i]].ids[row]
+}
 
 // LookupRef returns the ref id of a view tuple; ok is false when it is not
 // a tuple of its view.
@@ -210,7 +268,16 @@ func (x *Index) LookupRef(ref TupleRef) (r int32, ok bool) {
 }
 
 // Ref returns the view tuple behind a ref id.
-func (x *Index) Ref(r int32) TupleRef { return x.refs[r] }
+func (x *Index) Ref(r int32) TupleRef {
+	v := x.viewOf(r)
+	return TupleRef{View: x.views[v].Index, Tuple: x.views[v].Result.Tuple(int(r - x.viewStart[v]))}
+}
+
+// viewOf returns the view ref r belongs to: the first whose refs end
+// after r.
+func (x *Index) viewOf(r int32) int {
+	return sort.Search(len(x.views), func(v int) bool { return x.viewStart[v+1] > r })
+}
 
 // RefRank returns ref r's position among all view tuples in
 // TupleRef.Key order.

@@ -24,10 +24,12 @@ func orderDigest(t *testing.T, w *workload.Workload) string {
 	h := sha256.New()
 	for _, v := range views {
 		fmt.Fprintf(h, "view %d\n", v.Index)
-		for _, ans := range v.Result.Answers() {
-			fmt.Fprintf(h, "%s\n", ans.Tuple.Encode())
-			for _, d := range ans.Derivations {
-				writeDerivation(h, d)
+		res := v.Result
+		for a := range res.NumAnswers() {
+			fmt.Fprintf(h, "%s\n", res.Tuple(a).Encode())
+			lo, hi := res.Derivations(a)
+			for d := lo; d < hi; d++ {
+				writeDerivation(h, res, d)
 			}
 		}
 	}
@@ -41,9 +43,10 @@ func orderDigest(t *testing.T, w *workload.Workload) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func writeDerivation(h hash.Hash, d cq.Derivation) {
-	for _, id := range d {
-		fmt.Fprintf(h, " %s", id.Key())
+// writeDerivation writes derivation d's base tuples in body order.
+func writeDerivation(h hash.Hash, res *cq.Result, d int) {
+	for i := range res.Rows(d) {
+		fmt.Fprintf(h, " %s", res.TupleID(d, i).Key())
 	}
 	fmt.Fprintln(h)
 }

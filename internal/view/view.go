@@ -6,14 +6,17 @@
 // ("finding the occurrences of key values of the deleted relation tuples
 // in the view").
 //
-// The Index interns every base tuple that occurs in a derivation (in key
-// order) and every view tuple to dense int32 ids, and stores each
-// derivation's tuples and each base tuple's derivations as flat offset
-// and id arrays. It is immutable once
-// built, so one Index serves every request on the same (D, Q); a
-// Maintainer is three counter slices over it, which makes NewMaintainer
-// and Clone a few allocations and copies. String keys (TupleID.Key,
-// TupleRef.Key) appear only where callers cross into or out of ids.
+// The Index interns every base tuple that occurs in a derivation (by
+// relation row, numbered in key order) and every view tuple to dense
+// int32 ids, and stores each derivation's tuples and each base tuple's
+// derivations as flat offset and id arrays. It keeps no copy of the
+// views' derivations, answer tuples or keys: a tuple id maps back to a
+// row of a relation snapshot the views' Results hold, and a ref id to its
+// view and answer. It is immutable once built, so one Index serves every
+// request on the same (D, Q); a Maintainer is three counter slices over
+// it, which makes NewMaintainer and Clone a few allocations and copies.
+// String keys (TupleID.Key, TupleRef.Key) appear only where callers cross
+// into or out of ids.
 package view
 
 import (
@@ -176,8 +179,8 @@ func MaxArity(views []*View) int {
 // there is exactly one derivation, so this degenerates to "no tuple of the
 // join path is deleted". This is the definition; Index.Killed computes
 // the same verdicts from the deleted tuples outward.
-func Survives(ans *cq.Answer, deleted map[string]bool) bool {
-	for _, d := range ans.Derivations {
+func Survives(ans cq.Answer, deleted map[string]bool) bool {
+	for _, d := range ans.Derivations() {
 		hit := false
 		for _, id := range d {
 			if deleted[id.Key()] {

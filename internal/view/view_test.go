@@ -224,6 +224,66 @@ func TestInvertedIndex(t *testing.T) {
 			t.Errorf("Tuple(LookupTuple(%s)) = %s", id, got)
 		}
 	}
+	// The index holds no key strings, and crossing into or out of ids
+	// builds none.
+	id := db.AllTuples()[0]
+	if n := testing.AllocsPerRun(20, func() { idx.LookupTuple(id); idx.Tuple(0); idx.Ref(0) }); n != 0 {
+		t.Errorf("LookupTuple, Tuple and Ref allocate %v times, want 0", n)
+	}
+}
+
+// TestIndexRefsAcrossEmptyViews: Ref derives a view tuple from the
+// view's first ref id and answer, so ids round-trip even when empty views
+// sit between, before and after the others.
+func TestIndexRefsAcrossEmptyViews(t *testing.T) {
+	db := fig1DB()
+	views, err := Materialize([]*cq.Query{
+		cq.MustParse("E(x) :- T1(x, 'VLDB')"),
+		cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)"),
+		cq.MustParse("E(x) :- T1(x, 'VLDB')"),
+		cq.MustParse("E(x) :- T1(x, 'VLDB')"),
+		cq.MustParse("Q(y) :- T1(x, y)"),
+		cq.MustParse("E(x) :- T1(x, 'VLDB')"),
+	}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := BuildIndex(views)
+	if idx.NumRefs() != TotalSize(views) {
+		t.Fatalf("NumRefs = %d, want %d", idx.NumRefs(), TotalSize(views))
+	}
+	r := int32(0)
+	for _, v := range views {
+		for a := range v.Result.NumAnswers() {
+			want := TupleRef{View: v.Index, Tuple: v.Result.Tuple(a)}
+			if got := idx.Ref(r); got.Key() != want.Key() {
+				t.Errorf("Ref(%d) = %s, want %s", r, got, want)
+			}
+			if got, ok := idx.LookupRef(want); !ok || got != r {
+				t.Errorf("LookupRef(%s) = %d, %v; want %d", want, got, ok, r)
+			}
+			r++
+		}
+	}
+}
+
+// TestBuildIndexRejectsMixedStates: the index interns base tuples by
+// relation row, so views evaluated over different states of the instance
+// cannot share one index.
+func TestBuildIndexRejectsMixedStates(t *testing.T) {
+	db := fig1DB()
+	q := cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")
+	first, _ := Materialize([]*cq.Query{q}, db)
+	db.Delete(relation.TupleID{Relation: "T1", Tuple: tup("Joe", "TKDE")})
+	db.MustInsert("T1", "Ann", "TKDE")
+	second, _ := Materialize([]*cq.Query{q}, db)
+	second[0].Index = 1
+	defer func() {
+		if recover() == nil {
+			t.Error("BuildIndex accepted views of two instance states")
+		}
+	}()
+	BuildIndex([]*View{first[0], second[0]})
 }
 
 func TestInvertedIndexKeyPreservingAllCritical(t *testing.T) {
