@@ -72,7 +72,10 @@ func starProblem(b *testing.B, seed int64) *core.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, 4, seed+1)
+	p, err = p.Specialize(workload.SampleDeletion(p.Views, 4, seed+1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	return p
 }
 
@@ -86,7 +89,10 @@ func chainProblem(b *testing.B, seed int64, length int) *core.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, 3, seed+1)
+	p, err = p.Specialize(workload.SampleDeletion(p.Views, 3, seed+1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	return p
 }
 
@@ -99,7 +105,10 @@ func pivotProblem(b *testing.B, seed int64, roots int) *core.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, roots, seed+1)
+	p, err = p.Specialize(workload.SampleDeletion(p.Views, roots, seed+1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	return p
 }
 
@@ -176,7 +185,9 @@ func BenchmarkUnidimensional(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Delta.Add(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuples()[0]})
+	if p, err = p.Specialize(view.NewDeletion(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuples()[0]})); err != nil {
+		b.Fatal(err)
+	}
 	benchSolver(b, p, &core.Unidimensional{})
 }
 

@@ -199,7 +199,7 @@ func run(dbPath, qPath, dPath string, opts options) error {
 		return err
 	}
 	fmt.Printf("instance: |D|=%d, %d queries, ‖V‖=%d, ‖ΔV‖=%d, key-preserving=%v\n",
-		db.Size(), len(queries), p.TotalViewSize(), p.Delta.Len(), p.IsKeyPreserving())
+		db.Size(), len(queries), p.TotalViewSize(), p.DeltaLen(), p.IsKeyPreserving())
 	fmt.Printf("classification: %s\n", res.Class)
 	for _, g := range res.Guarantees {
 		fmt.Printf("  - %s\n", g)

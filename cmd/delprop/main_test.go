@@ -266,7 +266,7 @@ type panicOnMulti struct{}
 func (panicOnMulti) Name() string { return "panic-on-multi" }
 
 func (panicOnMulti) Solve(ctx context.Context, p *core.Problem) (*core.Solution, error) {
-	if p.Delta.Len() > 1 {
+	if p.DeltaLen() > 1 {
 		return (&core.Faulty{Mode: core.FaultPanic}).Solve(ctx, p)
 	}
 	return (&core.Greedy{}).Solve(ctx, p)

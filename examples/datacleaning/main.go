@@ -25,7 +25,7 @@ func main() {
 		Seed: 42, Relations: 4, HubValues: 4, RowsPerRelation: 8,
 		Queries: 3, AtomsPerQuery: 2,
 	})
-	p, err := core.NewProblem(w.DB, w.Queries, nil)
+	skel, err := core.NewProblem(w.DB, w.Queries, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,27 +34,32 @@ func main() {
 	// wrong. Corrupt rows are a seeded random subset.
 	rng := rand.New(rand.NewSource(7))
 	corrupt := map[string]bool{}
-	for _, id := range p.DB.AllTuples() {
+	for _, id := range skel.DB.AllTuples() {
 		if rng.Intn(6) == 0 {
 			corrupt[id.Key()] = true
 		}
 	}
-	for _, v := range p.Views {
+	marked := view.NewDeletion()
+	for _, v := range skel.Views {
 		for _, ans := range v.Result.Answers() {
 			for _, d := range ans.Derivations() {
 				for k := range d.TupleSet() {
 					if corrupt[k] {
-						p.Delta.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+						marked.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
 					}
 				}
 			}
 		}
 	}
 	fmt.Printf("oracle marked %d of %d view tuples as wrong (from %d corrupt source rows)\n",
-		p.Delta.Len(), p.TotalViewSize(), len(corrupt))
-	if p.Delta.Len() == 0 {
+		marked.Len(), skel.TotalViewSize(), len(corrupt))
+	if marked.Len() == 0 {
 		fmt.Println("nothing to clean")
 		return
+	}
+	p, err := skel.Specialize(marked)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Batch propagation (this paper): one solve over all feedback.
@@ -68,7 +73,7 @@ func main() {
 
 	// Sequential per-query processing (the QOCO-style regime): solve each
 	// query's feedback in isolation and union the deletions.
-	perView := p.Delta.PerView()
+	perView := marked.PerView()
 	seen := map[string]bool{}
 	var seq []relation.TupleID
 	for vi := 0; vi < len(p.Views); vi++ {
@@ -76,12 +81,13 @@ func main() {
 		if len(refs) == 0 {
 			continue
 		}
-		sub, err := core.NewProblem(p.DB, w.Queries[vi:vi+1], nil)
+		local := view.NewDeletion()
+		for _, r := range refs {
+			local.Add(view.TupleRef{View: 0, Tuple: r.Tuple})
+		}
+		sub, err := core.NewProblem(p.DB, w.Queries[vi:vi+1], local)
 		if err != nil {
 			log.Fatal(err)
-		}
-		for _, r := range refs {
-			sub.Delta.Add(view.TupleRef{View: 0, Tuple: r.Tuple})
 		}
 		sol, err := (&core.RedBlue{}).Solve(context.Background(), sub)
 		if err != nil {

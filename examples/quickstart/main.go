@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("‖V‖=%d view tuples, ‖ΔV‖=%d, key-preserving=%v\n",
-		p.TotalViewSize(), p.Delta.Len(), p.IsKeyPreserving())
+		p.TotalViewSize(), p.DeltaLen(), p.IsKeyPreserving())
 
 	// 4. Solve with the paper's general-case algorithm (Claim 1) and with
 	// the exact reference.

@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(core.ExplainSolution(p, best))
-	req, err := core.ExplainRequest(p, p.Delta.Refs()[0])
+	req, err := core.ExplainRequest(p, p.DeltaRefs()[0])
 	if err != nil {
 		log.Fatal(err)
 	}

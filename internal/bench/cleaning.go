@@ -32,7 +32,7 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 				Seed: seed, Relations: 4, HubValues: 4, RowsPerRelation: 8,
 				Queries: 3, AtomsPerQuery: 2,
 			})
-			p, err := core.NewProblem(wl.DB, wl.Queries, nil)
+			skel, err := core.NewProblem(wl.DB, wl.Queries, nil)
 			if err != nil {
 				return err
 			}
@@ -47,7 +47,8 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			// Oracle feedback: every view tuple whose provenance touches a
 			// corrupt tuple is wrong; only a fraction is reported.
 			rng := rand.New(rand.NewSource(seed + 900))
-			for _, v := range p.Views {
+			marked := view.NewDeletion()
+			for _, v := range skel.Views {
 				for _, ans := range v.Result.Answers() {
 					touched := false
 					for _, d := range ans.Derivations() {
@@ -58,12 +59,16 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 						}
 					}
 					if touched && rng.Float64() < frac {
-						p.Delta.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+						marked.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
 					}
 				}
 			}
-			if p.Delta.Len() == 0 {
+			if marked.Len() == 0 {
 				continue
+			}
+			p, err := skel.Specialize(marked)
+			if err != nil {
+				return err
 			}
 			sol, err := recordedSolve(rec, &core.RedBlue{}, p)
 			if err != nil {
@@ -85,7 +90,7 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			sumRec += rec
 			sumSE += rep.SideEffect
 			sumPlanted += len(planted)
-			sumMarked += p.Delta.Len()
+			sumMarked += p.DeltaLen()
 			sumDeleted += len(sol.Deleted)
 			trials++
 		}

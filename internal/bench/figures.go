@@ -19,11 +19,12 @@ import (
 // deletions the paper names.
 func runFig1(w io.Writer, rec *benchkit.Recorder) error {
 	wl := workload.Fig1()
-	p, err := core.NewProblem(wl.DB, wl.Queries[:1], nil)
+	p, err := core.NewProblem(wl.DB, wl.Queries[:1], view.NewDeletion(
+		view.TupleRef{View: 0, Tuple: relation.Tuple{"John", "XML"}},
+	))
 	if err != nil {
 		return err
 	}
-	p.Delta.Add(view.TupleRef{View: 0, Tuple: relation.Tuple{"John", "XML"}})
 	opt, err := recordedSolve(rec, &core.BruteForce{}, p)
 	if err != nil {
 		return err
@@ -86,7 +87,7 @@ func runFig2(w io.Writer, rec *benchkit.Recorder) error {
 	}
 	t.Add("table T", fmt.Sprintf("%d tuples (one per set)", p.DB.Size()))
 	t.Add("views", fmt.Sprintf("%d (Vr1 + Vb1..Vb3), each a single join path", len(p.Views)))
-	t.Add("ΔV", p.Delta.String())
+	t.Add("ΔV", p.DeltaString())
 	opt, err := recordedSolve(rec, &core.BruteForce{}, p)
 	if err != nil {
 		return err

@@ -57,7 +57,7 @@ func runParallelSpeedup(w io.Writer, rec *benchkit.Recorder) error {
 		if err != nil {
 			return err
 		}
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		probs = append(probs, p)

@@ -63,8 +63,7 @@ func starProblem(seed int64, relations, queries, atoms, rows, nDel int) (*core.P
 	if err != nil {
 		return nil, err
 	}
-	p.Delta = workload.SampleDeletion(p.Views, nDel, seed+1000)
-	return p, nil
+	return p.Specialize(workload.SampleDeletion(p.Views, nDel, seed+1000))
 }
 
 func chainProblem(seed int64, length, queries, span, rows, nDel int) (*core.Problem, error) {
@@ -76,8 +75,7 @@ func chainProblem(seed int64, length, queries, span, rows, nDel int) (*core.Prob
 	if err != nil {
 		return nil, err
 	}
-	p.Delta = workload.SampleDeletion(p.Views, nDel, seed+1000)
-	return p, nil
+	return p.Specialize(workload.SampleDeletion(p.Views, nDel, seed+1000))
 }
 
 // runClaim1: measured ratio of the red-blue solver against the exact
@@ -98,7 +96,7 @@ func runClaim1(w io.Writer, rec *benchkit.Recorder) error {
 				if err != nil {
 					return err
 				}
-				if p.Delta.Len() == 0 {
+				if p.DeltaLen() == 0 {
 					continue
 				}
 				approx, err := recordedSolve(rec, &core.RedBlue{}, p)
@@ -114,7 +112,7 @@ func runClaim1(w io.Writer, rec *benchkit.Recorder) error {
 				stats.add(a, o)
 				l := float64(p.MaxArity())
 				V := float64(p.TotalViewSize())
-				dV := float64(p.Delta.Len())
+				dV := float64(p.DeltaLen())
 				bound := 2 * math.Sqrt(l*V*math.Log(dV+1))
 				rec.Quality(benchkit.NewQuality(
 					fmt.Sprintf("m=%d ndel=%d seed=%d", m, nDel, seed), "red-blue", a, o, bound))
@@ -150,7 +148,7 @@ func runLemma1(w io.Writer, rec *benchkit.Recorder) error {
 				if err != nil {
 					return err
 				}
-				if p.Delta.Len() == 0 {
+				if p.DeltaLen() == 0 {
 					continue
 				}
 				approx, err := recordedSolve(rec, &core.BalancedRedBlue{}, p)
@@ -166,7 +164,7 @@ func runLemma1(w io.Writer, rec *benchkit.Recorder) error {
 				stats.add(a, o)
 				l := float64(p.MaxArity())
 				V := float64(p.TotalViewSize())
-				dV := float64(p.Delta.Len())
+				dV := float64(p.DeltaLen())
 				bound := 2 * math.Sqrt(l*(V+dV)*math.Log(dV+1))
 				rec.Quality(benchkit.NewQuality(
 					fmt.Sprintf("m=%d ndel=%d seed=%d", m, nDel, seed), "balanced-red-blue", a, o, bound))
@@ -202,7 +200,7 @@ func runThm3(w io.Writer, rec *benchkit.Recorder) error {
 				if err != nil {
 					return err
 				}
-				if p.Delta.Len() == 0 {
+				if p.DeltaLen() == 0 {
 					continue
 				}
 				approx, err := recordedSolve(rec, &core.PrimalDual{}, p)
@@ -251,7 +249,7 @@ func runThm4(w io.Writer, rec *benchkit.Recorder) error {
 			if err != nil {
 				return err
 			}
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			approx, err := recordedSolve(rec, &core.LowDegTreeTwo{}, p)
@@ -299,8 +297,10 @@ func runDPTree(w io.Writer, rec *benchkit.Recorder) error {
 			if err != nil {
 				return err
 			}
-			p.Delta = workload.SampleDeletion(p.Views, 3, seed+99)
-			if p.Delta.Len() == 0 {
+			if p, err = p.Specialize(workload.SampleDeletion(p.Views, 3, seed+99)); err != nil {
+				return err
+			}
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			t0 := time.Now()
@@ -341,7 +341,9 @@ func runDPTree(w io.Writer, rec *benchkit.Recorder) error {
 		if err != nil {
 			return err
 		}
-		p.Delta = workload.SampleDeletion(p.Views, roots, 7)
+		if p, err = p.Specialize(workload.SampleDeletion(p.Views, roots, 7)); err != nil {
+			return err
+		}
 		// Median of three runs to damp scheduler noise.
 		var best time.Duration
 		for rep := 0; rep < 3; rep++ {
@@ -356,7 +358,7 @@ func runDPTree(w io.Writer, rec *benchkit.Recorder) error {
 		sizes = append(sizes, float64(p.DB.Size()))
 		times = append(times, float64(best.Nanoseconds()))
 		t2.Add(fmt.Sprint(roots), fmt.Sprint(p.DB.Size()), fmt.Sprint(p.TotalViewSize()),
-			fmt.Sprint(p.Delta.Len()), best.String())
+			fmt.Sprint(p.DeltaLen()), best.String())
 	}
 	t2.Fprint(w)
 	if k, r2, err := FitPowerLaw(sizes, times); err == nil {
@@ -399,8 +401,10 @@ func runScalability(w io.Writer, rec *benchkit.Recorder) error {
 		if err != nil {
 			return err
 		}
-		p.Delta = workload.SampleDeletion(p.Views, 5, 55)
-		if p.Delta.Len() == 0 {
+		if p, err = p.Specialize(workload.SampleDeletion(p.Views, 5, 55)); err != nil {
+			return err
+		}
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		times := make([]string, 0, 4)
@@ -427,8 +431,10 @@ func runScalability(w io.Writer, rec *benchkit.Recorder) error {
 		if err != nil {
 			return err
 		}
-		p.Delta = workload.SampleDeletion(p.Views, 5, 55)
-		if p.Delta.Len() == 0 {
+		if p, err = p.Specialize(workload.SampleDeletion(p.Views, 5, 55)); err != nil {
+			return err
+		}
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		times := make([]string, 0, 4)
@@ -453,15 +459,17 @@ func runScalability(w io.Writer, rec *benchkit.Recorder) error {
 		if err != nil {
 			return err
 		}
-		p.Delta = workload.SampleDeletion(p.Views, nDel, 55)
-		if p.Delta.Len() == 0 {
+		if p, err = p.Specialize(workload.SampleDeletion(p.Views, nDel, 55)); err != nil {
+			return err
+		}
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		times := make([]string, 0, 4)
 		for _, s := range core.ApproxSolvers() {
 			times = append(times, timedSolve(rec, s, p))
 		}
-		t3.Add(fmt.Sprint(p.Delta.Len()), times[0], times[1], times[2], times[3])
+		t3.Add(fmt.Sprint(p.DeltaLen()), times[0], times[1], times[2], times[3])
 	}
 	t3.Fprint(w)
 	return nil

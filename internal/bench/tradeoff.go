@@ -42,7 +42,7 @@ func runTradeoff(w io.Writer, rec *benchkit.Recorder) error {
 			if err != nil {
 				return err
 			}
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			viewSol, err := recordedSolve(rec, &core.RedBlueExact{}, p)
@@ -58,7 +58,7 @@ func runTradeoff(w io.Writer, rec *benchkit.Recorder) error {
 			}
 			vRep := p.Evaluate(viewSol)
 			sRep := p.Evaluate(srcSol)
-			t.Add(name, fmt.Sprint(seed), fmt.Sprint(p.Delta.Len()),
+			t.Add(name, fmt.Sprint(seed), fmt.Sprint(p.DeltaLen()),
 				fmt.Sprint(vRep.SideEffect), fmt.Sprint(vRep.DeletedCount),
 				fmt.Sprint(sRep.SideEffect), fmt.Sprint(sRep.DeletedCount))
 			total++
@@ -92,7 +92,7 @@ func runCombined(w io.Writer, rec *benchkit.Recorder) error {
 			if err != nil {
 				return err
 			}
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			t0 := nowNanos()
@@ -110,7 +110,7 @@ func runCombined(w io.Writer, rec *benchkit.Recorder) error {
 			stats.add(a, o)
 			l := float64(p.MaxArity())
 			V := float64(p.TotalViewSize())
-			dV := float64(p.Delta.Len())
+			dV := float64(p.DeltaLen())
 			// Star workloads fall under Claim 1, so its bound applies at
 			// every width.
 			rec.Quality(benchkit.NewQuality(

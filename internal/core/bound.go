@@ -20,7 +20,7 @@ func DualBound(p *Problem) (float64, error) {
 	if err := requireKeyPreserving(p, "dual-bound"); err != nil {
 		return 0, err
 	}
-	lp := buildDualLP(p.requestRefs(), nil)
+	lp := buildDualLP(&p.rq, nil)
 	load := make([]float64, len(lp.capacity))
 	total := 0.0
 	for _, r := range lp.reqs {

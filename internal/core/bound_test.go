@@ -17,7 +17,7 @@ func TestDualBoundBelowOptimum(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 6; seed++ {
 			p := mk(t, seed, 3)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			lb, err := DualBound(p)
@@ -41,12 +41,11 @@ func TestDualBoundBelowOptimum(t *testing.T) {
 
 func TestDualBoundWeighted(t *testing.T) {
 	p := pivotProblem(t, 3, 3)
-	if p.Delta.Len() == 0 {
+	if p.DeltaLen() == 0 {
 		t.Skip("empty deletion")
 	}
-	p.Weights = map[string]float64{}
 	for _, ref := range preservedRefs(p) {
-		p.Weights[ref.Key()] = 3
+		p.SetWeight(ref, 3)
 	}
 	lb, err := DualBound(p)
 	if err != nil {
@@ -73,7 +72,7 @@ func TestDualBoundRequiresKeyPreserving(t *testing.T) {
 // 0 too.
 func TestDualBoundZeroWhenFree(t *testing.T) {
 	p := pivotProblem(t, 1, 1)
-	if p.Delta.Len() == 0 {
+	if p.DeltaLen() == 0 {
 		t.Skip("empty deletion")
 	}
 	lb, err := DualBound(p)
@@ -90,7 +89,7 @@ func TestDualBoundZeroWhenFree(t *testing.T) {
 func TestPortfolioPicksBest(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		p := chainProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		pf := &Portfolio{}
@@ -144,7 +143,7 @@ func TestPortfolioName(t *testing.T) {
 func TestPortfolioParallelMatchesSequential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		p := starProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		seq, err := (&Portfolio{}).Solve(context.Background(), p)

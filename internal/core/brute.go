@@ -34,7 +34,7 @@ func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if max == 0 {
 		max = 22
 	}
-	rq := p.requestRefs()
+	rq := &p.rq
 	cands := rq.cands
 	if len(cands) > max {
 		return nil, fmt.Errorf("%w: %d candidate tuples exceeds brute-force bound %d", ErrTooLarge, len(cands), max)

@@ -159,9 +159,11 @@ func TestSourceExactIncumbentUnderInterruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := view.NewDeletion()
 	for _, ans := range p.Views[0].Result.Answers() {
-		p.Delta.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
+		all.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
 	}
+	p = respecialize(t, p, all)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx, st := WithStats(ctx)

@@ -25,15 +25,34 @@ func tup(vals ...string) relation.Tuple {
 func fig1Q3Problem(t *testing.T) *Problem {
 	t.Helper()
 	w := workload.Fig1()
-	p, err := NewProblem(w.DB, w.Queries[:1], nil)
+	p, err := NewProblem(w.DB, w.Queries[:1], view.NewDeletion(view.TupleRef{View: 0, Tuple: tup("John", "XML")}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Delta.Add(view.TupleRef{View: 0, Tuple: tup("John", "XML")})
-	if err := p.Delta.Validate(p.Views); err != nil {
-		t.Fatal(err)
-	}
 	return p
+}
+
+// respecialize returns p with its request replaced by delta.
+func respecialize(tb testing.TB, p *Problem, delta *view.Deletion) *Problem {
+	tb.Helper()
+	q, err := p.Specialize(delta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return q
+}
+
+// setWeights sets the weights workload.SampleWeights returns, keyed by
+// view.TupleRef.Key.
+func setWeights(p *Problem, weights map[string]float64) {
+	for _, v := range p.Views {
+		for _, ans := range v.Result.Answers() {
+			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
+			if w, ok := weights[ref.Key()]; ok {
+				p.SetWeight(ref, w)
+			}
+		}
+	}
 }
 
 // fig1Q4Problem: ΔV = (John, TKDE, XML) on the key-preserving Q4.
@@ -191,7 +210,7 @@ func TestSingleTupleExactPreconditions(t *testing.T) {
 		t.Error("non-key-preserving accepted")
 	}
 	p4 := fig1Q4Problem(t)
-	p4.Delta.Add(view.TupleRef{View: 0, Tuple: tup("Joe", "TKDE", "XML")})
+	p4 = respecialize(t, p4, view.NewDeletion(append(p4.DeltaRefs(), view.TupleRef{View: 0, Tuple: tup("Joe", "TKDE", "XML")})...))
 	if _, err := (&SingleTupleExact{}).Solve(context.Background(), p4); err == nil {
 		t.Error("multi-tuple deletion accepted")
 	}
@@ -231,12 +250,7 @@ func starProblem(t *testing.T, seed int64, nDel int) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	del := workload.SampleDeletion(p.Views, nDel, seed+1)
-	p.Delta = del
-	if err := del.Validate(p.Views); err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return respecialize(t, p, workload.SampleDeletion(p.Views, nDel, seed+1))
 }
 
 func chainProblem(t *testing.T, seed int64, nDel int) *Problem {
@@ -249,8 +263,7 @@ func chainProblem(t *testing.T, seed int64, nDel int) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, nDel, seed+1)
-	return p
+	return respecialize(t, p, workload.SampleDeletion(p.Views, nDel, seed+1))
 }
 
 func pivotProblem(t *testing.T, seed int64, nDel int) *Problem {
@@ -262,8 +275,7 @@ func pivotProblem(t *testing.T, seed int64, nDel int) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, nDel, seed+1)
-	return p
+	return respecialize(t, p, workload.SampleDeletion(p.Views, nDel, seed+1))
 }
 
 // TestSelfJoinWorkload: the key-preserving solvers handle self-join
@@ -279,8 +291,8 @@ func TestSelfJoinWorkload(t *testing.T) {
 		if !p.IsKeyPreserving() {
 			t.Fatal("self-join workload should be key-preserving")
 		}
-		p.Delta = workload.SampleDeletion(p.Views, 3, seed+7)
-		if p.Delta.Len() == 0 {
+		p = respecialize(t, p, workload.SampleDeletion(p.Views, 3, seed+7))
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		bf, err := (&BruteForce{}).Solve(context.Background(), p)
@@ -325,7 +337,7 @@ func TestSolversFeasibleAndBounded(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 5; seed++ {
 			p := mk(t, seed, 3)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			bf, err := (&BruteForce{}).Solve(context.Background(), p)
@@ -368,7 +380,7 @@ func TestSolversFeasibleAndBounded(t *testing.T) {
 func TestTheorem4Bound(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		p := chainProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		bf, err := (&RedBlueExact{}).Solve(context.Background(), p)
@@ -398,7 +410,7 @@ func TestTheorem4Bound(t *testing.T) {
 func TestTheorem3Bound(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		p := chainProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		bf, err := (&RedBlueExact{}).Solve(context.Background(), p)
@@ -423,7 +435,7 @@ func TestTheorem3Bound(t *testing.T) {
 func TestDPTreeExactOnPivot(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		p := pivotProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		if !IsPivotForest(p) {
@@ -461,8 +473,8 @@ func TestDPTreeExactOnDepth3Pivot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Delta = workload.SampleDeletion(p.Views, 3, seed+11)
-		if p.Delta.Len() == 0 {
+		p = respecialize(t, p, workload.SampleDeletion(p.Views, 3, seed+11))
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		if !IsPivotForest(p) {
@@ -505,7 +517,7 @@ func TestDPTreeRejectsNonPivot(t *testing.T) {
 func TestBalancedSolvers(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		p := starProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		bb, err := (&BruteForce{Balanced: true}).Solve(context.Background(), p)
@@ -546,7 +558,7 @@ func TestBalancedSolvers(t *testing.T) {
 func TestDPTreeBalanced(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		p := pivotProblem(t, seed, 4)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		dp, err := (&DPTree{Balanced: true}).Solve(context.Background(), p)
@@ -572,10 +584,10 @@ func TestDPTreeBalanced(t *testing.T) {
 func TestWeightedSolvers(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		p := pivotProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
-		p.Weights = workload.SampleWeights(p.Views, p.Delta, 5, seed+100)
+		setWeights(p, workload.SampleWeights(p.Views, view.NewDeletion(p.DeltaRefs()...), 5, seed+100))
 		bf, err := (&BruteForce{}).Solve(context.Background(), p)
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
@@ -611,15 +623,26 @@ func TestWeightedSolvers(t *testing.T) {
 	}
 }
 
+// TestWeightAccessors: SetWeight writes the weight of its ref's id, and
+// ignores a ref that is not a view tuple.
 func TestWeightAccessors(t *testing.T) {
 	p := fig1Q4Problem(t)
 	ref := view.TupleRef{View: 0, Tuple: tup("Joe", "TKDE", "XML")}
-	if p.Weight(ref) != 1 {
+	r, _ := p.Index().LookupRef(ref)
+	if p.rq.weight(r) != 1 {
 		t.Error("default weight != 1")
 	}
 	p.SetWeight(ref, 3.5)
-	if p.Weight(ref) != 3.5 {
-		t.Error("SetWeight not reflected")
+	p.SetWeight(view.TupleRef{View: 0, Tuple: tup("No", "Such", "Tuple")}, 7)
+	p.SetWeight(view.TupleRef{View: 9, Tuple: ref.Tuple}, 7)
+	for i := range int32(p.Index().NumRefs()) {
+		want := 1.0
+		if i == r {
+			want = 3.5
+		}
+		if p.rq.weight(i) != want {
+			t.Errorf("weight of ref %d = %v, want %v", i, p.rq.weight(i), want)
+		}
 	}
 }
 
@@ -635,7 +658,7 @@ func TestPrimalDualReverseDeleteMinimal(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 5; seed++ {
 			p := mk(t, seed, 3)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			sol, err := (&PrimalDual{}).Solve(context.Background(), p)
@@ -679,7 +702,7 @@ func TestEmptyDeletionIsTrivial(t *testing.T) {
 func TestFeasibilityMonotoneQuick(t *testing.T) {
 	f := func(seed int64, extraMask uint16) bool {
 		p := pivotProblem(t, 1+(seed%7+7)%7, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			return true
 		}
 		base, err := (&Greedy{}).Solve(context.Background(), p)

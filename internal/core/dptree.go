@@ -39,7 +39,7 @@ type pivotForest struct {
 // shared by every Specialize derivative; a negative verdict is memoized
 // too.
 func (p *Problem) pivotForest() (*pivotForest, error) {
-	return p.shared().pivot.get(func() (*pivotForest, error) { return buildPivotForest(p) })
+	return p.skel.pivot.get(func() (*pivotForest, error) { return buildPivotForest(p) })
 }
 
 // buildPivotForest detects the pivot-forest structure, or returns
@@ -243,7 +243,7 @@ func (d *DPTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	// The DP visits every forest node exactly once.
 	st.AddNodes(int64(forest.size))
-	rq := p.requestRefs()
+	rq := &p.rq
 	sol := &Solution{}
 	for _, root := range forest.roots {
 		st.Checkpoint()
@@ -267,7 +267,7 @@ func (d *DPTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 func (d *DPTree) solveTree(rq *requestRefs, n *pivotNode, sol *Solution) (weight, cost float64, requested bool) {
 	endpoints := 0
 	for _, r := range n.ends {
-		if rq.inDelta[r] {
+		if rq.requested(r) {
 			endpoints++
 		} else {
 			weight += rq.weight(r)

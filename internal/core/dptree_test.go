@@ -47,13 +47,13 @@ func TestDPTreeConcurrentWarmSolves(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			warm.Weights = weights
+			setWeights(warm, weights)
 			cold, err := NewProblem(w.DB, w.Queries, delta)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			cold.Weights = weights
+			setWeights(cold, weights)
 			if got, want := dpAnswer(t, warm), dpAnswer(t, cold); got != want {
 				t.Errorf("goroutine %d: warm\n%s!= cold\n%s", g, got, want)
 			}
@@ -63,7 +63,7 @@ func TestDPTreeConcurrentWarmSolves(t *testing.T) {
 }
 
 // TestDPTreeForestHoldsNoRequest: the pattern of TestDPTreeExactOnDepth3Pivot
-// — classify, then replace Delta and the weights — must solve each
+// — classify, then specialize to a new request and weights — must solve each
 // request exactly as a problem built with it does, so the memoized forest
 // holds nothing request-specific.
 func TestDPTreeForestHoldsNoRequest(t *testing.T) {
@@ -79,13 +79,14 @@ func TestDPTreeForestHoldsNoRequest(t *testing.T) {
 		for req := int64(0); req < 2; req++ {
 			delta := workload.SampleDeletion(p.Views, 2+int(req), seed+40+req)
 			weights := workload.SampleWeights(p.Views, delta, 4, seed+50+req)
-			p.Delta, p.Weights = delta, weights
+			warm := respecialize(t, p, delta)
+			setWeights(warm, weights)
 			fresh, err := NewProblem(w.DB, w.Queries, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh.Weights = weights
-			if got, want := dpAnswer(t, p), dpAnswer(t, fresh); got != want {
+			setWeights(fresh, weights)
+			if got, want := dpAnswer(t, warm), dpAnswer(t, fresh); got != want {
 				t.Errorf("seed %d request %d: after replacing the request\n%s!= fresh\n%s", seed, req, got, want)
 			}
 		}

@@ -18,7 +18,7 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 	var b strings.Builder
 	rep := p.Evaluate(sol)
 	fmt.Fprintf(&b, "deletion of %d source tuples: %s\n", len(sol.Deleted), rep)
-	rq := p.requestRefs()
+	rq := &p.rq
 	ordered := slices.Clone(sol.Deleted)
 	slices.SortFunc(ordered, relation.TupleID.CompareKey)
 	var occ []view.Occurrence
@@ -30,7 +30,7 @@ func ExplainSolution(p *Problem, sol *Solution) string {
 		var kills, damages []string
 		for _, o := range occ {
 			ref := rq.x.Ref(o.Ref)
-			if rq.inDelta[o.Ref] {
+			if rq.requested(o.Ref) {
 				kills = append(kills, ref.String())
 			} else if o.Critical {
 				damages = append(damages, fmt.Sprintf("%s (w=%v)", ref, rq.weight(o.Ref)))

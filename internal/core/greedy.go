@@ -57,7 +57,7 @@ func (g *Greedy) Name() string {
 // feasible.
 func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	st := StatsFrom(ctx)
-	rq := p.requestRefs()
+	rq := &p.rq
 	cands := rq.cands
 	m := rq.x.NewMaintainer()
 	var chosen []relation.TupleID
@@ -140,7 +140,7 @@ func probeCandidate(rq *requestRefs, m *view.Maintainer, t int32, baseDerivs int
 	killed := 0
 	extra := 0.0
 	for _, r := range died {
-		if rq.inDelta[r] {
+		if rq.requested(r) {
 			killed++
 		} else {
 			extra += rq.weight(r)

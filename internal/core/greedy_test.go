@@ -20,7 +20,7 @@ func naiveGreedy(p *Problem) (*Solution, error) {
 	var chosen []relation.TupleID
 	aliveBad := func() int {
 		n := 0
-		for _, ref := range p.Delta.Refs() {
+		for _, ref := range p.DeltaRefs() {
 			if ans, ok := p.Answer(ref); ok && view.Survives(ans, deleted) {
 				n++
 			}
@@ -29,7 +29,7 @@ func naiveGreedy(p *Problem) (*Solution, error) {
 	}
 	aliveDerivations := func() int {
 		n := 0
-		for _, ref := range p.Delta.Refs() {
+		for _, ref := range p.DeltaRefs() {
 			ans, ok := p.Answer(ref)
 			if !ok {
 				continue
@@ -46,7 +46,8 @@ func naiveGreedy(p *Problem) (*Solution, error) {
 		w := 0.0
 		for _, ref := range preservedRefs(p) {
 			if ans, _ := p.Answer(ref); !view.Survives(ans, deleted) {
-				w += p.Weight(ref)
+				r, _ := p.Index().LookupRef(ref)
+				w += p.rq.weight(r)
 			}
 		}
 		return w
@@ -87,11 +88,12 @@ func naiveGreedy(p *Problem) (*Solution, error) {
 // preservedRefs returns V \ ΔV, every view tuple not requested for
 // deletion, in (view, answer) order, straight from the views.
 func preservedRefs(p *Problem) []view.TupleRef {
+	requested := view.NewDeletion(p.DeltaRefs()...)
 	var out []view.TupleRef
 	for _, v := range p.Views {
 		for _, ans := range v.Result.Answers() {
 			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if !p.Delta.Contains(ref) {
+			if !requested.Contains(ref) {
 				out = append(out, ref)
 			}
 		}
@@ -111,7 +113,7 @@ func TestGreedyIncrementalMatchesNaive(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 6; seed++ {
 			p := mk(t, seed, 4)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			naive, err := naiveGreedy(p)

@@ -10,6 +10,7 @@ import (
 
 	"delprop/internal/cq"
 	"delprop/internal/relation"
+	"delprop/internal/view"
 	"delprop/internal/workload"
 )
 
@@ -86,7 +87,7 @@ func TestEvaluateOutputSensitiveMatchesReevaluation(t *testing.T) {
 				t.Fatal(err)
 			}
 			if trial%2 == 1 {
-				p.Weights = workload.SampleWeights(p.Views, p.Delta, 5, rng.Int63())
+				setWeights(p, workload.SampleWeights(p.Views, view.NewDeletion(p.DeltaRefs()...), 5, rng.Int63()))
 			}
 			var del []relation.TupleID
 			for n := rng.Intn(12); n > 0; n-- {
@@ -101,7 +102,7 @@ func TestEvaluateOutputSensitiveMatchesReevaluation(t *testing.T) {
 			// Every fifth trial deletes a request's whole join path, so
 			// feasible reports are covered too.
 			if trial%5 == 0 {
-				ans, _ := p.Answer(p.Delta.Refs()[0])
+				ans, _ := p.Answer(p.DeltaRefs()[0])
 				for _, d := range ans.Derivations() {
 					del = append(del, d[0])
 				}

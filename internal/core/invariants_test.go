@@ -46,7 +46,7 @@ func renameProblem(t *testing.T, p *Problem) *Problem {
 		queries[i] = c
 	}
 	delta := view.NewDeletion()
-	for _, ref := range p.Delta.Refs() {
+	for _, ref := range p.DeltaRefs() {
 		nt := make(relation.Tuple, len(ref.Tuple))
 		for i, v := range ref.Tuple {
 			nt[i] = renameValue(v)
@@ -71,7 +71,7 @@ func TestIsomorphismInvariance(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 4; seed++ {
 			p := mk(t, seed, 3)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			p2 := renameProblem(t, p)
@@ -125,7 +125,7 @@ func TestSolverDeterminism(t *testing.T) {
 	solvers = append(solvers, &LocalSearch{}, &Portfolio{}, &SourceGreedy{})
 	for seed := int64(1); seed <= 3; seed++ {
 		p := chainProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		for _, s := range solvers {
@@ -216,7 +216,7 @@ func TestSingleTuplePicksAreReproducible(t *testing.T) {
 // pivot workload).
 func TestDPTreeDeterminism(t *testing.T) {
 	p := pivotProblem(t, 2, 3)
-	if p.Delta.Len() == 0 {
+	if p.DeltaLen() == 0 {
 		t.Skip("empty delta")
 	}
 	a, err := (&DPTree{}).Solve(context.Background(), p)

@@ -49,7 +49,7 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 	}
 	// current holds the solution's tuple ids, ascending (key order). A
 	// tuple no derivation uses has no id; unknown holds those, distinct.
-	rq := p.requestRefs()
+	rq := &p.rq
 	var current []int32
 	var unknown []relation.TupleID
 	for _, id := range start.Deleted {

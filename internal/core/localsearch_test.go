@@ -20,7 +20,7 @@ func TestLocalSearchNeverWorse(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 5; seed++ {
 			p := mk(t, seed, 4)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			inner := &Greedy{}
@@ -51,7 +51,7 @@ func TestLocalSearchImprovesSomewhere(t *testing.T) {
 	for seed := int64(1); seed <= 20 && !improved; seed++ {
 		for _, mk := range []func(*testing.T, int64, int) *Problem{starProblem, chainProblem} {
 			p := mk(t, seed, 5)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			base, err := (&Greedy{}).Solve(context.Background(), p)
@@ -77,7 +77,7 @@ func TestLocalSearchImprovesSomewhere(t *testing.T) {
 func TestLocalSearchRespectsOptimum(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		p := starProblem(t, seed, 3)
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		opt, err := (&RedBlueExact{}).Solve(context.Background(), p)

@@ -37,7 +37,7 @@ func (l *LowDegTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 func preservedDegree(rq *requestRefs, t int32) int {
 	deg := 0
 	for _, occ := range rq.x.AppendOccurrences(nil, t) {
-		if !rq.inDelta[occ.Ref] {
+		if !rq.requested(occ.Ref) {
 			deg++
 		}
 	}
@@ -61,7 +61,7 @@ func (l *LowDegTreeTwo) Solve(ctx context.Context, p *Problem) (*Solution, error
 	if err := requireKeyPreserving(p, l.Name()); err != nil {
 		return nil, err
 	}
-	rq := p.requestRefs()
+	rq := &p.rq
 	taus := []int{0}
 	for _, t := range rq.cands {
 		taus = append(taus, preservedDegree(rq, t))

@@ -18,12 +18,13 @@ import (
 func allDeltaProblem(t *testing.T) *Problem {
 	t.Helper()
 	p := fig1Q4Problem(t)
+	all := view.NewDeletion(p.DeltaRefs()...)
 	for _, v := range p.Views {
 		for _, ans := range v.Result.Answers() {
-			p.Delta.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
+			all.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
 		}
 	}
-	return p
+	return respecialize(t, p, all)
 }
 
 // TestPortfolioParallelPerMemberStats is the regression test for the
@@ -176,7 +177,7 @@ func TestGreedyParallelMatchesSerial(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 5; seed++ {
 			p := mk(t, seed, 3)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			serial, err := (&Greedy{}).Solve(context.Background(), p)
@@ -201,7 +202,7 @@ func TestGreedyParallelMatchesSerial(t *testing.T) {
 // bench harness compares across configurations.
 func TestGreedyParallelNodeCounts(t *testing.T) {
 	p := starProblem(t, 2, 3)
-	if p.Delta.Len() == 0 {
+	if p.DeltaLen() == 0 {
 		t.Skip("empty deletion")
 	}
 	count := func(workers int) int64 {
@@ -268,8 +269,8 @@ func greedySlowProblem(t *testing.T) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Delta = workload.SampleDeletion(p.Views, 32, 11)
-	if p.Delta.Len() == 0 {
+	p = respecialize(t, p, workload.SampleDeletion(p.Views, 32, 11))
+	if p.DeltaLen() == 0 {
 		t.Fatal("slow problem sampled an empty deletion")
 	}
 	return p

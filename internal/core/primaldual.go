@@ -53,7 +53,7 @@ func (pd *PrimalDual) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if err := requireKeyPreserving(p, pd.Name()); err != nil {
 		return nil, err
 	}
-	rq := p.requestRefs()
+	rq := &p.rq
 	lp := buildDualLP(rq, pd.lowDeg)
 	load := make([]float64, len(lp.capacity))
 	saturated := make([]bool, len(lp.capacity))
@@ -148,7 +148,7 @@ func buildDualLP(rq *requestRefs, lowDeg *LowDegTree) *dualLP {
 	for _, t := range rq.cands {
 		occ = x.AppendOccurrences(occ[:0], t)
 		for _, o := range occ {
-			if rq.inDelta[o.Ref] {
+			if rq.requested(o.Ref) {
 				continue
 			}
 			// Key-preserving: the ref's one derivation is its join path.

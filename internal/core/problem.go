@@ -6,6 +6,10 @@
 // reduction of Lemma 1, the primal-dual l-approximation of Algorithm 1, the
 // low-degree 2√‖V‖ algorithms of Algorithms 2–3, and the exact dynamic
 // program of Algorithm 4 for the pivot forest case.
+//
+// NewProblem and Specialize resolve a Problem's deletion request to the
+// provenance index's ref ids once, so solvers, Evaluate and the bounds
+// read ids; SetWeight is the only edit after construction.
 package core
 
 import (
@@ -30,20 +34,15 @@ type Problem struct {
 	DB      *relation.Instance
 	Queries []*cq.Query
 	Views   []*view.View
-	Delta   *view.Deletion
-	// Weights maps view.TupleRef keys of *preserved* view tuples to their
-	// preservation weight; absent keys default to 1.
-	Weights map[string]float64
 
 	skel *skeleton
+	rq   requestRefs
 }
 
 // skeleton is what a Problem derives from (D, Q) alone, shared by pointer
 // with every Specialize derivative: the dense provenance index, the
 // key-preserving verdict, and two artifacts built on first use — the
-// classify verdicts and the pivot forest. None depends on Delta or
-// Weights. NewProblem creates it; a Problem literal (tests) has none and
-// computes on demand without memoization.
+// classify verdicts and the pivot forest. None depends on the request.
 type skeleton struct {
 	index         *view.Index
 	keyPreserving bool
@@ -64,15 +63,6 @@ func (l *lazy[T]) get(build func() (T, error)) (T, error) {
 	return l.v, l.err
 }
 
-// shared returns the skeleton, or for a Problem literal a throwaway empty
-// one, so lazy artifacts are computed but not memoized.
-func (p *Problem) shared() *skeleton {
-	if p.skel == nil {
-		return &skeleton{}
-	}
-	return p.skel
-}
-
 // Construction errors.
 var (
 	// ErrNotKeyPreserving is returned by solvers that require every query
@@ -86,20 +76,18 @@ var (
 	ErrInfeasibleRestriction = errors.New("core: restriction leaves a requested view tuple unkillable")
 )
 
-// NewProblem materializes the views, validates the deletion request, and
-// precomputes the provenance index. Weights may be nil.
+// NewProblem materializes the views, builds the provenance index and
+// resolves the deletion request against it. delta may be nil.
 func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion) (*Problem, error) {
 	views, err := view.Materialize(queries, db)
 	if err != nil {
 		return nil, err
 	}
-	if delta == nil {
-		delta = view.NewDeletion()
-	}
-	if err := delta.Validate(views); err != nil {
+	skel := &skeleton{index: view.BuildIndex(views), keyPreserving: true}
+	p := &Problem{DB: db, Queries: queries, Views: views, skel: skel}
+	if p.rq, err = resolveRequest(skel.index, len(views), delta); err != nil {
 		return nil, err
 	}
-	skel := &skeleton{index: view.BuildIndex(views), keyPreserving: true}
 	for _, q := range queries {
 		kp, err := q.IsKeyPreserving(cq.InstanceSchemas(db))
 		if err != nil {
@@ -109,7 +97,7 @@ func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion
 			skel.keyPreserving = false
 		}
 	}
-	return &Problem{DB: db, Queries: queries, Views: views, Delta: delta, skel: skel}, nil
+	return p, nil
 }
 
 // QueryProperties returns the classify verdict for every query, computed
@@ -117,7 +105,7 @@ func NewProblem(db *relation.Instance, queries []*cq.Query, delta *view.Deletion
 // path must never re-run classification for a problem it already
 // classified.
 func (p *Problem) QueryProperties() ([]classify.Properties, error) {
-	return p.shared().class.get(func() ([]classify.Properties, error) {
+	return p.skel.class.get(func() ([]classify.Properties, error) {
 		schemas := cq.InstanceSchemas(p.DB)
 		props := make([]classify.Properties, len(p.Queries))
 		for i, q := range p.Queries {
@@ -139,68 +127,74 @@ func (p *Problem) NewMaintainer() *view.Maintainer { return p.Index().NewMaintai
 // Specialize derives a new Problem against the same skeleton — database,
 // queries, materialized views and every skeleton artifact are shared by
 // pointer — with a fresh deletion request and no weights. It is the
-// warm-session counterpart of NewProblem: validation of delta against the
-// views is the only work done.
+// warm-session counterpart of NewProblem: resolving delta against the
+// index is the only work done.
 func (p *Problem) Specialize(delta *view.Deletion) (*Problem, error) {
-	if delta == nil {
-		delta = view.NewDeletion()
-	}
-	if err := delta.Validate(p.Views); err != nil {
+	rq, err := resolveRequest(p.skel.index, len(p.Views), delta)
+	if err != nil {
 		return nil, err
 	}
-	return &Problem{DB: p.DB, Queries: p.Queries, Views: p.Views, Delta: delta, skel: p.skel}, nil
+	return &Problem{DB: p.DB, Queries: p.Queries, Views: p.Views, skel: p.skel, rq: rq}, nil
 }
 
 // IsKeyPreserving reports whether every query of the problem is
 // key-preserving.
-func (p *Problem) IsKeyPreserving() bool { return p.shared().keyPreserving }
+func (p *Problem) IsKeyPreserving() bool { return p.skel.keyPreserving }
 
-// Index returns the dense provenance index, built once per skeleton (for a
-// Problem literal, on every call).
-func (p *Problem) Index() *view.Index {
-	if p.skel == nil {
-		return view.BuildIndex(p.Views)
-	}
-	return p.skel.index
-}
+// Index returns the dense provenance index, built once per skeleton.
+func (p *Problem) Index() *view.Index { return p.skel.index }
 
-// requestRefs is one request's ΔV and preservation weights resolved to
-// the index's ref ids, built once per solve so per-candidate work
-// compares ids instead of building string keys.
+// requestRefs is one request's ΔV and preservation weights as the index's
+// ref ids, resolved once when the Problem is built, so per-candidate work
+// compares ids instead of building string keys. An empty request holds no
+// arrays.
 type requestRefs struct {
 	x       *view.Index
-	delta   []int32   // ΔV in insertion order
-	inDelta []bool    // by ref id
-	weights []float64 // by ref id; nil when every weight is 1
-	cands   []int32   // candidate tuple ids, ascending (see CandidateTuples)
+	refs    []view.TupleRef // ΔV as requested, in insertion order
+	delta   []int32         // refs' ids, in the same order
+	inDelta []bool          // by ref id; nil when ΔV is empty
+	weights []float64       // by ref id; nil when every weight is 1
+	cands   []int32         // candidate tuple ids, ascending (see CandidateTuples)
 }
 
-// requestRefs resolves Delta and Weights against the index.
-func (p *Problem) requestRefs() *requestRefs {
-	x := p.Index()
-	refs := p.Delta.Refs()
-	rq := &requestRefs{x: x, delta: make([]int32, 0, len(refs)), inDelta: make([]bool, x.NumRefs())}
-	for _, ref := range refs {
+// resolveRequest resolves delta against the index of n views. One
+// LookupRef per ref both validates it and gives its id.
+func resolveRequest(x *view.Index, n int, delta *view.Deletion) (requestRefs, error) {
+	rq := requestRefs{x: x}
+	if delta == nil || delta.Len() == 0 {
+		return rq, nil
+	}
+	rq.refs = delta.Refs()
+	rq.delta = make([]int32, len(rq.refs))
+	rq.inDelta = make([]bool, x.NumRefs())
+	for i, ref := range rq.refs {
 		r, ok := x.LookupRef(ref)
-		if !ok {
-			continue
+		if !ok && (ref.View < 0 || ref.View >= n) {
+			return requestRefs{}, fmt.Errorf("%w: view index %d out of range", view.ErrUnknownViewTuple, ref.View)
+		} else if !ok {
+			return requestRefs{}, fmt.Errorf("%w: %s", view.ErrUnknownViewTuple, ref)
 		}
-		rq.delta = append(rq.delta, r)
+		rq.delta[i] = r
 		rq.inDelta[r] = true
 		lo, hi := x.Derivations(r)
-		for i := range hi - lo {
-			rq.cands = append(rq.cands, x.DerivTuples(lo+i)...)
+		for d := range hi - lo {
+			rq.cands = append(rq.cands, x.DerivTuples(lo+d)...)
 		}
 	}
 	slices.Sort(rq.cands)
 	rq.cands = slices.Compact(rq.cands)
-	if p.Weights != nil {
-		rq.weights = make([]float64, x.NumRefs())
-		for r := range rq.weights {
-			rq.weights[r] = p.Weight(x.Ref(int32(r)))
-		}
+	return rq, nil
+}
+
+// requested reports whether ref r is in ΔV.
+func (rq *requestRefs) requested(r int32) bool { return rq.inDelta != nil && rq.inDelta[r] }
+
+// weight returns the preservation weight of ref r.
+func (rq *requestRefs) weight(r int32) float64 {
+	if rq.weights == nil {
+		return 1
 	}
-	return rq
+	return rq.weights[r]
 }
 
 // tupleIDs converts tuple ids back to base tuples.
@@ -212,31 +206,30 @@ func tupleIDs(x *view.Index, ts []int32) []relation.TupleID {
 	return out
 }
 
-// weight returns the preservation weight of ref r.
-func (rq *requestRefs) weight(r int32) float64 {
-	if rq.weights == nil {
-		return 1
-	}
-	return rq.weights[r]
-}
+// DeltaLen returns ‖ΔV‖, the number of view tuples requested.
+func (p *Problem) DeltaLen() int { return len(p.rq.delta) }
 
-// Weight returns the preservation weight of a view tuple (1 by default).
-func (p *Problem) Weight(ref view.TupleRef) float64 {
-	if p.Weights == nil {
-		return 1
-	}
-	if w, ok := p.Weights[ref.Key()]; ok {
-		return w
-	}
-	return 1
-}
+// DeltaRefs returns the requested view tuples in request order, in a
+// fresh slice.
+func (p *Problem) DeltaRefs() []view.TupleRef { return slices.Clone(p.rq.refs) }
 
-// SetWeight assigns a preservation weight to a view tuple.
+// DeltaString renders the request sorted, as view.Deletion.String does.
+func (p *Problem) DeltaString() string { return view.NewDeletion(p.rq.refs...).String() }
+
+// SetWeight assigns a preservation weight to a view tuple. A ref that is
+// not a view tuple is ignored.
 func (p *Problem) SetWeight(ref view.TupleRef, w float64) {
-	if p.Weights == nil {
-		p.Weights = make(map[string]float64)
+	r, ok := p.rq.x.LookupRef(ref)
+	if !ok {
+		return
 	}
-	p.Weights[ref.Key()] = w
+	if p.rq.weights == nil {
+		p.rq.weights = make([]float64, p.rq.x.NumRefs())
+		for i := range p.rq.weights {
+			p.rq.weights[i] = 1
+		}
+	}
+	p.rq.weights[r] = w
 }
 
 // TotalViewSize returns ‖V‖.
@@ -258,8 +251,7 @@ func (p *Problem) Answer(ref view.TupleRef) (cq.Answer, bool) {
 // any other deletion leaves ΔV intact and can only add collateral damage.
 // The result is sorted by tuple key for determinism.
 func (p *Problem) CandidateTuples() []relation.TupleID {
-	rq := p.requestRefs()
-	return tupleIDs(rq.x, rq.cands)
+	return tupleIDs(p.rq.x, p.rq.cands)
 }
 
 // Solution is a proposed source deletion ΔD.
@@ -333,50 +325,55 @@ func (p *Problem) Evaluate(sol *Solution) Report {
 // evaluate is Evaluate for a deletion given as tuple ids (duplicates
 // harmless); count is |ΔD| as the caller counts it.
 func (p *Problem) evaluate(deleted []int32, count int) Report {
-	x := p.Index()
+	rq := &p.rq
 	rep := Report{DeletedCount: count}
 	removedRequested := 0
-	for _, r := range x.Killed(deleted) {
-		ref := x.Ref(r)
-		if p.Delta.Contains(ref) {
+	for _, r := range rq.x.Killed(deleted) {
+		if rq.requested(r) {
 			removedRequested++
 		} else {
-			rep.Collateral = append(rep.Collateral, ref)
-			rep.SideEffect += p.Weight(ref)
+			rep.Collateral = append(rep.Collateral, rq.x.Ref(r))
+			rep.SideEffect += rq.weight(r)
 		}
 	}
-	rep.BadRemaining = p.Delta.Len() - removedRequested
+	rep.BadRemaining = len(rq.delta) - removedRequested
 	rep.Feasible = rep.BadRemaining == 0
 	rep.Balanced = float64(rep.BadRemaining) + rep.SideEffect
 	return rep
 }
 
 // EvaluateByReevaluation recomputes every view on D\ΔD and scores the
-// solution from scratch. Slower but independent of the provenance cache;
-// used to validate Evaluate.
+// solution from scratch, matching ΔV by the requested refs themselves.
+// Slower but independent of the provenance index (ref ids, which the
+// weights are stored by, number the views' answers in order); used to
+// validate Evaluate.
 func (p *Problem) EvaluateByReevaluation(sol *Solution) (Report, error) {
 	db2 := p.DB.Without(sol.Deleted)
+	requested := view.NewDeletion(p.rq.refs...)
 	rep := Report{DeletedCount: len(sol.Deleted)}
 	removedRequested := 0
+	var r int32
 	for _, v := range p.Views {
 		res2, err := cq.Evaluate(v.Query, db2)
 		if err != nil {
 			return Report{}, err
 		}
 		for _, ans := range v.Result.Answers() {
+			w := p.rq.weight(r)
+			r++
 			if res2.Contains(ans.Tuple) {
 				continue
 			}
 			ref := view.TupleRef{View: v.Index, Tuple: ans.Tuple}
-			if p.Delta.Contains(ref) {
+			if requested.Contains(ref) {
 				removedRequested++
 			} else {
 				rep.Collateral = append(rep.Collateral, ref)
-				rep.SideEffect += p.Weight(ref)
+				rep.SideEffect += w
 			}
 		}
 	}
-	rep.BadRemaining = p.Delta.Len() - removedRequested
+	rep.BadRemaining = requested.Len() - removedRequested
 	rep.Feasible = rep.BadRemaining == 0
 	rep.Balanced = float64(rep.BadRemaining) + rep.SideEffect
 	return rep, nil

@@ -130,7 +130,7 @@ func progressProblem(t *testing.T) *Problem {
 	t.Helper()
 	for seed := int64(1); seed <= 8; seed++ {
 		p := chainProblem(t, seed, 3)
-		if p.Delta.Len() > 0 {
+		if p.DeltaLen() > 0 {
 			return p
 		}
 	}

@@ -28,21 +28,21 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 	}
 	// elem[r] is ref r's blue index (requested) or red index (preserved,
 	// numbered in (view, answer) order).
-	rq := p.requestRefs()
+	rq := &p.rq
 	elem := make([]int, rq.x.NumRefs())
 	for i, r := range rq.delta {
 		elem[r] = i
 	}
 	var redWeights []float64
-	for r := range elem {
-		if !rq.inDelta[r] {
+	for r := range int32(len(elem)) {
+		if !rq.requested(r) {
 			elem[r] = len(redWeights)
-			redWeights = append(redWeights, rq.weight(int32(r)))
+			redWeights = append(redWeights, rq.weight(r))
 		}
 	}
 	enc := &redBlueEncoding{inst: &setcover.Instance{
 		NumRed:     len(redWeights),
-		NumBlue:    p.Delta.Len(),
+		NumBlue:    len(rq.delta),
 		RedWeights: redWeights,
 	}}
 	enc.tuples = tupleIDs(rq.x, rq.cands)
@@ -51,7 +51,7 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 		s := setcover.Set{Name: enc.tuples[i].String()}
 		occ = rq.x.AppendOccurrences(occ[:0], t)
 		for _, o := range occ {
-			if rq.inDelta[o.Ref] {
+			if rq.requested(o.Ref) {
 				s.Blues = append(s.Blues, elem[o.Ref])
 			} else {
 				s.Reds = append(s.Reds, elem[o.Ref])

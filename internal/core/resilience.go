@@ -81,15 +81,20 @@ func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, er
 // resilienceExact expresses resilience as the source side-effect problem
 // with ΔV = Q(D) and solves it exactly.
 func resilienceExact(ctx context.Context, q *cq.Query, db *relation.Instance, maxCandidates int) (int, *Solution, error) {
-	p, err := NewProblem(db, []*cq.Query{q}, nil)
+	skel, err := NewProblem(db, []*cq.Query{q}, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	for _, ans := range p.Views[0].Result.Answers() {
-		p.Delta.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
+	all := view.NewDeletion()
+	for _, ans := range skel.Views[0].Result.Answers() {
+		all.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
 	}
-	if p.Delta.Len() == 0 {
+	if all.Len() == 0 {
 		return 0, &Solution{}, nil
+	}
+	p, err := skel.Specialize(all)
+	if err != nil {
+		return 0, nil, err
 	}
 	sol, err := (&SourceExact{MaxCandidates: maxCandidates}).Solve(ctx, p)
 	if err != nil {

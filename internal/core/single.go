@@ -22,18 +22,15 @@ func (s *SingleTupleExact) Name() string { return "single-tuple-exact" }
 // Solve implements Solver. It requires |ΔV| = 1 and a key-preserving
 // problem.
 func (s *SingleTupleExact) Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	if p.Delta.Len() != 1 {
-		return nil, fmt.Errorf("core: single-tuple-exact requires exactly one requested deletion, got %d", p.Delta.Len())
+	if p.DeltaLen() != 1 {
+		return nil, fmt.Errorf("core: single-tuple-exact requires exactly one requested deletion, got %d", p.DeltaLen())
 	}
 	if err := requireKeyPreserving(p, s.Name()); err != nil {
 		return nil, err
 	}
-	ref := p.Delta.Refs()[0]
+	ref := p.rq.refs[0]
 	x := p.Index()
-	var lo, hi int32
-	if r, ok := x.LookupRef(ref); ok {
-		lo, hi = x.Derivations(r)
-	}
+	lo, hi := x.Derivations(p.rq.delta[0])
 	if hi-lo != 1 {
 		return nil, fmt.Errorf("core: requested view tuple %s has %d derivations, want 1", ref, hi-lo)
 	}

@@ -65,7 +65,7 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if max == 0 {
 		max = 26
 	}
-	rq := p.requestRefs()
+	rq := &p.rq
 	if len(rq.cands) > max {
 		return nil, fmt.Errorf("%w: %d candidates exceeds source-exact bound %d", ErrTooLarge, len(rq.cands), max)
 	}
@@ -113,7 +113,7 @@ func (s *SourceGreedy) Name() string { return "source-greedy" }
 
 // Solve implements Solver.
 func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	rq := p.requestRefs()
+	rq := &p.rq
 	cands := tupleIDs(rq.x, rq.cands)
 	weights := make([]float64, len(cands))
 	for i, id := range cands {
@@ -194,11 +194,11 @@ func (s *SourceSingleQueryExact) Solve(ctx context.Context, p *Problem) (*Soluti
 	if err := requireKeyPreserving(p, s.Name()); err != nil {
 		return nil, err
 	}
-	if p.Delta.Len() == 1 {
-		rq := p.requestRefs()
+	if p.DeltaLen() == 1 {
+		rq := &p.rq
 		paths := rq.paths()
 		if len(paths) != 1 {
-			return nil, fmt.Errorf("core: unexpected provenance for %s", p.Delta.Refs()[0])
+			return nil, fmt.Errorf("core: unexpected provenance for %s", p.rq.refs[0])
 		}
 		return &Solution{Deleted: []relation.TupleID{rq.x.Tuple(paths[0][0])}}, nil
 	}

@@ -43,7 +43,7 @@ func TestSourceExactFig1Q4(t *testing.T) {
 func TestSourceExactSharedTuple(t *testing.T) {
 	// Two requested view tuples sharing a source tuple: optimum 1.
 	p := fig1Q4Problem(t)
-	p.Delta.Add(view.TupleRef{View: 0, Tuple: tup("John", "TKDE", "CUBE")})
+	p = respecialize(t, p, view.NewDeletion(append(p.DeltaRefs(), view.TupleRef{View: 0, Tuple: tup("John", "TKDE", "CUBE")})...))
 	sol, err := (&SourceExact{}).Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSourceGreedyFeasibleAndBounded(t *testing.T) {
 	for name, mk := range makers {
 		for seed := int64(1); seed <= 5; seed++ {
 			p := mk(t, seed, 3)
-			if p.Delta.Len() == 0 {
+			if p.DeltaLen() == 0 {
 				continue
 			}
 			g, err := (&SourceGreedy{}).Solve(context.Background(), p)
@@ -116,7 +116,7 @@ func TestSourceGreedyFeasibleAndBounded(t *testing.T) {
 			}
 			// ln(n) bound for greedy hitting set.
 			nPaths := 0
-			for _, ref := range p.Delta.Refs() {
+			for _, ref := range p.DeltaRefs() {
 				ans, _ := p.Answer(ref)
 				nPaths += ans.NumDerivations()
 			}
@@ -139,7 +139,7 @@ func TestSourceSingleQueryExact(t *testing.T) {
 		t.Errorf("single-query source = %v/%v", cost, feasible)
 	}
 	// Multi-deletion path still exact.
-	p.Delta.Add(view.TupleRef{View: 0, Tuple: tup("Joe", "TKDE", "XML")})
+	p = respecialize(t, p, view.NewDeletion(append(p.DeltaRefs(), view.TupleRef{View: 0, Tuple: tup("Joe", "TKDE", "XML")})...))
 	sol, err = (&SourceSingleQueryExact{}).Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -236,11 +236,11 @@ func TestSourceExactMatchesExhaustive(t *testing.T) {
 			for nDel := 1; nDel <= 4; nDel++ {
 				p := m.mk(t, seed, nDel)
 				cands := p.CandidateTuples()
-				if p.Delta.Len() == 0 || len(cands) > 16 {
+				if p.DeltaLen() == 0 || len(cands) > 16 {
 					continue
 				}
 				var derivs []cq.Derivation
-				for _, ref := range p.Delta.Refs() {
+				for _, ref := range p.DeltaRefs() {
 					ans, _ := p.Answer(ref)
 					derivs = append(derivs, ans.Derivations()...)
 				}

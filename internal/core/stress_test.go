@@ -36,7 +36,7 @@ func TestStressDifferential(t *testing.T) {
 				Queries: 3, AtomsPerQuery: 2,
 			})
 			if p, err := NewProblem(w.DB, w.Queries, nil); err == nil {
-				p.Delta = workload.SampleDeletion(p.Views, nDel, seed)
+				p = respecialize(t, p, workload.SampleDeletion(p.Views, nDel, seed))
 				instances = append(instances, instance{"star", p})
 			}
 			w = workload.Chain(workload.ChainConfig{
@@ -44,21 +44,21 @@ func TestStressDifferential(t *testing.T) {
 				Queries: 3, MaxSpan: 3,
 			})
 			if p, err := NewProblem(w.DB, w.Queries, nil); err == nil {
-				p.Delta = workload.SampleDeletion(p.Views, nDel, seed)
+				p = respecialize(t, p, workload.SampleDeletion(p.Views, nDel, seed))
 				instances = append(instances, instance{"chain", p})
 			}
 			w = workload.Pivot(workload.PivotConfig{
 				Seed: seed, Roots: 2, ChildrenPerRoot: 3, GrandPerChild: 2,
 			})
 			if p, err := NewProblem(w.DB, w.Queries, nil); err == nil {
-				p.Delta = workload.SampleDeletion(p.Views, nDel, seed)
+				p = respecialize(t, p, workload.SampleDeletion(p.Views, nDel, seed))
 				instances = append(instances, instance{"pivot", p})
 			}
 			w = workload.SelfJoin(workload.SelfJoinConfig{
 				Seed: seed, Nodes: 4, Edges: 7, Queries: 2, MaxLen: 2,
 			})
 			if p, err := NewProblem(w.DB, w.Queries, nil); err == nil {
-				p.Delta = workload.SampleDeletion(p.Views, nDel, seed)
+				p = respecialize(t, p, workload.SampleDeletion(p.Views, nDel, seed))
 				instances = append(instances, instance{"selfjoin", p})
 			}
 		}
@@ -66,7 +66,7 @@ func TestStressDifferential(t *testing.T) {
 	checked := 0
 	for _, in := range instances {
 		p := in.p
-		if p.Delta.Len() == 0 {
+		if p.DeltaLen() == 0 {
 			continue
 		}
 		bf, err := (&BruteForce{}).Solve(context.Background(), p)

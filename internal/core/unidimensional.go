@@ -36,8 +36,8 @@ func (u *Unidimensional) Applicable(p *Problem) error {
 	if len(p.Queries) != 1 {
 		return fmt.Errorf("core: unidimensional requires one query, got %d", len(p.Queries))
 	}
-	if p.Delta.Len() != 1 {
-		return fmt.Errorf("core: unidimensional requires one requested deletion, got %d", p.Delta.Len())
+	if p.DeltaLen() != 1 {
+		return fmt.Errorf("core: unidimensional requires one requested deletion, got %d", p.DeltaLen())
 	}
 	q := p.Queries[0]
 	if !q.IsSelfJoinFree() {
@@ -53,9 +53,6 @@ func (u *Unidimensional) Applicable(p *Problem) error {
 	if !props[0].HeadDomination {
 		return ErrNotHeadDominated
 	}
-	if _, ok := p.Answer(p.Delta.Refs()[0]); !ok {
-		return fmt.Errorf("core: %s is not a view tuple", p.Delta.Refs()[0])
-	}
 	return nil
 }
 
@@ -66,8 +63,7 @@ func (u *Unidimensional) Solve(ctx context.Context, p *Problem) (*Solution, erro
 	}
 	q := p.Queries[0]
 	x := p.Index()
-	r, _ := x.LookupRef(p.Delta.Refs()[0])
-	lo, hi := x.Derivations(r)
+	lo, hi := x.Derivations(p.rq.delta[0])
 	st := StatsFrom(ctx)
 	var best *Solution
 	bestCost := 0.0

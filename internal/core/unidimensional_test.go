@@ -94,7 +94,7 @@ func TestUnidimensionalPreconditions(t *testing.T) {
 	if p.Views[0].Result.NumAnswers() == 0 {
 		t.Skip("no answers on this seed")
 	}
-	p.Delta.Add(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuples()[0]})
+	p = respecialize(t, p, view.NewDeletion(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuples()[0]}))
 	if _, err := (&Unidimensional{}).Solve(context.Background(), p); !errors.Is(err, ErrNotHeadDominated) {
 		t.Errorf("err = %v, want ErrNotHeadDominated", err)
 	}
@@ -104,10 +104,12 @@ func TestUnidimensionalPreconditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := view.NewDeletion()
 	for _, tp := range p2.Views[0].Result.Tuples() {
-		p2.Delta.Add(view.TupleRef{View: 0, Tuple: tp})
+		all.Add(view.TupleRef{View: 0, Tuple: tp})
 	}
-	if p2.Delta.Len() > 1 {
+	p2 = respecialize(t, p2, all)
+	if p2.DeltaLen() > 1 {
 		if _, err := (&Unidimensional{}).Solve(context.Background(), p2); err == nil {
 			t.Error("multi-tuple deletion accepted")
 		}
@@ -128,7 +130,7 @@ func TestUnidimensionalPreconditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p4.Views[0].Result.NumAnswers() > 0 {
-		p4.Delta.Add(view.TupleRef{View: 0, Tuple: p4.Views[0].Result.Tuples()[0]})
+		p4 = respecialize(t, p4, view.NewDeletion(view.TupleRef{View: 0, Tuple: p4.Views[0].Result.Tuples()[0]}))
 		if _, err := (&Unidimensional{}).Solve(context.Background(), p4); err == nil {
 			t.Error("self-join accepted")
 		}

@@ -117,18 +117,23 @@ func FromRedBlue(inst *setcover.Instance) (*VSEInstance, error) {
 		queries = append(queries, q)
 	}
 
-	p, err := core.NewProblem(db, queries, nil)
+	skel, err := core.NewProblem(db, queries, nil)
 	if err != nil {
 		return nil, err
 	}
 	// ΔV: the single view tuple of every blue view.
+	delta := view.NewDeletion()
 	for b := 0; b < inst.NumBlue; b++ {
 		vi := out.BlueView[b]
-		answers := p.Views[vi].Result.Answers()
+		answers := skel.Views[vi].Result.Answers()
 		if len(answers) != 1 {
 			return nil, fmt.Errorf("reduction: blue view %d has %d answers, want 1", b, len(answers))
 		}
-		p.Delta.Add(view.TupleRef{View: vi, Tuple: answers[0].Tuple})
+		delta.Add(view.TupleRef{View: vi, Tuple: answers[0].Tuple})
+	}
+	p, err := skel.Specialize(delta)
+	if err != nil {
+		return nil, err
 	}
 	// Red weights become preservation weights.
 	if inst.RedWeights != nil {

@@ -32,8 +32,8 @@ func TestFig2Construction(t *testing.T) {
 		}
 	}
 	// ΔV = the three blue views.
-	if p.Delta.Len() != 3 {
-		t.Errorf("ΔV = %d, want 3", p.Delta.Len())
+	if p.DeltaLen() != 3 {
+		t.Errorf("ΔV = %d, want 3", p.DeltaLen())
 	}
 	// Queries are project-free and key-preserving.
 	if !p.IsKeyPreserving() {

@@ -51,11 +51,21 @@ func (t Tuple) Equal(u Tuple) bool {
 
 // String renders the tuple as (a,b,c).
 func (t Tuple) String() string {
-	parts := make([]string, len(t))
+	var buf [64]byte
+	return string(t.AppendString(buf[:0]))
+}
+
+// AppendString appends the String form of the tuple to dst and returns
+// the extended slice.
+func (t Tuple) AppendString(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, v := range t {
-		parts[i] = string(v)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, v...)
 	}
-	return "(" + strings.Join(parts, ",") + ")"
+	return append(dst, ')')
 }
 
 // Encode produces a canonical string encoding of the tuple, injective for
@@ -174,7 +184,8 @@ func (id TupleID) Equal(o TupleID) bool {
 
 // String renders the identity as Relation(a,b,c).
 func (id TupleID) String() string {
-	return id.Relation + id.Tuple.String()
+	var buf [64]byte
+	return string(id.Tuple.AppendString(append(buf[:0], id.Relation...)))
 }
 
 // Schema describes one relation symbol: a name, attribute names, and the key
@@ -246,9 +257,6 @@ func (s *Schema) IsKeyPos(p int) bool {
 	return false
 }
 
-// KeyOf projects the key positions out of a full tuple.
-func (s *Schema) KeyOf(t Tuple) Tuple { return t.Project(s.Key) }
-
 // String renders the schema as Name(a, b*, c) with key attributes starred.
 func (s *Schema) String() string {
 	parts := make([]string, len(s.Attrs))
@@ -277,31 +285,35 @@ var (
 )
 
 // Relation is a finite set of tuples over a schema, with the key constraint
-// enforced on insert. It maintains a key index for point lookups.
+// enforced on insert. Every relation has a key, so a tuple is present
+// exactly when its key values map to a row holding an equal tuple: one
+// index over key encodings serves inserts, lookups and deletes.
 type Relation struct {
 	schema *Schema
-	// tuples maps full-tuple encodings to the tuple.
-	tuples map[string]Tuple
-	// keyIdx maps key encodings to full-tuple encodings.
-	keyIdx map[string]string
-	// order remembers insertion order of encodings so iteration is stable.
-	order []string
+	// rows holds the tuples in insertion order; a deleted row is nil.
+	rows []Tuple
+	// byKey maps the Encode form of a tuple's key values to its row.
+	byKey map[string]int32
 }
 
 // NewRelation creates an empty relation over the schema.
 func NewRelation(schema *Schema) *Relation {
-	return &Relation{
-		schema: schema,
-		tuples: make(map[string]Tuple),
-		keyIdx: make(map[string]string),
-	}
+	return &Relation{schema: schema, byKey: make(map[string]int32)}
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return len(r.byKey) }
+
+// appendKey appends the Encode form of t's key values to dst.
+func (r *Relation) appendKey(dst []byte, t Tuple) []byte {
+	for _, p := range r.schema.Key {
+		dst = t[p].AppendEncode(dst)
+	}
+	return dst
+}
 
 // Insert adds a tuple. It returns ErrArity on arity mismatch,
 // ErrDuplicate if the exact tuple is already present, and ErrKeyViolation
@@ -310,62 +322,63 @@ func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.Arity() {
 		return fmt.Errorf("%w: relation %s expects arity %d, got %d", ErrArity, r.schema.Name, r.schema.Arity(), len(t))
 	}
-	enc := t.Encode()
-	if _, ok := r.tuples[enc]; ok {
-		return fmt.Errorf("%w: %s%s", ErrDuplicate, r.schema.Name, t)
+	var buf [64]byte
+	key := r.appendKey(buf[:0], t)
+	if i, ok := r.byKey[string(key)]; ok {
+		if r.rows[i].Equal(t) {
+			return fmt.Errorf("%w: %s%s", ErrDuplicate, r.schema.Name, t)
+		}
+		return fmt.Errorf("%w: %s%s collides on key with %s%s", ErrKeyViolation, r.schema.Name, t, r.schema.Name, r.rows[i])
 	}
-	kenc := r.schema.KeyOf(t).Encode()
-	if other, ok := r.keyIdx[kenc]; ok {
-		return fmt.Errorf("%w: %s%s collides on key with %s%s", ErrKeyViolation, r.schema.Name, t, r.schema.Name, r.tuples[other])
-	}
-	t = t.Clone()
-	r.tuples[enc] = t
-	r.keyIdx[kenc] = enc
-	r.order = append(r.order, enc)
+	r.byKey[string(key)] = int32(len(r.rows))
+	r.rows = append(r.rows, t.Clone())
 	return nil
 }
 
 // Contains reports whether the exact tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.tuples[t.Encode()]
+	_, ok := r.find(t)
 	return ok
+}
+
+// find returns the row holding exactly t, if any.
+func (r *Relation) find(t Tuple) (int32, bool) {
+	if len(t) != r.schema.Arity() {
+		return 0, false
+	}
+	var buf [64]byte
+	i, ok := r.byKey[string(r.appendKey(buf[:0], t))]
+	return i, ok && r.rows[i].Equal(t)
 }
 
 // LookupKey returns the unique tuple with the given key values, if any.
 func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
-	enc, ok := r.keyIdx[key.Encode()]
+	var buf [64]byte
+	i, ok := r.byKey[string(key.AppendEncode(buf[:0]))]
 	if !ok {
 		return nil, false
 	}
-	return r.tuples[enc], true
+	return r.rows[i], true
 }
 
-// Delete removes the exact tuple, reporting whether it was present.
+// Delete removes the exact tuple, reporting whether it was present. Its
+// row stays as a tombstone; a later re-insert appends a new row.
 func (r *Relation) Delete(t Tuple) bool {
-	enc := t.Encode()
-	stored, ok := r.tuples[enc]
-	if !ok {
-		return false
+	i, ok := r.find(t)
+	if ok {
+		var buf [64]byte
+		delete(r.byKey, string(r.appendKey(buf[:0], t)))
+		r.rows[i] = nil
 	}
-	delete(r.tuples, enc)
-	delete(r.keyIdx, r.schema.KeyOf(stored).Encode())
-	// Compact the iteration order so a later re-insert of the same tuple
-	// cannot appear twice.
-	for i, e := range r.order {
-		if e == enc {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return true
+	return ok
 }
 
 // Tuples returns all tuples in insertion order. The returned slice is fresh;
 // the tuples are shared and must not be mutated.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(r.tuples))
-	for _, enc := range r.order {
-		if t, ok := r.tuples[enc]; ok {
+	out := make([]Tuple, 0, r.Len())
+	for _, t := range r.rows {
+		if t != nil {
 			out = append(out, t)
 		}
 	}

@@ -63,9 +63,6 @@ func TestSchemaAccessors(t *testing.T) {
 	if !s.IsKeyPos(0) || s.IsKeyPos(1) || !s.IsKeyPos(2) {
 		t.Errorf("IsKeyPos wrong: %v %v %v", s.IsKeyPos(0), s.IsKeyPos(1), s.IsKeyPos(2))
 	}
-	if got := s.KeyOf(tup("x", "y", "z")); !got.Equal(tup("x", "z")) {
-		t.Errorf("KeyOf = %v, want (x,z)", got)
-	}
 	if got := s.String(); got != "T(a*, b, c*)" {
 		t.Errorf("String = %q", got)
 	}
@@ -142,6 +139,40 @@ func TestTupleEncodeGolden(t *testing.T) {
 	}
 	if !id.Equal(TupleID{Relation: "T|1", Tuple: tup("é", "a|b", "")}) || id.Equal(TupleID{Relation: "T", Tuple: id.Tuple}) {
 		t.Error("TupleID.Equal disagrees with Key equality")
+	}
+}
+
+// TestTupleStringGolden pins the rendered form of Tuple and TupleID:
+// CLI output, response bodies and sorted collateral lists are built from
+// these strings.
+func TestTupleStringGolden(t *testing.T) {
+	long := strings.Repeat("x", 70)
+	cases := []struct {
+		t    Tuple
+		want string
+	}{
+		{nil, "()"},
+		{tup(), "()"},
+		{tup(""), "()"},
+		{tup("", ""), "(,)"},
+		{tup("a", "bc"), "(a,bc)"},
+		{tup("a,b", "(c)", "d e"), "(a,b,(c),d e)"},
+		{tup("é", "日本", "🙂"), "(é,日本,🙂)"},
+		{tup(long, "y"), "(" + long + ",y)"},
+	}
+	for _, c := range cases {
+		if got := c.t.String(); got != c.want {
+			t.Errorf("String(%q) = %q, want %q", []Value(c.t), got, c.want)
+		}
+		if got := string(c.t.AppendString([]byte("pre"))); got != "pre"+c.want {
+			t.Errorf("AppendString(%q) = %q, want %q", []Value(c.t), got, "pre"+c.want)
+		}
+		if got := (TupleID{Relation: "T1", Tuple: c.t}).String(); got != "T1"+c.want {
+			t.Errorf("TupleID.String(%q) = %q, want %q", []Value(c.t), got, "T1"+c.want)
+		}
+	}
+	if got := (TupleID{Tuple: tup("a")}).String(); got != "(a)" {
+		t.Errorf("TupleID.String with no relation = %q, want %q", got, "(a)")
 	}
 }
 

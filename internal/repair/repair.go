@@ -184,8 +184,8 @@ func (s *Session) Round(round, k int) (RoundReport, bool, error) {
 	}
 	switch s.Mode {
 	case Batch:
-		for _, ref := range marked {
-			p.Delta.Add(ref)
+		if p, err = p.Specialize(view.NewDeletion(marked...)); err != nil {
+			return rep, false, err
 		}
 		sol, err := s.solver().Solve(context.Background(), p)
 		if err != nil {
@@ -201,7 +201,9 @@ func (s *Session) Round(round, k int) (RoundReport, bool, error) {
 			if !sub.Views[ref.View].Result.Contains(ref.Tuple) {
 				continue // already gone from an earlier deletion
 			}
-			sub.Delta.Add(ref)
+			if sub, err = sub.Specialize(view.NewDeletion(ref)); err != nil {
+				return rep, false, err
+			}
 			sol, err := s.solver().Solve(context.Background(), sub)
 			if err != nil {
 				return rep, false, fmt.Errorf("repair: round %d: %w", round, err)

@@ -567,7 +567,7 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	if err != nil {
 		return nil, a.finish(rec, outcomeRejected, &solveError{http.StatusBadRequest, codeInvalidRequest, err})
 	}
-	rec.dbSize, rec.queries, rec.deltaSize = p.DB.Size(), len(p.Queries), p.Delta.Len()
+	rec.dbSize, rec.queries, rec.deltaSize = p.DB.Size(), len(p.Queries), p.DeltaLen()
 
 	// The allow-list matches the *requested* name ("auto" included), so
 	// operators reason about what clients ask for, not what the router
@@ -900,7 +900,7 @@ func PickSolver(name string, p *core.Problem) (core.Solver, error) {
 		}
 		return &core.Greedy{}, nil
 	}
-	if p.Delta.Len() == 1 {
+	if p.DeltaLen() == 1 {
 		return &core.SingleTupleExact{}, nil
 	}
 	if core.IsPivotForest(p) {

@@ -69,24 +69,16 @@ func (p *PNPSCInstance) Validate() error {
 
 // Cost evaluates the PNPSC objective for a chosen sub-collection.
 func (p *PNPSCInstance) Cost(sol Solution) float64 {
-	coveredPos := make(map[int]bool)
-	coveredNeg := make(map[int]bool)
-	for _, si := range sol.Chosen {
-		for _, e := range p.Sets[si].Positives {
-			coveredPos[e] = true
-		}
-		for _, e := range p.Sets[si].Negatives {
-			coveredNeg[e] = true
-		}
-	}
 	cost := 0.0
-	for i := 0; i < p.NumPos; i++ {
-		if !coveredPos[i] {
+	for i, in := range covered(p.NumPos, sol, func(si int) []int { return p.Sets[si].Positives }) {
+		if !in {
 			cost += p.PosWeight(i)
 		}
 	}
-	for n := range coveredNeg {
-		cost += p.NegWeight(n)
+	for n, in := range covered(p.NumNeg, sol, func(si int) []int { return p.Sets[si].Negatives }) {
+		if in {
+			cost += p.NegWeight(n)
+		}
 	}
 	return cost
 }

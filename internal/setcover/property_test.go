@@ -25,7 +25,7 @@ func TestCoverMonotone(t *testing.T) {
 		}
 		large = append(large, small...)
 		sSmall, sLarge := Solution{Chosen: small}, Solution{Chosen: large}
-		if len(inst.CoveredBlues(sSmall)) > len(inst.CoveredBlues(sLarge)) {
+		if inst.CoveredBlues(sSmall) > inst.CoveredBlues(sLarge) {
 			return false
 		}
 		return inst.Cost(sSmall) <= inst.Cost(sLarge)+1e-9

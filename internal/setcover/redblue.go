@@ -66,39 +66,44 @@ type Solution struct {
 	Chosen []int
 }
 
-// CoveredBlues returns the set of blue elements covered by the solution.
-func (inst *Instance) CoveredBlues(sol Solution) map[int]bool {
-	out := make(map[int]bool)
-	for _, si := range sol.Chosen {
-		for _, b := range inst.Sets[si].Blues {
-			out[b] = true
+// CoveredBlues returns the number of blue elements covered by the
+// solution.
+func (inst *Instance) CoveredBlues(sol Solution) int {
+	n := 0
+	for _, in := range covered(inst.NumBlue, sol, func(si int) []int { return inst.Sets[si].Blues }) {
+		if in {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
-// CoveredReds returns the set of red elements covered by the solution.
-func (inst *Instance) CoveredReds(sol Solution) map[int]bool {
-	out := make(map[int]bool)
+// covered returns the mask of elements of [0, n) that some chosen set's
+// elems contain. Costs sum over it in ascending element order, so a
+// float sum's last bits do not depend on the order sets were chosen in.
+func covered(n int, sol Solution, elems func(si int) []int) []bool {
+	mask := make([]bool, n)
 	for _, si := range sol.Chosen {
-		for _, r := range inst.Sets[si].Reds {
-			out[r] = true
+		for _, e := range elems(si) {
+			mask[e] = true
 		}
 	}
-	return out
+	return mask
 }
 
 // Feasible reports whether every blue element is covered.
 func (inst *Instance) Feasible(sol Solution) bool {
-	return len(inst.CoveredBlues(sol)) == inst.NumBlue
+	return inst.CoveredBlues(sol) == inst.NumBlue
 }
 
 // Cost returns the total weight of red elements covered by the solution
 // (the Red-Blue Set Cover objective).
 func (inst *Instance) Cost(sol Solution) float64 {
 	cost := 0.0
-	for r := range inst.CoveredReds(sol) {
-		cost += inst.RedWeight(r)
+	for r, in := range covered(inst.NumRed, sol, func(si int) []int { return inst.Sets[si].Reds }) {
+		if in {
+			cost += inst.RedWeight(r)
+		}
 	}
 	return cost
 }

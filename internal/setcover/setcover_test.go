@@ -342,3 +342,25 @@ func TestPNPSCWeights(t *testing.T) {
 		t.Errorf("weighted optimum = %v, want 2", got)
 	}
 }
+
+// TestCostSumOrderFixed: costs add weights in ascending element order,
+// so repeated calls return one bit pattern. Summing while ranging over a
+// map gave 0.1+0.2+0.3 and 0.3+0.1+0.2 (0.6000000000000001 and 0.6) in
+// random proportion, and LowDegSweep compares costs with <.
+func TestCostSumOrderFixed(t *testing.T) {
+	w := []float64{0.1, 0.2, 0.3}
+	want := math.Float64bits(w[0] + w[1] + w[2])
+	inst := &Instance{NumRed: 3, NumBlue: 1, RedWeights: w,
+		Sets: []Set{{Reds: []int{2, 0}, Blues: []int{0}}, {Reds: []int{1, 2}}}}
+	pn := &PNPSCInstance{NumPos: 1, NumNeg: 3, NegWeights: w,
+		Sets: []PNSet{{Negatives: []int{2, 0}, Positives: []int{0}}, {Negatives: []int{1, 2}}}}
+	sol := Solution{Chosen: []int{1, 0}}
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(inst.Cost(sol)); got != want {
+			t.Fatalf("call %d: Instance.Cost = %v, want %v", i, math.Float64frombits(got), math.Float64frombits(want))
+		}
+		if got := math.Float64bits(pn.Cost(sol)); got != want {
+			t.Fatalf("call %d: PNPSCInstance.Cost = %v, want %v", i, math.Float64frombits(got), math.Float64frombits(want))
+		}
+	}
+}

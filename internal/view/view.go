@@ -22,6 +22,7 @@ package view
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,20 +69,22 @@ func (r TupleRef) Key() string {
 
 // String renders the reference as V2(a,b).
 func (r TupleRef) String() string {
-	return fmt.Sprintf("V%d%s", r.View, r.Tuple)
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], 'V'), int64(r.View), 10)
+	return string(r.Tuple.AppendString(b))
 }
 
 // Deletion is the request ΔV: for each view, the set of view tuples to
 // eliminate.
 type Deletion struct {
-	refs  map[string]TupleRef
-	order []string
+	refs []TupleRef      // in insertion order
+	keys map[string]bool // TupleRef.Key of each ref
 }
 
 // NewDeletion builds a deletion request from references. Duplicates are
 // collapsed.
 func NewDeletion(refs ...TupleRef) *Deletion {
-	d := &Deletion{refs: make(map[string]TupleRef)}
+	d := &Deletion{keys: make(map[string]bool)}
 	for _, r := range refs {
 		d.Add(r)
 	}
@@ -90,36 +93,25 @@ func NewDeletion(refs ...TupleRef) *Deletion {
 
 // Add inserts one reference.
 func (d *Deletion) Add(r TupleRef) {
-	k := r.Key()
-	if _, ok := d.refs[k]; ok {
-		return
+	if k := r.Key(); !d.keys[k] {
+		d.keys[k] = true
+		d.refs = append(d.refs, r)
 	}
-	d.refs[k] = r
-	d.order = append(d.order, k)
 }
 
 // Contains reports whether the reference is requested for deletion.
-func (d *Deletion) Contains(r TupleRef) bool {
-	_, ok := d.refs[r.Key()]
-	return ok
-}
+func (d *Deletion) Contains(r TupleRef) bool { return d.keys[r.Key()] }
 
 // Len returns ‖ΔV‖, the total number of view tuples requested.
 func (d *Deletion) Len() int { return len(d.refs) }
 
-// Refs returns the references in insertion order.
-func (d *Deletion) Refs() []TupleRef {
-	out := make([]TupleRef, 0, len(d.refs))
-	for _, k := range d.order {
-		out = append(out, d.refs[k])
-	}
-	return out
-}
+// Refs returns the references in insertion order, in a fresh slice.
+func (d *Deletion) Refs() []TupleRef { return slices.Clone(d.refs) }
 
 // PerView splits the deletion by view index.
 func (d *Deletion) PerView() map[int][]TupleRef {
 	out := make(map[int][]TupleRef)
-	for _, r := range d.Refs() {
+	for _, r := range d.refs {
 		out[r.View] = append(out[r.View], r)
 	}
 	return out
@@ -128,7 +120,7 @@ func (d *Deletion) PerView() map[int][]TupleRef {
 // String renders the request sorted, for debugging.
 func (d *Deletion) String() string {
 	parts := make([]string, 0, len(d.refs))
-	for _, r := range d.Refs() {
+	for _, r := range d.refs {
 		parts = append(parts, r.String())
 	}
 	sort.Strings(parts)
@@ -138,19 +130,6 @@ func (d *Deletion) String() string {
 // ErrUnknownViewTuple is returned when a deletion request names a tuple not
 // present in its view.
 var ErrUnknownViewTuple = errors.New("view: deletion names unknown view tuple")
-
-// Validate checks that every requested deletion is an actual view tuple.
-func (d *Deletion) Validate(views []*View) error {
-	for _, r := range d.Refs() {
-		if r.View < 0 || r.View >= len(views) {
-			return fmt.Errorf("%w: view index %d out of range", ErrUnknownViewTuple, r.View)
-		}
-		if !views[r.View].Result.Contains(r.Tuple) {
-			return fmt.Errorf("%w: %s", ErrUnknownViewTuple, r)
-		}
-	}
-	return nil
-}
 
 // TotalSize returns ‖V‖: the total number of view tuples across all views.
 func TotalSize(views []*View) int {

@@ -1,7 +1,6 @@
 package view
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -88,6 +87,25 @@ func TestDeletionBasics(t *testing.T) {
 	}
 }
 
+// TestTupleRefStringGolden pins the rendered form of a view tuple, which
+// response bodies and sorted collateral lists are built from.
+func TestTupleRefStringGolden(t *testing.T) {
+	long := strings.Repeat("y", 70)
+	for _, c := range []struct {
+		ref  TupleRef
+		want string
+	}{
+		{TupleRef{View: 0, Tuple: tup("John", "XML")}, "V0(John,XML)"},
+		{TupleRef{View: 12, Tuple: tup("a,b", "")}, "V12(a,b,)"},
+		{TupleRef{View: -1}, "V-1()"},
+		{TupleRef{View: 3, Tuple: tup("日本", long)}, "V3(日本," + long + ")"},
+	} {
+		if got := c.ref.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
+	}
+}
+
 func TestTupleRefKeyDistinctAcrossViews(t *testing.T) {
 	a := TupleRef{View: 0, Tuple: tup("x")}
 	b := TupleRef{View: 1, Tuple: tup("x")}
@@ -96,20 +114,20 @@ func TestTupleRefKeyDistinctAcrossViews(t *testing.T) {
 	}
 }
 
+// TestDeletionValidate: LookupRef is how a request is validated, so it
+// must resolve a view tuple and reject a non-answer and a view index out
+// of range.
 func TestDeletionValidate(t *testing.T) {
 	db := fig1DB()
 	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
-	ok := NewDeletion(TupleRef{View: 0, Tuple: tup("John", "XML")})
-	if err := ok.Validate(views); err != nil {
-		t.Errorf("valid deletion rejected: %v", err)
+	x := BuildIndex(views)
+	if _, ok := x.LookupRef(TupleRef{View: 0, Tuple: tup("John", "XML")}); !ok {
+		t.Error("valid deletion rejected")
 	}
-	bad := NewDeletion(TupleRef{View: 0, Tuple: tup("Nobody", "XML")})
-	if err := bad.Validate(views); !errors.Is(err, ErrUnknownViewTuple) {
-		t.Errorf("err = %v, want ErrUnknownViewTuple", err)
-	}
-	oob := NewDeletion(TupleRef{View: 5, Tuple: tup("John", "XML")})
-	if err := oob.Validate(views); !errors.Is(err, ErrUnknownViewTuple) {
-		t.Errorf("err = %v, want ErrUnknownViewTuple", err)
+	for _, bad := range []TupleRef{{View: 0, Tuple: tup("Nobody", "XML")}, {View: 5, Tuple: tup("John", "XML")}, {View: -1, Tuple: tup("John", "XML")}} {
+		if _, ok := x.LookupRef(bad); ok {
+			t.Errorf("LookupRef(%s) accepted", bad)
+		}
 	}
 }
 

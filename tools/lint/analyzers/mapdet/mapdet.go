@@ -7,7 +7,7 @@
 // output stream during a map range — silently varies between runs
 // unless the iteration is sorted.
 //
-// Three patterns are reported:
+// Four patterns are reported:
 //
 //  1. a `range` over a map whose body appends to a slice declared
 //     outside the loop, when the function never afterwards passes that
@@ -20,7 +20,11 @@
 //     variables). Which iteration wins — the first match, the last
 //     write, the tie-break of an argmin — follows the random order. A
 //     numeric extremum (`if v > hi { hi = v }`, `hi = max(hi, v)`) is
-//     order-independent and not reported.
+//     order-independent and not reported;
+//  4. a float sum: inside a map-range body, `+=` or `-=` on a float
+//     variable declared outside the loop. Float addition is not
+//     associative, so the sum's last bits follow the random order, and a
+//     later comparison of two such sums can flip between runs.
 //
 // Where iteration order is genuinely irrelevant, suppress with
 //
@@ -107,6 +111,9 @@ func checkMapRange(pass *analysis.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStm
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
+			if v := floatSumTarget(pass, n); v != nil && !declaredWithin(v, rng) {
+				pass.ReportRangef(n, "%s sums floats in map iteration order, so its last bits vary between runs; iterate over sorted keys", v.Name())
+			}
 			for i, rhs := range n.Rhs {
 				target := appendTarget(pass, n, i, rhs)
 				if target == nil {
@@ -166,6 +173,26 @@ func appendTarget(pass *analysis.Pass, asg *ast.AssignStmt, i int, rhs ast.Expr)
 		}
 	}
 	return nil
+}
+
+// floatSumTarget returns the variable v for statements of the form
+// `v += …` or `v -= …` where v has a floating-point type, or nil.
+func floatSumTarget(pass *analysis.Pass, asg *ast.AssignStmt) *types.Var {
+	if asg.Tok != token.ADD_ASSIGN && asg.Tok != token.SUB_ASSIGN {
+		return nil
+	}
+	id, ok := ast.Unparen(asg.Lhs[0]).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	if !ok {
+		return nil
+	}
+	if b, ok := v.Type().Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return nil
+	}
+	return v
 }
 
 // checkPicks reports pattern 3 in one map range. It walks the body in

@@ -241,3 +241,54 @@ func Visit(m map[string]int, visit func(func() string)) {
 		visit(func() string { return k })
 	}
 }
+
+// FloatSum adds float weights in map order: the sum's last bits vary.
+func FloatSum(m map[string]float64) float64 {
+	total := 0.0
+	for _, w := range m {
+		total += w // want `total sums floats in map iteration order`
+	}
+	return total
+}
+
+type weight float32
+
+// FloatDebit subtracts a named float type in map order.
+func FloatDebit(m map[int]weight, budget weight) weight {
+	for _, w := range m {
+		budget -= w // want `budget sums floats in map iteration order`
+	}
+	return budget
+}
+
+// IntSum adds integers: exact in any order, ok.
+func IntSum(m map[string]int) int {
+	total := 0
+	for _, v := range m {
+		total += v
+	}
+	return total
+}
+
+// LocalFloat sums inside one iteration only: ok.
+func LocalFloat(m map[string][]float64) []float64 {
+	out := make([]float64, 0, len(m))
+	for _, ws := range m {
+		s := 0.0
+		for _, w := range ws {
+			s += w
+		}
+		out = append(out, s)
+	}
+	sort.Float64s(out)
+	return out
+}
+
+// SliceFloatSum sums a slice in index order: ok.
+func SliceFloatSum(ws []float64) float64 {
+	total := 0.0
+	for _, w := range ws {
+		total += w
+	}
+	return total
+}
