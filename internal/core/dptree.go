@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"delprop/internal/view"
 )
@@ -57,20 +57,26 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 	}
 	// Tuples and view tuples are the provenance index's dense ids: paths
 	// is indexed by ref id, and a view tuple's path starts as its
-	// derivation's distinct tuple ids, ascending.
+	// derivation's distinct tuple ids, ascending. Every per-ref and
+	// per-tuple list below is a window of one array sized from the
+	// index's counts.
 	x := p.Index()
 	n := x.NumTuples()
-	paths := make([][]int, x.NumRefs())
-	for r := range paths {
+	pathLen := make([]int, x.NumRefs())
+	for r := range pathLen {
 		lo, hi := x.Derivations(int32(r))
 		if hi-lo != 1 {
 			return nil, fmt.Errorf("%w: view tuple with %d derivations", ErrNotPivotForest, hi-lo)
 		}
+		if pathLen[r] = len(x.DerivTuples(lo)); pathLen[r] == 0 {
+			return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
+		}
+	}
+	paths := windows[int](pathLen)
+	for r := range paths {
+		lo, _ := x.Derivations(int32(r))
 		for _, t := range x.DerivTuples(lo) {
 			paths[r] = append(paths[r], int(t))
-		}
-		if len(paths[r]) == 0 {
-			return nil, fmt.Errorf("%w: view tuple with empty derivation", ErrNotPivotForest)
 		}
 	}
 	// Union-find over tuple ids finds the components.
@@ -95,31 +101,52 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 	// order, so the forest layout, and with it the solution's deletion
 	// order, is canonical.
 	minT := make([]int, n)
+	nRoots := 0
 	for t := n - 1; t >= 0; t-- {
 		minT[find(t)] = t
+		if uf[t] == t {
+			nRoots++
+		}
 	}
-	comps := make([][]int, n)
-	var roots []int
-	for i, path := range paths {
+	compSize := make([]int, n)
+	roots := make([]int, 0, nRoots)
+	for _, path := range paths {
 		r := find(path[0])
-		if comps[r] == nil {
+		if compSize[r] == 0 {
 			roots = append(roots, r)
 		}
+		compSize[r]++
+	}
+	comps := windows[int](compSize)
+	for i, path := range paths {
+		r := find(path[0])
 		comps[r] = append(comps[r], i)
 	}
-	sort.Slice(roots, func(a, b int) bool { return minT[roots[a]] < minT[roots[b]] })
+	slices.SortFunc(roots, func(a, b int) int { return cmp.Compare(minT[a], minT[b]) })
 
 	// anc[t] = ∩{paths containing t}. In a pivot forest this is exactly
 	// the path from the pivot to t, so sorting each path by |anc| (ties
 	// broken by tuple id, which is safe because tuples with identical
 	// path membership have identical kill-sets) yields the layout.
-	containing := make([][]int, n)
+	// anc[t] is a subset of the first path containing t, which bounds
+	// its window.
+	occurs := make([]int, n)
+	for _, path := range paths {
+		for _, t := range path {
+			occurs[t]++
+		}
+	}
+	containing := windows[int](occurs)
 	for i, path := range paths {
 		for _, t := range path {
 			containing[t] = append(containing[t], i)
 		}
 	}
-	anc := make([][]int, n)
+	ancCap := make([]int, n)
+	for t, in := range containing {
+		ancCap[t] = len(paths[in[0]])
+	}
+	anc := windows[int](ancCap)
 	for t, in := range containing {
 		for _, cand := range paths[in[0]] {
 			// cand is an ancestor unless some path through t lacks it.
@@ -129,8 +156,11 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		}
 	}
 
-	b := &forestBuilder{x: x, nodes: make([]*pivotNode, n), up: make([]*pivotNode, n)}
-	forest := &pivotForest{size: n}
+	b := &forestBuilder{x: x, nodes: make([]pivotNode, n), up: make([]*pivotNode, n), born: make([]int, 0, n)}
+	for t := range b.nodes {
+		b.nodes[t].t = int32(t)
+	}
+	forest := &pivotForest{size: n, roots: make([]*pivotNode, 0, len(roots))}
 	for _, r := range roots {
 		idxs := comps[r]
 		for _, i := range idxs {
@@ -142,25 +172,58 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range idxs {
-			end := b.nodes[paths[i][len(paths[i])-1]]
-			end.ends = append(end.ends, int32(i))
-		}
 		forest.roots = append(forest.roots, root)
 	}
+	// Link the trees: children in the order merge found them, path ends
+	// in component then ref order.
+	nChildren, nEnds := make([]int, n), make([]int, n)
+	for _, t := range b.born {
+		nChildren[b.up[t].t]++
+	}
+	for _, path := range paths {
+		nEnds[path[len(path)-1]]++
+	}
+	children, ends := windows[*pivotNode](nChildren), windows[int32](nEnds)
+	for _, t := range b.born {
+		parent := b.up[t]
+		children[parent.t] = append(children[parent.t], &b.nodes[t])
+	}
+	for _, r := range roots {
+		for _, i := range comps[r] {
+			end := paths[i][len(paths[i])-1]
+			ends[end] = append(ends[end], int32(i))
+		}
+	}
+	for t := range b.nodes {
+		b.nodes[t].children, b.nodes[t].ends = children[t], ends[t]
+	}
 	return forest, nil
+}
+
+// windows returns one empty slice per size, with that capacity, all
+// carved from one array.
+func windows[T any](sizes []int) [][]T {
+	total := 0
+	for _, c := range sizes {
+		total += c
+	}
+	buf := make([]T, total)
+	out := make([][]T, len(sizes))
+	for i, c := range sizes {
+		out[i], buf = buf[:0:c], buf[c:]
+	}
+	return out
 }
 
 // layoutPath sorts a path, in place, by ascending ancestor-set size and
 // verifies the root-path property: every element lies in the ancestor
 // set of its successor.
 func layoutPath(x *view.Index, path []int, anc [][]int) error {
-	sort.Slice(path, func(a, b int) bool {
-		sa, sb := len(anc[path[a]]), len(anc[path[b]])
-		if sa != sb {
-			return sa < sb
+	slices.SortFunc(path, func(a, b int) int {
+		if c := cmp.Compare(len(anc[a]), len(anc[b])); c != 0 {
+			return c
 		}
-		return path[a] < path[b]
+		return cmp.Compare(a, b)
 	})
 	for j := 0; j+1 < len(path); j++ {
 		if !slices.Contains(anc[path[j+1]], path[j]) {
@@ -170,40 +233,34 @@ func layoutPath(x *view.Index, path []int, anc [][]int) error {
 	return nil
 }
 
-// forestBuilder merges laid-out paths into trees. nodes and up, indexed
-// by tuple id, hold each tuple's node and that node's parent.
+// forestBuilder merges laid-out paths into trees. nodes, indexed by tuple
+// id, holds every tuple's node and up each node's parent; born lists the
+// tuples given a parent, in the order merge gave it.
 type forestBuilder struct {
 	x     *view.Index
-	nodes []*pivotNode
+	nodes []pivotNode
 	up    []*pivotNode
-}
-
-func (b *forestBuilder) node(t int) *pivotNode {
-	if b.nodes[t] == nil {
-		b.nodes[t] = &pivotNode{t: int32(t)}
-	}
-	return b.nodes[t]
+	born  []int
 }
 
 // merge merges one component's paths into a tree, requiring a unique
 // parent per tuple and a common root.
 func (b *forestBuilder) merge(paths [][]int, idxs []int) (*pivotNode, error) {
 	rootT := paths[idxs[0]][0]
-	root := b.node(rootT)
+	root := &b.nodes[rootT]
 	for _, i := range idxs {
 		if t := paths[i][0]; t != rootT {
 			return nil, fmt.Errorf("%w: component has no common pivot tuple (paths start at %s and %s)", ErrNotPivotForest, b.x.Tuple(int32(rootT)), b.x.Tuple(int32(t)))
 		}
 		prev := root
 		for _, t := range paths[i][1:] {
-			n := b.node(t)
 			if b.up[t] == nil && t != rootT {
 				b.up[t] = prev
-				prev.children = append(prev.children, n)
+				b.born = append(b.born, t)
 			} else if b.up[t] != prev {
 				return nil, fmt.Errorf("%w: tuple %s has two parents", ErrNotPivotForest, b.x.Tuple(int32(t)))
 			}
-			prev = n
+			prev = &b.nodes[t]
 		}
 	}
 	return root, nil

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"delprop/internal/cq"
 	"delprop/internal/relation"
+	"delprop/internal/textio"
 	"delprop/internal/view"
 	"delprop/internal/workload"
 )
@@ -202,11 +204,12 @@ func TestNewProblemAllocs(t *testing.T) {
 	}
 }
 
-// retainedKB returns the live heap, in KB, that one NewProblem over w
-// keeps after garbage collection: the materialized views and the
-// provenance index, not the instance. It takes the least of three
-// measurements, so a stray allocation elsewhere cannot inflate it.
-func retainedKB(tb testing.TB, w *workload.Workload) float64 {
+// retainedKB returns the live heap, in KB, that one call of build keeps
+// after garbage collection, such as one NewProblem over a workload: the
+// materialized views and the provenance index, not the instance. It
+// takes the least of three measurements, so a stray allocation elsewhere
+// cannot inflate it.
+func retainedKB(tb testing.TB, build func() (any, error)) float64 {
 	tb.Helper()
 	live := func() uint64 {
 		var ms runtime.MemStats
@@ -217,15 +220,36 @@ func retainedKB(tb testing.TB, w *workload.Workload) float64 {
 	best := math.Inf(1)
 	for range 3 {
 		before := live()
-		p, err := NewProblem(w.DB, w.Queries, nil)
+		kept, err := build()
 		if err != nil {
 			tb.Fatal(err)
 		}
 		after := live()
-		runtime.KeepAlive(p)
+		runtime.KeepAlive(kept)
 		best = min(best, (float64(after)-float64(before))/1024)
 	}
 	return best
+}
+
+// register builds a skeleton over w.
+func register(w *workload.Workload) func() (any, error) {
+	return func() (any, error) { return NewProblem(w.DB, w.Queries, nil) }
+}
+
+// registerText builds a skeleton from an instance's database and query
+// texts, as POST /sessions does: parse both, then NewProblem.
+func registerText(db, queries string) func() (any, error) {
+	return func() (any, error) {
+		inst, err := textio.ParseDatabase(db)
+		if err != nil {
+			return nil, err
+		}
+		qs, err := cq.ParseProgram(queries)
+		if err != nil {
+			return nil, err
+		}
+		return NewProblem(inst, qs, nil)
+	}
 }
 
 // TestSkeletonRetainedHeap: a skeleton stores each derivation once, as
@@ -233,26 +257,39 @@ func retainedKB(tb testing.TB, w *workload.Workload) float64 {
 // table, so registering bibliography-np keeps at most 900 KB live. Two
 // copies of every derivation as TupleIDs plus a key table kept 1,260 KB.
 func TestSkeletonRetainedHeap(t *testing.T) {
-	if kb := retainedKB(t, warmNPWorkload()); kb > 900 {
+	if kb := retainedKB(t, register(warmNPWorkload())); kb > 900 {
 		t.Errorf("NewProblem on bibliography-np retains %.0f KB, want <= 900", kb)
 	}
 }
 
 // BenchmarkNewProblem measures registering each bench/load instance:
-// materializing the views and building the provenance index. It also
-// reports the heap one registration retains.
+// materializing the views and building the provenance index. The
+// session/ cases measure the whole POST /sessions build from the texts
+// bench/load sends: parsing the database and the queries, then
+// NewProblem. Each case reports the heap one registration retains; a
+// session/ case's includes its parsed instance.
 func BenchmarkNewProblem(b *testing.B) {
-	for _, lw := range loadWorkloads() {
-		kb := retainedKB(b, lw.w)
-		b.Run(lw.name, func(b *testing.B) {
+	run := func(name string, build func() (any, error)) {
+		kb := retainedKB(b, build)
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewProblem(lw.w.DB, lw.w.Queries, nil); err != nil {
+				if _, err := build(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(kb, "retained-KB")
 		})
+	}
+	for _, lw := range loadWorkloads() {
+		run(lw.name, register(lw.w))
+	}
+	for _, lw := range loadWorkloads() {
+		lines := make([]string, len(lw.w.Queries))
+		for i, q := range lw.w.Queries {
+			lines[i] = q.String()
+		}
+		run("session/"+lw.name, registerText(textio.FormatDatabase(lw.w.DB), strings.Join(lines, "\n")))
 	}
 }
 

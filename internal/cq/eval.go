@@ -93,7 +93,8 @@ func (a Answer) Derivations() []Derivation {
 // relation it read, so later deletions from the instance cannot shift
 // rows under it. Head values and derivations live in exact-size flat
 // arrays, and a head tuple finds its answer through an open-addressing
-// table hashed by the head's Encode form.
+// table hashed by the head's Encode form. The head values are written
+// once, when evaluation ends, from each answer's first derivation.
 type Result struct {
 	Query *Query
 	// heads[a*arity:(a+1)*arity] is answer a's head tuple; answers are
@@ -106,8 +107,9 @@ type Result struct {
 	derivStart []int32
 	rows       []int32
 	width      int
-	// atomRows[i] is body atom i's relation as the join read it; atoms
-	// over one relation share one snapshot.
+	// atomRows[i] is body atom i's relation as the join read it: its
+	// Relation.Tuples snapshot, which every evaluation over the same
+	// state of the relation shares.
 	atomRows [][]relation.Tuple
 	// slots is a hash table over the head tuples' Encode forms, at most
 	// half full, probed linearly: each slot holds an answer index plus
@@ -177,7 +179,7 @@ func (r *Result) Derivation(d int) Derivation {
 // order, if it is an answer.
 func (r *Result) Position(t relation.Tuple) (int, bool) {
 	var buf [64]byte
-	i, _ := r.find(r.hash(t.AppendEncode(buf[:0])), t)
+	i, _ := r.probe(r.hash(t.AppendEncode(buf[:0])), func(a int32) bool { return r.Tuple(int(a)).Equal(t) })
 	return int(i), i >= 0
 }
 
@@ -193,12 +195,6 @@ func (r *Result) Lookup(t relation.Tuple) (Answer, bool) {
 func (r *Result) Contains(t relation.Tuple) bool {
 	_, ok := r.Position(t)
 	return ok
-}
-
-// CompareAnswers orders answers i and j as their head tuples' Encode forms
-// compare.
-func (r *Result) CompareAnswers(i, j int) int {
-	return r.Tuple(i).CompareEncode(r.Tuple(j))
 }
 
 // Tuples returns the answer tuples in first-derived order.
@@ -223,9 +219,10 @@ func (r *Result) String() string {
 // hash hashes a head tuple's Encode form.
 func (r *Result) hash(enc []byte) uint64 { return maphash.Bytes(r.seed, enc) }
 
-// find returns the answer whose head tuple is t, whose Encode form
-// hashes to h, or -1 and the empty slot where that answer belongs.
-func (r *Result) find(h uint64, t relation.Tuple) (ans int32, slot int) {
+// probe walks the table from hash h's home slot and returns the first
+// answer eq accepts, or -1 and the empty slot where a new answer with
+// that hash belongs.
+func (r *Result) probe(h uint64, eq func(a int32) bool) (ans int32, slot int) {
 	if len(r.slots) == 0 {
 		return -1, 0
 	}
@@ -235,31 +232,10 @@ func (r *Result) find(h uint64, t relation.Tuple) (ans int32, slot int) {
 		if s == 0 {
 			return -1, i
 		}
-		if r.Tuple(int(s - 1)).Equal(t) {
+		if eq(s - 1) {
 			return s - 1, i
 		}
 	}
-}
-
-// add appends the answer t, whose Encode form hashes to h and which must
-// not be present, growing the table first if it would pass half full,
-// and returns its index.
-func (r *Result) add(h uint64, t relation.Tuple) int32 {
-	n := int32(r.NumAnswers())
-	if 2*int(n+1) > len(r.slots) {
-		r.slots = make([]int32, max(8, 2*len(r.slots)))
-		var buf []byte
-		for i := int32(0); i < n; i++ {
-			head := r.Tuple(int(i))
-			buf = head.AppendEncode(buf[:0])
-			_, slot := r.find(r.hash(buf), head)
-			r.slots[slot] = i + 1
-		}
-	}
-	_, slot := r.find(h, t)
-	r.slots[slot] = n + 1
-	r.heads = append(r.heads, t...)
-	return n
 }
 
 // Evaluate computes Q(D) with provenance. The query must be valid for the
@@ -281,14 +257,9 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 		atomRows: make([][]relation.Tuple, len(q.Body)),
 		seed:     maphash.MakeSeed(),
 	}
-	snapshots := make(map[string][]relation.Tuple, len(pl.steps))
 	for i := range pl.steps {
 		s := &pl.steps[i]
-		all, ok := snapshots[s.name]
-		if !ok {
-			all = s.rel.Tuples()
-			snapshots[s.name] = all
-		}
+		all := s.rel.Tuples() // one snapshot per relation state
 		s.buildIndex(all)
 		res.atomRows[s.atom] = all
 	}
@@ -297,7 +268,6 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 		res:  res,
 		vals: make([]relation.Value, pl.slots),
 		cur:  make([]int32, len(q.Body)),
-		head: make(relation.Tuple, len(q.Head)),
 	}
 	ev.join(0)
 	ev.finish()
@@ -320,12 +290,14 @@ type evaluator struct {
 	vals []relation.Value // slot values of the current partial match
 	// cur is the current match by plan step, each step's tuple as a row
 	// of its relation.
-	cur  []int32
-	head relation.Tuple // the current match's head tuple
-	buf  []byte         // probe and head-encoding scratch
+	cur []int32
+	buf []byte // probe and head-encoding scratch
 	// Growable scratch that finish turns into the result's exact-size
-	// arrays: per derivation, in the order derived, its answer and its
-	// cur.
+	// arrays: per answer, in first-derived order, its head's hash and its
+	// first derivation; per derivation, in the order derived, its answer
+	// and its cur.
+	ansHash  []uint64
+	ansFirst []int32
 	derivAns []int32
 	derivTup []int32
 }
@@ -370,26 +342,61 @@ next:
 // adding the answer if it is new. A plan step never yields the same tuple
 // twice for one partial match, so every match is a distinct derivation.
 func (ev *evaluator) emit() {
-	for j, slot := range ev.plan.head {
-		ev.head[j] = ev.vals[slot]
+	ev.buf = ev.buf[:0]
+	for _, hv := range ev.plan.head {
+		ev.buf = ev.vals[hv.slot].AppendEncode(ev.buf)
 	}
-	ev.buf = ev.head.AppendEncode(ev.buf[:0])
 	h := ev.res.hash(ev.buf)
-	ans, _ := ev.res.find(h, ev.head)
+	ans, slot := ev.res.probe(h, func(a int32) bool { return ev.ansHash[a] == h && ev.sameHead(a) })
 	if ans < 0 {
-		ans = ev.res.add(h, ev.head)
+		ans = ev.add(h, slot)
 	}
 	ev.derivAns = append(ev.derivAns, ans)
 	ev.derivTup = append(ev.derivTup, ev.cur...)
 }
 
+// sameHead reports whether answer a's head, read from its first
+// derivation, is the current match's.
+func (ev *evaluator) sameHead(a int32) bool {
+	first := ev.derivTup[int(ev.ansFirst[a])*len(ev.steps):]
+	for _, hv := range ev.plan.head {
+		if ev.steps[hv.step].all[first[hv.step]][hv.pos] != ev.vals[hv.slot] {
+			return false
+		}
+	}
+	return true
+}
+
+// add records a new answer whose head hashes to h and whose first
+// derivation is the one emit is about to append, and returns its index.
+// The answer takes the empty slot probe found, unless the table would
+// pass half full: then the table doubles and every answer is placed
+// again by its kept hash, without re-encoding any head.
+func (ev *evaluator) add(h uint64, slot int) int32 {
+	r := ev.res
+	n := int32(len(ev.ansHash))
+	if 2*int(n+1) > len(r.slots) {
+		r.slots = make([]int32, max(8, 2*len(r.slots)))
+		never := func(int32) bool { return false }
+		for i, hi := range ev.ansHash {
+			_, s := r.probe(hi, never)
+			r.slots[s] = int32(i) + 1
+		}
+		_, slot = r.probe(h, never)
+	}
+	r.slots[slot] = n + 1
+	ev.ansHash = append(ev.ansHash, h)
+	ev.ansFirst = append(ev.ansFirst, int32(len(ev.derivAns)))
+	return n
+}
+
 // finish builds the result's exact-size arrays from the scratch,
 // grouping each answer's derivations in the order they were derived and
-// putting each derivation's rows in body order.
+// putting each derivation's rows in body order, then reads each answer's
+// head from its first derivation.
 func (ev *evaluator) finish() {
 	r := ev.res
-	n, width := r.NumAnswers(), r.width
-	r.heads = slices.Clone(r.heads)
+	n, width := len(ev.ansHash), r.width
 
 	r.derivStart = make([]int32, n+1)
 	for _, a := range ev.derivAns {
@@ -406,6 +413,14 @@ func (ev *evaluator) finish() {
 		dst := r.rows[k*width : (k+1)*width]
 		for i, row := range ev.derivTup[d*width : (d+1)*width] {
 			dst[ev.steps[i].atom] = row
+		}
+	}
+	r.heads = make([]relation.Value, n*r.arity)
+	for a := range n {
+		first := r.Rows(int(r.derivStart[a]))
+		for j, hv := range ev.plan.head {
+			atom := ev.steps[hv.step].atom
+			r.heads[a*r.arity+j] = r.atomRows[atom][first[atom]][hv.pos]
 		}
 	}
 }

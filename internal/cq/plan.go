@@ -11,16 +11,19 @@ import (
 // with every variable numbered by the slot that holds its value.
 type plan struct {
 	steps []step
-	head  []int // slot of each head variable
+	head  []binding // of each head variable
 	slots int
 }
+
+// binding is where the join binds a variable: its slot, and the plan
+// step and atom position that first hold it.
+type binding struct{ slot, step, pos int }
 
 // step is one atom of the plan. A probe encodes the bound positions'
 // values (Value.AppendEncode, in position order) and looks the bytes up in
 // buckets; each matching tuple then sets binds and must agree with checks.
 type step struct {
 	atom   int // position in the query body
-	name   string
 	rel    *relation.Relation
 	bound  []source // constants and variables of earlier steps
 	binds  []slotAt // first occurrence in this atom of a new variable
@@ -50,6 +53,7 @@ type slotAt struct{ pos, slot int }
 func compile(q *Query, db *relation.Instance) *plan {
 	pl := &plan{}
 	slot := make(map[string]int)
+	var bindings []binding // by slot
 	used := make([]bool, len(q.Body))
 	for range q.Body {
 		best, bestBound, bestSize := -1, -1, 0
@@ -70,7 +74,7 @@ func compile(q *Query, db *relation.Instance) *plan {
 		}
 		used[best] = true
 		a := q.Body[best]
-		s := step{atom: best, name: a.Relation, rel: db.Relation(a.Relation)}
+		s := step{atom: best, rel: db.Relation(a.Relation)}
 		earlier := len(slot)
 		for p, t := range a.Terms {
 			sl, ok := slot[t.Var]
@@ -84,12 +88,13 @@ func compile(q *Query, db *relation.Instance) *plan {
 			default:
 				slot[t.Var] = len(slot)
 				s.binds = append(s.binds, slotAt{p, len(slot) - 1})
+				bindings = append(bindings, binding{slot: len(slot) - 1, step: len(pl.steps), pos: p})
 			}
 		}
 		pl.steps = append(pl.steps, s)
 	}
 	for _, t := range q.Head {
-		pl.head = append(pl.head, slot[t.Var])
+		pl.head = append(pl.head, bindings[slot[t.Var]])
 	}
 	pl.slots = len(slot)
 	return pl

@@ -12,11 +12,13 @@ package relation
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Value is a database constant. The paper draws constants from an abstract
@@ -102,22 +104,64 @@ func (v Value) AppendEncode(dst []byte) []byte {
 func (t Tuple) CompareEncode(u Tuple) int {
 	for i := 0; i < len(t) && i < len(u); i++ {
 		if t[i] != u[i] {
-			return t[i].compareEncode(u[i])
+			return t[i].CompareEncode(u[i])
 		}
 	}
 	return cmp.Compare(len(t), len(u))
 }
 
-// compareEncode orders the Encode parts of two distinct values. Equal
-// lengths leave the bytes to decide; otherwise the "len:" prefixes differ.
-func (v Value) compareEncode(w Value) int {
+// CompareEncode orders v and w as their Encode parts, "len(v):v;",
+// compare. Equal lengths leave the bytes to decide; otherwise the
+// "len:" prefixes do.
+func (v Value) CompareEncode(w Value) int {
 	if len(v) == len(w) {
 		return strings.Compare(string(v), string(w))
 	}
-	var a, b [24]byte
-	return bytes.Compare(
-		append(strconv.AppendInt(a[:0], int64(len(v)), 10), ':'),
-		append(strconv.AppendInt(b[:0], int64(len(w)), 10), ':'))
+	return compareLenPrefix(len(v), len(w))
+}
+
+// EncodePrefix returns the first eight bytes of v's Encode part,
+// "len(v):v;", as a big-endian integer, zero-padded when the part is
+// shorter. Parts are prefix-free, so when the prefixes of v and w differ
+// they order v and w as CompareEncode does; equal prefixes leave it to
+// CompareEncode.
+func (v Value) EncodePrefix() uint64 {
+	var buf [32]byte
+	b := strconv.AppendInt(buf[:0], int64(len(v)), 10)
+	b = append(b, ':')
+	b = append(b, v[:min(len(v), 8)]...)
+	b = append(b, ';')
+	var w [8]byte
+	copy(w[:], b)
+	return binary.BigEndian.Uint64(w[:])
+}
+
+// compareLenPrefix orders two distinct lengths as their "len:" prefixes
+// compare, without formatting them. The decimal digits compare first;
+// when one length's digits begin the other's, its ':' meets the longer
+// one's next digit and sorts after it, so 10 precedes 1.
+func compareLenPrefix(a, b int) int {
+	da, db := decimalDigits(a), decimalDigits(b)
+	ta, tb := a, b
+	for i := da; i > db; i-- {
+		ta /= 10
+	}
+	for i := db; i > da; i-- {
+		tb /= 10
+	}
+	if ta != tb {
+		return cmp.Compare(ta, tb)
+	}
+	return cmp.Compare(db, da)
+}
+
+// decimalDigits returns the number of decimal digits of n >= 0.
+func decimalDigits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // Project returns the sub-tuple at the given positions. It panics if a
@@ -294,6 +338,10 @@ type Relation struct {
 	rows []Tuple
 	// byKey maps the Encode form of a tuple's key values to its row.
 	byKey map[string]int32
+	// snap is the Tuples() snapshot of the current state, built on first
+	// use; Insert and Delete drop it. Concurrent readers agree on one
+	// snapshot through CompareAndSwap.
+	snap atomic.Pointer[[]Tuple]
 }
 
 // NewRelation creates an empty relation over the schema.
@@ -332,7 +380,16 @@ func (r *Relation) Insert(t Tuple) error {
 	}
 	r.byKey[string(key)] = int32(len(r.rows))
 	r.rows = append(r.rows, t.Clone())
+	r.dropSnapshot()
 	return nil
+}
+
+// dropSnapshot forgets the Tuples() snapshot after a change. Slices
+// already handed out keep the tuples they had.
+func (r *Relation) dropSnapshot() {
+	if r.snap.Load() != nil {
+		r.snap.Store(nil)
+	}
 }
 
 // Contains reports whether the exact tuple is present.
@@ -369,18 +426,27 @@ func (r *Relation) Delete(t Tuple) bool {
 		var buf [64]byte
 		delete(r.byKey, string(r.appendKey(buf[:0], t)))
 		r.rows[i] = nil
+		r.dropSnapshot()
 	}
 	return ok
 }
 
-// Tuples returns all tuples in insertion order. The returned slice is fresh;
-// the tuples are shared and must not be mutated.
+// Tuples returns all tuples in insertion order. The slice is a snapshot
+// shared by every call until the next Insert or Delete, which leaves it
+// unchanged, so two calls over one state return the same backing array;
+// callers must not modify the slice or its tuples.
 func (r *Relation) Tuples() []Tuple {
+	if p := r.snap.Load(); p != nil {
+		return *p
+	}
 	out := make([]Tuple, 0, r.Len())
 	for _, t := range r.rows {
 		if t != nil {
 			out = append(out, t)
 		}
+	}
+	if !r.snap.CompareAndSwap(nil, &out) {
+		return *r.snap.Load()
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -414,6 +415,74 @@ func TestInsertDeleteRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTuplesSnapshotShared: Tuples returns one backing array until the
+// relation changes, and a change leaves the slices already returned as
+// they were.
+func TestTuplesSnapshotShared(t *testing.T) {
+	r := NewRelation(MustSchema("T", []string{"a"}, []int{0}))
+	for _, v := range []string{"c", "a", "b"} {
+		r.Insert(tup(v))
+	}
+	first := r.Tuples()
+	if again := r.Tuples(); &again[0] != &first[0] || len(again) != len(first) {
+		t.Fatal("two Tuples calls over one state returned different snapshots")
+	}
+	r.Delete(tup("a"))
+	afterDelete := r.Tuples()
+	if len(first) != 3 || string(first[1][0]) != "a" {
+		t.Fatalf("Delete changed an earlier snapshot: %v", first)
+	}
+	if len(afterDelete) != 2 || &afterDelete[0] == &first[0] {
+		t.Fatalf("snapshot after Delete is %v, sharing the old array: %v", afterDelete, &afterDelete[0] == &first[0])
+	}
+	r.Insert(tup("d"))
+	if got := r.Tuples(); len(got) != 3 || string(got[2][0]) != "d" || len(afterDelete) != 2 {
+		t.Fatalf("snapshot after Insert is %v; earlier one %v", got, afterDelete)
+	}
+}
+
+// TestTuplesConcurrentReaders: goroutines that call Tuples at once on a
+// relation with no snapshot yet all receive the same one.
+func TestTuplesConcurrentReaders(t *testing.T) {
+	r := NewRelation(MustSchema("T", []string{"a"}, []int{0}))
+	for _, v := range []string{"c", "a", "b"} {
+		r.Insert(tup(v))
+	}
+	got := make([][]Tuple, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.Tuples()
+		}()
+	}
+	wg.Wait()
+	for i, s := range got {
+		if len(s) != 3 || &s[0] != &got[0][0] {
+			t.Fatalf("reader %d got %v, not reader 0's snapshot", i, s)
+		}
+	}
+}
+
+// TestValueCompareEncodeLengths: values of different lengths order as
+// their "len:" prefixes compare, across lengths with one to four digits.
+func TestValueCompareEncodeLengths(t *testing.T) {
+	var lens []int
+	for n := 0; n < 1200; n += 1 + n/40 {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 9999, 10000, 10001)
+	for _, a := range lens {
+		for _, b := range lens {
+			v, w := Value(strings.Repeat("x", a)), Value(strings.Repeat("x", b))
+			if got, want := v.CompareEncode(w), strings.Compare(Tuple{v}.Encode(), Tuple{w}.Encode()); got != want {
+				t.Fatalf("CompareEncode of lengths %d and %d = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }
 

@@ -33,13 +33,17 @@ var ErrFormat = errors.New("textio: format error")
 // ParseDatabase parses the database format.
 func ParseDatabase(src string) (*relation.Instance, error) {
 	db := relation.NewInstance()
-	for ln, raw := range strings.Split(src, "\n") {
+	var t relation.Tuple // one fact's values; Insert keeps a copy
+	rest := src
+	for ln, more := 0, true; more; ln++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "relation "); ok {
-			schema, err := parseSchema(strings.TrimSpace(rest))
+		if decl, ok := strings.CutPrefix(line, "relation "); ok {
+			schema, err := parseSchema(strings.TrimSpace(decl))
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %w", ln+1, err)
 			}
@@ -49,17 +53,14 @@ func ParseDatabase(src string) (*relation.Instance, error) {
 			db.AddRelation(schema)
 			continue
 		}
-		name, vals, err := parseFact(line)
+		name, inner, err := cutCall(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", ln+1, err)
 		}
 		if !db.HasRelation(name) {
 			return nil, fmt.Errorf("line %d: %w: fact for undeclared relation %s", ln+1, ErrFormat, name)
 		}
-		t := make(relation.Tuple, len(vals))
-		for i, v := range vals {
-			t[i] = relation.Value(v)
-		}
+		t = appendArgs(t[:0], inner)
 		if err := db.Insert(name, t); err != nil {
 			return nil, fmt.Errorf("line %d: %v", ln+1, err)
 		}
@@ -69,7 +70,7 @@ func ParseDatabase(src string) (*relation.Instance, error) {
 
 // parseSchema parses "T1(AuName*, Journal*)" where * marks key positions.
 func parseSchema(s string) (*relation.Schema, error) {
-	name, args, err := splitCall(s)
+	name, args, err := splitCall[string](s)
 	if err != nil {
 		return nil, err
 	}
@@ -88,17 +89,13 @@ func parseSchema(s string) (*relation.Schema, error) {
 	return relation.NewSchema(name, attrs, key)
 }
 
-// parseFact parses "T1(Joe, TKDE)".
-func parseFact(s string) (string, []string, error) {
-	return splitCallKeepEmpty(s)
-}
-
 // splitCall parses name(arg1, arg2, ...) rejecting empty args.
-func splitCall(s string) (string, []string, error) {
-	name, args, err := splitCallKeepEmpty(s)
+func splitCall[T ~string](s string) (string, []T, error) {
+	name, inner, err := cutCall(s)
 	if err != nil {
 		return "", nil, err
 	}
+	args := appendArgs[T](nil, inner)
 	for _, a := range args {
 		if a == "" {
 			return "", nil, fmt.Errorf("%w: empty argument in %q", ErrFormat, s)
@@ -107,22 +104,28 @@ func splitCall(s string) (string, []string, error) {
 	return name, args, nil
 }
 
-func splitCallKeepEmpty(s string) (string, []string, error) {
+// cutCall splits name(inner) into its trimmed name and the text between
+// the parentheses.
+func cutCall(s string) (name, inner string, err error) {
 	open := strings.IndexByte(s, '(')
 	if open <= 0 || !strings.HasSuffix(s, ")") {
-		return "", nil, fmt.Errorf("%w: expected name(args) in %q", ErrFormat, s)
+		return "", "", fmt.Errorf("%w: expected name(args) in %q", ErrFormat, s)
 	}
-	name := strings.TrimSpace(s[:open])
-	inner := s[open+1 : len(s)-1]
+	return strings.TrimSpace(s[:open]), s[open+1 : len(s)-1], nil
+}
+
+// appendArgs appends the comma-separated arguments of inner, trimmed, to
+// dst and returns the extended slice; blank inner text holds none.
+func appendArgs[T ~string](dst []T, inner string) []T {
 	if strings.TrimSpace(inner) == "" {
-		return name, nil, nil
+		return dst
 	}
-	parts := strings.Split(inner, ",")
-	args := make([]string, len(parts))
-	for i, p := range parts {
-		args[i] = strings.TrimSpace(p)
+	for more := true; more; {
+		var arg string
+		arg, inner, more = strings.Cut(inner, ",")
+		dst = append(dst, T(strings.TrimSpace(arg)))
 	}
-	return name, args, nil
+	return dst
 }
 
 // ParseDeletions parses deletion requests of the form "QName(v1, v2)" and
@@ -138,17 +141,13 @@ func ParseDeletions(src string, queries []*cq.Query) (*view.Deletion, error) {
 		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
 			continue
 		}
-		name, vals, err := splitCall(line)
+		name, t, err := splitCall[relation.Value](line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", ln+1, err)
 		}
 		vi, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("line %d: %w: unknown query %s", ln+1, ErrFormat, name)
-		}
-		t := make(relation.Tuple, len(vals))
-		for i, v := range vals {
-			t[i] = relation.Value(v)
 		}
 		del.Add(view.TupleRef{View: vi, Tuple: t})
 	}

@@ -2,6 +2,7 @@ package textio
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,17 +100,20 @@ func TestFormatRoundTrip(t *testing.T) {
 }
 
 func TestSplitCallEdgeCases(t *testing.T) {
-	name, args, err := splitCallKeepEmpty("F()")
-	if err != nil || name != "F" || args != nil {
+	name, inner, err := cutCall("F()")
+	if args := appendArgs[string](nil, inner); err != nil || name != "F" || args != nil {
 		t.Errorf("F() = %q %v %v", name, args, err)
 	}
-	if _, _, err := splitCallKeepEmpty("(x)"); err == nil {
+	if args := appendArgs[string](nil, " a , ,b"); !slices.Equal(args, []string{"a", "", "b"}) {
+		t.Errorf("arguments of \" a , ,b\" = %q", args)
+	}
+	if _, _, err := cutCall("(x)"); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, _, err := splitCallKeepEmpty("F(x"); err == nil {
+	if _, _, err := cutCall("F(x"); err == nil {
 		t.Error("unclosed accepted")
 	}
-	if _, _, err := splitCall("F(x,,y)"); err == nil {
+	if _, _, err := splitCall[string]("F(x,,y)"); err == nil {
 		t.Error("empty arg accepted")
 	}
 }

@@ -2,11 +2,13 @@ package view
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"delprop/internal/cq"
 	"delprop/internal/relation"
 )
 
@@ -124,14 +126,11 @@ func BuildIndex(views []*View) *Index {
 	}
 	x.viewStart = append(x.viewStart, r)
 
-	// Renumber tuples in key order and sort every derivation's run.
-	slices.SortFunc(x.tupleAt, func(a, b rowRef) int { return x.tupleID(a).CompareKey(x.tupleID(b)) })
-	rank := make([]int32, len(x.tupleAt))
-	for t, at := range x.tupleAt {
-		ids := x.rels[at.rel].ids
-		rank[ids[at.row]] = int32(t)
-		ids[at.row] = int32(t)
-	}
+	// Rank refs and renumber tuples in key order, comparing integer
+	// keys, then sort every derivation's run.
+	keys := x.tupleKeys()
+	x.rankRefs(keys)
+	rank := x.renumberTuples(keys)
 	for i, t := range x.derivTuple {
 		x.derivTuple[i] = rank[t]
 	}
@@ -157,24 +156,20 @@ func BuildIndex(views []*View) *Index {
 			fill[t]++
 		}
 	}
-	x.rankRefs()
 	return x
 }
 
 // internRel returns the rels entry of the named relation, adding it with
-// the given snapshot on first use. Later views must hold the same rows.
+// the given snapshot on first use. Later views must hold the same
+// snapshot: Relation.Tuples shares one backing array among all the
+// evaluations of one instance state.
 func (x *Index) internRel(name string, tuples []relation.Tuple) int32 {
 	for k, rel := range x.rels {
 		if rel.name != name {
 			continue
 		}
-		if len(rel.tuples) != len(tuples) {
+		if len(rel.tuples) != len(tuples) || len(tuples) > 0 && &rel.tuples[0] != &tuples[0] {
 			panic("view: BuildIndex over views of different instance states")
-		}
-		for i, t := range tuples {
-			if &t[0] != &rel.tuples[i][0] {
-				panic("view: BuildIndex over views of different instance states")
-			}
 		}
 		return int32(k)
 	}
@@ -192,39 +187,219 @@ func (x *Index) tupleID(at rowRef) relation.TupleID {
 	return relation.TupleID{Relation: rel.name, Tuple: rel.tuples[at.row]}
 }
 
+// tupleKeys are integer sort keys of the interned tuples, in first-seen
+// order: tuple t's key is the width entries from key[t*width], its
+// relation's rank among the relations' "name|" prefixes followed by the
+// rank of each of its values in Value.CompareEncode order, padded with
+// zeros. Every entry is below limit. Keys compare as the tuples'
+// TupleID.Key strings do, unless exact is false: then some "name|"
+// begins another relation's name, and tuples of the two relations
+// interleave in key order.
+type tupleKeys struct {
+	key          []int32
+	width, limit int
+	exact        bool
+}
+
+// tupleKeys ranks the relations by prefix and every distinct value of an
+// interned tuple once, and writes each tuple's key.
+func (x *Index) tupleKeys() tupleKeys {
+	prefixes := make([]string, len(x.rels))
+	width := 1
+	for k, rel := range x.rels {
+		prefixes[k] = rel.name + "|"
+		if len(rel.tuples) > 0 {
+			width = max(width, 1+len(rel.tuples[0]))
+		}
+	}
+	relOrder := sortedOrder(len(prefixes), func(a, b int32) int { return strings.Compare(prefixes[a], prefixes[b]) })
+	relRank := make([]int32, len(x.rels))
+	exact := true
+	for i, k := range relOrder {
+		relRank[k] = int32(i)
+		if i > 0 && strings.HasPrefix(prefixes[k], prefixes[relOrder[i-1]]) {
+			exact = false
+		}
+	}
+
+	// Sort every value position by its value's Encode part and number the
+	// distinct values in that order.
+	tk := tupleKeys{key: make([]int32, len(x.tupleAt)*width), width: width, exact: exact}
+	nVals := 0
+	for _, at := range x.tupleAt {
+		nVals += len(x.rels[at.rel].tuples[at.row])
+	}
+	byValue := make([]valuePos, 0, nVals)
+	for t, at := range x.tupleAt {
+		tk.key[t*width] = relRank[at.rel]
+		for i, v := range x.rels[at.rel].tuples[at.row] {
+			byValue = append(byValue, valuePos{v.EncodePrefix(), int32(t*width + 1 + i)})
+		}
+	}
+	value := func(pos int32) relation.Value {
+		at := x.tupleAt[int(pos)/width]
+		return x.rels[at.rel].tuples[at.row][int(pos)%width-1]
+	}
+	sortByPrefix(byValue)
+	var rank int32
+	for i := 0; i < len(byValue); {
+		// Values whose prefixes tie are ordered by whole value.
+		j := i + 1
+		mixed := false
+		for j < len(byValue) && byValue[j].prefix == byValue[i].prefix {
+			mixed = mixed || value(byValue[j].pos) != value(byValue[i].pos)
+			j++
+		}
+		run := byValue[i:j]
+		if mixed {
+			slices.SortFunc(run, func(a, b valuePos) int { return value(a.pos).CompareEncode(value(b.pos)) })
+		}
+		for k, vp := range run {
+			if k > 0 && value(vp.pos) != value(run[k-1].pos) {
+				rank++
+			}
+			tk.key[vp.pos] = rank
+		}
+		rank++
+		i = j
+	}
+	tk.limit = max(len(x.rels), int(rank))
+	return tk
+}
+
+// valuePos is a value position in tupleKeys.key and its value's
+// EncodePrefix.
+type valuePos struct {
+	prefix uint64
+	pos    int32
+}
+
+// sortByPrefix sorts vps by prefix: a stable radix sort, one counting
+// pass per byte, least significant first, skipping bytes every prefix
+// shares.
+func sortByPrefix(vps []valuePos) {
+	if len(vps) == 0 {
+		return
+	}
+	var counts [8][256]int32
+	for _, vp := range vps {
+		for b := range counts {
+			counts[b][byte(vp.prefix>>(8*b))]++
+		}
+	}
+	src, dst := vps, make([]valuePos, len(vps))
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(src[0].prefix>>(8*b))] == int32(len(src)) {
+			continue
+		}
+		var sum int32
+		for k, n := range c {
+			c[k] = sum
+			sum += n
+		}
+		for _, vp := range src {
+			k := byte(vp.prefix >> (8 * b))
+			dst[c[k]] = vp
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	copy(vps, src)
+}
+
+// of returns tuple t's key.
+func (tk tupleKeys) of(t int32) []int32 {
+	return tk.key[int(t)*tk.width : (int(t)+1)*tk.width]
+}
+
+// renumberTuples gives the tuples ids in key order, rewriting tupleAt and
+// the rows' ids, and returns each first-seen id's new id.
+func (x *Index) renumberTuples(tk tupleKeys) []int32 {
+	var byKey []int32
+	if tk.exact {
+		byKey = lexOrder(tk.key, tk.width, tk.limit)
+	} else {
+		byKey = sortedOrder(len(x.tupleAt), func(a, b int32) int { return x.tupleID(x.tupleAt[a]).CompareKey(x.tupleID(x.tupleAt[b])) })
+	}
+	rank := make([]int32, len(byKey))
+	tupleAt := make([]rowRef, len(byKey))
+	for t, old := range byKey {
+		at := x.tupleAt[old]
+		tupleAt[t] = at
+		rank[old] = int32(t)
+		x.rels[at.rel].ids[at.row] = int32(t)
+	}
+	x.tupleAt = tupleAt
+	return rank
+}
+
 // rankRefs fills refRank without building a TupleRef.Key per ref. The
 // keys' "view|" prefixes order the views, since none is a prefix of
-// another, and within one view the head encodings order the answers.
-func (x *Index) rankRefs() {
+// another, and within one view the head tuples' Encode forms order the
+// answers. A head value is its variable's value in the answer's first
+// derivation, so the answers compare as the value ranks in tk there do.
+// It must run before renumberTuples, while rows map to first-seen ids.
+func (x *Index) rankRefs(tk tupleKeys) {
 	prefixes := make([]string, len(x.views))
 	for v, vw := range x.views {
 		prefixes[v] = strconv.Itoa(vw.Index) + "|"
 	}
 	x.refRank = make([]int32, x.NumRefs())
 	var rank int32
-	var answers []int32
-	for _, v := range keyOrder(prefixes) {
-		lo, hi := x.viewStart[v], x.viewStart[v+1]
-		answers = answers[:0]
-		for i := int32(0); i < hi-lo; i++ {
-			answers = append(answers, i)
-		}
+	var heads []int32
+	for _, v := range sortedOrder(len(prefixes), func(a, b int32) int { return strings.Compare(prefixes[a], prefixes[b]) }) {
 		res := x.views[v].Result
-		slices.SortFunc(answers, func(a, b int32) int { return res.CompareAnswers(int(a), int(b)) })
-		for _, i := range answers {
-			x.refRank[lo+i] = rank
+		at := headAtoms(x.views[v].Query)
+		heads = heads[:0]
+		for a := range res.NumAnswers() {
+			lo, _ := res.Derivations(a)
+			rows := res.Rows(lo)
+			for _, h := range at {
+				t := x.rels[x.atomRel[v][h.atom]].ids[rows[h.atom]]
+				heads = append(heads, tk.of(t)[1+h.pos])
+			}
+		}
+		lo := x.viewStart[v]
+		for _, a := range lexOrder(heads, len(at), tk.limit) {
+			x.refRank[lo+a] = rank
 			rank++
 		}
 	}
 }
 
-// keyOrder returns the indexes of keys sorted by key.
-func keyOrder(keys []string) []int32 {
-	order := make([]int32, len(keys))
+// atomPos is a position of a body atom.
+type atomPos struct{ atom, pos int }
+
+// headAtoms returns, for each head variable in first-occurrence order,
+// its first position in the body. A repeated head variable is left out:
+// heads that agree up to its first position agree on its repeats too.
+func headAtoms(q *cq.Query) []atomPos {
+	var out []atomPos
+	for j, h := range q.Head {
+		if slices.ContainsFunc(q.Head[:j], func(t cq.Term) bool { return t.Var == h.Var }) {
+			continue
+		}
+	body:
+		for i, a := range q.Body {
+			for p, t := range a.Terms {
+				if t.Var == h.Var {
+					out = append(out, atomPos{i, p})
+					break body
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sortedOrder returns 0..n-1 sorted by cmp.
+func sortedOrder(n int, cmp func(a, b int32) int) []int32 {
+	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	slices.SortFunc(order, cmp)
 	return order
 }
 
@@ -355,4 +530,37 @@ func (x *Index) sortByRank(refs []int32) {
 	if len(refs) > 1 {
 		slices.SortFunc(refs, func(a, b int32) int { return cmp.Compare(x.refRank[a], x.refRank[b]) })
 	}
+}
+
+// lexOrder returns the indexes of the rows keys[i*width:(i+1)*width],
+// width >= 1, sorted lexicographically, equal rows by index; every entry
+// lies in [0, limit). When a row's entries and its index fit in 64 bits
+// together, each row is packed into one uint64 and the packed words are
+// sorted; otherwise rows are compared entry by entry.
+func lexOrder(keys []int32, width, limit int) []int32 {
+	n := len(keys) / width
+	entryBits := bits.Len(uint(max(limit, 1) - 1))
+	idxBits := bits.Len(uint(max(n, 1) - 1))
+	if width*entryBits+idxBits > 64 {
+		return sortedOrder(n, func(a, b int32) int {
+			if c := slices.Compare(keys[int(a)*width:int(a+1)*width], keys[int(b)*width:int(b+1)*width]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	packed := make([]uint64, n)
+	for i := range packed {
+		var w uint64
+		for _, e := range keys[i*width : (i+1)*width] {
+			w = w<<entryBits | uint64(e)
+		}
+		packed[i] = w<<idxBits | uint64(i)
+	}
+	slices.Sort(packed)
+	order := make([]int32, n)
+	for i, w := range packed {
+		order[i] = int32(w & (1<<idxBits - 1))
+	}
+	return order
 }

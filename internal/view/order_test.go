@@ -5,9 +5,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"delprop/internal/cq"
+	"delprop/internal/relation"
 	"delprop/internal/view"
 	"delprop/internal/workload"
 )
@@ -74,6 +78,74 @@ func TestMaterializeOrderPinned(t *testing.T) {
 	} {
 		if got := orderDigest(t, tc.w); got != tc.want {
 			t.Errorf("%s: order digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestIndexOrderOracle: on random instances, tuple ids ascend in
+// TupleID.Key string order and RefRank is each ref's position among the
+// sorted TupleRef.Key strings. The instances mix value lengths whose
+// decimal prefixes interleave ("9" against "10"), empty and non-ASCII
+// values, relation names that prefix each other (R, R1, R_x) or contain
+// "|" (R|1, whose tuples interleave with R's in key order), body
+// constants, repeated head variables and self-joins. cq.Validate rejects
+// head constants, so constants appear in bodies only.
+func TestIndexOrderOracle(t *testing.T) {
+	values := []string{"", "1", "9", "10", "11", "100", "a", "ab", "é", "\xff", "ü1", "zz", "Z", "x|y", "1234567890"}
+	schemas := []*relation.Schema{
+		relation.MustSchema("R", []string{"a", "b"}, []int{0, 1}),
+		relation.MustSchema("R1", []string{"a", "b", "c"}, []int{0, 1}),
+		relation.MustSchema("R_x", []string{"a", "b"}, []int{0}),
+		relation.MustSchema("R|1", []string{"a", "b"}, []int{0, 1}),
+	}
+	v, c := cq.V, cq.C
+	atom := func(rel string, terms ...cq.Term) cq.Atom { return cq.Atom{Relation: rel, Terms: terms} }
+	pool := []*cq.Query{
+		{Name: "Q", Head: []cq.Term{v("x"), v("y")}, Body: []cq.Atom{atom("R", v("x"), v("y"))}},
+		{Name: "Q", Head: []cq.Term{v("x"), v("x")}, Body: []cq.Atom{atom("R", v("x"), v("y"))}},
+		{Name: "Q", Head: []cq.Term{v("z"), v("x")}, Body: []cq.Atom{atom("R", v("x"), v("y")), atom("R", v("y"), v("z"))}},
+		{Name: "Q", Head: []cq.Term{v("y")}, Body: []cq.Atom{atom("R1", v("x"), v("y"), c("9")), atom("R_x", v("y"), v("w"))}},
+		{Name: "Q", Head: []cq.Term{v("y"), v("x"), v("y")}, Body: []cq.Atom{atom("R_x", v("x"), v("y")), atom("R|1", v("y"), v("z"))}},
+		{Name: "Q", Head: []cq.Term{v("b"), v("a")}, Body: []cq.Atom{atom("R|1", v("a"), v("b")), atom("R", v("a"), v("b"))}},
+		{Name: "Q", Head: []cq.Term{v("a")}, Body: []cq.Atom{atom("R1", v("a"), v("b"), v("b")), atom("R1", v("b"), v("a"), v("d"))}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		db := relation.NewInstance(schemas...)
+		for range 20 + rng.Intn(60) {
+			s := schemas[rng.Intn(len(schemas))]
+			tup := make(relation.Tuple, s.Arity())
+			for i := range tup {
+				tup[i] = relation.Value(values[rng.Intn(len(values))])
+			}
+			_ = db.Insert(s.Name, tup) // key collisions and duplicates are skipped
+		}
+		var queries []*cq.Query
+		for range 1 + rng.Intn(12) {
+			q := *pool[rng.Intn(len(pool))]
+			q.Name = fmt.Sprintf("Q%d", len(queries))
+			queries = append(queries, &q)
+		}
+		views, err := view.Materialize(queries, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := view.BuildIndex(views)
+		for i := 1; i < idx.NumTuples(); i++ {
+			if a, b := idx.Tuple(int32(i-1)).Key(), idx.Tuple(int32(i)).Key(); a >= b {
+				t.Fatalf("trial %d: tuple %d has key %q, tuple %d %q", trial, i-1, a, i, b)
+			}
+		}
+		keys := make([]string, idx.NumRefs())
+		for r := range keys {
+			keys[r] = idx.Ref(int32(r)).Key()
+		}
+		sorted := slices.Clone(keys)
+		sort.Strings(sorted)
+		for r, k := range keys {
+			if want, _ := slices.BinarySearch(sorted, k); idx.RefRank(int32(r)) != int32(want) {
+				t.Fatalf("trial %d: ref %q has rank %d, want %d", trial, k, idx.RefRank(int32(r)), want)
+			}
 		}
 	}
 }

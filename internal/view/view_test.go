@@ -1,6 +1,8 @@
 package view
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -407,5 +409,31 @@ func TestSideEffectNilDeletion(t *testing.T) {
 	req, coll := sideEffect(views, nil, []relation.TupleID{{Relation: "T1", Tuple: tup("Joe", "TKDE")}})
 	if len(req) != 0 || len(coll) != 2 {
 		t.Errorf("nil deletion: req=%v coll=%v", req, coll)
+	}
+}
+
+// TestLexOrderPackedMatchesCompare: lexOrder gives the same order whether
+// its rows fit in one uint64 with their index, and are sorted packed, or
+// not, and are compared entry by entry; rows that tie keep index order.
+func TestLexOrderPackedMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		width, n, limit := 1+rng.Intn(4), rng.Intn(300), 1+rng.Intn(12)
+		keys := make([]int32, n*width)
+		for i := range keys {
+			keys[i] = int32(rng.Intn(limit))
+		}
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			return slices.Compare(keys[int(a)*width:int(a+1)*width], keys[int(b)*width:int(b+1)*width])
+		})
+		packed := lexOrder(keys, width, limit)
+		compared := lexOrder(keys, width, 1<<30) // 30-bit entries: rows of 3 or more never fit
+		if !slices.Equal(packed, want) || !slices.Equal(compared, want) {
+			t.Fatalf("trial %d (width %d, limit %d): packed %v, compared %v, want %v", trial, width, limit, packed, compared, want)
+		}
 	}
 }
