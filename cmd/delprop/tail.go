@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"time"
 
@@ -107,8 +106,8 @@ func tail(addr, tenant, solver, types string, asJSON, quiet bool, max int, out i
 }
 
 // renderEvent renders one event as a single log-style line: timestamp,
-// type, correlation ids, then the sorted payload fields (map order must
-// never leak into output).
+// type, correlation ids, then the payload fields in the key order
+// decoding gives them.
 func renderEvent(ev telemetry.Event) string {
 	var b strings.Builder
 	ts := ev.Time
@@ -128,13 +127,8 @@ func renderEvent(ev telemetry.Event) string {
 	if ev.Solver != "" {
 		fmt.Fprintf(&b, " solver=%s", ev.Solver)
 	}
-	keys := make([]string, 0, len(ev.Fields))
-	for k := range ev.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%s", k, renderFieldValue(ev.Fields[k]))
+	for _, f := range ev.Fields {
+		fmt.Fprintf(&b, " %s=%s", f.Key, renderFieldValue(f.Value))
 	}
 	return b.String()
 }

@@ -349,13 +349,13 @@ func TestSLOBreachObservabilityChain(t *testing.T) {
 	}
 	sseCancel()
 
-	if got := breach.Fields["rule"]; got != "solve-failures" {
+	if got := breach.Fields.Get("rule"); got != "solve-failures" {
 		t.Fatalf("breach rule = %v, want solve-failures", got)
 	}
 	if breach.RequestID == "" {
 		t.Fatal("breach event carries no correlated request id")
 	}
-	pmID, _ := breach.Fields["postmortemId"].(string)
+	pmID, _ := breach.Fields.Get("postmortemId").(string)
 	if pmID == "" {
 		t.Fatalf("breach event names no postmortem: %+v", breach.Fields)
 	}

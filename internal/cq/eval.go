@@ -310,17 +310,21 @@ func (ev *evaluator) join(i int) {
 		return
 	}
 	s := &ev.steps[i]
-	ev.buf = ev.buf[:0]
-	for _, b := range s.bound {
-		v := b.val
-		if b.slot >= 0 {
-			v = ev.vals[b.slot]
+	bucket := int32(0) // the only bucket of a step with no bound position
+	if len(s.bound) > 0 {
+		ev.buf = ev.buf[:0]
+		for _, b := range s.bound {
+			v := b.val
+			if b.slot >= 0 {
+				v = ev.vals[b.slot]
+			}
+			ev.buf = v.AppendEncode(ev.buf)
 		}
-		ev.buf = v.AppendEncode(ev.buf)
-	}
-	bucket, ok := s.buckets[string(ev.buf)]
-	if !ok {
-		return
+		b, ok := s.buckets[string(ev.buf)]
+		if !ok {
+			return
+		}
+		bucket = b
 	}
 next:
 	for _, row := range s.rows[s.start[bucket]:s.start[bucket+1]] {

@@ -30,7 +30,7 @@ type step struct {
 	checks []slotAt // later occurrences in this atom of a new variable
 	// The hash index on the bound positions: rows[start[b]:start[b+1]]
 	// holds bucket b's rows, ascending; a row indexes all, the
-	// relation's Tuples().
+	// relation's Tuples(). buckets is nil when no position is bound.
 	buckets map[string]int32
 	start   []int32
 	rows    []int32
@@ -101,10 +101,18 @@ func compile(q *Query, db *relation.Instance) *plan {
 }
 
 // buildIndex buckets the relation's tuples, all, by their values at the
-// bound positions. A step with no bound positions gets one bucket, keyed
-// "".
+// bound positions. A step with no bound positions gets one bucket, 0, of
+// every row and no bucket map: join reads it without a probe.
 func (s *step) buildIndex(all []relation.Tuple) {
 	s.all = all
+	if len(s.bound) == 0 {
+		s.start = []int32{0, int32(len(all))}
+		s.rows = make([]int32, len(all))
+		for i := range s.rows {
+			s.rows[i] = int32(i)
+		}
+		return
+	}
 	s.buckets = make(map[string]int32)
 	bucketOf := make([]int32, len(all))
 	s.start = []int32{0}

@@ -96,11 +96,11 @@ func (a *api) handleEvents(w http.ResponseWriter, r *http.Request) {
 			// Drain-side close: deliver what is buffered, then account for
 			// the losses in a terminal event.
 			a.writeEvents(w, sub.Drain(0))
-			a.writeStreamEvent(w, eventStreamEnd, map[string]any{"dropped": sub.Dropped()})
+			a.writeStreamEvent(w, streamEvent(eventStreamEnd, sub.Dropped()))
 			flusher.Flush()
 			return
 		case <-heartbeat.C:
-			if !a.writeStreamEvent(w, eventHeartbeat, map[string]any{"dropped": sub.Dropped()}) {
+			if !a.writeStreamEvent(w, streamEvent(eventHeartbeat, sub.Dropped())) {
 				return
 			}
 			flusher.Flush()
@@ -128,13 +128,19 @@ func (a *api) writeEvents(w http.ResponseWriter, evs []telemetry.Event) bool {
 	return true
 }
 
-// writeStreamEvent frames one synthesized stream-control event
-// (heartbeat, stream_end). These never pass through the bus, so they
-// carry no sequence number and bypass the subscriber's type filter.
-func (a *api) writeStreamEvent(w http.ResponseWriter, typ string, fields map[string]any) bool {
-	data, err := json.Marshal(telemetry.Event{Type: typ, Time: time.Now(), Fields: fields})
+// streamEvent synthesizes one stream-control event (heartbeat,
+// stream_end) carrying the subscriber's cumulative drop count. These
+// never pass through the bus, so they carry no sequence number and
+// bypass the subscriber's type filter.
+func streamEvent(typ string, dropped int64) telemetry.Event {
+	return telemetry.Event{Type: typ, Time: time.Now(), Fields: telemetry.Fields{{Key: "dropped", Value: dropped}}}
+}
+
+// writeStreamEvent frames one stream-control event.
+func (a *api) writeStreamEvent(w http.ResponseWriter, ev telemetry.Event) bool {
+	data, err := json.Marshal(ev)
 	if err != nil {
 		return false
 	}
-	return telemetry.WriteSSE(w, typ, "", string(data)) == nil
+	return telemetry.WriteSSE(w, ev.Type, "", string(data)) == nil
 }

@@ -125,7 +125,7 @@ func TestEventsStreamDuringSolve(t *testing.T) {
 	// Phase events name the lifecycle phases with timings.
 	phases := make(map[string]bool)
 	for _, ev := range byType["phase"] {
-		name, _ := ev.Fields["phase"].(string)
+		name, _ := ev.Fields.Get("phase").(string)
 		phases[name] = true
 	}
 	for _, want := range telemetry.Phases {
@@ -136,8 +136,8 @@ func TestEventsStreamDuringSolve(t *testing.T) {
 	if doneEv.Solver != "brute-force" {
 		t.Errorf("solve_done solver = %q, want brute-force", doneEv.Solver)
 	}
-	if outcome, _ := doneEv.Fields["outcome"].(string); outcome != "ok" {
-		t.Errorf("solve_done outcome = %v", doneEv.Fields["outcome"])
+	if outcome, _ := doneEv.Fields.Get("outcome").(string); outcome != "ok" {
+		t.Errorf("solve_done outcome = %v", doneEv.Fields.Get("outcome"))
 	}
 }
 
@@ -235,8 +235,8 @@ func TestEventsStalledSubscriber(t *testing.T) {
 	if last.Type != "stream_end" {
 		t.Fatalf("terminal event = %q, want stream_end", last.Type)
 	}
-	if dropped, ok := last.Fields["dropped"].(float64); !ok || dropped <= 0 {
-		t.Errorf("stream_end dropped = %v, want > 0", last.Fields["dropped"])
+	if dropped, ok := last.Fields.Get("dropped").(float64); !ok || dropped <= 0 {
+		t.Errorf("stream_end dropped = %v, want > 0", last.Fields.Get("dropped"))
 	}
 }
 
@@ -390,7 +390,7 @@ func TestRejectedSolveClosesLifecycle(t *testing.T) {
 					t.Errorf("%s correlation = req %q trace %d, want req %q", ev.Type, ev.RequestID, ev.TraceID, reqID)
 				}
 			}
-			if outcome := evs[1].Fields["outcome"]; outcome != outcomeRejected {
+			if outcome := evs[1].Fields.Get("outcome"); outcome != outcomeRejected {
 				t.Errorf("solve_done outcome = %v, want %s", outcome, outcomeRejected)
 			}
 			if _, metrics := get(t, srv, "/metrics"); strings.Contains(metrics, metricSolvesTotal+"{") {

@@ -227,8 +227,13 @@ func (a *api) observeAdmission(reqID, tenant, decision string) {
 	a.cfg.Metrics.Counter(metricAdmissionDecisions,
 		"Admission-ladder decisions, by tenant and decision (admitted, queued, degraded, shed-<rule>).",
 		telemetry.Labels{"tenant": tenant, "decision": decision}).Inc()
-	a.publish(nil, telemetry.Event{Type: eventAdmission, RequestID: reqID, Tenant: tenant,
-		Fields: map[string]any{"decision": decision}})
+	a.publish(nil, admissionEvent(reqID, tenant, decision))
+}
+
+// admissionEvent reports one admission-ladder decision.
+func admissionEvent(reqID, tenant, decision string) telemetry.Event {
+	return telemetry.Event{Type: eventAdmission, RequestID: reqID, Tenant: tenant,
+		Fields: telemetry.Fields{{Key: "decision", Value: decision}}}
 }
 
 // retryAfterSeconds derives the Retry-After hint for shed responses from
@@ -270,9 +275,14 @@ func (a *api) registerBreakerMetrics() {
 		reg.Counter(metricBreakerTransitions,
 			"Circuit breaker state transitions, by solver and destination state.",
 			telemetry.Labels{"solver": solver, "to": to.String()}).Inc()
-		a.publish(nil, telemetry.Event{Type: eventBreaker, Solver: solver,
-			Fields: map[string]any{"state": to.String()}})
+		a.publish(nil, breakerEvent(solver, to))
 	})
+}
+
+// breakerEvent reports a solver's circuit breaker entering state to.
+func breakerEvent(solver string, to admission.BreakerState) telemetry.Event {
+	return telemetry.Event{Type: eventBreaker, Solver: solver,
+		Fields: telemetry.Fields{{Key: "state", Value: to.String()}}}
 }
 
 // registerEventMetrics wires the live event bus's health hooks to the

@@ -77,7 +77,7 @@ func (rec *solveRecord) annotate() {
 
 // event builds one of the solve's events, correlated by request and trace
 // id with the response, the log line and /debug/traces.
-func (rec *solveRecord) event(typ string, fields map[string]any) telemetry.Event {
+func (rec *solveRecord) event(typ string, fields telemetry.Fields) telemetry.Event {
 	return telemetry.Event{
 		Type:      typ,
 		RequestID: rec.reqID,
@@ -89,47 +89,56 @@ func (rec *solveRecord) event(typ string, fields map[string]any) telemetry.Event
 }
 
 func (rec *solveRecord) startEvent() telemetry.Event {
-	fields := map[string]any{"deadlineMs": millis(rec.deadline), "degraded": rec.degraded}
+	fields := make(telemetry.Fields, 0, 3)
+	fields = append(fields,
+		telemetry.Field{Key: "deadlineMs", Value: millis(rec.deadline)},
+		telemetry.Field{Key: "degraded", Value: rec.degraded})
 	if rec.session != "" {
-		fields["session"] = rec.session
+		fields = append(fields, telemetry.Field{Key: "session", Value: rec.session})
 	}
 	return rec.event(eventSolveStart, fields)
 }
 
 func (rec *solveRecord) doneEvent() telemetry.Event {
-	fields := map[string]any{
-		"outcome":    rec.outcome,
-		"durationMs": millis(*rec.phase(telemetry.PhaseSolve)),
-		"nodes":      rec.stats.NodesExpanded,
-		"incumbents": rec.stats.IncumbentUpdates,
-	}
+	fields := make(telemetry.Fields, 0, 7)
+	fields = append(fields,
+		telemetry.Field{Key: "outcome", Value: rec.outcome},
+		telemetry.Field{Key: "durationMs", Value: millis(*rec.phase(telemetry.PhaseSolve))},
+		telemetry.Field{Key: "nodes", Value: rec.stats.NodesExpanded},
+		telemetry.Field{Key: "incumbents", Value: rec.stats.IncumbentUpdates})
 	if rec.stats.Objective != nil {
-		fields["objective"] = *rec.stats.Objective
+		fields = append(fields, telemetry.Field{Key: "objective", Value: *rec.stats.Objective})
 	}
 	if rec.degraded {
-		fields["degraded"] = true
-		fields["rule"] = rec.rule
+		fields = append(fields,
+			telemetry.Field{Key: "degraded", Value: true},
+			telemetry.Field{Key: "rule", Value: rec.rule})
 	}
 	return rec.event(eventSolveDone, fields)
 }
 
 // progressEvent renders one core progress notification as a bus event.
 func (rec *solveRecord) progressEvent(pe core.ProgressEvent) telemetry.Event {
-	fields := make(map[string]any, 3)
+	var fields telemetry.Fields
 	switch pe.Kind {
 	case core.ProgressIncumbent:
-		fields["objective"] = pe.Objective
-		fields["deleted"] = pe.Deleted
+		fields = telemetry.Fields{{Key: "objective", Value: pe.Objective}, {Key: "deleted", Value: pe.Deleted}}
 	case core.ProgressLowerBound:
-		fields["bound"] = pe.Objective
+		fields = telemetry.Fields{{Key: "bound", Value: pe.Objective}}
 	case core.ProgressRaceMemberStart, core.ProgressRaceMemberDone:
-		fields["member"] = pe.Member
-		if pe.Outcome != "" {
-			fields["outcome"] = pe.Outcome
-			fields["objective"] = pe.Objective
+		if pe.Outcome == "" {
+			fields = telemetry.Fields{{Key: "member", Value: pe.Member}}
+		} else {
+			fields = telemetry.Fields{{Key: "member", Value: pe.Member},
+				{Key: "outcome", Value: pe.Outcome}, {Key: "objective", Value: pe.Objective}}
 		}
 	}
 	return rec.event(pe.Kind, fields)
+}
+
+// phaseEvent reports one finished lifecycle phase and its duration.
+func (rec *solveRecord) phaseEvent(name string, d time.Duration) telemetry.Event {
+	return rec.event(eventPhase, telemetry.Fields{{Key: "phase", Value: name}, {Key: "durationMs", Value: millis(d)}})
 }
 
 // logArgs derives the structured request-log line's key/value pairs.
@@ -202,7 +211,7 @@ func (a *api) beginPhase(rec *solveRecord, name string) func() {
 		end()
 		d := rec.trace.SpanDuration(name)
 		*rec.phase(name) = d
-		a.publish(rec.trace, rec.event(eventPhase, map[string]any{"phase": name, "durationMs": millis(d)}))
+		a.publish(rec.trace, rec.phaseEvent(name, d))
 	}
 }
 

@@ -100,27 +100,8 @@ func resolveSlowSolve(cfg Config) time.Duration {
 // postmortem bundle correlated to the most recent matching solve;
 // recoveries publish slo_recovered so dashboards see both edges.
 func (a *api) onSLOBreach(b telemetry.SLOBreach) {
-	fields := map[string]any{
-		"rule":      b.Rule,
-		"window":    b.Window,
-		"value":     b.Value,
-		"threshold": b.Threshold,
-		"bound":     b.Bound,
-	}
-	if b.Target != "" {
-		fields["target"] = b.Target
-	}
-	ev := telemetry.Event{Type: eventSLOBreach, Fields: fields}
-	// A By-label target maps onto the event's own correlation fields when
-	// the label is one the bus already speaks.
-	switch b.By {
-	case "solver":
-		ev.Solver = b.Target
-	case "tenant":
-		ev.Tenant = b.Target
-	}
+	ev := sloEvent(b)
 	if b.Recovered {
-		ev.Type = eventSLORecovered
 		a.publish(nil, ev)
 		return
 	}
@@ -133,9 +114,38 @@ func (a *api) onSLOBreach(b telemetry.SLOBreach) {
 	}
 	breach := b
 	if id := a.capturePostmortem(postmortemSLOBreach, rec, &breach); id != "" {
-		fields["postmortemId"] = id
+		ev.Fields = append(ev.Fields, telemetry.Field{Key: "postmortemId", Value: id})
 	}
 	a.publish(nil, ev)
+}
+
+// sloEvent reports one watchdog transition: slo_breach, or slo_recovered
+// when b.Recovered.
+func sloEvent(b telemetry.SLOBreach) telemetry.Event {
+	// Room for target and the breach's postmortemId.
+	fields := make(telemetry.Fields, 0, 7)
+	fields = append(fields,
+		telemetry.Field{Key: "rule", Value: b.Rule},
+		telemetry.Field{Key: "window", Value: b.Window},
+		telemetry.Field{Key: "value", Value: b.Value},
+		telemetry.Field{Key: "threshold", Value: b.Threshold},
+		telemetry.Field{Key: "bound", Value: b.Bound})
+	if b.Target != "" {
+		fields = append(fields, telemetry.Field{Key: "target", Value: b.Target})
+	}
+	ev := telemetry.Event{Type: eventSLOBreach, Fields: fields}
+	if b.Recovered {
+		ev.Type = eventSLORecovered
+	}
+	// A By-label target maps onto the event's own correlation fields when
+	// the label is one the bus already speaks.
+	switch b.By {
+	case "solver":
+		ev.Solver = b.Target
+	case "tenant":
+		ev.Tenant = b.Target
+	}
+	return ev
 }
 
 // handleSeries serves the rolling windowed aggregates as JSON. Query

@@ -313,13 +313,13 @@ func TestSLOBreachChain(t *testing.T) {
 		t.Fatalf("slo_breach events = %+v, want exactly one", evs)
 	}
 	ev := evs[0]
-	if ev.Fields["rule"] != "solve-failures" {
+	if ev.Fields.Get("rule") != "solve-failures" {
 		t.Fatalf("breach event fields = %+v", ev.Fields)
 	}
 	if ev.RequestID != reqID {
 		t.Fatalf("breach correlated to %q, want the newest failure %q", ev.RequestID, reqID)
 	}
-	pmID, _ := ev.Fields["postmortemId"].(string)
+	pmID, _ := ev.Fields.Get("postmortemId").(string)
 	if pmID == "" {
 		t.Fatalf("breach event lacks a postmortemId: %+v", ev.Fields)
 	}

@@ -87,11 +87,11 @@ func (a *api) initSessions() {
 		Hooks: session.Hooks{
 			OnHit: func(id string) {
 				hits.Inc()
-				a.publish(nil, telemetry.Event{Type: eventSessionHit, Fields: map[string]any{"sessionId": id}})
+				a.publish(nil, sessionEvent(eventSessionHit, id, ""))
 			},
 			OnMiss: func(id string) {
 				misses.Inc()
-				a.publish(nil, telemetry.Event{Type: eventSessionMiss, Fields: map[string]any{"sessionId": id}})
+				a.publish(nil, sessionEvent(eventSessionMiss, id, ""))
 			},
 			OnEvict: func(id, reason string) {
 				// reason is one of the five session.Evict* constants, so the
@@ -99,12 +99,20 @@ func (a *api) initSessions() {
 				reg.Counter(metricSessionEvictions,
 					"Sessions removed from the registry, by reason (ttl, capacity, explicit, drain, error).",
 					telemetry.Labels{"reason": reason}).Inc()
-				a.publish(nil, telemetry.Event{Type: eventSessionEvicted,
-					Fields: map[string]any{"sessionId": id, "reason": reason}})
+				a.publish(nil, sessionEvent(eventSessionEvicted, id, reason))
 			},
 			OnEntries: func(n int) { entries.Set(float64(n)) },
 		},
 	})
+}
+
+// sessionEvent reports one registry transition on session id; reason is
+// set only on evictions.
+func sessionEvent(typ, id, reason string) telemetry.Event {
+	if reason == "" {
+		return telemetry.Event{Type: typ, Fields: telemetry.Fields{{Key: "sessionId", Value: id}}}
+	}
+	return telemetry.Event{Type: typ, Fields: telemetry.Fields{{Key: "sessionId", Value: id}, {Key: "reason", Value: reason}}}
 }
 
 // handleSessionRegister builds (or reuses) the warm entry for the posted

@@ -214,11 +214,11 @@ func TestSessionEvents(t *testing.T) {
 				switch ev.Type {
 				case eventSessionHit, eventSessionMiss, eventSessionEvicted:
 					got[ev.Type]++
-					if ev.Fields["sessionId"] == "" {
+					if ev.Fields.Get("sessionId") == "" {
 						t.Errorf("%s event missing sessionId: %+v", ev.Type, ev.Fields)
 					}
-					if ev.Type == eventSessionEvicted && ev.Fields["reason"] != "explicit" {
-						t.Errorf("evict reason = %v", ev.Fields["reason"])
+					if ev.Type == eventSessionEvicted && ev.Fields.Get("reason") != "explicit" {
+						t.Errorf("evict reason = %v", ev.Fields.Get("reason"))
 					}
 				}
 			}

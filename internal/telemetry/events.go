@@ -33,8 +33,8 @@ type Event struct {
 	// Solver names the solver involved (requested or resolved, per type).
 	Solver string `json:"solver,omitempty"`
 	// Fields carries the type-specific payload (objective, phase name,
-	// outcome, ...). Values are JSON-encodable.
-	Fields map[string]any `json:"fields,omitempty"`
+	// outcome, ...), encoded as a JSON object with sorted keys.
+	Fields Fields `json:"fields,omitempty"`
 }
 
 // Filter selects the events a subscriber receives. Zero-value fields

@@ -65,10 +65,16 @@ type Trace struct {
 	id     uint64
 	name   string
 	start  time.Time
-	end    time.Time         //delprop:guardedby mu
-	attrs  map[string]string //delprop:guardedby mu
-	spans  []span            //delprop:guardedby mu
-	events Ring[Event]       //delprop:guardedby mu
+	end    time.Time   //delprop:guardedby mu
+	attrs  []attr      //delprop:guardedby mu
+	spans  []span      //delprop:guardedby mu
+	events Ring[Event] //delprop:guardedby mu
+}
+
+// attr is one trace attribute; a trace keeps each key once, in the order
+// first set.
+type attr struct {
+	key, value string
 }
 
 type span struct {
@@ -86,7 +92,9 @@ func (t *Tracer) Start(name string) *Trace {
 	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
-	tr := &Trace{tracer: t, id: id, name: name, start: time.Now(), events: NewRing[Event](maxTraceEvents)}
+	// A solve trace holds one span per lifecycle phase.
+	tr := &Trace{tracer: t, id: id, name: name, start: time.Now(),
+		spans: make([]span, 0, len(Phases)), events: NewRing[Event](maxTraceEvents)}
 	if t.live == nil {
 		t.live = make(map[uint64]*Trace)
 	}
@@ -104,17 +112,21 @@ func (tr *Trace) ID() uint64 {
 	return tr.id
 }
 
-// SetAttr attaches a key/value attribute (solver name, instance sizes).
+// SetAttr attaches a key/value attribute (solver name, instance sizes),
+// replacing the key's earlier value in place.
 func (tr *Trace) SetAttr(key, value string) {
 	if tr == nil {
 		return
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if tr.attrs == nil {
-		tr.attrs = make(map[string]string)
+	for i := range tr.attrs {
+		if tr.attrs[i].key == key {
+			tr.attrs[i].value = value
+			return
+		}
 	}
-	tr.attrs[key] = value
+	tr.attrs = append(tr.attrs, attr{key, value})
 }
 
 // Span opens a named phase and returns the closure that ends it. Typical
@@ -210,6 +222,9 @@ func (tr *Trace) Finish() {
 			tr.spans[i].end = tr.end
 		}
 	}
+	// The tracer's ring keeps the trace resident, and no event joins it
+	// after Finish: drop the storage its growth left spare.
+	tr.events.Clip()
 	t := tr.tracer
 	tr.mu.Unlock()
 	t.mu.Lock()
@@ -320,8 +335,8 @@ func (tr *Trace) render(now time.Time) TraceJSON {
 	}
 	if len(tr.attrs) > 0 {
 		tj.Attrs = make(map[string]string, len(tr.attrs))
-		for k, v := range tr.attrs {
-			tj.Attrs[k] = v
+		for _, a := range tr.attrs {
+			tj.Attrs[a.key] = a.value
 		}
 	}
 	for _, s := range tr.spans {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -221,5 +222,50 @@ func TestTraceEvents(t *testing.T) {
 	nilTr.AddEvent(Event{})
 	if nilTr.Events() != nil || nilTr.Render() != nil || (*Tracer)(nil).RecentEvents(5) != nil {
 		t.Fatal("nil trace/tracer not a no-op")
+	}
+}
+
+// TestTraceStorageConcurrent races the writers of one trace's attributes
+// and events against its readers and against Finish, which compacts the
+// event storage; run it under -race. Each attribute key stays listed
+// once, with one of the values written to it.
+func TestTraceStorageConcurrent(t *testing.T) {
+	tr := NewTracer(4)
+	keys := []string{"solver", "outcome", "tenant"}
+	for round := 0; round < 20; round++ {
+		x := tr.Start("solve")
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 50; j++ {
+					x.SetAttr(keys[(g+j)%len(keys)], strconv.Itoa(g))
+					x.AddEvent(Event{Seq: uint64(j), Type: "phase", Fields: Fields{{Key: "phase", Value: "solve"}}})
+					if j == 25 && g == 0 {
+						x.Finish()
+					}
+				}
+			}()
+		}
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 50; j++ {
+					x.Render()
+					x.Events()
+					tr.RecentEvents(16)
+				}
+			}()
+		}
+		wg.Wait()
+		attrs := x.Render().Attrs
+		if len(attrs) != len(keys) {
+			t.Fatalf("attrs = %v, want one value per key %v", attrs, keys)
+		}
+		if n := len(x.Events()); n == 0 || n > maxTraceEvents {
+			t.Fatalf("trace kept %d events, want 1..%d", n, maxTraceEvents)
+		}
 	}
 }
