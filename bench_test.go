@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"delprop/internal/bench"
@@ -350,7 +351,13 @@ func BenchmarkAblationIndex(b *testing.B) {
 			for _, v := range views {
 				for _, ans := range v.Result.Answers() {
 					for _, d := range ans.Derivations() {
-						n += len(d.TupleSet())
+						var distinct []relation.TupleID
+						for _, id := range d {
+							if !slices.ContainsFunc(distinct, id.Equal) {
+								distinct = append(distinct, id)
+							}
+						}
+						n += len(distinct)
 					}
 				}
 			}

@@ -9,8 +9,6 @@ import (
 	"sync"
 
 	"delprop/internal/core"
-	"delprop/internal/cq"
-	"delprop/internal/relation"
 	"delprop/internal/server"
 	"delprop/internal/textio"
 )
@@ -70,15 +68,13 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 		defer cancel()
 	}
 
-	// -session builds the skeleton (provenance index, views, classification)
-	// once and specializes it per stanza — the CLI mirror of the server's
-	// POST /sessions warm path. Every worker shares the one skeleton; the
-	// specialized problems only carry their own delta and weights.
-	var skel *core.Problem
-	if opts.session {
-		if skel, err = core.NewProblem(db, queries, nil); err != nil {
-			return err
-		}
+	// The skeleton (views, provenance index, classification) is built
+	// once and specialized per stanza, as warm sessions do on the server;
+	// every worker shares it, and a specialized problem carries only its
+	// own delta and weights.
+	skel, err := core.NewProblem(db, queries, nil)
+	if err != nil {
+		return err
 	}
 
 	results := make([]batchItem, len(stanzas))
@@ -94,7 +90,7 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 			defer wg.Done()
 			for idx := range jobs {
 				var buf strings.Builder
-				err := solveStanza(ctx, &buf, db, queries, skel, stanzas[idx], opts)
+				err := solveStanza(ctx, &buf, skel, stanzas[idx], opts)
 				results[idx] = batchItem{text: buf.String(), err: err}
 			}
 		}()
@@ -119,20 +115,14 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 	return nil
 }
 
-// solveStanza solves one deletion stanza against the shared database and
-// queries — with -session, by specializing the prebuilt skeleton instead
-// of materializing the views again — and writes the per-item report.
-func solveStanza(ctx context.Context, w io.Writer, db *relation.Instance, queries []*cq.Query, skel *core.Problem, stanza string, opts options) error {
-	delta, err := textio.ParseDeletions(stanza, queries)
+// solveStanza specializes the shared skeleton to one deletion stanza,
+// solves it and writes the per-item report.
+func solveStanza(ctx context.Context, w io.Writer, skel *core.Problem, stanza string, opts options) error {
+	delta, err := textio.ParseDeletions(stanza, skel.Queries)
 	if err != nil {
 		return err
 	}
-	var p *core.Problem
-	if skel != nil {
-		p, err = skel.Specialize(delta)
-	} else {
-		p, err = core.NewProblem(db, queries, delta)
-	}
+	p, err := skel.Specialize(delta)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,6 @@ func main() {
 	stats := flag.String("stats", "", "print per-phase timings and search counters after the solve: \"text\" or \"json\"")
 	batch := flag.Bool("batch", false, "treat -delete as blank-line-separated stanzas solved concurrently (the CLI mirror of POST /solve/batch)")
 	batchWorkers := flag.Int("batch-workers", 4, "concurrent item solves in -batch mode")
-	session := flag.Bool("session", false, "in -batch mode, build the instance skeleton (views, index, classification) once and specialize it per stanza — the CLI mirror of POST /sessions warm solves")
 	flag.Parse()
 
 	if *dbPath == "" || *qPath == "" || (*dPath == "" && !*resilience) {
@@ -103,11 +102,6 @@ func main() {
 		resilience:       *resilience,
 		resilienceBudget: *resilienceBudget,
 		stats:            *stats,
-		session:          *session,
-	}
-	if *session && !*batch {
-		fmt.Fprintln(os.Stderr, "delprop: -session requires -batch (one-shot runs have nothing to keep warm)")
-		os.Exit(2)
 	}
 	if *batch {
 		if *resilience {
@@ -135,8 +129,6 @@ type options struct {
 	resilienceBudget int
 	// stats selects the post-solve report: "" (off), "text" or "json".
 	stats string
-	// session shares one prebuilt skeleton across -batch stanzas.
-	session bool
 }
 
 func run(dbPath, qPath, dPath string, opts options) error {

@@ -272,26 +272,24 @@ func (panicOnMulti) Solve(ctx context.Context, p *core.Problem) (*core.Solution,
 	return (&core.Greedy{}).Solve(ctx, p)
 }
 
-// TestRunBatchSolverPanicIsolated: in -batch, with or without -session, a
-// stanza whose solve panics fails on its own while the others succeed.
+// TestRunBatchSolverPanicIsolated: in -batch, a stanza whose solve
+// panics fails on its own while the others succeed.
 func TestRunBatchSolverPanicIsolated(t *testing.T) {
 	core.RegisterSolver("test-panic-on-multi", func() core.Solver { return panicOnMulti{} })
 	path := filepath.Join(t.TempDir(), "batch.txt")
 	if err := os.WriteFile(path, []byte("Q4(John, TKDE, XML)\n\nQ4(John, TKDE, XML)\nQ4(Joe, TKDE, XML)\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, session := range []bool{false, true} {
-		out, err := captureStdout(t, func() error {
-			return runBatch(td("db.txt"), td("queries.dl"), path, 2, options{solver: "test-panic-on-multi", session: session})
-		})
-		if err == nil {
-			t.Fatalf("session=%v: batch with a panicking item reported success", session)
-		}
-		if !strings.Contains(out, "batch: 2 items, 1 ok, 1 failed") {
-			t.Errorf("session=%v: summary missing:\n%s", session, out)
-		}
-		if !strings.Contains(out, "feasible: true") || !strings.Contains(out, "panicked") {
-			t.Errorf("session=%v: want one answer and one panic error:\n%s", session, out)
-		}
+	out, err := captureStdout(t, func() error {
+		return runBatch(td("db.txt"), td("queries.dl"), path, 2, options{solver: "test-panic-on-multi"})
+	})
+	if err == nil {
+		t.Fatal("batch with a panicking item reported success")
+	}
+	if !strings.Contains(out, "batch: 2 items, 1 ok, 1 failed") {
+		t.Errorf("summary missing:\n%s", out)
+	}
+	if !strings.Contains(out, "feasible: true") || !strings.Contains(out, "panicked") {
+		t.Errorf("want one answer and one panic error:\n%s", out)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 
 	"delprop/internal/repair"
 	"delprop/internal/workload"
@@ -49,10 +50,7 @@ func run(w io.Writer, seed int64, rounds, perRound int, mode string) error {
 		Queries: 3, AtomsPerQuery: 2,
 	})
 	db := wl.DB.Clone()
-	corrupt := map[string]bool{}
-	for _, id := range workload.PlantedErrors(db, 0.15, seed+500) {
-		corrupt[id.Key()] = true
-	}
+	corrupt := workload.PlantedErrors(db, 0.15, seed+500)
 	session := &repair.Session{
 		DB:      db,
 		Queries: wl.Queries,
@@ -76,9 +74,8 @@ func run(w io.Writer, seed int64, rounds, perRound int, mode string) error {
 		}
 		bad, good := 0, 0
 		for _, id := range r.Deleted {
-			if corrupt[id.Key()] {
+			if slices.ContainsFunc(corrupt, id.Equal) {
 				bad++
-				delete(corrupt, id.Key())
 			} else {
 				good++
 			}
@@ -88,16 +85,6 @@ func run(w io.Writer, seed int64, rounds, perRound int, mode string) error {
 		fmt.Fprintf(w, "%-6d %-12d %-16d %-14d %-12d\n", r.Round, r.Wrong, r.Marked, bad, good)
 	}
 	fmt.Fprintf(w, "\ntotal: %d corrupt tuples removed, %d clean tuples sacrificed, %d corrupt remain\n",
-		totalBad, totalGood, remaining(corrupt, session))
+		totalBad, totalGood, len(corrupt)-totalBad)
 	return nil
-}
-
-func remaining(corrupt map[string]bool, s *repair.Session) int {
-	n := 0
-	for _, id := range s.DB.AllTuples() {
-		if corrupt[id.Key()] {
-			n++
-		}
-	}
-	return n
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"delprop/internal/core"
+	"delprop/internal/lineage"
 	"delprop/internal/relation"
 	"delprop/internal/view"
 	"delprop/internal/workload"
@@ -33,22 +34,17 @@ func main() {
 	// The "oracle": every view tuple derived from a corrupt source row is
 	// wrong. Corrupt rows are a seeded random subset.
 	rng := rand.New(rand.NewSource(7))
-	corrupt := map[string]bool{}
+	var corrupt []relation.TupleID
 	for _, id := range skel.DB.AllTuples() {
 		if rng.Intn(6) == 0 {
-			corrupt[id.Key()] = true
+			corrupt = append(corrupt, id)
 		}
 	}
+	x := skel.Index()
 	marked := view.NewDeletion()
-	for _, v := range skel.Views {
-		for _, ans := range v.Result.Answers() {
-			for _, d := range ans.Derivations() {
-				for k := range d.TupleSet() {
-					if corrupt[k] {
-						marked.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
-					}
-				}
-			}
+	for r, wrong := range lineage.Touched(x, corrupt...) {
+		if wrong {
+			marked.Add(x.Ref(int32(r)))
 		}
 	}
 	fmt.Printf("oracle marked %d of %d view tuples as wrong (from %d corrupt source rows)\n",

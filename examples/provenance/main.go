@@ -31,10 +31,11 @@ func main() {
 
 	// 2. Forward direction: what else would each candidate deletion
 	// destroy?
+	idx := view.BuildIndex(views)
 	fmt.Println("\nimpact of candidate deletions:")
 	for _, wit := range rep.Why {
 		for _, id := range wit {
-			affected := lineage.AffectedBy(views, id)
+			affected := lineage.AffectedBy(idx, id)
 			fmt.Printf("  deleting %-20s affects %d view tuples: %v\n", id, len(affected), affected)
 		}
 	}
@@ -43,7 +44,6 @@ func main() {
 	// view tuples die (and come back on rollback).
 	fmt.Println("\nincremental maintenance:")
 	// The maintainer speaks dense ids; the index converts at the edge.
-	idx := view.BuildIndex(views)
 	m := idx.NewMaintainer()
 	refs := func(ids []int32) []view.TupleRef {
 		out := make([]view.TupleRef, len(ids))
@@ -64,5 +64,4 @@ func main() {
 	fmt.Printf("  dead total: %d\n", m.DeadCount())
 	last, _ := idx.LookupTuple(steps[1])
 	fmt.Printf("  rollback %s -> revived: %v\n", steps[1], refs(m.Undelete(last)))
-
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
 	"delprop/internal/benchkit"
 	"delprop/internal/core"
+	"delprop/internal/lineage"
 	"delprop/internal/view"
 	"delprop/internal/workload"
 )
@@ -40,27 +42,14 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			if len(planted) == 0 {
 				continue
 			}
-			plantedSet := make(map[string]bool, len(planted))
-			for _, id := range planted {
-				plantedSet[id.Key()] = true
-			}
 			// Oracle feedback: every view tuple whose provenance touches a
 			// corrupt tuple is wrong; only a fraction is reported.
 			rng := rand.New(rand.NewSource(seed + 900))
+			x := skel.Index()
 			marked := view.NewDeletion()
-			for _, v := range skel.Views {
-				for _, ans := range v.Result.Answers() {
-					touched := false
-					for _, d := range ans.Derivations() {
-						for k := range d.TupleSet() {
-							if plantedSet[k] {
-								touched = true
-							}
-						}
-					}
-					if touched && rng.Float64() < frac {
-						marked.Add(view.TupleRef{View: v.Index, Tuple: ans.Tuple})
-					}
+			for r, wrong := range lineage.Touched(x, planted...) {
+				if wrong && rng.Float64() < frac {
+					marked.Add(x.Ref(int32(r)))
 				}
 			}
 			if marked.Len() == 0 {
@@ -77,7 +66,7 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			rep := p.Evaluate(sol)
 			tp := 0
 			for _, id := range sol.Deleted {
-				if plantedSet[id.Key()] {
+				if slices.ContainsFunc(planted, id.Equal) {
 					tp++
 				}
 			}

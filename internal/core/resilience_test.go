@@ -201,8 +201,8 @@ func TestResilienceMatchesExhaustive(t *testing.T) {
 			for _, ans := range res.Answers() {
 				for _, d := range ans.Derivations() {
 					derivs = append(derivs, d)
-					for k, id := range d.TupleSet() {
-						seen[k] = id
+					for _, id := range d {
+						seen[id.Key()] = id
 					}
 				}
 			}

@@ -17,7 +17,6 @@ package cq
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"delprop/internal/relation"
@@ -326,12 +325,4 @@ func (q *Query) Clone() *Query {
 		c.Body[i] = Atom{Relation: a.Relation, Terms: append([]Term(nil), a.Terms...)}
 	}
 	return c
-}
-
-// SortedVars returns all body variables sorted lexicographically; used by
-// deterministic consumers (classification, hashing).
-func (q *Query) SortedVars() []string {
-	vs := q.BodyVars()
-	sort.Strings(vs)
-	return vs
 }

@@ -14,40 +14,6 @@ import (
 // for several atoms.
 type Derivation []relation.TupleID
 
-// TupleSet returns the distinct base tuples of the derivation, keyed by
-// TupleID.Key.
-func (d Derivation) TupleSet() map[string]relation.TupleID {
-	out := make(map[string]relation.TupleID, len(d))
-	for _, id := range d {
-		out[id.Key()] = id
-	}
-	return out
-}
-
-// Uses reports whether the derivation touches the given base tuple.
-func (d Derivation) Uses(id relation.TupleID) bool {
-	for _, t := range d {
-		if t.Equal(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// Equal reports whether d and e match the same base tuple at every body
-// position.
-func (d Derivation) Equal(e Derivation) bool {
-	if len(d) != len(e) {
-		return false
-	}
-	for i := range d {
-		if !d[i].Equal(e[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the derivation as T1(..) ⋈ T2(..).
 func (d Derivation) String() string {
 	parts := make([]string, len(d))

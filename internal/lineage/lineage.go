@@ -1,16 +1,20 @@
-// Package lineage exposes the provenance connection of Section V: why- and
-// where-provenance for view tuples, derived from the evaluator's join
-// paths. Why-provenance of a view tuple is the set of its derivations
-// (witness sets of base tuples); where-provenance of one output cell is
-// the set of source cells it was copied from. Deletion propagation is the
-// inverse problem — these reports are what the data-annotation application
-// propagates along.
+// Package lineage exposes the provenance connection of Section V in both
+// directions. Backward, why- and where-provenance of a view tuple are read
+// from its view's cq.Result: why-provenance is the set of its derivations
+// (witness sets of base tuples), where-provenance of one output cell the
+// set of source cells it was copied from. Forward, Touched maps a set of
+// base tuples to the view tuples they occur in, over a view.Index the
+// caller holds; it is the one "touched by a bad tuple" question the
+// cleaning oracles, experiment E15 and the examples ask. Deletion
+// propagation is the inverse problem — these reports are what the
+// data-annotation application propagates along.
 package lineage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"delprop/internal/cq"
@@ -37,21 +41,25 @@ func (w Witness) String() string {
 
 // Why returns the why-provenance of a view tuple: one witness per
 // derivation. For key-preserving queries there is exactly one witness.
+// Witnesses come in the order of their String forms.
 func Why(views []*view.View, ref view.TupleRef) ([]Witness, error) {
-	ans, err := lookup(views, ref)
+	res, a, err := lookup(views, ref)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Witness, 0, ans.NumDerivations())
-	for _, d := range ans.Derivations() {
+	lo, hi := res.Derivations(a)
+	out := make([]Witness, 0, hi-lo)
+	for d := lo; d < hi; d++ {
 		var w Witness
-		for _, id := range d.TupleSet() {
-			w = append(w, id)
+		for i := range res.Query.Body {
+			if id := res.TupleID(d, i); !slices.ContainsFunc(w, id.Equal) {
+				w = append(w, id)
+			}
 		}
-		sort.Slice(w, func(i, j int) bool { return w[i].Key() < w[j].Key() })
+		slices.SortFunc(w, relation.TupleID.CompareKey)
 		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, func(a, b Witness) int { return strings.Compare(a.String(), b.String()) })
 	return out, nil
 }
 
@@ -73,11 +81,11 @@ func (c Cell) String() string {
 // derivations. Output positions holding head constants have empty
 // where-provenance.
 func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
-	ans, err := lookup(views, ref)
+	res, a, err := lookup(views, ref)
 	if err != nil {
 		return nil, err
 	}
-	q := views[ref.View].Query
+	q := res.Query
 	if col < 0 || col >= len(q.Head) {
 		return nil, fmt.Errorf("%w: column %d of %d", ErrUnknown, col, len(q.Head))
 	}
@@ -85,30 +93,21 @@ func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
 	if !head.IsVar() {
 		return nil, nil
 	}
-	seen := make(map[string]Cell)
-	for _, d := range ans.Derivations() {
-		// The derivation holds one base tuple per body atom, in body
-		// order; the head variable's occurrences in atoms give the source
-		// positions.
-		for ai, atom := range q.Body {
+	// A derivation matches one base tuple per body atom; the head
+	// variable's occurrences in the atoms give the source positions.
+	var out []Cell
+	lo, hi := res.Derivations(a)
+	for d := lo; d < hi; d++ {
+		for i, atom := range q.Body {
 			for p, term := range atom.Terms {
-				if term.IsVar() && term.Var == head.Var {
-					c := Cell{Tuple: d[ai], Position: p}
-					seen[c.String()] = c
+				if term.Var == head.Var {
+					out = append(out, Cell{Tuple: res.TupleID(d, i), Position: p})
 				}
 			}
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Cell, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
-	return out, nil
+	slices.SortFunc(out, func(a, b Cell) int { return strings.Compare(a.String(), b.String()) })
+	return slices.CompactFunc(out, func(a, b Cell) bool { return a.String() == b.String() }), nil
 }
 
 // Report is a complete lineage report for one view tuple.
@@ -154,31 +153,52 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// AffectedBy returns the view tuples whose why-provenance would lose a
-// witness if the given base tuple were deleted — the forward direction of
-// deletion propagation, used by the annotation application to push
-// annotations from source cells to view tuples.
-func AffectedBy(views []*view.View, id relation.TupleID) []view.TupleRef {
-	idx := view.BuildIndex(views)
-	t, ok := idx.LookupTuple(id)
-	if !ok {
-		return nil
+// Touched is the forward direction of provenance over an index the
+// caller holds: touched[r] reports whether some derivation of view tuple
+// r (a ref id of x) uses one of the given base tuples, that is, whether
+// deleting them would cost r a witness. Tuples that occur in no
+// derivation touch nothing.
+func Touched(x *view.Index, ids ...relation.TupleID) []bool {
+	touched := make([]bool, x.NumRefs())
+	var occ []view.Occurrence
+	for _, id := range ids {
+		if t, ok := x.LookupTuple(id); ok {
+			occ = x.AppendOccurrences(occ[:0], t)
+			for _, o := range occ {
+				touched[o.Ref] = true
+			}
+		}
 	}
-	var out []view.TupleRef
-	for _, occ := range idx.AppendOccurrences(nil, t) {
-		out = append(out, idx.Ref(occ.Ref))
+	return touched
+}
+
+// AffectedBy returns the view tuples the given base tuples touch, sorted
+// by TupleRef.Key — what the annotation application pushes source
+// annotations to.
+func AffectedBy(x *view.Index, ids ...relation.TupleID) []view.TupleRef {
+	var refs []int32
+	for r, hit := range Touched(x, ids...) {
+		if hit {
+			refs = append(refs, int32(r))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(refs, func(a, b int32) int { return cmp.Compare(x.RefRank(a), x.RefRank(b)) })
+	out := make([]view.TupleRef, len(refs))
+	for i, r := range refs {
+		out[i] = x.Ref(r)
+	}
 	return out
 }
 
-func lookup(views []*view.View, ref view.TupleRef) (cq.Answer, error) {
+// lookup returns the Result holding a view tuple and its answer position.
+func lookup(views []*view.View, ref view.TupleRef) (*cq.Result, int, error) {
 	if ref.View < 0 || ref.View >= len(views) {
-		return cq.Answer{}, fmt.Errorf("%w: view %d", ErrUnknown, ref.View)
+		return nil, 0, fmt.Errorf("%w: view %d", ErrUnknown, ref.View)
 	}
-	ans, ok := views[ref.View].Result.Lookup(ref.Tuple)
+	res := views[ref.View].Result
+	a, ok := res.Position(ref.Tuple)
 	if !ok {
-		return cq.Answer{}, fmt.Errorf("%w: %s", ErrUnknown, ref)
+		return nil, 0, fmt.Errorf("%w: %s", ErrUnknown, ref)
 	}
-	return ans, nil
+	return res, a, nil
 }

@@ -2,6 +2,7 @@ package lineage
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,8 +150,9 @@ func TestExplainAndString(t *testing.T) {
 }
 
 func TestAffectedBy(t *testing.T) {
-	views := fig1Views(t)
-	refs := AffectedBy(views, relation.TupleID{Relation: "T2", Tuple: tup("TKDE", "XML", "30")})
+	idx := view.BuildIndex(fig1Views(t))
+	xml := relation.TupleID{Relation: "T2", Tuple: tup("TKDE", "XML", "30")}
+	refs := AffectedBy(idx, xml)
 	// Kills XML answers of Joe/John/Tom derived via TKDE.
 	if len(refs) != 3 {
 		t.Fatalf("affected = %v", refs)
@@ -160,8 +162,31 @@ func TestAffectedBy(t *testing.T) {
 			t.Errorf("unexpected affected tuple %v", r)
 		}
 	}
-	if got := AffectedBy(views, relation.TupleID{Relation: "T1", Tuple: tup("No", "One")}); len(got) != 0 {
+	unknown := relation.TupleID{Relation: "T1", Tuple: tup("No", "One")}
+	if got := AffectedBy(idx, unknown); len(got) != 0 {
 		t.Errorf("unknown tuple affected = %v", got)
+	}
+	// Several tuples touch the union of what each touches, each view
+	// tuple once, still in key order; duplicates and unknown tuples add
+	// nothing.
+	cube := relation.TupleID{Relation: "T2", Tuple: tup("TKDE", "CUBE", "30")}
+	union := append(AffectedBy(idx, xml), AffectedBy(idx, cube)...)
+	slices.SortFunc(union, func(a, b view.TupleRef) int { return strings.Compare(a.Key(), b.Key()) })
+	if got := AffectedBy(idx, cube, xml, unknown, cube); !slices.EqualFunc(got, union, func(a, b view.TupleRef) bool { return a.Key() == b.Key() }) {
+		t.Errorf("AffectedBy(cube, xml) = %v, want %v", got, union)
+	}
+	touched := Touched(idx, xml, cube)
+	n := 0
+	for r, hit := range touched {
+		if hit != slices.ContainsFunc(union, func(ref view.TupleRef) bool { return ref.Key() == idx.Ref(int32(r)).Key() }) {
+			t.Errorf("Touched[%s] = %v", idx.Ref(int32(r)), hit)
+		}
+		if hit {
+			n++
+		}
+	}
+	if len(touched) != idx.NumRefs() || n != len(union) {
+		t.Errorf("Touched marks %d of %d refs, want %d of %d", n, len(touched), len(union), idx.NumRefs())
 	}
 }
 

@@ -20,9 +20,7 @@ func Example() {
 	db.MustInsert("Dept", "eng", "3")
 	db.MustInsert("Dept", "ops", "1")
 
-	corrupt := map[string]bool{
-		(relation.TupleID{Relation: "Emp", Tuple: relation.Tuple{"bob", "ops"}}).Key(): true,
-	}
+	corrupt := []relation.TupleID{{Relation: "Emp", Tuple: relation.Tuple{"bob", "ops"}}}
 	s := &repair.Session{
 		DB:      db,
 		Queries: []*cq.Query{cq.MustParse("Where(n, d, f) :- Emp(n, d), Dept(d, f)")},

@@ -2,8 +2,10 @@
 // workflow of Section V: an oracle (domain expert, crowd, or rule engine)
 // inspects query answers; deletion propagation translates the negative
 // feedback into source deletions; the session iterates until no wrong
-// answers remain visible. The cmd/qocosim simulator and the data-cleaning
-// example are thin wrappers over this package.
+// answers remain visible. Both oracles here judge a view tuple wrong when
+// a bad source tuple touches it, read from one lineage.Touched mask per
+// problem skeleton. The cmd/qocosim simulator is a thin wrapper over this
+// package.
 package repair
 
 import (
@@ -15,32 +17,20 @@ import (
 	"delprop/internal/core"
 	"delprop/internal/cq"
 	"delprop/internal/fd"
+	"delprop/internal/lineage"
 	"delprop/internal/relation"
 	"delprop/internal/view"
 )
 
 // Oracle judges one view tuple of the current problem; true means the
-// tuple is wrong and should be deleted.
+// tuple is wrong and should be deleted. The oracles of this package
+// cache per problem and are not safe for concurrent use.
 type Oracle func(p *core.Problem, ref view.TupleRef) bool
 
 // PlantedOracle builds an oracle from ground-truth corrupt source tuples:
-// a view tuple is wrong iff some derivation touches a corrupt tuple. The
-// returned set is shared; deleting tuples from it updates the oracle.
-func PlantedOracle(corrupt map[string]bool) Oracle {
-	return func(p *core.Problem, ref view.TupleRef) bool {
-		ans, ok := p.Answer(ref)
-		if !ok {
-			return false
-		}
-		for _, d := range ans.Derivations() {
-			for k := range d.TupleSet() {
-				if corrupt[k] {
-					return true
-				}
-			}
-		}
-		return false
-	}
+// a view tuple is wrong iff some derivation touches a corrupt tuple.
+func PlantedOracle(corrupt []relation.TupleID) Oracle {
+	return touchedOracle(func(*core.Problem) []relation.TupleID { return corrupt })
 }
 
 // FDOracle builds an oracle from functional dependencies: a view tuple is
@@ -50,39 +40,32 @@ func PlantedOracle(corrupt map[string]bool) Oracle {
 // user-specification; as violating tuples are deleted, the oracle's
 // verdicts update automatically.
 func FDOracle(attrFDs map[string]*fd.Set) Oracle {
-	// The violation set only depends on the problem's database; cache it
-	// per problem (sessions are single-threaded).
-	var cachedFor *core.Problem
-	var bad map[string]bool
+	return touchedOracle(func(p *core.Problem) []relation.TupleID {
+		vs, err := fd.CheckInstance(p.DB, attrFDs)
+		if err != nil {
+			return nil
+		}
+		var bad []relation.TupleID
+		for _, v := range vs {
+			bad = append(bad, v.Tuples()...)
+		}
+		return bad
+	})
+}
+
+// touchedOracle judges a view tuple wrong iff it is touched by one of the
+// bad source tuples of its problem. The touched mask depends only on the
+// problem's skeleton, so it is computed once per provenance index.
+func touchedOracle(bad func(*core.Problem) []relation.TupleID) Oracle {
+	var cachedFor *view.Index
+	var touched []bool
 	return func(p *core.Problem, ref view.TupleRef) bool {
-		if p != cachedFor {
-			vs, err := fd.CheckInstance(p.DB, attrFDs)
-			if err != nil {
-				return false
-			}
-			bad = make(map[string]bool)
-			for _, v := range vs {
-				for _, id := range v.Tuples() {
-					bad[id.Key()] = true
-				}
-			}
-			cachedFor = p
+		x := p.Index()
+		if x != cachedFor {
+			touched, cachedFor = lineage.Touched(x, bad(p)...), x
 		}
-		if len(bad) == 0 {
-			return false
-		}
-		ans, ok := p.Answer(ref)
-		if !ok {
-			return false
-		}
-		for _, d := range ans.Derivations() {
-			for k := range d.TupleSet() {
-				if bad[k] {
-					return true
-				}
-			}
-		}
-		return false
+		r, ok := x.LookupRef(ref)
+		return ok && touched[r]
 	}
 }
 

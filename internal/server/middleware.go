@@ -260,18 +260,35 @@ type api struct {
 	start time.Time
 }
 
-// requestIDKey carries the request id through the request context.
-type requestIDKey struct{}
-
-func contextWithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
+// requestLog is one request's log record, carried through the request
+// context: the id minted for the request and, once a single-solve route
+// has finished its solve, the solve record's log fields. instrument
+// writes them as the request's one log line.
+type requestLog struct {
+	id    string
+	solve []any
 }
+
+// requestLogKey carries the *requestLog through the request context.
+type requestLogKey struct{}
 
 // requestID returns the id minted for this request ("" outside the
 // middleware chain).
 func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(requestIDKey{}).(string)
-	return id
+	if l, ok := r.Context().Value(requestLogKey{}).(*requestLog); ok {
+		return l.id
+	}
+	return ""
+}
+
+// solveLog returns the log record of the request whose id is reqID, or
+// nil when ctx carries another request's (a batch item's solve logs its
+// own line).
+func solveLog(ctx context.Context, reqID string) *requestLog {
+	if l, ok := ctx.Value(requestLogKey{}).(*requestLog); ok && l.id == reqID {
+		return l
+	}
+	return nil
 }
 
 // statusRecorder captures the response status for the request log.
@@ -295,13 +312,16 @@ func (s *statusRecorder) Flush() {
 
 // instrument is the outermost middleware: mints a request id, recovers
 // panics into 500 JSON responses, and writes one structured log line per
-// request with latency and outcome.
+// request with latency and outcome: the solve record's "solve" line on
+// POST /solve and POST /sessions/{id}/solve once a solve started, a
+// "request" line otherwise.
 func (a *api) instrument(next http.Handler) http.Handler {
 	inflight := a.cfg.Metrics.Gauge(metricHTTPInFlight,
 		"HTTP requests currently being served.", nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := "r" + strconv.FormatUint(a.nextID.Add(1), 10)
-		r = r.WithContext(contextWithRequestID(r.Context(), id))
+		reqLog := &requestLog{id: id}
+		r = r.WithContext(context.WithValue(r.Context(), requestLogKey{}, reqLog))
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		inflight.Add(1)
@@ -316,13 +336,14 @@ func (a *api) instrument(next http.Handler) http.Handler {
 					fmt.Errorf("internal error (request %s)", id), id)
 			}
 			inflight.Add(-1)
-			a.observeHTTP(r.Method, r.URL.Path, rec.status, time.Since(start))
-			a.cfg.Logger.Info("request",
-				"requestId", id,
-				"method", r.Method,
-				"path", r.URL.Path,
-				"status", rec.status,
-				"durationMs", time.Since(start).Milliseconds())
+			d := time.Since(start)
+			a.observeHTTP(r.Method, r.URL.Path, rec.status, d)
+			args := []any{"method", r.Method, "path", r.URL.Path, "status", rec.status, "durationMs", d.Milliseconds()}
+			if reqLog.solve != nil {
+				a.cfg.Logger.Info("solve", append(reqLog.solve, args...)...)
+			} else {
+				a.cfg.Logger.Info("request", append([]any{"requestId", id}, args...)...)
+			}
 		}()
 		next.ServeHTTP(rec, r)
 	})

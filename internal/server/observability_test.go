@@ -477,3 +477,86 @@ func TestSolveLogPhaseTimings(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestLogOneLinePerSolve: a single-solve request, cold or warm,
+// answered or rejected, writes exactly one log line, the "solve" record
+// with the request's method, path, status and durationMs. Other routes,
+// the batch, and a solve request that fails before its solve starts keep
+// their "request" line; a batch item keeps its own "solve" line.
+func TestRequestLogOneLinePerSolve(t *testing.T) {
+	var logs syncBuffer
+	app := NewHandler(Config{Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	srv := httptest.NewServer(app)
+	defer srv.Close()
+
+	_, body := post(t, srv, "/sessions", SessionRequest{Database: fig1DB, Queries: fig1Queries})
+	sess := decodeSession(t, body)
+	unknown := projectFreeSolve()
+	unknown.Solver = "no-such-solver"
+	cases := []struct {
+		path   string
+		body   any
+		status int
+		msg    string
+	}{
+		{"/solve", projectFreeSolve(), http.StatusOK, "solve"},
+		{"/solve", unknown, http.StatusBadRequest, "solve"},
+		{"/sessions/" + sess.SessionID + "/solve", SessionSolveRequest{Deletions: "Q4(John, TKDE, XML)", Solver: "greedy"}, http.StatusOK, "solve"},
+		{"/sessions/" + sess.SessionID + "/solve", SessionSolveRequest{Deletions: "Q4(John, TKDE, XML)", Solver: "no-such-solver"}, http.StatusBadRequest, "solve"},
+		{"/solve", "not an instance", http.StatusBadRequest, "request"},
+		{"/sessions", SessionRequest{Database: fig1DB, Queries: fig1Queries}, http.StatusOK, "request"},
+		{"/solve/batch", BatchRequest{Items: []InstanceRequest{projectFreeSolve()}}, http.StatusOK, "request"},
+	}
+	ids := make([]string, len(cases))
+	for i, c := range cases {
+		resp, body := post(t, srv, c.path, c.body)
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d, want %d: %s", c.path, resp.StatusCode, c.status, body)
+		}
+		var out struct {
+			RequestID string `json:"requestId"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil || out.RequestID == "" {
+			t.Fatalf("%s: no requestId in %s", c.path, body)
+		}
+		ids[i] = out.RequestID
+	}
+	var lines []map[string]any
+	for _, raw := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(raw), &rec); err != nil {
+			t.Fatalf("log line %q: %v", raw, err)
+		}
+		lines = append(lines, rec)
+	}
+	linesOf := func(id string) []map[string]any {
+		var out []map[string]any
+		for _, l := range lines {
+			if l["requestId"] == id {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	for i, c := range cases {
+		mine := linesOf(ids[i])
+		if len(mine) != 1 {
+			t.Errorf("%s %s: %d log lines, want 1: %v", c.path, ids[i], len(mine), mine)
+			continue
+		}
+		l := mine[0]
+		if l["msg"] != c.msg || l["method"] != "POST" || l["path"] != c.path || l["status"] != float64(c.status) {
+			t.Errorf("%s %s: line %v, want msg %q, POST, status %d", c.path, ids[i], l, c.msg, c.status)
+		}
+		if _, ok := l["durationMs"].(float64); !ok {
+			t.Errorf("%s %s: durationMs missing: %v", c.path, ids[i], l)
+		}
+		if c.msg == "solve" && l["outcome"] == nil {
+			t.Errorf("%s %s: solve line without outcome: %v", c.path, ids[i], l)
+		}
+	}
+	item := linesOf(ids[len(ids)-1] + ".0")
+	if len(item) != 1 || item[0]["msg"] != "solve" || item[0]["outcome"] != "ok" || item[0]["status"] != nil {
+		t.Errorf("batch item: lines %v, want one solve line without HTTP fields", item)
+	}
+}

@@ -17,7 +17,11 @@ const outcomeRejected = "rejected"
 // fills it in as the solve proceeds, and one function each derives the
 // trace attributes, events, metrics, log line, postmortem and response.
 type solveRecord struct {
-	reqID     string
+	reqID string
+	// log is the request's log record when the solve is the request's
+	// own, so the log line waits for the HTTP status; nil for a batch
+	// item, which logs its line when it finishes.
+	log       *requestLog
 	trace     *telemetry.Trace
 	tenant    string
 	session   string // non-empty marks a warm session solve
@@ -217,7 +221,8 @@ func (a *api) beginPhase(rec *solveRecord, name string) func() {
 
 // finish closes a started solve exactly once with outcome: trace outcome,
 // solve_done, then metrics, breaker and flight recorder for solves that
-// ran, then the log line. It returns serr for tail calls.
+// ran, then the log line, or the request's log record for instrument to
+// write. It returns serr for tail calls.
 func (a *api) finish(rec *solveRecord, outcome string, serr *solveError) *solveError {
 	rec.outcome = outcome
 	rec.annotate()
@@ -229,6 +234,12 @@ func (a *api) finish(rec *solveRecord, outcome string, serr *solveError) *solveE
 		a.observeSolve(rec)
 		a.recordSolve(rec)
 	}
-	a.cfg.Logger.Info("solve", rec.logArgs()...)
+	if rec.log != nil {
+		// The flight recorder keeps the record after the request ends;
+		// only the request's log record may hold the fields.
+		rec.log.solve, rec.log = rec.logArgs(), nil
+	} else {
+		a.cfg.Logger.Info("solve", rec.logArgs()...)
+	}
 	return serr
 }

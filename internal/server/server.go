@@ -529,7 +529,7 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	if err != nil {
 		return nil, &solveError{http.StatusBadRequest, codeInvalidRequest, err}
 	}
-	rec := &solveRecord{reqID: reqID, tenant: tenant, requested: src.requested, solver: src.requested}
+	rec := &solveRecord{reqID: reqID, log: solveLog(ctx, reqID), tenant: tenant, requested: src.requested, solver: src.requested}
 	if src.requested == "" {
 		rec.requested, rec.solver = "auto", "auto"
 	}

@@ -326,8 +326,10 @@ func TestIndexKeyOrderAndDerivationTuples(t *testing.T) {
 			}
 			for i, d := range ans.Derivations() {
 				var want, got []string
-				for k := range d.TupleSet() {
-					want = append(want, k)
+				for _, id := range d {
+					if k := id.Key(); !slices.Contains(want, k) {
+						want = append(want, k)
+					}
 				}
 				sort.Strings(want)
 				for _, ti := range idx.DerivTuples(lo + int32(i)) {

@@ -21,26 +21,31 @@ for _ in $(seq 1 50); do
 done
 curl -sf "http://$OPS_ADDR/healthz" >/dev/null
 
+# requestId prints the "requestId" of the JSON response on stdin.
+requestId() { grep -o '"requestId":"[^"]*"' | head -n 1 | cut -d'"' -f4; }
+
 # Fig. 1 running example, pinned to the brute-force search so the
 # nodes-expanded and incumbent counters provably increment.
-curl -sf -X POST "http://$ADDR/solve" -H 'Content-Type: application/json' -d '{
+SOLVE1="$(curl -sf -X POST "http://$ADDR/solve" -H 'Content-Type: application/json' -d '{
   "database": "relation T1(AuName*, Journal*)\nT1(Joe, TKDE)\nT1(John, TKDE)\nrelation T2(Journal*, Topic*, Papers)\nT2(TKDE, XML, 30)\n",
   "queries": "Q4(x, y, z) :- T1(x, y), T2(y, z, w)",
   "deletions": "Q4(John, TKDE, XML)",
   "solver": "brute-force"
-}' | grep -q '"stats"' || { echo "solve response carries no stats"; exit 1; }
+}')"
+grep -q '"stats"' <<<"$SOLVE1" || { echo "solve response carries no stats"; exit 1; }
 
 # A portfolio race: the parallel members share an incumbent bound and the
 # response must carry the race snapshot.
-curl -sf -X POST "http://$ADDR/solve" -H 'Content-Type: application/json' -d '{
+SOLVE2="$(curl -sf -X POST "http://$ADDR/solve" -H 'Content-Type: application/json' -d '{
   "database": "relation T1(AuName*, Journal*)\nT1(Joe, TKDE)\nT1(John, TKDE)\nrelation T2(Journal*, Topic*, Papers)\nT2(TKDE, XML, 30)\n",
   "queries": "Q4(x, y, z) :- T1(x, y), T2(y, z, w)",
   "deletions": "Q4(John, TKDE, XML)",
   "solver": "portfolio-parallel"
-}' | grep -q '"race"' || { echo "portfolio solve response carries no race snapshot"; exit 1; }
+}')"
+grep -q '"race"' <<<"$SOLVE2" || { echo "portfolio solve response carries no race snapshot"; exit 1; }
 
 # A batch of two instances through the bounded worker pool.
-curl -sf -X POST "http://$ADDR/solve/batch" -H 'Content-Type: application/json' -d '{
+BATCH="$(curl -sf -X POST "http://$ADDR/solve/batch" -H 'Content-Type: application/json' -d '{
   "workers": 2,
   "items": [
     {"database": "relation T1(AuName*, Journal*)\nT1(Joe, TKDE)\nT1(John, TKDE)\nrelation T2(Journal*, Topic*, Papers)\nT2(TKDE, XML, 30)\n",
@@ -50,7 +55,23 @@ curl -sf -X POST "http://$ADDR/solve/batch" -H 'Content-Type: application/json' 
      "queries": "Q4(x, y, z) :- T1(x, y), T2(y, z, w)",
      "deletions": "Q4(Joe, TKDE, XML)"}
   ]
-}' | grep -q '"completed":2' || { echo "batch solve did not complete both items"; exit 1; }
+}')"
+grep -q '"completed":2' <<<"$BATCH" || { echo "batch solve did not complete both items"; exit 1; }
+
+# One log line per single-solve request: the solve record carries the
+# HTTP status, and no separate request line repeats the id. The batch
+# keeps its own request line.
+for resp in "$SOLVE1" "$SOLVE2"; do
+    id="$(requestId <<<"$resp")"
+    n="$(grep -c "requestId=$id " "$LOG" || true)"
+    if [ -z "$id" ] || [ "$n" -ne 1 ] || ! grep "requestId=$id " "$LOG" | grep -q 'msg=solve .*status=200'; then
+        echo "solve $id: want exactly one log line, a solve line with status=200 ($n found)"
+        exit 1
+    fi
+done
+id="$(requestId <<<"$BATCH")"
+grep "requestId=$id " "$LOG" | grep -q 'msg=request .*path=/solve/batch status=200' \
+    || { echo "batch $id: request log line missing"; exit 1; }
 
 METRICS="$(curl -sf "http://$OPS_ADDR/metrics")"
 fail=0
