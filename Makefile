@@ -69,12 +69,15 @@ vet:
 
 # Build and run the repo's own vet suite (tools/lint is a separate,
 # stdlib-only module) over both modules — the lint module holds itself
-# to its own invariants — then test the analyzers themselves. The
-# invariant catalog is docs/STATIC_ANALYSIS.md.
+# to its own invariants — run the whole-module testonly pass over the
+# root module (go vet sees one package at a time, so it cannot), then
+# test the analyzers themselves. The invariant catalog is
+# docs/STATIC_ANALYSIS.md.
 lint:
 	$(GO) -C tools/lint build -o bin/delproplint ./cmd/delproplint
 	$(GO) vet -vettool=tools/lint/bin/delproplint ./...
 	$(GO) -C tools/lint vet -vettool=$(CURDIR)/tools/lint/bin/delproplint ./...
+	tools/lint/bin/delproplint -testonly ./...
 	$(GO) -C tools/lint test ./...
 
 # bench/load is its own module, so the root ./... never compiles it

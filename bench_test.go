@@ -186,7 +186,7 @@ func BenchmarkUnidimensional(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if p, err = p.Specialize(view.NewDeletion(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuples()[0]})); err != nil {
+	if p, err = p.Specialize(view.NewDeletion(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuple(0)})); err != nil {
 		b.Fatal(err)
 	}
 	benchSolver(b, p, &core.Unidimensional{})
@@ -238,29 +238,6 @@ func BenchmarkHardnessGapReduction(b *testing.B) {
 		if _, err := reduction.FromRedBlue(inst); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationRBSCGreedy compares the two inner greedy strategies of
-// the low-degree sweep (DESIGN.md ablation).
-func BenchmarkAblationRBSCGreedy(b *testing.B) {
-	p := starProblem(b, 9)
-	enc, _, err := core.BuildRedBlueEncoding(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for name, mode := range map[string]setcover.GreedyMode{
-		"ratio": setcover.GreedyRatio,
-		"count": setcover.GreedyCount,
-	} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.LowDegSweep(mode); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -197,20 +197,6 @@ func (s *BreakerSet) Record(solver string, o Outcome) {
 	}
 }
 
-// State returns the named solver's current state (closed when the solver
-// has no breaker yet).
-func (s *BreakerSet) State(solver string) BreakerState {
-	if s == nil {
-		return BreakerClosed
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.m[solver]; ok {
-		return b.state
-	}
-	return BreakerClosed
-}
-
 // EachState calls fn once per materialized breaker, sorted by solver
 // name, outside the set's lock (a copied view) — the server's series
 // sampler refreshes the per-solver state gauge through it each tick, so

@@ -225,3 +225,17 @@ func TestBreakerTransitionHookUnderContention(t *testing.T) {
 		t.Error("transition hook never observed a transition")
 	}
 }
+
+// State returns the named solver's current state (closed when the solver
+// has no breaker yet).
+func (s *BreakerSet) State(solver string) BreakerState {
+	if s == nil {
+		return BreakerClosed
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.m[solver]; ok {
+		return b.state
+	}
+	return BreakerClosed
+}

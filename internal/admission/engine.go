@@ -166,7 +166,6 @@ const (
 	RuleTenantConcurrency = "tenant-concurrency"
 	RuleOverload          = "overload"
 	RuleOverloadDegrade   = "overload-degrade"
-	RuleSolverAllowList   = "solver-allow-list"
 )
 
 // Admit runs the tenant's rate and concurrency checks for one request,
@@ -214,17 +213,6 @@ func (e *Engine) Charge(name string) (bool, time.Duration) {
 		st = e.tenants[e.policy.DefaultTenant]
 	}
 	return st.take(e.now())
-}
-
-// Inflight reports the tenant's currently-admitted request count (tests
-// and gauges).
-func (e *Engine) Inflight(name string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if st, ok := e.tenants[name]; ok {
-		return st.inflight
-	}
-	return 0
 }
 
 // RequestInfo is the admission verdict carried through the request context

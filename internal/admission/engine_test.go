@@ -233,3 +233,13 @@ func TestEngineUsableTheInstantConstructed(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Inflight reports the tenant's currently-admitted request count.
+func (e *Engine) Inflight(name string) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if st, ok := e.tenants[name]; ok {
+		return st.inflight
+	}
+	return 0
+}

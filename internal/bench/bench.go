@@ -7,7 +7,6 @@ package bench
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -61,25 +60,6 @@ func (t *Table) Fprint(w io.Writer) {
 		line(r)
 	}
 	fmt.Fprintln(w)
-}
-
-// WriteCSV renders the table as CSV (title as a comment line), for
-// downstream plotting.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
-		return err
-	}
-	if err := cw.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Experiment is one reproducible experiment.

@@ -56,14 +56,3 @@ func (r *Recorder) QualityRecords() []QualityRecord {
 	defer r.mu.Unlock()
 	return append([]QualityRecord(nil), r.quality...)
 }
-
-// Violations returns the recorded guarantee violations.
-func (r *Recorder) Violations() []QualityRecord {
-	var out []QualityRecord
-	for _, q := range r.QualityRecords() {
-		if q.Violated {
-			out = append(out, q)
-		}
-	}
-	return out
-}

@@ -137,10 +137,7 @@ func TestRecorder(t *testing.T) {
 	}
 	rec.Quality(NewQuality("a", "s", 1, 1, 2))
 	rec.Quality(NewQuality("b", "s", 9, 1, 2))
-	if got := rec.QualityRecords(); len(got) != 2 {
-		t.Errorf("quality records = %+v", got)
-	}
-	if v := rec.Violations(); len(v) != 1 || v[0].Case != "b" {
-		t.Errorf("violations = %+v", v)
+	if got := rec.QualityRecords(); len(got) != 2 || got[0].Violated || !got[1].Violated {
+		t.Errorf("quality records = %+v, want only case b violated", got)
 	}
 }

@@ -318,7 +318,6 @@ type Complexity string
 const (
 	PTime         Complexity = "PTime"
 	NPComplete    Complexity = "NP-complete"
-	HardToApprox  Complexity = "NP-hard to approximate within 2^(log^(1-δ)‖V‖)"
 	ApproxForest  Complexity = "approximable within min(l, 2√‖V‖) (forest case)"
 	ApproxGeneral Complexity = "approximable within 2√(l·‖V‖·log‖ΔV‖)"
 	Unknown       Complexity = "unknown"

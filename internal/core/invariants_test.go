@@ -122,7 +122,7 @@ func TestIsomorphismInvariance(t *testing.T) {
 // repeated invocations over the same problem.
 func TestSolverDeterminism(t *testing.T) {
 	solvers := append(append([]Solver{}, ApproxSolvers()...), ExactSolvers()...)
-	solvers = append(solvers, &LocalSearch{}, &Portfolio{}, &SourceGreedy{})
+	solvers = append(solvers, &LocalSearch{}, &Portfolio{})
 	for seed := int64(1); seed <= 3; seed++ {
 		p := chainProblem(t, seed, 3)
 		if p.DeltaLen() == 0 {
@@ -229,5 +229,14 @@ func TestDPTreeDeterminism(t *testing.T) {
 	}
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("DPTree nondeterministic: %s vs %s", a, b)
+	}
+}
+
+// ExactSolvers returns the exact reference solvers: full brute force and
+// the branch-and-bound over the Claim 1 encoding (key-preserving only).
+func ExactSolvers() []Solver {
+	return []Solver{
+		&BruteForce{},
+		&RedBlueExact{},
 	}
 }

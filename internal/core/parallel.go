@@ -139,9 +139,3 @@ func (b *sharedBound) observe(objective float64) (proven bool) {
 	}
 	return objective <= b.lower+1e-9
 }
-
-// best returns the best feasible objective observed so far (+Inf when
-// none yet).
-func (b *sharedBound) best() float64 {
-	return math.Float64frombits(b.bestBits.Load())
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -362,4 +363,10 @@ func TestStatsMerge(t *testing.T) {
 	var nilStats *Stats
 	nilStats.Merge(child)
 	parent.Merge(nil)
+}
+
+// best returns the best feasible objective observed so far (+Inf when
+// none yet).
+func (b *sharedBound) best() float64 {
+	return math.Float64frombits(b.bestBits.Load())
 }

@@ -119,11 +119,6 @@ func (p *Problem) QueryProperties() ([]classify.Properties, error) {
 	})
 }
 
-// NewMaintainer returns an isolated incremental maintainer over the
-// problem's views: fresh counters over the skeleton's shared index, so
-// concurrent solves never share mutable maintainer state.
-func (p *Problem) NewMaintainer() *view.Maintainer { return p.Index().NewMaintainer() }
-
 // Specialize derives a new Problem against the same skeleton — database,
 // queries, materialized views and every skeleton artifact are shared by
 // pointer — with a fresh deletion request and no weights. It is the

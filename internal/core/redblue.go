@@ -216,13 +216,3 @@ func (b *BalancedRedBlue) Solve(ctx context.Context, p *Problem) (*Solution, err
 	}
 	return enc.result(ctx, b.Name(), sol, err)
 }
-
-// BuildRedBlueEncoding exposes the Claim 1 encoding for the reduction
-// experiments (experiment E8) and for white-box tests.
-func BuildRedBlueEncoding(p *Problem) (*setcover.Instance, []relation.TupleID, error) {
-	enc, err := buildRedBlue(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return enc.inst, enc.tuples, nil
-}

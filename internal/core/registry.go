@@ -19,15 +19,6 @@ func ApproxSolvers() []Solver {
 	}
 }
 
-// ExactSolvers returns the exact reference solvers: full brute force and
-// the branch-and-bound over the Claim 1 encoding (key-preserving only).
-func ExactSolvers() []Solver {
-	return []Solver{
-		&BruteForce{},
-		&RedBlueExact{},
-	}
-}
-
 // The name registry maps CLI/API solver names to constructors. The CLI and
 // HTTP server resolve fixed names here (their "auto" modes add
 // instance-driven routing on top); tests register fault-injection solvers.

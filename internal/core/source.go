@@ -33,15 +33,6 @@ func (w SourceWeights) weightOf(id relation.TupleID) float64 {
 	return 1
 }
 
-// SourceSideEffect evaluates the source-side-effect objective of a
-// solution: the total deletion cost, plus feasibility.
-func (p *Problem) SourceSideEffect(sol *Solution, weights SourceWeights) (cost float64, feasible bool) {
-	for _, id := range sol.Deleted {
-		cost += weights.weightOf(id)
-	}
-	return cost, p.Evaluate(sol).Feasible
-}
-
 // SourceExact computes a minimum-cost source deletion exactly, for
 // arbitrary conjunctive queries. Every derivation of every requested view
 // tuple must lose a tuple: a weighted hitting set, solved as Red-Blue Set
@@ -99,65 +90,6 @@ func buildSourceCover(rq *requestRefs, weights SourceWeights) *redBlueEncoding {
 		inst.NumBlue++
 	}
 	return enc
-}
-
-// SourceGreedy is the classic ln(n)-approximation for the hitting set:
-// repeatedly delete the tuple hitting the most not-yet-hit derivations per
-// unit cost.
-type SourceGreedy struct {
-	Weights SourceWeights
-}
-
-// Name implements Solver.
-func (s *SourceGreedy) Name() string { return "source-greedy" }
-
-// Solve implements Solver.
-func (s *SourceGreedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	rq := &p.rq
-	cands := tupleIDs(rq.x, rq.cands)
-	weights := make([]float64, len(cands))
-	for i, id := range cands {
-		weights[i] = s.Weights.weightOf(id)
-	}
-	paths := rq.paths()
-	hit := make([]bool, len(paths))
-	st := StatsFrom(ctx)
-	remaining := len(paths)
-	sol := &Solution{}
-	for remaining > 0 {
-		st.Checkpoint()
-		if err := checkCtx(ctx, s.Name(), nil); err != nil {
-			return nil, err
-		}
-		best, bestScore := -1, -1.0
-		for i, t := range rq.cands {
-			st.AddNodes(1)
-			hits := 0
-			for pi, path := range paths {
-				if !hit[pi] && slices.Contains(path, t) {
-					hits++
-				}
-			}
-			if hits == 0 {
-				continue
-			}
-			score := float64(hits) / weights[i]
-			if score > bestScore {
-				bestScore, best = score, i
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("core: source-greedy stuck with %d derivations unhit", remaining)
-		}
-		sol.Deleted = append(sol.Deleted, cands[best])
-		for pi, path := range paths {
-			if !hit[pi] && slices.Contains(path, rq.cands[best]) {
-				hit[pi] = true
-				remaining--
-			}
-		}
-	}
-	return sol, nil
 }
 
 // paths returns the distinct tuple ids of every derivation of every

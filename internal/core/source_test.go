@@ -83,51 +83,6 @@ func TestSourceExactTooLarge(t *testing.T) {
 	}
 }
 
-func TestSourceGreedyFeasibleAndBounded(t *testing.T) {
-	makers := map[string]func(*testing.T, int64, int) *Problem{
-		"star":  starProblem,
-		"chain": chainProblem,
-		"pivot": pivotProblem,
-	}
-	for name, mk := range makers {
-		for seed := int64(1); seed <= 5; seed++ {
-			p := mk(t, seed, 3)
-			if p.DeltaLen() == 0 {
-				continue
-			}
-			g, err := (&SourceGreedy{}).Solve(context.Background(), p)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, seed, err)
-			}
-			gc, feasible := p.SourceSideEffect(g, nil)
-			if !feasible {
-				t.Fatalf("%s/%d: greedy infeasible", name, seed)
-			}
-			e, err := (&SourceExact{}).Solve(context.Background(), p)
-			if err != nil {
-				if errors.Is(err, ErrTooLarge) {
-					continue
-				}
-				t.Fatal(err)
-			}
-			ec, _ := p.SourceSideEffect(e, nil)
-			if gc < ec-1e-9 {
-				t.Fatalf("%s/%d: greedy %v beats exact %v", name, seed, gc, ec)
-			}
-			// ln(n) bound for greedy hitting set.
-			nPaths := 0
-			for _, ref := range p.DeltaRefs() {
-				ans, _ := p.Answer(ref)
-				nPaths += ans.NumDerivations()
-			}
-			bound := math.Log(float64(nPaths)) + 1
-			if ec > 0 && gc > bound*ec+1e-9 {
-				t.Errorf("%s/%d: greedy ratio %v exceeds ln(n)+1 = %v", name, seed, gc/ec, bound)
-			}
-		}
-	}
-}
-
 func TestSourceSingleQueryExact(t *testing.T) {
 	p := fig1Q4Problem(t)
 	sol, err := (&SourceSingleQueryExact{}).Solve(context.Background(), p)
@@ -268,4 +223,13 @@ func TestSourceExactMatchesExhaustive(t *testing.T) {
 	if checked < 30 {
 		t.Fatalf("only %d instances within the 16-candidate oracle limit", checked)
 	}
+}
+
+// SourceSideEffect evaluates the source-side-effect objective of a
+// solution: the total deletion cost, plus feasibility.
+func (p *Problem) SourceSideEffect(sol *Solution, weights SourceWeights) (cost float64, feasible bool) {
+	for _, id := range sol.Deleted {
+		cost += weights.weightOf(id)
+	}
+	return cost, p.Evaluate(sol).Feasible
 }

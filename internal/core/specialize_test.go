@@ -107,8 +107,8 @@ func TestNewMaintainerIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := view.TupleRef{View: 0, Tuple: tup("John", "XML")}
-	m1 := p.NewMaintainer()
-	m2 := p.NewMaintainer()
+	m1 := p.Index().NewMaintainer()
+	m2 := p.Index().NewMaintainer()
 	if m1 == m2 {
 		t.Fatal("each NewMaintainer call must return an isolated clone")
 	}

@@ -48,7 +48,8 @@ func TestUnidimensionalMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ansTuple := range base.Views[0].Result.Tuples() {
+		for _, ans := range base.Views[0].Result.Answers() {
+			ansTuple := ans.Tuple
 			p, err := NewProblem(db, []*cq.Query{q}, view.NewDeletion(
 				view.TupleRef{View: 0, Tuple: ansTuple},
 			))
@@ -94,7 +95,7 @@ func TestUnidimensionalPreconditions(t *testing.T) {
 	if p.Views[0].Result.NumAnswers() == 0 {
 		t.Skip("no answers on this seed")
 	}
-	p = respecialize(t, p, view.NewDeletion(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuples()[0]}))
+	p = respecialize(t, p, view.NewDeletion(view.TupleRef{View: 0, Tuple: p.Views[0].Result.Tuple(0)}))
 	if _, err := (&Unidimensional{}).Solve(context.Background(), p); !errors.Is(err, ErrNotHeadDominated) {
 		t.Errorf("err = %v, want ErrNotHeadDominated", err)
 	}
@@ -105,8 +106,8 @@ func TestUnidimensionalPreconditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := view.NewDeletion()
-	for _, tp := range p2.Views[0].Result.Tuples() {
-		all.Add(view.TupleRef{View: 0, Tuple: tp})
+	for _, ans := range p2.Views[0].Result.Answers() {
+		all.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
 	}
 	p2 = respecialize(t, p2, all)
 	if p2.DeltaLen() > 1 {
@@ -130,7 +131,7 @@ func TestUnidimensionalPreconditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p4.Views[0].Result.NumAnswers() > 0 {
-		p4 = respecialize(t, p4, view.NewDeletion(view.TupleRef{View: 0, Tuple: p4.Views[0].Result.Tuples()[0]}))
+		p4 = respecialize(t, p4, view.NewDeletion(view.TupleRef{View: 0, Tuple: p4.Views[0].Result.Tuple(0)}))
 		if _, err := (&Unidimensional{}).Solve(context.Background(), p4); err == nil {
 			t.Error("self-join accepted")
 		}

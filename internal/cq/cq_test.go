@@ -436,7 +436,7 @@ func naiveEvaluate(q *Query, db *relation.Instance) map[string]map[string]bool {
 					head[j] = t.Const
 				}
 			}
-			k := head.Encode()
+			k := string(head.AppendEncode(nil))
 			if answers[k] == nil {
 				answers[k] = make(map[string]bool)
 			}
@@ -499,7 +499,7 @@ func checkAgainstNaive(t *testing.T, label string, q *Query, db *relation.Instan
 			t.Errorf("%s %s: answer %v's derivations start at %d, want %d", label, q, tuple, lo, next)
 		}
 		next = hi
-		derivs, ok := want[tuple.Encode()]
+		derivs, ok := want[string(tuple.AppendEncode(nil))]
 		if !ok {
 			t.Errorf("%s %s: extra answer %v", label, q, tuple)
 			continue

@@ -35,12 +35,6 @@ type Answer struct {
 	pos   int
 }
 
-// NumDerivations returns how many derivations produce the answer.
-func (a Answer) NumDerivations() int {
-	lo, hi := a.res.Derivations(a.pos)
-	return hi - lo
-}
-
 // Derivations builds the answer's derivations, in the order they were
 // derived.
 func (a Answer) Derivations() []Derivation {
@@ -161,15 +155,6 @@ func (r *Result) Lookup(t relation.Tuple) (Answer, bool) {
 func (r *Result) Contains(t relation.Tuple) bool {
 	_, ok := r.Position(t)
 	return ok
-}
-
-// Tuples returns the answer tuples in first-derived order.
-func (r *Result) Tuples() []relation.Tuple {
-	out := make([]relation.Tuple, r.NumAnswers())
-	for a := range out {
-		out[a] = r.Tuple(a)
-	}
-	return out
 }
 
 // String renders the result sorted, for golden tests.

@@ -7,24 +7,13 @@ import (
 
 // This file implements the Chandra–Merlin machinery the paper's complexity
 // lineage starts from (reference [9]): homomorphisms between conjunctive
-// queries, containment, equivalence, and minimization (core computation).
+// queries and minimization (core computation).
 // The classifiers can minimize a query first so that structural properties
 // are judged on its core rather than on redundant atoms.
 
 // Homomorphism is a mapping from the variables of one query to the terms
 // of another.
 type Homomorphism map[string]Term
-
-// apply maps a term under the homomorphism (constants map to themselves).
-func (h Homomorphism) apply(t Term) Term {
-	if !t.IsVar() {
-		return t
-	}
-	if m, ok := h[t.Var]; ok {
-		return m
-	}
-	return t
-}
 
 // FindHomomorphism searches for a homomorphism from `from` onto `to`: a
 // variable mapping under which every atom of `from` becomes an atom of
@@ -101,18 +90,6 @@ func mapAtoms(body []Atom, i int, to *Query, h Homomorphism) bool {
 	return false
 }
 
-// ContainedIn reports whether q1 ⊆ q2 (every answer of q1 is an answer of
-// q2 on every database), via a homomorphism from q2 to q1.
-func ContainedIn(q1, q2 *Query) bool {
-	_, ok := FindHomomorphism(q2, q1)
-	return ok
-}
-
-// EquivalentQueries reports whether the two queries are equivalent.
-func EquivalentQueries(q1, q2 *Query) bool {
-	return ContainedIn(q1, q2) && ContainedIn(q2, q1)
-}
-
 // Minimize computes the core of the query: a minimal equivalent subquery
 // obtained by repeatedly dropping atoms whose removal preserves
 // equivalence. The result is a fresh query; the input is not modified.
@@ -159,12 +136,6 @@ func headSafe(q *Query) bool {
 		}
 	}
 	return true
-}
-
-// IsMinimal reports whether no atom can be dropped while preserving
-// equivalence.
-func IsMinimal(q *Query) bool {
-	return len(Minimize(q).Body) == len(q.Body)
 }
 
 // String renders the homomorphism deterministically for debugging.

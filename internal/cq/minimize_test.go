@@ -12,7 +12,7 @@ func TestFindHomomorphismIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("no identity homomorphism")
 	}
-	if h.apply(V("x")) != V("x") {
+	if h["x"] != V("x") {
 		t.Errorf("h = %s", h)
 	}
 }
@@ -182,4 +182,22 @@ func TestHomomorphismString(t *testing.T) {
 	if got := h.String(); got != "{a↦'c', b↦y}" {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// EquivalentQueries reports whether the two queries are equivalent.
+func EquivalentQueries(q1, q2 *Query) bool {
+	return ContainedIn(q1, q2) && ContainedIn(q2, q1)
+}
+
+// IsMinimal reports whether no atom can be dropped while preserving
+// equivalence.
+func IsMinimal(q *Query) bool {
+	return len(Minimize(q).Body) == len(q.Body)
+}
+
+// ContainedIn reports whether q1 ⊆ q2 (every answer of q1 is an answer of
+// q2 on every database), via a homomorphism from q2 to q1.
+func ContainedIn(q1, q2 *Query) bool {
+	_, ok := FindHomomorphism(q2, q1)
+	return ok
 }

@@ -1,12 +1,10 @@
-// Package fd implements functional dependencies over relation attributes:
-// attribute-set closure, implication testing, key inference, and
-// minimal-cover computation. The paper's complexity tables (Tables II–V)
+// Package fd implements functional dependencies over relation attributes
+// and their attribute-set closure. The paper's complexity tables (Tables II–V)
 // include fd-restricted variants (fd-head-domination, fd-induced triads);
 // this package supplies the FD reasoning those deciders need.
 package fd
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -62,9 +60,6 @@ func (s *Set) Add(f FD) { s.fds = append(s.fds, f) }
 // FDs returns the dependencies.
 func (s *Set) FDs() []FD { return append([]FD(nil), s.fds...) }
 
-// Len returns the number of dependencies.
-func (s *Set) Len() int { return len(s.fds) }
-
 // Closure computes the attribute closure attrs+ under the set, using the
 // standard fixpoint algorithm.
 func (s *Set) Closure(attrs []string) []string {
@@ -97,169 +92,6 @@ func (s *Set) Closure(attrs []string) []string {
 func containsAll(set map[string]bool, attrs []string) bool {
 	for _, a := range attrs {
 		if !set[a] {
-			return false
-		}
-	}
-	return true
-}
-
-// Implies reports whether the set logically implies the given FD
-// (f.RHS ⊆ closure(f.LHS)).
-func (s *Set) Implies(f FD) bool {
-	cl := s.Closure(f.LHS)
-	m := make(map[string]bool, len(cl))
-	for _, a := range cl {
-		m[a] = true
-	}
-	return containsAll(m, f.RHS)
-}
-
-// Determines reports whether attrs functionally determine target.
-func (s *Set) Determines(attrs []string, target string) bool {
-	return s.Implies(New(attrs, []string{target}))
-}
-
-// IsSuperkey reports whether attrs determine all of universe.
-func (s *Set) IsSuperkey(attrs, universe []string) bool {
-	return s.Implies(New(attrs, universe))
-}
-
-// CandidateKeys enumerates the minimal keys of the universe under the set.
-// Exponential in |universe|; intended for schema-sized inputs (≤ ~15
-// attributes). The result is sorted lexicographically by joined name.
-func (s *Set) CandidateKeys(universe []string) [][]string {
-	uni := normalize(universe)
-	n := len(uni)
-	if n == 0 {
-		return nil
-	}
-	if n > 20 {
-		panic(fmt.Sprintf("fd: CandidateKeys on %d attributes is infeasible", n))
-	}
-	var keys [][]string
-	isMinimal := func(mask uint32) bool {
-		// No already-found key may be a subset.
-		for _, k := range keys {
-			var km uint32
-			for _, a := range k {
-				for i, u := range uni {
-					if u == a {
-						km |= 1 << i
-					}
-				}
-			}
-			if km&mask == km {
-				return false
-			}
-		}
-		return true
-	}
-	// Enumerate subsets by increasing popcount so subsets come first.
-	masks := make([]uint32, 0, 1<<n)
-	for m := uint32(1); m < 1<<n; m++ {
-		masks = append(masks, m)
-	}
-	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := popcount(masks[i]), popcount(masks[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return masks[i] < masks[j]
-	})
-	for _, m := range masks {
-		if !isMinimal(m) {
-			continue
-		}
-		attrs := make([]string, 0, popcount(m))
-		for i := 0; i < n; i++ {
-			if m&(1<<i) != 0 {
-				attrs = append(attrs, uni[i])
-			}
-		}
-		if s.IsSuperkey(attrs, uni) {
-			keys = append(keys, attrs)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return strings.Join(keys[i], ",") < strings.Join(keys[j], ",")
-	})
-	return keys
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-// MinimalCover computes a minimal (canonical) cover: singleton RHS, no
-// extraneous LHS attributes, no redundant FDs. Deterministic.
-func (s *Set) MinimalCover() *Set {
-	// Split RHS.
-	var work []FD
-	for _, f := range s.fds {
-		for _, r := range f.RHS {
-			work = append(work, New(f.LHS, []string{r}))
-		}
-	}
-	// Remove extraneous LHS attributes.
-	for i := range work {
-		for changed := true; changed; {
-			changed = false
-			for j, a := range work[i].LHS {
-				if len(work[i].LHS) == 1 {
-					break
-				}
-				reduced := append(append([]string(nil), work[i].LHS[:j]...), work[i].LHS[j+1:]...)
-				tmp := NewSet(work...)
-				if tmp.Implies(New(reduced, work[i].RHS)) {
-					work[i] = New(reduced, work[i].RHS)
-					changed = true
-					break
-				}
-				_ = a
-			}
-		}
-	}
-	// Remove redundant FDs.
-	alive := make([]bool, len(work))
-	for i := range alive {
-		alive[i] = true
-	}
-	for i := range work {
-		alive[i] = false
-		rest := &Set{}
-		for j, f := range work {
-			if alive[j] {
-				rest.Add(f)
-			}
-		}
-		if !rest.Implies(work[i]) {
-			alive[i] = true
-		}
-	}
-	out := &Set{}
-	for i, f := range work {
-		if alive[i] {
-			out.Add(f)
-		}
-	}
-	// Deterministic order.
-	sort.Slice(out.fds, func(i, j int) bool { return out.fds[i].String() < out.fds[j].String() })
-	return out
-}
-
-// Equivalent reports whether two FD sets imply each other.
-func Equivalent(a, b *Set) bool {
-	for _, f := range a.fds {
-		if !b.Implies(f) {
-			return false
-		}
-	}
-	for _, f := range b.fds {
-		if !a.Implies(f) {
 			return false
 		}
 	}

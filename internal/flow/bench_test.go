@@ -35,7 +35,7 @@ func BenchmarkMaxFlow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nets[i].MaxFlow(0, nets[i].NumNodes()-1); err != nil {
+		if _, err := nets[i].MaxFlow(0, nets[i].n-1); err != nil {
 			b.Fatal(err)
 		}
 	}

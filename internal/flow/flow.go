@@ -26,9 +26,6 @@ func NewNetwork(n int) *Network {
 	return &Network{n: n, adj: make([][]int, n)}
 }
 
-// NumNodes returns the node count.
-func (g *Network) NumNodes() int { return g.n }
-
 // AddEdge adds a directed edge u→v with the given capacity and returns its
 // edge index (the residual edge is created automatically).
 func (g *Network) AddEdge(u, v int, capacity int64) (int, error) {

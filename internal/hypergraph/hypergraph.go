@@ -30,16 +30,6 @@ func NewEdge(name string, vertices ...string) Edge {
 // Contains reports whether v is in the edge.
 func (e Edge) Contains(v string) bool { return e.Vertices[v] }
 
-// SubsetOf reports whether all of e's vertices are in f.
-func (e Edge) SubsetOf(f Edge) bool {
-	for v := range e.Vertices {
-		if !f.Vertices[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // SortedVertices returns the vertices in lexicographic order.
 func (e Edge) SortedVertices() []string {
 	out := make([]string, 0, len(e.Vertices))
@@ -89,12 +79,6 @@ func (h *Hypergraph) AddEdge(e Edge) {
 func (h *Hypergraph) Vertices() []string {
 	return append([]string(nil), h.vertexOrder...)
 }
-
-// NumVertices returns the number of vertices.
-func (h *Hypergraph) NumVertices() int { return len(h.vertices) }
-
-// NumEdges returns the number of hyperedges.
-func (h *Hypergraph) NumEdges() int { return len(h.Edges) }
 
 // String renders the hypergraph deterministically.
 func (h *Hypergraph) String() string {

@@ -40,10 +40,6 @@ func TestEdgeBasics(t *testing.T) {
 	if !e.Contains("a") || e.Contains("c") {
 		t.Error("Contains wrong")
 	}
-	f := NewEdge("f", "a", "b", "c")
-	if !e.SubsetOf(f) || f.SubsetOf(e) {
-		t.Error("SubsetOf wrong")
-	}
 	if e.String() != "e{a,b}" {
 		t.Errorf("String = %q", e.String())
 	}
@@ -51,8 +47,8 @@ func TestEdgeBasics(t *testing.T) {
 
 func TestHypergraphBasics(t *testing.T) {
 	h := fig3("Q1", "Q2")
-	if h.NumEdges() != 2 || h.NumVertices() != 4 {
-		t.Errorf("NumEdges=%d NumVertices=%d", h.NumEdges(), h.NumVertices())
+	if len(h.Edges) != 2 || len(h.Vertices()) != 4 {
+		t.Errorf("edges=%d vertices=%d", len(h.Edges), len(h.Vertices()))
 	}
 	vs := h.Vertices()
 	sort.Strings(vs)
@@ -70,7 +66,7 @@ func TestConnectedComponents(t *testing.T) {
 	if len(cs) != 2 {
 		t.Fatalf("components = %d", len(cs))
 	}
-	sizes := []int{cs[0].NumEdges(), cs[1].NumEdges()}
+	sizes := []int{len(cs[0].Edges), len(cs[1].Edges)}
 	sort.Ints(sizes)
 	if sizes[0] != 1 || sizes[1] != 2 {
 		t.Errorf("component sizes = %v", sizes)
@@ -173,7 +169,7 @@ func TestDual(t *testing.T) {
 	h := fig3("Q3", "Q5") // Q3={T1,T2}, Q5={T2,T3}
 	d := h.Dual()
 	// Dual: vertices Q3,Q5; edges per T1,T2,T3: {Q3},{Q3,Q5},{Q5}.
-	if d.NumVertices() != 2 || d.NumEdges() != 3 {
+	if len(d.Vertices()) != 2 || len(d.Edges) != 3 {
 		t.Fatalf("dual = %s", d)
 	}
 	found := map[string]int{}

@@ -27,8 +27,8 @@ func affected(views []*view.View, rep *Report) string {
 // TestLineageGolden pins Report.String and AffectedBy on three shapes:
 // Fig. 1's non-key-preserving V0(John,XML), a self-join whose derivation
 // matches one base tuple with both atoms, and a non-key-preserving query
-// whose witnesses and cells render in a different order than their keys
-// sort ("bb" renders before "c"; its key "2:bb;" sorts after "1:c;").
+// whose witnesses and cells come in key order, not rendered order ("bb"
+// renders before "c", but its key "2:bb;" sorts after "1:c;").
 func TestLineageGolden(t *testing.T) {
 	selfDB := relation.NewInstance(relation.MustSchema("E", []string{"src", "dst"}, []int{0, 1}))
 	selfDB.MustInsert("E", "a", "a")
@@ -87,13 +87,13 @@ func TestLineageGolden(t *testing.T) {
 			queries: []*cq.Query{cq.MustParse("Q(x) :- R(x, y), S(y)"), cq.MustParse("W(y) :- R(x, y)")},
 			ref:     view.TupleRef{View: 0, Tuple: relation.Tuple{"a"}},
 			report: "lineage of V0(a)\n" +
-				"  why[0]: {R(a,bb), S(bb)}\n" +
-				"  why[1]: {R(a,c), S(c)}\n" +
-				"  where[0]: R(a,bb)[0], R(a,c)[0]\n",
-			affected: "R(a,bb): [V0(a) V1(bb)]\n" +
-				"S(bb): [V0(a)]\n" +
-				"R(a,c): [V0(a) V1(c)]\n" +
-				"S(c): [V0(a) V0(dd)]\n",
+				"  why[0]: {R(a,c), S(c)}\n" +
+				"  why[1]: {R(a,bb), S(bb)}\n" +
+				"  where[0]: R(a,c)[0], R(a,bb)[0]\n",
+			affected: "R(a,c): [V0(a) V1(c)]\n" +
+				"S(c): [V0(a) V0(dd)]\n" +
+				"R(a,bb): [V0(a) V1(bb)]\n" +
+				"S(bb): [V0(a)]\n",
 		},
 	}
 	for _, c := range cases {

@@ -41,7 +41,8 @@ func (w Witness) String() string {
 
 // Why returns the why-provenance of a view tuple: one witness per
 // derivation. For key-preserving queries there is exactly one witness.
-// Witnesses come in the order of their String forms.
+// Witnesses are ordered element by element by TupleID.CompareKey, a
+// witness that is a prefix of another first.
 func Why(views []*view.View, ref view.TupleRef) ([]Witness, error) {
 	res, a, err := lookup(views, ref)
 	if err != nil {
@@ -59,7 +60,7 @@ func Why(views []*view.View, ref view.TupleRef) ([]Witness, error) {
 		slices.SortFunc(w, relation.TupleID.CompareKey)
 		out = append(out, w)
 	}
-	slices.SortFunc(out, func(a, b Witness) int { return strings.Compare(a.String(), b.String()) })
+	slices.SortFunc(out, func(a, b Witness) int { return slices.CompareFunc(a, b, relation.TupleID.CompareKey) })
 	return out, nil
 }
 
@@ -78,7 +79,8 @@ func (c Cell) String() string {
 
 // Where returns the where-provenance of column col of a view tuple: every
 // source cell whose value was copied into that output position, across all
-// derivations. Output positions holding head constants have empty
+// derivations, each cell once, ordered by TupleID.CompareKey and then
+// position. Output positions holding head constants have empty
 // where-provenance.
 func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
 	res, a, err := lookup(views, ref)
@@ -106,8 +108,13 @@ func Where(views []*view.View, ref view.TupleRef, col int) ([]Cell, error) {
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Cell) int { return strings.Compare(a.String(), b.String()) })
-	return slices.CompactFunc(out, func(a, b Cell) bool { return a.String() == b.String() }), nil
+	slices.SortFunc(out, func(a, b Cell) int {
+		if c := a.Tuple.CompareKey(b.Tuple); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Position, b.Position)
+	})
+	return slices.CompactFunc(out, func(a, b Cell) bool { return a.Position == b.Position && a.Tuple.Equal(b.Tuple) }), nil
 }
 
 // Report is a complete lineage report for one view tuple.

@@ -211,3 +211,39 @@ func TestWhyAgreesWithDeletionSemantics(t *testing.T) {
 		t.Error("cutting every witness should kill the tuple")
 	}
 }
+
+// TestCommaValuesStayDistinct: R(k, "x,y", "z") and R(k, "x", "y,z")
+// render alike (values join with an unescaped ","), but they are two base
+// tuples, so Q(k)'s lineage has two witnesses and two source cells, in
+// key order ("1:x;" sorts before "3:x,y;").
+func TestCommaValuesStayDistinct(t *testing.T) {
+	db := relation.NewInstance(relation.MustSchema("R", []string{"k", "b", "c"}, []int{0, 1, 2}))
+	db.MustInsert("R", "k", "x,y", "z")
+	db.MustInsert("R", "k", "x", "y,z")
+	views, err := view.Materialize([]*cq.Query{cq.MustParse("Q(k) :- R(k, b, c)")}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := relation.TupleID{Relation: "R", Tuple: tup("k", "x", "y,z")}
+	second := relation.TupleID{Relation: "R", Tuple: tup("k", "x,y", "z")}
+	if first.String() != second.String() {
+		t.Fatalf("the two tuples should render alike: %s vs %s", first, second)
+	}
+	ref := view.TupleRef{View: 0, Tuple: tup("k")}
+	why, err := Why(views, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(why) != 2 || len(why[0]) != 1 || len(why[1]) != 1 || !why[0][0].Equal(first) || !why[1][0].Equal(second) {
+		t.Errorf("Why = %#v, want the witnesses {%#v} then {%#v}", why, first, second)
+	}
+	where, err := Where(views, ref, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Cell{{Tuple: first, Position: 0}, {Tuple: second, Position: 0}}
+	if len(where) != len(want) || !where[0].Tuple.Equal(want[0].Tuple) || !where[1].Tuple.Equal(want[1].Tuple) ||
+		where[0].Position != 0 || where[1].Position != 0 {
+		t.Errorf("Where = %#v, want %#v", where, want)
+	}
+}

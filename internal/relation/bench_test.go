@@ -35,18 +35,6 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupKey measures key-index point lookups.
-func BenchmarkLookupKey(b *testing.B) {
-	r := benchRelation(b, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.LookupKey(Tuple{Value(fmt.Sprintf("k%d", i%1000))}); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
 // BenchmarkEncode measures the canonical tuple encoding.
 func BenchmarkEncode(b *testing.B) {
 	t := Tuple{"some", "tuple", "with", "five", "values"}

@@ -70,18 +70,12 @@ func (t Tuple) AppendString(dst []byte) []byte {
 	return append(dst, ')')
 }
 
-// Encode produces a canonical string encoding of the tuple, injective for
-// tuples of the same arity, usable as a map key. Values are length-prefixed
-// so that no two distinct tuples collide: each value v is written as
-// "len(v):v;", the length in decimal bytes.
-func (t Tuple) Encode() string {
-	var buf [64]byte
-	return string(t.AppendEncode(buf[:0]))
-}
-
-// AppendEncode appends the Encode form of the tuple to dst and returns the
-// extended slice. Map lookups through string(AppendEncode(buf[:0])) do not
-// allocate.
+// AppendEncode appends the tuple's Encode form to dst and returns the
+// extended slice. The Encode form is canonical and injective for tuples
+// of the same arity, usable as a map key: values are length-prefixed so
+// that no two distinct tuples collide, each value v written as
+// "len(v):v;" with the length in decimal bytes. Map lookups through
+// string(AppendEncode(buf[:0])) do not allocate.
 func (t Tuple) AppendEncode(dst []byte) []byte {
 	for _, v := range t {
 		dst = v.AppendEncode(dst)
@@ -162,17 +156,6 @@ func decimalDigits(n int) int {
 		d++
 	}
 	return d
-}
-
-// Project returns the sub-tuple at the given positions. It panics if a
-// position is out of range, which indicates a schema bug rather than a data
-// error.
-func (t Tuple) Project(positions []int) Tuple {
-	out := make(Tuple, len(positions))
-	for i, p := range positions {
-		out[i] = t[p]
-	}
-	return out
 }
 
 // TupleID identifies a base tuple inside an instance: the relation it lives
@@ -406,16 +389,6 @@ func (r *Relation) find(t Tuple) (int32, bool) {
 	var buf [64]byte
 	i, ok := r.byKey[string(r.appendKey(buf[:0], t))]
 	return i, ok && r.rows[i].Equal(t)
-}
-
-// LookupKey returns the unique tuple with the given key values, if any.
-func (r *Relation) LookupKey(key Tuple) (Tuple, bool) {
-	var buf [64]byte
-	i, ok := r.byKey[string(key.AppendEncode(buf[:0]))]
-	if !ok {
-		return nil, false
-	}
-	return r.rows[i], true
 }
 
 // Delete removes the exact tuple, reporting whether it was present. Its

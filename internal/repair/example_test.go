@@ -32,8 +32,12 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	deleted := 0
+	for _, r := range reports {
+		deleted += len(r.Deleted)
+	}
 	fmt.Printf("rounds: %d, deleted: %d, ada still present: %v\n",
-		len(reports), s.TotalDeleted(),
+		len(reports), deleted,
 		db.Contains(relation.TupleID{Relation: "Emp", Tuple: relation.Tuple{"ada", "eng"}}))
 	// Output: rounds: 2, deleted: 1, ada still present: true
 }

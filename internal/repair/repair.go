@@ -2,8 +2,8 @@
 // workflow of Section V: an oracle (domain expert, crowd, or rule engine)
 // inspects query answers; deletion propagation translates the negative
 // feedback into source deletions; the session iterates until no wrong
-// answers remain visible. Both oracles here judge a view tuple wrong when
-// a bad source tuple touches it, read from one lineage.Touched mask per
+// answers remain visible. PlantedOracle judges a view tuple wrong when a
+// corrupt source tuple touches it, read from one lineage.Touched mask per
 // problem skeleton. The cmd/qocosim simulator is a thin wrapper over this
 // package.
 package repair
@@ -16,7 +16,6 @@ import (
 
 	"delprop/internal/core"
 	"delprop/internal/cq"
-	"delprop/internal/fd"
 	"delprop/internal/lineage"
 	"delprop/internal/relation"
 	"delprop/internal/view"
@@ -28,41 +27,16 @@ import (
 type Oracle func(p *core.Problem, ref view.TupleRef) bool
 
 // PlantedOracle builds an oracle from ground-truth corrupt source tuples:
-// a view tuple is wrong iff some derivation touches a corrupt tuple.
+// a view tuple is wrong iff some derivation touches a corrupt tuple. The
+// touched mask depends only on the problem's skeleton, so it is computed
+// once per provenance index.
 func PlantedOracle(corrupt []relation.TupleID) Oracle {
-	return touchedOracle(func(*core.Problem) []relation.TupleID { return corrupt })
-}
-
-// FDOracle builds an oracle from functional dependencies: a view tuple is
-// wrong iff some derivation touches a source tuple participating in an FD
-// violation of the CURRENT database. This is the rule-based error
-// detection the paper's cleaning discussion mentions alongside
-// user-specification; as violating tuples are deleted, the oracle's
-// verdicts update automatically.
-func FDOracle(attrFDs map[string]*fd.Set) Oracle {
-	return touchedOracle(func(p *core.Problem) []relation.TupleID {
-		vs, err := fd.CheckInstance(p.DB, attrFDs)
-		if err != nil {
-			return nil
-		}
-		var bad []relation.TupleID
-		for _, v := range vs {
-			bad = append(bad, v.Tuples()...)
-		}
-		return bad
-	})
-}
-
-// touchedOracle judges a view tuple wrong iff it is touched by one of the
-// bad source tuples of its problem. The touched mask depends only on the
-// problem's skeleton, so it is computed once per provenance index.
-func touchedOracle(bad func(*core.Problem) []relation.TupleID) Oracle {
 	var cachedFor *view.Index
 	var touched []bool
 	return func(p *core.Problem, ref view.TupleRef) bool {
 		x := p.Index()
 		if x != cachedFor {
-			touched, cachedFor = lineage.Touched(x, bad(p)...), x
+			touched, cachedFor = lineage.Touched(x, corrupt...), x
 		}
 		r, ok := x.LookupRef(ref)
 		return ok && touched[r]
@@ -92,8 +66,6 @@ type Session struct {
 	Mode   Mode
 	// Rng drives the oracle's sampling (required).
 	Rng *rand.Rand
-
-	totalDeleted int
 }
 
 // RoundReport describes one interaction round.
@@ -196,7 +168,6 @@ func (s *Session) Round(round, k int) (RoundReport, bool, error) {
 	default:
 		return rep, false, fmt.Errorf("repair: unknown mode %d", s.Mode)
 	}
-	s.totalDeleted += len(rep.Deleted)
 	return rep, false, nil
 }
 
@@ -216,6 +187,3 @@ func (s *Session) Run(maxRounds, perRound int) ([]RoundReport, error) {
 	}
 	return out, nil
 }
-
-// TotalDeleted reports the source tuples removed so far.
-func (s *Session) TotalDeleted() int { return s.totalDeleted }

@@ -40,16 +40,12 @@ import (
 )
 
 // Server is the mounted API: an http.Handler plus the operational surface
-// (drain flag, metrics registry, tracer, ops mux) that delpropd wires to
-// flags and signals.
+// (drain flag, admission engine, sampler and janitor loops, ops mux) that
+// delpropd wires to flags and signals.
 type Server struct {
 	api     *api
 	handler http.Handler
 }
-
-// New returns the server with all routes mounted under the default
-// hardening configuration.
-func New() *Server { return NewHandler(Config{}) }
 
 // NewHandler mounts the routes under cfg (zero fields take defaults).
 func NewHandler(cfg Config) *Server {
@@ -140,21 +136,6 @@ func (s *Server) SetDraining(v bool) {
 		g.Set(0)
 	}
 }
-
-// Draining reports whether the drain flag is set.
-func (s *Server) Draining() bool { return s.api.draining.Load() }
-
-// Metrics returns the server's metric registry (the one GET /metrics
-// renders).
-func (s *Server) Metrics() *telemetry.Registry { return s.api.cfg.Metrics }
-
-// Tracer returns the server's solve tracer (the one GET /debug/traces
-// snapshots).
-func (s *Server) Tracer() *telemetry.Tracer { return s.api.cfg.Tracer }
-
-// Events returns the server's live telemetry bus (the one GET /events
-// streams from).
-func (s *Server) Events() *telemetry.Bus { return s.api.cfg.Events }
 
 // Admission returns the server's admission engine — delpropd holds it to
 // hot-reload the policy on SIGHUP.
@@ -287,8 +268,9 @@ type errorResponse struct {
 	Error     string `json:"error"`
 	Code      string `json:"code,omitempty"`
 	RequestID string `json:"requestId,omitempty"`
-	// Rule names the admission-policy rule behind a 429/403 (rate-limit,
-	// tenant-concurrency, overload, solver-allow-list).
+	// Rule names the admission-policy rule behind a 429 (rate-limit,
+	// tenant-concurrency, overload). A 403 carries none: its code,
+	// solver_denied, already names the allow-list.
 	Rule string `json:"rule,omitempty"`
 }
 

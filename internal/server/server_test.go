@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"delprop/internal/telemetry"
 )
 
 const fig1DB = `
@@ -296,3 +298,22 @@ func TestMethodRouting(t *testing.T) {
 		t.Errorf("GET /solve status = %d", resp.StatusCode)
 	}
 }
+
+// New returns the server with all routes mounted under the default
+// hardening configuration.
+func New() *Server { return NewHandler(Config{}) }
+
+// Draining reports whether the drain flag is set.
+func (s *Server) Draining() bool { return s.api.draining.Load() }
+
+// Metrics returns the server's metric registry (the one GET /metrics
+// renders).
+func (s *Server) Metrics() *telemetry.Registry { return s.api.cfg.Metrics }
+
+// Tracer returns the server's solve tracer (the one GET /debug/traces
+// snapshots).
+func (s *Server) Tracer() *telemetry.Tracer { return s.api.cfg.Tracer }
+
+// Events returns the server's live telemetry bus (the one GET /events
+// streams from).
+func (s *Server) Events() *telemetry.Bus { return s.api.cfg.Events }

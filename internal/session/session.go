@@ -45,7 +45,6 @@ const (
 	EvictTTL      = "ttl"      // the entry's TTL expired
 	EvictCapacity = "capacity" // LRU eviction to admit a new entry
 	EvictExplicit = "explicit" // DELETE /sessions/{id}
-	EvictDrain    = "drain"    // registry shutdown
 	EvictError    = "error"    // the build failed; placeholder removed
 )
 
@@ -357,28 +356,6 @@ func (r *Registry) SetDraining(v bool) {
 	r.mu.Unlock()
 }
 
-// Drain enables drain mode, waits for every in-flight solve to release
-// its entry (or ctx to expire), then evicts all entries.
-func (r *Registry) Drain(ctx context.Context) error {
-	r.SetDraining(true)
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if r.inflightTotal() == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-	for _, e := range r.sortedEntries() {
-		r.evictEntry(e, EvictDrain)
-	}
-	return nil
-}
-
 // sortedEntries copies the resident entries out from under the registry
 // lock, sorted by id.
 func (r *Registry) sortedEntries() []*Entry {
@@ -390,24 +367,6 @@ func (r *Registry) sortedEntries() []*Entry {
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	return entries
-}
-
-// inflightTotal sums in-flight solves across entries.
-func (r *Registry) inflightTotal() int {
-	total := 0
-	for _, e := range r.sortedEntries() {
-		e.mu.Lock()
-		total += e.inflight
-		e.mu.Unlock()
-	}
-	return total
-}
-
-// Len reports the resident entry count.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
 }
 
 // expiredLocked reports whether e's TTL elapsed.

@@ -418,3 +418,10 @@ func TestSnapshotReportsState(t *testing.T) {
 	}
 	r.Release(got)
 }
+
+// Len reports the resident entry count.
+func (r *Registry) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
+}

@@ -144,12 +144,6 @@ const (
 	GreedyCount
 )
 
-// Greedy computes a feasible solution with the chosen strategy, or
-// ErrInfeasible.
-func (inst *Instance) Greedy(mode GreedyMode) (Solution, error) {
-	return inst.greedyRestricted(nil, mode)
-}
-
 func (inst *Instance) greedyRestricted(allowed []bool, mode GreedyMode) (Solution, error) {
 	if _, err := inst.coveringSets(allowed); err != nil {
 		return Solution{}, err

@@ -364,3 +364,9 @@ func TestCostSumOrderFixed(t *testing.T) {
 		}
 	}
 }
+
+// Greedy computes a feasible solution with the chosen strategy, or
+// ErrInfeasible.
+func (inst *Instance) Greedy(mode GreedyMode) (Solution, error) {
+	return inst.greedyRestricted(nil, mode)
+}

@@ -318,3 +318,30 @@ func TestPublishReturnsStampedEvent(t *testing.T) {
 		}
 	}
 }
+
+// Published returns the total number of events published to the bus.
+func (b *Bus) Published() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.published.Load()
+}
+
+// Dropped returns the total number of events evicted from subscriber
+// buffers across the bus's lifetime.
+func (b *Bus) Dropped() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.dropped.Load()
+}
+
+// Subscribers returns the current subscription count.
+func (b *Bus) Subscribers() int {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs)
+}

@@ -124,14 +124,6 @@ func NewSampler(reg *Registry, cfg SamplerConfig) *Sampler {
 	return &Sampler{reg: reg, cfg: cfg.withDefaults(), rings: make(map[string]*seriesRing)}
 }
 
-// Interval returns the configured tick period.
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.cfg.Interval
-}
-
 // MaxWindow returns the configured retention horizon.
 func (s *Sampler) MaxWindow() time.Duration {
 	if s == nil {

@@ -483,3 +483,11 @@ func TestSeriesSnapshot(t *testing.T) {
 		t.Fatalf("non-matching filter returned %v", snap.Series)
 	}
 }
+
+// Interval returns the configured tick period.
+func (s *Sampler) Interval() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return s.cfg.Interval
+}

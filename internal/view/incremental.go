@@ -23,9 +23,8 @@ type Maintainer struct {
 	// 0).
 	derivHit []int32
 	// deleted[t] records applied deletions, for idempotence.
-	deleted  []bool
-	dead     int // refs with no alive derivation
-	nDeleted int // true entries of deleted
+	deleted []bool
+	dead    int // refs with no alive derivation
 }
 
 // NewMaintainer returns a maintainer with nothing deleted.
@@ -52,7 +51,6 @@ func (m *Maintainer) Clone() *Maintainer {
 		derivHit:   slices.Clone(m.derivHit),
 		deleted:    slices.Clone(m.deleted),
 		dead:       m.dead,
-		nDeleted:   m.nDeleted,
 	}
 }
 
@@ -64,7 +62,6 @@ func (m *Maintainer) Delete(t int32) []int32 {
 		return nil
 	}
 	m.deleted[t] = true
-	m.nDeleted++
 	x := m.idx
 	var died []int32
 	for _, d := range x.occDeriv[x.occStart[t]:x.occStart[t+1]] {
@@ -90,7 +87,6 @@ func (m *Maintainer) Undelete(t int32) []int32 {
 		return nil
 	}
 	m.deleted[t] = false
-	m.nDeleted--
 	x := m.idx
 	var revived []int32
 	for _, d := range x.occDeriv[x.occStart[t]:x.occStart[t+1]] {
@@ -116,6 +112,3 @@ func (m *Maintainer) AliveDerivations(r int32) int { return int(m.derivAlive[r])
 
 // DeadCount returns the number of destroyed view tuples.
 func (m *Maintainer) DeadCount() int { return m.dead }
-
-// DeletedCount returns the number of applied source deletions.
-func (m *Maintainer) DeletedCount() int { return m.nDeleted }

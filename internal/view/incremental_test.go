@@ -380,3 +380,14 @@ func TestIndexKilledMatchesSurvives(t *testing.T) {
 		}
 	}
 }
+
+// DeletedCount returns the number of applied source deletions.
+func (m *Maintainer) DeletedCount() int {
+	n := 0
+	for _, d := range m.deleted {
+		if d {
+			n++
+		}
+	}
+	return n
+}

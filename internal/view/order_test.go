@@ -30,7 +30,7 @@ func orderDigest(t *testing.T, w *workload.Workload) string {
 		fmt.Fprintf(h, "view %d\n", v.Index)
 		res := v.Result
 		for a := range res.NumAnswers() {
-			fmt.Fprintf(h, "%s\n", res.Tuple(a).Encode())
+			fmt.Fprintf(h, "%s\n", res.Tuple(a).AppendEncode(nil))
 			lo, hi := res.Derivations(a)
 			for d := lo; d < hi; d++ {
 				writeDerivation(h, res, d)

@@ -6,7 +6,8 @@
 // upstream shape (Analyzer, Pass, Diagnostic) closely enough that the
 // analyzers under ../analyzers could be ported to the real framework by
 // changing one import path. Facts, Requires and ResultOf are deliberately
-// omitted: the delprop invariant suite is purely intra-package.
+// omitted: each analyzer either sees one package (Run) or, in place of
+// facts, every loaded package at once (RunModule).
 package analysis
 
 import (
@@ -37,6 +38,12 @@ type Analyzer struct {
 
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)
+
+	// RunModule, set in place of Run, applies a whole-module analyzer
+	// once to one Pass per loaded package. The vet protocol hands the
+	// tool one package per process, so only the standalone patterns mode
+	// and analysistest run such analyzers; vet mode skips them.
+	RunModule func([]*Pass) error
 }
 
 func (a *Analyzer) String() string { return a.Name }

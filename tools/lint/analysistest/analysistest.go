@@ -97,6 +97,11 @@ func RunAnalyzers(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 		}
 		findings = append(findings, fs...)
 	}
+	fs, err := checker.RunModule(pkgs, analyzers, false)
+	if err != nil {
+		t.Fatalf("running module analyzers on %s: %v", dir, err)
+	}
+	findings = append(findings, fs...)
 
 	for _, f := range findings {
 		k := key{f.Pos.Filename, f.Pos.Line}

@@ -9,6 +9,9 @@
 // or as a vet tool, which also covers test files:
 //
 //	go vet -vettool=$(command -v delproplint) ./...
+//
+// The whole-module testonly pass needs every package at once, so only
+// the standalone mode runs it (delproplint -testonly ./...).
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"delprop/tools/lint/analyzers/metriclabels"
 	"delprop/tools/lint/analyzers/nilsafe"
 	"delprop/tools/lint/analyzers/solveloop"
+	"delprop/tools/lint/analyzers/testonly"
 	"delprop/tools/lint/internal/checker"
 )
 
@@ -35,6 +39,7 @@ func Suite() []*analysis.Analyzer {
 		metriclabels.Analyzer,
 		nilsafe.Analyzer,
 		solveloop.Analyzer,
+		testonly.Analyzer,
 	}
 }
 

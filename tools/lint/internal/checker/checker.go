@@ -46,15 +46,48 @@ func Run(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 // fixture tree), their deliberate violations must not surface as real
 // findings.
 func RunScoped(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+	return run(pkg, scopedFiles(pkg), analyzers)
+}
+
+func scopedFiles(pkg *load.Package) []*ast.File {
 	files := pkg.Files[:0:0]
 	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		if isTestdataPath(name) {
+		if !isTestdataPath(pkg.Fset.Position(f.Pos()).Filename) {
+			files = append(files, f)
+		}
+	}
+	return files
+}
+
+// RunModule applies the whole-module analyzers among analyzers once to
+// all of pkgs (scoped as RunScoped when scoped is set) and returns their
+// findings, ordered by position. //lint:ignore does not apply to them: a
+// module rule's exceptions live in its own reviewed table.
+func RunModule(pkgs []*load.Package, analyzers []*analysis.Analyzer, scoped bool) ([]Finding, error) {
+	var findings []Finding
+	for _, a := range analyzers {
+		if a.RunModule == nil {
 			continue
 		}
-		files = append(files, f)
+		a := a
+		passes := make([]*analysis.Pass, len(pkgs))
+		for i, pkg := range pkgs {
+			pkg := pkg
+			files := pkg.Files
+			if scoped {
+				files = scopedFiles(pkg)
+			}
+			passes[i] = &analysis.Pass{Analyzer: a, Fset: pkg.Fset, Files: files, Pkg: pkg.Types, TypesInfo: pkg.Info}
+			passes[i].Report = func(d analysis.Diagnostic) {
+				findings = append(findings, Finding{Analyzer: a, Pos: pkg.Fset.Position(d.Pos), Message: d.Message})
+			}
+		}
+		if err := a.RunModule(passes); err != nil {
+			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
+		}
 	}
-	return run(pkg, files, analyzers)
+	sortFindings(findings)
+	return findings, nil
 }
 
 // isTestdataPath reports whether a file path has a testdata path element.
@@ -65,11 +98,27 @@ func isTestdataPath(name string) bool {
 
 func run(pkg *load.Package, files []*ast.File, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	ignores, bad := collectIgnores(pkg, files)
+	for _, d := range ignores {
+		for _, name := range d.analyzers {
+			for _, a := range analyzers {
+				if a.Name == name && a.RunModule != nil {
+					bad = append(bad, Finding{
+						Analyzer: badDirectiveAnalyzer,
+						Pos:      d.pos,
+						Message:  "//lint:ignore cannot suppress the whole-module " + name + " analyzer; its exceptions live in its own table",
+					})
+				}
+			}
+		}
+	}
 
 	var findings []Finding
 	findings = append(findings, bad...)
 	findings = append(findings, validateDirectives(pkg, files)...)
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue // a whole-module analyzer: see RunModule
+		}
 		a := a
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -89,6 +138,11 @@ func run(pkg *load.Package, files []*ast.File, analyzers []*analysis.Analyzer) (
 			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
 		}
 	}
+	sortFindings(findings)
+	return findings, nil
+}
+
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -102,7 +156,6 @@ func run(pkg *load.Package, files []*ast.File, analyzers []*analysis.Analyzer) (
 		}
 		return a.Analyzer.Name < b.Analyzer.Name
 	})
-	return findings, nil
 }
 
 // ignoreDirective is the parsed form of
@@ -113,8 +166,7 @@ func run(pkg *load.Package, files []*ast.File, analyzers []*analysis.Analyzer) (
 // immediately below (so it can trail the offending statement or sit on
 // its own line above it).
 type ignoreDirective struct {
-	file      string
-	line      int
+	pos       token.Position
 	analyzers []string
 }
 
@@ -122,10 +174,10 @@ type ignoreSet []ignoreDirective
 
 func (s ignoreSet) match(analyzer string, pos token.Position) bool {
 	for _, d := range s {
-		if d.file != pos.Filename {
+		if d.pos.Filename != pos.Filename {
 			continue
 		}
-		if pos.Line != d.line && pos.Line != d.line+1 {
+		if pos.Line != d.pos.Line && pos.Line != d.pos.Line+1 {
 			continue
 		}
 		for _, a := range d.analyzers {
@@ -166,8 +218,7 @@ func collectIgnores(pkg *load.Package, files []*ast.File) (ignoreSet, []Finding)
 					continue
 				}
 				set = append(set, ignoreDirective{
-					file:      pos.Filename,
-					line:      pos.Line,
+					pos:       pos,
 					analyzers: strings.Split(fields[1], ","),
 				})
 			}

@@ -146,3 +146,47 @@ func a() {
 		t.Errorf("findings out of source order: %v", findings)
 	}
 }
+
+// moduleDemo flags every function declaration across the loaded
+// packages, once.
+var moduleDemo = &analysis.Analyzer{
+	Name: "moduledemo",
+	Doc:  "flags every function declaration, module-wide",
+	RunModule: func(passes []*analysis.Pass) error {
+		for _, pass := range passes {
+			for _, f := range pass.Files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok {
+						pass.Reportf(fd.Pos(), "func found")
+					}
+				}
+			}
+		}
+		return nil
+	},
+}
+
+// TestModuleAnalyzerIgnoresDirectives pins the whole-module contract: Run
+// (the vet path) skips the analyzer and reports a //lint:ignore naming
+// it, and RunModule reports through the directive.
+func TestModuleAnalyzerIgnoresDirectives(t *testing.T) {
+	pkg := loadFixture(t, `package fixture
+
+//lint:ignore moduledemo a module rule's exceptions live in its table
+func f() {}
+`)
+	findings, err := Run(pkg, []*analysis.Analyzer{moduleDemo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Analyzer.Name != "lintdirective" || findings[0].Pos.Line != 3 {
+		t.Fatalf("Run: got %v, want one lintdirective finding on line 3", findings)
+	}
+	findings, err = RunModule([]*load.Package{pkg}, []*analysis.Analyzer{demo, moduleDemo}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Analyzer != moduleDemo || findings[0].Pos.Line != 4 {
+		t.Fatalf("RunModule: got %v, want one moduledemo finding on line 4", findings)
+	}
+}

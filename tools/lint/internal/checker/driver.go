@@ -88,6 +88,8 @@ func Main(analyzers ...*analysis.Analyzer) {
 }
 
 // vetMode analyzes the single package described by a vet config file.
+// Whole-module analyzers need every package at once, so they do not run
+// here.
 func vetMode(cfgPath string, analyzers []*analysis.Analyzer, jsonOut bool) int {
 	cfg, err := load.ReadVetConfig(cfgPath)
 	if err != nil {
@@ -151,7 +153,12 @@ func patternsMode(patterns []string, analyzers []*analysis.Analyzer, jsonOut boo
 		}
 		all = append(all, fs...)
 	}
-	return report(all, jsonOut)
+	fs, err := RunModule(pkgs, analyzers, true)
+	if err != nil {
+		log.Print(err)
+		return 1
+	}
+	return report(append(all, fs...), jsonOut)
 }
 
 func report(findings []Finding, jsonOut bool) int {
