@@ -1,5 +1,5 @@
 // Command benchrunner regenerates the paper's tables, figures and theorem
-// validations (experiments E1–E19 of DESIGN.md), optionally writing a
+// validations (experiments E1–E20 of DESIGN.md), optionally writing a
 // structured BENCH_*.json capture for cmd/benchdiff.
 //
 // Usage:

@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"delprop/internal/benchkit"
 	"delprop/internal/core"
+	"delprop/internal/telemetry"
 )
 
 // Table is a printable result table.
@@ -75,28 +77,29 @@ type Experiment struct {
 	Run func(w io.Writer, rec *benchkit.Recorder) error
 }
 
-// searchCounters converts a solver stats snapshot into the capture-schema
-// counters.
-func searchCounters(snap core.StatsSnapshot) benchkit.SearchCounters {
-	return benchkit.SearchCounters{
-		NodesExpanded:    snap.NodesExpanded,
-		BranchesPruned:   snap.BranchesPruned,
-		Checkpoints:      snap.Checkpoints,
-		IncumbentUpdates: snap.IncumbentUpdates,
-		Restarts:         snap.Restarts,
+// solve runs s on p through core.Run, the solve path delpropd and the
+// CLI share, and adds the search counters to rec. Besides the result it
+// returns the wall time of the solve phase alone, as Run's phase hook
+// measures it: evaluation and the dual bound are not in it.
+func solve(rec *benchkit.Recorder, s core.Solver, p *core.Problem) (*core.RunResult, time.Duration, error) {
+	var took time.Duration
+	phase := func(name string) func() {
+		if name != telemetry.PhaseSolve {
+			return func() {}
+		}
+		start := time.Now()
+		return func() { took = time.Since(start) }
 	}
-}
-
-// recordedSolve runs one solver with stats instrumentation, feeds the
-// search counters into rec, and returns the solution.
-func recordedSolve(rec *benchkit.Recorder, s core.Solver, p *core.Problem) (*core.Solution, error) {
-	ctx, st := core.WithStats(context.Background())
-	sol, err := s.Solve(ctx, p)
+	res, err := core.Run(context.Background(), s, p, 0, core.RunHooks{Phase: phase})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	rec.AddSearch(searchCounters(st.Snapshot()))
-	return sol, nil
+	st := res.Stats
+	rec.AddSearch(benchkit.SearchCounters{
+		NodesExpanded: st.NodesExpanded, BranchesPruned: st.BranchesPruned, Checkpoints: st.Checkpoints,
+		IncumbentUpdates: st.IncumbentUpdates, Restarts: st.Restarts,
+	})
+	return res, took, nil
 }
 
 // All returns every experiment in DESIGN.md order.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
@@ -37,8 +36,11 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun executes every experiment end to end; this is the
-// regression net for the whole reproduction.
+// TestAllExperimentsRun executes every experiment end to end with a
+// recorder; this is the regression net for the whole reproduction. No
+// quality record may violate its guarantee, every record is labelled,
+// and an experiment that records quality must also record search
+// progress.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short")
@@ -47,7 +49,8 @@ func TestAllExperimentsRun(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := e.Run(&buf, nil); err != nil {
+			rec := &benchkit.Recorder{}
+			if err := e.Run(&buf, rec); err != nil {
 				t.Fatalf("%s (%s): %v", e.ID, e.Artifact, err)
 			}
 			if buf.Len() == 0 {
@@ -56,39 +59,19 @@ func TestAllExperimentsRun(t *testing.T) {
 			if strings.Contains(buf.String(), "MISMATCH") {
 				t.Errorf("%s output reports a mismatch with the paper:\n%s", e.ID, buf.String())
 			}
+			quality := rec.QualityRecords()
+			for _, q := range quality {
+				if q.Case == "" || q.Solver == "" {
+					t.Errorf("%s: unlabelled quality record %+v", e.ID, q)
+				}
+				if q.Violated {
+					t.Errorf("%s reports a guarantee violation: %+v", e.ID, q)
+				}
+			}
+			if s := rec.Search(); len(quality) > 0 && s.NodesExpanded == 0 {
+				t.Errorf("%s recorded quality but no search progress: %+v", e.ID, s)
+			}
 		})
-	}
-}
-
-// TestExperimentsRecordStructuredSamples runs one ratio experiment with a
-// recorder and checks the structured samples arrive: per-instance quality
-// records under the paper guarantee, and nonzero search counters.
-func TestExperimentsRecordStructuredSamples(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow; skipped in -short")
-	}
-	e, ok := ByID("E8")
-	if !ok {
-		t.Fatal("E8 missing")
-	}
-	rec := &benchkit.Recorder{}
-	if err := e.Run(io.Discard, rec); err != nil {
-		t.Fatal(err)
-	}
-	quality := rec.QualityRecords()
-	if len(quality) == 0 {
-		t.Fatal("E8 recorded no quality records")
-	}
-	for _, q := range quality {
-		if q.Solver != "red-blue" || q.Guarantee <= 0 {
-			t.Errorf("unexpected quality record %+v", q)
-		}
-		if q.Violated {
-			t.Errorf("E8 reports a guarantee violation: %+v", q)
-		}
-	}
-	if s := rec.Search(); s.NodesExpanded == 0 {
-		t.Errorf("E8 recorded no search progress: %+v", s)
 	}
 }
 

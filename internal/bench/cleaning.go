@@ -59,11 +59,11 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			if err != nil {
 				return err
 			}
-			sol, err := recordedSolve(rec, &core.RedBlue{}, p)
+			res, _, err := solve(rec, &core.RedBlue{}, p)
 			if err != nil {
 				return err
 			}
-			rep := p.Evaluate(sol)
+			sol := res.Solution
 			tp := 0
 			for _, id := range sol.Deleted {
 				if slices.ContainsFunc(planted, id.Equal) {
@@ -77,7 +77,7 @@ func runCleaning(w io.Writer, rec *benchkit.Recorder) error {
 			rec := float64(tp) / float64(len(planted))
 			sumPrec += prec
 			sumRec += rec
-			sumSE += rep.SideEffect
+			sumSE += res.Report.SideEffect
 			sumPlanted += len(planted)
 			sumMarked += p.DeltaLen()
 			sumDeleted += len(sol.Deleted)

@@ -25,11 +25,11 @@ func runFig1(w io.Writer, rec *benchkit.Recorder) error {
 	if err != nil {
 		return err
 	}
-	opt, err := recordedSolve(rec, &core.BruteForce{}, p)
+	res, _, err := solve(rec, &core.BruteForce{}, p)
 	if err != nil {
 		return err
 	}
-	rep := p.Evaluate(opt)
+	opt, rep := res.Solution, res.Report
 	t := &Table{
 		Title:   "Fig 1: ΔV = (John, XML) on Q3(x,z) :- T1(x,y), T2(y,z,w)",
 		Headers: []string{"solution ΔD", "feasible", "side effect"},
@@ -63,12 +63,12 @@ func runFig1(w io.Writer, rec *benchkit.Recorder) error {
 	if err != nil {
 		return err
 	}
-	sol, err := (&core.SingleTupleExact{}).Solve(context.Background(), p4)
+	// This half is narrated, not measured: its counters stay out of rec.
+	r4, _, err := solve(nil, &core.SingleTupleExact{}, p4)
 	if err != nil {
 		return err
 	}
-	r4 := p4.Evaluate(sol)
-	fmt.Fprintf(w, "Q4 (key-preserving), ΔV=(John,TKDE,XML): optimal %s, side effect %v\n\n", sol, r4.SideEffect)
+	fmt.Fprintf(w, "Q4 (key-preserving), ΔV=(John,TKDE,XML): optimal %s, side effect %v\n\n", r4.Solution, r4.Report.SideEffect)
 	return nil
 }
 
@@ -88,12 +88,12 @@ func runFig2(w io.Writer, rec *benchkit.Recorder) error {
 	t.Add("table T", fmt.Sprintf("%d tuples (one per set)", p.DB.Size()))
 	t.Add("views", fmt.Sprintf("%d (Vr1 + Vb1..Vb3), each a single join path", len(p.Views)))
 	t.Add("ΔV", p.DeltaString())
-	opt, err := recordedSolve(rec, &core.BruteForce{}, p)
+	res, _, err := solve(rec, &core.BruteForce{}, p)
 	if err != nil {
 		return err
 	}
-	rep := p.Evaluate(opt)
-	t.Add("optimal ΔD", opt.String())
+	rep := res.Report
+	t.Add("optimal ΔD", res.Solution.String())
 	t.Add("optimal side effect", fmt.Sprint(rep.SideEffect))
 	rbOpt, err := inst.Exact(context.Background(), nil)
 	if err != nil {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -35,16 +34,16 @@ func parallelInstance(seed int64) (*core.Problem, error) {
 
 const parallelSeeds = 3
 
-// medianMs runs fn reps times and returns the median wall-clock in
-// milliseconds.
-func medianMs(reps int, fn func() error) (float64, error) {
+// medianMs runs fn reps times and returns the median, in milliseconds,
+// of the durations fn reports.
+func medianMs(reps int, fn func() (time.Duration, error)) (float64, error) {
 	times := make([]float64, 0, reps)
 	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if err := fn(); err != nil {
+		d, err := fn()
+		if err != nil {
 			return 0, err
 		}
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e6)
+		times = append(times, float64(d.Nanoseconds())/1e6)
 	}
 	sort.Float64s(times)
 	return times[len(times)/2], nil
@@ -67,11 +66,11 @@ func runParallelSpeedup(w io.Writer, rec *benchkit.Recorder) error {
 	// against these byte for byte.
 	serial := make([]*core.Solution, len(probs))
 	for i, p := range probs {
-		sol, err := recordedSolve(rec, &core.Greedy{}, p)
+		res, _, err := solve(rec, &core.Greedy{}, p)
 		if err != nil {
 			return err
 		}
-		serial[i] = sol
+		serial[i] = res.Solution
 	}
 
 	t := &Table{
@@ -83,14 +82,17 @@ func runParallelSpeedup(w io.Writer, rec *benchkit.Recorder) error {
 	for _, workers := range []int{1, 2, 4} {
 		g := &core.Greedy{Workers: workers}
 		identical := true
-		ms, err := medianMs(3, func() error {
+		// Each repetition sums the solve phases of all instances.
+		ms, err := medianMs(3, func() (time.Duration, error) {
+			var total time.Duration
 			for i, p := range probs {
-				sol, err := recordedSolve(rec, g, p)
+				res, took, err := solve(rec, g, p)
 				if err != nil {
-					return err
+					return 0, err
 				}
+				total += took
 				mismatch := 0.0
-				if sol.String() != serial[i].String() {
+				if res.Solution.String() != serial[i].String() {
 					identical = false
 					mismatch = 1
 				}
@@ -102,7 +104,7 @@ func runParallelSpeedup(w io.Writer, rec *benchkit.Recorder) error {
 						"greedy-parallel", mismatch, 0, 1))
 				}
 			}
-			return nil
+			return total, nil
 		})
 		if err != nil {
 			return err
@@ -126,25 +128,21 @@ func runParallelSpeedup(w io.Writer, rec *benchkit.Recorder) error {
 		Headers: []string{"instance", "objective (seq)", "objective (par)", "winner", "proven", "cancelled losers"},
 	}
 	for i, p := range probs {
-		seqSol, err := recordedSolve(rec, &core.Portfolio{}, p)
+		seq, _, err := solve(rec, &core.Portfolio{}, p)
 		if err != nil {
 			return err
 		}
-		ctx, st := core.WithStats(context.Background())
-		ctx, race := core.WithRace(ctx)
-		parSol, err := (&core.Portfolio{Parallel: true}).Solve(ctx, p)
+		par, _, err := solve(rec, &core.Portfolio{Parallel: true}, p)
 		if err != nil {
 			return err
 		}
-		rec.AddSearch(searchCounters(st.Snapshot()))
-		seqObj := p.Evaluate(seqSol).SideEffect
-		parObj := p.Evaluate(parSol).SideEffect
+		seqObj, parObj := seq.Report.SideEffect, par.Report.SideEffect
 		// Equality is a hard contract: cancellation only ever fires on a
 		// proven-optimal incumbent, so racing cannot change the objective.
 		rec.Quality(benchkit.NewQuality(
 			fmt.Sprintf("portfolio instance=%d", i), "portfolio-parallel",
 			parObj, seqObj, 1))
-		rs := race.Snapshot()
+		rs := par.Race // a portfolio always records its race
 		rt.Add(fmt.Sprintf("%d", i),
 			fmtF(seqObj), fmtF(parObj),
 			rs.Winner, fmt.Sprintf("%v", rs.Proven), fmt.Sprintf("%d", rs.CancelledLosers))

@@ -26,28 +26,27 @@ func runResilience(w io.Writer, _ *benchkit.Recorder) error {
 	}
 	for _, rows := range []int{8, 16, 32, 64} {
 		rng := rand.New(rand.NewSource(int64(rows)))
+		// fill inserts up to n random binary tuples over dom values into
+		// each named relation, in order.
+		fill := func(db *relation.Instance, n, dom int, rels ...string) {
+			for _, rel := range rels {
+				for inserted, attempts := 0, 0; inserted < n && attempts < n*10; attempts++ {
+					tup := relation.Tuple{
+						relation.Value(fmt.Sprintf("v%d", rng.Intn(dom))),
+						relation.Value(fmt.Sprintf("v%d", rng.Intn(dom))),
+					}
+					if err := db.Insert(rel, tup); err == nil {
+						inserted++
+					}
+				}
+			}
+		}
 		// Chain: R(a,b) ⋈ S(b,c) — triad-free, PTime via König.
 		chainDB := relation.NewInstance(
 			relation.MustSchema("R", []string{"a", "b"}, []int{0, 1}),
 			relation.MustSchema("S", []string{"a", "b"}, []int{0, 1}),
 		)
-		dom := rows / 2
-		if dom < 2 {
-			dom = 2
-		}
-		fill2 := func(rel string) {
-			for inserted, attempts := 0, 0; inserted < rows && attempts < rows*10; attempts++ {
-				tup := relation.Tuple{
-					relation.Value(fmt.Sprintf("v%d", rng.Intn(dom))),
-					relation.Value(fmt.Sprintf("v%d", rng.Intn(dom))),
-				}
-				if err := chainDB.Insert(rel, tup); err == nil {
-					inserted++
-				}
-			}
-		}
-		fill2("R")
-		fill2("S")
+		fill(chainDB, rows, max(rows/2, 2), "R", "S")
 		chainQ := cq.MustParse("Q(a, b, c) :- R(a, b), S(b, c)")
 		t0 := time.Now()
 		chainN, chainSol, err := core.Resilience(context.Background(), chainQ, chainDB, 0)
@@ -62,27 +61,12 @@ func runResilience(w io.Writer, _ *benchkit.Recorder) error {
 		// Triangle: R ⋈ S ⋈ T cyclically — a triad, exponential fallback.
 		// Kept small via a tighter domain so the exact search stays
 		// feasible.
-		triRows := rows / 4
-		if triRows < 3 {
-			triRows = 3
-		}
-		triDom := 3
 		triDB := relation.NewInstance(
 			relation.MustSchema("R", []string{"a", "b"}, []int{0, 1}),
 			relation.MustSchema("S", []string{"a", "b"}, []int{0, 1}),
 			relation.MustSchema("T", []string{"a", "b"}, []int{0, 1}),
 		)
-		for _, rel := range []string{"R", "S", "T"} {
-			for inserted, attempts := 0, 0; inserted < triRows && attempts < triRows*10; attempts++ {
-				tup := relation.Tuple{
-					relation.Value(fmt.Sprintf("v%d", rng.Intn(triDom))),
-					relation.Value(fmt.Sprintf("v%d", rng.Intn(triDom))),
-				}
-				if err := triDB.Insert(rel, tup); err == nil {
-					inserted++
-				}
-			}
-		}
+		fill(triDB, max(rows/4, 3), 3, "R", "S", "T")
 		triQ := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)")
 		t0 = time.Now()
 		triN, triSol, err := core.Resilience(context.Background(), triQ, triDB, 30)

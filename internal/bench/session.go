@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"delprop/internal/benchkit"
 	"delprop/internal/core"
@@ -68,19 +69,20 @@ func runSessionWarm(w io.Writer, rec *benchkit.Recorder) error {
 		// are in memory) but re-indexes and re-materializes everything —
 		// the per-request cost POST /solve pays.
 		coldSols := make([]*core.Solution, sessionStream)
-		coldMs, err := medianMs(3, func() error {
+		coldMs, err := medianMs(3, func() (time.Duration, error) {
+			start := time.Now()
 			for i, d := range deltas {
 				p, err := core.NewProblem(wl.DB, wl.Queries, d)
 				if err != nil {
-					return err
+					return 0, err
 				}
-				sol, err := recordedSolve(rec, &core.Greedy{}, p)
+				res, _, err := solve(rec, &core.Greedy{}, p)
 				if err != nil {
-					return err
+					return 0, err
 				}
-				coldSols[i] = sol
+				coldSols[i] = res.Solution
 			}
-			return nil
+			return time.Since(start), nil
 		})
 		if err != nil {
 			return err
@@ -90,25 +92,26 @@ func runSessionWarm(w io.Writer, rec *benchkit.Recorder) error {
 		// skeleton build is inside the measured stream, so the speedup
 		// already pays for the registration.
 		identical := true
-		warmMs, err := medianMs(3, func() error {
+		warmMs, err := medianMs(3, func() (time.Duration, error) {
+			start := time.Now()
 			skel, err := core.NewProblem(wl.DB, wl.Queries, nil)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			for i, d := range deltas {
 				p, err := skel.Specialize(d)
 				if err != nil {
-					return err
+					return 0, err
 				}
-				sol, err := recordedSolve(rec, &core.Greedy{}, p)
+				res, _, err := solve(rec, &core.Greedy{}, p)
 				if err != nil {
-					return err
+					return 0, err
 				}
-				if sol.String() != coldSols[i].String() {
+				if res.Solution.String() != coldSols[i].String() {
 					identical = false
 				}
 			}
-			return nil
+			return time.Since(start), nil
 		})
 		if err != nil {
 			return err

@@ -82,8 +82,9 @@ const DefaultSubscriberBuffer = 256
 // blocks: each subscriber owns a fixed-capacity ring buffer, and when a
 // slow consumer lets its ring fill, the oldest buffered event is evicted
 // (the subscriber keeps the most recent events and a count of what it
-// lost). Publishing with no subscribers is a cheap counter increment. A
-// nil *Bus is a valid no-op, so instrumented code needs no guards.
+// lost). Publishing with no subscribers costs a sequence stamp and the
+// OnPublish hook. A nil *Bus is a valid no-op, so instrumented code needs
+// no guards.
 //
 //delprop:nilsafe
 type Bus struct {
@@ -92,9 +93,7 @@ type Bus struct {
 	hooks  BusHooks                   //delprop:guardedby mu
 	closed bool                       //delprop:guardedby mu
 
-	seq       atomic.Uint64
-	published atomic.Int64
-	dropped   atomic.Int64
+	seq atomic.Uint64
 }
 
 // NewBus returns an empty bus.
@@ -125,7 +124,6 @@ func (b *Bus) Publish(ev Event) Event {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
-	b.published.Add(1)
 	b.mu.Lock()
 	onPublish, onDrop := b.hooks.OnPublish, b.hooks.OnDrop
 	drops := 0
@@ -137,7 +135,6 @@ func (b *Bus) Publish(ev Event) Event {
 		}
 	}
 	b.mu.Unlock()
-	b.dropped.Add(int64(drops))
 	if onPublish != nil {
 		onPublish()
 	}

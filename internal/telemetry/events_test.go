@@ -19,8 +19,20 @@ func drainAll(s *Subscription) []Event {
 	}
 }
 
+// countEvents installs OnPublish and OnDrop hooks that count into the
+// returned counters, as the server's delprop_events_* metrics do.
+func countEvents(b *Bus) (published, dropped *atomic.Int64) {
+	published, dropped = new(atomic.Int64), new(atomic.Int64)
+	b.SetHooks(BusHooks{
+		OnPublish: func() { published.Add(1) },
+		OnDrop:    func() { dropped.Add(1) },
+	})
+	return published, dropped
+}
+
 func TestBusPublishSubscribe(t *testing.T) {
 	b := NewBus()
+	published, dropped := countEvents(b)
 	sub := b.Subscribe(Filter{}, 8)
 	defer sub.Close()
 
@@ -45,11 +57,11 @@ func TestBusPublishSubscribe(t *testing.T) {
 	if evs[0].Time.IsZero() {
 		t.Error("publish did not stamp Time")
 	}
-	if b.Published() != 2 {
-		t.Errorf("Published = %d, want 2", b.Published())
+	if published.Load() != 2 {
+		t.Errorf("published = %d, want 2", published.Load())
 	}
-	if b.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", b.Dropped())
+	if dropped.Load() != 0 {
+		t.Errorf("dropped = %d, want 0", dropped.Load())
 	}
 }
 
@@ -102,6 +114,7 @@ func TestFilterMatch(t *testing.T) {
 
 func TestSubscriptionDropOldest(t *testing.T) {
 	b := NewBus()
+	_, dropped := countEvents(b)
 	sub := b.Subscribe(Filter{}, 3)
 	defer sub.Close()
 
@@ -119,8 +132,8 @@ func TestSubscriptionDropOldest(t *testing.T) {
 	if sub.Dropped() != 2 {
 		t.Errorf("sub.Dropped = %d, want 2", sub.Dropped())
 	}
-	if b.Dropped() != 2 {
-		t.Errorf("bus.Dropped = %d, want 2", b.Dropped())
+	if dropped.Load() != 2 {
+		t.Errorf("bus dropped = %d, want 2", dropped.Load())
 	}
 }
 
@@ -152,6 +165,7 @@ func TestBusNonBlockingWithStalledSubscriber(t *testing.T) {
 func TestBusConcurrentPublishDrain(t *testing.T) {
 	// -race exercises publisher/consumer/closer interleavings.
 	b := NewBus()
+	published, dropped := countEvents(b)
 	var wg sync.WaitGroup
 	var received atomic.Int64
 	for c := 0; c < 4; c++ {
@@ -184,18 +198,19 @@ func TestBusConcurrentPublishDrain(t *testing.T) {
 	pubs.Wait()
 	b.Shutdown()
 	wg.Wait()
-	if b.Published() != 2000 {
-		t.Errorf("Published = %d, want 2000", b.Published())
+	if published.Load() != 2000 {
+		t.Errorf("published = %d, want 2000", published.Load())
 	}
 	// delivered + dropped accounts for every fan-out across 4 subscribers.
-	if got := received.Load() + b.Dropped(); got != 4*2000 {
+	if got := received.Load() + dropped.Load(); got != 4*2000 {
 		t.Errorf("delivered %d + dropped %d = %d, want %d",
-			received.Load(), b.Dropped(), got, 4*2000)
+			received.Load(), dropped.Load(), got, 4*2000)
 	}
 }
 
 func TestBusShutdown(t *testing.T) {
 	b := NewBus()
+	published, _ := countEvents(b)
 	sub := b.Subscribe(Filter{}, 4)
 	b.Publish(Event{Type: "phase"})
 	b.Shutdown()
@@ -212,8 +227,8 @@ func TestBusShutdown(t *testing.T) {
 	}
 	// Publish keeps working (events reach nobody).
 	b.Publish(Event{Type: "phase"})
-	if b.Published() != 2 {
-		t.Errorf("Published after shutdown = %d, want 2", b.Published())
+	if published.Load() != 2 {
+		t.Errorf("published after shutdown = %d, want 2", published.Load())
 	}
 	// New subscriptions are born done.
 	late := b.Subscribe(Filter{}, 4)
@@ -258,10 +273,10 @@ func TestBusHooks(t *testing.T) {
 
 func TestNilBusSafe(t *testing.T) {
 	var b *Bus
+	published, dropped := countEvents(b)
 	b.Publish(Event{Type: "phase"})
-	b.SetHooks(BusHooks{})
 	b.Shutdown()
-	if b.Published() != 0 || b.Dropped() != 0 || b.Subscribers() != 0 {
+	if published.Load() != 0 || dropped.Load() != 0 || b.Subscribers() != 0 {
 		t.Error("nil bus counters not zero")
 	}
 	sub := b.Subscribe(Filter{}, 4)
@@ -317,23 +332,6 @@ func TestPublishReturnsStampedEvent(t *testing.T) {
 			t.Fatalf("trace diverged from the bus at %d: %+v vs %+v", i, recorded[i], delivered[i])
 		}
 	}
-}
-
-// Published returns the total number of events published to the bus.
-func (b *Bus) Published() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.published.Load()
-}
-
-// Dropped returns the total number of events evicted from subscriber
-// buffers across the bus's lifetime.
-func (b *Bus) Dropped() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped.Load()
 }
 
 // Subscribers returns the current subscription count.

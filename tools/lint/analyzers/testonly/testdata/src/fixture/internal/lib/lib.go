@@ -1,6 +1,6 @@
 // Package lib is the testonly fixture's library: cmd/app is its only
 // non-test caller, lib_test.go its test.
-package lib // want `stale allowlist entry fixture/internal/lib.Gone: no such declaration`
+package lib // want `stale allowlist entry fixture/internal/lib.Gone: no such declaration` `stale allowlist entry fixture/internal/gone.Thing: no such package`
 
 import "fmt"
 

@@ -9,8 +9,10 @@
 // for a type neither do references from its own methods. Methods that
 // implement an interface are never reported: their caller is a dynamic
 // dispatch the pass cannot see. The exceptions are the reviewed Allow
-// table; an entry whose object is gone, or is now referenced outside
-// tests, is itself reported.
+// table; an entry whose object is gone, whose package is gone, or whose
+// object is now referenced outside tests, is itself reported. The module
+// an entry's package must lie in to be judged gone is the longest import
+// path prefix the loaded packages share.
 //
 // The rule needs every package of the module at once, so it is a
 // RunModule analyzer: the standalone `delproplint -testonly ./...` from
@@ -84,15 +86,27 @@ func run(passes []*analysis.Pass, allow []Entry) {
 	}
 
 	byPath := make(map[string]*analysis.Pass, len(passes))
-	for _, p := range passes {
+	module := ""
+	for i, p := range passes {
 		byPath[p.Pkg.Path()] = p
+		if i == 0 {
+			module = p.Pkg.Path()
+		}
+		module = commonPrefix(module, p.Pkg.Path())
 	}
 	allowed := make(map[string]bool, len(allow))
 	for _, e := range allow {
 		allowed[e.Object] = true
-		pass := byPath[objectPackage(e.Object)]
-		if pass == nil || len(pass.Files) == 0 {
-			continue // the package was not loaded: nothing to judge
+		path := objectPackage(e.Object)
+		pass, loaded := byPath[path]
+		if !loaded && (path == module || strings.HasPrefix(path, module+"/")) {
+			if near := nearest(passes, path); near != nil {
+				near.Reportf(near.Files[0].Name.Pos(), "stale allowlist entry %s: no such package", e.Object)
+			}
+			continue
+		}
+		if !loaded || len(pass.Files) == 0 {
+			continue // outside the run, or no file to report at: nothing to judge
 		}
 		d, ok := declared[e.Object]
 		switch {
@@ -252,6 +266,30 @@ func isInternal(path string) bool {
 		}
 	}
 	return false
+}
+
+// commonPrefix returns the longest run of leading "/"-separated elements
+// that import paths a and b share.
+func commonPrefix(a, b string) string {
+	as, bs := strings.Split(a, "/"), strings.Split(b, "/")
+	n := 0
+	for n < len(as) && n < len(bs) && as[n] == bs[n] {
+		n++
+	}
+	return strings.Join(as[:n], "/")
+}
+
+// nearest returns the pass with files whose import path shares the most
+// leading elements with path, the first such in load order.
+func nearest(passes []*analysis.Pass, path string) *analysis.Pass {
+	var best *analysis.Pass
+	bestLen := -1
+	for _, p := range passes {
+		if n := len(commonPrefix(p.Pkg.Path(), path)); len(p.Files) > 0 && n > bestLen {
+			best, bestLen = p, n
+		}
+	}
+	return best
 }
 
 // objectPackage returns the import path of "import/path.Name[.Method]".

@@ -13,7 +13,8 @@ func TestTestOnly(t *testing.T) {
 		{Object: "fixture/internal/lib.Allowed", Kind: testonly.SharedOracle, Reason: "fixture entry"},
 		{Object: "fixture/internal/lib.Used", Kind: testonly.SharedOracle, Reason: "fixture entry gone stale"},
 		{Object: "fixture/internal/lib.Gone", Kind: testonly.SharedOracle, Reason: "fixture entry for a deleted function"},
-		{Object: "other/internal/x.Unloaded", Kind: testonly.SharedOracle, Reason: "a package the run did not load"},
+		{Object: "fixture/internal/gone.Thing", Kind: testonly.SharedOracle, Reason: "fixture entry for a deleted package"},
+		{Object: "other/internal/x.Unloaded", Kind: testonly.SharedOracle, Reason: "a package outside the loaded module"},
 	})
 	analysistest.Run(t, filepath.Join("testdata", "src", "fixture"), a)
 }
