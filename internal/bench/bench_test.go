@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -72,6 +73,38 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("%s recorded quality but no search progress: %+v", e.ID, s)
 			}
 		})
+	}
+}
+
+// TestExperimentsRecordStructuredSamples runs one ratio experiment with a
+// recorder and checks the structured samples arrive: per-instance quality
+// records under the paper guarantee, and nonzero search counters.
+func TestExperimentsRecordStructuredSamples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped in -short")
+	}
+	e, ok := ByID("E8")
+	if !ok {
+		t.Fatal("E8 missing")
+	}
+	rec := &benchkit.Recorder{}
+	if err := e.Run(io.Discard, rec); err != nil {
+		t.Fatal(err)
+	}
+	quality := rec.QualityRecords()
+	if len(quality) == 0 {
+		t.Fatal("E8 recorded no quality records")
+	}
+	for _, q := range quality {
+		if q.Solver != "red-blue" || q.Guarantee <= 0 {
+			t.Errorf("unexpected quality record %+v", q)
+		}
+		if q.Violated {
+			t.Errorf("E8 reports a guarantee violation: %+v", q)
+		}
+	}
+	if s := rec.Search(); s.NodesExpanded == 0 {
+		t.Errorf("E8 recorded no search progress: %+v", s)
 	}
 }
 
