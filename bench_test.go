@@ -354,7 +354,7 @@ func BenchmarkClassifyCorpus(b *testing.B) {
 			var deps *fd.Set
 			if e.WithFDs {
 				var err error
-				deps, err = classify.VariableFDs(e.Query, e.Schemas, e.AttrFDs)
+				deps, err = classify.VariableFDs(e.Query, e.Schemas)
 				if err != nil {
 					b.Fatal(err)
 				}

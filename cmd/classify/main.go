@@ -54,7 +54,7 @@ func run(dbPath, qPath string) error {
 	}
 	schemas := cq.InstanceSchemas(db)
 	for _, q := range queries {
-		deps, err := classify.VariableFDs(q, schemas, nil)
+		deps, err := classify.VariableFDs(q, schemas)
 		if err != nil {
 			return err
 		}

@@ -151,11 +151,11 @@ func run(dbPath, qPath, dPath string, opts options) error {
 			defer cancel()
 		}
 		for _, q := range queries {
-			n, sol, err := core.Resilience(ctx, q, db, opts.resilienceBudget)
+			sol, _, err := core.Resilience(ctx, q, db, opts.resilienceBudget)
 			if err != nil {
 				return fmt.Errorf("%s: %w", q.Name, err)
 			}
-			fmt.Printf("resilience(%s) = %d  witness %s\n", q.Name, n, sol)
+			fmt.Printf("resilience(%s) = %d  witness %s\n", q.Name, len(sol.Deleted), sol)
 		}
 		return nil
 	}

@@ -23,11 +23,11 @@ func main() {
 	// Resilience of Q3 = T1 ⋈ T2: how many source deletions to silence
 	// the view entirely?
 	q3 := w.Queries[0]
-	n, sol, err := core.Resilience(context.Background(), q3, w.DB, 0)
+	sol, _, err := core.Resilience(context.Background(), q3, w.DB, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("resilience(%s) = %d via %s\n", q3.Name, n, sol)
+	fmt.Printf("resilience(%s) = %d via %s\n", q3.Name, len(sol.Deleted), sol)
 	empty, err := core.VerifyEmpty(q3, w.DB, sol)
 	if err != nil {
 		log.Fatal(err)
@@ -44,11 +44,11 @@ func main() {
 		db.MustInsert(e[2], e[0], e[1])
 	}
 	tri := cq.MustParse("Tri(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	n, sol, err = core.Resilience(context.Background(), tri, db, 0)
+	sol, _, err = core.Resilience(context.Background(), tri, db, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("resilience(triangle) = %d via %s (exact fallback)\n\n", n, sol)
+	fmt.Printf("resilience(triangle) = %d via %s (exact fallback)\n\n", len(sol.Deleted), sol)
 
 	// Explanation report for a deletion-propagation solution.
 	p, err := core.NewProblem(w.DB, w.Queries[1:], view.NewDeletion(

@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"delprop/internal/benchkit"
 	"delprop/internal/core"
@@ -27,16 +28,16 @@ type Table struct {
 // Add appends a row.
 func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Fprint renders the table with aligned columns.
+// Fprint renders the table with columns aligned by rune count.
 func (t *Table) Fprint(w io.Writer) {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range t.Rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"delprop/internal/benchkit"
 )
@@ -22,6 +23,40 @@ func TestTableFprint(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, sep, 2 rows
 		t.Errorf("lines = %d:\n%s", len(lines), out)
+	}
+}
+
+// TestTableFprintAlignsRunes: columns holding multi-byte runes align by
+// rune column. Every line's cell i starts at the same rune offset, and
+// each rule is exactly as wide as its column's widest cell.
+func TestTableFprintAlignsRunes(t *testing.T) {
+	tbl := &Table{Title: "runes", Headers: []string{"‖V‖ (avg)", "Δ", "t"}}
+	tbl.Add("12", "√n", "13.6µs")
+	tbl.Add("3", "ΔΔΔΔ", "1.1ms")
+	var buf bytes.Buffer
+	tbl.Fprint(&buf)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+	widths := []int{9, 4, 6}
+	rule := make([]string, len(widths))
+	for i, n := range widths {
+		rule[i] = strings.Repeat("-", n)
+	}
+	rows := append([][]string{tbl.Headers, rule}, tbl.Rows...)
+	if len(lines) != len(rows) {
+		t.Fatalf("lines = %d, want %d:\n%s", len(lines), len(rows), buf.String())
+	}
+	for li, line := range lines {
+		runes := []rune(line)
+		start := 0
+		for i, cell := range rows[li] {
+			end := start + utf8.RuneCountInString(cell)
+			if end > len(runes) || string(runes[start:end]) != cell {
+				t.Errorf("line %d: cell %q not at rune column %d:\n%s", li, cell, start, line)
+			} else if i < len(widths)-1 && runes[end] != ' ' {
+				t.Errorf("line %d: cell %q runs past its column:\n%s", li, cell, line)
+			}
+			start += widths[i] + 2
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func corpusTable(w io.Writer, table, title string, source bool) error {
 		var deps *fd.Set
 		if e.WithFDs {
 			var err error
-			deps, err = classify.VariableFDs(e.Query, e.Schemas, e.AttrFDs)
+			deps, err = classify.VariableFDs(e.Query, e.Schemas)
 			if err != nil {
 				return err
 			}
@@ -32,17 +32,9 @@ func corpusTable(w io.Writer, table, title string, source bool) error {
 		if err != nil {
 			return err
 		}
-		var got classify.Complexity
+		got, want := classify.ViewSideEffect(props, e.WithFDs), e.ExpectView
 		if source {
-			got = classify.SourceSideEffect(props, e.WithFDs)
-		} else {
-			got = classify.ViewSideEffect(props, e.WithFDs)
-		}
-		var want classify.Complexity
-		if source {
-			want = e.ExpectSource
-		} else {
-			want = e.ExpectView
+			got, want = classify.SourceSideEffect(props, e.WithFDs), e.ExpectSource
 		}
 		status := string(got)
 		if want != "" && got != want {

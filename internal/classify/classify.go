@@ -36,8 +36,8 @@ type Properties struct {
 }
 
 // Analyze computes the properties of a query under the given schemas and
-// (possibly empty) functional dependencies. FDs are variable-level: callers
-// map attribute FDs onto query variables with VariableFDs.
+// (possibly empty) functional dependencies. FDs are variable-level:
+// VariableFDs derives the ones relation keys imply.
 func Analyze(q *cq.Query, schemas cq.SchemaResolver, deps *fd.Set) (Properties, error) {
 	if err := q.Validate(schemas); err != nil {
 		return Properties{}, err
@@ -81,12 +81,10 @@ func AnalyzeMinimized(q *cq.Query, schemas cq.SchemaResolver, deps *fd.Set) (Pro
 	return props, core, nil
 }
 
-// VariableFDs lifts per-relation attribute FDs onto the query's variables:
-// for every atom T(t1..tk) and every FD X→Y on T's attributes, the
-// variables at X's positions determine the variables at Y's positions
-// (constant positions are dropped). Relation keys contribute key→all FDs
-// automatically.
-func VariableFDs(q *cq.Query, schemas cq.SchemaResolver, attrFDs map[string]*fd.Set) (*fd.Set, error) {
+// VariableFDs lifts relation keys onto the query's variables: for every
+// atom T(t1..tk), the variables at T's key positions determine the
+// variables at all its positions (constant positions are dropped).
+func VariableFDs(q *cq.Query, schemas cq.SchemaResolver) (*fd.Set, error) {
 	out := fd.NewSet()
 	for _, a := range q.Body {
 		s, ok := schemas.SchemaOf(a.Relation)
@@ -102,18 +100,6 @@ func VariableFDs(q *cq.Query, schemas cq.SchemaResolver, attrFDs map[string]*fd.
 			}
 			return vs
 		}
-		attrPos := func(names []string) []int {
-			var ps []int
-			for _, n := range names {
-				for i, attr := range s.Attrs {
-					if attr == n {
-						ps = append(ps, i)
-					}
-				}
-			}
-			return ps
-		}
-		// Key → all attributes.
 		allPos := make([]int, s.Arity())
 		for i := range allPos {
 			allPos[i] = i
@@ -122,15 +108,6 @@ func VariableFDs(q *cq.Query, schemas cq.SchemaResolver, attrFDs map[string]*fd.
 		rhs := posVars(allPos)
 		if len(lhs) > 0 && len(rhs) > 0 {
 			out.Add(fd.New(lhs, rhs))
-		}
-		if fds, ok := attrFDs[a.Relation]; ok {
-			for _, f := range fds.FDs() {
-				l := posVars(attrPos(f.LHS))
-				r := posVars(attrPos(f.RHS))
-				if len(l) > 0 && len(r) > 0 {
-					out.Add(fd.New(l, r))
-				}
-			}
 		}
 	}
 	return out, nil

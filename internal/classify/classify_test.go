@@ -85,7 +85,7 @@ func TestFDHeadDomination(t *testing.T) {
 		"S": relation.MustSchema("S", []string{"a", "b"}, []int{0}),
 	}
 	q := cq.MustParse("Q(y1, y2) :- R(y1, x), S(x, y2)")
-	deps, err := VariableFDs(q, schemas, nil)
+	deps, err := VariableFDs(q, schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +123,12 @@ func TestTriadDetection(t *testing.T) {
 	}
 }
 
-func TestVariableFDsFromKeysAndAttrs(t *testing.T) {
+func TestVariableFDsFromKeys(t *testing.T) {
 	schemas := cq.SchemaMap{
 		"R": relation.MustSchema("R", []string{"a", "b"}, []int{0}),
 	}
 	q := cq.MustParse("Q(x, y) :- R(x, y)")
-	deps, err := VariableFDs(q, schemas, nil)
+	deps, err := VariableFDs(q, schemas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,17 +136,12 @@ func TestVariableFDsFromKeysAndAttrs(t *testing.T) {
 	if !slices.Contains(deps.Closure([]string{"x"}), "y") {
 		t.Errorf("key FD missing: %s", deps)
 	}
-	// Attribute FD b→a lifts to y→x.
-	attr := map[string]*fd.Set{"R": fd.NewSet(fd.New([]string{"b"}, []string{"a"}))}
-	deps, err = VariableFDs(q, schemas, attr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Contains(deps.Closure([]string{"y"}), "x") {
-		t.Errorf("attribute FD not lifted: %s", deps)
+	// The key is the only source: y determines nothing else.
+	if slices.Contains(deps.Closure([]string{"y"}), "x") {
+		t.Errorf("non-key y determines x: %s", deps)
 	}
 	// Unknown relation errors.
-	if _, err := VariableFDs(cq.MustParse("Q(x) :- Nope(x)"), schemas, nil); err == nil {
+	if _, err := VariableFDs(cq.MustParse("Q(x) :- Nope(x)"), schemas); err == nil {
 		t.Error("unknown relation accepted")
 	}
 }
@@ -160,7 +155,7 @@ func TestCorpusReproducesTables(t *testing.T) {
 			var deps *fd.Set
 			if e.WithFDs {
 				var err error
-				deps, err = VariableFDs(e.Query, e.Schemas, e.AttrFDs)
+				deps, err = VariableFDs(e.Query, e.Schemas)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package classify
 
 import (
 	"delprop/internal/cq"
-	"delprop/internal/fd"
 	"delprop/internal/relation"
 )
 
@@ -19,8 +18,6 @@ type CorpusEntry struct {
 	Citation string
 	Query    *cq.Query
 	Schemas  cq.SchemaMap
-	// AttrFDs are per-relation attribute FDs for the fd-variant rows.
-	AttrFDs map[string]*fd.Set
 	// WithFDs selects the fd-variant of the decider.
 	WithFDs bool
 	// ExpectSource/ExpectView are the table's complexity classes; empty

@@ -46,7 +46,9 @@ func DualBound(p *Problem) (float64, error) {
 // that install a RaceInfo (WithRace) receive the winner, the cancelled
 // losers and every member's private counters.
 type Portfolio struct {
-	// Solvers to run; nil means ApproxSolvers().
+	// Solvers to run; nil means ApproxSolvers(). Production code always
+	// races ApproxSolvers; the field exists so a test can substitute
+	// fake members.
 	Solvers []Solver
 	// Parallel races the members concurrently.
 	Parallel bool

@@ -5,13 +5,15 @@ import (
 	"fmt"
 )
 
+// bruteForceMaxCandidates bounds BruteForce's mask scan: 2^22 masks take
+// tens of seconds.
+const bruteForceMaxCandidates = 22
+
 // BruteForce enumerates every subset of the candidate tuples and returns a
 // minimum-side-effect feasible solution. Exponential; it refuses instances
-// with more than MaxCandidates candidates. It is the ground-truth optimum
-// used by the approximation-ratio experiments.
+// with more than bruteForceMaxCandidates candidates. It is the
+// ground-truth optimum used by the approximation-ratio experiments.
 type BruteForce struct {
-	// MaxCandidates bounds the search (default 22 when zero).
-	MaxCandidates int
 	// Balanced switches the objective to the balanced version of Section
 	// III (no feasibility constraint; minimize bad-remaining + side
 	// effect).
@@ -30,14 +32,10 @@ func (b *BruteForce) Name() string {
 // interruption the returned *Interrupted carries the best feasible subset
 // found so far (when any).
 func (b *BruteForce) Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	max := b.MaxCandidates
-	if max == 0 {
-		max = 22
-	}
 	rq := &p.rq
 	cands := rq.cands
-	if len(cands) > max {
-		return nil, fmt.Errorf("%w: %d candidate tuples exceeds brute-force bound %d", ErrTooLarge, len(cands), max)
+	if len(cands) > bruteForceMaxCandidates {
+		return nil, fmt.Errorf("%w: %d candidate tuples exceeds brute-force bound %d", ErrTooLarge, len(cands), bruteForceMaxCandidates)
 	}
 	st := StatsFrom(ctx)
 	var best *Solution

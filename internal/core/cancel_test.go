@@ -184,7 +184,7 @@ func TestSourceExactIncumbentUnderInterruption(t *testing.T) {
 	if !ok {
 		t.Fatal("interrupted after finding a cover but carries no incumbent")
 	}
-	if cost, feasible := p.SourceSideEffect(sol, nil); !feasible || cost != 12 {
+	if cost, feasible := p.SourceSideEffect(sol); !feasible || cost != 12 {
 		t.Errorf("incumbent %s: cost %v feasible=%v, want the first cover (12, feasible)", sol, cost, feasible)
 	}
 }
@@ -193,7 +193,7 @@ func TestSourceExactIncumbentUnderInterruption(t *testing.T) {
 // interruption mid-climb must carry the current (feasible) solution.
 func TestLocalSearchIncumbentIsFeasible(t *testing.T) {
 	p := starProblem(t, 11, 4)
-	ls := &LocalSearch{MaxPasses: 100}
+	ls := &LocalSearch{}
 	// Run once uncancelled to ensure the instance is feasible at all.
 	if _, err := ls.Solve(context.Background(), p); err != nil {
 		t.Skipf("instance not solvable: %v", err)

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"delprop/internal/cq"
 	"delprop/internal/relation"
 	"delprop/internal/view"
 	"delprop/internal/workload"
@@ -172,9 +174,25 @@ func TestBruteForceFig1Q3(t *testing.T) {
 	}
 }
 
+// wideProblem is one view tuple with n derivations T(a_i, v), so every
+// one of the n T tuples is a candidate.
+func wideProblem(t *testing.T, n int) *Problem {
+	t.Helper()
+	db := relation.NewInstance(relation.MustSchema("T", []string{"a", "b"}, []int{0}))
+	for i := range n {
+		db.MustInsert("T", fmt.Sprintf("a%d", i), "v")
+	}
+	q := cq.MustParse("Q(y) :- T(x, y)")
+	p, err := NewProblem(db, []*cq.Query{q}, view.NewDeletion(view.TupleRef{View: 0, Tuple: tup("v")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestBruteForceTooLarge(t *testing.T) {
-	p := fig1Q3Problem(t)
-	if _, err := (&BruteForce{MaxCandidates: 2}).Solve(context.Background(), p); !errors.Is(err, ErrTooLarge) {
+	p := wideProblem(t, bruteForceMaxCandidates+1)
+	if _, err := (&BruteForce{}).Solve(context.Background(), p); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"delprop/internal/cq"
 	"delprop/internal/relation"
-	"delprop/internal/setcover"
 	"delprop/internal/textio"
 	"delprop/internal/view"
 	"delprop/internal/workload"
@@ -309,39 +308,5 @@ func BenchmarkGreedyWarmNP(b *testing.B) {
 		if _, err := (&Greedy{}).Solve(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationRBSCGreedy compares the two inner greedy strategies of
-// the low-degree sweep over the Claim 1 encoding of a star problem
-// (DESIGN.md ablation).
-func BenchmarkAblationRBSCGreedy(b *testing.B) {
-	w := workload.Star(workload.StarConfig{
-		Seed: 9, Relations: 4, HubValues: 3, RowsPerRelation: 6,
-		Queries: 3, AtomsPerQuery: 2,
-	})
-	p, err := NewProblem(w.DB, w.Queries, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if p, err = p.Specialize(workload.SampleDeletion(p.Views, 4, 10)); err != nil {
-		b.Fatal(err)
-	}
-	enc, err := buildRedBlue(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		mode setcover.GreedyMode
-	}{{"ratio", setcover.GreedyRatio}, {"count", setcover.GreedyCount}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.inst.LowDegSweep(mode.mode); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

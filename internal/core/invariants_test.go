@@ -98,7 +98,7 @@ func TestIsomorphismInvariance(t *testing.T) {
 					if err != nil {
 						return 0, err
 					}
-					c, _ := q.SourceSideEffect(sol, nil)
+					c, _ := q.SourceSideEffect(sol)
 					return c, nil
 				}},
 			} {

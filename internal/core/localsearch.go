@@ -12,13 +12,16 @@ import (
 // single-tuple swaps (replace one deleted tuple with a different tuple
 // from an affected request's join path) while the weighted side effect
 // strictly decreases. The result is never worse than the inner solver's
-// and remains feasible. MaxPasses bounds the sweeps (default 4).
+// and remains feasible. localSearchPasses bounds the sweeps.
 type LocalSearch struct {
-	// Inner produces the starting solution (Greedy when nil).
+	// Inner produces the starting solution (Greedy when nil). Production
+	// code always climbs from Greedy; the field exists so a test can
+	// substitute a fake inner solver.
 	Inner Solver
-	// MaxPasses bounds improvement sweeps.
-	MaxPasses int
 }
+
+// localSearchPasses bounds LocalSearch's improvement sweeps.
+const localSearchPasses = 4
 
 // Name implements Solver.
 func (ls *LocalSearch) Name() string {
@@ -42,10 +45,6 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 	start, err := ls.inner().Solve(ctx, p)
 	if err != nil {
 		return nil, err
-	}
-	passes := ls.MaxPasses
-	if passes == 0 {
-		passes = 4
 	}
 	// current holds the solution's tuple ids, ascending (key order). A
 	// tuple no derivation uses has no id; unknown holds those, distinct.
@@ -79,7 +78,7 @@ func (ls *LocalSearch) Solve(ctx context.Context, p *Problem) (*Solution, error)
 		return start, nil
 	}
 	st := StatsFrom(ctx)
-	for pass := 0; pass < passes; pass++ {
+	for range localSearchPasses {
 		// Each climbing pass is one restart of the sweep.
 		st.Restart()
 		improved := false

@@ -119,7 +119,7 @@ func (r *RedBlue) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := checkCtx(ctx, r.Name(), nil); err != nil {
 		return nil, err
 	}
-	sol, err := enc.inst.LowDegSweep(setcover.GreedyRatio)
+	sol, err := enc.inst.LowDegSweep()
 	if err != nil {
 		return nil, fmt.Errorf("core: red-blue sweep: %w", err)
 	}
@@ -211,7 +211,7 @@ func (b *BalancedRedBlue) Solve(ctx context.Context, p *Problem) (*Solution, err
 	if b.Exact {
 		sol, err = pn.Exact(ctx, recorder(st))
 	} else {
-		sol, err = pn.Solve(setcover.GreedyRatio)
+		sol, err = pn.Solve()
 		st.AddNodes(int64(len(pn.Sets)))
 	}
 	return enc.result(ctx, b.Name(), sol, err)

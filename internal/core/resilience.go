@@ -19,27 +19,31 @@ import (
 // König's theorem; the general case falls back to the exact hitting-set
 // search.
 
-// Resilience computes the resilience of q on db: the size of a minimum
-// source deletion emptying Q(D), together with a witness deletion. It uses
-// the polynomial bipartite algorithm when the query has exactly two
-// self-join-free atoms, and SourceExact otherwise (exponential worst
-// case; bounded by maxCandidates, 0 = default). The exact hitting-set
-// search polls ctx and stops with an *Interrupted error when it is done.
-func Resilience(ctx context.Context, q *cq.Query, db *relation.Instance, maxCandidates int) (int, *Solution, error) {
+// Resilience computes the resilience of q on db: a minimum source
+// deletion emptying Q(D), whose size is the resilience, and the method
+// that found it. It uses the polynomial bipartite algorithm
+// ("bipartite-vertex-cover") when the query has exactly two
+// self-join-free atoms, and SourceExact ("exact-hitting-set") otherwise
+// (exponential worst case; bounded by maxCandidates, 0 = default). The
+// exact hitting-set search polls ctx and stops with an *Interrupted error
+// when it is done.
+func Resilience(ctx context.Context, q *cq.Query, db *relation.Instance, maxCandidates int) (sol *Solution, method string, err error) {
 	if len(q.Body) == 2 && q.IsSelfJoinFree() {
-		return resilienceBipartite(q, db)
+		sol, err = resilienceBipartite(q, db)
+		return sol, "bipartite-vertex-cover", err
 	}
-	return resilienceExact(ctx, q, db, maxCandidates)
+	sol, err = resilienceExact(ctx, q, db, maxCandidates)
+	return sol, "exact-hitting-set", err
 }
 
 // resilienceBipartite solves the two-atom sj-free case via minimum vertex
 // cover: every derivation joins one tuple of the first atom with one of
 // the second; the deletion must hit every derivation. Each side's
 // vertices are its atom's rows, numbered in first-seen order.
-func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, error) {
+func resilienceBipartite(q *cq.Query, db *relation.Instance) (*Solution, error) {
 	res, err := cq.Evaluate(q, db)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	var side [2]struct {
 		vertex []int // row -> vertex, -1 until seen
@@ -63,11 +67,11 @@ func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, er
 		}
 	}
 	if len(edges) == 0 {
-		return 0, &Solution{}, nil
+		return &Solution{}, nil
 	}
 	left, right, err := flow.BipartiteVertexCover(len(side[0].rows), len(side[1].rows), edges)
 	if err != nil {
-		return 0, nil, fmt.Errorf("core: resilience cover: %w", err)
+		return nil, fmt.Errorf("core: resilience cover: %w", err)
 	}
 	sol := &Solution{}
 	for i, vs := range [2][]int{left, right} {
@@ -75,32 +79,28 @@ func resilienceBipartite(q *cq.Query, db *relation.Instance) (int, *Solution, er
 			sol.Deleted = append(sol.Deleted, relation.TupleID{Relation: q.Body[i].Relation, Tuple: res.AtomRows(i)[side[i].rows[v]]})
 		}
 	}
-	return len(sol.Deleted), sol, nil
+	return sol, nil
 }
 
 // resilienceExact expresses resilience as the source side-effect problem
 // with ΔV = Q(D) and solves it exactly.
-func resilienceExact(ctx context.Context, q *cq.Query, db *relation.Instance, maxCandidates int) (int, *Solution, error) {
+func resilienceExact(ctx context.Context, q *cq.Query, db *relation.Instance, maxCandidates int) (*Solution, error) {
 	skel, err := NewProblem(db, []*cq.Query{q}, nil)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	all := view.NewDeletion()
 	for _, ans := range skel.Views[0].Result.Answers() {
 		all.Add(view.TupleRef{View: 0, Tuple: ans.Tuple})
 	}
 	if all.Len() == 0 {
-		return 0, &Solution{}, nil
+		return &Solution{}, nil
 	}
 	p, err := skel.Specialize(all)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	sol, err := (&SourceExact{MaxCandidates: maxCandidates}).Solve(ctx, p)
-	if err != nil {
-		return 0, nil, err
-	}
-	return len(sol.Deleted), sol, nil
+	return (&SourceExact{MaxCandidates: maxCandidates}).Solve(ctx, p)
 }
 
 // VerifyEmpty reports whether deleting the solution's tuples really

@@ -18,9 +18,12 @@ func TestResilienceFig1(t *testing.T) {
 	// deleting T1's four rows costs 4; mixed covers exist. The bipartite
 	// optimum must empty the view.
 	q := w.Queries[0]
-	n, sol, err := Resilience(context.Background(), q, w.DB, 0)
+	sol, method, err := Resilience(context.Background(), q, w.DB, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if method != "bipartite-vertex-cover" {
+		t.Errorf("method = %q, want bipartite-vertex-cover", method)
 	}
 	empty, err := VerifyEmpty(q, w.DB, sol)
 	if err != nil {
@@ -29,15 +32,13 @@ func TestResilienceFig1(t *testing.T) {
 	if !empty {
 		t.Fatalf("resilience witness does not empty the view: %s", sol)
 	}
-	if n != len(sol.Deleted) {
-		t.Errorf("n = %d but witness has %d deletions", n, len(sol.Deleted))
-	}
+	n := len(sol.Deleted)
 	// Cross-check against the exact hitting-set solver.
-	nExact, _, err := resilienceExact(context.Background(), q, w.DB, 0)
+	exact, err := resilienceExact(context.Background(), q, w.DB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != nExact {
+	if nExact := len(exact.Deleted); n != nExact {
 		t.Errorf("bipartite resilience %d != exact %d", n, nExact)
 	}
 	if n != 3 { // T2 has 3 tuples; every T1 row joins some T2 row pairwise distinctly
@@ -65,15 +66,15 @@ func TestResilienceBipartiteMatchesExactRandom(t *testing.T) {
 				relation.Value(string(rune('0' + rng.Intn(4)))),
 			})
 		}
-		nB, solB, err := resilienceBipartite(q, db)
+		solB, err := resilienceBipartite(q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nE, _, err := resilienceExact(context.Background(), q, db, 0)
+		solE, err := resilienceExact(context.Background(), q, db, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nB != nE {
+		if nB, nE := len(solB.Deleted), len(solE.Deleted); nB != nE {
 			t.Errorf("seed %d: bipartite %d != exact %d", seed, nB, nE)
 		}
 		if empty, _ := VerifyEmpty(q, db, solB); !empty {
@@ -94,15 +95,15 @@ func TestResilienceProjection(t *testing.T) {
 	db.MustInsert("S", "x", "9")
 	full := cq.MustParse("Q(a, b, c) :- R(a, b), S(b, c)")
 	proj := cq.MustParse("Q(a) :- R(a, b), S(b, c)")
-	nFull, _, err := Resilience(context.Background(), full, db, 0)
+	solFull, _, err := Resilience(context.Background(), full, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nProj, _, err := Resilience(context.Background(), proj, db, 0)
+	solProj, _, err := Resilience(context.Background(), proj, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nFull != nProj || nFull != 1 { // deleting S(x,9) suffices
+	if nFull, nProj := len(solFull.Deleted), len(solProj.Deleted); nFull != nProj || nFull != 1 { // deleting S(x,9) suffices
 		t.Errorf("resilience full=%d proj=%d, want 1/1", nFull, nProj)
 	}
 }
@@ -114,11 +115,11 @@ func TestResilienceEmptyResult(t *testing.T) {
 	)
 	db.MustInsert("R", "1", "x")
 	q := cq.MustParse("Q(a, b, c) :- R(a, b), S(b, c)")
-	n, sol, err := Resilience(context.Background(), q, db, 0)
+	sol, _, err := Resilience(context.Background(), q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 || len(sol.Deleted) != 0 {
+	if n := len(sol.Deleted); n != 0 {
 		t.Errorf("empty result resilience = %d", n)
 	}
 }
@@ -128,9 +129,12 @@ func TestResilienceEmptyResult(t *testing.T) {
 func TestResilienceThreeAtomFallback(t *testing.T) {
 	w := workload.Pivot(workload.PivotConfig{Seed: 2, Roots: 2, ChildrenPerRoot: 2, GrandPerChild: 1})
 	q := w.Queries[1] // QG over Root, Child, Grand
-	n, sol, err := Resilience(context.Background(), q, w.DB, 0)
+	sol, method, err := Resilience(context.Background(), q, w.DB, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if method != "exact-hitting-set" {
+		t.Errorf("method = %q, want exact-hitting-set", method)
 	}
 	empty, err := VerifyEmpty(q, w.DB, sol)
 	if err != nil {
@@ -140,7 +144,7 @@ func TestResilienceThreeAtomFallback(t *testing.T) {
 		t.Fatal("three-atom witness leaves answers")
 	}
 	// Deleting the two roots always suffices; resilience ≤ #roots.
-	if n > 2 {
+	if n := len(sol.Deleted); n > 2 {
 		t.Errorf("resilience = %d, expected ≤ 2 (delete the roots)", n)
 	}
 }
@@ -150,12 +154,15 @@ func TestResilienceSelfJoinUsesExact(t *testing.T) {
 	db.MustInsert("E", "a", "b")
 	db.MustInsert("E", "b", "c")
 	q := cq.MustParse("Q(x, y, z) :- E(x, y), E(y, z)")
-	n, sol, err := Resilience(context.Background(), q, db, 0)
+	sol, method, err := Resilience(context.Background(), q, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if method != "exact-hitting-set" {
+		t.Errorf("method = %q, want exact-hitting-set", method)
+	}
 	// The only derivation is E(a,b) ⋈ E(b,c); deleting either empties it.
-	if n != 1 {
+	if n := len(sol.Deleted); n != 1 {
 		t.Errorf("self-join resilience = %d, want 1", n)
 	}
 	if empty, _ := VerifyEmpty(q, db, sol); !empty {
@@ -214,12 +221,12 @@ func TestResilienceMatchesExhaustive(t *testing.T) {
 				cands = append(cands, id)
 			}
 			sort.Slice(cands, func(i, j int) bool { return cands[i].Key() < cands[j].Key() })
-			n, sol, err := Resilience(context.Background(), q, db, 0)
+			sol, _, err := Resilience(context.Background(), q, db, 0)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", src, seed, err)
 			}
-			if want := minHittingCost(cands, derivs, nil); float64(n) != want || len(sol.Deleted) != n {
-				t.Errorf("%s seed %d: resilience %d (witness %d tuples), exhaustive minimum %v", src, seed, n, len(sol.Deleted), want)
+			if n, want := len(sol.Deleted), minHittingCost(cands, derivs); float64(n) != want {
+				t.Errorf("%s seed %d: resilience %d, exhaustive minimum %v", src, seed, n, want)
 			}
 			if empty, err := VerifyEmpty(q, db, sol); err != nil || !empty {
 				t.Errorf("%s seed %d: witness %s does not empty the query (%v)", src, seed, sol, err)

@@ -11,38 +11,21 @@ import (
 
 // This file implements the companion problem the paper's Tables II–III
 // classify: deletion propagation with minimum SOURCE side-effect — find
-// the smallest (or lightest) set of source tuples whose removal eliminates
-// every requested view tuple, regardless of collateral view damage
-// (Buneman et al. 2002; Cong et al. 2012). For key-preserving queries each
-// requested view tuple has a single join path, so the problem is a minimum
-// hitting set over those paths; for general conjunctive queries every
-// derivation of a requested tuple must be hit.
+// the smallest set of source tuples whose removal eliminates every
+// requested view tuple, regardless of collateral view damage (Buneman et
+// al. 2002; Cong et al. 2012). For key-preserving queries each requested
+// view tuple has a single join path, so the problem is a minimum hitting
+// set over those paths; for general conjunctive queries every derivation
+// of a requested tuple must be hit.
 
-// SourceWeights optionally assigns deletion costs to source tuples (keyed
-// by TupleID.Key); absent keys cost 1.
-type SourceWeights map[string]float64
-
-// weightOf returns the deletion cost of a tuple.
-func (w SourceWeights) weightOf(id relation.TupleID) float64 {
-	if w == nil {
-		return 1
-	}
-	if v, ok := w[id.Key()]; ok {
-		return v
-	}
-	return 1
-}
-
-// SourceExact computes a minimum-cost source deletion exactly, for
-// arbitrary conjunctive queries. Every derivation of every requested view
-// tuple must lose a tuple: a weighted hitting set, solved as Red-Blue Set
-// Cover with one blue element per derivation, one set per candidate tuple
-// covering the derivations it lies on, and one private red per set
-// weighing that tuple's deletion cost. MaxCandidates (default 26) bounds
-// the search.
+// SourceExact computes a minimum source deletion exactly, for arbitrary
+// conjunctive queries. Every derivation of every requested view tuple
+// must lose a tuple: a hitting set, solved as Red-Blue Set Cover with one
+// blue element per derivation, one set per candidate tuple covering the
+// derivations it lies on, and one private red per set counting that
+// tuple's deletion. MaxCandidates (default 26) bounds the search.
 type SourceExact struct {
 	MaxCandidates int
-	Weights       SourceWeights
 }
 
 // Name implements Solver.
@@ -60,7 +43,7 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 	if len(rq.cands) > max {
 		return nil, fmt.Errorf("%w: %d candidates exceeds source-exact bound %d", ErrTooLarge, len(rq.cands), max)
 	}
-	enc := buildSourceCover(rq, s.Weights)
+	enc := buildSourceCover(rq)
 	sol, err := enc.inst.Exact(ctx, recorder(StatsFrom(ctx)))
 	return enc.result(ctx, s.Name(), sol, err)
 }
@@ -68,17 +51,15 @@ func (s *SourceExact) Solve(ctx context.Context, p *Problem) (*Solution, error) 
 // buildSourceCover encodes the source side-effect problem over the
 // candidate tuples as Red-Blue Set Cover (see SourceExact). Blues are
 // numbered in ΔV × derivation order and set i is candidate i.
-func buildSourceCover(rq *requestRefs, weights SourceWeights) *redBlueEncoding {
+func buildSourceCover(rq *requestRefs) *redBlueEncoding {
 	cands := rq.cands
 	inst := &setcover.Instance{
-		NumRed:     len(cands),
-		RedWeights: make([]float64, len(cands)),
-		Sets:       make([]setcover.Set, len(cands)),
+		NumRed: len(cands),
+		Sets:   make([]setcover.Set, len(cands)),
 	}
 	enc := &redBlueEncoding{inst: inst, tuples: tupleIDs(rq.x, cands)}
 	reds := make([]int, len(cands))
-	for i, id := range enc.tuples {
-		inst.RedWeights[i] = weights.weightOf(id)
+	for i := range cands {
 		reds[i] = i
 		inst.Sets[i].Reds = reds[i : i+1 : i+1]
 	}

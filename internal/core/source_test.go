@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
+	"math/bits"
 	"testing"
 
 	"delprop/internal/cq"
@@ -22,7 +22,7 @@ func TestSourceExactFig1Q3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, feasible := p.SourceSideEffect(sol, nil)
+	cost, feasible := p.SourceSideEffect(sol)
 	if !feasible || cost != 2 {
 		t.Errorf("source optimum = %v feasible=%v, want 2/true", cost, feasible)
 	}
@@ -34,7 +34,7 @@ func TestSourceExactFig1Q4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, feasible := p.SourceSideEffect(sol, nil)
+	cost, feasible := p.SourceSideEffect(sol)
 	if !feasible || cost != 1 {
 		t.Errorf("source optimum = %v feasible=%v, want 1/true", cost, feasible)
 	}
@@ -48,31 +48,12 @@ func TestSourceExactSharedTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, feasible := p.SourceSideEffect(sol, nil)
+	cost, feasible := p.SourceSideEffect(sol)
 	if !feasible || cost != 1 {
 		t.Errorf("shared-tuple optimum = %v feasible=%v, want 1 (delete T1(John,TKDE))", cost, feasible)
 	}
 	if sol.Deleted[0].Key() != (relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}).Key() {
 		t.Errorf("expected T1(John,TKDE), got %s", sol)
-	}
-}
-
-func TestSourceExactWeighted(t *testing.T) {
-	p := fig1Q4Problem(t)
-	// Make the T1 tuple expensive: optimum switches to the T2 tuple.
-	w := SourceWeights{
-		(relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")}).Key(): 10,
-	}
-	sol, err := (&SourceExact{Weights: w}).Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, feasible := p.SourceSideEffect(sol, w)
-	if !feasible || cost != 1 {
-		t.Errorf("weighted optimum = %v, want 1 via T2 tuple", cost)
-	}
-	if sol.Deleted[0].Relation != "T2" {
-		t.Errorf("expected T2 deletion, got %s", sol)
 	}
 }
 
@@ -89,7 +70,7 @@ func TestSourceSingleQueryExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, feasible := p.SourceSideEffect(sol, nil)
+	cost, feasible := p.SourceSideEffect(sol)
 	if !feasible || cost != 1 {
 		t.Errorf("single-query source = %v/%v", cost, feasible)
 	}
@@ -99,7 +80,7 @@ func TestSourceSingleQueryExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, feasible = p.SourceSideEffect(sol, nil)
+	cost, feasible = p.SourceSideEffect(sol)
 	// Optimal: delete T2(TKDE,XML,30), killing both requested tuples.
 	if !feasible || cost != 1 {
 		t.Errorf("multi source = %v/%v, want 1/true", cost, feasible)
@@ -130,8 +111,8 @@ func TestSourceVsViewObjectivesDiffer(t *testing.T) {
 	// Both have source cost 1 here, but the view side-effects differ when
 	// the source solver picks the T2 tuple; at minimum the two objectives
 	// must each be optimal in their own terms.
-	sc, _ := p.SourceSideEffect(src, nil)
-	vc, _ := p.SourceSideEffect(vw, nil)
+	sc, _ := p.SourceSideEffect(src)
+	vc, _ := p.SourceSideEffect(vw)
 	if sc > vc {
 		t.Errorf("source-exact deleted more tuples (%v) than the view optimum (%v)", sc, vc)
 	}
@@ -141,9 +122,9 @@ func TestSourceVsViewObjectivesDiffer(t *testing.T) {
 }
 
 // minHittingCost is the exhaustive oracle for the source objective: the
-// cheapest subset of cands that shares a tuple with every derivation,
+// smallest subset of cands that shares a tuple with every derivation,
 // found by enumerating all 2^len(cands) subsets.
-func minHittingCost(cands []relation.TupleID, derivs []cq.Derivation, weights SourceWeights) float64 {
+func minHittingCost(cands []relation.TupleID, derivs []cq.Derivation) float64 {
 	bit := make(map[string]int, len(cands))
 	for i, id := range cands {
 		bit[id.Key()] = i
@@ -166,20 +147,14 @@ func minHittingCost(cands []relation.TupleID, derivs []cq.Derivation, weights So
 		if !hits {
 			continue
 		}
-		cost := 0.0
-		for i, id := range cands {
-			if sub&(1<<i) != 0 {
-				cost += weights.weightOf(id)
-			}
-		}
-		best = math.Min(best, cost)
+		best = math.Min(best, float64(bits.OnesCount32(sub)))
 	}
 	return best
 }
 
 // TestSourceExactMatchesExhaustive: on every star/chain/pivot seed with at
 // most 16 candidate tuples, SourceExact's solution is feasible and costs
-// exactly the exhaustive minimum, with unit and with random weights.
+// exactly the exhaustive minimum.
 func TestSourceExactMatchesExhaustive(t *testing.T) {
 	makers := []struct {
 		name string
@@ -199,22 +174,15 @@ func TestSourceExactMatchesExhaustive(t *testing.T) {
 					ans, _ := p.Answer(ref)
 					derivs = append(derivs, ans.Derivations()...)
 				}
-				rng := rand.New(rand.NewSource(seed*10 + int64(nDel)))
-				random := SourceWeights{}
-				for _, id := range cands {
-					random[id.Key()] = 0.25 + 4*rng.Float64()
+				sol, err := (&SourceExact{}).Solve(context.Background(), p)
+				if err != nil {
+					t.Fatalf("%s/%d/%d: %v", m.name, seed, nDel, err)
 				}
-				for _, w := range []SourceWeights{nil, random} {
-					sol, err := (&SourceExact{Weights: w}).Solve(context.Background(), p)
-					if err != nil {
-						t.Fatalf("%s/%d/%d: %v", m.name, seed, nDel, err)
-					}
-					cost, feasible := p.SourceSideEffect(sol, w)
-					want := minHittingCost(cands, derivs, w)
-					if !feasible || math.Abs(cost-want) > 1e-9 {
-						t.Errorf("%s/%d/%d weighted=%v: source-exact cost %v feasible=%v, exhaustive minimum %v",
-							m.name, seed, nDel, w != nil, cost, feasible, want)
-					}
+				cost, feasible := p.SourceSideEffect(sol)
+				want := minHittingCost(cands, derivs)
+				if !feasible || cost != want {
+					t.Errorf("%s/%d/%d: source-exact cost %v feasible=%v, exhaustive minimum %v",
+						m.name, seed, nDel, cost, feasible, want)
 				}
 				checked++
 			}
@@ -226,10 +194,7 @@ func TestSourceExactMatchesExhaustive(t *testing.T) {
 }
 
 // SourceSideEffect evaluates the source-side-effect objective of a
-// solution: the total deletion cost, plus feasibility.
-func (p *Problem) SourceSideEffect(sol *Solution, weights SourceWeights) (cost float64, feasible bool) {
-	for _, id := range sol.Deleted {
-		cost += weights.weightOf(id)
-	}
-	return cost, p.Evaluate(sol).Feasible
+// solution: the number of deleted tuples, plus feasibility.
+func (p *Problem) SourceSideEffect(sol *Solution) (cost float64, feasible bool) {
+	return float64(len(sol.Deleted)), p.Evaluate(sol).Feasible
 }

@@ -57,9 +57,6 @@ func NewSet(fds ...FD) *Set {
 // Add appends an FD.
 func (s *Set) Add(f FD) { s.fds = append(s.fds, f) }
 
-// FDs returns the dependencies.
-func (s *Set) FDs() []FD { return append([]FD(nil), s.fds...) }
-
 // Closure computes the attribute closure attrs+ under the set, using the
 // standard fixpoint algorithm.
 func (s *Set) Closure(attrs []string) []string {

@@ -143,9 +143,9 @@ func (a *api) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(jobs)
 
-	busy := a.cfg.Metrics.Gauge(metricBatchWorkersBusy,
+	busy := a.metrics.Gauge(metricBatchWorkersBusy,
 		"Batch worker goroutines currently solving an item.", nil)
-	workerMs := a.cfg.Metrics.Counter(metricBatchWorkerMs,
+	workerMs := a.metrics.Counter(metricBatchWorkerMs,
 		"Cumulative milliseconds batch workers spent solving items (worker utilization).", nil)
 
 	var wg sync.WaitGroup

@@ -12,7 +12,7 @@ import (
 )
 
 // Live telemetry egress: the solve path, the admission ladder and the
-// circuit breakers publish typed events onto cfg.Events (a bounded,
+// circuit breakers publish typed events onto the api's events bus (a bounded,
 // non-blocking telemetry.Bus), and GET /events streams them as
 // Server-Sent Events. docs/OBSERVABILITY.md documents the event schema;
 // cmd/delprop's tail subcommand is the reference consumer.
@@ -76,7 +76,7 @@ func (a *api) handleEvents(w http.ResponseWriter, r *http.Request) {
 			errors.New("response writer does not support streaming"), requestID(r))
 		return
 	}
-	sub := a.cfg.Events.Subscribe(eventFilter(r), a.cfg.EventBuffer)
+	sub := a.events.Subscribe(eventFilter(r), a.cfg.EventBuffer)
 	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")

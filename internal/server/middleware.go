@@ -27,15 +27,6 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies (http.MaxBytesReader) on the
 	// classic compute endpoints (/solve, /classify, /lineage, ...).
 	MaxBodyBytes int64
-	// MaxSessionBodyBytes bounds POST /sessions registration bodies. A
-	// registration uploads a whole database, so its limit is much larger
-	// than the solve-sized MaxBodyBytes.
-	MaxSessionBodyBytes int64
-	// MaxSessionSolveBodyBytes bounds POST /sessions/{id}/solve bodies. A
-	// warm deletion request names view tuples only — no database — so its
-	// limit is much smaller than MaxBodyBytes: a session solve cannot
-	// smuggle a database-sized payload.
-	MaxSessionSolveBodyBytes int64
 	// SessionTTL is the idle lifetime of a registered session; reads
 	// extend it (see internal/session).
 	SessionTTL time.Duration
@@ -77,16 +68,6 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// Logger receives structured request logs; nil means slog.Default().
 	Logger *slog.Logger
-	// Metrics receives the server's counters, gauges and histograms; nil
-	// means a fresh registry per handler (exposed on GET /metrics).
-	Metrics *telemetry.Registry
-	// Tracer records per-solve phase traces; nil means a fresh tracer
-	// with DefaultTraceBuffer capacity (exposed on GET /debug/traces).
-	Tracer *telemetry.Tracer
-	// Events is the live telemetry bus GET /events streams from; nil
-	// means a fresh bus. Publishing is non-blocking: a slow subscriber
-	// loses its oldest buffered events, never delays a solve.
-	Events *telemetry.Bus
 	// EventBuffer is each /events subscriber's ring capacity (events kept
 	// while the consumer catches up); 0 means DefaultEventBuffer.
 	EventBuffer int
@@ -122,9 +103,12 @@ const (
 	DefaultSolveTimeout    = 30 * time.Second
 	DefaultMaxSolveTimeout = 2 * time.Minute
 	DefaultMaxBodyBytes    = 4 << 20
-	// DefaultMaxSessionBodyBytes admits database uploads on POST /sessions
-	// (16x the solve limit); DefaultMaxSessionSolveBodyBytes bounds warm
-	// deletion requests, which carry no database text.
+	// DefaultMaxSessionBodyBytes bounds POST /sessions registration
+	// bodies: a registration uploads a whole database, so it gets 16x the
+	// solve limit. DefaultMaxSessionSolveBodyBytes bounds POST
+	// /sessions/{id}/solve bodies: a warm deletion request names view
+	// tuples only, so a session solve cannot smuggle a database-sized
+	// payload.
 	DefaultMaxSessionBodyBytes      = 64 << 20
 	DefaultMaxSessionSolveBodyBytes = 1 << 20
 	DefaultMaxConcurrent            = 64
@@ -155,12 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.MaxSessionBodyBytes <= 0 {
-		c.MaxSessionBodyBytes = DefaultMaxSessionBodyBytes
-	}
-	if c.MaxSessionSolveBodyBytes <= 0 {
-		c.MaxSessionSolveBodyBytes = DefaultMaxSessionSolveBodyBytes
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = session.DefaultTTL
@@ -201,15 +179,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
-	}
-	if c.Tracer == nil {
-		c.Tracer = telemetry.NewTracer(0)
-	}
-	if c.Events == nil {
-		c.Events = telemetry.NewBus()
-	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = DefaultEventBuffer
 	}
@@ -237,6 +206,13 @@ type api struct {
 	queueSlots  chan struct{}
 	degradedSem chan struct{}
 	breakers    *admission.BreakerSet
+	// metrics backs GET /metrics, tracer GET /debug/traces and events the
+	// live bus GET /events streams from. Publishing is non-blocking: a
+	// slow subscriber loses its oldest buffered events, never delays a
+	// solve.
+	metrics *telemetry.Registry
+	tracer  *telemetry.Tracer
+	events  *telemetry.Bus
 	// latencyAll aggregates solve latency across solvers; Retry-After
 	// hints fall back to its p90 when the rolling 1m window is empty
 	// (see retryAfterSeconds).
@@ -316,7 +292,7 @@ func (s *statusRecorder) Flush() {
 // POST /solve and POST /sessions/{id}/solve once a solve started, a
 // "request" line otherwise.
 func (a *api) instrument(next http.Handler) http.Handler {
-	inflight := a.cfg.Metrics.Gauge(metricHTTPInFlight,
+	inflight := a.metrics.Gauge(metricHTTPInFlight,
 		"HTTP requests currently being served.", nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := "r" + strconv.FormatUint(a.nextID.Add(1), 10)
@@ -353,8 +329,8 @@ func (a *api) instrument(next http.Handler) http.Handler {
 // as *http.MaxBytesError during decode and map to 413. Each endpoint
 // class carries its own limit: solve-shaped payloads get
 // Config.MaxBodyBytes, session registrations (database uploads) the much
-// larger MaxSessionBodyBytes, and warm session solves the much smaller
-// MaxSessionSolveBodyBytes.
+// larger DefaultMaxSessionBodyBytes, and warm session solves the much
+// smaller DefaultMaxSessionSolveBodyBytes.
 func (a *api) limitBody(next http.Handler, n int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, n)
@@ -405,7 +381,7 @@ func (a *api) admit(next http.Handler, degradable bool) http.Handler {
 			return
 		}
 		defer dec.Release()
-		inflight := a.cfg.Metrics.Gauge(metricAdmissionInflight,
+		inflight := a.metrics.Gauge(metricAdmissionInflight,
 			"Compute requests currently admitted, by tenant.",
 			telemetry.Labels{"tenant": dec.Tenant})
 		inflight.Add(1)
@@ -467,7 +443,7 @@ func (a *api) queueForSlot(w http.ResponseWriter, r *http.Request, tenant string
 	select {
 	case a.sem <- struct{}{}:
 		<-a.queueSlots
-		a.cfg.Metrics.Histogram(metricAdmissionQueueWait,
+		a.metrics.Histogram(metricAdmissionQueueWait,
 			"Seconds high-priority requests waited in the bounded overload queue before getting a slot.",
 			nil, nil).Observe(time.Since(start).Seconds())
 		a.observeAdmission(requestID(r), tenant, "queued")

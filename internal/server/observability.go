@@ -85,10 +85,10 @@ var qualityRatioBuckets = []float64{1, 1.05, 1.1, 1.25, 1.5, 2, 3, 5, 10, 25, 10
 func (a *api) observeHTTP(method, path string, status int, dur time.Duration) {
 	route := routeLabel(path)
 	verb := methodLabel(method)
-	a.cfg.Metrics.Counter(metricHTTPRequests,
+	a.metrics.Counter(metricHTTPRequests,
 		"HTTP requests served, by path, method and status.",
 		telemetry.Labels{"path": route, "method": verb, "status": httpStatusLabel(status)}).Inc()
-	a.cfg.Metrics.Histogram("delprop_http_request_duration_seconds",
+	a.metrics.Histogram("delprop_http_request_duration_seconds",
 		"HTTP request latency in seconds, by path.",
 		nil, telemetry.Labels{"path": route}).Observe(dur.Seconds())
 }
@@ -176,7 +176,7 @@ func httpStatusLabel(status int) string {
 // counters aggregated from the solve's Stats, the race summary, the
 // breaker outcome and the degraded-solve count.
 func (a *api) observeSolve(rec *solveRecord) {
-	reg := a.cfg.Metrics
+	reg := a.metrics
 	solver, outcome, snap := rec.solver, rec.outcome, rec.stats
 	dur := *rec.phase(telemetry.PhaseSolve)
 	reg.Histogram(metricSolveDuration,
@@ -224,7 +224,7 @@ func (a *api) observeSolve(rec *solveRecord) {
 // mirrors it onto the live event bus. decision is one of admitted,
 // queued, degraded, or shed-<rule>.
 func (a *api) observeAdmission(reqID, tenant, decision string) {
-	a.cfg.Metrics.Counter(metricAdmissionDecisions,
+	a.metrics.Counter(metricAdmissionDecisions,
 		"Admission-ladder decisions, by tenant and decision (admitted, queued, degraded, shed-<rule>).",
 		telemetry.Labels{"tenant": tenant, "decision": decision}).Inc()
 	a.publish(nil, admissionEvent(reqID, tenant, decision))
@@ -267,7 +267,7 @@ func (a *api) registerBreakerMetrics() {
 	if a.breakers == nil {
 		return
 	}
-	reg := a.cfg.Metrics
+	reg := a.metrics
 	a.breakers.SetTransitionHook(func(solver string, to admission.BreakerState) {
 		reg.Gauge(metricBreakerState,
 			"Circuit breaker state per solver: 0 closed, 1 half-open, 2 open.",
@@ -291,14 +291,14 @@ func breakerEvent(solver string, to admission.BreakerState) telemetry.Event {
 // the publish path and stay allocation-light (the metric handles are
 // resolved once here).
 func (a *api) registerEventMetrics() {
-	reg := a.cfg.Metrics
+	reg := a.metrics
 	published := reg.Counter(metricEventsPublished,
 		"Events published onto the live telemetry bus (whether or not anyone was subscribed).", nil)
 	dropped := reg.Counter(metricEventsDropped,
 		"Events evicted from a slow /events subscriber's bounded buffer instead of delaying a solve.", nil)
 	subscribers := reg.Gauge(metricEventsSubscribers,
 		"Current /events subscriptions.", nil)
-	a.cfg.Events.SetHooks(telemetry.BusHooks{
+	a.events.SetHooks(telemetry.BusHooks{
 		OnPublish:     published.Inc,
 		OnDrop:        dropped.Inc,
 		OnSubscribers: func(n int) { subscribers.Set(float64(n)) },
@@ -308,7 +308,7 @@ func (a *api) registerEventMetrics() {
 // observeBreakerReroute counts one request routed to the fallback solver
 // because the requested solver's breaker was open.
 func (a *api) observeBreakerReroute(from, to string) {
-	a.cfg.Metrics.Counter(metricBreakerRerouted,
+	a.metrics.Counter(metricBreakerRerouted,
 		"Requests rerouted to a fallback solver because the requested solver's breaker was open, by solver pair.",
 		telemetry.Labels{"from": from, "to": to}).Inc()
 }
@@ -321,17 +321,17 @@ func (a *api) observeRace(rs core.RaceSnapshot) {
 	if winner == "" {
 		winner = "none"
 	}
-	a.cfg.Metrics.Counter(metricParallelRaces,
+	a.metrics.Counter(metricParallelRaces,
 		"Portfolio races finished, by winning solver and whether the win was a proven-optimality early exit.",
 		telemetry.Labels{"winner": winner, "proven": strconv.FormatBool(rs.Proven)}).Inc()
-	a.cfg.Metrics.Counter(metricParallelCancelled,
+	a.metrics.Counter(metricParallelCancelled,
 		"Portfolio members cancelled (or skipped) before completion because another member already held a provably optimal solution.",
 		nil).Add(int64(rs.CancelledLosers))
 }
 
 // observeBatch records one finished POST /solve/batch request.
 func (a *api) observeBatch(resp BatchResponse, dur time.Duration) {
-	reg := a.cfg.Metrics
+	reg := a.metrics
 	reg.Counter(metricBatchRequests,
 		"Batch solve requests finished, by completeness (full or partial).",
 		telemetry.Labels{"partial": strconv.FormatBool(resp.Partial)}).Inc()
@@ -367,7 +367,7 @@ func (a *api) registerBuildInfo() {
 			}
 		}
 	}
-	a.cfg.Metrics.Gauge(metricBuildInfo,
+	a.metrics.Gauge(metricBuildInfo,
 		"Build identity (constant 1; the labels carry go version and VCS revision).",
 		labels).Set(1)
 	a.updateRuntimeGauges()
@@ -376,7 +376,7 @@ func (a *api) registerBuildInfo() {
 // updateRuntimeGauges refreshes the per-scrape process gauges: uptime,
 // goroutine count and heap in use.
 func (a *api) updateRuntimeGauges() {
-	reg := a.cfg.Metrics
+	reg := a.metrics
 	reg.Gauge(metricUptime,
 		"Seconds since this server was constructed.", nil).Set(time.Since(a.start).Seconds())
 	reg.Gauge(metricGoroutines,
@@ -397,7 +397,7 @@ func (a *api) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		a.updateRuntimeGauges()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	a.cfg.Metrics.WritePrometheus(w)
+	a.metrics.WritePrometheus(w)
 }
 
 // TracesResponse is the /debug/traces payload.
@@ -416,11 +416,11 @@ func (a *api) handleTraces(w http.ResponseWriter, r *http.Request) {
 	var snap []telemetry.TraceJSON
 	switch state := r.URL.Query().Get("state"); state {
 	case "", "finished":
-		snap = a.cfg.Tracer.Snapshot()
+		snap = a.tracer.Snapshot()
 	case "live":
-		snap = a.cfg.Tracer.LiveSnapshot()
+		snap = a.tracer.LiveSnapshot()
 	case "all":
-		snap = append(a.cfg.Tracer.Snapshot(), a.cfg.Tracer.LiveSnapshot()...)
+		snap = append(a.tracer.Snapshot(), a.tracer.LiveSnapshot()...)
 	default:
 		writeErr(w, http.StatusBadRequest, codeInvalidRequest,
 			fmt.Errorf("state: unknown value %q (want finished, live or all)", state), requestID(r))

@@ -229,7 +229,7 @@ func (a *api) capturePostmortem(kind string, rec *solveRecord, breach *telemetry
 		p.Trace = rec.trace.Render()
 		p.Events = rec.trace.Events()
 	} else {
-		p.Events = a.cfg.Tracer.RecentEvents(uncorrelatedEvents)
+		p.Events = a.tracer.RecentEvents(uncorrelatedEvents)
 	}
 	return a.recorder.addBundle(p)
 }

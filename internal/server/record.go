@@ -204,7 +204,7 @@ func (rec *solveRecord) fill(resp *SolveResponse) {
 // producing solve's trace (nil for admission, breaker, session and SLO
 // events), where postmortems find it.
 func (a *api) publish(tr *telemetry.Trace, ev telemetry.Event) {
-	tr.AddEvent(a.cfg.Events.Publish(ev))
+	tr.AddEvent(a.events.Publish(ev))
 }
 
 // beginPhase opens the named phase's span; the returned closure ends it,

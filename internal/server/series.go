@@ -28,7 +28,7 @@ func (a *api) initSeries() {
 	if a.cfg.PostmortemCapacity > 0 {
 		a.recorder = newFlightRecorder(a.cfg.PostmortemCapacity)
 	}
-	a.sampler = telemetry.NewSampler(a.cfg.Metrics, telemetry.SamplerConfig{
+	a.sampler = telemetry.NewSampler(a.metrics, telemetry.SamplerConfig{
 		Interval:  a.cfg.SeriesInterval,
 		MaxWindow: a.cfg.SeriesMaxWindow,
 	})
@@ -52,7 +52,7 @@ func (a *api) sampleBreakerStates() {
 	if a.breakers == nil {
 		return
 	}
-	reg := a.cfg.Metrics
+	reg := a.metrics
 	a.breakers.EachState(func(solver string, st admission.BreakerState) {
 		reg.Gauge(metricBreakerState,
 			"Circuit breaker state per solver: 0 closed, 1 half-open, 2 open.",
@@ -105,7 +105,7 @@ func (a *api) onSLOBreach(b telemetry.SLOBreach) {
 		a.publish(nil, ev)
 		return
 	}
-	a.cfg.Metrics.Counter(metricSLOBreaches,
+	a.metrics.Counter(metricSLOBreaches,
 		"SLO watchdog breaches detected, by rule (transitions into breach, not ticks spent breached).",
 		telemetry.Labels{"rule": b.Rule}).Inc()
 	rec := a.recorder.match(b.By, b.Target)

@@ -49,7 +49,13 @@ type Server struct {
 
 // NewHandler mounts the routes under cfg (zero fields take defaults).
 func NewHandler(cfg Config) *Server {
-	a := &api{cfg: cfg.withDefaults(), start: time.Now()}
+	a := &api{
+		cfg:     cfg.withDefaults(),
+		metrics: telemetry.NewRegistry(),
+		tracer:  telemetry.NewTracer(0),
+		events:  telemetry.NewBus(),
+		start:   time.Now(),
+	}
 	a.sem = make(chan struct{}, a.cfg.MaxConcurrent)
 	a.queueSlots = make(chan struct{}, a.cfg.ShedQueueDepth)
 	a.degradedSem = make(chan struct{}, a.cfg.DegradedLanes)
@@ -61,7 +67,7 @@ func NewHandler(cfg Config) *Server {
 			Cooldown:  a.cfg.BreakerCooldown,
 		})
 	}
-	a.latencyAll = a.cfg.Metrics.Histogram(metricAdmissionLatency,
+	a.latencyAll = a.metrics.Histogram(metricAdmissionLatency,
 		"Solve latency in seconds aggregated across solvers; shed responses derive Retry-After from its p90.",
 		nil, nil)
 	a.registerBreakerMetrics()
@@ -82,8 +88,8 @@ func NewHandler(cfg Config) *Server {
 	// (much larger) body limit; warm session solves name view tuples only
 	// and get a much smaller one — a deletion request cannot smuggle a
 	// database-sized payload. Warm solves are degradable like /solve.
-	mux.Handle("POST /sessions", a.computeLimited(a.handleSessionRegister, false, a.cfg.MaxSessionBodyBytes))
-	mux.Handle("POST /sessions/{id}/solve", a.computeLimited(a.handleSessionSolve, true, a.cfg.MaxSessionSolveBodyBytes))
+	mux.Handle("POST /sessions", a.computeLimited(a.handleSessionRegister, false, DefaultMaxSessionBodyBytes))
+	mux.Handle("POST /sessions/{id}/solve", a.computeLimited(a.handleSessionSolve, true, DefaultMaxSessionSolveBodyBytes))
 	// Eviction is a cheap registry operation, not compute.
 	mux.HandleFunc("DELETE /sessions/{id}", a.handleSessionDelete)
 	a.mountReads(mux)
@@ -124,14 +130,14 @@ func (s *Server) SetDraining(v bool) {
 	// warm acquisitions are refused while in-flight warm solves run to
 	// completion against their pinned entries.
 	s.api.sessions.SetDraining(v)
-	g := s.api.cfg.Metrics.Gauge(metricDraining,
+	g := s.api.metrics.Gauge(metricDraining,
 		"1 once SIGTERM drain has begun, 0 while serving normally.", nil)
 	if v {
 		g.Set(1)
 		// End the live /events subscriptions: each stream writes a terminal
 		// stream_end event (with its drop count) and closes, so open SSE
 		// connections never hold http.Server.Shutdown hostage.
-		s.api.cfg.Events.Shutdown()
+		s.api.events.Shutdown()
 	} else {
 		g.Set(0)
 	}
@@ -527,7 +533,7 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 		}
 	}
 	rec.deadline = deadline
-	rec.trace = a.cfg.Tracer.Start("solve")
+	rec.trace = a.tracer.Start("solve")
 	// Every exit below goes through finish, which finishes the trace; the
 	// deferred call covers a panic escaping to the handler middleware.
 	defer rec.trace.Finish()
@@ -707,7 +713,7 @@ func (a *api) handleClassify(w http.ResponseWriter, r *http.Request) {
 	schemas := cq.InstanceSchemas(db)
 	var resp ClassifyResponse
 	for _, q := range queries {
-		deps, err := classify.VariableFDs(q, schemas, nil)
+		deps, err := classify.VariableFDs(q, schemas)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
 			return
@@ -844,17 +850,13 @@ func (a *api) handleResilience(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var resp ResilienceResponse
 	for _, q := range queries {
-		n, sol, err := core.Resilience(ctx, q, db, budget)
+		sol, method, err := core.Resilience(ctx, q, db, budget)
 		if err != nil {
 			_, serr := a.solveFailure(reqID, fmt.Errorf("%s: %w", q.Name, err))
 			serr.write(w, reqID)
 			return
 		}
-		method := "exact-hitting-set"
-		if len(q.Body) == 2 && q.IsSelfJoinFree() {
-			method = "bipartite-vertex-cover"
-		}
-		qr := QueryResilience{Query: q.String(), Resilience: n, Method: method}
+		qr := QueryResilience{Query: q.String(), Resilience: len(sol.Deleted), Method: method}
 		for _, id := range sol.Deleted {
 			qr.Witness = append(qr.Witness, toTupleJSON(id))
 		}

@@ -308,12 +308,12 @@ func (s *Server) Draining() bool { return s.api.draining.Load() }
 
 // Metrics returns the server's metric registry (the one GET /metrics
 // renders).
-func (s *Server) Metrics() *telemetry.Registry { return s.api.cfg.Metrics }
+func (s *Server) Metrics() *telemetry.Registry { return s.api.metrics }
 
 // Tracer returns the server's solve tracer (the one GET /debug/traces
 // snapshots).
-func (s *Server) Tracer() *telemetry.Tracer { return s.api.cfg.Tracer }
+func (s *Server) Tracer() *telemetry.Tracer { return s.api.tracer }
 
 // Events returns the server's live telemetry bus (the one GET /events
 // streams from).
-func (s *Server) Events() *telemetry.Bus { return s.api.cfg.Events }
+func (s *Server) Events() *telemetry.Bus { return s.api.events }

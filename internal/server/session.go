@@ -74,7 +74,7 @@ type SessionsDebugResponse struct {
 // are resolved once here; the hooks run inline on registry transitions
 // and stay allocation-light.
 func (a *api) initSessions() {
-	reg := a.cfg.Metrics
+	reg := a.metrics
 	hits := reg.Counter(metricSessionHits,
 		"Warm session lookups served from a resident entry (registrations finding their fingerprint cached, and warm solves).", nil)
 	misses := reg.Counter(metricSessionMisses,
@@ -125,7 +125,7 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant, _, _ := a.tenantShaping(r.Context(), req.Tenant)
-	tr := a.cfg.Tracer.Start("session_register")
+	tr := a.tracer.Start("session_register")
 	defer tr.Finish()
 	tr.SetAttr("requestId", reqID)
 	if tenant != "" {
@@ -233,7 +233,7 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		serr.write(w, reqID)
 		return
 	}
-	a.cfg.Metrics.Histogram(metricSessionWarmSolve,
+	a.metrics.Histogram(metricSessionWarmSolve,
 		"End-to-end latency of warm session solves in seconds (request decode through response).",
 		nil, nil).Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, resp)

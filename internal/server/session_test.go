@@ -230,23 +230,24 @@ func TestSessionEvents(t *testing.T) {
 
 // TestSessionBodyLimits: the registration endpoint and the warm-solve
 // endpoint have independent body limits — a database-sized registration
-// is not 413'd by the solve limit, and a deletion request cannot smuggle
-// a database-sized payload through the warm path.
+// is not 413'd by the 1 MiB solve limit, and a deletion request cannot
+// smuggle a database-sized payload through the warm path.
 func TestSessionBodyLimits(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(Config{
-		MaxSessionSolveBodyBytes: 2048,
-	}))
+	srv := httptest.NewServer(New())
 	defer srv.Close()
 
-	// A registration body far over the warm-solve limit must pass.
-	bigDB := fig1DB
+	// A registration body far over the warm-solve limit must pass; comment
+	// lines pad it past the limit without growing the views.
+	var bigDB strings.Builder
+	bigDB.WriteString(fig1DB)
 	for i := 0; i < 400; i++ {
-		bigDB += fmt.Sprintf("T1(Author%04d, TKDE)\n", i)
+		fmt.Fprintf(&bigDB, "T1(Author%04d, TKDE)\n", i)
 	}
-	body := SessionRequest{Database: bigDB, Queries: fig1Queries}
-	if raw, _ := json.Marshal(body); len(raw) <= 2048 {
-		t.Fatalf("test registration body too small to prove the split: %d bytes", len(raw))
+	pad := "# " + strings.Repeat("x", 1022) + "\n"
+	for bigDB.Len() <= DefaultMaxSessionSolveBodyBytes {
+		bigDB.WriteString(pad)
 	}
+	body := SessionRequest{Database: bigDB.String(), Queries: fig1Queries}
 	resp, respBody := post(t, srv, "/sessions", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("big registration status = %d: %s", resp.StatusCode, respBody)
@@ -264,7 +265,7 @@ func TestSessionBodyLimits(t *testing.T) {
 	// An oversized warm-solve body is rejected with 413 before parsing.
 	resp, respBody = post(t, srv, "/sessions/"+sess.SessionID+"/solve", SessionSolveRequest{
 		Deletions: "Q4(John, TKDE, XML)",
-		Timeout:   strings.Repeat(" ", 4096),
+		Timeout:   strings.Repeat(" ", DefaultMaxSessionSolveBodyBytes),
 	})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized warm solve status = %d: %s", resp.StatusCode, respBody)

@@ -72,7 +72,7 @@ type Config struct {
 	TTL time.Duration
 	// MaxEntries bounds the resident entry count (LRU eviction).
 	MaxEntries int
-	// Now is the clock; defaults to time.Now. Tests inject a fake.
+	// Now is the clock (nil: time.Now), a seam for a test's fake clock.
 	Now func() time.Time
 	// Hooks observe hits, misses, evictions and the entry count.
 	Hooks Hooks

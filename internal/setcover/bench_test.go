@@ -14,7 +14,7 @@ func BenchmarkLowDegSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.LowDegSweep(GreedyRatio); err != nil {
+		if _, err := inst.LowDegSweep(); err != nil {
 			b.Fatal(err)
 		}
 	}

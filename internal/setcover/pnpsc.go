@@ -14,17 +14,15 @@ type PNSet struct {
 
 // PNPSCInstance is the Positive-Negative Partial Set Cover problem of
 // Miettinen (Section II.D): choose a sub-collection minimizing
-// (#uncovered positives) + (weight of covered negatives). Unlike Red-Blue
-// Set Cover there is no hard covering constraint, so every sub-collection
+// (#uncovered positives) + (weight of covered negatives): each uncovered
+// positive costs 1, as in the paper's Lemma 1. Unlike Red-Blue Set Cover
+// there is no hard covering constraint, so every sub-collection
 // (including the empty one) is feasible.
 type PNPSCInstance struct {
 	NumPos int
 	NumNeg int
 	// NegWeights holds one weight per negative element; nil means all 1.
 	NegWeights []float64
-	// PosWeights holds one weight per positive element (the price of
-	// leaving it uncovered); nil means all 1.
-	PosWeights []float64
 	Sets       []PNSet
 }
 
@@ -36,21 +34,10 @@ func (p *PNPSCInstance) NegWeight(n int) float64 {
 	return p.NegWeights[n]
 }
 
-// PosWeight returns the weight of positive element i.
-func (p *PNPSCInstance) PosWeight(i int) float64 {
-	if p.PosWeights == nil {
-		return 1
-	}
-	return p.PosWeights[i]
-}
-
-// Validate checks index ranges and weight vector lengths.
+// Validate checks index ranges and the weight vector length.
 func (p *PNPSCInstance) Validate() error {
 	if p.NegWeights != nil && len(p.NegWeights) != p.NumNeg {
 		return fmt.Errorf("setcover: %d negative weights for %d negatives", len(p.NegWeights), p.NumNeg)
-	}
-	if p.PosWeights != nil && len(p.PosWeights) != p.NumPos {
-		return fmt.Errorf("setcover: %d positive weights for %d positives", len(p.PosWeights), p.NumPos)
 	}
 	for si, s := range p.Sets {
 		for _, e := range s.Positives {
@@ -70,9 +57,9 @@ func (p *PNPSCInstance) Validate() error {
 // Cost evaluates the PNPSC objective for a chosen sub-collection.
 func (p *PNPSCInstance) Cost(sol Solution) float64 {
 	cost := 0.0
-	for i, in := range covered(p.NumPos, sol, func(si int) []int { return p.Sets[si].Positives }) {
+	for _, in := range covered(p.NumPos, sol, func(si int) []int { return p.Sets[si].Positives }) {
 		if !in {
-			cost += p.PosWeight(i)
+			cost++
 		}
 	}
 	for n, in := range covered(p.NumNeg, sol, func(si int) []int { return p.Sets[si].Negatives }) {
@@ -87,8 +74,8 @@ func (p *PNPSCInstance) Cost(sol Solution) float64 {
 // the positives become blue elements; the reds are the negatives plus one
 // fresh "slack" red per positive, and for every positive p a singleton set
 // {p, slack_p} is added so that leaving p uncovered in PNPSC corresponds to
-// covering it with its slack set at the price of p's weight. The returned
-// decoder strips the slack sets from a Red-Blue solution.
+// covering it with its slack set at the price of 1. The returned decoder
+// strips the slack sets from a Red-Blue solution.
 func (p *PNPSCInstance) ToRedBlue() (*Instance, func(Solution) Solution) {
 	inst := &Instance{
 		NumRed:  p.NumNeg + p.NumPos,
@@ -99,7 +86,7 @@ func (p *PNPSCInstance) ToRedBlue() (*Instance, func(Solution) Solution) {
 		inst.RedWeights[n] = p.NegWeight(n)
 	}
 	for i := range inst.RedWeights[p.NumNeg:] {
-		inst.RedWeights[p.NumNeg+i] = p.PosWeight(i)
+		inst.RedWeights[p.NumNeg+i] = 1
 	}
 	for _, s := range p.Sets {
 		inst.Sets = append(inst.Sets, Set{
@@ -130,9 +117,9 @@ func (p *PNPSCInstance) ToRedBlue() (*Instance, func(Solution) Solution) {
 
 // Solve approximates the PNPSC instance via the reduction to Red-Blue Set
 // Cover followed by LowDegSweep, as in the paper's Lemma 1.
-func (p *PNPSCInstance) Solve(mode GreedyMode) (Solution, error) {
+func (p *PNPSCInstance) Solve() (Solution, error) {
 	inst, decode := p.ToRedBlue()
-	sol, err := inst.LowDegSweep(mode)
+	sol, err := inst.LowDegSweep()
 	if err != nil {
 		return Solution{}, err
 	}

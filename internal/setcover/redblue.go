@@ -131,20 +131,10 @@ func (inst *Instance) coveringSets(allowed []bool) ([][]int, error) {
 	return cov, nil
 }
 
-// GreedyMode selects the inner greedy strategy.
-type GreedyMode int
-
-const (
-	// GreedyRatio picks the set maximizing newly-covered blues per unit of
-	// newly-covered red weight (practical default).
-	GreedyRatio GreedyMode = iota
-	// GreedyCount picks the set maximizing newly-covered blues, ignoring
-	// red cost — the inner step of Peleg's low-degree algorithm, whose
-	// analysis only needs the ln(β) set-count bound.
-	GreedyCount
-)
-
-func (inst *Instance) greedyRestricted(allowed []bool, mode GreedyMode) (Solution, error) {
+// greedyRestricted covers the blues with the allowed sets (every set when
+// allowed is nil), repeatedly picking the set maximizing newly-covered
+// blues per unit of newly-covered red weight.
+func (inst *Instance) greedyRestricted(allowed []bool) (Solution, error) {
 	if _, err := inst.coveringSets(allowed); err != nil {
 		return Solution{}, err
 	}
@@ -167,19 +157,13 @@ func (inst *Instance) greedyRestricted(allowed []bool, mode GreedyMode) (Solutio
 			if newBlues == 0 {
 				continue
 			}
-			var score float64
-			switch mode {
-			case GreedyCount:
-				score = float64(newBlues)
-			default:
-				newRed := 0.0
-				for _, r := range s.Reds {
-					if !coveredRed[r] {
-						newRed += inst.RedWeight(r)
-					}
+			newRed := 0.0
+			for _, r := range s.Reds {
+				if !coveredRed[r] {
+					newRed += inst.RedWeight(r)
 				}
-				score = float64(newBlues) / (1 + newRed)
 			}
+			score := float64(newBlues) / (1 + newRed)
 			if score > bestScore {
 				bestScore, best = score, si
 			}
@@ -215,21 +199,21 @@ func (inst *Instance) redDegree(si int) float64 {
 }
 
 // LowDeg runs the degree-capped greedy: sets with red weight exceeding tau
-// are discarded, then the inner greedy covers the blues. Returns
+// are discarded, then the ratio greedy covers the blues. Returns
 // ErrInfeasible when the cap kills feasibility. This is the inner routine
 // of the paper's Algorithm 2 family, after Peleg's LowDegTwo.
-func (inst *Instance) LowDeg(tau float64, mode GreedyMode) (Solution, error) {
+func (inst *Instance) LowDeg(tau float64) (Solution, error) {
 	allowed := make([]bool, len(inst.Sets))
 	for si := range inst.Sets {
 		allowed[si] = inst.redDegree(si) <= tau
 	}
-	return inst.greedyRestricted(allowed, mode)
+	return inst.greedyRestricted(allowed)
 }
 
 // LowDegSweep runs LowDeg over every distinct red degree (the unknown τ̂ of
 // the paper's Algorithm 3 outer loop) and returns the best feasible
 // solution found, or ErrInfeasible if none is.
-func (inst *Instance) LowDegSweep(mode GreedyMode) (Solution, error) {
+func (inst *Instance) LowDegSweep() (Solution, error) {
 	degrees := make([]float64, 0, len(inst.Sets))
 	seen := make(map[float64]bool)
 	for si := range inst.Sets {
@@ -244,7 +228,7 @@ func (inst *Instance) LowDegSweep(mode GreedyMode) (Solution, error) {
 	var best Solution
 	found := false
 	for _, tau := range degrees {
-		sol, err := inst.LowDeg(tau, mode)
+		sol, err := inst.LowDeg(tau)
 		if err != nil {
 			continue
 		}

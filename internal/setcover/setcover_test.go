@@ -119,18 +119,16 @@ func TestExactNoBlues(t *testing.T) {
 
 func TestGreedyFeasibleAndReasonable(t *testing.T) {
 	inst := small()
-	for _, mode := range []GreedyMode{GreedyRatio, GreedyCount} {
-		sol, err := inst.Greedy(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !inst.Feasible(sol) {
-			t.Errorf("mode %v: infeasible", mode)
-		}
+	sol, err := inst.Greedy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inst.Feasible(sol) {
+		t.Error("greedy solution infeasible")
 	}
 	// Infeasible instance.
 	bad := &Instance{NumBlue: 1, Sets: []Set{{}}}
-	if _, err := bad.Greedy(GreedyRatio); !errors.Is(err, ErrInfeasible) {
+	if _, err := bad.Greedy(); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -138,11 +136,11 @@ func TestGreedyFeasibleAndReasonable(t *testing.T) {
 func TestLowDeg(t *testing.T) {
 	inst := small()
 	// tau=0: only S3 (no reds) survives; infeasible (b0,b1 uncovered).
-	if _, err := inst.LowDeg(0, GreedyRatio); !errors.Is(err, ErrInfeasible) {
+	if _, err := inst.LowDeg(0); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("tau=0 err = %v, want ErrInfeasible", err)
 	}
 	// tau=1: S0, S2, S3 survive; solution possible with cost 1.
-	sol, err := inst.LowDeg(1, GreedyRatio)
+	sol, err := inst.LowDeg(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +151,7 @@ func TestLowDeg(t *testing.T) {
 
 func TestLowDegSweep(t *testing.T) {
 	inst := small()
-	sol, err := inst.LowDegSweep(GreedyRatio)
+	sol, err := inst.LowDegSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestLowDegSweep(t *testing.T) {
 	}
 	// Entirely infeasible instance propagates the error.
 	bad := &Instance{NumBlue: 1, Sets: []Set{{}}}
-	if _, err := bad.LowDegSweep(GreedyRatio); !errors.Is(err, ErrInfeasible) {
+	if _, err := bad.LowDegSweep(); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -208,21 +206,19 @@ func TestApproxNeverBeatsExact(t *testing.T) {
 		}
 		optCost := inst.Cost(opt)
 		bound := 2 * math.Sqrt(float64(len(inst.Sets))*math.Log(float64(inst.NumBlue)+1))
-		for _, mode := range []GreedyMode{GreedyRatio, GreedyCount} {
-			sol, err := inst.LowDegSweep(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !inst.Feasible(sol) {
-				t.Fatalf("trial %d mode %v infeasible", trial, mode)
-			}
-			c := inst.Cost(sol)
-			if c < optCost-1e-9 {
-				t.Fatalf("trial %d: approx %v beats exact %v", trial, c, optCost)
-			}
-			if optCost > 0 && c > bound*optCost+1e-9 {
-				t.Errorf("trial %d mode %v: ratio %v exceeds bound %v", trial, mode, c/optCost, bound)
-			}
+		sol, err := inst.LowDegSweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !inst.Feasible(sol) {
+			t.Fatalf("trial %d infeasible", trial)
+		}
+		c := inst.Cost(sol)
+		if c < optCost-1e-9 {
+			t.Fatalf("trial %d: approx %v beats exact %v", trial, c, optCost)
+		}
+		if optCost > 0 && c > bound*optCost+1e-9 {
+			t.Errorf("trial %d: ratio %v exceeds bound %v", trial, c/optCost, bound)
 		}
 	}
 }
@@ -297,7 +293,7 @@ func TestPNPSCReductionPreservesCost(t *testing.T) {
 		}
 		// Decoded approximate solution costs what the RBSC solution costs
 		// or less (slack reds pay exactly for uncovered positives).
-		sol, err := inst.LowDegSweep(GreedyRatio)
+		sol, err := inst.LowDegSweep()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +312,7 @@ func TestPNPSCSolve(t *testing.T) {
 			{Positives: []int{0}, Negatives: []int{0}}, // costly
 		},
 	}
-	sol, err := p.Solve(GreedyRatio)
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,17 +325,16 @@ func TestPNPSCWeights(t *testing.T) {
 	p := &PNPSCInstance{
 		NumPos:     1,
 		NumNeg:     1,
-		PosWeights: []float64{5},
 		NegWeights: []float64{2},
 		Sets:       []PNSet{{Positives: []int{0}, Negatives: []int{0}}},
 	}
-	// Covering: cost 2; not covering: cost 5. Optimal = cover.
+	// Covering: cost 2; not covering: cost 1. Optimal = leave uncovered.
 	opt, err := p.Exact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Cost(opt); got != 2 {
-		t.Errorf("weighted optimum = %v, want 2", got)
+	if got := p.Cost(opt); got != 1 || len(opt.Chosen) != 0 {
+		t.Errorf("weighted optimum = %v (%v), want 1 with nothing chosen", got, opt.Chosen)
 	}
 }
 
@@ -365,8 +360,8 @@ func TestCostSumOrderFixed(t *testing.T) {
 	}
 }
 
-// Greedy computes a feasible solution with the chosen strategy, or
+// Greedy computes a feasible solution with the ratio greedy, or
 // ErrInfeasible.
-func (inst *Instance) Greedy(mode GreedyMode) (Solution, error) {
-	return inst.greedyRestricted(nil, mode)
+func (inst *Instance) Greedy() (Solution, error) {
+	return inst.greedyRestricted(nil)
 }

@@ -34,8 +34,8 @@ type SamplerConfig struct {
 	// MaxWindow bounds how far back windowed reads can reach; the ring
 	// capacity is MaxWindow/Interval + a little slack.
 	MaxWindow time.Duration
-	// Clock is the time source, swappable for deterministic tests; nil
-	// means time.Now.
+	// Clock is the time source (nil: time.Now); it exists so a test can
+	// substitute a fake clock.
 	Clock func() time.Time
 }
 

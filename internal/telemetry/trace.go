@@ -24,8 +24,8 @@ type Tracer struct {
 // DefaultTraceBuffer is the ring capacity when NewTracer gets 0.
 const DefaultTraceBuffer = 64
 
-// NewTracer returns a tracer keeping the last capacity finished traces
-// (DefaultTraceBuffer when capacity <= 0).
+// NewTracer returns a tracer keeping the last capacity finished traces;
+// the server passes 0 (DefaultTraceBuffer), so capacity is a test seam.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceBuffer

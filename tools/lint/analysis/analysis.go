@@ -11,7 +11,6 @@
 package analysis
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -20,8 +19,8 @@ import (
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags and
-	// //lint:ignore directives. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics, its -<name> enable
+	// flag and //lint:ignore directives. It must be a valid Go identifier.
 	Name string
 
 	// Doc is the analyzer's documentation. The first line is the
@@ -31,10 +30,6 @@ type Analyzer struct {
 	// URL points at the invariant catalog entry explaining the rule's
 	// rationale (docs/STATIC_ANALYSIS.md anchors).
 	URL string
-
-	// Flags holds analyzer-specific flags, registered with the
-	// multichecker flag set as -<name>.<flag>.
-	Flags flag.FlagSet
 
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)

@@ -43,12 +43,7 @@ var Analyzer = &analysis.Analyzer{
 
 // daemonPackages lists import-path suffixes whose go statements are
 // checked.
-var daemonPackages = "delprop/internal/server,delprop/internal/telemetry,delprop/internal/core,delprop/internal/admission"
-
-func init() {
-	Analyzer.Flags.StringVar(&daemonPackages, "packages", daemonPackages,
-		"comma-separated package path suffixes whose goroutines must have bounded lifetimes")
-}
+const daemonPackages = "delprop/internal/server,delprop/internal/telemetry,delprop/internal/core,delprop/internal/admission"
 
 func run(pass *analysis.Pass) (any, error) {
 	if pass.Pkg == nil || !inScope(pass.Pkg.Path()) {
@@ -85,8 +80,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 func inScope(path string) bool {
 	for _, suffix := range strings.Split(daemonPackages, ",") {
-		suffix = strings.TrimSpace(suffix)
-		if suffix != "" && (path == suffix || strings.HasSuffix(path, suffix)) {
+		if strings.HasSuffix(path, suffix) {
 			return true
 		}
 	}

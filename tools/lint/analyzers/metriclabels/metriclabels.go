@@ -28,12 +28,11 @@
 //   - boolean-typed expressions are never tainted (cardinality 2);
 //   - context.Context-typed expressions are never tainted (a context
 //     reached from a request is plumbing, not a label string);
-//   - calls into the bounded vocabulary packages (internal/core,
-//     internal/admission — configurable with -metriclabels.bounded)
-//     return clean values even on tainted inputs: core.NewSolver
-//     validates against the registry and Solver.Name reports the
-//     registered name, admission's Resolve/Admit collapse unknown
-//     tenants into the policy's known-tenant mapping.
+//   - calls into the bounded vocabulary packages (internal/core and
+//     internal/admission) return clean values even on tainted inputs:
+//     core.NewSolver validates against the registry and Solver.Name
+//     reports the registered name, admission's Resolve/Admit collapse
+//     unknown tenants into the policy's known-tenant mapping.
 //
 // A diagnostic fires when a tainted expression is used as a value in a
 // telemetry.Labels composite literal or assigned into a Labels map.
@@ -61,12 +60,7 @@ var Analyzer = &analysis.Analyzer{
 // boundedPackages lists import-path suffixes whose exported API returns
 // bounded label vocabularies (registry names, known tenants, rule
 // names); calls into them launder taint by construction.
-var boundedPackages = "delprop/internal/core,delprop/internal/admission"
-
-func init() {
-	Analyzer.Flags.StringVar(&boundedPackages, "bounded", boundedPackages,
-		"comma-separated package path suffixes whose call results are bounded label vocabularies")
-}
+const boundedPackages = "delprop/internal/core,delprop/internal/admission"
 
 // boundedCallee reports whether fn is declared in one of the bounded
 // vocabulary packages.
@@ -76,8 +70,7 @@ func boundedCallee(fn *types.Func) bool {
 	}
 	path := fn.Pkg().Path()
 	for _, suffix := range strings.Split(boundedPackages, ",") {
-		suffix = strings.TrimSpace(suffix)
-		if suffix != "" && (path == suffix || strings.HasSuffix(path, "/"+suffix)) {
+		if path == suffix || strings.HasSuffix(path, "/"+suffix) {
 			return true
 		}
 	}

@@ -48,12 +48,7 @@ var Analyzer = &analysis.Analyzer{
 
 // entryPackages lists import-path suffixes whose exported context-taking
 // functions are additional call-graph roots.
-var entryPackages = "delprop/internal/core,delprop/internal/setcover"
-
-func init() {
-	Analyzer.Flags.StringVar(&entryPackages, "entry", entryPackages,
-		"comma-separated package path suffixes whose exported ctx-taking functions are analyzed as solve entry points")
-}
+const entryPackages = "delprop/internal/core,delprop/internal/setcover"
 
 func run(pass *analysis.Pass) (any, error) {
 	decls := make(map[*types.Func]*ast.FuncDecl)
@@ -72,8 +67,7 @@ func run(pass *analysis.Pass) (any, error) {
 	isEntryPkg := false
 	if pass.Pkg != nil {
 		for _, suffix := range strings.Split(entryPackages, ",") {
-			suffix = strings.TrimSpace(suffix)
-			if suffix != "" && (pass.Pkg.Path() == suffix || strings.HasSuffix(pass.Pkg.Path(), suffix)) {
+			if strings.HasSuffix(pass.Pkg.Path(), suffix) {
 				isEntryPkg = true
 				break
 			}

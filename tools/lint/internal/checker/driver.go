@@ -29,16 +29,12 @@ func Main(analyzers ...*analysis.Analyzer) {
 
 	fs := flag.NewFlagSet("delproplint", flag.ExitOnError)
 	fs.Var(versionFlag{}, "V", "print version and exit (the go command probes this)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (the go command probes this)")
+	printFlags := fs.Bool("flags", false, "print the tool's flags in JSON (the go command probes this)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 
 	enabled := make(map[string]*bool)
 	for _, a := range analyzers {
-		name := a.Name
-		enabled[name] = fs.Bool(name, true, "enable the "+name+" analyzer: "+firstLine(a.Doc))
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			fs.Var(f.Value, name+"."+f.Name, f.Usage)
-		})
+		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+firstLine(a.Doc))
 	}
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "delproplint: static enforcement of the delprop solver-stack invariants (docs/STATIC_ANALYSIS.md)")
