@@ -42,9 +42,9 @@ func DualBound(p *Problem) (float64, error) {
 // (core.DualBound on key-preserving instances, the trivial 0 otherwise)
 // is certainly optimal, so the race cancels the remaining members instead
 // of letting them run to completion. The sequential mode applies the same
-// proof to skip members that can no longer improve the result. Callers
-// that install a RaceInfo (WithRace) receive the winner, the cancelled
-// losers and every member's private counters.
+// proof to skip members that can no longer improve the result. The race
+// (winner, cancelled losers and every member's private counters) goes to
+// the solve's Stats, where Stats.Race reads it.
 type Portfolio struct {
 	// Solvers to run; nil means ApproxSolvers(). Production code always
 	// races ApproxSolvers; the field exists so a test can substitute
@@ -260,10 +260,10 @@ func memberDoneEvent(name string, o *memberOutcome, parentDone bool) ProgressEve
 	return ev
 }
 
-// recordRace fills the caller's RaceInfo, when one is installed.
+// recordRace records the race in the solve's Stats, when it has one.
 func (pf *Portfolio) recordRace(ctx context.Context, solvers []Solver, outcomes []memberOutcome, winner int, proven bool, cancelledLosers int) {
-	race := RaceFrom(ctx)
-	if race == nil {
+	st := StatsFrom(ctx)
+	if st == nil {
 		return
 	}
 	parentDone := ctx.Err() != nil
@@ -283,5 +283,5 @@ func (pf *Portfolio) recordRace(ctx context.Context, solvers []Solver, outcomes 
 	if winner >= 0 {
 		snap.Winner = solvers[winner].Name()
 	}
-	race.record(snap)
+	st.recordRace(snap)
 }

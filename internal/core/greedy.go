@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"delprop/internal/relation"
@@ -25,19 +27,20 @@ const probeCheckEvery = 64
 // conjunctive queries (not only key-preserving), with no approximation
 // guarantee.
 //
-// Candidates are scored with the incremental view maintainer (delete,
-// inspect, undelete).
+// Candidates are scored against the incremental view maintainer with
+// its read-only probe (view.Maintainer.AppendCuts): a round reads one
+// maintainer state, and only the round's pick is applied to it.
 //
 // With Workers > 1 the per-round scoring loop — an embarrassingly
 // parallel O(candidates × Δ) probe — shards the candidate list across
-// that many goroutines, each probing against its own view.Maintainer
-// clone. Shards are contiguous ascending index ranges, every worker keeps
-// the lowest-index maximum of its shard, and the merge walks shards in
-// ascending order taking strictly greater scores only, so the chosen
-// candidate is the lowest-index maximum overall — exactly the serial
-// pick. Each worker runs the identical floating-point computation on
-// identical maintainer state, so scores are bit-equal to the serial ones
-// and the returned solution is byte-identical to the serial solver's.
+// that many goroutines, all reading the same maintainer. Shards are
+// contiguous ascending index ranges, every worker keeps the lowest-index
+// maximum of its shard, and the merge walks shards in ascending order
+// taking strictly greater scores only, so the chosen candidate is the
+// lowest-index maximum overall — exactly the serial pick. Each worker
+// runs the identical floating-point computation on the same maintainer
+// state, so scores are bit-equal to the serial ones and the returned
+// solution is byte-identical to the serial solver's.
 type Greedy struct {
 	// Workers is the number of concurrent scoring goroutines; values < 2
 	// mean serial scoring.
@@ -72,21 +75,10 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		return n
 	}
 
-	// Per-worker maintainer clones for parallel scoring, kept in lockstep
-	// with m by replaying every chosen deletion into each clone.
-	nw := g.Workers
-	if nw > len(cands) && len(cands) > 0 {
-		nw = len(cands)
-	}
-	var clones []*view.Maintainer
-	if nw > 1 {
-		clones = make([]*view.Maintainer, nw)
-		for w := range clones {
-			clones[w] = m.Clone()
-		}
-	}
-
+	nw := min(g.Workers, len(cands))
 	taken := make([]bool, len(cands))
+	scratch := make([]probeScratch, max(nw, 1)) // one per worker, kept across rounds
+	round := &scoringRound{g: g, rq: rq, m: m, cands: cands, taken: taken, scratch: scratch}
 	for {
 		st.Checkpoint()
 		if err := checkCtx(ctx, g.Name(), nil); err != nil {
@@ -96,13 +88,13 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		if bad == 0 {
 			break
 		}
-		round := scoringRound{g: g, rq: rq, cands: cands, taken: taken, baseDerivs: aliveDerivations(m, rq.delta)}
+		round.baseDerivs = aliveDerivations(m, rq.delta)
 		var best int
 		var err error
 		if nw > 1 {
-			best, err = round.scoreParallel(ctx, clones)
+			best, err = round.scoreParallel(ctx)
 		} else {
-			best, _, err = round.scoreRange(ctx, m, 0, len(cands))
+			best, _, err = round.scoreRange(ctx, &scratch[0], 0, len(cands))
 		}
 		if err != nil {
 			return nil, err
@@ -112,9 +104,6 @@ func (g *Greedy) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 		taken[best] = true
 		m.Delete(cands[best])
-		for _, c := range clones {
-			c.Delete(cands[best])
-		}
 		chosen = append(chosen, rq.x.Tuple(cands[best]))
 	}
 	return &Solution{Deleted: chosen}, nil
@@ -129,47 +118,70 @@ func aliveDerivations(m *view.Maintainer, refs []int32) int {
 	return n
 }
 
-// probeCandidate scores deleting tuple t against the maintainer state at
-// the start of the round: killed requested tuples, weighted collateral,
-// and derivations cut (ok=false when the probe cuts nothing). The probe
-// is delete/inspect/undelete, so m is unchanged on return. Collateral
-// weights are summed in the order Delete reports deaths, TupleRef.Key
-// order, so the score's floating-point bits do not depend on ref ids.
-func probeCandidate(rq *requestRefs, m *view.Maintainer, t int32, baseDerivs int) (score float64, ok bool) {
-	died := m.Delete(t)
-	killed := 0
-	extra := 0.0
-	for _, r := range died {
-		if rq.requested(r) {
-			killed++
-		} else {
-			extra += rq.weight(r)
-		}
-	}
-	cut := baseDerivs - aliveDerivations(m, rq.delta)
-	m.Undelete(t)
-	if cut == 0 {
-		return 0, false
-	}
-	return (float64(killed) + float64(cut)/float64(baseDerivs+1)) / (1 + extra), true
-}
-
-// scoringRound is one greedy round's read-only scoring state: the
-// candidates still to probe (taken is indexed like cands) and the
-// alive-derivation total the probes measure their cuts against.
+// scoringRound is a greedy round's scoring state, read-only while the
+// round's probes run: the maintainer state every probe reads, the
+// candidates still to probe (taken is indexed like cands), each worker's
+// probe buffers and the alive-derivation total the probes measure their
+// cuts against.
 type scoringRound struct {
 	g          *Greedy
 	rq         *requestRefs
+	m          *view.Maintainer
 	cands      []int32
 	taken      []bool
+	scratch    []probeScratch
 	baseDerivs int
 }
 
-// scoreRange probes the untaken candidates with index in [lo, hi) against
-// m and returns the lowest-index maximum score (best = -1 when no probe
-// cuts anything), checkpointing every probeCheckEvery probes. Serial
-// scoring is one range over every candidate.
-func (r *scoringRound) scoreRange(ctx context.Context, m *view.Maintainer, lo, hi int) (best int, bestScore float64, err error) {
+// dyingRef is a preserved view tuple a probed deletion would destroy: the
+// rank of its TupleRef.Key and its weight.
+type dyingRef struct {
+	rank int32
+	w    float64
+}
+
+// probeScratch is one worker's reusable probe buffers.
+type probeScratch struct {
+	cuts  []view.Cut
+	dying []dyingRef
+}
+
+// probe scores deleting tuple t against the round's maintainer state:
+// killed requested tuples, weighted collateral, and derivations cut
+// (ok=false when the deletion cuts no requested derivation). Collateral
+// weights are summed in TupleRef.Key order, the order Delete reports
+// deaths in, so the score's floating-point bits do not depend on ref ids.
+func (r *scoringRound) probe(sc *probeScratch, t int32) (score float64, ok bool) {
+	sc.cuts = r.m.AppendCuts(sc.cuts[:0], t)
+	sc.dying = sc.dying[:0]
+	killed, cut := 0, 0
+	for _, c := range sc.cuts {
+		switch {
+		case r.rq.requested(c.Ref):
+			cut += int(c.Derivs)
+			if c.Kills {
+				killed++
+			}
+		case c.Kills:
+			sc.dying = append(sc.dying, dyingRef{r.rq.x.RefRank(c.Ref), r.rq.weight(c.Ref)})
+		}
+	}
+	if cut == 0 {
+		return 0, false
+	}
+	slices.SortFunc(sc.dying, func(a, b dyingRef) int { return cmp.Compare(a.rank, b.rank) })
+	extra := 0.0
+	for _, d := range sc.dying {
+		extra += d.w
+	}
+	return (float64(killed) + float64(cut)/float64(r.baseDerivs+1)) / (1 + extra), true
+}
+
+// scoreRange probes the untaken candidates with index in [lo, hi) using
+// the buffers sc and returns the lowest-index maximum score (best = -1
+// when no probe cuts anything), checkpointing every probeCheckEvery
+// probes. Serial scoring is one range over every candidate.
+func (r *scoringRound) scoreRange(ctx context.Context, sc *probeScratch, lo, hi int) (best int, bestScore float64, err error) {
 	st := StatsFrom(ctx)
 	best, bestScore = -1, -1.0
 	probes := 0
@@ -185,7 +197,7 @@ func (r *scoringRound) scoreRange(ctx context.Context, m *view.Maintainer, lo, h
 				return -1, 0, err
 			}
 		}
-		score, ok := probeCandidate(r.rq, m, r.cands[i], r.baseDerivs)
+		score, ok := r.probe(sc, r.cands[i])
 		if ok && score > bestScore {
 			bestScore, best = score, i
 		}
@@ -210,25 +222,26 @@ func shardBounds(n, nw, w int) (lo, hi int) {
 	return lo, hi
 }
 
-// scoreParallel runs one scoring round sharded across the worker clones.
-// Worker w scores the range shardBounds(len(cands), len(clones), w)
-// against clones[w]; the merge walks shards in ascending order keeping
+// scoreParallel runs one scoring round sharded across one worker per
+// probe buffer. Worker w scores the range shardBounds(len(cands), nw, w)
+// with scratch[w]; the merge walks shards in ascending order keeping
 // strictly greater scores, reproducing the serial lowest-index tie-break
 // exactly.
-func (r *scoringRound) scoreParallel(ctx context.Context, clones []*view.Maintainer) (best int, err error) {
+func (r *scoringRound) scoreParallel(ctx context.Context) (best int, err error) {
+	nw := len(r.scratch)
 	type shardResult struct {
 		idx   int
 		score float64
 		err   error
 	}
-	results := make([]shardResult, len(clones))
+	results := make([]shardResult, nw)
 	var wg sync.WaitGroup
-	for w := range clones {
-		lo, hi := shardBounds(len(r.cands), len(clones), w)
+	for w := range nw {
+		lo, hi := shardBounds(len(r.cands), nw, w)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			idx, score, err := r.scoreRange(ctx, clones[w], lo, hi)
+			idx, score, err := r.scoreRange(ctx, &r.scratch[w], lo, hi)
 			results[w] = shardResult{idx: idx, score: score, err: err}
 		}(w, lo, hi)
 	}

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"delprop/internal/relation"
 	"delprop/internal/view"
+	"delprop/internal/workload"
 )
 
 // naiveGreedy is the greedy rule re-derived from scratch: every probe
@@ -170,5 +172,77 @@ func TestGreedyWeightsSteerChoice(t *testing.T) {
 	}
 	if rep.SideEffect >= 100 {
 		t.Errorf("greedy destroyed the heavy tuple: %+v", rep)
+	}
+}
+
+// deleteUndoScore is the greedy score computed the way the probe's
+// definition reads: delete t, take the refs that died in TupleRef.Key
+// order and the surviving requested derivations, and undo the deletion.
+func deleteUndoScore(rq *requestRefs, m *view.Maintainer, t int32, baseDerivs int) (score float64, ok bool) {
+	died := m.Delete(t)
+	killed := 0
+	extra := 0.0
+	for _, r := range died {
+		if rq.requested(r) {
+			killed++
+		} else {
+			extra += rq.weight(r)
+		}
+	}
+	cut := baseDerivs - aliveDerivations(m, rq.delta)
+	m.Undelete(t)
+	if cut == 0 {
+		return 0, false
+	}
+	return (float64(killed) + float64(cut)/float64(baseDerivs+1)) / (1 + extra), true
+}
+
+// TestGreedyProbeMatchesDeleteUndo: the read-only probe's score has the
+// bits of the delete-and-undo score for every untaken candidate of every
+// round, under random non-integer weights, so summing the collateral in
+// any other order than TupleRef.Key's shows up here.
+func TestGreedyProbeMatchesDeleteUndo(t *testing.T) {
+	var probs []*Problem
+	for seed := int64(1); seed <= 4; seed++ {
+		probs = append(probs, starProblem(t, seed, 6), chainProblem(t, seed, 6), pivotProblem(t, seed, 6))
+	}
+	np := warmNPProblem(t)
+	probs = append(probs, respecialize(t, np, workload.SampleDeletion(np.Views, 8, 1)))
+	compared := 0
+	for pi, p := range probs {
+		if p.DeltaLen() == 0 {
+			continue
+		}
+		randomWeights(p, int64(pi))
+		rq := &p.rq
+		m := rq.x.NewMaintainer()
+		taken := make([]bool, len(rq.cands))
+		var sc probeScratch
+		for {
+			round := scoringRound{g: &Greedy{}, rq: rq, m: m, cands: rq.cands, taken: taken, baseDerivs: aliveDerivations(m, rq.delta)}
+			best, bestScore := -1, -1.0
+			for i, c := range rq.cands {
+				if taken[i] {
+					continue
+				}
+				got, gotOK := round.probe(&sc, c)
+				want, wantOK := deleteUndoScore(rq, m, c, round.baseDerivs)
+				if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("problem %d candidate %d: probe %v (%v), delete-and-undo %v (%v)", pi, i, got, gotOK, want, wantOK)
+				}
+				compared++
+				if gotOK && got > bestScore {
+					best, bestScore = i, got
+				}
+			}
+			if best == -1 {
+				break
+			}
+			taken[best] = true
+			m.Delete(rq.cands[best])
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no candidate compared")
 	}
 }

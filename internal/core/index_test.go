@@ -310,3 +310,31 @@ func BenchmarkGreedyWarmNP(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRedBlueWarmKP measures one warm red-blue solve on each
+// bench/load warm-kp instance that auto routes to red-blue (key-preserving,
+// not a pivot forest), with a 4-tuple request, the bench/load warm-kp
+// request size.
+func BenchmarkRedBlueWarmKP(b *testing.B) {
+	for _, lw := range loadWorkloads() {
+		skel, err := NewProblem(lw.w.DB, lw.w.Queries, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := skel.Specialize(workload.SampleDeletion(skel.Views, 4, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !p.IsKeyPreserving() || IsPivotForest(p) {
+			continue
+		}
+		b.Run(lw.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (&RedBlue{}).Solve(context.Background(), p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

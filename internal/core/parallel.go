@@ -1,18 +1,16 @@
 package core
 
 import (
-	"context"
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
-// Race telemetry for the parallel solve engine. A caller that wants to
-// observe how a Portfolio race went (which member won, how many losers
-// were cancelled early, each member's private search counters) installs a
-// *RaceInfo in the solve context with WithRace; Portfolio fills it in.
-// Solves that never run a portfolio leave it empty. The server exports
-// the delprop_parallel_* metric family from it (docs/OBSERVABILITY.md).
+// Race telemetry for the parallel solve engine. Portfolio records how its
+// race went (which member won, how many losers were cancelled early, each
+// member's private search counters) in the solve's Stats, and Stats.Race
+// reads it back; Run returns it as RunResult.Race. Solves that never run
+// a portfolio record none. The server exports the delprop_parallel_*
+// metric family from it (docs/OBSERVABILITY.md).
 
 // MemberResult is one portfolio member's outcome in a race.
 type MemberResult struct {
@@ -42,67 +40,6 @@ type RaceSnapshot struct {
 	CancelledLosers int `json:"cancelledLosers"`
 	// Members holds one result per portfolio member, in member order.
 	Members []MemberResult `json:"members"`
-}
-
-// RaceInfo collects race telemetry for one solve. All methods are
-// nil-safe and safe for concurrent use, mirroring Stats.
-//
-//delprop:nilsafe
-type RaceInfo struct {
-	mu   sync.Mutex
-	ran  bool         //delprop:guardedby mu
-	snap RaceSnapshot //delprop:guardedby mu
-}
-
-// record installs a finished race. Last race wins (a portfolio nested in
-// another solver overwrites; in practice there is one race per solve).
-func (r *RaceInfo) record(snap RaceSnapshot) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.ran = true
-	r.snap = snap
-	r.mu.Unlock()
-}
-
-// Ran reports whether a portfolio race happened during the solve.
-func (r *RaceInfo) Ran() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ran
-}
-
-// Snapshot copies the recorded race (zero value when none ran).
-func (r *RaceInfo) Snapshot() RaceSnapshot {
-	if r == nil {
-		return RaceSnapshot{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.snap
-	out.Members = append([]MemberResult(nil), r.snap.Members...)
-	return out
-}
-
-// raceKey carries the *RaceInfo through the solve context.
-type raceKey struct{}
-
-// WithRace returns a context carrying a fresh RaceInfo, and the RaceInfo
-// itself for the caller to read after the solve.
-func WithRace(ctx context.Context) (context.Context, *RaceInfo) {
-	r := &RaceInfo{}
-	return context.WithValue(ctx, raceKey{}, r), r
-}
-
-// RaceFrom extracts the solve's RaceInfo from the context, or nil when
-// the caller did not ask for race telemetry.
-func RaceFrom(ctx context.Context) *RaceInfo {
-	r, _ := ctx.Value(raceKey{}).(*RaceInfo)
-	return r
 }
 
 // sharedBound is the racing members' shared view of the objective: a

@@ -35,7 +35,6 @@ func allDeltaProblem(t *testing.T) *Problem {
 func TestPortfolioParallelPerMemberStats(t *testing.T) {
 	p := fig1Q4Problem(t)
 	ctx, st := WithStats(context.Background())
-	ctx, race := WithRace(ctx)
 	pf := &Portfolio{Solvers: []Solver{&Greedy{}, &RedBlue{}}, Parallel: true}
 	if _, err := pf.Solve(ctx, p); err != nil {
 		t.Fatal(err)
@@ -44,10 +43,10 @@ func TestPortfolioParallelPerMemberStats(t *testing.T) {
 	if snap.Restarts != 2 {
 		t.Errorf("parent restarts = %d, want 2 (one per member)", snap.Restarts)
 	}
-	if !race.Ran() {
+	rs := st.Race()
+	if rs == nil {
 		t.Fatal("race telemetry not recorded")
 	}
-	rs := race.Snapshot()
 	if len(rs.Members) != 2 {
 		t.Fatalf("members = %d, want 2", len(rs.Members))
 	}
@@ -95,7 +94,7 @@ func TestPortfolioParallelCancelsLosersOnProof(t *testing.T) {
 	p := allDeltaProblem(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ctx, race := WithRace(ctx)
+	ctx, st := WithStats(ctx)
 	pf := &Portfolio{Solvers: []Solver{&Greedy{}, &Faulty{Mode: FaultBlock}}, Parallel: true}
 	start := time.Now()
 	sol, err := pf.Solve(ctx, p)
@@ -106,7 +105,7 @@ func TestPortfolioParallelCancelsLosersOnProof(t *testing.T) {
 	if rep := p.Evaluate(sol); !rep.Feasible || rep.SideEffect != 0 {
 		t.Fatalf("report = %+v, want feasible side-effect 0", rep)
 	}
-	rs := race.Snapshot()
+	rs := st.Race()
 	if !rs.Proven {
 		t.Error("proof did not fire despite side-effect 0 == trivial bound")
 	}
@@ -130,7 +129,7 @@ func TestPortfolioSequentialSkipsAfterProof(t *testing.T) {
 	p := allDeltaProblem(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ctx, race := WithRace(ctx)
+	ctx, st := WithStats(ctx)
 	pf := &Portfolio{Solvers: []Solver{&Greedy{}, &Faulty{Mode: FaultBlock}}}
 	sol, err := pf.Solve(ctx, p)
 	if err != nil {
@@ -139,7 +138,7 @@ func TestPortfolioSequentialSkipsAfterProof(t *testing.T) {
 	if rep := p.Evaluate(sol); !rep.Feasible || rep.SideEffect != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	rs := race.Snapshot()
+	rs := st.Race()
 	if !rs.Proven || rs.Winner != "greedy" {
 		t.Errorf("snapshot = %+v, want proven greedy win", rs)
 	}

@@ -47,8 +47,8 @@ func buildRedBlue(p *Problem) (*redBlueEncoding, error) {
 	}}
 	enc.tuples = tupleIDs(rq.x, rq.cands)
 	var occ []view.Occurrence
-	for i, t := range rq.cands {
-		s := setcover.Set{Name: enc.tuples[i].String()}
+	for _, t := range rq.cands {
+		var s setcover.Set
 		occ = rq.x.AppendOccurrences(occ[:0], t)
 		for _, o := range occ {
 			if rq.requested(o.Ref) {
@@ -198,21 +198,14 @@ func (b *BalancedRedBlue) Solve(ctx context.Context, p *Problem) (*Solution, err
 		return nil, err
 	}
 	// The PNPSC instance is the Claim 1 encoding read as Lemma 1's: the
-	// blues become the positives and the reds the negatives.
-	pn := &setcover.PNPSCInstance{
-		NumPos:     enc.inst.NumBlue,
-		NumNeg:     enc.inst.NumRed,
-		NegWeights: enc.inst.RedWeights,
-	}
-	for _, s := range enc.inst.Sets {
-		pn.Sets = append(pn.Sets, setcover.PNSet{Name: s.Name, Positives: s.Blues, Negatives: s.Reds})
-	}
+	// blues are the positives and the reds the negatives.
+	pn := &setcover.PNPSCInstance{Inst: enc.inst}
 	var sol setcover.Solution
 	if b.Exact {
 		sol, err = pn.Exact(ctx, recorder(st))
 	} else {
 		sol, err = pn.Solve()
-		st.AddNodes(int64(len(pn.Sets)))
+		st.AddNodes(int64(len(enc.inst.Sets)))
 	}
 	return enc.result(ctx, b.Name(), sol, err)
 }

@@ -70,18 +70,13 @@ func Run(ctx context.Context, solver Solver, p *Problem, timeout time.Duration, 
 		defer cancel()
 	}
 	ctx, stats := WithStats(ctx)
-	ctx, race := WithRace(ctx)
 	stats.SetProgress(hooks.Progress)
 	if hooks.Phase == nil {
 		hooks.Phase = func(string) func() { return func() {} }
 	}
 	res := &RunResult{}
 	defer func() { // every return carries the final counters
-		res.Stats = stats.Snapshot()
-		if race.Ran() {
-			rs := race.Snapshot()
-			res.Race = &rs
-		}
+		res.Stats, res.Race = stats.Snapshot(), stats.Race()
 	}()
 
 	end := hooks.Phase(telemetry.PhaseSolve)

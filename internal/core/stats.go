@@ -47,6 +47,11 @@ type Stats struct {
 	hasLower     bool    //delprop:guardedby mu
 	lowerBound   float64 //delprop:guardedby mu
 
+	// race is the portfolio race the solve ran, nil until one finishes.
+	// A portfolio records into the Stats its context carries, so a race
+	// nested in a member's child Stats stays there.
+	race *RaceSnapshot //delprop:guardedby mu
+
 	// progress, when set, receives live ProgressEvents (incumbent
 	// installs, lower-bound improvements, race member lifecycle) as they
 	// happen — the server wires it to the event bus so /events streams
@@ -237,6 +242,32 @@ type StatsSnapshot struct {
 	// positive objective against a zero bound proves nothing and stays
 	// unset.
 	QualityRatio *float64 `json:"qualityRatio,omitempty"`
+}
+
+// recordRace installs a finished portfolio race. The last race wins.
+func (s *Stats) recordRace(snap RaceSnapshot) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.race = &snap
+	s.mu.Unlock()
+}
+
+// Race returns a copy of the recorded portfolio race, or nil when none
+// ran.
+func (s *Stats) Race() *RaceSnapshot {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.race == nil {
+		return nil
+	}
+	out := *s.race
+	out.Members = append([]MemberResult(nil), s.race.Members...)
+	return &out
 }
 
 // Snapshot copies the current counters. Safe to call while the solve is

@@ -184,29 +184,13 @@ type BalancedInstance struct {
 	NegView  []int
 }
 
-// FromPNPSC builds the Theorem 2 instance: the same table-of-sets
-// construction with one view per element; ΔV is the views of the positive
-// elements, and the balanced objective (positives left + negatives
-// destroyed) equals the PNPSC cost.
+// FromPNPSC builds the Theorem 2 instance: the table-of-sets construction
+// of FromRedBlue over the PNPSC instance's sets, with one view per
+// element; ΔV is the views of the positive (blue) elements, and the
+// balanced objective (positives left + negatives destroyed) equals the
+// PNPSC cost.
 func FromPNPSC(p *setcover.PNPSCInstance) (*BalancedInstance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	rb := &setcover.Instance{
-		NumRed:  p.NumNeg,
-		NumBlue: p.NumPos,
-	}
-	if p.NegWeights != nil {
-		rb.RedWeights = append([]float64(nil), p.NegWeights...)
-	}
-	for _, s := range p.Sets {
-		rb.Sets = append(rb.Sets, setcover.Set{
-			Name:  s.Name,
-			Reds:  append([]int(nil), s.Negatives...),
-			Blues: append([]int(nil), s.Positives...),
-		})
-	}
-	v, err := FromRedBlue(rb)
+	v, err := FromRedBlue(p.Inst)
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +219,9 @@ func Fig2() *setcover.Instance {
 		NumRed:  1,
 		NumBlue: 3,
 		Sets: []setcover.Set{
-			{Name: "C1", Reds: []int{0}, Blues: []int{0}},
-			{Name: "C2", Reds: []int{0}, Blues: []int{1}},
-			{Name: "C3", Reds: []int{0}, Blues: []int{2}},
+			{Reds: []int{0}, Blues: []int{0}}, // C1
+			{Reds: []int{0}, Blues: []int{1}}, // C2
+			{Reds: []int{0}, Blues: []int{2}}, // C3
 		},
 	}
 }

@@ -191,32 +191,32 @@ func TestFromRedBlueUncoveredElement(t *testing.T) {
 func TestTheorem2CostPreservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
-		pn := &setcover.PNPSCInstance{NumPos: 3, NumNeg: 3}
+		pn := &setcover.PNPSCInstance{Inst: &setcover.Instance{NumBlue: 3, NumRed: 3}}
 		for i := 0; i < 4; i++ {
-			var s setcover.PNSet
+			var s setcover.Set
 			for e := 0; e < 3; e++ {
 				if rng.Intn(3) == 0 {
-					s.Positives = append(s.Positives, e)
+					s.Blues = append(s.Blues, e)
 				}
 				if rng.Intn(3) == 0 {
-					s.Negatives = append(s.Negatives, e)
+					s.Reds = append(s.Reds, e)
 				}
 			}
-			pn.Sets = append(pn.Sets, s)
+			pn.Inst.Sets = append(pn.Inst.Sets, s)
 		}
 		// Guarantee occurrences so the construction is well-defined.
 		for e := 0; e < 3; e++ {
-			pn.Sets[e%4].Positives = dedupe(append(pn.Sets[e%4].Positives, e))
-			pn.Sets[(e+1)%4].Negatives = dedupe(append(pn.Sets[(e+1)%4].Negatives, e))
+			pn.Inst.Sets[e%4].Blues = dedupe(append(pn.Inst.Sets[e%4].Blues, e))
+			pn.Inst.Sets[(e+1)%4].Reds = dedupe(append(pn.Inst.Sets[(e+1)%4].Reds, e))
 		}
 		bi, err := FromPNPSC(pn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := bi.Problem
-		for mask := 0; mask < 1<<len(pn.Sets); mask++ {
+		for mask := 0; mask < 1<<len(pn.Inst.Sets); mask++ {
 			var chosen []int
-			for i := range pn.Sets {
+			for i := range pn.Inst.Sets {
 				if mask&(1<<i) != 0 {
 					chosen = append(chosen, i)
 				}

@@ -373,16 +373,9 @@ func (a *api) parseTimeout(spec string) (time.Duration, error) {
 // parseInstance is the parse phase of the shared instance payload: text to
 // database, queries and deletion request, no view materialization yet.
 func parseInstance(req *InstanceRequest) (*relation.Instance, []*cq.Query, *view.Deletion, error) {
-	db, err := textio.ParseDatabase(req.Database)
+	db, queries, err := parseSources(req.Database, req.Queries)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("database: %w", err)
-	}
-	queries, err := cq.ParseProgram(req.Queries)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("queries: %w", err)
-	}
-	if len(queries) == 0 {
-		return nil, nil, nil, errors.New("queries: empty program")
+		return nil, nil, nil, err
 	}
 	var delta *view.Deletion
 	if req.Deletions != "" {
@@ -394,18 +387,22 @@ func parseInstance(req *InstanceRequest) (*relation.Instance, []*cq.Query, *view
 	return db, queries, delta, nil
 }
 
-// parseSources parses the raw database and query program of a classify,
-// lineage or resilience payload, answering 400 when either is malformed.
-func parseSources(w http.ResponseWriter, reqID, database, program string) (*relation.Instance, []*cq.Query, bool) {
+// parseSources parses the database and query program every instance
+// payload carries: /solve's, a session's, and classify, lineage and
+// resilience's. A program with no query is malformed.
+func parseSources(database, program string) (*relation.Instance, []*cq.Query, error) {
 	db, err := textio.ParseDatabase(database)
-	if err == nil {
-		var queries []*cq.Query
-		if queries, err = cq.ParseProgram(program); err == nil {
-			return db, queries, true
-		}
+	if err != nil {
+		return nil, nil, fmt.Errorf("database: %w", err)
 	}
-	writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
-	return nil, nil, false
+	queries, err := cq.ParseProgram(program)
+	if err != nil {
+		return nil, nil, fmt.Errorf("queries: %w", err)
+	}
+	if len(queries) == 0 {
+		return nil, nil, errors.New("queries: empty program")
+	}
+	return db, queries, nil
 }
 
 // applyWeights sets the preservation weights named by "Qname(v1,...)"
@@ -706,8 +703,9 @@ func (a *api) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	db, queries, ok := parseSources(w, reqID, req.Database, req.Queries)
-	if !ok {
+	db, queries, err := parseSources(req.Database, req.Queries)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
 		return
 	}
 	schemas := cq.InstanceSchemas(db)
@@ -771,8 +769,9 @@ func (a *api) handleLineage(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	db, queries, ok := parseSources(w, reqID, req.Database, req.Queries)
-	if !ok {
+	db, queries, err := parseSources(req.Database, req.Queries)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
 		return
 	}
 	del, err := textio.ParseDeletions(req.Tuple, queries)
@@ -842,8 +841,9 @@ func (a *api) handleResilience(w http.ResponseWriter, r *http.Request) {
 	if pol != nil && pol.MaxResilienceBudget > 0 {
 		budget = min(budget, pol.MaxResilienceBudget)
 	}
-	db, queries, ok := parseSources(w, reqID, req.Database, req.Queries)
-	if !ok {
+	db, queries, err := parseSources(req.Database, req.Queries)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)

@@ -192,6 +192,30 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
+// TestEmptyProgramRejectedEverywhere: /classify, /lineage and /resilience
+// reject a program with no query as /solve does, with the same status,
+// code and text, instead of answering for zero queries.
+func TestEmptyProgramRejectedEverywhere(t *testing.T) {
+	srv := httptest.NewServer(New())
+	defer srv.Close()
+	req := map[string]string{"database": fig1DB, "queries": "# none", "tuple": "Q(a)"}
+	resp, body := post(t, srv, "/solve", req)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/solve: status = %d: %s", resp.StatusCode, body)
+	}
+	want := decodeErr(t, body)
+	for _, path := range []string{"/classify", "/lineage", "/resilience"} {
+		resp, body := post(t, srv, path, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400: %s", path, resp.StatusCode, body)
+			continue
+		}
+		if got := decodeErr(t, body); got.Code != want.Code || got.Error != want.Error {
+			t.Errorf("%s: error %q (%s), want %q (%s) as /solve", path, got.Error, got.Code, want.Error, want.Code)
+		}
+	}
+}
+
 func TestClassifyEndpoint(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()

@@ -137,7 +137,7 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 		// The build runs once per fingerprint under the registering
 		// request's spans; waiters on the single-flight latch pay nothing.
 		endParse := tr.Span(telemetry.PhaseParse)
-		db, queries, _, perr := parseInstance(&InstanceRequest{Database: req.Database, Queries: req.Queries})
+		db, queries, perr := parseSources(req.Database, req.Queries)
 		endParse()
 		if perr != nil {
 			return nil, perr

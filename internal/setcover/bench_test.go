@@ -36,18 +36,18 @@ func BenchmarkExactSmall(b *testing.B) {
 // BenchmarkPNPSCReduction measures Miettinen's reduction construction.
 func BenchmarkPNPSCReduction(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	p := &PNPSCInstance{NumPos: 30, NumNeg: 30}
+	p := &PNPSCInstance{Inst: &Instance{NumBlue: 30, NumRed: 30}}
 	for i := 0; i < 40; i++ {
-		var s PNSet
+		var s Set
 		for e := 0; e < 30; e++ {
 			if rng.Intn(4) == 0 {
-				s.Positives = append(s.Positives, e)
+				s.Blues = append(s.Blues, e)
 			}
 			if rng.Intn(4) == 0 {
-				s.Negatives = append(s.Negatives, e)
+				s.Reds = append(s.Reds, e)
 			}
 		}
-		p.Sets = append(p.Sets, s)
+		p.Inst.Sets = append(p.Inst.Sets, s)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

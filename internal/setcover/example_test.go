@@ -14,27 +14,27 @@ func Example() {
 		NumRed:  2,
 		NumBlue: 2,
 		Sets: []setcover.Set{
-			{Name: "cheap", Blues: []int{0, 1}, Reds: []int{0}},
-			{Name: "costly", Blues: []int{0, 1}, Reds: []int{0, 1}},
+			{Blues: []int{0, 1}, Reds: []int{0}},    // cheap
+			{Blues: []int{0, 1}, Reds: []int{0, 1}}, // costly
 		},
 	}
 	sol, err := inst.Exact(context.Background(), nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("chosen:", inst.Sets[sol.Chosen[0]].Name, "cost:", inst.Cost(sol))
-	// Output: chosen: cheap cost: 1
+	fmt.Println("chosen: set", sol.Chosen[0], "cost:", inst.Cost(sol))
+	// Output: chosen: set 0 cost: 1
 }
 
 // ExamplePNPSCInstance shows the balanced trade-off: covering the positive
 // costs one negative, leaving it uncovered costs one positive — both
 // optimal at cost 1.
 func ExamplePNPSCInstance() {
-	p := &setcover.PNPSCInstance{
-		NumPos: 1,
-		NumNeg: 1,
-		Sets:   []setcover.PNSet{{Positives: []int{0}, Negatives: []int{0}}},
-	}
+	p := &setcover.PNPSCInstance{Inst: &setcover.Instance{
+		NumBlue: 1, // the positive
+		NumRed:  1, // the negative
+		Sets:    []setcover.Set{{Blues: []int{0}, Reds: []int{0}}},
+	}}
 	sol, err := p.Exact(context.Background(), nil)
 	if err != nil {
 		panic(err)

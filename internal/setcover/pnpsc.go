@@ -1,16 +1,6 @@
 package setcover
 
-import (
-	"context"
-	"fmt"
-)
-
-// PNSet is one set of a Positive-Negative Partial Set Cover instance.
-type PNSet struct {
-	Name      string
-	Positives []int
-	Negatives []int
-}
+import "context"
 
 // PNPSCInstance is the Positive-Negative Partial Set Cover problem of
 // Miettinen (Section II.D): choose a sub-collection minimizing
@@ -18,90 +8,51 @@ type PNSet struct {
 // positive costs 1, as in the paper's Lemma 1. Unlike Red-Blue Set Cover
 // there is no hard covering constraint, so every sub-collection
 // (including the empty one) is feasible.
+//
+// The sets are a Red-Blue instance's, read the Lemma 1 way: its blues
+// are the positives and its reds the weighted negatives. That is the
+// instance Claim 1 builds, so the balanced solvers read the view
+// side-effect encoding without copying it. The instance is a named
+// field, not an embedded one, because Instance's own LowDegSweep,
+// Feasible and Exact treat the blues as a hard cover.
 type PNPSCInstance struct {
-	NumPos int
-	NumNeg int
-	// NegWeights holds one weight per negative element; nil means all 1.
-	NegWeights []float64
-	Sets       []PNSet
+	Inst *Instance
 }
 
-// NegWeight returns the weight of negative element n.
-func (p *PNPSCInstance) NegWeight(n int) float64 {
-	if p.NegWeights == nil {
-		return 1
-	}
-	return p.NegWeights[n]
-}
-
-// Validate checks index ranges and the weight vector length.
-func (p *PNPSCInstance) Validate() error {
-	if p.NegWeights != nil && len(p.NegWeights) != p.NumNeg {
-		return fmt.Errorf("setcover: %d negative weights for %d negatives", len(p.NegWeights), p.NumNeg)
-	}
-	for si, s := range p.Sets {
-		for _, e := range s.Positives {
-			if e < 0 || e >= p.NumPos {
-				return fmt.Errorf("setcover: set %d positive index %d out of range", si, e)
-			}
-		}
-		for _, e := range s.Negatives {
-			if e < 0 || e >= p.NumNeg {
-				return fmt.Errorf("setcover: set %d negative index %d out of range", si, e)
-			}
-		}
-	}
-	return nil
-}
-
-// Cost evaluates the PNPSC objective for a chosen sub-collection.
+// Cost evaluates the PNPSC objective for a chosen sub-collection: the
+// uncovered positives, then the weights of the covered negatives in
+// ascending element order.
 func (p *PNPSCInstance) Cost(sol Solution) float64 {
-	cost := 0.0
-	for _, in := range covered(p.NumPos, sol, func(si int) []int { return p.Sets[si].Positives }) {
-		if !in {
-			cost++
-		}
-	}
-	for n, in := range covered(p.NumNeg, sol, func(si int) []int { return p.Sets[si].Negatives }) {
-		if in {
-			cost += p.NegWeight(n)
-		}
-	}
-	return cost
+	inst := p.Inst
+	return inst.addRedCost(float64(inst.NumBlue-inst.CoveredBlues(sol)), sol)
 }
 
 // ToRedBlue performs Miettinen's linear reduction to Red-Blue Set Cover:
-// the positives become blue elements; the reds are the negatives plus one
-// fresh "slack" red per positive, and for every positive p a singleton set
-// {p, slack_p} is added so that leaving p uncovered in PNPSC corresponds to
-// covering it with its slack set at the price of 1. The returned decoder
-// strips the slack sets from a Red-Blue solution.
+// the positives stay the blue elements; the reds are the negatives plus
+// one fresh "slack" red per positive, and for every positive p a
+// singleton set {p, slack_p} is added so that leaving p uncovered in
+// PNPSC corresponds to covering it with its slack set at the price of 1.
+// The original sets come first and share their element slices with p,
+// which the solvers only read. The returned decoder strips the slack sets
+// from a Red-Blue solution.
 func (p *PNPSCInstance) ToRedBlue() (*Instance, func(Solution) Solution) {
+	src := p.Inst
+	nOrig := len(src.Sets)
 	inst := &Instance{
-		NumRed:  p.NumNeg + p.NumPos,
-		NumBlue: p.NumPos,
+		NumRed:  src.NumRed + src.NumBlue,
+		NumBlue: src.NumBlue,
+		Sets:    append(make([]Set, 0, nOrig+src.NumBlue), src.Sets...),
 	}
-	inst.RedWeights = make([]float64, inst.NumRed)
-	for n := range inst.RedWeights[:p.NumNeg] {
-		inst.RedWeights[n] = p.NegWeight(n)
+	if src.RedWeights != nil { // nil keeps meaning every red, slack too, weighs 1
+		inst.RedWeights = append(make([]float64, 0, inst.NumRed), src.RedWeights...)
+		for range src.NumBlue {
+			inst.RedWeights = append(inst.RedWeights, 1)
+		}
 	}
-	for i := range inst.RedWeights[p.NumNeg:] {
-		inst.RedWeights[p.NumNeg+i] = 1
-	}
-	for _, s := range p.Sets {
-		inst.Sets = append(inst.Sets, Set{
-			Name:  s.Name,
-			Reds:  append([]int(nil), s.Negatives...),
-			Blues: append([]int(nil), s.Positives...),
-		})
-	}
-	nOrig := len(p.Sets)
-	for i := range inst.RedWeights[p.NumNeg:] {
-		inst.Sets = append(inst.Sets, Set{
-			Name:  fmt.Sprintf("slack_%d", i),
-			Reds:  []int{p.NumNeg + i},
-			Blues: []int{i},
-		})
+	blues, reds := make([]int, src.NumBlue), make([]int, src.NumBlue)
+	for i := range src.NumBlue {
+		blues[i], reds[i] = i, src.NumRed+i
+		inst.Sets = append(inst.Sets, Set{Reds: reds[i : i+1 : i+1], Blues: blues[i : i+1 : i+1]})
 	}
 	decode := func(sol Solution) Solution {
 		var chosen []int

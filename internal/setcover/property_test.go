@@ -61,18 +61,18 @@ func TestExactIsLowerBoundQuick(t *testing.T) {
 func TestPNPSCReductionEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := &PNPSCInstance{NumPos: 3, NumNeg: 3}
+		p := &PNPSCInstance{Inst: &Instance{NumBlue: 3, NumRed: 3}}
 		for i := 0; i < 4; i++ {
-			var s PNSet
+			var s Set
 			for e := 0; e < 3; e++ {
 				if rng.Intn(3) == 0 {
-					s.Positives = append(s.Positives, e)
+					s.Blues = append(s.Blues, e)
 				}
 				if rng.Intn(3) == 0 {
-					s.Negatives = append(s.Negatives, e)
+					s.Reds = append(s.Reds, e)
 				}
 			}
-			p.Sets = append(p.Sets, s)
+			p.Inst.Sets = append(p.Inst.Sets, s)
 		}
 		inst, _ := p.ToRedBlue()
 		rbOpt, err := inst.Exact(context.Background(), nil)

@@ -2,8 +2,9 @@
 // (Section II.D): the Red-Blue Set Cover problem of Carr et al. with a
 // greedy and a Peleg-style low-degree approximation plus an exact
 // branch-and-bound, and the Positive-Negative Partial Set Cover problem of
-// Miettinen with its linear reduction to Red-Blue Set Cover. These are the
-// engines behind the paper's Claim 1 and Lemma 1 upper bounds.
+// Miettinen, read over the same Instance, with its linear reduction to
+// Red-Blue Set Cover. These are the engines behind the paper's Claim 1
+// and Lemma 1 upper bounds.
 package setcover
 
 import (
@@ -17,7 +18,6 @@ import (
 // Set is one set of a Red-Blue Set Cover instance: the red and blue
 // elements it contains, as indexes into the instance's element ranges.
 type Set struct {
-	Name  string
 	Reds  []int
 	Blues []int
 }
@@ -98,8 +98,11 @@ func (inst *Instance) Feasible(sol Solution) bool {
 
 // Cost returns the total weight of red elements covered by the solution
 // (the Red-Blue Set Cover objective).
-func (inst *Instance) Cost(sol Solution) float64 {
-	cost := 0.0
+func (inst *Instance) Cost(sol Solution) float64 { return inst.addRedCost(0, sol) }
+
+// addRedCost adds to cost the weights of the red elements the solution
+// covers, in ascending element order.
+func (inst *Instance) addRedCost(cost float64, sol Solution) float64 {
 	for r, in := range covered(inst.NumRed, sol, func(si int) []int { return inst.Sets[si].Reds }) {
 		if in {
 			cost += inst.RedWeight(r)

@@ -20,10 +20,10 @@ func small() *Instance {
 		NumRed:  3,
 		NumBlue: 3,
 		Sets: []Set{
-			{Name: "S0", Blues: []int{0, 1}, Reds: []int{0}},
-			{Name: "S1", Blues: []int{2}, Reds: []int{0, 1}},
-			{Name: "S2", Blues: []int{0, 1, 2}, Reds: []int{2}},
-			{Name: "S3", Blues: []int{2}},
+			{Blues: []int{0, 1}, Reds: []int{0}},
+			{Blues: []int{2}, Reds: []int{0, 1}},
+			{Blues: []int{0, 1, 2}, Reds: []int{2}},
+			{Blues: []int{2}},
 		},
 	}
 }
@@ -224,15 +224,15 @@ func TestApproxNeverBeatsExact(t *testing.T) {
 }
 
 func TestPNPSCValidateAndCost(t *testing.T) {
-	p := &PNPSCInstance{
-		NumPos: 2,
-		NumNeg: 2,
-		Sets: []PNSet{
-			{Name: "A", Positives: []int{0}, Negatives: []int{0}},
-			{Name: "B", Positives: []int{1}, Negatives: []int{0, 1}},
+	p := &PNPSCInstance{Inst: &Instance{
+		NumBlue: 2,
+		NumRed:  2,
+		Sets: []Set{
+			{Blues: []int{0}, Reds: []int{0}},    // A
+			{Blues: []int{1}, Reds: []int{0, 1}}, // B
 		},
-	}
-	if err := p.Validate(); err != nil {
+	}}
+	if err := p.Inst.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Empty solution: 2 uncovered positives.
@@ -247,12 +247,12 @@ func TestPNPSCValidateAndCost(t *testing.T) {
 	if got := p.Cost(Solution{Chosen: []int{0, 1}}); got != 2 {
 		t.Errorf("cost(A,B) = %v, want 2", got)
 	}
-	bad := &PNPSCInstance{NumPos: 1, Sets: []PNSet{{Positives: []int{3}}}}
-	if bad.Validate() == nil {
+	bad := &PNPSCInstance{Inst: &Instance{NumBlue: 1, Sets: []Set{{Blues: []int{3}}}}}
+	if bad.Inst.Validate() == nil {
 		t.Error("bad positive index accepted")
 	}
-	bad2 := &PNPSCInstance{NumNeg: 1, Sets: []PNSet{{Negatives: []int{-2}}}}
-	if bad2.Validate() == nil {
+	bad2 := &PNPSCInstance{Inst: &Instance{NumRed: 1, Sets: []Set{{Reds: []int{-2}}}}}
+	if bad2.Inst.Validate() == nil {
 		t.Error("bad negative index accepted")
 	}
 }
@@ -263,18 +263,18 @@ func TestPNPSCValidateAndCost(t *testing.T) {
 func TestPNPSCReductionPreservesCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
-		p := &PNPSCInstance{NumPos: 4, NumNeg: 4}
+		p := &PNPSCInstance{Inst: &Instance{NumBlue: 4, NumRed: 4}}
 		for i := 0; i < 5; i++ {
-			var s PNSet
+			var s Set
 			for e := 0; e < 4; e++ {
 				if rng.Intn(3) == 0 {
-					s.Positives = append(s.Positives, e)
+					s.Blues = append(s.Blues, e)
 				}
 				if rng.Intn(3) == 0 {
-					s.Negatives = append(s.Negatives, e)
+					s.Reds = append(s.Reds, e)
 				}
 			}
-			p.Sets = append(p.Sets, s)
+			p.Inst.Sets = append(p.Inst.Sets, s)
 		}
 		inst, decode := p.ToRedBlue()
 		if err := inst.Validate(); err != nil {
@@ -304,14 +304,14 @@ func TestPNPSCReductionPreservesCost(t *testing.T) {
 }
 
 func TestPNPSCSolve(t *testing.T) {
-	p := &PNPSCInstance{
-		NumPos: 2,
-		NumNeg: 1,
-		Sets: []PNSet{
-			{Positives: []int{0, 1}},                   // free cover
-			{Positives: []int{0}, Negatives: []int{0}}, // costly
+	p := &PNPSCInstance{Inst: &Instance{
+		NumBlue: 2,
+		NumRed:  1,
+		Sets: []Set{
+			{Blues: []int{0, 1}},              // free cover
+			{Blues: []int{0}, Reds: []int{0}}, // costly
 		},
-	}
+	}}
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -322,12 +322,12 @@ func TestPNPSCSolve(t *testing.T) {
 }
 
 func TestPNPSCWeights(t *testing.T) {
-	p := &PNPSCInstance{
-		NumPos:     1,
-		NumNeg:     1,
-		NegWeights: []float64{2},
-		Sets:       []PNSet{{Positives: []int{0}, Negatives: []int{0}}},
-	}
+	p := &PNPSCInstance{Inst: &Instance{
+		NumBlue:    1,
+		NumRed:     1,
+		RedWeights: []float64{2},
+		Sets:       []Set{{Blues: []int{0}, Reds: []int{0}}},
+	}}
 	// Covering: cost 2; not covering: cost 1. Optimal = leave uncovered.
 	opt, err := p.Exact(context.Background(), nil)
 	if err != nil {
@@ -347,8 +347,7 @@ func TestCostSumOrderFixed(t *testing.T) {
 	want := math.Float64bits(w[0] + w[1] + w[2])
 	inst := &Instance{NumRed: 3, NumBlue: 1, RedWeights: w,
 		Sets: []Set{{Reds: []int{2, 0}, Blues: []int{0}}, {Reds: []int{1, 2}}}}
-	pn := &PNPSCInstance{NumPos: 1, NumNeg: 3, NegWeights: w,
-		Sets: []PNSet{{Negatives: []int{2, 0}, Positives: []int{0}}, {Negatives: []int{1, 2}}}}
+	pn := &PNPSCInstance{Inst: inst}
 	sol := Solution{Chosen: []int{1, 0}}
 	for i := 0; i < 200; i++ {
 		if got := math.Float64bits(inst.Cost(sol)); got != want {

@@ -1,7 +1,5 @@
 package view
 
-import "slices"
-
 // Maintainer tracks the live/dead state of every view tuple under a
 // growing source deletion, updating incrementally from provenance instead
 // of re-evaluating queries: deleting a base tuple kills the derivations it
@@ -12,7 +10,10 @@ import "slices"
 // reference counts.
 //
 // A Maintainer is three counter slices over a shared, immutable Index;
-// it speaks tuple ids and ref ids.
+// it speaks tuple ids and ref ids. AppendCuts asks what deleting a tuple
+// would do without applying it, so a caller scoring many candidates
+// against one state, as greedy does, reads the counters and never
+// mutates or rolls back.
 type Maintainer struct {
 	idx *Index
 	// derivAlive[r] = number of still-alive derivations of ref r; a view
@@ -39,19 +40,6 @@ func (x *Index) NewMaintainer() *Maintainer {
 		m.derivAlive[r] = x.numDerivs(int32(r))
 	}
 	return m
-}
-
-// Clone returns an independent copy of the maintainer: same index, copied
-// counters, so Delete/Undelete on the clone never touch the original.
-// Parallel greedy scoring hands one clone per worker.
-func (m *Maintainer) Clone() *Maintainer {
-	return &Maintainer{
-		idx:        m.idx,
-		derivAlive: slices.Clone(m.derivAlive),
-		derivHit:   slices.Clone(m.derivHit),
-		deleted:    slices.Clone(m.deleted),
-		dead:       m.dead,
-	}
 }
 
 // Delete applies the deletion of tuple t and returns the refs that died as
@@ -102,6 +90,42 @@ func (m *Maintainer) Undelete(t int32) []int32 {
 	m.dead -= len(revived)
 	x.sortByRank(revived)
 	return revived
+}
+
+// Cut is what deleting one base tuple would do to one view tuple with an
+// alive derivation through it.
+type Cut struct {
+	Ref int32 // ref id
+	// Derivs is how many of the ref's alive derivations the tuple occurs
+	// in.
+	Derivs int32
+	// Kills reports whether those are all the derivations the ref has
+	// left, so deleting the tuple would destroy the view tuple.
+	Kills bool
+}
+
+// AppendCuts appends to dst, in ascending ref id order, what deleting
+// tuple t would do to each view tuple with an alive derivation through
+// it, and returns the extended slice. It walks t's occurrence run like
+// Index.AppendOccurrences but counts only alive derivations, and it only
+// reads the maintainer: calls may run concurrently while no Delete or
+// Undelete does. A deleted t cuts nothing.
+func (m *Maintainer) AppendCuts(dst []Cut, t int32) []Cut {
+	x := m.idx
+	run := x.occDeriv[x.occStart[t]:x.occStart[t+1]]
+	for i := 0; i < len(run); {
+		r := x.derivRef[run[i]]
+		var n int32
+		for ; i < len(run) && x.derivRef[run[i]] == r; i++ {
+			if m.derivHit[run[i]] == 0 {
+				n++
+			}
+		}
+		if n > 0 {
+			dst = append(dst, Cut{Ref: r, Derivs: n, Kills: n == m.derivAlive[r]})
+		}
+	}
+	return dst
 }
 
 // Alive reports whether ref r currently survives.

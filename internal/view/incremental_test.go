@@ -87,51 +87,6 @@ func TestMaintainerUnknownRef(t *testing.T) {
 	}
 }
 
-// TestMaintainerClone: a clone carries the original's deletion state but
-// mutates independently in both directions.
-func TestMaintainerClone(t *testing.T) {
-	db := fig1DB()
-	views, _ := Materialize([]*cq.Query{cq.MustParse("Q3(x, z) :- T1(x, y), T2(y, z, w)")}, db)
-	idx := BuildIndex(views)
-	m := idx.NewMaintainer()
-	id1 := mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TKDE")})
-	id2 := mustTuple(t, idx, relation.TupleID{Relation: "T1", Tuple: tup("John", "TODS")})
-	johnXML := mustRef(t, idx, TupleRef{View: 0, Tuple: tup("John", "XML")})
-
-	m.Delete(id1)
-	c := m.Clone()
-	if c.DeletedCount() != 1 || c.DeadCount() != m.DeadCount() {
-		t.Fatalf("clone state: %d deleted, %d dead", c.DeletedCount(), c.DeadCount())
-	}
-
-	// Mutating the clone leaves the original untouched.
-	if died := c.Delete(id2); len(died) != 1 || died[0] != johnXML {
-		t.Errorf("clone delete died = %v", died)
-	}
-	if !m.Alive(johnXML) {
-		t.Error("clone mutation leaked into original")
-	}
-	if m.DeletedCount() != 1 {
-		t.Errorf("original deleted count = %d, want 1", m.DeletedCount())
-	}
-
-	// Mutating the original leaves the clone's view of id2 intact.
-	m.Undelete(id1)
-	if c.Alive(johnXML) {
-		t.Error("original mutation leaked into clone")
-	}
-	// Rolling the clone all the way back restores liveness without
-	// touching the original's counts.
-	c.Undelete(id1)
-	c.Undelete(id2)
-	if !c.Alive(johnXML) || c.DeadCount() != 0 || c.DeletedCount() != 0 {
-		t.Errorf("clone rollback: alive=%v dead=%d deleted=%d", c.Alive(johnXML), c.DeadCount(), c.DeletedCount())
-	}
-	if m.DeletedCount() != 0 || m.DeadCount() != 0 {
-		t.Errorf("original counts after its own rollback: %d deleted, %d dead", m.DeletedCount(), m.DeadCount())
-	}
-}
-
 // TestMaintainerMatchesReEvaluation drives a random delete/undelete
 // sequence and cross-checks every view tuple's liveness against full
 // re-evaluation after every step.
@@ -195,7 +150,9 @@ func recountDB(rng *rand.Rand) *relation.Instance {
 // "2|…") and after every step compares Alive, AliveDerivations and
 // DeadCount with a from-scratch recount over the views' derivations. The
 // died and revived lists must be exactly the refs whose liveness flipped,
-// sorted by TupleRef.Key.
+// sorted by TupleRef.Key. Before every Delete, AppendCuts must name, in
+// ascending ref order, exactly the refs the deletion then costs alive
+// derivations, with how many, and mark as Kills exactly the ones that die.
 func TestMaintainerMatchesRecount(t *testing.T) {
 	shapes := []string{
 		"Q(x) :- A(x, y), B(y, z)",
@@ -220,10 +177,11 @@ func TestMaintainerMatchesRecount(t *testing.T) {
 		m := idx.NewMaintainer()
 		all := db.AllTuples()
 		deleted := map[string]bool{}
-		wasAlive := make([]bool, idx.NumRefs())
-		for r := range wasAlive {
-			wasAlive[r] = true
+		before := make([]int, idx.NumRefs()) // the last step's recount
+		for r := range before {
+			before[r] = m.AliveDerivations(int32(r))
 		}
+		var cuts []Cut
 		for step := 0; step < 80; step++ {
 			id := all[rng.Intn(len(all))]
 			ti, ok := idx.LookupTuple(id)
@@ -231,10 +189,19 @@ func TestMaintainerMatchesRecount(t *testing.T) {
 				continue
 			}
 			var changed []int32
+			var cut map[int32]Cut // nil on an Undelete step
 			if deleted[id.Key()] && rng.Intn(2) == 0 {
 				changed = m.Undelete(ti)
 				delete(deleted, id.Key())
 			} else {
+				cuts = m.AppendCuts(cuts[:0], ti)
+				cut = map[int32]Cut{}
+				for i, c := range cuts {
+					if i > 0 && cuts[i-1].Ref >= c.Ref {
+						t.Fatalf("seed %d step %d: cuts not in ascending ref order: %v", seed, step, cuts)
+					}
+					cut[c.Ref] = c
+				}
 				changed = m.Delete(ti)
 				deleted[id.Key()] = true
 			}
@@ -271,10 +238,13 @@ func TestMaintainerMatchesRecount(t *testing.T) {
 					if m.Alive(r) != (alive > 0) {
 						t.Fatalf("seed %d step %d: %s Alive=%v, recount %d derivations", seed, step, ref, m.Alive(r), alive)
 					}
-					if flipped[r] != (wasAlive[r] != (alive > 0)) {
-						t.Fatalf("seed %d step %d: %s reported flipped=%v, was alive %v, now %d derivations", seed, step, ref, flipped[r], wasAlive[r], alive)
+					if flipped[r] != ((before[r] > 0) != (alive > 0)) {
+						t.Fatalf("seed %d step %d: %s reported flipped=%v, had %d derivations, now %d", seed, step, ref, flipped[r], before[r], alive)
 					}
-					wasAlive[r] = alive > 0
+					if c := cut[r]; cut != nil && (before[r]-alive != int(c.Derivs) || c.Kills != flipped[r]) {
+						t.Fatalf("seed %d step %d: %s lost %d derivations (died %v), AppendCuts said %+v", seed, step, ref, before[r]-alive, flipped[r], c)
+					}
+					before[r] = alive
 				}
 			}
 			if m.DeadCount() != dead {

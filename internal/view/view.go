@@ -14,7 +14,7 @@
 // row of a relation snapshot the views' Results hold, and a ref id to its
 // view and answer. It is immutable once built, so one Index serves every
 // request on the same (D, Q); a Maintainer is three counter slices over
-// it, which makes NewMaintainer and Clone a few allocations and copies.
+// it, which makes NewMaintainer a few allocations.
 // String keys (TupleID.Key, TupleRef.Key) appear only where callers cross
 // into or out of ids.
 package view
