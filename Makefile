@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff experiments fuzz fuzz-smoke fmt vet lint bench-load-check audit smoke chaos-smoke events-smoke series-smoke session-smoke clean
+.PHONY: all build test test-short race race-hot cover bench bench-json bench-diff experiments fuzz fuzz-smoke fmt vet lint bench-load-check audit smoke metrics-smoke chaos-smoke events-smoke series-smoke session-smoke clean
 
 all: build test
 
@@ -101,9 +101,12 @@ audit: lint
 		echo "audit: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
+# The five end-to-end smoke scripts below, one after another.
+smoke: metrics-smoke chaos-smoke events-smoke series-smoke session-smoke
+
 # End-to-end telemetry check: boots delpropd, drives a solve, scrapes
 # /metrics and asserts the search counters moved (docs/OBSERVABILITY.md).
-smoke:
+metrics-smoke:
 	./scripts/metrics_smoke.sh
 
 # End-to-end resilience check: boots delpropd with the chaos solvers and

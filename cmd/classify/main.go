@@ -40,15 +40,11 @@ func run(dbPath, qPath string) error {
 	if err != nil {
 		return err
 	}
-	db, err := textio.ParseDatabase(string(dbSrc))
-	if err != nil {
-		return err
-	}
 	qSrc, err := os.ReadFile(qPath)
 	if err != nil {
 		return err
 	}
-	queries, err := cq.ParseProgram(string(qSrc))
+	db, queries, err := textio.ParseInstance(string(dbSrc), string(qSrc))
 	if err != nil {
 		return err
 	}

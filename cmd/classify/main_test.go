@@ -59,3 +59,19 @@ func TestClassifyErrors(t *testing.T) {
 		t.Error("missing queries accepted")
 	}
 }
+
+// TestClassifyEmptyProgram: an empty query program is malformed, as on
+// delpropd, instead of classifying as PTime.
+func TestClassifyEmptyProgram(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.dl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error { return run(filepath.Join("testdata", "db.txt"), empty) })
+	if err == nil || err.Error() != "queries: empty program" {
+		t.Errorf("err = %v, want queries: empty program", err)
+	}
+	if out != "" {
+		t.Errorf("stdout = %q, want nothing", out)
+	}
+}

@@ -10,7 +10,6 @@ import (
 
 	"delprop/internal/core"
 	"delprop/internal/server"
-	"delprop/internal/textio"
 )
 
 // -batch mode: the deletion file holds several deletion requests
@@ -47,35 +46,26 @@ type batchItem struct {
 }
 
 func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
-	db, queries, err := loadProgram(dbPath, qPath)
+	srcs, err := readFiles(dbPath, qPath, dPath)
 	if err != nil {
 		return err
 	}
-	dSrc, err := os.ReadFile(dPath)
+	// The skeleton (views, provenance index, classification) is built
+	// once and specialized per stanza, as warm sessions do on the server;
+	// every worker shares it, and a specialized problem carries only its
+	// own delta and weights.
+	skel, err := core.Prepare(core.Source{Database: srcs[0], Queries: srcs[1]}, nil)
 	if err != nil {
 		return err
 	}
-	stanzas := splitStanzas(string(dSrc))
+	stanzas := splitStanzas(srcs[2])
 	if len(stanzas) == 0 {
 		return fmt.Errorf("%s: no deletion stanzas (separate batch items with blank lines)", dPath)
 	}
 	workers = max(1, min(workers, len(stanzas)))
 
-	ctx := context.Background()
-	if opts.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.timeout)
-		defer cancel()
-	}
-
-	// The skeleton (views, provenance index, classification) is built
-	// once and specialized per stanza, as warm sessions do on the server;
-	// every worker shares it, and a specialized problem carries only its
-	// own delta and weights.
-	skel, err := core.NewProblem(db, queries, nil)
-	if err != nil {
-		return err
-	}
+	ctx, cancel := opts.context()
+	defer cancel()
 
 	results := make([]batchItem, len(stanzas))
 	jobs := make(chan int, len(stanzas))
@@ -118,11 +108,7 @@ func runBatch(dbPath, qPath, dPath string, workers int, opts options) error {
 // solveStanza specializes the shared skeleton to one deletion stanza,
 // solves it and writes the per-item report.
 func solveStanza(ctx context.Context, w io.Writer, skel *core.Problem, stanza string, opts options) error {
-	delta, err := textio.ParseDeletions(stanza, skel.Queries)
-	if err != nil {
-		return err
-	}
-	p, err := skel.Specialize(delta)
+	p, err := core.Prepare(core.Source{Skeleton: skel, Deletions: stanza}, nil)
 	if err != nil {
 		return err
 	}

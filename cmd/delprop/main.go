@@ -13,7 +13,8 @@
 // -batch treats the -delete file as blank-line-separated deletion
 // stanzas, each solved as its own instance against the shared database
 // and queries through a -batch-workers pool; the report stays in input
-// order (the CLI mirror of the server's POST /solve/batch).
+// order (the CLI mirror of the server's POST /solve/batch). With -batch,
+// -stats text prints per-item counters only; -stats json is rejected.
 //
 // -timeout bounds the solve; on expiry the run fails unless the solver
 // carried an incumbent (anytime solvers), which is then printed as a
@@ -23,9 +24,10 @@
 // -stats text|json prints per-phase timings (parse, views, classify,
 // solve, evaluate) and the search-progress counters (nodes expanded,
 // branches pruned, checkpoints, incumbent updates, restarts) after the
-// solve. Solves run through the same core engine as delpropd's, so json
-// prints the phaseMs, stats (objective, lower bound, quality ratio
-// included) and race objects of the daemon's /solve response (see
+// solve. Files are read before any phase opens, and the phases are
+// delpropd's (core.Prepare, solver routing, core.Run), so json prints
+// the phaseMs, stats (objective, lower bound, quality ratio included)
+// and race objects of the daemon's /solve response (see
 // docs/OBSERVABILITY.md).
 //
 // delprop tail follows a running delpropd daemon's GET /events stream
@@ -56,7 +58,6 @@ import (
 	"delprop/internal/classify"
 	"delprop/internal/core"
 	"delprop/internal/cq"
-	"delprop/internal/relation"
 	"delprop/internal/server"
 	"delprop/internal/telemetry"
 	"delprop/internal/textio"
@@ -71,53 +72,65 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "top" {
 		os.Exit(runTop(os.Args[2:], os.Stdout, os.Stderr))
 	}
-	dbPath := flag.String("db", "", "database file (textio format)")
-	qPath := flag.String("queries", "", "datalog query program")
-	dPath := flag.String("delete", "", "deletion request file")
-	solverName := flag.String("solver", "auto",
+	os.Exit(runSolve(os.Args[1:], os.Stderr))
+}
+
+// runSolve is the solve CLI: it parses args, runs the requested mode and
+// returns the exit status — 2 for a usage error, 1 for a failed run.
+func runSolve(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("delprop", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dbPath := fs.String("db", "", "database file (textio format)")
+	qPath := fs.String("queries", "", "datalog query program")
+	dPath := fs.String("delete", "", "deletion request file")
+	solverName := fs.String("solver", "auto",
 		"algorithm to run: auto (classification-driven default) or one of "+strings.Join(core.SolverNames(), ", "))
-	balanced := flag.Bool("balanced", false, "report the balanced objective")
-	explain := flag.Bool("explain", false, "print each query's join plan")
-	timeout := flag.Duration("timeout", 0, "bound the solve (0 = no limit)")
-	resilience := flag.Bool("resilience", false, "compute per-query resilience instead of a deletion")
-	resilienceBudget := flag.Int("resilience-budget", 24, "candidate bound for the exact resilience search")
-	stats := flag.String("stats", "", "print per-phase timings and search counters after the solve: \"text\" or \"json\"")
-	batch := flag.Bool("batch", false, "treat -delete as blank-line-separated stanzas solved concurrently (the CLI mirror of POST /solve/batch)")
-	batchWorkers := flag.Int("batch-workers", 4, "concurrent item solves in -batch mode")
-	flag.Parse()
+	balanced := fs.Bool("balanced", false, "report the balanced objective")
+	explain := fs.Bool("explain", false, "print each query's join plan")
+	timeout := fs.Duration("timeout", 0, "bound the solve (0 = no limit)")
+	resilience := fs.Bool("resilience", false, "compute per-query resilience instead of a deletion")
+	resilienceBudget := fs.Int("resilience-budget", 24, "candidate bound for the exact resilience search")
+	stats := fs.String("stats", "", "print per-phase timings and search counters after the solve: \"text\" or \"json\"")
+	batch := fs.Bool("batch", false, "treat -delete as blank-line-separated stanzas solved concurrently (the CLI mirror of POST /solve/batch)")
+	batchWorkers := fs.Int("batch-workers", 4, "concurrent item solves in -batch mode")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *dbPath == "" || *qPath == "" || (*dPath == "" && !*resilience) {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	if *stats != "" && *stats != "text" && *stats != "json" {
-		fmt.Fprintf(os.Stderr, "delprop: -stats must be \"text\" or \"json\", got %q\n", *stats)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "delprop: -stats must be \"text\" or \"json\", got %q\n", *stats)
+		return 2
 	}
 	opts := options{
 		solver:           *solverName,
 		balanced:         *balanced,
 		explain:          *explain,
 		timeout:          *timeout,
-		resilience:       *resilience,
 		resilienceBudget: *resilienceBudget,
 		stats:            *stats,
 	}
-	if *batch {
-		if *resilience {
-			fmt.Fprintln(os.Stderr, "delprop: -batch and -resilience are mutually exclusive")
-			os.Exit(2)
-		}
-		if err := runBatch(*dbPath, *qPath, *dPath, *batchWorkers, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "delprop:", err)
-			os.Exit(1)
-		}
-		return
+	if *batch && (*resilience || *stats == "json") {
+		fmt.Fprintln(stderr, "delprop: -batch takes neither -resilience nor -stats json (-stats text prints per-item counters)")
+		return 2
 	}
-	if err := run(*dbPath, *qPath, *dPath, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "delprop:", err)
-		os.Exit(1)
+	var err error
+	switch {
+	case *batch:
+		err = runBatch(*dbPath, *qPath, *dPath, *batchWorkers, opts)
+	case *resilience:
+		err = runResilience(*dbPath, *qPath, opts)
+	default:
+		err = run(*dbPath, *qPath, *dPath, opts)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "delprop:", err)
+		return 1
+	}
+	return 0
 }
 
 type options struct {
@@ -125,82 +138,52 @@ type options struct {
 	balanced         bool
 	explain          bool
 	timeout          time.Duration
-	resilience       bool
 	resilienceBudget int
 	// stats selects the post-solve report: "" (off), "text" or "json".
 	stats string
 }
 
 func run(dbPath, qPath, dPath string, opts options) error {
+	srcs, err := readFiles(dbPath, qPath, dPath)
+	if err != nil {
+		return err
+	}
 	phases := make(map[string]time.Duration)
 	phase := func(name string) func() {
 		start := time.Now()
 		return func() { phases[name] = time.Since(start) }
 	}
-	end := phase(telemetry.PhaseParse)
-	db, queries, err := loadProgram(dbPath, qPath)
+	p, err := core.Prepare(core.Source{Database: srcs[0], Queries: srcs[1], Deletions: srcs[2]}, phase)
 	if err != nil {
 		return err
 	}
 
-	if opts.resilience {
-		ctx := context.Background()
-		if opts.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, opts.timeout)
-			defer cancel()
-		}
-		for _, q := range queries {
-			sol, _, err := core.Resilience(ctx, q, db, opts.resilienceBudget)
-			if err != nil {
-				return fmt.Errorf("%s: %w", q.Name, err)
-			}
-			fmt.Printf("resilience(%s) = %d  witness %s\n", q.Name, len(sol.Deleted), sol)
-		}
-		return nil
-	}
-
-	dSrc, err := os.ReadFile(dPath)
-	if err != nil {
-		return err
-	}
-	delta, err := textio.ParseDeletions(string(dSrc), queries)
-	if err != nil {
-		return err
-	}
-	end()
-	end = phase(telemetry.PhaseViews)
-	p, err := core.NewProblem(db, queries, delta)
-	if err != nil {
-		return err
-	}
-	end()
-
-	end = phase(telemetry.PhaseClassify)
 	if opts.explain {
-		for _, q := range queries {
-			plan, err := cq.ExplainPlan(q, db)
+		for _, q := range p.Queries {
+			plan, err := cq.ExplainPlan(q, p.DB)
 			if err != nil {
 				return err
 			}
 			fmt.Printf("plan for %s:\n%s", q.Name, plan)
 		}
 	}
-	res, err := classify.MultiQuery(queries, cq.InstanceSchemas(db))
+	res, err := classify.MultiQuery(p.Queries, cq.InstanceSchemas(p.DB))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("instance: |D|=%d, %d queries, ‖V‖=%d, ‖ΔV‖=%d, key-preserving=%v\n",
-		db.Size(), len(queries), p.TotalViewSize(), p.DeltaLen(), p.IsKeyPreserving())
+		p.DB.Size(), len(p.Queries), p.TotalViewSize(), p.DeltaLen(), p.IsKeyPreserving())
 	fmt.Printf("classification: %s\n", res.Class)
 	for _, g := range res.Guarantees {
 		fmt.Printf("  - %s\n", g)
 	}
+	// The classify phase is solver routing alone, as in delpropd.
+	end := phase(telemetry.PhaseClassify)
 	solver, err := server.PickSolver(opts.solver, p)
+	end()
 	if err != nil {
 		return err
 	}
-	end()
 	fmt.Printf("solver: %s\n", solver.Name())
 
 	out, err := core.Run(context.Background(), solver, p, opts.timeout, core.RunHooks{Phase: phase})
@@ -222,22 +205,47 @@ func run(dbPath, qPath, dPath string, opts options) error {
 	return nil
 }
 
-// loadProgram reads and parses the database and query program files.
-func loadProgram(dbPath, qPath string) (*relation.Instance, []*cq.Query, error) {
-	dbSrc, err := os.ReadFile(dbPath)
+// runResilience prints each query's resilience and a witness deletion.
+func runResilience(dbPath, qPath string, opts options) error {
+	srcs, err := readFiles(dbPath, qPath)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	db, err := textio.ParseDatabase(string(dbSrc))
+	db, queries, err := textio.ParseInstance(srcs[0], srcs[1])
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	qSrc, err := os.ReadFile(qPath)
-	if err != nil {
-		return nil, nil, err
+	ctx, cancel := opts.context()
+	defer cancel()
+	for _, q := range queries {
+		sol, _, err := core.Resilience(ctx, q, db, opts.resilienceBudget)
+		if err != nil {
+			return fmt.Errorf("%s: %w", q.Name, err)
+		}
+		fmt.Printf("resilience(%s) = %d  witness %s\n", q.Name, len(sol.Deleted), sol)
 	}
-	queries, err := cq.ParseProgram(string(qSrc))
-	return db, queries, err
+	return nil
+}
+
+// context bounds a -batch or -resilience run by -timeout when positive.
+func (o options) context() (context.Context, context.CancelFunc) {
+	if o.timeout > 0 {
+		return context.WithTimeout(context.Background(), o.timeout)
+	}
+	return context.WithCancel(context.Background())
+}
+
+// readFiles reads the named files, stopping at the first error.
+func readFiles(paths ...string) ([]string, error) {
+	srcs := make([]string, len(paths))
+	for i, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = string(b)
+	}
+	return srcs, nil
 }
 
 // writeAnswer prints the answer lines run and -batch share; run also

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 	"delprop/internal/cq"
 	"delprop/internal/relation"
 	"delprop/internal/server"
+	"delprop/internal/telemetry"
 	"delprop/internal/textio"
 	"delprop/internal/view"
 )
@@ -190,6 +193,23 @@ func dropIncumbentTimes(stats map[string]any) {
 	}
 }
 
+// phaseNames lists phaseMs's keys in telemetry.Phases order, unknown
+// names last.
+func phaseNames(phaseMs map[string]float64) []string {
+	var names, rest []string
+	for _, name := range telemetry.Phases {
+		if _, ok := phaseMs[name]; ok {
+			names = append(names, name)
+		}
+	}
+	for name := range phaseMs {
+		if !slices.Contains(telemetry.Phases[:], name) {
+			rest = append(rest, name)
+		}
+	}
+	return append(names, rest...)
+}
+
 // TestStatsJSONMatchesServer: delprop -stats json and POST /solve run the
 // same engine, so they report the same stats object — objective, lower
 // bound and quality ratio included — for the same instance and solver.
@@ -210,7 +230,8 @@ func TestStatsJSONMatchesServer(t *testing.T) {
 			t.Fatalf("solver %s: %v", solver, err)
 		}
 		var cli struct {
-			Stats map[string]any `json:"stats"`
+			PhaseMs map[string]float64 `json:"phaseMs"`
+			Stats   map[string]any     `json:"stats"`
 		}
 		if err := json.Unmarshal([]byte(out[strings.Index(out, "\n{")+1:]), &cli); err != nil {
 			t.Fatalf("solver %s: decode -stats json: %v\n%s", solver, err, out)
@@ -225,10 +246,20 @@ func TestStatsJSONMatchesServer(t *testing.T) {
 			t.Fatalf("solver %s: /solve status %d: %s", solver, rec.Code, rec.Body)
 		}
 		var srv struct {
-			Stats map[string]any `json:"stats"`
+			PhaseMs map[string]float64 `json:"phaseMs"`
+			Stats   map[string]any     `json:"stats"`
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &srv); err != nil {
 			t.Fatal(err)
+		}
+		// One phase list by construction: the CLI's phases, /solve's and
+		// telemetry.Phases name the same set.
+		want := telemetry.Phases[:]
+		if got := phaseNames(cli.PhaseMs); !slices.Equal(got, want) {
+			t.Errorf("solver %s: -stats json phaseMs keys %v, want %v", solver, got, want)
+		}
+		if got := phaseNames(srv.PhaseMs); !slices.Equal(got, want) {
+			t.Errorf("solver %s: /solve phaseMs keys %v, want %v", solver, got, want)
 		}
 
 		dropIncumbentTimes(cli.Stats)
@@ -291,5 +322,57 @@ func TestRunBatchSolverPanicIsolated(t *testing.T) {
 	}
 	if !strings.Contains(out, "feasible: true") || !strings.Contains(out, "panicked") {
 		t.Errorf("want one answer and one panic error:\n%s", out)
+	}
+}
+
+// TestEmptyProgramRejected: an empty query program is malformed, as on
+// delpropd's /solve, so the run fails with the daemon's error text
+// instead of classifying and solving nothing.
+func TestEmptyProgramRejected(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	out, _ := captureStdout(t, func() error {
+		if code := runSolve([]string{"-db", td("db.txt"), "-queries", empty, "-delete", empty}, &stderr); code != 1 {
+			t.Errorf("exit status %d, want 1", code)
+		}
+		return nil
+	})
+	if !strings.Contains(stderr.String(), "queries: empty program") {
+		t.Errorf("stderr = %q, want the empty-program error", stderr.String())
+	}
+	if out != "" {
+		t.Errorf("stdout = %q, want nothing", out)
+	}
+}
+
+// TestBatchRejectsStatsJSON: -batch prints per-item counters only, so
+// -batch -stats json is a usage error, like -batch -resilience.
+func TestBatchRejectsStatsJSON(t *testing.T) {
+	base := []string{"-db", td("db.txt"), "-queries", td("queries.dl"), "-delete", td("batch.txt"), "-batch"}
+	for _, extra := range [][]string{{"-stats", "json"}, {"-resilience"}} {
+		var stderr bytes.Buffer
+		out, _ := captureStdout(t, func() error {
+			if code := runSolve(append(slices.Clone(base), extra...), &stderr); code != 2 {
+				t.Errorf("%v: exit status %d, want 2", extra, code)
+			}
+			return nil
+		})
+		if out != "" || stderr.Len() == 0 {
+			t.Errorf("%v: stdout %q, stderr %q: want only a usage error", extra, out, stderr.String())
+		}
+	}
+	// -stats text stays allowed and prints the per-item counters.
+	var stderr bytes.Buffer
+	out, _ := captureStdout(t, func() error {
+		if code := runSolve(append(slices.Clone(base), "-stats", "text"), &stderr); code != 0 {
+			t.Errorf("-batch -stats text: exit status %d: %s", code, stderr.String())
+		}
+		return nil
+	})
+	if strings.Count(out, "nodes expanded: ") != 2 {
+		t.Errorf("-batch -stats text lacks per-item counters:\n%s", out)
 	}
 }

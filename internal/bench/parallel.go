@@ -35,11 +35,14 @@ func parallelInstance(seed int64) (*core.Problem, error) {
 const parallelSeeds = 3
 
 // medianMs runs fn reps times and returns the median, in milliseconds,
-// of the durations fn reports.
-func medianMs(reps int, fn func() (time.Duration, error)) (float64, error) {
+// of the durations fn reports. fn gets rec on the first repetition and
+// nil after, so what it records reads as from a single repetition
+// whatever reps is.
+func medianMs(reps int, rec *benchkit.Recorder, fn func(rec *benchkit.Recorder) (time.Duration, error)) (float64, error) {
 	times := make([]float64, 0, reps)
 	for r := 0; r < reps; r++ {
-		d, err := fn()
+		d, err := fn(rec)
+		rec = nil
 		if err != nil {
 			return 0, err
 		}
@@ -83,7 +86,7 @@ func runParallelSpeedup(w io.Writer, rec *benchkit.Recorder) error {
 		g := &core.Greedy{Workers: workers}
 		identical := true
 		// Each repetition sums the solve phases of all instances.
-		ms, err := medianMs(3, func() (time.Duration, error) {
+		ms, err := medianMs(3, rec, func(rec *benchkit.Recorder) (time.Duration, error) {
 			var total time.Duration
 			for i, p := range probs {
 				res, took, err := solve(rec, g, p)

@@ -469,15 +469,11 @@ func runScalability(w io.Writer, rec *benchkit.Recorder) error {
 			}
 			cells := sw.cells(v, p)
 			for _, s := range core.ApproxSolvers() {
-				// The first repetition alone reports to rec and supplies
-				// the counters, so they read as from a single solve.
+				// The first repetition supplies the counters, so they
+				// read as from a single solve.
 				var res *core.RunResult
-				ms, err := medianMs(scaleReps, func() (time.Duration, error) {
-					r := rec
-					if res != nil {
-						r = nil
-					}
-					out, took, err := solve(r, s, p)
+				ms, err := medianMs(scaleReps, rec, func(rec *benchkit.Recorder) (time.Duration, error) {
+					out, took, err := solve(rec, s, p)
 					if res == nil {
 						res = out
 					}

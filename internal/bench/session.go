@@ -69,7 +69,7 @@ func runSessionWarm(w io.Writer, rec *benchkit.Recorder) error {
 		// are in memory) but re-indexes and re-materializes everything —
 		// the per-request cost POST /solve pays.
 		coldSols := make([]*core.Solution, sessionStream)
-		coldMs, err := medianMs(3, func() (time.Duration, error) {
+		coldMs, err := medianMs(3, rec, func(rec *benchkit.Recorder) (time.Duration, error) {
 			start := time.Now()
 			for i, d := range deltas {
 				p, err := core.NewProblem(wl.DB, wl.Queries, d)
@@ -92,7 +92,7 @@ func runSessionWarm(w io.Writer, rec *benchkit.Recorder) error {
 		// skeleton build is inside the measured stream, so the speedup
 		// already pays for the registration.
 		identical := true
-		warmMs, err := medianMs(3, func() (time.Duration, error) {
+		warmMs, err := medianMs(3, rec, func(rec *benchkit.Recorder) (time.Duration, error) {
 			start := time.Now()
 			skel, err := core.NewProblem(wl.DB, wl.Queries, nil)
 			if err != nil {

@@ -14,8 +14,9 @@ import (
 const outcomeRejected = "rejected"
 
 // solveRecord is everything one solve learned about itself. runInstance
-// fills it in as the solve proceeds, and one function each derives the
-// trace attributes, events, metrics, log line, postmortem and response.
+// fills it in through core.Prepare, PickSolver and core.Run, and one
+// function each derives the trace attributes, events, metrics, log line,
+// postmortem and response.
 type solveRecord struct {
 	reqID string
 	// log is the request's log record when the solve is the request's

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"delprop/internal/admission"
@@ -370,75 +369,6 @@ func (a *api) parseTimeout(spec string) (time.Duration, error) {
 	return min(d, a.cfg.MaxSolveTimeout), nil
 }
 
-// parseInstance is the parse phase of the shared instance payload: text to
-// database, queries and deletion request, no view materialization yet.
-func parseInstance(req *InstanceRequest) (*relation.Instance, []*cq.Query, *view.Deletion, error) {
-	db, queries, err := parseSources(req.Database, req.Queries)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var delta *view.Deletion
-	if req.Deletions != "" {
-		delta, err = textio.ParseDeletions(req.Deletions, queries)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("deletions: %w", err)
-		}
-	}
-	return db, queries, delta, nil
-}
-
-// parseSources parses the database and query program every instance
-// payload carries: /solve's, a session's, and classify, lineage and
-// resilience's. A program with no query is malformed.
-func parseSources(database, program string) (*relation.Instance, []*cq.Query, error) {
-	db, err := textio.ParseDatabase(database)
-	if err != nil {
-		return nil, nil, fmt.Errorf("database: %w", err)
-	}
-	queries, err := cq.ParseProgram(program)
-	if err != nil {
-		return nil, nil, fmt.Errorf("queries: %w", err)
-	}
-	if len(queries) == 0 {
-		return nil, nil, errors.New("queries: empty program")
-	}
-	return db, queries, nil
-}
-
-// applyWeights sets the preservation weights named by "Qname(v1,...)"
-// specs on p. Specs are parsed in sorted order, and two specs naming one
-// view tuple must agree on its weight: the parser trims arguments, so
-// "Q(a, b)" and "Q(a,b)" are the same tuple, and a conflict resolved by
-// map order would make the same request answer differently. Weights must
-// be non-negative: a negative one rewards destroying the tuple, so the
-// side effect could fall below the dual lower bound.
-func applyWeights(p *core.Problem, weights map[string]float64, queries []*cq.Query) error {
-	specs := make([]string, 0, len(weights))
-	for spec := range weights {
-		specs = append(specs, spec)
-	}
-	sort.Strings(specs)
-	seen := make(map[string]string, len(specs))
-	for _, spec := range specs {
-		if weights[spec] < 0 {
-			return fmt.Errorf("weights: %q has negative weight %v", spec, weights[spec])
-		}
-		del, err := textio.ParseDeletions(spec, queries)
-		if err != nil {
-			return fmt.Errorf("weights: %w", err)
-		}
-		for _, ref := range del.Refs() {
-			if prev, ok := seen[ref.Key()]; ok && weights[prev] != weights[spec] {
-				return fmt.Errorf("weights: %q and %q name the same tuple with different weights (%v, %v)",
-					prev, spec, weights[prev], weights[spec])
-			}
-			seen[ref.Key()] = spec
-			p.SetWeight(ref, weights[spec])
-		}
-	}
-	return nil
-}
-
 // solveError is a failed solve ready for HTTP rendering: status, machine
 // code, and the underlying error. Batch items reuse it without a
 // ResponseWriter in hand.
@@ -466,21 +396,14 @@ func (a *api) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solveSource describes one solve for the engine: the requested solver,
-// timeout and weights, the body's tenant hint, how to parse the request,
-// and — for warm solves — the session entry serving it.
+// solveSource describes one solve for the engine: the instance, what is
+// HTTP's own about it, and — for warm solves — the session entry serving it.
 type solveSource struct {
-	requested string             // requested solver name; empty means "auto"
-	timeout   string             // the request's timeout spec
-	tenant    string             // body/session tenant hint for tenantShaping
-	weights   map[string]float64 // preservation weights by view tuple spec
-	entry     *session.Entry     // the warm session serving the solve; nil on the cold path
-	// parse is the parse phase: the whole instance on the cold path, the
-	// deletion request alone on the warm path. It returns the queries the
-	// weights name tuples of and the views phase, which builds the
-	// problem: view materialization when cold, skeleton specialization
-	// when warm.
-	parse func() ([]*cq.Query, func() (*core.Problem, error), error)
+	core.Source
+	requested string         // requested solver name; empty means "auto"
+	timeout   string         // the request's timeout spec
+	tenant    string         // body/session tenant hint for tenantShaping
+	entry     *session.Entry // the warm session serving the solve; nil on the cold path
 }
 
 // solveInstance runs one cold solve end to end — parse, materialize,
@@ -491,23 +414,19 @@ type solveSource struct {
 // solveSource.
 func (a *api) solveInstance(ctx context.Context, reqID string, req *InstanceRequest) (*SolveResponse, *solveError) {
 	return a.runInstance(ctx, reqID, solveSource{
+		Source:    core.Source{Database: req.Database, Queries: req.Queries, Deletions: req.Deletions, Weights: req.Weights},
 		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    req.Tenant,
-		weights:   req.Weights,
-		parse: func() ([]*cq.Query, func() (*core.Problem, error), error) {
-			db, queries, delta, err := parseInstance(req)
-			return queries, func() (*core.Problem, error) { return core.NewProblem(db, queries, delta) }, err
-		},
 	})
 }
 
 // runInstance wraps core.Run, the one solve path, in what is HTTP's own:
-// deadline resolution, tenant shaping, the parse and views phases, the
-// solver allow-list, classification-driven solver selection and breaker
-// rerouting. It fills one solveRecord as it goes; every observability
-// surface derives from that record (record.go). Cold and warm paths
-// differ only in their solveSource.
+// deadline resolution, tenant shaping, the solver allow-list,
+// classification-driven solver selection and breaker rerouting; the
+// parse and views phases are core.Prepare's. It fills one solveRecord as
+// it goes; every observability surface derives from that record
+// (record.go). Cold and warm paths differ only in their core.Source.
 func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*SolveResponse, *solveError) {
 	tenant, pol, info := a.tenantShaping(ctx, src.tenant)
 	deadline, err := a.solveDeadline(src.timeout, pol)
@@ -538,17 +457,7 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	a.publish(rec.trace, rec.startEvent())
 
 	phase := func(name string) func() { return a.beginPhase(rec, name) }
-	end := phase(telemetry.PhaseParse)
-	queries, build, err := src.parse()
-	end()
-	var p *core.Problem
-	if err == nil {
-		end = phase(telemetry.PhaseViews)
-		if p, err = build(); err == nil {
-			err = applyWeights(p, src.weights, queries)
-		}
-		end()
-	}
+	p, err := core.Prepare(src.Source, phase)
 	if err != nil {
 		return nil, a.finish(rec, outcomeRejected, &solveError{http.StatusBadRequest, codeInvalidRequest, err})
 	}
@@ -565,7 +474,7 @@ func (a *api) runInstance(ctx context.Context, reqID string, src solveSource) (*
 	if rec.degraded {
 		name = pol.DegradeSolverName()
 	}
-	end = phase(telemetry.PhaseClassify)
+	end := phase(telemetry.PhaseClassify)
 	solver, err := PickSolver(name, p)
 	if err == nil {
 		rec.solver = solver.Name() // before end(): the classify event names it
@@ -703,7 +612,7 @@ func (a *api) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	db, queries, err := parseSources(req.Database, req.Queries)
+	db, queries, err := textio.ParseInstance(req.Database, req.Queries)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
 		return
@@ -769,7 +678,7 @@ func (a *api) handleLineage(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	db, queries, err := parseSources(req.Database, req.Queries)
+	db, queries, err := textio.ParseInstance(req.Database, req.Queries)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
 		return
@@ -841,7 +750,7 @@ func (a *api) handleResilience(w http.ResponseWriter, r *http.Request) {
 	if pol != nil && pol.MaxResilienceBudget > 0 {
 		budget = min(budget, pol.MaxResilienceBudget)
 	}
-	db, queries, err := parseSources(req.Database, req.Queries)
+	db, queries, err := textio.ParseInstance(req.Database, req.Queries)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err, reqID)
 		return

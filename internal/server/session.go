@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"delprop/internal/core"
-	"delprop/internal/cq"
 	"delprop/internal/session"
 	"delprop/internal/telemetry"
-	"delprop/internal/textio"
-	"delprop/internal/view"
 )
 
 // Session API: POST /sessions registers a (database, queries) pair once
@@ -136,14 +133,7 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 	e, reused, err := a.sessions.Register(r.Context(), fp, tenant, func() (*core.Problem, error) {
 		// The build runs once per fingerprint under the registering
 		// request's spans; waiters on the single-flight latch pay nothing.
-		endParse := tr.Span(telemetry.PhaseParse)
-		db, queries, perr := parseSources(req.Database, req.Queries)
-		endParse()
-		if perr != nil {
-			return nil, perr
-		}
-		defer tr.Span(telemetry.PhaseViews)()
-		return core.NewProblem(db, queries, nil)
+		return core.Prepare(core.Source{Database: req.Database, Queries: req.Queries}, tr.Span)
 	})
 	if err != nil {
 		writeSessionErr(w, reqID, "", err)
@@ -202,32 +192,21 @@ func (a *api) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	// below finalizes any deferred eviction.
 	defer a.sessions.Release(e)
 
-	skel := e.Problem()
 	// Warm solves are charged to the solve request's tenant when it names
 	// one, else to the tenant the session was registered under.
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = e.Tenant
 	}
+	// The warm parse phase covers only the deletion request — the
+	// database and queries were parsed at registration — and the views
+	// phase only specializes the shared skeleton.
 	resp, serr := a.runInstance(r.Context(), reqID, solveSource{
+		Source:    core.Source{Skeleton: e.Problem(), Deletions: req.Deletions, Weights: req.Weights},
 		requested: req.Solver,
 		timeout:   req.Timeout,
 		tenant:    tenant,
-		weights:   req.Weights,
 		entry:     e,
-		parse: func() ([]*cq.Query, func() (*core.Problem, error), error) {
-			// The warm parse phase covers only the deletion request — the
-			// database and queries were parsed at registration — and the
-			// views phase only specializes the shared skeleton.
-			var delta *view.Deletion
-			var err error
-			if req.Deletions != "" {
-				if delta, err = textio.ParseDeletions(req.Deletions, skel.Queries); err != nil {
-					err = fmt.Errorf("deletions: %w", err)
-				}
-			}
-			return skel.Queries, func() (*core.Problem, error) { return skel.Specialize(delta) }, err
-		},
 	})
 	if serr != nil {
 		serr.write(w, reqID)

@@ -30,6 +30,23 @@ import (
 // ErrFormat is wrapped by all parse failures.
 var ErrFormat = errors.New("textio: format error")
 
+// ParseInstance parses the (database, query program) pair of every front
+// end. Errors name the part at fault; a program with no query is malformed.
+func ParseInstance(database, program string) (*relation.Instance, []*cq.Query, error) {
+	db, err := ParseDatabase(database)
+	if err != nil {
+		return nil, nil, fmt.Errorf("database: %w", err)
+	}
+	queries, err := cq.ParseProgram(program)
+	if err != nil {
+		return nil, nil, fmt.Errorf("queries: %w", err)
+	}
+	if len(queries) == 0 {
+		return nil, nil, errors.New("queries: empty program")
+	}
+	return db, queries, nil
+}
+
 // ParseDatabase parses the database format.
 func ParseDatabase(src string) (*relation.Instance, error) {
 	db := relation.NewInstance()
