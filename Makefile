@@ -49,17 +49,17 @@ bench-json:
 bench-diff: bench-json
 	$(GO) run ./cmd/benchdiff bench/baseline.json out/BENCH_local.json
 
+# The fuzz targets, FUZZTIME each, on top of the checked-in seed corpora
+# under internal/*/testdata/fuzz/.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/cq/
-	$(GO) test -run='^FuzzEvaluate$$' -fuzz='^FuzzEvaluate$$' -fuzztime=30s ./internal/cq/
-	$(GO) test -run='^FuzzParseDatabase$$' -fuzz='^FuzzParseDatabase$$' -fuzztime=30s ./internal/textio/
+	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/cq/
+	$(GO) test -run='^FuzzEvaluate$$' -fuzz='^FuzzEvaluate$$' -fuzztime=$(FUZZTIME) ./internal/cq/
+	$(GO) test -run='^FuzzParseDatabase$$' -fuzz='^FuzzParseDatabase$$' -fuzztime=$(FUZZTIME) ./internal/textio/
 
-# Short fuzz pass for CI: 10s per target on top of the checked-in seed
-# corpora under internal/*/testdata/fuzz/.
+# Short fuzz pass for CI: the same targets at 10s each.
 fuzz-smoke:
-	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/cq/
-	$(GO) test -run='^FuzzEvaluate$$' -fuzz='^FuzzEvaluate$$' -fuzztime=10s ./internal/cq/
-	$(GO) test -run='^FuzzParseDatabase$$' -fuzz='^FuzzParseDatabase$$' -fuzztime=10s ./internal/textio/
+	$(MAKE) fuzz FUZZTIME=10s
 
 fmt:
 	gofmt -w .

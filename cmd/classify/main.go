@@ -9,6 +9,14 @@
 //
 // The database file only needs the relation declarations; facts are
 // ignored for classification.
+//
+// Each query is minimized to its core (classify.AnalyzeMinimized) before
+// the single-query classes are decided. POST /classify on delpropd
+// classifies the query as written instead, since minimizing is an
+// exponential homomorphism search with no deadline. The two can differ:
+// over relation R(A, B*), Q(x) :- R(x, y), R(x, z) minimizes to a
+// self-join-free core that is PTime on both sides here, while /classify
+// answers unknown for both (docs/FORMATS.md).
 package main
 
 import (

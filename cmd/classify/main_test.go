@@ -75,3 +75,33 @@ func TestClassifyEmptyProgram(t *testing.T) {
 		t.Errorf("stdout = %q, want nothing", out)
 	}
 }
+
+// TestClassifyMinimizesFirst: cmd/classify classifies each query's core.
+// Q(x) :- R(x, y), R(x, z) minimizes to one atom, which is
+// self-join-free and head-dominated, so both single-query classes are
+// PTime; POST /classify, which takes the query as written, answers
+// unknown for both.
+func TestClassifyMinimizesFirst(t *testing.T) {
+	dir := t.TempDir()
+	db, q := filepath.Join(dir, "db.txt"), filepath.Join(dir, "q.dl")
+	if err := os.WriteFile(db, []byte("relation R(A, B*)\nR(a, 1)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(q, []byte("Q(x) :- R(x, y), R(x, z)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error { return run(db, q) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"  minimized to core: Q(x) :- R(x,z)\n",
+		"sj-free=true",
+		"  source side-effect: PTime\n",
+		"  view side-effect:   PTime\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}

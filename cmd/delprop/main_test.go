@@ -194,7 +194,7 @@ func dropIncumbentTimes(stats map[string]any) {
 }
 
 // phaseNames lists phaseMs's keys in telemetry.Phases order, unknown
-// names last.
+// names last in sorted order.
 func phaseNames(phaseMs map[string]float64) []string {
 	var names, rest []string
 	for _, name := range telemetry.Phases {
@@ -207,6 +207,7 @@ func phaseNames(phaseMs map[string]float64) []string {
 			rest = append(rest, name)
 		}
 	}
+	slices.Sort(rest)
 	return append(names, rest...)
 }
 

@@ -5,8 +5,10 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
 
 	"delprop/internal/lineage"
 	"delprop/internal/relation"
@@ -43,9 +45,11 @@ func main() {
 	// 3. Incremental maintenance: apply deletions one by one and watch
 	// view tuples die (and come back on rollback).
 	fmt.Println("\nincremental maintenance:")
-	// The maintainer speaks dense ids; the index converts at the edge.
+	// The maintainer speaks dense ids; the index converts at the edge,
+	// listing view tuples in TupleRef.Key order.
 	m := idx.NewMaintainer()
 	refs := func(ids []int32) []view.TupleRef {
+		slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(idx.RefRank(a), idx.RefRank(b)) })
 		out := make([]view.TupleRef, len(ids))
 		for i, r := range ids {
 			out[i] = idx.Ref(r)
@@ -56,12 +60,36 @@ func main() {
 		{Relation: "T1", Tuple: relation.Tuple{"John", "TKDE"}},
 		{Relation: "T1", Tuple: relation.Tuple{"John", "TODS"}},
 	}
+	var cuts []view.Cut
 	for _, id := range steps {
 		t, _ := idx.LookupTuple(id)
-		died := refs(m.Delete(t))
+		// AppendCuts previews the deletion: Kills marks the view tuples
+		// it destroys.
+		var killed []int32
+		cuts = m.AppendCuts(cuts[:0], t)
+		for _, c := range cuts {
+			if c.Kills {
+				killed = append(killed, c.Ref)
+			}
+		}
+		m.Delete(t)
+		died := refs(killed)
 		fmt.Printf("  delete %s -> %d view tuples died: %v\n", id, len(died), died)
 	}
 	fmt.Printf("  dead total: %d\n", m.DeadCount())
 	last, _ := idx.LookupTuple(steps[1])
-	fmt.Printf("  rollback %s -> revived: %v\n", steps[1], refs(m.Undelete(last)))
+	var dead []int32
+	for r := int32(0); r < int32(idx.NumRefs()); r++ {
+		if !m.Alive(r) {
+			dead = append(dead, r)
+		}
+	}
+	m.Undelete(last)
+	var revived []int32
+	for _, r := range dead {
+		if m.Alive(r) {
+			revived = append(revived, r)
+		}
+	}
+	fmt.Printf("  rollback %s -> revived: %v\n", steps[1], refs(revived))
 }

@@ -75,8 +75,8 @@ func TestByID(t *testing.T) {
 // TestAllExperimentsRun executes every experiment end to end with a
 // recorder; this is the regression net for the whole reproduction. No
 // quality record may violate its guarantee, every record is labelled,
-// and an experiment that records quality must also record search
-// progress.
+// E14's records all carry guarantee 0, and an experiment that records
+// quality must also record search progress.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short")
@@ -96,12 +96,19 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("%s output reports a mismatch with the paper:\n%s", e.ID, buf.String())
 			}
 			quality := rec.QualityRecords()
+			if e.ID == "E14" && len(quality) == 0 {
+				t.Error("E14 recorded no quality records")
+			}
 			for _, q := range quality {
 				if q.Case == "" || q.Solver == "" {
 					t.Errorf("%s: unlabelled quality record %+v", e.ID, q)
 				}
 				if q.Violated {
 					t.Errorf("%s reports a guarantee violation: %+v", e.ID, q)
+				}
+				// E14's reduction instances are observed, never gated.
+				if e.ID == "E14" && q.Guarantee != 0 {
+					t.Errorf("E14 record carries guarantee %v, want 0: %+v", q.Guarantee, q)
 				}
 			}
 			if s := rec.Search(); len(quality) > 0 && s.NodesExpanded == 0 {

@@ -17,8 +17,8 @@ import (
 // ratioSpec is one approximation-vs-optimum experiment (E8–E11, E14,
 // E18): for every row and seed it builds an instance, solves it with the
 // approximation and the exact solver, and records the pair as a quality
-// record under the paper's guarantee. Each table row renders from the
-// records of its instances.
+// record under the approximation's core.Guarantee. Each table row
+// renders from the records of its instances.
 type ratioSpec[P any] struct {
 	title   string
 	headers []string
@@ -28,14 +28,13 @@ type ratioSpec[P any] struct {
 	// by seed, so a maker drawing from a shared source sees a fixed order.
 	problem       func(row P, seed int64) (*core.Problem, error)
 	approx, exact core.Solver
-	solver        string // the quality records' solver label
-	balanced      bool   // compare the balanced objective, not the side effect
-	// guarantee is the paper's bound on the instance's ratio; 0 records
-	// the ratio without gating it.
-	guarantee func(p *core.Problem) float64
-	label     func(row P, seed int64) string
-	format    func(row P, r *ratioRow) []string
-	note      string // printed under the table when set
+	balanced      bool // compare the balanced objective, not the side effect
+	// observeOnly records guarantee 0, so the ratio is observed but never
+	// gated, instead of core.Guarantee's bound for approx.
+	observeOnly bool
+	label       func(row P, seed int64) string
+	format      func(row P, r *ratioRow) []string
+	note        string // printed under the table when set
 }
 
 // ratioRow is one table row's aggregate over its instances. The ratio,
@@ -104,7 +103,11 @@ func (s ratioSpec[P]) run(w io.Writer, rec *benchkit.Recorder) error {
 			if s.balanced {
 				a, o = approx.Report.Balanced, exact.Report.Balanced
 			}
-			q := benchkit.NewQuality(s.label(row, seed), s.solver, a, o, s.guarantee(p))
+			bound := 0.0
+			if !s.observeOnly {
+				bound = core.Guarantee(s.approx, p)
+			}
+			q := benchkit.NewQuality(s.label(row, seed), s.approx.Name(), a, o, bound)
 			rec.Quality(q)
 			quality = append(quality, q)
 			sumV += float64(p.TotalViewSize())
@@ -156,12 +159,6 @@ func chainProblem(seed int64, length, queries, span, rows, nDel int) (*core.Prob
 	}), nDel, seed+1000)
 }
 
-// claim1Bound is Claim 1's ratio bound 2√(l·‖V‖·log‖ΔV‖).
-func claim1Bound(p *core.Problem) float64 {
-	l, V, dV := float64(p.MaxArity()), float64(p.TotalViewSize()), float64(p.DeltaLen())
-	return 2 * math.Sqrt(l*V*math.Log(dV+1))
-}
-
 // starRow is a row of the star-workload ratio experiments: m queries,
 // ‖ΔV‖ = nDel sampled deletions.
 type starRow struct{ m, nDel int }
@@ -184,9 +181,9 @@ func runClaim1(w io.Writer, rec *benchkit.Recorder) error {
 		rows:    []starRow{{2, 2}, {2, 4}, {3, 2}, {3, 4}, {4, 2}, {4, 4}},
 		seeds:   [2]int64{1, 10},
 		problem: starRow.problem,
-		approx:  &core.RedBlue{}, exact: &core.RedBlueExact{}, solver: "red-blue",
-		guarantee: claim1Bound,
-		label:     starRow.label,
+		approx:  &core.RedBlue{},
+		exact:   &core.RedBlueExact{},
+		label:   starRow.label,
 		format: func(row starRow, r *ratioRow) []string {
 			return []string{fmt.Sprint(row.m), fmt1(r.avgV), fmt.Sprint(row.nDel),
 				fmtF(r.mean), fmtF(r.worst), fmt1(r.avgBound), r.zeros()}
@@ -197,18 +194,15 @@ func runClaim1(w io.Writer, rec *benchkit.Recorder) error {
 // runLemma1: balanced solver vs balanced optimum on star workloads.
 func runLemma1(w io.Writer, rec *benchkit.Recorder) error {
 	return ratioSpec[starRow]{
-		title:   "Lemma 1: balanced red-blue solver vs balanced optimum",
-		headers: []string{"queries", "‖ΔV‖", "mean ratio", "max ratio", "bound 2√(l(‖V‖+‖ΔV‖)log‖ΔV‖)", "zero-opt matched"},
-		rows:    []starRow{{2, 2}, {2, 4}, {3, 2}, {3, 4}},
-		seeds:   [2]int64{1, 10},
-		problem: starRow.problem,
-		approx:  &core.BalancedRedBlue{}, exact: &core.BalancedRedBlue{Exact: true}, solver: "balanced-red-blue",
+		title:    "Lemma 1: balanced red-blue solver vs balanced optimum",
+		headers:  []string{"queries", "‖ΔV‖", "mean ratio", "max ratio", "bound 2√(l(‖V‖+‖ΔV‖)log‖ΔV‖)", "zero-opt matched"},
+		rows:     []starRow{{2, 2}, {2, 4}, {3, 2}, {3, 4}},
+		seeds:    [2]int64{1, 10},
+		problem:  starRow.problem,
+		approx:   &core.BalancedRedBlue{},
+		exact:    &core.BalancedRedBlue{Exact: true},
 		balanced: true,
-		guarantee: func(p *core.Problem) float64 {
-			l, V, dV := float64(p.MaxArity()), float64(p.TotalViewSize()), float64(p.DeltaLen())
-			return 2 * math.Sqrt(l*(V+dV)*math.Log(dV+1))
-		},
-		label: starRow.label,
+		label:    starRow.label,
 		format: func(row starRow, r *ratioRow) []string {
 			return []string{fmt.Sprint(row.m), fmt.Sprint(row.nDel), fmtF(r.mean), fmtF(r.worst),
 				fmt1(r.avgBound), r.zeros()}
@@ -230,8 +224,8 @@ func runThm3(w io.Writer, rec *benchkit.Recorder) error {
 		problem: func(row chainRow, seed int64) (*core.Problem, error) {
 			return chainProblem(seed, row.length, 3, row.span, 5, 3)
 		},
-		approx: &core.PrimalDual{}, exact: &core.RedBlueExact{}, solver: "primal-dual",
-		guarantee: func(p *core.Problem) float64 { return float64(p.MaxArity()) },
+		approx: &core.PrimalDual{},
+		exact:  &core.RedBlueExact{},
 		label: func(row chainRow, seed int64) string {
 			return fmt.Sprintf("len=%d span=%d seed=%d", row.length, row.span, seed)
 		},
@@ -252,12 +246,12 @@ func runThm4(w io.Writer, rec *benchkit.Recorder) error {
 		problem: func(length int, seed int64) (*core.Problem, error) {
 			return chainProblem(seed, length, 3, 3, 5, 3)
 		},
-		approx: &core.LowDegTreeTwo{}, exact: &core.RedBlueExact{}, solver: "low-deg-two",
-		guarantee: func(p *core.Problem) float64 { return 2 * math.Sqrt(float64(p.TotalViewSize())) },
-		label:     func(length int, seed int64) string { return fmt.Sprintf("len=%d seed=%d", length, seed) },
+		approx: &core.LowDegTreeTwo{},
+		exact:  &core.RedBlueExact{},
+		label:  func(length int, seed int64) string { return fmt.Sprintf("len=%d seed=%d", length, seed) },
 		format: func(length int, r *ratioRow) []string {
 			return []string{fmt.Sprint(length), fmt1(r.avgV), fmtF(r.mean), fmtF(r.worst),
-				fmt1(2 * math.Sqrt(r.avgV)), fmt.Sprint(r.violated)}
+				fmt1(r.avgBound), fmt.Sprint(r.violated)}
 		},
 	}.run(w, rec)
 }
@@ -265,8 +259,8 @@ func runThm4(w io.Writer, rec *benchkit.Recorder) error {
 // runHardnessGap: on Theorem 1 reduction instances built from random RBSC
 // inputs, show the approximation gap the inapproximability predicts room
 // for — measured ratio of the polynomial solver against the optimum as the
-// instance grows. Theorems 1–2 predict room for a gap here, so the records
-// carry no guarantee (0): the ratio is observed, never gated.
+// instance grows. Theorems 1–2 predict room for a gap here, so the spec is
+// observeOnly: its records carry guarantee 0 and the ratio is never gated.
 func runHardnessGap(w io.Writer, rec *benchkit.Recorder) error {
 	rng := rand.New(rand.NewSource(17))
 	return ratioSpec[int]{
@@ -298,9 +292,10 @@ func runHardnessGap(w io.Writer, rec *benchkit.Recorder) error {
 			}
 			return v.Problem, nil
 		},
-		approx: &core.RedBlue{}, exact: &core.RedBlueExact{}, solver: "red-blue",
-		guarantee: func(*core.Problem) float64 { return 0 },
-		label:     func(size int, trial int64) string { return fmt.Sprintf("size=%d trial=%d", size, trial) },
+		approx:      &core.RedBlue{},
+		exact:       &core.RedBlueExact{},
+		observeOnly: true,
+		label:       func(size int, trial int64) string { return fmt.Sprintf("size=%d trial=%d", size, trial) },
 		format: func(size int, r *ratioRow) []string {
 			return []string{fmt.Sprint(size), fmt.Sprint(size), fmt.Sprint(size),
 				fmtF(r.mean), fmtF(r.worst), r.zeros()}
@@ -323,9 +318,9 @@ func runCombined(w io.Writer, rec *benchkit.Recorder) error {
 		problem: func(atoms int, seed int64) (*core.Problem, error) {
 			return starProblem(seed, 6, 3, atoms, 5, 3)
 		},
-		approx: &core.RedBlue{}, exact: &core.RedBlueExact{}, solver: "red-blue",
-		guarantee: claim1Bound,
-		label:     func(atoms int, seed int64) string { return fmt.Sprintf("atoms=%d seed=%d", atoms, seed) },
+		approx: &core.RedBlue{},
+		exact:  &core.RedBlueExact{},
+		label:  func(atoms int, seed int64) string { return fmt.Sprintf("atoms=%d seed=%d", atoms, seed) },
 		format: func(atoms int, r *ratioRow) []string {
 			return []string{fmt.Sprint(atoms), fmt1(r.avgL), fmt1(r.avgV),
 				fmt.Sprintf("%.2fms", r.avgSolveMs), fmtF(r.mean), fmtF(r.worst)}
@@ -351,7 +346,8 @@ func runDPTree(w io.Writer, rec *benchkit.Recorder) error {
 			if p.DeltaLen() == 0 {
 				continue
 			}
-			dp, dpTime, err := solve(rec, &core.DPTree{}, p)
+			dpTree := &core.DPTree{}
+			dp, dpTime, err := solve(rec, dpTree, p)
 			if err != nil {
 				return err
 			}
@@ -362,8 +358,8 @@ func runDPTree(w io.Writer, rec *benchkit.Recorder) error {
 			dpSE, bfSE := dp.Report.SideEffect, bf.Report.SideEffect
 			// Proposition 1 claims exactness: the DP must match the brute
 			// optimum, i.e. guarantee 1.
-			rec.Quality(benchkit.NewQuality(
-				fmt.Sprintf("roots=%d seed=%d", roots, seed), "dp-tree", dpSE, bfSE, 1))
+			rec.Quality(benchkit.NewQuality(fmt.Sprintf("roots=%d seed=%d", roots, seed),
+				dpTree.Name(), dpSE, bfSE, core.Guarantee(dpTree, p)))
 			t.Add(fmt.Sprint(roots), fmt.Sprint(p.DB.Size()), fmt.Sprint(p.TotalViewSize()),
 				fmt.Sprint(dpSE == bfSE), dpTime.String(), bfTime.String())
 		}
@@ -457,8 +453,12 @@ func runScalability(w io.Writer, rec *benchkit.Recorder) error {
 			func(_ int, p *core.Problem) []string { return []string{fmt.Sprint(p.DeltaLen())} },
 		},
 	}
+	solvers := core.ApproxSolvers()
 	for _, sw := range sweeps {
-		t := &Table{Title: sw.title, Headers: append(sw.lead, "greedy", "red-blue", "primal-dual", "low-deg-two")}
+		t := &Table{Title: sw.title, Headers: sw.lead}
+		for _, s := range solvers {
+			t.Headers = append(t.Headers, s.Name())
+		}
 		for _, v := range sw.values {
 			p, err := sw.instance(v)
 			if err != nil {
@@ -468,7 +468,7 @@ func runScalability(w io.Writer, rec *benchkit.Recorder) error {
 				continue
 			}
 			cells := sw.cells(v, p)
-			for _, s := range core.ApproxSolvers() {
+			for _, s := range solvers {
 				// The first repetition supplies the counters, so they
 				// read as from a single solve.
 				var res *core.RunResult

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -178,8 +179,23 @@ func TestGreedyWeightsSteerChoice(t *testing.T) {
 // deleteUndoScore is the greedy score computed the way the probe's
 // definition reads: delete t, take the refs that died in TupleRef.Key
 // order and the surviving requested derivations, and undo the deletion.
+// The died refs are the Alive transitions, so the oracle shares no code
+// with the probe's AppendCuts.
 func deleteUndoScore(rq *requestRefs, m *view.Maintainer, t int32, baseDerivs int) (score float64, ok bool) {
-	died := m.Delete(t)
+	var alive []int32
+	for r := int32(0); r < int32(rq.x.NumRefs()); r++ {
+		if m.Alive(r) {
+			alive = append(alive, r)
+		}
+	}
+	m.Delete(t)
+	var died []int32
+	for _, r := range alive {
+		if !m.Alive(r) {
+			died = append(died, r)
+		}
+	}
+	slices.SortFunc(died, func(a, b int32) int { return cmp.Compare(rq.x.RefRank(a), rq.x.RefRank(b)) })
 	killed := 0
 	extra := 0.0
 	for _, r := range died {

@@ -55,15 +55,14 @@ const (
 	Sequential
 )
 
-// Session is one interactive cleaning run. DB is mutated as deletions are
-// applied.
+// Session is one interactive cleaning run. Each deletion request is
+// solved by core.RedBlue through core.Run, and DB is mutated as the
+// answers are applied.
 type Session struct {
 	DB      *relation.Instance
 	Queries []*cq.Query
 	Oracle  Oracle
-	// Solver propagates feedback (core.RedBlue when nil).
-	Solver core.Solver
-	Mode   Mode
+	Mode    Mode
 	// Rng drives the oracle's sampling (required).
 	Rng *rand.Rand
 }
@@ -78,13 +77,6 @@ type RoundReport struct {
 
 // ErrNoOracle is returned when the session lacks an oracle or RNG.
 var ErrNoOracle = errors.New("repair: session needs an Oracle and a Rng")
-
-func (s *Session) solver() core.Solver {
-	if s.Solver != nil {
-		return s.Solver
-	}
-	return &core.RedBlue{}
-}
 
 // wrongRefs materializes the current problem and lists every wrong view
 // tuple.
@@ -130,23 +122,28 @@ func (s *Session) Round(round, k int) (RoundReport, bool, error) {
 	}
 	rep.Marked = len(marked)
 
-	apply := func(deleted []relation.TupleID) {
-		for _, id := range deleted {
+	// propagate solves one deletion request with core.RedBlue and applies
+	// the answer to DB.
+	propagate := func(p *core.Problem) error {
+		res, err := core.Run(context.Background(), &core.RedBlue{}, p, 0, core.RunHooks{})
+		if err != nil {
+			return fmt.Errorf("repair: round %d: %w", round, err)
+		}
+		for _, id := range res.Solution.Deleted {
 			if s.DB.Delete(id) {
 				rep.Deleted = append(rep.Deleted, id)
 			}
 		}
+		return nil
 	}
 	switch s.Mode {
 	case Batch:
 		if p, err = p.Specialize(view.NewDeletion(marked...)); err != nil {
 			return rep, false, err
 		}
-		sol, err := s.solver().Solve(context.Background(), p)
-		if err != nil {
-			return rep, false, fmt.Errorf("repair: round %d: %w", round, err)
+		if err := propagate(p); err != nil {
+			return rep, false, err
 		}
-		apply(sol.Deleted)
 	case Sequential:
 		for _, ref := range marked {
 			sub, err := core.NewProblem(s.DB, s.Queries, nil)
@@ -159,11 +156,9 @@ func (s *Session) Round(round, k int) (RoundReport, bool, error) {
 			if sub, err = sub.Specialize(view.NewDeletion(ref)); err != nil {
 				return rep, false, err
 			}
-			sol, err := s.solver().Solve(context.Background(), sub)
-			if err != nil {
-				return rep, false, fmt.Errorf("repair: round %d: %w", round, err)
+			if err := propagate(sub); err != nil {
+				return rep, false, err
 			}
-			apply(sol.Deleted)
 		}
 	default:
 		return rep, false, fmt.Errorf("repair: unknown mode %d", s.Mode)

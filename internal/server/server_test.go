@@ -242,6 +242,33 @@ func TestClassifyEndpoint(t *testing.T) {
 	}
 }
 
+// TestClassifyEndpointAsWritten: /classify classifies each query as
+// written, not its core. Q's core Q(x) :- R(x, z) is self-join-free and
+// head-dominated (PTime on both sides, as cmd/classify reports), but Q
+// itself has a self-join, so both single-query classes are unknown.
+// Minimizing needs cq.FindHomomorphism, an exponential search with no
+// deadline, which stays off the request path.
+func TestClassifyEndpointAsWritten(t *testing.T) {
+	srv := httptest.NewServer(New())
+	defer srv.Close()
+	req := InstanceRequest{Database: "relation R(A, B*)\nR(a, 1)\n", Queries: "Q(x) :- R(x, y), R(x, z)"}
+	resp, body := post(t, srv, "/classify", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var out ClassifyResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Queries) != 1 {
+		t.Fatalf("queries = %d", len(out.Queries))
+	}
+	q := out.Queries[0]
+	if q.SelfJoinFree || q.SourceClass != "unknown" || q.ViewClass != "unknown" {
+		t.Errorf("got sj-free=%v source %q view %q, want false, unknown, unknown", q.SelfJoinFree, q.SourceClass, q.ViewClass)
+	}
+}
+
 func TestLineageEndpoint(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()

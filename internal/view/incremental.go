@@ -42,54 +42,45 @@ func (x *Index) NewMaintainer() *Maintainer {
 	return m
 }
 
-// Delete applies the deletion of tuple t and returns the refs that died as
-// a consequence, ordered by TupleRef.Key (nil if none, or if t was
-// already deleted).
-func (m *Maintainer) Delete(t int32) []int32 {
+// Delete applies the deletion of tuple t; DeadCount then counts the refs
+// that died. Deleting a tuple twice is a no-op. AppendCuts before the
+// call names the refs it kills.
+func (m *Maintainer) Delete(t int32) {
 	if m.deleted[t] {
-		return nil
+		return
 	}
 	m.deleted[t] = true
 	x := m.idx
-	var died []int32
 	for _, d := range x.occDeriv[x.occStart[t]:x.occStart[t+1]] {
 		m.derivHit[d]++
 		if m.derivHit[d] == 1 {
 			r := x.derivRef[d]
 			m.derivAlive[r]--
 			if m.derivAlive[r] == 0 {
-				died = append(died, r)
+				m.dead++
 			}
 		}
 	}
-	m.dead += len(died)
-	x.sortByRank(died)
-	return died
 }
 
-// Undelete reverses a prior Delete of tuple t and returns the refs that
-// came back to life, ordered by TupleRef.Key. Tuples never deleted are a
+// Undelete reverses a prior Delete of tuple t. Tuples never deleted are a
 // no-op.
-func (m *Maintainer) Undelete(t int32) []int32 {
+func (m *Maintainer) Undelete(t int32) {
 	if !m.deleted[t] {
-		return nil
+		return
 	}
 	m.deleted[t] = false
 	x := m.idx
-	var revived []int32
 	for _, d := range x.occDeriv[x.occStart[t]:x.occStart[t+1]] {
 		m.derivHit[d]--
 		if m.derivHit[d] == 0 {
 			r := x.derivRef[d]
 			m.derivAlive[r]++
 			if m.derivAlive[r] == 1 {
-				revived = append(revived, r)
+				m.dead--
 			}
 		}
 	}
-	m.dead -= len(revived)
-	x.sortByRank(revived)
-	return revived
 }
 
 // Cut is what deleting one base tuple would do to one view tuple with an

@@ -525,13 +525,6 @@ func (x *Index) Killed(deleted []int32) []int32 {
 // numDerivs returns how many derivations ref r has.
 func (x *Index) numDerivs(r int32) int32 { return x.refDerivs[r+1] - x.refDerivs[r] }
 
-// sortByRank orders ref ids by their TupleRef.Key.
-func (x *Index) sortByRank(refs []int32) {
-	if len(refs) > 1 {
-		slices.SortFunc(refs, func(a, b int32) int { return cmp.Compare(x.refRank[a], x.refRank[b]) })
-	}
-}
-
 // lexOrder returns the indexes of the rows keys[i*width:(i+1)*width],
 // width >= 1, sorted lexicographically, equal rows by index; every entry
 // lies in [0, limit). When a row's entries and its index fit in 64 bits

@@ -351,7 +351,7 @@ func sideEffect(views []*View, del *Deletion, deleted []relation.TupleID) (remov
 		if !ok {
 			continue
 		}
-		for _, r := range m.Delete(ti) {
+		for _, r := range flipped(m, func() { m.Delete(ti) }) {
 			ref := idx.Ref(r)
 			if del != nil && del.Contains(ref) {
 				removedRequested = append(removedRequested, ref)
