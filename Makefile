@@ -20,11 +20,13 @@ race:
 
 # Focused -race pass over the concurrency-heavy packages (parallel
 # portfolio, concurrent greedy scoring, the supervised solve goroutine,
-# batch worker pool, event bus, tracer, admission engine, breakers, the
-# warm-session registry and the delprop CLI's -batch workers); -count=2
-# defeats the test cache so the schedule differs between runs.
+# relation snapshots that alias the row array concurrent warm solves
+# read, the evaluator's results over them, batch worker pool, event bus,
+# tracer, admission engine, breakers, the warm-session registry and the
+# delprop CLI's -batch workers); -count=2 defeats the test cache so the
+# schedule differs between runs.
 race-hot:
-	$(GO) test -race -count=2 ./internal/core/ ./internal/view/ ./internal/server/ ./internal/session/ ./internal/telemetry/ ./internal/admission/ ./cmd/delprop/
+	$(GO) test -race -count=2 ./internal/core/ ./internal/view/ ./internal/relation/ ./internal/cq/ ./internal/server/ ./internal/session/ ./internal/telemetry/ ./internal/admission/ ./cmd/delprop/
 
 cover:
 	$(GO) test -cover ./...
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/cq/
 	$(GO) test -run='^FuzzEvaluate$$' -fuzz='^FuzzEvaluate$$' -fuzztime=$(FUZZTIME) ./internal/cq/
 	$(GO) test -run='^FuzzParseDatabase$$' -fuzz='^FuzzParseDatabase$$' -fuzztime=$(FUZZTIME) ./internal/textio/
+	$(GO) test -run='^FuzzRelationOps$$' -fuzz='^FuzzRelationOps$$' -fuzztime=$(FUZZTIME) ./internal/relation/
 
 # Short fuzz pass for CI: the same targets at 10s each.
 fuzz-smoke:

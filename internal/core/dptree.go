@@ -16,23 +16,31 @@ import (
 // pivot tuple from which every view tuple is a path (Section IV.E).
 var ErrNotPivotForest = errors.New("core: instance is not a pivot forest")
 
-// pivotNode is one base tuple in the data dual forest. Nodes are
-// immutable once built: every request on the skeleton reads the same
-// forest.
-type pivotNode struct {
-	t        int32 // tuple id
-	children []*pivotNode
-	// ends lists the ref ids of the view tuples whose join path ends at
-	// this node, in layout order.
-	ends []int32
-}
-
 // pivotForest is the data dual forest of Section IV.E: base tuples as
 // nodes, each view tuple a root-to-node path in some tree. It depends on
-// (D, Q) only; the request enters in DPTree's pass over it.
+// (D, Q) only; the request enters in DPTree's pass over it. Nodes are
+// tuple ids, and both per-node lists are windows of one array each, so
+// the forest is immutable once built: every request on the skeleton
+// reads the same arrays.
 type pivotForest struct {
-	roots []*pivotNode // one per component, by minimum tuple id
-	size  int          // number of nodes (base tuples appearing in views)
+	roots []int32 // one per component, by minimum tuple id
+	size  int     // number of nodes (base tuples appearing in views)
+	// child[childStart[t]:childStart[t+1]] are tuple t's children, in
+	// the order merge found them.
+	childStart, child []int32
+	// end[endStart[t]:endStart[t+1]] are the ref ids of the view tuples
+	// whose join path ends at tuple t, in layout order.
+	endStart, end []int32
+}
+
+// children returns tuple t's children.
+func (f *pivotForest) children(t int32) []int32 {
+	return f.child[f.childStart[t]:f.childStart[t+1]]
+}
+
+// ends returns the ref ids of the view tuples whose path ends at t.
+func (f *pivotForest) ends(t int32) []int32 {
+	return f.end[f.endStart[t]:f.endStart[t+1]]
 }
 
 // pivotForest returns the skeleton's forest, built on first use and
@@ -156,11 +164,11 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 		}
 	}
 
-	b := &forestBuilder{x: x, nodes: make([]pivotNode, n), up: make([]*pivotNode, n), born: make([]int, 0, n)}
-	for t := range b.nodes {
-		b.nodes[t].t = int32(t)
+	b := &forestBuilder{x: x, up: make([]int32, n), born: make([]int32, 0, n)}
+	for t := range b.up {
+		b.up[t] = -1
 	}
-	forest := &pivotForest{size: n, roots: make([]*pivotNode, 0, len(roots))}
+	forest := &pivotForest{size: n, roots: make([]int32, 0, len(roots))}
 	for _, r := range roots {
 		idxs := comps[r]
 		for _, i := range idxs {
@@ -176,26 +184,31 @@ func buildPivotForest(p *Problem) (*pivotForest, error) {
 	}
 	// Link the trees: children in the order merge found them, path ends
 	// in component then ref order.
-	nChildren, nEnds := make([]int, n), make([]int, n)
+	forest.childStart, forest.endStart = make([]int32, n+1), make([]int32, n+1)
 	for _, t := range b.born {
-		nChildren[b.up[t].t]++
+		forest.childStart[b.up[t]+1]++
 	}
 	for _, path := range paths {
-		nEnds[path[len(path)-1]]++
+		forest.endStart[path[len(path)-1]+1]++
 	}
-	children, ends := windows[*pivotNode](nChildren), windows[int32](nEnds)
+	for t := range n {
+		forest.childStart[t+1] += forest.childStart[t]
+		forest.endStart[t+1] += forest.endStart[t]
+	}
+	forest.child, forest.end = make([]int32, len(b.born)), make([]int32, len(paths))
+	next := slices.Clone(forest.childStart[:n])
 	for _, t := range b.born {
 		parent := b.up[t]
-		children[parent.t] = append(children[parent.t], &b.nodes[t])
+		forest.child[next[parent]] = t
+		next[parent]++
 	}
+	copy(next, forest.endStart[:n])
 	for _, r := range roots {
 		for _, i := range comps[r] {
 			end := paths[i][len(paths[i])-1]
-			ends[end] = append(ends[end], int32(i))
+			forest.end[next[end]] = int32(i)
+			next[end]++
 		}
-	}
-	for t := range b.nodes {
-		b.nodes[t].children, b.nodes[t].ends = children[t], ends[t]
 	}
 	return forest, nil
 }
@@ -233,37 +246,35 @@ func layoutPath(x *view.Index, path []int, anc [][]int) error {
 	return nil
 }
 
-// forestBuilder merges laid-out paths into trees. nodes, indexed by tuple
-// id, holds every tuple's node and up each node's parent; born lists the
-// tuples given a parent, in the order merge gave it.
+// forestBuilder merges laid-out paths into trees. up, indexed by tuple
+// id, holds each tuple's parent, or -1; born lists the tuples given a
+// parent, in the order merge gave it.
 type forestBuilder struct {
-	x     *view.Index
-	nodes []pivotNode
-	up    []*pivotNode
-	born  []int
+	x    *view.Index
+	up   []int32
+	born []int32
 }
 
 // merge merges one component's paths into a tree, requiring a unique
-// parent per tuple and a common root.
-func (b *forestBuilder) merge(paths [][]int, idxs []int) (*pivotNode, error) {
+// parent per tuple and a common root, and returns the root.
+func (b *forestBuilder) merge(paths [][]int, idxs []int) (int32, error) {
 	rootT := paths[idxs[0]][0]
-	root := &b.nodes[rootT]
 	for _, i := range idxs {
 		if t := paths[i][0]; t != rootT {
-			return nil, fmt.Errorf("%w: component has no common pivot tuple (paths start at %s and %s)", ErrNotPivotForest, b.x.Tuple(int32(rootT)), b.x.Tuple(int32(t)))
+			return 0, fmt.Errorf("%w: component has no common pivot tuple (paths start at %s and %s)", ErrNotPivotForest, b.x.Tuple(int32(rootT)), b.x.Tuple(int32(t)))
 		}
-		prev := root
+		prev := int32(rootT)
 		for _, t := range paths[i][1:] {
-			if b.up[t] == nil && t != rootT {
+			if b.up[t] < 0 && t != rootT {
 				b.up[t] = prev
-				b.born = append(b.born, t)
+				b.born = append(b.born, int32(t))
 			} else if b.up[t] != prev {
-				return nil, fmt.Errorf("%w: tuple %s has two parents", ErrNotPivotForest, b.x.Tuple(int32(t)))
+				return 0, fmt.Errorf("%w: tuple %s has two parents", ErrNotPivotForest, b.x.Tuple(int32(t)))
 			}
-			prev = &b.nodes[t]
+			prev = int32(t)
 		}
 	}
-	return root, nil
+	return int32(rootT), nil
 }
 
 // DPTree implements Algorithm 4 (DPTreeVSE): exact polynomial dynamic
@@ -309,21 +320,21 @@ func (d *DPTree) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 		// A tree with no requested endpoint is left alone.
 		start := len(sol.Deleted)
-		if _, _, requested := d.solveTree(rq, root, sol); !requested {
+		if _, _, requested := d.solveTree(rq, forest, root, sol); !requested {
 			sol.Deleted = sol.Deleted[:start]
 		}
 	}
 	return sol, nil
 }
 
-// solveTree runs the DP over n's subtree in one post-order pass. It
-// returns the subtree's preserved weight (the cost of deleting n), its
+// solveTree runs the DP over tuple t's subtree in one post-order pass.
+// It returns the subtree's preserved weight (the cost of deleting t), its
 // optimal cost, and whether a requested view tuple ends inside it. The
 // chosen deletions are appended to sol in pre-order: a deleted node
 // replaces whatever its descendants appended.
-func (d *DPTree) solveTree(rq *requestRefs, n *pivotNode, sol *Solution) (weight, cost float64, requested bool) {
+func (d *DPTree) solveTree(rq *requestRefs, f *pivotForest, t int32, sol *Solution) (weight, cost float64, requested bool) {
 	endpoints := 0
-	for _, r := range n.ends {
+	for _, r := range f.ends(t) {
 		if rq.requested(r) {
 			endpoints++
 		} else {
@@ -340,14 +351,14 @@ func (d *DPTree) solveTree(rq *requestRefs, n *pivotNode, sol *Solution) (weight
 		}
 	}
 	start := len(sol.Deleted)
-	for _, child := range n.children {
-		w, c, r := d.solveTree(rq, child, sol)
+	for _, child := range f.children(t) {
+		w, c, r := d.solveTree(rq, f, child, sol)
 		weight += w
 		keepCost += c
 		requested = requested || r
 	}
 	if weight < keepCost || math.IsInf(keepCost, 1) {
-		sol.Deleted = append(sol.Deleted[:start], rq.x.Tuple(n.t))
+		sol.Deleted = append(sol.Deleted[:start], rq.x.Tuple(t))
 		return weight, weight, requested
 	}
 	return weight, keepCost, requested

@@ -209,11 +209,13 @@ func TestNewProblemAllocs(t *testing.T) {
 // after garbage collection, such as one NewProblem over a workload: the
 // materialized views and the provenance index, not the instance. It
 // takes the least of three measurements, so a stray allocation elsewhere
-// cannot inflate it.
+// cannot inflate it. Each reading collects twice: objects a sync.Pool
+// dropped survive one collection in its victim cache.
 func retainedKB(tb testing.TB, build func() (any, error)) float64 {
 	tb.Helper()
 	live := func() uint64 {
 		var ms runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
@@ -257,10 +259,52 @@ func registerText(db, queries string) func() (any, error) {
 // int32 rows into relation snapshots, and its index holds no string
 // table, so registering bibliography-np keeps at most 900 KB live. Two
 // copies of every derivation as TupleIDs plus a key table kept 1,260 KB.
+// Built from the texts, as POST /sessions builds it, a skeleton also
+// keeps its parsed instance: each relation's tuples once, an int32 key
+// table and, while no row is deleted, a Tuples() snapshot that is the
+// row array itself. A string-keyed key index and a copied snapshot per
+// relation kept 287 KB for pivot and 538 KB for bibliography-np.
 func TestSkeletonRetainedHeap(t *testing.T) {
 	if kb := retainedKB(t, register(warmNPWorkload())); kb > 900 {
 		t.Errorf("NewProblem on bibliography-np retains %.0f KB, want <= 900", kb)
 	}
+	ceiling := map[string]float64{"pivot": 240, "bibliography-np": 530}
+	for _, lw := range loadWorkloads() {
+		limit, ok := ceiling[lw.name]
+		if !ok {
+			continue
+		}
+		kb := retainedKB(t, registerText(textio.FormatDatabase(lw.w.DB), programText(lw.w.Queries)))
+		t.Logf("session/%s retains %.1f KB", lw.name, kb)
+		if kb > limit {
+			t.Errorf("registering %s from its texts retains %.0f KB, want <= %.0f", lw.name, kb, limit)
+		}
+	}
+}
+
+// TestPivotForestRetainedHeap: the pivot forest IsPivotForest memoizes
+// on bench/load's pivot skeleton is int32 arrays over tuple ids, so it
+// keeps at most 20 KB live. A node struct per tuple, with two slice
+// headers and child pointers, kept 78 KB.
+func TestPivotForestRetainedHeap(t *testing.T) {
+	p := warmPivotProblem(t)
+	if !IsPivotForest(p) {
+		t.Fatal("bench/load's pivot instance is not a pivot forest")
+	}
+	kb := retainedKB(t, func() (any, error) { return buildPivotForest(p) })
+	t.Logf("pivot forest retains %.1f KB", kb)
+	if kb > 20 {
+		t.Errorf("the pivot forest retains %.1f KB, want <= 20", kb)
+	}
+}
+
+// programText renders queries as a datalog program, one rule a line.
+func programText(qs []*cq.Query) string {
+	lines := make([]string, len(qs))
+	for i, q := range qs {
+		lines[i] = q.String()
+	}
+	return strings.Join(lines, "\n")
 }
 
 // BenchmarkNewProblem measures registering each bench/load instance:
@@ -286,11 +330,7 @@ func BenchmarkNewProblem(b *testing.B) {
 		run(lw.name, register(lw.w))
 	}
 	for _, lw := range loadWorkloads() {
-		lines := make([]string, len(lw.w.Queries))
-		for i, q := range lw.w.Queries {
-			lines[i] = q.String()
-		}
-		run("session/"+lw.name, registerText(textio.FormatDatabase(lw.w.DB), strings.Join(lines, "\n")))
+		run("session/"+lw.name, registerText(textio.FormatDatabase(lw.w.DB), programText(lw.w.Queries)))
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -313,37 +315,92 @@ var (
 
 // Relation is a finite set of tuples over a schema, with the key constraint
 // enforced on insert. Every relation has a key, so a tuple is present
-// exactly when its key values map to a row holding an equal tuple: one
-// index over key encodings serves inserts, lookups and deletes.
+// exactly when its key values lead to a row holding an equal tuple: one
+// hash table over key values serves inserts, lookups and deletes.
 type Relation struct {
 	schema *Schema
 	// rows holds the tuples in insertion order; a deleted row is nil.
 	rows []Tuple
-	// byKey maps the Encode form of a tuple's key values to its row.
-	byKey map[string]int32
-	// snap is the Tuples() snapshot of the current state, built on first
-	// use; Insert and Delete drop it. Concurrent readers agree on one
-	// snapshot through CompareAndSwap.
+	// live counts the rows not deleted.
+	live int
+	// table is a hash table over the live rows' key values, at most half
+	// full, probed linearly: each slot holds a row plus one, or zero when
+	// empty. Delete shifts later entries back, so no slot is a tombstone.
+	table []int32
+	seed  maphash.Seed
+	// shared is set once a Tuples() snapshot aliases rows; Delete then
+	// copies rows before its tombstone, so the snapshot keeps its tuples.
+	shared atomic.Bool
+	// snap is the Tuples() snapshot of a state with deleted rows, built
+	// on first use; Insert and Delete drop it. Concurrent readers agree
+	// on one snapshot through CompareAndSwap.
 	snap atomic.Pointer[[]Tuple]
 }
 
 // NewRelation creates an empty relation over the schema.
 func NewRelation(schema *Schema) *Relation {
-	return &Relation{schema: schema, byKey: make(map[string]int32)}
+	return &Relation{schema: schema, seed: maphash.MakeSeed()}
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.byKey) }
+func (r *Relation) Len() int { return r.live }
 
-// appendKey appends the Encode form of t's key values to dst.
-func (r *Relation) appendKey(dst []byte, t Tuple) []byte {
+// hash hashes t's key values.
+func (r *Relation) hash(t Tuple) uint64 {
+	var h uint64
 	for _, p := range r.schema.Key {
-		dst = t[p].AppendEncode(dst)
+		h = h*0x100000001b3 ^ maphash.String(r.seed, string(t[p]))
 	}
-	return dst
+	return h
+}
+
+// probe walks the table from t's home slot and returns the row whose key
+// values equal t's, or -1 and the empty slot where t belongs; slot is
+// the row's slot when found.
+func (r *Relation) probe(t Tuple) (row int32, slot int) {
+	if len(r.table) == 0 {
+		return -1, 0
+	}
+	mask := len(r.table) - 1
+	for i := int(r.hash(t)) & mask; ; i = (i + 1) & mask {
+		s := r.table[i]
+		if s == 0 {
+			return -1, i
+		}
+		if r.sameKey(r.rows[s-1], t) {
+			return s - 1, i
+		}
+	}
+}
+
+// sameKey reports whether t and u agree on the key positions.
+func (r *Relation) sameKey(t, u Tuple) bool {
+	for _, p := range r.schema.Key {
+		if t[p] != u[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// grow doubles the table, or makes its first one, and rehashes the live
+// rows into it.
+func (r *Relation) grow() {
+	r.table = make([]int32, max(8, 2*len(r.table)))
+	mask := len(r.table) - 1
+	for row, t := range r.rows {
+		if t == nil {
+			continue
+		}
+		i := int(r.hash(t)) & mask
+		for r.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		r.table[i] = int32(row) + 1
+	}
 }
 
 // Insert adds a tuple. It returns ErrArity on arity mismatch,
@@ -353,16 +410,19 @@ func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.Arity() {
 		return fmt.Errorf("%w: relation %s expects arity %d, got %d", ErrArity, r.schema.Name, r.schema.Arity(), len(t))
 	}
-	var buf [64]byte
-	key := r.appendKey(buf[:0], t)
-	if i, ok := r.byKey[string(key)]; ok {
+	if 2*(r.live+1) > len(r.table) {
+		r.grow()
+	}
+	i, slot := r.probe(t)
+	if i >= 0 {
 		if r.rows[i].Equal(t) {
 			return fmt.Errorf("%w: %s%s", ErrDuplicate, r.schema.Name, t)
 		}
 		return fmt.Errorf("%w: %s%s collides on key with %s%s", ErrKeyViolation, r.schema.Name, t, r.schema.Name, r.rows[i])
 	}
-	r.byKey[string(key)] = int32(len(r.rows))
+	r.table[slot] = int32(len(r.rows)) + 1
 	r.rows = append(r.rows, t.Clone())
+	r.live++
 	r.dropSnapshot()
 	return nil
 }
@@ -377,42 +437,64 @@ func (r *Relation) dropSnapshot() {
 
 // Contains reports whether the exact tuple is present.
 func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.find(t)
+	_, _, ok := r.find(t)
 	return ok
 }
 
-// find returns the row holding exactly t, if any.
-func (r *Relation) find(t Tuple) (int32, bool) {
+// find returns the row holding exactly t, if any, and its slot.
+func (r *Relation) find(t Tuple) (row int32, slot int, ok bool) {
 	if len(t) != r.schema.Arity() {
-		return 0, false
+		return 0, 0, false
 	}
-	var buf [64]byte
-	i, ok := r.byKey[string(r.appendKey(buf[:0], t))]
-	return i, ok && r.rows[i].Equal(t)
+	row, slot = r.probe(t)
+	return row, slot, row >= 0 && r.rows[row].Equal(t)
 }
 
 // Delete removes the exact tuple, reporting whether it was present. Its
 // row stays as a tombstone; a later re-insert appends a new row.
 func (r *Relation) Delete(t Tuple) bool {
-	i, ok := r.find(t)
-	if ok {
-		var buf [64]byte
-		delete(r.byKey, string(r.appendKey(buf[:0], t)))
-		r.rows[i] = nil
-		r.dropSnapshot()
+	row, slot, ok := r.find(t)
+	if !ok {
+		return false
 	}
-	return ok
+	if r.shared.Load() {
+		r.rows = slices.Clone(r.rows)
+		r.shared.Store(false)
+	}
+	r.rows[row] = nil
+	r.live--
+	// Backward-shift deletion: move each later entry of the probe run
+	// into the hole when the hole lies between its home slot and it.
+	mask := len(r.table) - 1
+	for j := (slot + 1) & mask; r.table[j] != 0; j = (j + 1) & mask {
+		home := int(r.hash(r.rows[r.table[j]-1])) & mask
+		if (j-home)&mask >= (j-slot)&mask {
+			r.table[slot] = r.table[j]
+			slot = j
+		}
+	}
+	r.table[slot] = 0
+	r.dropSnapshot()
+	return true
 }
 
 // Tuples returns all tuples in insertion order. The slice is a snapshot
 // shared by every call until the next Insert or Delete, which leaves it
 // unchanged, so two calls over one state return the same backing array;
-// callers must not modify the slice or its tuples.
+// callers must not modify the slice or its tuples. With no row deleted
+// the snapshot is the row array itself, capped at its length, so that
+// appending to it copies instead of writing into the slots Insert fills.
 func (r *Relation) Tuples() []Tuple {
+	if r.live == len(r.rows) {
+		if !r.shared.Load() {
+			r.shared.Store(true)
+		}
+		return r.rows[:r.live:r.live]
+	}
 	if p := r.snap.Load(); p != nil {
 		return *p
 	}
-	out := make([]Tuple, 0, r.Len())
+	out := make([]Tuple, 0, r.live)
 	for _, t := range r.rows {
 		if t != nil {
 			out = append(out, t)

@@ -91,10 +91,10 @@ func (a *api) initSessions() {
 				a.publish(nil, sessionEvent(eventSessionMiss, id, ""))
 			},
 			OnEvict: func(id, reason string) {
-				// reason is one of the five session.Evict* constants, so the
+				// reason is one of the four session.Evict* constants, so the
 				// label stays bounded.
 				reg.Counter(metricSessionEvictions,
-					"Sessions removed from the registry, by reason (ttl, capacity, explicit, drain, error).",
+					"Sessions removed from the registry, by reason (ttl, capacity, explicit, error).",
 					telemetry.Labels{"reason": reason}).Inc()
 				a.publish(nil, sessionEvent(eventSessionEvicted, id, reason))
 			},

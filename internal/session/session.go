@@ -8,8 +8,9 @@
 // Entries carry TTLs with extend-on-read; registration is single-flight
 // (concurrent misses for the same fingerprint wait on one build instead of
 // stampeding); eviction respects in-flight solves (a busy entry is marked
-// dying and finalized when its last solve releases it); and SetDraining /
-// Drain integrate with the server's shutdown sequence.
+// dying and finalized when its last solve releases it); and SetDraining
+// refuses new registrations and acquisitions during the server's shutdown
+// sequence while in-flight solves run to completion.
 //
 // The package is deliberately telemetry-free: the server wires counters
 // and events through Hooks, keeping the registry testable in isolation.
