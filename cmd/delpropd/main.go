@@ -44,8 +44,8 @@
 // (-events-buffer sets the per-subscriber ring size) and idle streams
 // carry -events-heartbeat keep-alives reporting the drop count.
 //
-// A rolling time-series sampler snapshots every metric each
-// -series-interval tick into -series-window of ring retention;
+// A rolling time-series sampler records every metric series each
+// -series-interval tick, keeping -series-window of history per series;
 // GET /debug/series serves windowed rates, gauge stats and latency
 // quantiles, and "delprop top" renders them as a live terminal
 // dashboard. With -slo set, an SLO watchdog evaluates the file's rules

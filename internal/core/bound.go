@@ -37,10 +37,10 @@ func DualBound(p *Problem) (float64, error) {
 // With Parallel set, the members race concurrently: each member gets its
 // own cancellable context and a private child Stats (merged into the
 // caller's Stats after the race, so per-member search counters and
-// restart boundaries stay honest), and they share an incumbent bound — a
-// member whose feasible objective reaches the proven lower bound
-// (core.DualBound on key-preserving instances, the trivial 0 otherwise)
-// is certainly optimal, so the race cancels the remaining members instead
+// restart boundaries stay honest), and they are checked against one
+// proven lower bound (core.DualBound on key-preserving instances, the
+// trivial 0 otherwise) — a member whose feasible objective reaches it is
+// certainly optimal, so the race cancels the remaining members instead
 // of letting them run to completion. The sequential mode applies the same
 // proof to skip members that can no longer improve the result. The race
 // (winner, cancelled losers and every member's private counters) goes to
@@ -108,10 +108,10 @@ func (pf *Portfolio) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	}
 	st := StatsFrom(ctx)
 
-	// The shared incumbent bound: a proven lower bound on the optimal
-	// side-effect. The LP-dual certificate when the instance admits it,
-	// else the trivial 0 (side-effects are nonnegative) — an objective of
-	// 0 still proves optimality and ends the race early.
+	// A proven lower bound on the optimal side-effect: the LP-dual
+	// certificate when the instance admits it, else the trivial 0
+	// (side-effects are nonnegative) — an objective of 0 still proves
+	// optimality and ends the race early.
 	lower := 0.0
 	if p.IsKeyPreserving() {
 		if lb, err := DualBound(p); err == nil {
@@ -119,14 +119,13 @@ func (pf *Portfolio) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 			st.ObserveLowerBound(lb)
 		}
 	}
-	bound := newSharedBound(lower)
 
 	outcomes := make([]memberOutcome, len(solvers))
 	provenIdx := -1
 	cancelledLosers := 0
 
 	// evaluate fills the outcome's effective solution and report, and
-	// reports whether it proves optimality against the shared bound.
+	// reports whether it proves optimality against the lower bound.
 	evaluate := func(o *memberOutcome) (proven bool) {
 		if o.err != nil {
 			o.sol, _ = Best(o.err)
@@ -136,7 +135,7 @@ func (pf *Portfolio) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 		o.rep = p.Evaluate(o.sol)
 		o.feasible = o.rep.Feasible
-		return o.feasible && bound.observe(o.rep.SideEffect)
+		return o.feasible && provenOptimal(o.rep.SideEffect, lower)
 	}
 
 	if pf.Parallel {

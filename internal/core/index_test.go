@@ -239,10 +239,13 @@ func register(w *workload.Workload) func() (any, error) {
 	return func() (any, error) { return NewProblem(w.DB, w.Queries, nil) }
 }
 
-// registerText builds a skeleton from an instance's database and query
-// texts, as POST /sessions does: parse both, then NewProblem.
-func registerText(db, queries string) func() (any, error) {
+// registerText builds a skeleton from w's database and query texts, as
+// POST /sessions does: render both, parse them, then NewProblem. The texts
+// are rendered inside the call, so a skeleton that kept its text alive
+// would count it.
+func registerText(w *workload.Workload) func() (any, error) {
 	return func() (any, error) {
+		db, queries := textio.FormatDatabase(w.DB), programText(w.Queries)
 		inst, err := textio.ParseDatabase(db)
 		if err != nil {
 			return nil, err
@@ -274,7 +277,7 @@ func TestSkeletonRetainedHeap(t *testing.T) {
 		if !ok {
 			continue
 		}
-		kb := retainedKB(t, registerText(textio.FormatDatabase(lw.w.DB), programText(lw.w.Queries)))
+		kb := retainedKB(t, registerText(lw.w))
 		t.Logf("session/%s retains %.1f KB", lw.name, kb)
 		if kb > limit {
 			t.Errorf("registering %s from its texts retains %.0f KB, want <= %.0f", lw.name, kb, limit)
@@ -330,7 +333,7 @@ func BenchmarkNewProblem(b *testing.B) {
 		run(lw.name, register(lw.w))
 	}
 	for _, lw := range loadWorkloads() {
-		run("session/"+lw.name, registerText(textio.FormatDatabase(lw.w.DB), programText(lw.w.Queries)))
+		run("session/"+lw.name, registerText(lw.w))
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -304,27 +303,17 @@ func TestGreedyMidRoundCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestSharedBound: the atomic incumbent publishes minima and proves
-// optimality only at (or below) the lower bound.
+// TestSharedBound: a feasible objective proves optimality only at (or
+// below) the lower bound.
 func TestSharedBound(t *testing.T) {
-	b := newSharedBound(2)
-	if b.observe(5) {
+	if provenOptimal(5, 2) {
 		t.Error("5 proven optimal against bound 2")
 	}
-	if got := b.best(); got != 5 {
-		t.Errorf("best = %v, want 5", got)
-	}
-	if b.observe(7) {
+	if provenOptimal(7, 2) {
 		t.Error("worse objective proven")
 	}
-	if got := b.best(); got != 5 {
-		t.Errorf("best after worse observe = %v, want 5", got)
-	}
-	if !b.observe(2) {
+	if !provenOptimal(2, 2) {
 		t.Error("objective matching the bound not proven")
-	}
-	if got := b.best(); got != 2 {
-		t.Errorf("best = %v, want 2", got)
 	}
 }
 
@@ -362,10 +351,4 @@ func TestStatsMerge(t *testing.T) {
 	var nilStats *Stats
 	nilStats.Merge(child)
 	parent.Merge(nil)
-}
-
-// best returns the best feasible objective observed so far (+Inf when
-// none yet).
-func (b *sharedBound) best() float64 {
-	return math.Float64frombits(b.bestBits.Load())
 }

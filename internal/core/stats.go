@@ -369,16 +369,3 @@ func recorder(st *Stats) setcover.SearchRecorder {
 	}
 	return st
 }
-
-// Node, Prune and BBIncumbent make *Stats satisfy setcover.SearchRecorder
-// without the setcover package importing core: the branch-and-bound
-// engines report their progress through that interface.
-
-// Node implements setcover.SearchRecorder.
-func (s *Stats) Node(n int64) { s.AddNodes(n) }
-
-// Prune implements setcover.SearchRecorder.
-func (s *Stats) Prune(n int64) { s.AddPruned(n) }
-
-// BBIncumbent implements setcover.SearchRecorder.
-func (s *Stats) BBIncumbent(cost float64, size int) { s.Incumbent(cost, size) }

@@ -10,8 +10,8 @@ import (
 	"delprop/internal/telemetry"
 )
 
-// Rolling-series and SLO wiring: the sampler snapshots the registry each
-// tick (delpropd drives it via Server.RunSampler; tests call
+// Rolling-series and SLO wiring: the sampler samples every registry
+// series into its history ring each tick (delpropd drives it via Server.RunSampler; tests call
 // Server.Sampler().Tick() with an injected clock), GET /debug/series
 // serves the windowed aggregates, and the watchdog evaluates the -slo
 // rules on the same tick — breaches become bus events, a counter, and

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -472,4 +474,145 @@ func mustJSON(v any) string {
 		panic(fmt.Sprintf("mustJSON: %v", err))
 	}
 	return string(raw)
+}
+
+// TestDebugSeriesFakeClock pins /debug/series and /debug/slo under a fake
+// clock ticking one second apart: counter, gauge and histogram windows
+// (last sample minus baseline for counters and histograms), a labelled
+// family whose second series is born mid-flight, the ?metric= prefix and
+// exact filters, and the watchdog's standings. Series are compared sorted
+// by (name, labels), so the test does not depend on the listing order.
+func TestDebugSeriesFakeClock(t *testing.T) {
+	slo, err := telemetry.ParseSLOConfig([]byte(`{"rules": [
+	  {"name": "jobs-per-queue", "window": "1m", "max": 5, "by": "queue",
+	   "value": {"metric": "fake_jobs_total", "stat": "delta"}},
+	  {"name": "depth", "window": "10s", "max": 3,
+	   "value": {"metric": "fake_depth", "stat": "max"}},
+	  {"name": "latency-p95", "window": "1m", "max": 0.5,
+	   "value": {"metric": "fake_latency_seconds", "stat": "p95"}}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := NewHandler(Config{SLO: slo})
+	// A sampler over the same registry, read through a fake clock, with
+	// the watchdog rewired onto it. The handler's own sampler never ticks.
+	var clock atomic.Int64
+	clock.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	a := app.api
+	a.sampler = telemetry.NewSampler(a.metrics, telemetry.SamplerConfig{
+		Interval:  time.Second,
+		MaxWindow: time.Minute,
+		Clock:     func() time.Time { return time.Unix(0, clock.Load()) },
+	})
+	a.watchdog = telemetry.NewWatchdog(a.sampler, a.cfg.SLO, a.onSLOBreach)
+	a.sampler.OnTick(func(now time.Time) { a.watchdog.Evaluate(now) })
+	tick := func() {
+		clock.Add(int64(time.Second))
+		app.Sampler().Tick()
+	}
+	srv := httptest.NewServer(app)
+	defer srv.Close()
+
+	reg := app.Metrics()
+	jobsA := reg.Counter("fake_jobs_total", "test", telemetry.Labels{"queue": "a"})
+	depth := reg.Gauge("fake_depth", "test", nil)
+	// Dyadic observations keep every windowed sum exact.
+	lat := reg.Histogram("fake_latency_seconds", "test", []float64{0.1, 0.25, 0.5, 1}, nil)
+	for i, v := range []float64{0.125, 0.25, 0.75, 2} { // T1..T4
+		jobsA.Add(2)
+		depth.Set(float64(i))
+		lat.Observe(v)
+		tick()
+	}
+	jobsB := reg.Counter("fake_jobs_total", "test", telemetry.Labels{"queue": "b"})
+	jobsB.Add(3)
+	depth.Set(1)
+	tick() // T5: queue b's first sample
+	jobsB.Add(4)
+	jobsA.Add(1)
+	lat.Observe(0.5)
+	tick() // T6
+
+	render := func(set telemetry.SeriesSetJSON) []string {
+		var out []string
+		for _, s := range set.Series {
+			var labels []string
+			for k, v := range s.Labels {
+				labels = append(labels, k+"="+v)
+			}
+			sort.Strings(labels)
+			for _, w := range set.Windows {
+				agg, ok := s.Windows[w]
+				if !ok {
+					continue
+				}
+				line := fmt.Sprintf("%s{%s} %s %s samples=%d", s.Name, strings.Join(labels, ","), s.Kind, w, agg.Samples)
+				for _, f := range []struct {
+					name string
+					v    *float64
+				}{{"delta", agg.Delta}, {"rate", agg.Rate}, {"last", agg.Last}, {"min", agg.Min},
+					{"max", agg.Max}, {"avg", agg.Avg}, {"sum", agg.Sum}, {"p50", agg.P50},
+					{"p95", agg.P95}, {"p99", agg.P99}} {
+					if f.v != nil {
+						line += fmt.Sprintf(" %s=%g", f.name, *f.v)
+					}
+				}
+				if agg.Count != nil {
+					line += fmt.Sprintf(" count=%d", *agg.Count)
+				}
+				out = append(out, line)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	check := func(query string, want []string) {
+		t.Helper()
+		var set telemetry.SeriesSetJSON
+		if resp := getJSON(t, srv, "/debug/series?"+query, &set); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /debug/series?%s: status %d", query, resp.StatusCode)
+		}
+		if set.Ticks != 6 || set.Interval != "1s" || !set.Now.Equal(time.Unix(1_700_000_006, 0)) {
+			t.Errorf("%s: meta = ticks %d interval %s now %v, want 6, 1s, T6", query, set.Ticks, set.Interval, set.Now)
+		}
+		got := render(set)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("GET /debug/series?%s:\n got %s\nwant %s", query, strings.Join(got, "\n     "), strings.Join(want, "\n     "))
+		}
+	}
+	// At T6 the 3s window holds T4..T6 plus the T3 baseline; the 1m window
+	// holds the whole history. Queue b has samples at T5 and T6 only.
+	check("metric=fake_*&window=3s,1m", []string{
+		"fake_depth{} gauge 1m samples=6 last=1 min=0 max=3 avg=1.3333333333333333",
+		"fake_depth{} gauge 3s samples=3 last=1 min=1 max=3 avg=1.6666666666666667",
+		"fake_jobs_total{queue=a} counter 1m samples=6 delta=7 rate=1.4",
+		"fake_jobs_total{queue=a} counter 3s samples=4 delta=3 rate=1",
+		"fake_jobs_total{queue=b} counter 1m samples=2 delta=4 rate=4",
+		"fake_jobs_total{queue=b} counter 3s samples=2 delta=4 rate=4",
+		"fake_latency_seconds{} histogram 1m samples=6 rate=0.8 sum=3.5 p50=0.5 p95=1 p99=1 count=4",
+		"fake_latency_seconds{} histogram 3s samples=4 rate=0.6666666666666666 sum=2.5 p50=0.5 p95=1 p99=1 count=2",
+	})
+	check("metric=fake_jobs_total&window=3s", []string{
+		"fake_jobs_total{queue=a} counter 3s samples=4 delta=3 rate=1",
+		"fake_jobs_total{queue=b} counter 3s samples=2 delta=4 rate=4",
+	})
+	check("metric=fake_nothing*", nil)
+
+	var status SLOResponse
+	getJSON(t, srv, "/debug/slo", &status)
+	var got []string
+	for _, st := range status.Rules {
+		got = append(got, fmt.Sprintf("%s[%s] %s value=%g breached=%v evaluated=%v",
+			st.Rule, st.Target, st.Window, st.Value, st.Breached, st.Evaluated))
+	}
+	want := []string{
+		"depth[] 10s value=3 breached=false evaluated=true",
+		"jobs-per-queue[a] 1m value=7 breached=true evaluated=true",
+		"jobs-per-queue[b] 1m value=4 breached=false evaluated=true",
+		"latency-p95[] 1m value=1 breached=true evaluated=true",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/debug/slo:\n got %s\nwant %s", strings.Join(got, "\n     "), strings.Join(want, "\n     "))
+	}
 }

@@ -251,12 +251,12 @@ func (inst *Instance) LowDegSweep() (Solution, error) {
 // telemetry layer sees inside the search without this package depending
 // on core.
 type SearchRecorder interface {
-	// Node reports n expanded search nodes (batched).
-	Node(n int64)
-	// Prune reports n branches cut by the cost bound (batched).
-	Prune(n int64)
-	// BBIncumbent reports an improved best-so-far cover.
-	BBIncumbent(cost float64, size int)
+	// AddNodes reports n expanded search nodes (batched).
+	AddNodes(n int64)
+	// AddPruned reports n branches cut by the cost bound (batched).
+	AddPruned(n int64)
+	// Incumbent reports an improved best-so-far cover.
+	Incumbent(cost float64, size int)
 }
 
 // Exact computes an optimal solution by branch and bound, branching on
@@ -318,10 +318,10 @@ func (inst *Instance) Exact(ctx context.Context, rec SearchRecorder) (Solution, 
 		if rec == nil {
 			return
 		}
-		rec.Node(int64(visited - lastFlush))
+		rec.AddNodes(int64(visited - lastFlush))
 		lastFlush = visited
 		if pruned > 0 {
-			rec.Prune(pruned)
+			rec.AddPruned(pruned)
 			pruned = 0
 		}
 	}
@@ -349,7 +349,7 @@ func (inst *Instance) Exact(ctx context.Context, rec SearchRecorder) (Solution, 
 			bestCost = curCost
 			best = append(make([]int, 0, len(cur)), cur...)
 			if rec != nil {
-				rec.BBIncumbent(bestCost, len(best))
+				rec.Incumbent(bestCost, len(best))
 			}
 			return
 		}

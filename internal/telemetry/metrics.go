@@ -155,13 +155,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// metricKind tags a family for the # TYPE line.
-type metricKind int
+// metricKind is a family's type, as the # TYPE line and /debug/series
+// name it.
+type metricKind string
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   metricKind = "counter"
+	kindGauge     metricKind = "gauge"
+	kindHistogram metricKind = "histogram"
 )
 
 // family is one metric name with its help text and series.
@@ -169,10 +170,20 @@ type family struct {
 	name   string
 	help   string
 	kind   metricKind
-	bounds []float64 // histograms only
-	series map[string]any
-	labels map[string]Labels // canonical key -> original label values
-	order  []string
+	bounds []float64          // histograms only
+	byKey  map[string]*series // canonical label key -> series
+	series []*series          // registration order
+}
+
+// series is one (family, labels) instance: its live metric and the sample
+// history a Sampler keeps of it (series.go).
+type series struct {
+	key    string // canonical label rendering ("" when unlabeled)
+	labels Labels // copy of the registering labels; nil when unlabeled
+	metric any    // *Counter, *Gauge or *Histogram
+	// samples holds the most recent tick samples, oldest first; empty
+	// until the first tick, which sizes it.
+	samples Ring[tickSample]
 }
 
 // Registry holds metric families and renders them in the Prometheus text
@@ -180,11 +191,15 @@ type family struct {
 // lock-free, so callers on hot paths should cache them. A nil *Registry
 // is a valid no-op sink.
 //
+// mu guards the families, their series lists and every series' sample
+// ring: Sampler.Tick pushes under the write lock, windowed reads reduce
+// under the read lock.
+//
 //delprop:nilsafe
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family //delprop:guardedby mu
-	order    []string           //delprop:guardedby mu
+	order    []*family          //delprop:guardedby mu
 }
 
 // NewRegistry returns an empty registry.
@@ -192,14 +207,15 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// lookup finds or creates the named family and the series for labels.
-func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, labels Labels, mk func() any) any {
+// lookup finds or creates the named family and the series for labels; mk
+// builds a new series' metric from the family's bounds.
+func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, labels Labels, mk func(bounds []float64) any) any {
 	lk := labels.key()
 	r.mu.RLock()
 	if f, ok := r.families[name]; ok {
-		if s, ok := f.series[lk]; ok {
+		if sr, ok := f.byKey[lk]; ok {
 			r.mu.RUnlock()
-			return s
+			return sr.metric
 		}
 	}
 	r.mu.RUnlock()
@@ -207,28 +223,26 @@ func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, 
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, bounds: bounds,
-			series: make(map[string]any), labels: make(map[string]Labels)}
+		f = &family{name: name, help: help, kind: kind, bounds: bounds, byKey: make(map[string]*series)}
 		r.families[name] = f
-		r.order = append(r.order, name)
+		r.order = append(r.order, f)
 	}
 	if f.kind != kind {
 		panic(fmt.Sprintf("telemetry: metric %q registered twice with different types", name))
 	}
-	s, ok := f.series[lk]
+	sr, ok := f.byKey[lk]
 	if !ok {
-		s = mk()
-		f.series[lk] = s
+		sr = &series{key: lk, metric: mk(f.bounds)}
 		if len(labels) > 0 {
-			copied := make(Labels, len(labels))
+			sr.labels = make(Labels, len(labels))
 			for k, v := range labels {
-				copied[k] = v
+				sr.labels[k] = v
 			}
-			f.labels[lk] = copied
 		}
-		f.order = append(f.order, lk)
+		f.byKey[lk] = sr
+		f.series = append(f.series, sr)
 	}
-	return s
+	return sr.metric
 }
 
 // Counter returns the counter series for name+labels, creating it (and
@@ -238,7 +252,7 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
-	return r.lookup(name, help, kindCounter, nil, labels, func() any { return &Counter{} }).(*Counter)
+	return r.lookup(name, help, kindCounter, nil, labels, func([]float64) any { return &Counter{} }).(*Counter)
 }
 
 // Gauge returns the gauge series for name+labels (nil-safe, see Counter).
@@ -246,7 +260,7 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	if r == nil {
 		return &Gauge{}
 	}
-	return r.lookup(name, help, kindGauge, nil, labels, func() any { return &Gauge{} }).(*Gauge)
+	return r.lookup(name, help, kindGauge, nil, labels, func([]float64) any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns the histogram series for name+labels. bounds apply on
@@ -259,7 +273,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 	if len(bounds) == 0 {
 		bounds = DefBuckets
 	}
-	return r.lookup(name, help, kindHistogram, bounds, labels, func() any { return newHistogram(bounds) }).(*Histogram)
+	return r.lookup(name, help, kindHistogram, bounds, labels, func(b []float64) any { return newHistogram(b) }).(*Histogram)
 }
 
 // formatValue renders a float without the exponent noise %v would add for
@@ -279,21 +293,14 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, name := range r.order {
-		f := r.families[name]
+	for _, f := range r.order {
 		if f.help != "" {
 			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		}
-		switch f.kind {
-		case kindCounter:
-			fmt.Fprintf(w, "# TYPE %s counter\n", f.name)
-		case kindGauge:
-			fmt.Fprintf(w, "# TYPE %s gauge\n", f.name)
-		case kindHistogram:
-			fmt.Fprintf(w, "# TYPE %s histogram\n", f.name)
-		}
-		for _, lk := range f.order {
-			switch s := f.series[lk].(type) {
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
+		for _, sr := range f.series {
+			lk := sr.key
+			switch s := sr.metric.(type) {
 			case *Counter:
 				fmt.Fprintf(w, "%s%s %d\n", f.name, braced(lk), s.Value())
 			case *Gauge:
@@ -310,73 +317,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			}
 		}
 	}
-}
-
-// MetricSnapshot is one series' point-in-time value, as captured by
-// Registry.Snapshot: the family identity plus the kind-specific payload.
-// For histograms, Buckets holds the per-slot (non-cumulative) counts
-// aligned with Bounds; the +Inf overflow count is Count minus the bucket
-// sum. The rolling time-series Sampler consumes these each tick.
-type MetricSnapshot struct {
-	Name      string
-	Kind      string // "counter", "gauge" or "histogram"
-	LabelsKey string // canonical sorted label rendering ("" when unlabeled)
-	Labels    Labels
-	Value     float64   // counter cumulative count / gauge current value
-	Count     int64     // histogram observation count
-	Sum       float64   // histogram observation sum
-	Bounds    []float64 // histogram upper bounds (shared, read-only)
-	Buckets   []int64   // histogram per-slot counts, aligned with Bounds
-}
-
-// kindName renders the kind for snapshots.
-func (k metricKind) kindName() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	}
-	return "histogram"
-}
-
-// Snapshot copies every series' current value in registration order. The
-// per-series Labels maps are shared read-only copies made at series
-// creation; callers must not mutate them. A nil registry snapshots empty.
-func (r *Registry) Snapshot() []MetricSnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []MetricSnapshot
-	for _, name := range r.order {
-		f := r.families[name]
-		for _, lk := range f.order {
-			m := MetricSnapshot{
-				Name:      f.name,
-				Kind:      f.kind.kindName(),
-				LabelsKey: lk,
-				Labels:    f.labels[lk],
-			}
-			switch s := f.series[lk].(type) {
-			case *Counter:
-				m.Value = float64(s.Value())
-			case *Gauge:
-				m.Value = s.Value()
-			case *Histogram:
-				m.Count = s.Count()
-				m.Sum = s.Sum()
-				m.Bounds = s.bounds
-				m.Buckets = make([]int64, len(s.buckets))
-				for i := range s.buckets {
-					m.Buckets[i] = s.buckets[i].Load()
-				}
-			}
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // braced wraps a non-empty label key in {}.

@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
@@ -44,6 +46,12 @@ func TestSeriesIdentity(t *testing.T) {
 	c := r.Counter("x_total", "X.", Labels{"k": "2"})
 	if a == c {
 		t.Error("distinct labels must return distinct series")
+	}
+	// A histogram family's bounds are fixed at creation: a later series
+	// asking for others gets the family's.
+	r.Histogram("y_seconds", "Y.", []float64{1, 2}, Labels{"k": "1"})
+	if h := r.Histogram("y_seconds", "Y.", []float64{5}, Labels{"k": "2"}); !slices.Equal(h.bounds, []float64{1, 2}) {
+		t.Errorf("second series bounds = %v, want the family's [1 2]", h.bounds)
 	}
 }
 
@@ -206,6 +214,26 @@ func TestConcurrentUse(t *testing.T) {
 		for j := 0; j < 50; j++ {
 			var b strings.Builder
 			r.WritePrometheus(&b)
+		}
+	}()
+	// Tick a sampler and read its windows concurrently too: the sample
+	// rings live on the registry's series.
+	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, MaxWindow: 10 * time.Millisecond})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 50; j++ {
+			s.Tick()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 50; j++ {
+			s.SeriesSnapshot([]time.Duration{time.Millisecond, 10 * time.Millisecond}, "")
+			s.CounterWindow("delprop_solver_nodes_expanded_total", nil, 10*time.Millisecond)
+			s.Quantile("delprop_solve_duration_seconds", map[string][]string{"solver": {"greedy"}}, 10*time.Millisecond, 0.9)
+			s.GaugeTimeAt("delprop_http_in_flight_requests", nil, 10*time.Millisecond, 0)
+			s.LabelValues("delprop_solve_duration_seconds", "solver")
 		}
 	}()
 	wg.Wait()

@@ -9,16 +9,19 @@ import (
 	"time"
 )
 
-// Rolling time-series store. A Sampler snapshots the metrics Registry on
-// a tick (driven by Run's ticker in production, or called directly with
-// an injected clock in tests) into one fixed-size ring per series. Reads
-// reduce the rings into windowed aggregates — counters become rates over
-// the window, gauges report last/min/max/avg, histograms reduce to
-// windowed p50/p95/p99 via the same bucket interpolation
-// Histogram.Quantile uses — so "what happened over the last five minutes"
-// has an answer even though the registry itself only accumulates forever.
-// The server serves these aggregates at GET /debug/series and the SLO
-// watchdog (slo.go) evaluates its rules against them each tick.
+// Rolling time-series store. A Sampler ticks over a metrics Registry
+// (driven by Run's ticker in production, or called directly with an
+// injected clock in tests), appending each series' current value to that
+// series' own fixed-size ring of samples. Reads reduce the rings into
+// windowed aggregates — counters become increases and rates over the
+// window, gauges report last/min/max/avg, histograms reduce to windowed
+// p50/p95/p99 via the same bucket interpolation Histogram.Quantile uses —
+// so "what happened over the last five minutes" has an answer even
+// though the registry itself only accumulates forever. Counters and
+// histograms never decrease, so a window's increase is its last sample
+// minus its baseline, the sample just before the window. The server
+// serves these aggregates at GET /debug/series and the SLO watchdog
+// (slo.go) evaluates its rules against them each tick.
 
 // Sampler defaults (delpropd's -series-interval/-series-window override).
 const (
@@ -57,7 +60,8 @@ func (c SamplerConfig) withDefaults() SamplerConfig {
 
 // tickSample is one series' value at one tick. buckets (histograms) holds
 // the cumulative per-slot counts at sample time; windowed reads subtract
-// pairs of samples, so storage stays cumulative like the registry.
+// the baseline sample from the last, so storage stays cumulative like the
+// registry.
 type tickSample struct {
 	at      time.Time
 	value   float64 // counter cumulative count / gauge value
@@ -66,42 +70,8 @@ type tickSample struct {
 	buckets []int64 // histogram cumulative per-slot counts
 }
 
-// seriesRing is the bounded sample history of one (metric, labels)
-// series: the most recent samples, oldest first.
-type seriesRing struct {
-	name      string
-	kind      string
-	labelsKey string
-	labels    Labels
-	bounds    []float64
-	samples   Ring[tickSample]
-}
-
-// selectWindow returns the samples covering [now-w, now]: every sample
-// inside the window plus the one immediately before it (the baseline
-// counter deltas are measured from). Oldest first.
-func (r *seriesRing) selectWindow(now time.Time, w time.Duration) []tickSample {
-	cut := now.Add(-w)
-	n := r.samples.Len()
-	first := n // index of the first in-window sample
-	for i := 0; i < n; i++ {
-		if r.samples.At(i).at.After(cut) {
-			first = i
-			break
-		}
-	}
-	start := first
-	if start > 0 {
-		start-- // baseline
-	}
-	out := make([]tickSample, 0, n-start)
-	for i := start; i < n; i++ {
-		out = append(out, r.samples.At(i))
-	}
-	return out
-}
-
-// Sampler owns the rings and the tick loop. A nil *Sampler is a valid
+// Sampler owns the tick loop over one registry; the sample rings live on
+// the registry's series, guarded by its mutex. A nil *Sampler is a valid
 // no-op (queries report no data), so embedding servers need no guards.
 //
 //delprop:nilsafe
@@ -109,19 +79,20 @@ type Sampler struct {
 	reg *Registry
 	cfg SamplerConfig // immutable after NewSampler
 
-	mu       sync.Mutex
-	rings    map[string]*seriesRing //delprop:guardedby mu
-	order    []string               //delprop:guardedby mu
-	ticks    int64                  //delprop:guardedby mu
-	lastTick time.Time              //delprop:guardedby mu
-	preTick  []func()               //delprop:guardedby mu
-	onTick   []func(now time.Time)  //delprop:guardedby mu
+	mu      sync.Mutex
+	ticks   int64                 //delprop:guardedby mu
+	preTick []func()              //delprop:guardedby mu
+	onTick  []func(now time.Time) //delprop:guardedby mu
 }
 
-// NewSampler returns a sampler over reg. It takes no samples until Tick
-// (or Run) is called.
+// NewSampler returns a sampler over reg (nil samples an empty registry).
+// It takes no samples until Tick (or Run) is called. The history lives on
+// reg's series, so at most one sampler may tick over a registry.
 func NewSampler(reg *Registry, cfg SamplerConfig) *Sampler {
-	return &Sampler{reg: reg, cfg: cfg.withDefaults(), rings: make(map[string]*seriesRing)}
+	if reg == nil {
+		reg = NewRegistry()
+	}
+	return &Sampler{reg: reg, cfg: cfg.withDefaults()}
 }
 
 // MaxWindow returns the configured retention horizon.
@@ -146,7 +117,7 @@ func (s *Sampler) capacity() int {
 }
 
 // OnPreTick registers fn to run at the start of every tick, before the
-// registry is snapshotted — the server refreshes its runtime and
+// registry is sampled — the server refreshes its runtime and
 // breaker-state gauges here so sampled values are current. Register
 // before Run starts.
 func (s *Sampler) OnPreTick(fn func()) {
@@ -185,32 +156,42 @@ func (s *Sampler) Tick() {
 	for _, fn := range pre {
 		fn()
 	}
-	snap := s.reg.Snapshot()
+	s.reg.sample(now, s.capacity())
 	s.mu.Lock()
-	for _, m := range snap {
-		key := m.Name + "\x00" + m.LabelsKey
-		ring, ok := s.rings[key]
-		if !ok {
-			ring = &seriesRing{
-				name:      m.Name,
-				kind:      m.Kind,
-				labelsKey: m.LabelsKey,
-				labels:    m.Labels,
-				bounds:    m.Bounds,
-				samples:   NewRing[tickSample](s.capacity()),
-			}
-			s.rings[key] = ring
-			s.order = append(s.order, key)
-		}
-		ring.samples.Push(tickSample{at: now, value: m.Value, count: m.Count, sum: m.Sum, buckets: m.Buckets})
-	}
 	s.ticks++
-	s.lastTick = now
 	post := make([]func(time.Time), len(s.onTick))
 	copy(post, s.onTick)
 	s.mu.Unlock()
 	for _, fn := range post {
 		fn(now)
+	}
+}
+
+// sample appends every series' current value, stamped now, to its ring,
+// sizing the ring to capacity on the series' first tick.
+func (r *Registry) sample(now time.Time, capacity int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range r.order {
+		for _, sr := range f.series {
+			if sr.samples.Len() == 0 {
+				sr.samples = NewRing[tickSample](capacity)
+			}
+			t := tickSample{at: now}
+			switch m := sr.metric.(type) {
+			case *Counter:
+				t.value = float64(m.Value())
+			case *Gauge:
+				t.value = m.Value()
+			case *Histogram:
+				t.count, t.sum = m.Count(), m.Sum()
+				t.buckets = make([]int64, len(m.buckets))
+				for i := range m.buckets {
+					t.buckets[i] = m.buckets[i].Load()
+				}
+			}
+			sr.samples.Push(t)
+		}
 	}
 }
 
@@ -265,37 +246,28 @@ func matchLabels(labels Labels, match map[string][]string) bool {
 	return true
 }
 
-// matching returns the rings of one family and kind passing match, in
-// first-sampled order.
+// seriesOf returns the named family's series in registration order, or
+// nil when there is no such family of that kind.
 //
 //delprop:holds mu
-func (s *Sampler) matching(name, kind string, match map[string][]string) []*seriesRing {
-	var out []*seriesRing
-	for _, key := range s.order {
-		if r := s.rings[key]; r.name == name && r.kind == kind && matchLabels(r.labels, match) {
-			out = append(out, r)
-		}
+func (r *Registry) seriesOf(name string, kind metricKind) []*series {
+	if f := r.families[name]; f != nil && f.kind == kind {
+		return f.series
 	}
-	return out
+	return nil
 }
 
-// counterIncrease walks the window's sample pairs summing increments with
-// counter-reset tolerance: a sample below its predecessor means the
-// process (or counter) restarted, so the new cumulative value *is* the
-// increment since the reset.
-func counterIncrease(samples []tickSample) (delta float64, elapsed time.Duration) {
-	for i := 1; i < len(samples); i++ {
-		prev, cur := samples[i-1], samples[i]
-		if cur.value >= prev.value {
-			delta += cur.value - prev.value
-		} else {
-			delta += cur.value
-		}
-	}
-	if len(samples) >= 2 {
-		elapsed = samples[len(samples)-1].at.Sub(samples[0].at)
-	}
-	return delta, elapsed
+// since returns the index of the first sample taken after cut (Len when
+// none was).
+func (sr *series) since(cut time.Time) int {
+	return sort.Search(sr.samples.Len(), func(i int) bool { return sr.samples.At(i).at.After(cut) })
+}
+
+// window returns the index of the first sample covering [now-w, now]: the
+// baseline just before the window when the ring holds one, else the
+// oldest sample. With no sample inside the window it is the last one.
+func (sr *series) window(now time.Time, w time.Duration) int {
+	return max(sr.since(now.Add(-w))-1, 0)
 }
 
 // CounterWindow is a counter family's windowed aggregate.
@@ -316,24 +288,29 @@ func (s *Sampler) CounterWindow(name string, match map[string][]string, w time.D
 		return CounterWindow{}, false
 	}
 	now := s.cfg.Clock()
+	s.reg.mu.RLock()
+	defer s.reg.mu.RUnlock()
+	return counterWindow(s.reg.seriesOf(name, kindCounter), match, now, w)
+}
+
+// counterWindow reduces the counter series of ss passing match. Each
+// series' increase is its last sample minus its baseline.
+func counterWindow(ss []*series, match map[string][]string, now time.Time, w time.Duration) (CounterWindow, bool) {
 	var agg CounterWindow
 	var maxElapsed time.Duration
 	ok := false
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.matching(name, "counter", match) {
-		samples := r.selectWindow(now, w)
-		if len(samples) < 2 {
+	for _, sr := range ss {
+		if !matchLabels(sr.labels, match) {
 			continue
 		}
-		delta, elapsed := counterIncrease(samples)
-		agg.Delta += delta
-		if elapsed > maxElapsed {
-			maxElapsed = elapsed
+		start, n := sr.window(now, w), sr.samples.Len()
+		if n-start < 2 {
+			continue
 		}
-		if len(samples) > agg.Samples {
-			agg.Samples = len(samples)
-		}
+		base, last := sr.samples.At(start), sr.samples.At(n-1)
+		agg.Delta += last.value - base.value
+		maxElapsed = max(maxElapsed, last.at.Sub(base.at))
+		agg.Samples = max(agg.Samples, n-start)
 		ok = true
 	}
 	if maxElapsed > 0 {
@@ -360,40 +337,38 @@ func (s *Sampler) GaugeWindow(name string, match map[string][]string, w time.Dur
 		return GaugeWindow{}, false
 	}
 	now := s.cfg.Clock()
-	cut := now.Add(-w)
-	var agg GaugeWindow
-	agg.Min = math.Inf(1)
-	agg.Max = math.Inf(-1)
+	s.reg.mu.RLock()
+	defer s.reg.mu.RUnlock()
+	return gaugeWindow(s.reg.seriesOf(name, kindGauge), match, now, w)
+}
+
+// gaugeWindow reduces the gauge series of ss passing match over the
+// samples taken inside the window.
+func gaugeWindow(ss []*series, match map[string][]string, now time.Time, w time.Duration) (GaugeWindow, bool) {
+	agg := GaugeWindow{Min: math.Inf(1), Max: math.Inf(-1)}
 	ok := false
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.matching(name, "gauge", match) {
-		var sum float64
-		n := 0
-		var last float64
-		for i := 0; i < r.samples.Len(); i++ {
-			sm := r.samples.At(i)
-			if !sm.at.After(cut) {
-				continue
-			}
-			sum += sm.value
-			last = sm.value
-			n++
-			if sm.value < agg.Min {
-				agg.Min = sm.value
-			}
-			if sm.value > agg.Max {
-				agg.Max = sm.value
-			}
-		}
-		if n == 0 {
+	for _, sr := range ss {
+		if !matchLabels(sr.labels, match) {
 			continue
 		}
-		agg.Last += last
-		agg.Avg += sum / float64(n)
-		if n > agg.Samples {
-			agg.Samples = n
+		first, n := sr.since(now.Add(-w)), sr.samples.Len()
+		if first == n {
+			continue
 		}
+		var sum float64
+		for i := first; i < n; i++ {
+			v := sr.samples.At(i).value
+			sum += v
+			if v < agg.Min {
+				agg.Min = v
+			}
+			if v > agg.Max {
+				agg.Max = v
+			}
+		}
+		agg.Last += sr.samples.At(n - 1).value
+		agg.Avg += sum / float64(n-first)
+		agg.Samples = max(agg.Samples, n-first)
 		ok = true
 	}
 	if !ok {
@@ -414,25 +389,29 @@ func (s *Sampler) GaugeTimeAt(name string, match map[string][]string, w time.Dur
 	cut := now.Add(-w)
 	var total time.Duration
 	ok := false
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.matching(name, "gauge", match) {
-		samples := r.selectWindow(now, w)
-		if len(samples) == 0 {
+	s.reg.mu.RLock()
+	defer s.reg.mu.RUnlock()
+	for _, sr := range s.reg.seriesOf(name, kindGauge) {
+		if !matchLabels(sr.labels, match) {
+			continue
+		}
+		n := sr.samples.Len()
+		if n == 0 {
 			continue
 		}
 		ok = true
-		for i := 0; i < len(samples); i++ {
-			if samples[i].value != target {
+		for i := sr.window(now, w); i < n; i++ {
+			sm := sr.samples.At(i)
+			if sm.value != target {
 				continue
 			}
-			segStart := samples[i].at
+			segStart := sm.at
 			if segStart.Before(cut) {
 				segStart = cut
 			}
 			segEnd := now
-			if i+1 < len(samples) {
-				segEnd = samples[i+1].at
+			if i+1 < n {
+				segEnd = sr.samples.At(i + 1).at
 			}
 			if segEnd.After(segStart) {
 				total += segEnd.Sub(segStart)
@@ -457,29 +436,6 @@ type HistogramWindow struct {
 
 	bounds  []float64
 	buckets []int64
-}
-
-// histIncrease subtracts the window's first histogram sample from its
-// last with reset tolerance (count going backwards means restart).
-func histIncrease(samples []tickSample, nBuckets int) (count int64, sum float64, buckets []int64) {
-	buckets = make([]int64, nBuckets)
-	for i := 1; i < len(samples); i++ {
-		prev, cur := samples[i-1], samples[i]
-		if cur.count >= prev.count {
-			count += cur.count - prev.count
-			sum += cur.sum - prev.sum
-			for j := 0; j < nBuckets && j < len(cur.buckets) && j < len(prev.buckets); j++ {
-				buckets[j] += cur.buckets[j] - prev.buckets[j]
-			}
-		} else {
-			count += cur.count
-			sum += cur.sum
-			for j := 0; j < nBuckets && j < len(cur.buckets); j++ {
-				buckets[j] += cur.buckets[j]
-			}
-		}
-	}
-	return count, sum, buckets
 }
 
 // bucketQuantile interpolates the q-quantile from bucket counts (a live
@@ -524,35 +480,40 @@ func (s *Sampler) HistogramWindow(name string, match map[string][]string, w time
 		return HistogramWindow{}, false
 	}
 	now := s.cfg.Clock()
+	s.reg.mu.RLock()
+	defer s.reg.mu.RUnlock()
+	return histogramWindow(s.reg.seriesOf(name, kindHistogram), match, now, w)
+}
+
+// histogramWindow reduces the histogram series of ss passing match. Each
+// series' count, sum and bucket counts are its last sample minus its
+// baseline.
+func histogramWindow(ss []*series, match map[string][]string, now time.Time, w time.Duration) (HistogramWindow, bool) {
 	var agg HistogramWindow
 	var maxElapsed time.Duration
 	ok := false
-	s.mu.Lock()
-	for _, r := range s.matching(name, "histogram", match) {
-		samples := r.selectWindow(now, w)
-		if len(samples) < 2 {
+	for _, sr := range ss {
+		if !matchLabels(sr.labels, match) {
 			continue
 		}
-		count, sum, buckets := histIncrease(samples, len(r.bounds))
-		agg.Count += count
-		agg.Sum += sum
+		start, n := sr.window(now, w), sr.samples.Len()
+		if n-start < 2 {
+			continue
+		}
+		base, last := sr.samples.At(start), sr.samples.At(n-1)
+		agg.Count += last.count - base.count
+		agg.Sum += last.sum - base.sum
 		if agg.bounds == nil {
-			agg.bounds = r.bounds
-			agg.buckets = buckets
-		} else {
-			for j := 0; j < len(agg.buckets) && j < len(buckets); j++ {
-				agg.buckets[j] += buckets[j]
-			}
+			agg.bounds = sr.metric.(*Histogram).bounds
+			agg.buckets = make([]int64, len(agg.bounds))
 		}
-		if e := samples[len(samples)-1].at.Sub(samples[0].at); e > maxElapsed {
-			maxElapsed = e
+		for j := 0; j < len(agg.buckets) && j < len(last.buckets); j++ {
+			agg.buckets[j] += last.buckets[j] - base.buckets[j]
 		}
-		if len(samples) > agg.Samples {
-			agg.Samples = len(samples)
-		}
+		maxElapsed = max(maxElapsed, last.at.Sub(base.at))
+		agg.Samples = max(agg.Samples, n-start)
 		ok = true
 	}
-	s.mu.Unlock()
 	if !ok {
 		return HistogramWindow{}, false
 	}
@@ -583,18 +544,16 @@ func (s *Sampler) LabelValues(name, label string) []string {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
 	seen := make(map[string]bool)
-	for _, key := range s.order {
-		r := s.rings[key]
-		if r.name != name {
-			continue
-		}
-		if v, ok := r.labels[label]; ok {
-			seen[v] = true
+	s.reg.mu.RLock()
+	if f := s.reg.families[name]; f != nil {
+		for _, sr := range f.series {
+			if v, ok := sr.labels[label]; ok && sr.samples.Len() > 0 {
+				seen[v] = true
+			}
 		}
 	}
-	s.mu.Unlock()
+	s.reg.mu.RUnlock()
 	out := make([]string, 0, len(seen))
 	for v := range seen {
 		out = append(out, v)
@@ -657,8 +616,10 @@ func f64p(v float64) *float64 { return &v }
 
 // SeriesSnapshot reduces every sampled series (optionally filtered by
 // metric name — exact, or prefix with a trailing '*') over the given
-// windows. Series order follows first-sampled order; windows render under
-// their FormatWindow names.
+// windows. Series come in registration order: families in the order they
+// were first registered, each family's series likewise. A series is
+// listed once it has a sample; windows render under their FormatWindow
+// names.
 func (s *Sampler) SeriesSnapshot(windows []time.Duration, metric string) SeriesSetJSON {
 	out := SeriesSetJSON{Series: []SeriesJSON{}}
 	if s == nil {
@@ -670,78 +631,68 @@ func (s *Sampler) SeriesSnapshot(windows []time.Duration, metric string) SeriesS
 		out.Windows = append(out.Windows, FormatWindow(w))
 	}
 	s.mu.Lock()
-	keys := append([]string(nil), s.order...)
 	out.Ticks = s.ticks
 	s.mu.Unlock()
-	prefix := ""
-	if strings.HasSuffix(metric, "*") {
-		prefix = strings.TrimSuffix(metric, "*")
-	}
-	for _, key := range keys {
-		s.mu.Lock()
-		r := s.rings[key]
-		s.mu.Unlock()
-		if metric != "" {
-			if prefix != "" {
-				if !strings.HasPrefix(r.name, prefix) {
-					continue
-				}
-			} else if r.name != metric {
+	s.reg.mu.RLock()
+	defer s.reg.mu.RUnlock()
+	for _, f := range s.reg.order {
+		if !metricMatches(f.name, metric) {
+			continue
+		}
+		for i, sr := range f.series {
+			if sr.samples.Len() == 0 {
 				continue
 			}
-		}
-		sj := SeriesJSON{Name: r.name, Kind: r.kind, Labels: r.labels, Windows: make(map[string]WindowAggJSON, len(windows))}
-		match := exactMatch(r.labels)
-		for _, w := range windows {
-			var agg WindowAggJSON
-			switch r.kind {
-			case "counter":
-				cw, ok := s.CounterWindow(r.name, match, w)
-				if !ok {
-					continue
+			one := f.series[i : i+1]
+			sj := SeriesJSON{Name: f.name, Kind: string(f.kind), Labels: sr.labels, Windows: make(map[string]WindowAggJSON, len(windows))}
+			for _, w := range windows {
+				var agg WindowAggJSON
+				switch f.kind {
+				case kindCounter:
+					cw, ok := counterWindow(one, nil, out.Now, w)
+					if !ok {
+						continue
+					}
+					agg.Samples = cw.Samples
+					agg.Delta = f64p(cw.Delta)
+					agg.Rate = f64p(cw.Rate)
+				case kindGauge:
+					gw, ok := gaugeWindow(one, nil, out.Now, w)
+					if !ok {
+						continue
+					}
+					agg.Samples = gw.Samples
+					agg.Last = f64p(gw.Last)
+					agg.Min = f64p(gw.Min)
+					agg.Max = f64p(gw.Max)
+					agg.Avg = f64p(gw.Avg)
+				case kindHistogram:
+					hw, ok := histogramWindow(one, nil, out.Now, w)
+					if !ok {
+						continue
+					}
+					agg.Samples = hw.Samples
+					agg.Count = &hw.Count
+					agg.Sum = f64p(hw.Sum)
+					agg.Rate = f64p(hw.Rate)
+					agg.P50 = f64p(hw.P50)
+					agg.P95 = f64p(hw.P95)
+					agg.P99 = f64p(hw.P99)
 				}
-				agg.Samples = cw.Samples
-				agg.Delta = f64p(cw.Delta)
-				agg.Rate = f64p(cw.Rate)
-			case "gauge":
-				gw, ok := s.GaugeWindow(r.name, match, w)
-				if !ok {
-					continue
-				}
-				agg.Samples = gw.Samples
-				agg.Last = f64p(gw.Last)
-				agg.Min = f64p(gw.Min)
-				agg.Max = f64p(gw.Max)
-				agg.Avg = f64p(gw.Avg)
-			case "histogram":
-				hw, ok := s.HistogramWindow(r.name, match, w)
-				if !ok {
-					continue
-				}
-				agg.Samples = hw.Samples
-				count := hw.Count
-				agg.Count = &count
-				agg.Sum = f64p(hw.Sum)
-				agg.Rate = f64p(hw.Rate)
-				agg.P50 = f64p(hw.P50)
-				agg.P95 = f64p(hw.P95)
-				agg.P99 = f64p(hw.P99)
+				sj.Windows[FormatWindow(w)] = agg
 			}
-			sj.Windows[FormatWindow(w)] = agg
+			out.Series = append(out.Series, sj)
 		}
-		out.Series = append(out.Series, sj)
 	}
 	return out
 }
 
-// exactMatch builds a match spec selecting exactly one series' labels.
-func exactMatch(labels Labels) map[string][]string {
-	if len(labels) == 0 {
-		return nil
+// metricMatches reports whether a family name passes the /debug/series
+// metric filter: empty passes every name, a trailing '*' makes the rest a
+// prefix, anything else must equal the name.
+func metricMatches(name, metric string) bool {
+	if prefix, ok := strings.CutSuffix(metric, "*"); ok {
+		return strings.HasPrefix(name, prefix)
 	}
-	m := make(map[string][]string, len(labels))
-	for k, v := range labels {
-		m[k] = []string{v}
-	}
-	return m
+	return metric == "" || name == metric
 }

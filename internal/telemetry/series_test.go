@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -74,44 +76,6 @@ func TestCounterWindowDeterministic(t *testing.T) {
 	}
 }
 
-// TestCounterResetTolerance: a counter dropping below its previous sample
-// (process restart) contributes its new cumulative value as the
-// increment, not a huge negative delta.
-func TestCounterResetTolerance(t *testing.T) {
-	if d, _ := counterIncrease([]tickSample{
-		{at: time.Unix(0, 0), value: 30},
-		{at: time.Unix(1, 0), value: 40},
-		{at: time.Unix(2, 0), value: 10}, // reset: counter restarted at 10
-		{at: time.Unix(3, 0), value: 12},
-	}); d != 22 {
-		t.Fatalf("counterIncrease with reset = %v, want 22 (10 + 10 + 2)", d)
-	}
-
-	// End-to-end: swap in a fresh registry mid-flight, as a restart would.
-	reg1 := NewRegistry()
-	reg1.Counter("jobs_total", "test", nil).Add(30)
-	s, clk := newTestSampler(reg1, time.Second, time.Minute)
-	clk.Advance(time.Second)
-	s.Tick()
-	reg1.Counter("jobs_total", "test", nil).Add(10)
-	clk.Advance(time.Second)
-	s.Tick()
-
-	reg2 := NewRegistry()
-	reg2.Counter("jobs_total", "test", nil).Add(7)
-	s.reg = reg2
-	clk.Advance(time.Second)
-	s.Tick()
-
-	cw, ok := s.CounterWindow("jobs_total", nil, 10*time.Second)
-	if !ok {
-		t.Fatal("window not ok")
-	}
-	if cw.Delta != 17 {
-		t.Fatalf("delta across reset = %v, want 17 (10 increase + 7 post-reset)", cw.Delta)
-	}
-}
-
 // TestRingWraparound: ticking far past the ring capacity keeps only the
 // newest MaxWindow worth of samples and the window math stays correct.
 func TestRingWraparound(t *testing.T) {
@@ -125,10 +89,9 @@ func TestRingWraparound(t *testing.T) {
 		c.Inc()
 		s.Tick()
 	}
-	s.mu.Lock()
-	ring := s.rings["jobs_total\x00"]
-	n := ring.samples.Len()
-	s.mu.Unlock()
+	reg.mu.RLock()
+	n := reg.families["jobs_total"].series[0].samples.Len()
+	reg.mu.RUnlock()
 	if n != capacity {
 		t.Fatalf("ring holds %d samples after 20 ticks, want capacity %d", n, capacity)
 	}
@@ -273,25 +236,6 @@ func hw2p95(s *Sampler) float64 {
 	return hw.P95
 }
 
-// TestHistogramResetTolerance: a histogram count going backwards is a
-// restart; the new cumulative state is the increment.
-func TestHistogramResetTolerance(t *testing.T) {
-	count, sum, buckets := histIncrease([]tickSample{
-		{at: time.Unix(0, 0), count: 50, sum: 5, buckets: []int64{50, 50}},
-		{at: time.Unix(1, 0), count: 60, sum: 6, buckets: []int64{60, 60}},
-		{at: time.Unix(2, 0), count: 3, sum: 9, buckets: []int64{1, 3}}, // reset
-	}, 2)
-	if count != 13 {
-		t.Fatalf("count = %d, want 13 (10 increase + 3 post-reset)", count)
-	}
-	if math.Abs(sum-10) > 1e-9 {
-		t.Fatalf("sum = %v, want 10 (1 increase + 9 post-reset)", sum)
-	}
-	if buckets[0] != 11 || buckets[1] != 13 {
-		t.Fatalf("buckets = %v, want [11 13]", buckets)
-	}
-}
-
 // TestBucketQuantileEdges: empty windows, out-of-range q, and ranks
 // landing in the +Inf overflow bucket.
 func TestBucketQuantileEdges(t *testing.T) {
@@ -383,6 +327,16 @@ func TestSamplerNilSafe(t *testing.T) {
 	snap := s.SeriesSnapshot([]time.Duration{time.Minute}, "")
 	if len(snap.Series) != 0 {
 		t.Fatal("nil sampler snapshot has series")
+	}
+
+	// A sampler over a nil registry ticks over an empty one.
+	s = NewSampler(nil, SamplerConfig{})
+	s.Tick()
+	if s.Ticks() != 1 || len(s.SeriesSnapshot([]time.Duration{time.Minute}, "").Series) != 0 {
+		t.Fatal("sampler over a nil registry did not tick an empty one")
+	}
+	if _, ok := s.CounterWindow("x", nil, time.Minute); ok {
+		t.Fatal("sampler over a nil registry reported a counter window")
 	}
 }
 
@@ -484,10 +438,122 @@ func TestSeriesSnapshot(t *testing.T) {
 	}
 }
 
+// TestSeriesSnapshotOrder: /debug/series lists series in registration
+// order (families as first registered, each family's series likewise),
+// not in the order they were first sampled, and leaves out series with
+// no sample yet.
+func TestSeriesSnapshotOrder(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("b_total", "test", Labels{"k": "x"})
+	reg.Gauge("a_depth", "test", nil)
+	s, clk := newTestSampler(reg, time.Second, time.Minute)
+	clk.Advance(time.Second)
+	s.Tick()
+	reg.Counter("b_total", "test", Labels{"k": "y"}) // first sampled after a_depth
+	clk.Advance(time.Second)
+	s.Tick()
+	reg.Gauge("c_depth", "test", nil) // never sampled
+
+	var got []string
+	for _, sj := range s.SeriesSnapshot([]time.Duration{time.Minute}, "").Series {
+		got = append(got, sj.Name+"{"+sj.Labels["k"]+"}")
+	}
+	want := []string{"b_total{x}", "b_total{y}", "a_depth{}"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("series order = %v, want %v", got, want)
+	}
+}
+
+// TestSeriesSnapshotPerSeries: each /debug/series entry reduces its own
+// series only, even where another series of the family carries a
+// superset of its labels.
+func TestSeriesSnapshotPerSeries(t *testing.T) {
+	reg := NewRegistry()
+	bare := reg.Counter("x_total", "test", nil)
+	labelled := reg.Counter("x_total", "test", Labels{"k": "1"})
+	s, clk := newTestSampler(reg, time.Second, time.Minute)
+	clk.Advance(time.Second)
+	s.Tick()
+	bare.Add(1)
+	labelled.Add(10)
+	clk.Advance(time.Second)
+	s.Tick()
+	var got []string
+	for _, sj := range s.SeriesSnapshot([]time.Duration{time.Minute}, "").Series {
+		got = append(got, fmt.Sprintf("{%s}=%g", sj.Labels["k"], *sj.Windows["1m"].Delta))
+	}
+	if want := []string{"{}=1", "{1}=10"}; !slices.Equal(got, want) {
+		t.Fatalf("series deltas = %v, want %v", got, want)
+	}
+}
+
 // Interval returns the configured tick period.
 func (s *Sampler) Interval() time.Duration {
 	if s == nil {
 		return 0
 	}
 	return s.cfg.Interval
+}
+
+// benchSampler builds a registry of 200 series (100 labelled counters,
+// 50 gauges, 50 default-bucket histograms) and a sampler over it at the
+// daemon's default 5s interval and 15m retention, ticked until every ring
+// is full.
+func benchSampler(b *testing.B) (*Sampler, *fakeClock, func()) {
+	reg := NewRegistry()
+	var counters []*Counter
+	var gauges []*Gauge
+	var hists []*Histogram
+	for i := 0; i < 100; i++ {
+		counters = append(counters, reg.Counter(fmt.Sprintf("bench_%d_total", i%10), "bench", Labels{"solver": fmt.Sprint(i)}))
+	}
+	for i := 0; i < 50; i++ {
+		gauges = append(gauges, reg.Gauge(fmt.Sprintf("bench_gauge_%d", i), "bench", nil))
+		hists = append(hists, reg.Histogram("bench_seconds", "bench", nil, Labels{"solver": fmt.Sprint(i)}))
+	}
+	s, clk := newTestSampler(reg, DefaultSeriesInterval, DefaultSeriesWindow)
+	step := 0
+	advance := func() {
+		step++
+		for i, c := range counters {
+			c.Add(int64(i%3 + step%2))
+		}
+		for i, g := range gauges {
+			g.Set(float64((i + step) % 7))
+		}
+		for i, h := range hists {
+			h.Observe(float64((i+step)%40) * 0.01)
+		}
+		clk.Advance(DefaultSeriesInterval)
+		s.Tick()
+	}
+	for i := 0; i < s.capacity(); i++ {
+		advance()
+	}
+	return s, clk, advance
+}
+
+// BenchmarkSamplerTick measures one tick over 200 series whose rings are
+// full, so every push evicts.
+func BenchmarkSamplerTick(b *testing.B) {
+	_, _, advance := benchSampler(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		advance()
+	}
+}
+
+// BenchmarkSeriesSnapshot measures the /debug/series reduction of 200
+// full series over the default 1m, 5m and 15m windows.
+func BenchmarkSeriesSnapshot(b *testing.B) {
+	s, _, _ := benchSampler(b)
+	windows := []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if snap := s.SeriesSnapshot(windows, ""); len(snap.Series) != 200 {
+			b.Fatalf("snapshot has %d series, want 200", len(snap.Series))
+		}
+	}
 }
