@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -run='^FuzzEvaluate$$' -fuzz='^FuzzEvaluate$$' -fuzztime=$(FUZZTIME) ./internal/cq/
 	$(GO) test -run='^FuzzParseDatabase$$' -fuzz='^FuzzParseDatabase$$' -fuzztime=$(FUZZTIME) ./internal/textio/
 	$(GO) test -run='^FuzzRelationOps$$' -fuzz='^FuzzRelationOps$$' -fuzztime=$(FUZZTIME) ./internal/relation/
+	$(GO) test -run='^FuzzTraceFreeze$$' -fuzz='^FuzzTraceFreeze$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 
 # Short fuzz pass for CI: the same targets at 10s each.
 fuzz-smoke:

@@ -240,21 +240,13 @@ func register(w *workload.Workload) func() (any, error) {
 }
 
 // registerText builds a skeleton from w's database and query texts, as
-// POST /sessions does: render both, parse them, then NewProblem. The texts
-// are rendered inside the call, so a skeleton that kept its text alive
-// would count it.
+// POST /sessions does: render both, then Prepare a resident source. The
+// texts are rendered inside the call, so a skeleton that kept its text
+// alive would count it.
 func registerText(w *workload.Workload) func() (any, error) {
 	return func() (any, error) {
 		db, queries := textio.FormatDatabase(w.DB), programText(w.Queries)
-		inst, err := textio.ParseDatabase(db)
-		if err != nil {
-			return nil, err
-		}
-		qs, err := cq.ParseProgram(queries)
-		if err != nil {
-			return nil, err
-		}
-		return NewProblem(inst, qs, nil)
+		return Prepare(Source{Database: db, Queries: queries, Resident: true}, nil)
 	}
 }
 

@@ -18,6 +18,11 @@ type Source struct {
 	Skeleton          *Problem // resolved against by Specialize when set
 	Deletions         string   // the deletion request text; may be empty
 	Weights           map[string]float64
+	// Resident marks a problem that outlives its request, a warm
+	// session's skeleton: the parse copies the database out of its text
+	// (relation.Instance.Detach), which a problem that dies with the
+	// request would pay for nothing.
+	Resident bool
 }
 
 // Prepare is the front half every solve shares before Run: the parse
@@ -58,6 +63,8 @@ func (src Source) parse() (db *relation.Instance, queries []*cq.Query, delta *vi
 		queries = src.Skeleton.Queries
 	} else if db, queries, err = textio.ParseInstance(src.Database, src.Queries); err != nil {
 		return nil, nil, nil, err
+	} else if src.Resident {
+		db.Detach()
 	}
 	if src.Deletions != "" {
 		if delta, err = textio.ParseDeletions(src.Deletions, queries); err != nil {

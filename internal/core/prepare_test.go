@@ -6,7 +6,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"delprop/internal/relation"
 	"delprop/internal/telemetry"
 )
 
@@ -124,5 +126,56 @@ func TestPrepareColdMatchesSkeleton(t *testing.T) {
 	// XML) at 3 and three unit Q4 tuples: the weights took on both sides.
 	if got := warm.Evaluate(all).SideEffect; got != 6.5 {
 		t.Errorf("weighted side effect %v, want 6.5", got)
+	}
+}
+
+// TestPrepareResidentCopiesText: no value, relation name or attribute of
+// a resident source's parsed instance lies inside the database text, so
+// a warm session does not keep its text alive, and each distinct value
+// is one string. The instance keeps working: every relation is found by
+// its name and every tuple by its key.
+func TestPrepareResidentCopiesText(t *testing.T) {
+	src := strings.Clone(prepareDB)
+	p, err := Prepare(Source{Database: src, Queries: prepareQueries, Resident: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	inside := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p >= lo && p < lo+uintptr(len(src))
+	}
+	data := map[relation.Value]*byte{}
+	for _, name := range p.DB.RelationNames() {
+		r := p.DB.Relation(name)
+		if r == nil {
+			t.Fatalf("relation %s not found by its name", name)
+		}
+		if inside(name) || inside(r.Schema().Name) {
+			t.Errorf("relation name %q lies inside the source text", name)
+		}
+		for _, a := range r.Schema().Attrs {
+			if inside(a) {
+				t.Errorf("attribute %s.%s lies inside the source text", name, a)
+			}
+		}
+		for _, tp := range r.Tuples() {
+			if !r.Contains(tp.Clone()) {
+				t.Errorf("%s%s not found", name, tp)
+			}
+			for _, v := range tp {
+				if inside(string(v)) {
+					t.Errorf("value %q of %s%s lies inside the source text", v, name, tp)
+				}
+				p := unsafe.StringData(string(v))
+				if q, ok := data[v]; ok && q != p {
+					t.Errorf("value %q is held by two strings", v)
+				}
+				data[v] = p
+			}
+		}
+	}
+	if len(data) != 8 {
+		t.Errorf("%d distinct values, want 8", len(data))
 	}
 }

@@ -546,6 +546,63 @@ func (db *Instance) AddRelation(s *Schema) *Relation {
 	return r
 }
 
+// Detach copies every value, relation name and attribute of the
+// instance into storage of its own, each distinct value once, so that
+// the instance no longer keeps alive the text it was parsed from. Call
+// it on an instance that stays resident, before anything else takes its
+// values.
+func (db *Instance) Detach() {
+	// Sized for one new value a tuple, which spares most databases the
+	// table's growth.
+	in := interner{seen: make(map[string]string, db.Size())}
+	rels := make(map[string]*Relation, len(db.rels))
+	for i, name := range db.names {
+		r := db.rels[name]
+		s := r.schema
+		s.Name = in.copy(s.Name)
+		for j, a := range s.Attrs {
+			s.Attrs[j] = in.copy(a)
+		}
+		db.names[i] = s.Name
+		rels[s.Name] = r
+		for _, t := range r.rows {
+			for j, v := range t {
+				t[j] = Value(in.copy(string(v)))
+			}
+		}
+	}
+	db.rels = rels
+}
+
+// interner copies strings out of whatever they are cut from, each
+// distinct string once. The copies are packed into chunks that double in
+// size, so a database's values take a few allocations and at most twice
+// their bytes.
+type interner struct {
+	seen  map[string]string
+	chunk strings.Builder
+}
+
+// copy returns the copy of s, making it on s's first occurrence.
+func (in *interner) copy(s string) string {
+	if c, ok := in.seen[s]; ok {
+		return c
+	}
+	if in.chunk.Cap()-in.chunk.Len() < len(s) {
+		// Strings already cut from the old chunk keep it alive.
+		size := max(2*in.chunk.Cap(), len(s), 64)
+		in.chunk = strings.Builder{}
+		in.chunk.Grow(size)
+	}
+	start := in.chunk.Len()
+	in.chunk.WriteString(s)
+	// The builder only appends within its capacity, so the bytes under
+	// String() stay fixed.
+	c := in.chunk.String()[start:]
+	in.seen[s] = c
+	return c
+}
+
 // Relation returns the named relation, or nil if absent.
 func (db *Instance) Relation(name string) *Relation { return db.rels[name] }
 

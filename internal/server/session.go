@@ -133,7 +133,7 @@ func (a *api) handleSessionRegister(w http.ResponseWriter, r *http.Request) {
 	e, reused, err := a.sessions.Register(r.Context(), fp, tenant, func() (*core.Problem, error) {
 		// The build runs once per fingerprint under the registering
 		// request's spans; waiters on the single-flight latch pay nothing.
-		return core.Prepare(core.Source{Database: req.Database, Queries: req.Queries}, tr.Span)
+		return core.Prepare(core.Source{Database: req.Database, Queries: req.Queries, Resident: true}, tr.Span)
 	})
 	if err != nil {
 		writeSessionErr(w, reqID, "", err)

@@ -15,7 +15,9 @@ import (
 // TestTraceRingRetainedHeap bounds the live heap the tracer keeps once
 // its ring holds telemetry.DefaultTraceBuffer finished Fig. 1 solves:
 // per trace its attributes, spans and events. The reading is the least
-// of three, so a stray allocation elsewhere cannot inflate it.
+// of three, so a stray allocation elsewhere cannot inflate it. Each
+// reading collects twice: objects a sync.Pool dropped survive one
+// collection in its victim cache.
 func TestTraceRingRetainedHeap(t *testing.T) {
 	body, err := json.Marshal(InstanceRequest{
 		Database:  fig1DB,
@@ -27,6 +29,7 @@ func TestTraceRingRetainedHeap(t *testing.T) {
 	}
 	live := func() uint64 {
 		var ms runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
@@ -54,9 +57,12 @@ func TestTraceRingRetainedHeap(t *testing.T) {
 		runtime.KeepAlive(tracer)
 		best = min(best, (float64(after)-float64(before))/1024)
 	}
-	// About 185 KB on linux/amd64.
+	// 38.8 KB on linux/amd64, 39.2 KB under -race: about 620 bytes a
+	// trace, its header and the block Finish froze it into. Kept in
+	// their mutable form, the traces' attributes, spans and events took
+	// 190 KB.
 	t.Logf("trace ring retains %.1f KB", best)
-	if best > 240 {
-		t.Errorf("trace ring retains %.1f KB, want <= 240", best)
+	if best > 43 {
+		t.Errorf("trace ring retains %.1f KB, want <= 43", best)
 	}
 }

@@ -125,9 +125,29 @@ var wireGolden = map[string]string{
 // TestEventWireGolden pins the JSON bytes of every event type — the SSE
 // data: lines, the postmortem bundles' event lists and the stream-control
 // frames all carry this encoding — and checks that decoding a line into
-// telemetry.Event and re-encoding it reproduces the same bytes.
+// telemetry.Event and re-encoding it reproduces the same bytes, and that
+// a finished trace, which postmortems read, gives back the same bytes.
 func TestEventWireGolden(t *testing.T) {
-	for _, c := range wireEvents(t) {
+	cases := wireEvents(t)
+	tr := telemetry.NewTracer(0).Start("solve")
+	for _, c := range cases {
+		tr.AddEvent(c.ev)
+	}
+	tr.Finish()
+	frozen := tr.Events()
+	if len(frozen) != len(cases) {
+		t.Fatalf("finished trace holds %d events, want %d", len(frozen), len(cases))
+	}
+	for i, ev := range frozen {
+		got, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatalf("%s: %v", cases[i].name, err)
+		}
+		if want := wireGolden[cases[i].name]; string(got) != want {
+			t.Errorf("%s from a finished trace:\n got %s\nwant %s", cases[i].name, got, want)
+		}
+	}
+	for _, c := range cases {
 		want, ok := wireGolden[c.name]
 		if !ok {
 			t.Fatalf("%s: no golden line", c.name)

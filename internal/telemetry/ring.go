@@ -49,15 +49,6 @@ func (r *Ring[T]) Push(v T) (evicted bool) {
 	return false
 }
 
-// Clip moves the elements into storage of exactly their number, oldest
-// first, dropping the spare capacity growth left; use it on a ring that
-// has stopped growing but stays resident.
-func (r *Ring[T]) Clip() {
-	if cap(r.buf) > r.n {
-		r.buf, r.head = r.Slice(), 0
-	}
-}
-
 // Slice returns a copy of the elements, oldest first.
 func (r *Ring[T]) Slice() []T {
 	out := make([]T, r.n)

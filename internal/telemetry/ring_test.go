@@ -50,27 +50,3 @@ func TestRingDrainThenRefill(t *testing.T) {
 		t.Fatal("capacity < 1 does not hold one element")
 	}
 }
-
-// TestRingClip: Clip trims a grown, wrapped ring's storage to its
-// elements without changing their order, and the ring keeps working.
-func TestRingClip(t *testing.T) {
-	r := NewRing[int](8)
-	for i := 1; i <= 5; i++ {
-		r.Push(i)
-	}
-	r.Drain(2) // head moves: the elements are 3, 4, 5
-	r.Push(6)
-	r.Clip()
-	if got := r.Slice(); cap(r.buf) != 4 || !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
-		t.Fatalf("clipped ring = %v (cap %d), want [3 4 5 6] (cap 4)", got, cap(r.buf))
-	}
-	r.Push(7)
-	if got := r.Slice(); !reflect.DeepEqual(got, []int{3, 4, 5, 6, 7}) {
-		t.Fatalf("push after Clip = %v, want [3 4 5 6 7]", got)
-	}
-	var empty Ring[int]
-	empty.Clip()
-	if empty.Len() != 0 {
-		t.Fatal("clipping an empty ring added elements")
-	}
-}

@@ -53,22 +53,34 @@ const maxTraceEvents = 32
 
 // Trace is one in-flight or finished trace: a named operation with
 // attributes, an ordered list of phase spans and the events the
-// operation published. A nil *Trace (from a nil Tracer) is a valid no-op.
+// operation published. A running trace keeps them in a traceState;
+// Finish freezes them into one compact, immutable block (freeze.go), and
+// reading a finished trace decodes it. A nil *Trace (from a nil Tracer)
+// is a valid no-op.
 //
 //delprop:nilsafe
 type Trace struct {
 	tracer *Tracer
-
-	mu sync.Mutex
 	// id, name and start are set once at Start and never mutated, so
 	// lock-free reads (ID, the live-snapshot sort) are safe.
-	id     uint64
-	name   string
-	start  time.Time
-	end    time.Time   //delprop:guardedby mu
-	attrs  []attr      //delprop:guardedby mu
-	spans  []span      //delprop:guardedby mu
-	events Ring[Event] //delprop:guardedby mu
+	id    uint64
+	name  string
+	start time.Time
+
+	mu sync.Mutex
+	// live holds a running trace's contents. Finish swaps it for frozen,
+	// or, when an event holds a value the block cannot encode, keeps it
+	// with its end set.
+	live   *traceState //delprop:guardedby mu
+	frozen string      //delprop:guardedby mu
+}
+
+// traceState is a trace's contents in their mutable form.
+type traceState struct {
+	end    time.Time // zero while the trace runs
+	attrs  []attr
+	spans  []span
+	events Ring[Event]
 }
 
 // attr is one trace attribute; a trace keeps each key once, in the order
@@ -94,7 +106,7 @@ func (t *Tracer) Start(name string) *Trace {
 	id := t.nextID
 	// A solve trace holds one span per lifecycle phase.
 	tr := &Trace{tracer: t, id: id, name: name, start: time.Now(),
-		spans: make([]span, 0, len(Phases)), events: NewRing[Event](maxTraceEvents)}
+		live: &traceState{spans: make([]span, 0, len(Phases)), events: NewRing[Event](maxTraceEvents)}}
 	if t.live == nil {
 		t.live = make(map[uint64]*Trace)
 	}
@@ -112,21 +124,48 @@ func (tr *Trace) ID() uint64 {
 	return tr.id
 }
 
+// running returns the contents of a trace that has not finished, nil
+// once it has.
+//
+//delprop:holds mu
+func (tr *Trace) running() *traceState {
+	if st := tr.live; st != nil && st.end.IsZero() {
+		return st
+	}
+	return nil
+}
+
+// state returns the trace's contents: the live form, or a decoding of
+// the frozen one.
+//
+//delprop:holds mu
+func (tr *Trace) state() *traceState {
+	if tr.live != nil {
+		return tr.live
+	}
+	return thaw(tr.frozen, tr.start)
+}
+
 // SetAttr attaches a key/value attribute (solver name, instance sizes),
-// replacing the key's earlier value in place.
+// replacing the key's earlier value in place. A finished trace is
+// immutable: SetAttr then does nothing.
 func (tr *Trace) SetAttr(key, value string) {
 	if tr == nil {
 		return
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for i := range tr.attrs {
-		if tr.attrs[i].key == key {
-			tr.attrs[i].value = value
+	st := tr.running()
+	if st == nil {
+		return
+	}
+	for i := range st.attrs {
+		if st.attrs[i].key == key {
+			st.attrs[i].value = value
 			return
 		}
 	}
-	tr.attrs = append(tr.attrs, attr{key, value})
+	st.attrs = append(st.attrs, attr{key, value})
 }
 
 // Span opens a named phase and returns the closure that ends it. Typical
@@ -135,19 +174,29 @@ func (tr *Trace) SetAttr(key, value string) {
 //	done := tr.Span("parse")
 //	... phase work ...
 //	done()
+//
+// Finish ends the spans still open; a span opened or ended after Finish
+// changes nothing.
 func (tr *Trace) Span(name string) func() {
 	if tr == nil {
 		return func() {}
 	}
 	tr.mu.Lock()
-	tr.spans = append(tr.spans, span{name: name, start: time.Now()})
-	i := len(tr.spans) - 1
+	st := tr.running()
+	if st == nil {
+		tr.mu.Unlock()
+		return func() {}
+	}
+	st.spans = append(st.spans, span{name: name, start: time.Now()})
+	i := len(st.spans) - 1
 	tr.mu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			tr.mu.Lock()
-			tr.spans[i].end = time.Now()
+			if tr.running() == st {
+				st.spans[i].end = time.Now()
+			}
 			tr.mu.Unlock()
 		})
 	}
@@ -162,8 +211,9 @@ func (tr *Trace) SpanDuration(name string) time.Duration {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for i := len(tr.spans) - 1; i >= 0; i-- {
-		s := tr.spans[i]
+	spans := tr.state().spans
+	for i := len(spans) - 1; i >= 0; i-- {
+		s := spans[i]
 		if s.name == name && !s.end.IsZero() {
 			return s.end.Sub(s.start)
 		}
@@ -180,8 +230,8 @@ func (tr *Trace) AddEvent(ev Event) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if tr.end.IsZero() {
-		tr.events.Push(ev)
+	if st := tr.running(); st != nil {
+		st.events.Push(ev)
 	}
 }
 
@@ -192,7 +242,7 @@ func (tr *Trace) Events() []Event {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.events.Slice()
+	return tr.state().events.Slice()
 }
 
 // Render returns the trace in the /debug/traces schema, live-form when it
@@ -205,32 +255,39 @@ func (tr *Trace) Render() *TraceJSON {
 	return &tj
 }
 
-// Finish ends the trace and commits it to the tracer's ring buffer,
-// evicting the oldest entry when full. Idempotent.
+// Finish ends the trace, ending its open spans, freezes its contents and
+// commits it to the tracer's ring buffer, evicting the oldest entry when
+// full. Idempotent.
 func (tr *Trace) Finish() {
 	if tr == nil {
 		return
 	}
 	tr.mu.Lock()
-	if !tr.end.IsZero() {
+	st := tr.running()
+	if st == nil {
 		tr.mu.Unlock()
 		return
 	}
-	tr.end = time.Now()
-	for i := range tr.spans {
-		if tr.spans[i].end.IsZero() {
-			tr.spans[i].end = tr.end
-		}
+	st.close(time.Now())
+	if block, ok := st.freeze(tr.start); ok {
+		tr.live, tr.frozen = nil, block
 	}
-	// The tracer's ring keeps the trace resident, and no event joins it
-	// after Finish: drop the storage its growth left spare.
-	tr.events.Clip()
 	t := tr.tracer
 	tr.mu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.live, tr.id)
 	t.ring.Push(tr)
+}
+
+// close ends the trace at end, and with it every span still open.
+func (st *traceState) close(end time.Time) {
+	st.end = end
+	for i := range st.spans {
+		if st.spans[i].end.IsZero() {
+			st.spans[i].end = end
+		}
+	}
 }
 
 // SpanJSON is one phase of a trace in the /debug/traces schema.
@@ -322,24 +379,25 @@ func (t *Tracer) LiveSnapshot() []TraceJSON {
 func (tr *Trace) render(now time.Time) TraceJSON {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	st := tr.state()
 	tj := TraceJSON{
 		ID:    tr.id,
 		Name:  tr.name,
 		Start: tr.start,
 	}
-	if !now.IsZero() && tr.end.IsZero() {
+	if !now.IsZero() && st.end.IsZero() {
 		tj.Live = true
 		tj.DurationMs = ms(now.Sub(tr.start))
 	} else {
-		tj.DurationMs = ms(tr.end.Sub(tr.start))
+		tj.DurationMs = ms(st.end.Sub(tr.start))
 	}
-	if len(tr.attrs) > 0 {
-		tj.Attrs = make(map[string]string, len(tr.attrs))
-		for _, a := range tr.attrs {
+	if len(st.attrs) > 0 {
+		tj.Attrs = make(map[string]string, len(st.attrs))
+		for _, a := range st.attrs {
 			tj.Attrs[a.key] = a.value
 		}
 	}
-	for _, s := range tr.spans {
+	for _, s := range st.spans {
 		sj := SpanJSON{
 			Name:     s.name,
 			OffsetMs: ms(s.start.Sub(tr.start)),

@@ -225,10 +225,11 @@ func TestTraceEvents(t *testing.T) {
 	}
 }
 
-// TestTraceStorageConcurrent races the writers of one trace's attributes
-// and events against its readers and against Finish, which compacts the
-// event storage; run it under -race. Each attribute key stays listed
-// once, with one of the values written to it.
+// TestTraceStorageConcurrent races the writers of one trace's attributes,
+// spans and events against its readers and against Finish, which freezes
+// the trace; the readers go on reading the finished trace and the
+// tracer's ring of finished traces. Run it under -race. Each attribute
+// key stays listed once, with one of the values written to it.
 func TestTraceStorageConcurrent(t *testing.T) {
 	tr := NewTracer(4)
 	keys := []string{"solver", "outcome", "tenant"}
@@ -241,7 +242,9 @@ func TestTraceStorageConcurrent(t *testing.T) {
 				defer wg.Done()
 				for j := 0; j < 50; j++ {
 					x.SetAttr(keys[(g+j)%len(keys)], strconv.Itoa(g))
+					end := x.Span(PhaseSolve)
 					x.AddEvent(Event{Seq: uint64(j), Type: "phase", Fields: Fields{{Key: "phase", Value: "solve"}}})
+					end()
 					if j == 25 && g == 0 {
 						x.Finish()
 					}
@@ -255,6 +258,8 @@ func TestTraceStorageConcurrent(t *testing.T) {
 				for j := 0; j < 50; j++ {
 					x.Render()
 					x.Events()
+					x.SpanDuration(PhaseSolve)
+					tr.Snapshot()
 					tr.RecentEvents(16)
 				}
 			}()
@@ -266,6 +271,12 @@ func TestTraceStorageConcurrent(t *testing.T) {
 		}
 		if n := len(x.Events()); n == 0 || n > maxTraceEvents {
 			t.Fatalf("trace kept %d events, want 1..%d", n, maxTraceEvents)
+		}
+		x.mu.Lock()
+		frozen := x.live == nil
+		x.mu.Unlock()
+		if !frozen {
+			t.Fatal("finished trace was not frozen")
 		}
 	}
 }

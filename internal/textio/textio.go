@@ -47,15 +47,12 @@ func ParseInstance(database, program string) (*relation.Instance, []*cq.Query, e
 	return db, queries, nil
 }
 
-// ParseDatabase parses the database format. The instance keeps no
-// reference to src: each distinct value is copied once, into storage
-// shared with the other values, and the schema names are copies too.
+// ParseDatabase parses the database format. The instance's values,
+// relation names and attributes are substrings of src; an instance that
+// outlives src copies them out with Detach.
 func ParseDatabase(src string) (*relation.Instance, error) {
 	db := relation.NewInstance()
 	var t relation.Tuple // one fact's values; Insert keeps a copy
-	// Sized for one new value a line, which spares most databases the
-	// table's growth.
-	values := interner{seen: make(map[relation.Value]relation.Value, strings.Count(src, "\n"))}
 	rest := src
 	for ln, more := 0, true; more; ln++ {
 		var raw string
@@ -84,9 +81,6 @@ func ParseDatabase(src string) (*relation.Instance, error) {
 			return nil, fmt.Errorf("line %d: %w: fact for undeclared relation %s", ln+1, ErrFormat, name)
 		}
 		t = appendArgs(t[:0], inner)
-		for i, v := range t {
-			t[i] = values.copy(v)
-		}
 		if err := r.Insert(t); err != nil {
 			return nil, fmt.Errorf("line %d: %v", ln+1, err)
 		}
@@ -94,37 +88,7 @@ func ParseDatabase(src string) (*relation.Instance, error) {
 	return db, nil
 }
 
-// interner copies a parse's values out of its source text, each distinct
-// value once. The copies are packed into chunks that double in size, so
-// a database's values take a few allocations and at most twice their
-// bytes.
-type interner struct {
-	seen  map[relation.Value]relation.Value
-	chunk strings.Builder
-}
-
-// copy returns the copy of v, making it on v's first occurrence.
-func (in *interner) copy(v relation.Value) relation.Value {
-	if c, ok := in.seen[v]; ok {
-		return c
-	}
-	if in.chunk.Cap()-in.chunk.Len() < len(v) {
-		// Strings already cut from the old chunk keep it alive.
-		size := max(2*in.chunk.Cap(), len(v), 64)
-		in.chunk = strings.Builder{}
-		in.chunk.Grow(size)
-	}
-	start := in.chunk.Len()
-	in.chunk.WriteString(string(v))
-	// The builder only appends within its capacity, so the bytes under
-	// String() stay fixed.
-	c := relation.Value(in.chunk.String()[start:])
-	in.seen[v] = c
-	return c
-}
-
 // parseSchema parses "T1(AuName*, Journal*)" where * marks key positions.
-// The schema's names are copies, not substrings of s.
 func parseSchema(s string) (*relation.Schema, error) {
 	name, args, err := splitCall[string](s)
 	if err != nil {
@@ -137,12 +101,12 @@ func parseSchema(s string) (*relation.Schema, error) {
 			key = append(key, i)
 			a = starred
 		}
-		attrs = append(attrs, strings.Clone(a))
+		attrs = append(attrs, a)
 	}
 	if len(key) == 0 {
 		return nil, fmt.Errorf("%w: relation %s declares no key attribute (mark with *)", ErrFormat, name)
 	}
-	return relation.NewSchema(strings.Clone(name), attrs, key)
+	return relation.NewSchema(name, attrs, key)
 }
 
 // splitCall parses name(arg1, arg2, ...) rejecting empty args.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"delprop/internal/cq"
 	"delprop/internal/relation"
@@ -116,48 +115,5 @@ func TestSplitCallEdgeCases(t *testing.T) {
 	}
 	if _, _, err := splitCall[string]("F(x,,y)"); err == nil {
 		t.Error("empty arg accepted")
-	}
-}
-
-// TestParseDatabaseCopiesText: no value, relation name or attribute of a
-// parsed instance lies inside the source text, so a resident instance
-// does not keep its text alive, and each distinct value is one string.
-func TestParseDatabaseCopiesText(t *testing.T) {
-	src := strings.Clone(fig1Text)
-	db, err := ParseDatabase(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
-	inside := func(s string) bool {
-		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-		return s != "" && p >= lo && p < lo+uintptr(len(src))
-	}
-	data := map[relation.Value]*byte{}
-	for _, name := range db.RelationNames() {
-		r := db.Relation(name)
-		if inside(name) || inside(r.Schema().Name) {
-			t.Errorf("relation name %q lies inside the source text", name)
-		}
-		for _, a := range r.Schema().Attrs {
-			if inside(a) {
-				t.Errorf("attribute %s.%s lies inside the source text", name, a)
-			}
-		}
-		for _, tp := range r.Tuples() {
-			for _, v := range tp {
-				if inside(string(v)) {
-					t.Errorf("value %q of %s%s lies inside the source text", v, name, tp)
-				}
-				p := unsafe.StringData(string(v))
-				if q, ok := data[v]; ok && q != p {
-					t.Errorf("value %q is held by two strings", v)
-				}
-				data[v] = p
-			}
-		}
-	}
-	if len(data) != 8 {
-		t.Errorf("%d distinct values, want 8", len(data))
 	}
 }
