@@ -63,13 +63,19 @@ func (a Atom) String() string {
 
 // Vars returns the distinct variables of the atom, in first-occurrence
 // order.
-func (a Atom) Vars() []string {
+func (a Atom) Vars() []string { return varsOf([]Atom{a}) }
+
+// varsOf returns the distinct variables of the atoms, in first-occurrence
+// order.
+func varsOf(atoms []Atom) []string {
 	var out []string
 	seen := make(map[string]bool)
-	for _, t := range a.Terms {
-		if t.IsVar() && !seen[t.Var] {
-			seen[t.Var] = true
-			out = append(out, t.Var)
+	for _, a := range atoms {
+		for _, t := range a.Terms {
+			if t.IsVar() && !seen[t.Var] {
+				seen[t.Var] = true
+				out = append(out, t.Var)
+			}
 		}
 	}
 	return out
@@ -102,33 +108,11 @@ func (q *Query) String() string {
 
 // HeadVars returns the set of head variables Var_h(Q), in first-occurrence
 // order.
-func (q *Query) HeadVars() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, t := range q.Head {
-		if t.IsVar() && !seen[t.Var] {
-			seen[t.Var] = true
-			out = append(out, t.Var)
-		}
-	}
-	return out
-}
+func (q *Query) HeadVars() []string { return varsOf([]Atom{{Terms: q.Head}}) }
 
 // BodyVars returns all distinct variables occurring in the body, in
 // first-occurrence order.
-func (q *Query) BodyVars() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, a := range q.Body {
-		for _, t := range a.Terms {
-			if t.IsVar() && !seen[t.Var] {
-				seen[t.Var] = true
-				out = append(out, t.Var)
-			}
-		}
-	}
-	return out
-}
+func (q *Query) BodyVars() []string { return varsOf(q.Body) }
 
 // ExistentialVars returns Var∃(Q): body variables not in the head, in
 // first-occurrence order.

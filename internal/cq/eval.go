@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -52,9 +51,9 @@ func (a Answer) Derivations() []Derivation {
 // the query was evaluated, and the Result keeps that snapshot of each
 // relation it read, so later deletions from the instance cannot shift
 // rows under it. Head values and derivations live in exact-size flat
-// arrays, and a head tuple finds its answer through an open-addressing
-// table hashed by the head's Encode form. The head values are written
-// once, when evaluation ends, from each answer's first derivation.
+// arrays, and a head tuple finds its answer through a relation.Table
+// hashed by the head values. The head values are written once, when
+// evaluation ends, from each answer's first derivation.
 type Result struct {
 	Query *Query
 	// heads[a*arity:(a+1)*arity] is answer a's head tuple; answers are
@@ -71,11 +70,8 @@ type Result struct {
 	// Relation.Tuples snapshot, which every evaluation over the same
 	// state of the relation shares.
 	atomRows [][]relation.Tuple
-	// slots is a hash table over the head tuples' Encode forms, at most
-	// half full, probed linearly: each slot holds an answer index plus
-	// one, or zero when empty.
-	slots []int32
-	seed  maphash.Seed
+	// index holds the answers, hashed by their head tuples (Tuple.Hash).
+	index relation.Table
 }
 
 // NumAnswers returns |Q(D)|.
@@ -138,8 +134,7 @@ func (r *Result) Derivation(d int) Derivation {
 // Position returns the index of the head tuple's answer in first-derived
 // order, if it is an answer.
 func (r *Result) Position(t relation.Tuple) (int, bool) {
-	var buf [64]byte
-	i, _ := r.probe(r.hash(t.AppendEncode(buf[:0])), func(a int32) bool { return r.Tuple(int(a)).Equal(t) })
+	i, _ := r.index.Find(t.Hash(), func(a int32) bool { return r.Tuple(int(a)).Equal(t) })
 	return int(i), i >= 0
 }
 
@@ -167,28 +162,6 @@ func (r *Result) String() string {
 	return r.Query.Name + "(D) = {" + strings.Join(lines, ", ") + "}"
 }
 
-// hash hashes a head tuple's Encode form.
-func (r *Result) hash(enc []byte) uint64 { return maphash.Bytes(r.seed, enc) }
-
-// probe walks the table from hash h's home slot and returns the first
-// answer eq accepts, or -1 and the empty slot where a new answer with
-// that hash belongs.
-func (r *Result) probe(h uint64, eq func(a int32) bool) (ans int32, slot int) {
-	if len(r.slots) == 0 {
-		return -1, 0
-	}
-	mask := len(r.slots) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		s := r.slots[i]
-		if s == 0 {
-			return -1, i
-		}
-		if eq(s - 1) {
-			return s - 1, i
-		}
-	}
-}
-
 // Evaluate computes Q(D) with provenance. The query must be valid for the
 // instance's schemas (Validate); Evaluate re-checks and returns the
 // validation error otherwise.
@@ -206,7 +179,6 @@ func Evaluate(q *Query, db *relation.Instance) (*Result, error) {
 		arity:    len(q.Head),
 		width:    len(q.Body),
 		atomRows: make([][]relation.Tuple, len(q.Body)),
-		seed:     maphash.MakeSeed(),
 	}
 	for i := range pl.steps {
 		s := &pl.steps[i]
@@ -242,7 +214,7 @@ type evaluator struct {
 	// cur is the current match by plan step, each step's tuple as a row
 	// of its relation.
 	cur []int32
-	buf []byte // probe and head-encoding scratch
+	key relation.Tuple // a probe's bound values, or a match's head
 	// Growable scratch that finish turns into the result's exact-size
 	// arrays: per answer, in first-derived order, its head's hash and its
 	// first derivation; per derivation, in the order derived, its answer
@@ -261,24 +233,20 @@ func (ev *evaluator) join(i int) {
 		return
 	}
 	s := &ev.steps[i]
-	bucket := int32(0) // the only bucket of a step with no bound position
-	if len(s.bound) > 0 {
-		ev.buf = ev.buf[:0]
-		for _, b := range s.bound {
-			v := b.val
-			if b.slot >= 0 {
-				v = ev.vals[b.slot]
-			}
-			ev.buf = v.AppendEncode(ev.buf)
+	ev.key = ev.key[:0]
+	for _, b := range s.bound {
+		v := b.val
+		if b.slot >= 0 {
+			v = ev.vals[b.slot]
 		}
-		b, ok := s.buckets[string(ev.buf)]
-		if !ok {
-			return
-		}
-		bucket = b
+		ev.key = append(ev.key, v)
+	}
+	bucket, _ := s.bucket(ev.key, ev.key.Hash())
+	if bucket < 0 {
+		return
 	}
 next:
-	for _, row := range s.rows[s.start[bucket]:s.start[bucket+1]] {
+	for row := s.first[bucket]; row >= 0; row = s.next[row] {
 		t := s.all[row]
 		for _, c := range s.binds {
 			ev.vals[c.slot] = t[c.pos]
@@ -297,14 +265,17 @@ next:
 // adding the answer if it is new. A plan step never yields the same tuple
 // twice for one partial match, so every match is a distinct derivation.
 func (ev *evaluator) emit() {
-	ev.buf = ev.buf[:0]
+	ev.key = ev.key[:0]
 	for _, hv := range ev.plan.head {
-		ev.buf = ev.vals[hv.slot].AppendEncode(ev.buf)
+		ev.key = append(ev.key, ev.vals[hv.slot])
 	}
-	h := ev.res.hash(ev.buf)
-	ans, slot := ev.res.probe(h, func(a int32) bool { return ev.ansHash[a] == h && ev.sameHead(a) })
+	h, r := ev.key.Hash(), ev.res
+	ans, slot := r.index.Find(h, func(a int32) bool { return ev.ansHash[a] == h && ev.sameHead(a) })
 	if ans < 0 {
-		ans = ev.add(h, slot)
+		ans = int32(len(ev.ansHash))
+		ev.ansHash = append(ev.ansHash, h)
+		ev.ansFirst = append(ev.ansFirst, int32(len(ev.derivAns)))
+		r.index.Insert(slot, ans, h, ev.answerHash)
 	}
 	ev.derivAns = append(ev.derivAns, ans)
 	ev.derivTup = append(ev.derivTup, ev.cur...)
@@ -322,28 +293,9 @@ func (ev *evaluator) sameHead(a int32) bool {
 	return true
 }
 
-// add records a new answer whose head hashes to h and whose first
-// derivation is the one emit is about to append, and returns its index.
-// The answer takes the empty slot probe found, unless the table would
-// pass half full: then the table doubles and every answer is placed
-// again by its kept hash, without re-encoding any head.
-func (ev *evaluator) add(h uint64, slot int) int32 {
-	r := ev.res
-	n := int32(len(ev.ansHash))
-	if 2*int(n+1) > len(r.slots) {
-		r.slots = make([]int32, max(8, 2*len(r.slots)))
-		never := func(int32) bool { return false }
-		for i, hi := range ev.ansHash {
-			_, s := r.probe(hi, never)
-			r.slots[s] = int32(i) + 1
-		}
-		_, slot = r.probe(h, never)
-	}
-	r.slots[slot] = n + 1
-	ev.ansHash = append(ev.ansHash, h)
-	ev.ansFirst = append(ev.ansFirst, int32(len(ev.derivAns)))
-	return n
-}
+// answerHash returns answer a's kept head hash, so that a doubling
+// table places answers again without reading any head.
+func (ev *evaluator) answerHash(a int32) uint64 { return ev.ansHash[a] }
 
 // finish builds the result's exact-size arrays from the scratch,
 // grouping each answer's derivations in the order they were derived and

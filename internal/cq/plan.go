@@ -19,22 +19,24 @@ type plan struct {
 // step and atom position that first hold it.
 type binding struct{ slot, step, pos int }
 
-// step is one atom of the plan. A probe encodes the bound positions'
-// values (Value.AppendEncode, in position order) and looks the bytes up in
-// buckets; each matching tuple then sets binds and must agree with checks.
+// step is one atom of the plan. A probe gathers the bound positions'
+// values, in position order, and looks them up in index; each tuple of
+// the matching bucket then sets binds and must agree with checks.
 type step struct {
 	atom   int // position in the query body
 	rel    *relation.Relation
 	bound  []source // constants and variables of earlier steps
 	binds  []slotAt // first occurrence in this atom of a new variable
 	checks []slotAt // later occurrences in this atom of a new variable
-	// The hash index on the bound positions: rows[start[b]:start[b+1]]
-	// holds bucket b's rows, ascending; a row indexes all, the
-	// relation's Tuples(). buckets is nil when no position is bound.
-	buckets map[string]int32
-	start   []int32
-	rows    []int32
-	all     []relation.Tuple
+	// The hash index on the bound positions. Bucket b's rows, ascending,
+	// are first[b], next[first[b]], ... up to -1, buckets numbered in the
+	// order their first rows come; a row indexes all, the relation's
+	// Tuples(). index finds a bucket by the bound values of its first
+	// row.
+	index relation.Table
+	first []int32
+	next  []int32
+	all   []relation.Tuple
 }
 
 // source is a bound position's value: the constant val when slot < 0.
@@ -101,45 +103,56 @@ func compile(q *Query, db *relation.Instance) *plan {
 }
 
 // buildIndex buckets the relation's tuples, all, by their values at the
-// bound positions. A step with no bound positions gets one bucket, 0, of
-// every row and no bucket map: join reads it without a probe.
+// bound positions. A step with no bound positions has one bucket of
+// every row, under the empty key.
 func (s *step) buildIndex(all []relation.Tuple) {
 	s.all = all
-	if len(s.bound) == 0 {
-		s.start = []int32{0, int32(len(all))}
-		s.rows = make([]int32, len(all))
-		for i := range s.rows {
-			s.rows[i] = int32(i)
-		}
-		return
-	}
-	s.buckets = make(map[string]int32)
-	bucketOf := make([]int32, len(all))
-	s.start = []int32{0}
-	var buf []byte
+	s.next = make([]int32, len(all))
+	var key relation.Tuple
+	var last []int32 // of each bucket
 	for i, t := range all {
-		buf = buf[:0]
-		for _, b := range s.bound {
-			buf = t[b.pos].AppendEncode(buf)
+		s.next[i] = -1
+		key = s.keyOf(key[:0], t)
+		h := key.Hash()
+		b, slot := s.bucket(key, h)
+		if b < 0 {
+			s.first = append(s.first, int32(i))
+			last = append(last, int32(i))
+			s.index.Insert(slot, int32(len(s.first)-1), h, s.bucketHash)
+			continue
 		}
-		b, ok := s.buckets[string(buf)]
-		if !ok {
-			b = int32(len(s.buckets))
-			s.buckets[string(buf)] = b
-			s.start = append(s.start, 0)
+		s.next[last[b]] = int32(i)
+		last[b] = int32(i)
+	}
+}
+
+// bucket returns the bucket whose rows hold key at the bound positions,
+// or -1 and the empty slot where a bucket for key belongs; h is
+// key.Hash().
+func (s *step) bucket(key relation.Tuple, h uint64) (int32, int) {
+	return s.index.Find(h, func(b int32) bool {
+		t := s.all[s.first[b]]
+		for k, bd := range s.bound {
+			if t[bd.pos] != key[k] {
+				return false
+			}
 		}
-		bucketOf[i] = b
-		s.start[b+1]++
+		return true
+	})
+}
+
+// keyOf appends t's values at the bound positions to dst.
+func (s *step) keyOf(dst, t relation.Tuple) relation.Tuple {
+	for _, b := range s.bound {
+		dst = append(dst, t[b.pos])
 	}
-	for b := 1; b < len(s.start); b++ {
-		s.start[b] += s.start[b-1]
-	}
-	fill := append([]int32(nil), s.start[:len(s.start)-1]...)
-	s.rows = make([]int32, len(all))
-	for i := range all {
-		s.rows[fill[bucketOf[i]]] = int32(i)
-		fill[bucketOf[i]]++
-	}
+	return dst
+}
+
+// bucketHash hashes bucket b's key.
+func (s *step) bucketHash(b int32) uint64 {
+	var buf [4]relation.Value
+	return s.keyOf(buf[:0], s.all[s.first[b]]).Hash()
 }
 
 // ExplainPlan reports the compiled plan of the query over this instance,

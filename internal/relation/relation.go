@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"strconv"
@@ -41,17 +40,7 @@ func (t Tuple) Clone() Tuple {
 
 // Equal reports whether t and u have the same arity and the same constants
 // in every position.
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if t[i] != u[i] {
-			return false
-		}
-	}
-	return true
-}
+func (t Tuple) Equal(u Tuple) bool { return slices.Equal(t, u) }
 
 // String renders the tuple as (a,b,c).
 func (t Tuple) String() string {
@@ -277,14 +266,7 @@ func MustSchema(name string, attrs []string, key []int) *Schema {
 func (s *Schema) Arity() int { return len(s.Attrs) }
 
 // IsKeyPos reports whether attribute position p belongs to the key.
-func (s *Schema) IsKeyPos(p int) bool {
-	for _, k := range s.Key {
-		if k == p {
-			return true
-		}
-	}
-	return false
-}
+func (s *Schema) IsKeyPos(p int) bool { return slices.Contains(s.Key, p) }
 
 // String renders the schema as Name(a, b*, c) with key attributes starred.
 func (s *Schema) String() string {
@@ -316,18 +298,15 @@ var (
 // Relation is a finite set of tuples over a schema, with the key constraint
 // enforced on insert. Every relation has a key, so a tuple is present
 // exactly when its key values lead to a row holding an equal tuple: one
-// hash table over key values serves inserts, lookups and deletes.
+// Table of rows, hashed by key values, serves inserts, lookups and
+// deletes.
 type Relation struct {
 	schema *Schema
 	// rows holds the tuples in insertion order; a deleted row is nil.
 	rows []Tuple
-	// live counts the rows not deleted.
-	live int
-	// table is a hash table over the live rows' key values, at most half
-	// full, probed linearly: each slot holds a row plus one, or zero when
-	// empty. Delete shifts later entries back, so no slot is a tombstone.
-	table []int32
-	seed  maphash.Seed
+	// index holds the live rows, hashed by their key values; its Len is
+	// the relation's.
+	index Table
 	// shared is set once a Tuples() snapshot aliases rows; Delete then
 	// copies rows before its tombstone, so the snapshot keeps its tuples.
 	shared atomic.Bool
@@ -339,68 +318,39 @@ type Relation struct {
 
 // NewRelation creates an empty relation over the schema.
 func NewRelation(schema *Schema) *Relation {
-	return &Relation{schema: schema, seed: maphash.MakeSeed()}
+	return &Relation{schema: schema}
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.live }
+func (r *Relation) Len() int { return r.index.Len() }
 
-// hash hashes t's key values.
-func (r *Relation) hash(t Tuple) uint64 {
+// keyHash hashes t's key values.
+func (r *Relation) keyHash(t Tuple) uint64 {
 	var h uint64
 	for _, p := range r.schema.Key {
-		h = h*0x100000001b3 ^ maphash.String(r.seed, string(t[p]))
+		h = mix(h, t[p])
 	}
 	return h
 }
 
-// probe walks the table from t's home slot and returns the row whose key
-// values equal t's, or -1 and the empty slot where t belongs; slot is
-// the row's slot when found.
-func (r *Relation) probe(t Tuple) (row int32, slot int) {
-	if len(r.table) == 0 {
-		return -1, 0
-	}
-	mask := len(r.table) - 1
-	for i := int(r.hash(t)) & mask; ; i = (i + 1) & mask {
-		s := r.table[i]
-		if s == 0 {
-			return -1, i
-		}
-		if r.sameKey(r.rows[s-1], t) {
-			return s - 1, i
-		}
-	}
-}
+// rowHash hashes a live row's key values.
+func (r *Relation) rowHash(row int32) uint64 { return r.keyHash(r.rows[row]) }
 
-// sameKey reports whether t and u agree on the key positions.
-func (r *Relation) sameKey(t, u Tuple) bool {
-	for _, p := range r.schema.Key {
-		if t[p] != u[p] {
-			return false
+// probe returns the row whose key values equal t's, with its slot, or
+// -1 and the empty slot where t belongs; h is t's keyHash.
+func (r *Relation) probe(t Tuple, h uint64) (row int32, slot int) {
+	return r.index.Find(h, func(row int32) bool {
+		u := r.rows[row]
+		for _, p := range r.schema.Key {
+			if t[p] != u[p] {
+				return false
+			}
 		}
-	}
-	return true
-}
-
-// grow doubles the table, or makes its first one, and rehashes the live
-// rows into it.
-func (r *Relation) grow() {
-	r.table = make([]int32, max(8, 2*len(r.table)))
-	mask := len(r.table) - 1
-	for row, t := range r.rows {
-		if t == nil {
-			continue
-		}
-		i := int(r.hash(t)) & mask
-		for r.table[i] != 0 {
-			i = (i + 1) & mask
-		}
-		r.table[i] = int32(row) + 1
-	}
+		return true
+	})
 }
 
 // Insert adds a tuple. It returns ErrArity on arity mismatch,
@@ -410,19 +360,16 @@ func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.Arity() {
 		return fmt.Errorf("%w: relation %s expects arity %d, got %d", ErrArity, r.schema.Name, r.schema.Arity(), len(t))
 	}
-	if 2*(r.live+1) > len(r.table) {
-		r.grow()
-	}
-	i, slot := r.probe(t)
+	h := r.keyHash(t)
+	i, slot := r.probe(t, h)
 	if i >= 0 {
 		if r.rows[i].Equal(t) {
 			return fmt.Errorf("%w: %s%s", ErrDuplicate, r.schema.Name, t)
 		}
 		return fmt.Errorf("%w: %s%s collides on key with %s%s", ErrKeyViolation, r.schema.Name, t, r.schema.Name, r.rows[i])
 	}
-	r.table[slot] = int32(len(r.rows)) + 1
 	r.rows = append(r.rows, t.Clone())
-	r.live++
+	r.index.Insert(slot, int32(len(r.rows))-1, h, r.rowHash)
 	r.dropSnapshot()
 	return nil
 }
@@ -446,7 +393,7 @@ func (r *Relation) find(t Tuple) (row int32, slot int, ok bool) {
 	if len(t) != r.schema.Arity() {
 		return 0, 0, false
 	}
-	row, slot = r.probe(t)
+	row, slot = r.probe(t, r.keyHash(t))
 	return row, slot, row >= 0 && r.rows[row].Equal(t)
 }
 
@@ -461,19 +408,8 @@ func (r *Relation) Delete(t Tuple) bool {
 		r.rows = slices.Clone(r.rows)
 		r.shared.Store(false)
 	}
+	r.index.Delete(slot, r.rowHash)
 	r.rows[row] = nil
-	r.live--
-	// Backward-shift deletion: move each later entry of the probe run
-	// into the hole when the hole lies between its home slot and it.
-	mask := len(r.table) - 1
-	for j := (slot + 1) & mask; r.table[j] != 0; j = (j + 1) & mask {
-		home := int(r.hash(r.rows[r.table[j]-1])) & mask
-		if (j-home)&mask >= (j-slot)&mask {
-			r.table[slot] = r.table[j]
-			slot = j
-		}
-	}
-	r.table[slot] = 0
 	r.dropSnapshot()
 	return true
 }
@@ -485,16 +421,17 @@ func (r *Relation) Delete(t Tuple) bool {
 // the snapshot is the row array itself, capped at its length, so that
 // appending to it copies instead of writing into the slots Insert fills.
 func (r *Relation) Tuples() []Tuple {
-	if r.live == len(r.rows) {
+	live := r.Len()
+	if live == len(r.rows) {
 		if !r.shared.Load() {
 			r.shared.Store(true)
 		}
-		return r.rows[:r.live:r.live]
+		return r.rows[:live:live]
 	}
 	if p := r.snap.Load(); p != nil {
 		return *p
 	}
-	out := make([]Tuple, 0, r.live)
+	out := make([]Tuple, 0, live)
 	for _, t := range r.rows {
 		if t != nil {
 			out = append(out, t)

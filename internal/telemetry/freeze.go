@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"time"
+
+	"delprop/internal/relation"
 )
 
 // A finished trace is immutable, and the tracer keeps the last
@@ -55,6 +57,9 @@ const (
 type traceEncoder struct {
 	buf  []byte
 	strs []string // the strings written so far, in order
+	// index finds a string in strs by its hash, so that a string costs
+	// one lookup rather than a scan of the strings written before it.
+	index *relation.Table
 }
 
 func (e traceEncoder) byte(b byte) traceEncoder {
@@ -73,16 +78,20 @@ func (e traceEncoder) varint(x int64) traceEncoder {
 }
 
 func (e traceEncoder) str(s string) traceEncoder {
-	for i, t := range e.strs {
-		if t == s {
-			return e.uvarint(uint64(i + 1))
-		}
+	h := strHash(s)
+	i, slot := e.index.Find(h, func(i int32) bool { return e.strs[i] == s })
+	if i >= 0 {
+		return e.uvarint(uint64(i + 1))
 	}
 	e.strs = append(e.strs, s)
-	e = e.uvarint(0).uvarint(uint64(len(s)))
+	e.index.Insert(slot, int32(len(e.strs)-1), h, func(i int32) uint64 { return strHash(e.strs[i]) })
+	e.buf = binary.AppendUvarint(append(e.buf, 0), uint64(len(s)))
 	e.buf = append(e.buf, s...)
 	return e
 }
+
+// strHash hashes s for traceEncoder's index.
+func strHash(s string) uint64 { return relation.Tuple{relation.Value(s)}.Hash() }
 
 // value writes one Fields value; it reports false for a type the block
 // has no kind for.
@@ -114,7 +123,8 @@ func (e traceEncoder) value(v any) (traceEncoder, bool) {
 func (st *traceState) freeze(start time.Time) (string, bool) {
 	var buf [1024]byte
 	var strs [48]string
-	e := traceEncoder{buf: buf[:0], strs: strs[:0]}
+	var index relation.Table
+	e := traceEncoder{buf: buf[:0], strs: strs[:0], index: &index}
 	e = e.varint(int64(st.end.Sub(start))).uvarint(uint64(len(st.attrs)))
 	for _, a := range st.attrs {
 		e = e.str(a.key).str(a.value)

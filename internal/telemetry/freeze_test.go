@@ -301,3 +301,42 @@ func FuzzTraceFreeze(f *testing.F) {
 		finishAndCompare(t, tracer, tr, func(tr *Trace) { ops.run(tr, &ends) })
 	})
 }
+
+// BenchmarkTraceFinish measures one solve trace from Start to Finish,
+// shaped as a /solve of the paper's Fig. 1 instance records it: seven
+// attributes, five phase spans and eight events, which Finish freezes.
+func BenchmarkTraceFinish(b *testing.B) {
+	tracer := NewTracer(DefaultTraceBuffer)
+	attrs := [][2]string{
+		{"requestId", "r1"}, {"tenant", "default"}, {"solver", "single-tuple-exact"},
+		{"dbSize", "7"}, {"queries", "1"}, {"deltaSize", "1"}, {"outcome", "ok"},
+	}
+	events := []Event{
+		{Type: "solve_start", Solver: "auto", Fields: Fields{{"deadlineMs", 30000}, {"degraded", false}}},
+		{Type: "phase", Solver: "auto", Fields: Fields{{"phase", "parse"}, {"durationMs", 0.017862}}},
+		{Type: "phase", Solver: "auto", Fields: Fields{{"phase", "views"}, {"durationMs", 0.032968}}},
+		{Type: "phase", Fields: Fields{{"phase", "classify"}, {"durationMs", 0.000665}}},
+		{Type: "incumbent", Fields: Fields{{"objective", 1}, {"deleted", 1}}},
+		{Type: "phase", Fields: Fields{{"phase", "solve"}, {"durationMs", 0.025413}}},
+		{Type: "lower_bound", Fields: Fields{{"bound", 0.5}}},
+		{Type: "solve_done", Fields: Fields{{"outcome", "ok"}, {"durationMs", 0.025413}, {"nodes", 2}, {"incumbents", 1}, {"objective", 1}}},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr := tracer.Start("solve")
+		for _, name := range Phases {
+			tr.Span(name)()
+		}
+		for j, ev := range events {
+			ev.Seq, ev.Time, ev.RequestID, ev.TraceID, ev.Tenant = uint64(j+1), time.Now(), "r1", tr.ID(), "default"
+			if ev.Solver == "" {
+				ev.Solver = "single-tuple-exact"
+			}
+			tr.AddEvent(ev)
+		}
+		for _, a := range attrs {
+			tr.SetAttr(a[0], a[1])
+		}
+		tr.Finish()
+	}
+}

@@ -10,11 +10,10 @@ set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18081}"
 OPS_ADDR="${OPS_ADDR:-127.0.0.1:19091}"
-BIN="$(mktemp -d)/delpropd"
-LOG="$(mktemp)"
-POLICY="$(mktemp)"
+source "$(dirname "$0")/lib.sh"
+POLICY="$WORK/policy.json"
 
-go build -o "$BIN" ./cmd/delpropd
+build delpropd
 
 cat >"$POLICY" <<'EOF'
 {
@@ -29,18 +28,9 @@ EOF
 # One compute slot makes saturation trivial to stage; breaker threshold 3
 # matches chaos-flaky's three injected panics, so the breaker opens at
 # the exact moment the solver heals.
-"$BIN" -addr "$ADDR" -ops-addr "$OPS_ADDR" -policy "$POLICY" \
+start_daemon -policy "$POLICY" \
     -fault-solvers -breaker-threshold 3 -breaker-cooldown 2s \
-    -max-concurrent 1 -degraded-lanes 2 -shed-queue-wait 100ms \
-    >"$LOG" 2>&1 &
-PID=$!
-trap 'kill "$PID" 2>/dev/null || true; cat "$LOG"' EXIT
-
-for _ in $(seq 1 50); do
-    curl -sf "http://$OPS_ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
-curl -sf "http://$OPS_ADDR/healthz" >/dev/null
+    -max-concurrent 1 -degraded-lanes 2 -shed-queue-wait 100ms
 
 # solve POSTs the Fig. 1 running example; $1 = solver, $2 = tenant
 # (empty for none), $3 = timeout. Prints "status body".
@@ -161,7 +151,5 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-kill "$PID"
-wait "$PID" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 echo "chaos smoke OK"

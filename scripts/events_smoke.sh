@@ -9,29 +9,12 @@ set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18081}"
 OPS_ADDR="${OPS_ADDR:-127.0.0.1:19091}"
-WORK="$(mktemp -d)"
-LOG="$WORK/delpropd.log"
+source "$(dirname "$0")/lib.sh"
 STREAM="$WORK/events.sse"
 TAIL_OUT="$WORK/tail.txt"
 
-go build -o "$WORK/delpropd" ./cmd/delpropd
-go build -o "$WORK/delprop" ./cmd/delprop
-
-"$WORK/delpropd" -addr "$ADDR" -ops-addr "$OPS_ADDR" >"$LOG" 2>&1 &
-PID=$!
-cleanup() {
-    kill "$PID" 2>/dev/null || true
-    kill "${CURL_PID:-}" 2>/dev/null || true
-    kill "${TAIL_PID:-}" 2>/dev/null || true
-    cat "$LOG"
-}
-trap cleanup EXIT
-
-for _ in $(seq 1 50); do
-    curl -sf "http://$OPS_ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
-curl -sf "http://$OPS_ADDR/healthz" >/dev/null
+build delpropd delprop
+start_daemon
 
 # Subscribe before solving so no lifecycle event is missed: the raw SSE
 # stream via curl -N on the ops listener, and delprop tail (the reference
@@ -153,7 +136,5 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-kill "$PID"
-wait "$PID" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 echo "events smoke OK"

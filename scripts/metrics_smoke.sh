@@ -6,20 +6,10 @@ set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18080}"
 OPS_ADDR="${OPS_ADDR:-127.0.0.1:19090}"
-BIN="$(mktemp -d)/delpropd"
-LOG="$(mktemp)"
+source "$(dirname "$0")/lib.sh"
 
-go build -o "$BIN" ./cmd/delpropd
-
-"$BIN" -addr "$ADDR" -ops-addr "$OPS_ADDR" -pprof >"$LOG" 2>&1 &
-PID=$!
-trap 'kill "$PID" 2>/dev/null || true; cat "$LOG"' EXIT
-
-for _ in $(seq 1 50); do
-    curl -sf "http://$OPS_ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
-curl -sf "http://$OPS_ADDR/healthz" >/dev/null
+build delpropd
+start_daemon -pprof
 
 # requestId prints the "requestId" of the JSON response on stdin.
 requestId() { grep -o '"requestId":"[^"]*"' | head -n 1 | cut -d'"' -f4; }
@@ -156,7 +146,5 @@ curl -sf "http://$OPS_ADDR/debug/traces?solver=brute-force&format=text" | grep -
 curl -sf "http://$OPS_ADDR/debug/pprof/cmdline" >/dev/null \
     || { echo "pprof not mounted on ops listener"; exit 1; }
 
-kill "$PID"
-wait "$PID" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 echo "metrics smoke OK"

@@ -10,12 +10,10 @@ set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18082}"
 OPS_ADDR="${OPS_ADDR:-127.0.0.1:19092}"
-WORK="$(mktemp -d)"
-LOG="$WORK/delpropd.log"
+source "$(dirname "$0")/lib.sh"
 STREAM="$WORK/breach.sse"
 
-go build -o "$WORK/delpropd" ./cmd/delpropd
-go build -o "$WORK/delprop" ./cmd/delprop
+build delpropd delprop
 
 cat >"$WORK/slo.json" <<'EOF'
 {
@@ -34,22 +32,9 @@ cat >"$WORK/slo.json" <<'EOF'
 }
 EOF
 
-"$WORK/delpropd" -addr "$ADDR" -ops-addr "$OPS_ADDR" -fault-solvers \
+start_daemon -fault-solvers \
     -series-interval 100ms -series-window 2m -slo "$WORK/slo.json" \
-    -breaker-threshold 100 >"$LOG" 2>&1 &
-PID=$!
-cleanup() {
-    kill "$PID" 2>/dev/null || true
-    kill "${CURL_PID:-}" 2>/dev/null || true
-    cat "$LOG"
-}
-trap cleanup EXIT
-
-for _ in $(seq 1 50); do
-    curl -sf "http://$OPS_ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
-curl -sf "http://$OPS_ADDR/healthz" >/dev/null
+    -breaker-threshold 100
 
 # Subscribe to the breach stream before any failure happens.
 curl -sN "http://$OPS_ADDR/events?type=slo_breach" >"$STREAM" &
@@ -162,7 +147,5 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-kill "$PID"
-wait "$PID" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 echo "series smoke OK"

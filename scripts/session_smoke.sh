@@ -7,20 +7,10 @@ set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18082}"
 OPS_ADDR="${OPS_ADDR:-127.0.0.1:19092}"
-BIN="$(mktemp -d)/delpropd"
-LOG="$(mktemp)"
+source "$(dirname "$0")/lib.sh"
 
-go build -o "$BIN" ./cmd/delpropd
-
-"$BIN" -addr "$ADDR" -ops-addr "$OPS_ADDR" -session-ttl 5m -max-sessions 8 >"$LOG" 2>&1 &
-PID=$!
-trap 'kill "$PID" 2>/dev/null || true; cat "$LOG"' EXIT
-
-for _ in $(seq 1 50); do
-    curl -sf "http://$OPS_ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
-curl -sf "http://$OPS_ADDR/healthz" >/dev/null
+build delpropd
+start_daemon -session-ttl 5m -max-sessions 8
 
 # Register the Fig. 1 running example as a warm session.
 REG="$(curl -sf -X POST "http://$ADDR/sessions" -H 'Content-Type: application/json' -d '{
@@ -70,7 +60,5 @@ grep -qF 'delprop_session_entries 0' <<<"$METRICS" \
 grep -qE '^delprop_session_misses_total [2-9]' <<<"$METRICS" \
     || { echo "post-eviction solve did not count as a miss"; grep delprop_session <<<"$METRICS" || true; exit 1; }
 
-kill "$PID"
-wait "$PID" 2>/dev/null || true
-trap - EXIT
+stop_daemon
 echo "session smoke OK"

@@ -17,6 +17,7 @@ import (
 	"go/types"
 
 	"delprop/tools/lint/analysis"
+	"delprop/tools/lint/internal/typesutil"
 )
 
 // Analyzer implements the ctxrules checks.
@@ -65,7 +66,7 @@ func checkParams(pass *analysis.Pass, ft *ast.FuncType) {
 		if width == 0 {
 			width = 1
 		}
-		if isContext(pass.TypesInfo.TypeOf(field.Type)) && !(fieldIdx == 0 && pos == 0) {
+		if typesutil.IsContext(pass.TypesInfo.TypeOf(field.Type)) && !(fieldIdx == 0 && pos == 0) {
 			pass.ReportRangef(field, "context.Context must be the first parameter")
 		}
 		pos += width
@@ -75,7 +76,7 @@ func checkParams(pass *analysis.Pass, ft *ast.FuncType) {
 // checkFields flags struct fields of type context.Context.
 func checkFields(pass *analysis.Pass, st *ast.StructType) {
 	for _, field := range st.Fields.List {
-		if isContext(pass.TypesInfo.TypeOf(field.Type)) {
+		if typesutil.IsContext(pass.TypesInfo.TypeOf(field.Type)) {
 			pass.ReportRangef(field, "do not store context.Context in a struct; pass it per call so cancellation follows the caller")
 		}
 	}
@@ -132,14 +133,4 @@ func checkTypeSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt, errType types.
 			}
 		}
 	}
-}
-
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

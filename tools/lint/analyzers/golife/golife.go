@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"delprop/tools/lint/analysis"
+	"delprop/tools/lint/internal/typesutil"
 )
 
 // Analyzer implements the golife check.
@@ -107,7 +108,7 @@ func bounded(pass *analysis.Pass, call *ast.CallExpr, decls map[*types.Func]*ast
 				return true
 			}
 		}
-		if fn, ok := calleeFunc(pass, fun); ok {
+		if fn := typesutil.Callee(pass.TypesInfo, call); fn != nil {
 			if fd := decls[fn]; fd != nil {
 				return hasEvidence(pass, fd.Body)
 			}
@@ -117,18 +118,6 @@ func bounded(pass *analysis.Pass, call *ast.CallExpr, decls map[*types.Func]*ast
 		}
 	}
 	return false
-}
-
-func calleeFunc(pass *analysis.Pass, fun ast.Expr) (*types.Func, bool) {
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		fn, ok := pass.TypesInfo.ObjectOf(fun).(*types.Func)
-		return fn, ok
-	case *ast.SelectorExpr:
-		fn, ok := pass.TypesInfo.ObjectOf(fun.Sel).(*types.Func)
-		return fn, ok
-	}
-	return nil, false
 }
 
 // hasEvidence scans a body for lifetime evidence: context use, WaitGroup
@@ -160,7 +149,7 @@ func hasEvidence(pass *analysis.Pass, body *ast.BlockStmt) bool {
 				}
 			}
 		case *ast.Ident:
-			if t := pass.TypesInfo.TypeOf(n); t != nil && (isContext(t) || isWaitGroup(t)) {
+			if t := pass.TypesInfo.TypeOf(n); t != nil && (typesutil.IsContext(t) || isWaitGroup(t)) {
 				found = true
 			}
 		}
@@ -172,21 +161,12 @@ func hasEvidence(pass *analysis.Pass, body *ast.BlockStmt) bool {
 // lifetimeType reports whether t is evidence when handed to a goroutine:
 // a context.Context, a channel, or a *sync.WaitGroup.
 func lifetimeType(t types.Type) bool {
-	return isContext(t) || isChan(t) || isWaitGroup(t)
+	return typesutil.IsContext(t) || isChan(t) || isWaitGroup(t)
 }
 
 func isChan(t types.Type) bool {
 	_, ok := types.Unalias(t.Underlying()).(*types.Chan)
 	return ok
-}
-
-func isContext(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 func isWaitGroup(t types.Type) bool {

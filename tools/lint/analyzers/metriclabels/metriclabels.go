@@ -47,6 +47,7 @@ import (
 	"strings"
 
 	"delprop/tools/lint/analysis"
+	"delprop/tools/lint/internal/typesutil"
 )
 
 // Analyzer implements the metriclabels check.
@@ -164,8 +165,8 @@ func (st *state) propagate() bool {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				callee, ok := st.callee(n)
-				if !ok {
+				callee := typesutil.Callee(st.pass.TypesInfo, n)
+				if callee == nil {
 					return true
 				}
 				cd := st.decls[callee]
@@ -207,19 +208,6 @@ func paramVars(fd *ast.FuncDecl, pass *analysis.Pass) []*types.Var {
 		}
 	}
 	return out
-}
-
-// callee resolves a call to a same-package function or method object.
-func (st *state) callee(call *ast.CallExpr) (*types.Func, bool) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, ok := st.pass.TypesInfo.ObjectOf(fun).(*types.Func)
-		return fn, ok
-	case *ast.SelectorExpr:
-		fn, ok := st.pass.TypesInfo.ObjectOf(fun.Sel).(*types.Func)
-		return fn, ok
-	}
-	return nil, false
 }
 
 // localTaint computes the function's tainted locals with a forward pass
@@ -286,7 +274,7 @@ func (st *state) tainted(e ast.Expr, locals map[types.Object]bool) bool {
 		}
 		// A context reached from a request is cancellation plumbing, not
 		// a label string; cutting here keeps ctx-threading code clean.
-		if isContextType(t) {
+		if typesutil.IsContext(t) {
 			return false
 		}
 	}
@@ -320,7 +308,7 @@ func (st *state) tainted(e ast.Expr, locals map[types.Object]bool) bool {
 			}
 			return false
 		}
-		if callee, ok := st.callee(e); ok {
+		if callee := typesutil.Callee(st.pass.TypesInfo, e); callee != nil {
 			// Bounded vocabulary packages launder taint: their results
 			// are registry names, known tenants and rule names even when
 			// a request string goes in.
@@ -427,16 +415,6 @@ func carriesString(t types.Type) bool {
 		return carriesString(u.Elem())
 	}
 	return false
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
 // requestRooted reports whether t is a request-data root type.

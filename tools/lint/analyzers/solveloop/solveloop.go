@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"delprop/tools/lint/analysis"
+	"delprop/tools/lint/internal/typesutil"
 )
 
 // Analyzer implements the solveloop check.
@@ -103,7 +104,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			add(staticCallee(pass, call))
+			add(typesutil.Callee(pass.TypesInfo, call))
 			return true
 		})
 	}
@@ -120,22 +121,7 @@ func hasLeadingCtx(fn *types.Func) bool {
 	if !ok || sig.Params().Len() == 0 {
 		return false
 	}
-	return isContext(sig.Params().At(0).Type())
-}
-
-// staticCallee resolves a call to a same-package declared function.
-func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
+	return typesutil.IsContext(sig.Params().At(0).Type())
 }
 
 // checkLoops walks one function body and reports unbounded loops that
@@ -227,14 +213,14 @@ func pollsContext(pass *analysis.Pass, body *ast.BlockStmt) bool {
 				polls = true
 				return false
 			}
-			if (fun.Sel.Name == "Done" || fun.Sel.Name == "Err") && isContext(pass.TypesInfo.TypeOf(fun.X)) {
+			if (fun.Sel.Name == "Done" || fun.Sel.Name == "Err") && typesutil.IsContext(pass.TypesInfo.TypeOf(fun.X)) {
 				polls = true
 				return false
 			}
 		}
 		// A call that forwards the context delegates the obligation.
 		for _, arg := range call.Args {
-			if isContext(pass.TypesInfo.TypeOf(arg)) {
+			if typesutil.IsContext(pass.TypesInfo.TypeOf(arg)) {
 				polls = true
 				return false
 			}
@@ -242,14 +228,4 @@ func pollsContext(pass *analysis.Pass, body *ast.BlockStmt) bool {
 		return true
 	})
 	return polls
-}
-
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
